@@ -25,8 +25,8 @@ Installed as the ``repro`` console script (also runnable as
     Time the broker service across pool sizes and archive the JSON
     throughput baseline (``BENCH_service.json``).
 ``repro bench-core``
-    Time one window search per criterion through the incremental scan
-    kernel and the frozen pre-change kernel, and archive the JSON
+    Time one window search per criterion through the vectorized scan
+    kernel and the frozen reference kernel, and archive the JSON
     baseline (``BENCH_core.json``).
 ``repro bench-experiments``
     Time the process-parallel Monte-Carlo experiment engine across worker
@@ -607,7 +607,7 @@ def cmd_bench_core(args: argparse.Namespace) -> int:
         print(
             f"  {row['nodes']:>4} nodes {row['criterion']:<11} "
             f"reference {row['reference_windows_per_second']:8.1f} win/s, "
-            f"incremental {row['incremental_windows_per_second']:8.1f} win/s "
+            f"vectorized {row['incremental_windows_per_second']:8.1f} win/s "
             f"({row['speedup']:.2f}x); peak {row.get('candidate_peak', '-')}, "
             f"inserts {row.get('candidate_inserts', '-')}"
         )
@@ -1143,7 +1143,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_resilience.set_defaults(func=cmd_bench_resilience)
 
     bench_core = sub.add_parser(
-        "bench-core", help="scan-kernel windows/s, incremental vs reference"
+        "bench-core", help="scan-kernel windows/s, vectorized vs reference"
     )
     bench_core.add_argument("--nodes", default="50,100,200",
                             help="comma-separated node counts")

@@ -2,7 +2,7 @@
 
 from repro.core.aep import ScanResult, aep_scan, request_of
 from repro.core.batchscan import batch_aep_scan, scan_class_key
-from repro.core.candidates import IncrementalCandidateSet, LegFactory
+from repro.core.candidates import LegFactory
 from repro.core.composite import (
     constrained_best,
     dominates,
@@ -66,7 +66,6 @@ __all__ = [
     "find_window",
     "FirstFit",
     "GreedyAdditiveExtractor",
-    "IncrementalCandidateSet",
     "LegFactory",
     "MinCost",
     "MinEnergy",

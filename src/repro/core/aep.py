@@ -14,73 +14,35 @@ once); the per-step extraction works on the alive candidates, whose count
 is bounded by the number of CPU nodes — hence the paper's "linear
 complexity on the number of slots, quadratic on the number of nodes".
 
-Since the incremental-kernel rewrite the bookkeeping matches that
-linearity argument operation-for-operation: the extended window is an
-:class:`~repro.core.candidates.IncrementalCandidateSet` (expiry-heap
-pruning, cost-ordered bisection insertion, running cheapest-``n`` sum)
-carried across steps, window legs are built through a per-scan
-:class:`~repro.core.candidates.LegFactory` cache, and extractors that
-implement ``extract_incremental`` consume the maintained orders directly
-instead of re-sorting the candidates at every step.  The pre-change
-kernel is preserved verbatim in :mod:`repro.core.reference`; property
-tests assert window-for-window identical selection.
-
-On top of that, :func:`aep_scan` first offers each scan to the columnar
-kernel in :mod:`repro.core.vectorized`: when the slots come from a
-:class:`~repro.model.SlotPool` (or an ordered slot list) and the
-extractor is one of the stock strategies, eligibility masks and window
-costs are evaluated on numpy arrays and the object loop is skipped
-entirely.  ``REPRO_SCAN_KERNEL=object`` disables the dispatch;
-``repro.core.vectorized.scan_counters`` records which kernel served
-each scan.
+Two implementations serve a scan.  The loop below is the scheme as
+written: it keeps the alive candidates in scan order (an
+insertion-ordered dict plus a min-heap of each candidate's last viable
+window start, so every candidate enters and leaves exactly once), builds
+window legs through a per-scan :class:`~repro.core.candidates.LegFactory`
+cache, and calls the extractor's plain ``extract`` on the alive list at
+every step — any object with that method is a criterion.  When the slots
+come from a :class:`~repro.model.SlotPool` (or a start-ordered slot
+list) and the extractor is one of the stock strategies,
+:func:`aep_scan` hands the scan to the columnar replay in
+:mod:`repro.core.vectorized` instead, which evaluates eligibility and
+leg costs on numpy arrays and returns the byte-identical
+:class:`ScanResult`; ``repro.core.vectorized.scan_counters`` records
+which of the two served each scan.  The frozen
+:func:`repro.core.reference.reference_scan` is the baseline the
+equivalence tests hold both against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Iterable, Optional, Union
 
-from repro.core.candidates import IncrementalCandidateSet, LegFactory
-from repro.core.extractors import WindowExtractor
+from repro.core.candidates import LegFactory
+from repro.core.extractors import VALUE_EPSILON, ScanResult, WindowExtractor
 from repro.core.vectorized import UNSUPPORTED, vectorized_scan
 from repro.model.job import Job, ResourceRequest
 from repro.model.slot import TIME_EPSILON, Slot
-from repro.model.window import Window
-
-#: Minimal improvement for a new extraction to replace the incumbent; ties
-#: keep the earlier (earlier-starting) window, like the paper's strict
-#: comparison in the pseudo code.
-VALUE_EPSILON = 1e-12
-
-
-@dataclass(frozen=True)
-class ScanResult:
-    """Outcome of an AEP scan, with structural complexity counters.
-
-    The counters give a noise-free view of the paper's complexity claims:
-    ``slots_scanned`` grows linearly with the slot list (each slot is
-    visited exactly once), ``candidate_peak`` is bounded by the number of
-    CPU nodes (at most one alive slot per node), and ``steps`` counts the
-    per-step extractions whose cost depends on the alive-set size — hence
-    "linear in slots, quadratic in nodes".
-
-    ``candidate_inserts`` / ``candidate_expiries`` count the incremental
-    kernel's structural mutations.  Each scanned slot inserts at most one
-    candidate and every insert expires at most once, so
-    ``inserts + expiries <= 2 * slots_scanned`` — the amortized-O(1)
-    per-slot bookkeeping bound the regression tests pin down.  (With a
-    deadline, candidates that can no longer finish in time are expired
-    immediately, so ``candidate_peak`` counts only *eligible* candidates;
-    the pre-incremental scan kept them alive and filtered per step.)
-    """
-
-    window: Window
-    value: float
-    steps: int  # number of extraction attempts
-    slots_scanned: int = 0  # slots visited by the scan
-    candidate_peak: int = 0  # largest extended-window size observed
-    candidate_inserts: int = 0  # candidates entering the extended window
-    candidate_expiries: int = 0  # candidates pruned by expiry
+from repro.model.window import Window, WindowSlot
 
 
 def request_of(job: Union[Job, ResourceRequest]) -> ResourceRequest:
@@ -109,11 +71,9 @@ def aep_scan(
         precondition of the linear scan; :class:`~repro.model.SlotPool`
         iteration provides it).
     extractor:
-        Criterion-specific ``getBestWindow`` implementation.  Extractors
-        exposing ``extract_incremental`` receive the maintained
-        :class:`~repro.core.candidates.IncrementalCandidateSet`; others
-        get the alive candidates materialized in scan order, exactly as
-        the generic scan passed them.
+        Criterion-specific ``getBestWindow`` implementation: anything
+        with ``extract(window_start, candidates, request)``, which
+        receives the alive candidates in scan order.
     stop_at_first:
         Stop at the first successful extraction.  Correct only for
         criteria that cannot improve later in the scan — the window start
@@ -132,32 +92,22 @@ def aep_scan(
     request = request_of(job)
     vector = vectorized_scan(request, slots, extractor, stop_at_first=stop_at_first)
     if vector is not UNSUPPORTED:
-        # The vector kernel replayed this extractor's decisions on the
-        # columnar snapshot; its selection, value and counters are
-        # byte-identical to the object loop below (see the equivalence
-        # suite), so the object scan is skipped entirely.
-        if vector is None:
-            return None
-        return ScanResult(
-            window=vector.window,
-            value=vector.value,
-            steps=vector.steps,
-            slots_scanned=vector.slots_scanned,
-            candidate_peak=vector.candidate_peak,
-            candidate_inserts=vector.candidate_inserts,
-            candidate_expiries=vector.candidate_expiries,
-        )
+        # The replay's selection, value and counters are byte-identical
+        # to the loop below (see the equivalence suite).
+        return vector
     n = request.node_count
     deadline = request.deadline
     legs = leg_factory if leg_factory is not None else LegFactory(request)
-    candidates = IncrementalCandidateSet(n, deadline=deadline)
-    extract_incremental = getattr(extractor, "extract_incremental", None)
+    alive: dict[int, WindowSlot] = {}  # arrival serial -> leg, in scan order
+    expiry: list[tuple[float, int]] = []  # (last viable window start, serial)
 
-    best: Optional[ScanResult] = None
+    best_window: Optional[Window] = None
     best_value = float("inf")
     steps = 0
     slots_scanned = 0
     candidate_peak = 0
+    inserted = 0
+    expired = 0
     previous_start = None
 
     for slot in slots:
@@ -173,7 +123,9 @@ def aep_scan(
         window_start = slot.start
         # Expire candidates that can no longer host their task from here
         # on (each candidate is examined exactly once, when it expires).
-        candidates.prune(window_start)
+        while expiry and expiry[0][0] < window_start - TIME_EPSILON:
+            del alive[heappop(expiry)[1]]
+            expired += 1
         if not leg.fits_from(window_start):
             continue  # the slot itself is too short for its node's task
         if deadline is not None and window_start + leg.required_time > deadline + TIME_EPSILON:
@@ -181,37 +133,33 @@ def aep_scan(
             # only make it worse; skip it (but keep scanning: other nodes
             # may be faster).
             continue
-        candidates.insert(leg)
-        if len(candidates) > candidate_peak:
-            candidate_peak = len(candidates)
-        if len(candidates) < n:
+        # Window starts are non-decreasing, so missing the deadline is
+        # just another (possibly earlier) expiry.
+        last_finish = slot.end if deadline is None else min(slot.end, deadline)
+        inserted += 1
+        alive[inserted] = leg
+        heappush(expiry, (last_finish - leg.required_time, inserted))
+        if len(alive) > candidate_peak:
+            candidate_peak = len(alive)
+        if len(alive) < n:
             continue
         steps += 1
-        if extract_incremental is not None:
-            extraction = extract_incremental(window_start, candidates, request)
-        else:
-            extraction = extractor.extract(
-                window_start, candidates.scan_ordered(), request
-            )
+        extraction = extractor.extract(window_start, list(alive.values()), request)
         if extraction is None:
             continue
         if extraction.value < best_value - VALUE_EPSILON:
             best_value = extraction.value
-            best = ScanResult(
-                window=Window(start=window_start, slots=extraction.slots),
-                value=extraction.value,
-                steps=steps,
-            )
+            best_window = Window(start=window_start, slots=extraction.slots)
             if stop_at_first:
                 break
-    if best is not None:
-        return ScanResult(
-            window=best.window,
-            value=best.value,
-            steps=steps,
-            slots_scanned=slots_scanned,
-            candidate_peak=candidate_peak,
-            candidate_inserts=candidates.inserted,
-            candidate_expiries=candidates.expired,
-        )
-    return None
+    if best_window is None:
+        return None
+    return ScanResult(
+        window=best_window,
+        value=best_value,
+        steps=steps,
+        slots_scanned=slots_scanned,
+        candidate_peak=candidate_peak,
+        candidate_inserts=inserted,
+        candidate_expiries=expired,
+    )

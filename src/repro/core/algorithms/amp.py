@@ -33,10 +33,10 @@ from typing import Optional
 from repro.core.aep import aep_scan, request_of
 from repro.core.algorithms.base import JobLike, SlotSelectionAlgorithm
 from repro.core.candidates import LegFactory
-from repro.core.extractors import EarliestStartExtractor
+from repro.core.extractors import EarliestStartExtractor, _budget_of
 from repro.model.slot import TIME_EPSILON
 from repro.model.slotpool import SlotPool
-from repro.model.window import COST_EPSILON, Window, WindowSlot
+from repro.model.window import Window, WindowSlot
 
 
 class AMP(SlotSelectionAlgorithm):
@@ -94,9 +94,7 @@ class AMP(SlotSelectionAlgorithm):
         """The eviction scan of the paper-faithful AMP (see module docs)."""
         request = request_of(job)
         n = request.node_count
-        budget = request.effective_budget
-        if budget != float("inf"):
-            budget += COST_EPSILON * (1.0 + abs(budget))
+        budget = _budget_of(request)
         deadline = request.deadline
         legs = leg_factory if leg_factory is not None else LegFactory(request)
         candidates: list[WindowSlot] = []

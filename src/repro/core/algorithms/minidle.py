@@ -22,10 +22,10 @@ from typing import Optional, Sequence
 
 from repro.core.aep import aep_scan
 from repro.core.algorithms.base import JobLike, SlotSelectionAlgorithm
-from repro.core.extractors import Extraction, cheapest_subset
+from repro.core.extractors import Extraction, _budget_of, cheapest_subset
 from repro.model.job import ResourceRequest
 from repro.model.slotpool import SlotPool
-from repro.model.window import COST_EPSILON, Window, WindowSlot
+from repro.model.window import Window, WindowSlot
 
 
 def _idle_of(group: Sequence[WindowSlot]) -> float:
@@ -44,9 +44,7 @@ class BalancedEdgeExtractor:
     ) -> Optional[Extraction]:
         """Best feasible ``n``-subset at this scan step (see class docs)."""
         n = request.node_count
-        budget = request.effective_budget
-        if budget != float("inf"):
-            budget += COST_EPSILON * (1.0 + abs(budget))
+        budget = _budget_of(request)
         if len(candidates) < n:
             return None
         by_duration = sorted(

@@ -17,14 +17,14 @@ instead:
    (:meth:`repro.model.Window.conflicts_with`), so phase 2 can never
    assign a shared window to two jobs.
 2. **Shared multi-budget sweeps.**  For the cheapest-subset criteria
-   (earliest-start / min-total-cost), the candidate evolution of
-   :func:`repro.core.vectorized._run_cheapest` is budget-independent;
-   classes that differ only in budget are served by *one* sweep
-   (:func:`repro.core.vectorized._run_cheapest_multi`) that resolves
+   (earliest-start / min-total-cost) the candidate evolution is
+   budget-independent, so classes that differ only in budget are served
+   by *one* sweep (:func:`repro.core.vectorized._run_cheapest_multi`,
+   the same routine a single scan runs with one budget) that resolves
    every budget's verdict from the shared ``cheap_sum`` stream.
-3. **Shared fallback caches.**  Classes the vector kernel cannot serve
-   fall back to per-class :func:`~repro.core.aep.aep_scan` calls that
-   share one :class:`~repro.core.candidates.LegFactory` per
+3. **Shared fallback caches.**  Every other class pays one
+   :func:`~repro.core.aep.aep_scan`; those share one
+   :class:`~repro.core.candidates.LegFactory` per
    ``(reservation_time, reference_performance)`` shape.
 
 Every result is byte-identical to the sequential per-job scan — the
@@ -49,11 +49,9 @@ from repro.core.vectorized import (
     _resolve_arrays,
     _run_cheapest_multi,
     _strategy_of,
-    kernel_enabled,
     scan_counters,
 )
 from repro.model.job import Job, ResourceRequest
-from repro.model.slot import Slot
 from repro.model.slotpool import SlotPool
 
 JobLike = Union[Job, ResourceRequest]
@@ -133,7 +131,7 @@ def batch_aep_scan(
 
 
 def _scan_multi_budget(pending, slots, extractor, stop_at_first, out) -> None:
-    """Serve budget-only-varying class groups from shared sweeps.
+    """Serve the cheapest-subset classes, one sweep per budget group.
 
     Classes it can serve are moved from ``pending`` into ``out``; the
     rest stay pending for the per-class fallback.  Only the
@@ -141,8 +139,6 @@ def _scan_multi_budget(pending, slots, extractor, stop_at_first, out) -> None:
     budget-independent, which is what lets one sweep answer several
     budgets (see :func:`repro.core.vectorized._run_cheapest_multi`).
     """
-    if not kernel_enabled():
-        return
     strategy = _strategy_of(extractor)
     if strategy is None or strategy[0] != "cheapest":
         return
@@ -158,8 +154,6 @@ def _scan_multi_budget(pending, slots, extractor, stop_at_first, out) -> None:
         # width, different budget -> one sweep.
         sweep_groups.setdefault((key[0], key[1]), []).append(key)
     for group_keys in sweep_groups.values():
-        if len(group_keys) < 2:
-            continue  # a lone budget gains nothing over the per-class scan
         n = group_keys[0][1]
         plan = _plan_for(arrays, pending[group_keys[0]])
         if plan is None:
@@ -169,11 +163,12 @@ def _scan_multi_budget(pending, slots, extractor, stop_at_first, out) -> None:
         budgets = [budget_values[position] for position in order]
         outcomes = _run_cheapest_multi(plan, n, budgets, stop_at_first, start_valued)
         scan_counters["vectorized"] += len(group_keys)
-        scan_counters["batch_sweeps"] += 1
-        scan_counters["batch_sweep_classes"] += len(group_keys)
+        if len(group_keys) > 1:  # the telemetry counts *shared* sweeps
+            scan_counters["batch_sweeps"] += 1
+            scan_counters["batch_sweep_classes"] += len(group_keys)
         for position, outcome in zip(order, outcomes):
             key = group_keys[position]
-            out[key] = _result_from_outcome(plan, slot_list, outcome)
+            out[key] = _materialize(plan, slot_list, outcome)
             del pending[key]
 
 
@@ -183,7 +178,7 @@ def _scan_fallback(pending, slots, extractor, stop_at_first, out) -> None:
     Each class still pays exactly one :func:`~repro.core.aep.aep_scan`;
     classes sharing a ``(reservation_time, reference_performance)``
     shape share one :class:`~repro.core.candidates.LegFactory` so the
-    object kernel computes per-node runtimes and costs once per shape,
+    generic loop computes per-node runtimes and costs once per shape,
     not once per class.  (The vector kernel ignores the factory — its
     plan cache on the snapshot plays the same role.)
     """
@@ -202,41 +197,3 @@ def _scan_fallback(pending, slots, extractor, stop_at_first, out) -> None:
             leg_factory=factory,
         )
     pending.clear()
-
-
-def _result_from_outcome(plan, slot_list: List[Slot], outcome) -> Optional[ScanResult]:
-    """A shared-sweep outcome tuple as a public :class:`ScanResult`."""
-    (
-        best_value,
-        best_cranks,
-        best_start,
-        steps,
-        peak,
-        inserted,
-        expired,
-        break_pos,
-    ) = outcome
-    if best_cranks is None:
-        return None
-    best_cands = [plan.cand_by_crank[rank] for rank in best_cranks]
-    vector = _materialize(
-        plan,
-        slot_list,
-        best_cands,
-        best_value,
-        best_start,
-        steps,
-        peak,
-        inserted,
-        expired,
-        break_pos,
-    )
-    return ScanResult(
-        window=vector.window,
-        value=vector.value,
-        steps=vector.steps,
-        slots_scanned=vector.slots_scanned,
-        candidate_peak=vector.candidate_peak,
-        candidate_inserts=vector.candidate_inserts,
-        candidate_expiries=vector.candidate_expiries,
-    )

@@ -4,9 +4,9 @@ Times the AEP window search on the paper's base job (``n = 5``,
 ``t = 150``, ``S = 1500``) over freshly generated environments of
 several pool sizes, once through the production kernel
 (:func:`repro.core.aep.aep_scan`, which dispatches stock strategies to
-the vectorized columnar kernel in :mod:`repro.core.vectorized` and
-falls back to the incremental object loop otherwise) and once through
-the frozen pre-change kernel (:mod:`repro.core.reference`).
+the vectorized columnar kernel in :mod:`repro.core.vectorized` and runs
+its generic ``extract`` loop otherwise) and once through the frozen
+original kernel (:mod:`repro.core.reference`).
 Besides wall-clock windows/s and the speedup, every row records the
 structural ``ScanResult`` counters — ``slots_scanned``, ``steps``,
 ``candidate_peak``, ``candidate_inserts``, ``candidate_expiries`` — so
@@ -57,7 +57,7 @@ BASE_REQUEST = ResourceRequest(node_count=5, reservation_time=150.0, budget=1500
 
 
 def _criteria() -> list[tuple[str, Callable[[], WindowExtractor], Callable[[], WindowExtractor], bool]]:
-    """(name, incremental extractor, frozen reference extractor, stop_at_first)."""
+    """(name, production extractor, frozen reference extractor, stop_at_first)."""
     return [
         ("start_time", EarliestStartExtractor, EarliestStartExtractor, True),
         ("cost", MinTotalCostExtractor, MinTotalCostExtractor, False),
@@ -111,9 +111,11 @@ def bench_core(
     """The kernel benchmark payload archived in ``BENCH_core.json``.
 
     Per (pool size, criterion) row: windows/s through the frozen
-    reference kernel and through the incremental one (best of
-    ``repeats``), their ratio, and the incremental scan's structural
-    counters.  See the module docstring for why both are recorded.
+    reference kernel and through the vectorized one (best of
+    ``repeats``), their ratio, and the vectorized scan's structural
+    counters (the ``incremental_*`` JSON key predates the vector kernel
+    and is kept so archived baselines stay comparable).  See the module
+    docstring for why both are recorded.
     """
     if repeats < 1:
         raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
@@ -129,16 +131,16 @@ def bench_core(
         # takes the ordered slot list, as it always did.
         pool = environment.slot_pool()
         slots: list[Slot] = pool.ordered()
-        for name, make_incremental, make_reference, stop_at_first in _criteria():
-            incremental_extractor = make_incremental()
+        for name, make_vector, make_reference, stop_at_first in _criteria():
+            vector_extractor = make_vector()
             reference_extractor = make_reference()
-            incremental = aep_scan(
-                request, pool, incremental_extractor, stop_at_first=stop_at_first
+            vector = aep_scan(
+                request, pool, vector_extractor, stop_at_first=stop_at_first
             )
             reference = reference_scan(
                 request, slots, reference_extractor, stop_at_first=stop_at_first
             )
-            if not _windows_match(incremental, reference):
+            if not _windows_match(vector, reference):
                 raise AssertionError(
                     f"kernel disagreement on criterion {name!r} at "
                     f"{node_count} nodes — refusing to record timings"
@@ -149,9 +151,9 @@ def bench_core(
                 ),
                 repeats,
             )
-            incremental_seconds = _time_scans(
+            vector_seconds = _time_scans(
                 lambda: aep_scan(
-                    request, pool, incremental_extractor, stop_at_first=stop_at_first
+                    request, pool, vector_extractor, stop_at_first=stop_at_first
                 ),
                 repeats,
             )
@@ -159,20 +161,20 @@ def bench_core(
                 "nodes": node_count,
                 "criterion": name,
                 "slots": len(slots),
-                "found": incremental is not None,
+                "found": vector is not None,
                 "reference_windows_per_second": round(1.0 / reference_seconds, 1),
-                "incremental_windows_per_second": round(1.0 / incremental_seconds, 1),
-                "speedup": round(reference_seconds / incremental_seconds, 2),
+                "incremental_windows_per_second": round(1.0 / vector_seconds, 1),
+                "speedup": round(reference_seconds / vector_seconds, 2),
             }
-            if incremental is not None:
+            if vector is not None:
                 row.update(
                     {
-                        "window_start": round(incremental.window.start, 3),
-                        "steps": incremental.steps,
-                        "slots_scanned": incremental.slots_scanned,
-                        "candidate_peak": incremental.candidate_peak,
-                        "candidate_inserts": incremental.candidate_inserts,
-                        "candidate_expiries": incremental.candidate_expiries,
+                        "window_start": round(vector.window.start, 3),
+                        "steps": vector.steps,
+                        "slots_scanned": vector.slots_scanned,
+                        "candidate_peak": vector.candidate_peak,
+                        "candidate_inserts": vector.candidate_inserts,
+                        "candidate_expiries": vector.candidate_expiries,
                     }
                 )
             results.append(row)

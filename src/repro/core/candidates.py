@@ -1,83 +1,16 @@
-"""The incremental extended-window kernel of the AEP scan.
+"""Window-leg construction shared by the scans of one request shape.
 
-The generic scan used to rebuild its bookkeeping at every step: the alive
-candidates were re-filtered with a list comprehension per slot and the
-criterion extractors re-sorted them from scratch at every extraction —
-``O(m·C log C)`` over a scan of ``m`` slots with ``C`` alive candidates.
-This module maintains the extended window *incrementally* instead, which
-is what makes the scan actually linear in the number of slots:
-
-* **Expiry-heap pruning** — on insertion each candidate's last viable
-  window start (``slot.end - required_time``, capped by the deadline) is
-  pushed onto a min-heap; pruning pops expired entries, so every
-  candidate enters and leaves the structure exactly once over the whole
-  scan instead of being re-examined at every step.
-* **Cost-ordered insertion by bisection** — candidates live in a list
-  sorted by ``(cost, required_time, serial)``.  The serial is the scan
-  arrival order, so the order is byte-identical to the stable
-  ``sorted(candidates, key=(cost, required_time))`` the extractors used
-  to compute per step.  A second list ordered by
-  ``(required_time, cost, serial)`` backs the exact-runtime sweep.
-* **Running cheapest-``n`` sum** — maintained in O(1) per insert/expiry,
-  it is the amortized-O(1) feasibility oracle: a window can exist at the
-  current step iff the ``n`` cheapest alive candidates fit the budget.
-  Because the running sum accumulates float rounding, it is only used to
-  *reject* steps that are infeasible beyond any possible drift
-  (:data:`ORACLE_SLACK`); near the boundary the sum is recomputed in the
-  exact summation order of the pre-incremental code, so selection is
-  byte-for-byte identical to the generic scan.
-* **Cached legs** — :class:`LegFactory` computes the per-(node, request)
-  task runtime and cost once and stamps them onto every slot of that
-  node, replacing a :meth:`WindowSlot.for_request` recomputation per
-  slot (and per AMP re-run inside CSA).
-
-Equivalence with the pre-change generic scan is property-tested in
-``tests/core/test_scan_equivalence.py`` against the frozen kernel in
-:mod:`repro.core.reference`.
+:class:`LegFactory` computes the per-(node, request) task runtime and
+cost once and stamps them onto every slot of that node, replacing a
+:meth:`WindowSlot.for_request` recomputation per slot (and per AMP re-run
+inside CSA).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
-from heapq import heappop, heappush
-from typing import Optional
-
 from repro.model.job import ResourceRequest
-from repro.model.slot import TIME_EPSILON, Slot
+from repro.model.slot import Slot
 from repro.model.window import WindowSlot
-
-#: Relative slack granted to the running cheapest-``n`` sum before it is
-#: allowed to reject a step outright.  The incremental sum drifts from the
-#: freshly computed one by at most a few ulps per update; this margin is
-#: orders of magnitude above any reachable drift, so a fast rejection is
-#: always a true rejection and anything closer falls through to the exact
-#: recomputation.
-ORACLE_SLACK = 1e-6
-
-
-def _delete_keyed(
-    entries: list[tuple[float, float, int]], key: tuple[float, float, int]
-) -> int:
-    """Delete exactly ``key`` from a sorted key list, returning its index.
-
-    ``bisect_left`` alone may land on a *neighbouring* entry that merely
-    compares equal to ``key`` — IEEE semantics make distinct float keys
-    interchangeable under comparison (``-0.0 == 0.0``), so equal-comparing
-    ``(cost, time)`` pairs from different candidates can sit side by
-    side.  The serial (unique, final tuple component) identifies the one
-    entry that belongs to the expiring candidate; it is verified before
-    anything is deleted, and a miss raises instead of silently removing
-    another candidate's entry.
-    """
-    serial = key[2]
-    index = bisect_left(entries, key)
-    end = len(entries)
-    while index < end and entries[index][2] != serial:
-        index += 1
-    if index == end:
-        raise LookupError(f"candidate entry {key!r} missing from sorted list")
-    del entries[index]
-    return index
 
 
 class LegFactory:
@@ -118,190 +51,3 @@ def leg_shape_key(request: ResourceRequest) -> tuple:
     scans.
     """
     return (request.reservation_time, request.reference_performance)
-
-
-class IncrementalCandidateSet:
-    """The alive extended-window candidates, maintained across scan steps.
-
-    Parameters
-    ----------
-    n:
-        The request's ``node_count``; fixes the boundary of the running
-        cheapest-``n`` sum.
-    deadline:
-        Optional latest window finish.  With a deadline, a candidate
-        whose task can no longer finish in time is expired exactly like
-        one whose slot ran out — window starts are non-decreasing, so
-        deadline ineligibility is just another (possibly earlier) expiry.
-    """
-
-    __slots__ = (
-        "_n",
-        "_deadline",
-        "_serial",
-        "_legs",
-        "_by_cost",
-        "_by_time",
-        "_expiry",
-        "_cheap_sum",
-        "inserted",
-        "expired",
-    )
-
-    def __init__(self, n: int, deadline: Optional[float] = None) -> None:
-        self._n = n
-        self._deadline = deadline
-        self._serial = 0
-        #: serial -> leg, in scan (insertion) order — dicts preserve it.
-        self._legs: dict[int, WindowSlot] = {}
-        self._by_cost: list[tuple[float, float, int]] = []
-        self._by_time: list[tuple[float, float, int]] = []
-        self._expiry: list[tuple[float, int]] = []
-        self._cheap_sum = 0.0
-        #: Structural counters: every candidate increments each at most
-        #: once over a whole scan, which is the linearity argument.
-        self.inserted = 0
-        self.expired = 0
-
-    # ------------------------------------------------------------------
-    # Mutation
-    # ------------------------------------------------------------------
-    def insert(self, leg: WindowSlot) -> None:
-        """Add one alive candidate (called once per surviving slot)."""
-        self._serial += 1
-        serial = self._serial
-        expire = leg.slot.end - leg.required_time
-        if self._deadline is not None:
-            deadline_expire = self._deadline - leg.required_time
-            if deadline_expire < expire:
-                expire = deadline_expire
-        self._legs[serial] = leg
-        index = bisect_left(self._by_cost, (leg.cost, leg.required_time, serial))
-        self._by_cost.insert(index, (leg.cost, leg.required_time, serial))
-        if index < self._n:
-            self._cheap_sum += leg.cost
-            if len(self._by_cost) > self._n:
-                self._cheap_sum -= self._by_cost[self._n][0]
-        insort(self._by_time, (leg.required_time, leg.cost, serial))
-        heappush(self._expiry, (expire, serial))
-        self.inserted += 1
-
-    def prune(self, window_start: float) -> int:
-        """Expire candidates that cannot host a window from here on.
-
-        A candidate is alive while ``window_start <= expire + TIME_EPSILON``
-        — the same tolerance the generic scan's ``fits_from`` and deadline
-        checks apply.  Returns the number of candidates expired.
-        """
-        expired = 0
-        heap = self._expiry
-        while heap and heap[0][0] < window_start - TIME_EPSILON:
-            _, serial = heappop(heap)
-            leg = self._legs.pop(serial)
-            key = (leg.cost, leg.required_time, serial)
-            index = _delete_keyed(self._by_cost, key)
-            if index < self._n:
-                self._cheap_sum -= leg.cost
-                if len(self._by_cost) >= self._n:
-                    self._cheap_sum += self._by_cost[self._n - 1][0]
-            time_key = (leg.required_time, leg.cost, serial)
-            _delete_keyed(self._by_time, time_key)
-            expired += 1
-        if not self._by_cost:
-            self._cheap_sum = 0.0  # hard reset: no drift survives emptiness
-        self.expired += expired
-        return expired
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._legs)
-
-    @property
-    def cheapest_sum(self) -> float:
-        """The running cost sum of the ``n`` cheapest alive candidates.
-
-        Maintained incrementally (O(1) per mutation); subject to float
-        drift far below :data:`ORACLE_SLACK`.  Meaningful only when at
-        least ``n`` candidates are alive.
-        """
-        return self._cheap_sum
-
-    def feasible_cheapest(
-        self, n: int, budget: float
-    ) -> Optional[tuple[list[WindowSlot], float]]:
-        """The ``n`` cheapest alive candidates iff they fit ``budget``.
-
-        This is the feasibility oracle of the cheapest-subset criteria:
-        the running sum rejects hopeless steps in O(1); otherwise the sum
-        is recomputed in the exact order of the pre-incremental code and
-        compared precisely, so the outcome is byte-identical to
-        ``cheapest_subset`` on the sorted candidate list.  Returns the
-        chosen legs and their exact cost sum, or ``None``.
-        """
-        if len(self._by_cost) < n:
-            return None
-        if budget != float("inf") and self._cheap_sum > budget + ORACLE_SLACK * (
-            1.0 + abs(budget)
-        ):
-            return None
-        total = 0.0
-        for index in range(n):
-            total += self._by_cost[index][0]
-        if total > budget:
-            return None
-        legs = self._legs
-        return [legs[entry[2]] for entry in self._by_cost[:n]], total
-
-    def cheapest(self, n: int) -> list[WindowSlot]:
-        """The ``n`` cheapest alive candidates, in cost order."""
-        legs = self._legs
-        return [legs[entry[2]] for entry in self._by_cost[:n]]
-
-    def ordered(self) -> list[WindowSlot]:
-        """All alive candidates ordered by ``(cost, required_time, arrival)``.
-
-        Identical to the stable ``sorted(candidates, key=(cost,
-        required_time))`` of the generic extractors.
-        """
-        legs = self._legs
-        return [legs[entry[2]] for entry in self._by_cost]
-
-    def ordered_by_time(self) -> list[WindowSlot]:
-        """All alive candidates ordered by ``(required_time, cost, arrival)``."""
-        legs = self._legs
-        return [legs[entry[2]] for entry in self._by_time]
-
-    def scan_ordered(self) -> list[WindowSlot]:
-        """All alive candidates in scan (arrival) order.
-
-        This is exactly the candidate list the generic scan passed to its
-        extractors, so order-sensitive extractors (random selection,
-        branch-and-bound tie-breaking) behave identically.
-        """
-        return list(self._legs.values())
-
-    def eligible(
-        self, n: int, window_start: float, deadline: Optional[float] = None
-    ) -> list[WindowSlot]:
-        """Up to ``n`` cheapest candidates able to finish by ``deadline``.
-
-        The public replacement for reaching into the private cost order
-        (the retired ``fastscan`` shim used to walk ``_CostOrdered._items``
-        directly).  ``deadline=None`` falls back to the set's constructed
-        deadline; when that is also ``None`` every alive candidate is
-        eligible.
-        """
-        limit = deadline if deadline is not None else self._deadline
-        legs = self._legs
-        if limit is None:
-            return [legs[entry[2]] for entry in self._by_cost[:n]]
-        chosen: list[WindowSlot] = []
-        for cost, required, serial in self._by_cost:
-            if window_start + required > limit + TIME_EPSILON:
-                continue
-            chosen.append(legs[serial])
-            if len(chosen) == n:
-                break
-        return chosen

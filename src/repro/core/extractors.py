@@ -24,30 +24,29 @@ module implements one extractor per criterion:
 Every extractor returns an :class:`Extraction` — the criterion value plus
 the chosen slots — or ``None`` when no feasible ``n``-subset exists.
 
-Extractors come in two shapes.  The classic ``extract`` takes the alive
-candidates as a plain sequence (in scan order) and remains the
-compatibility surface for direct callers and order-sensitive selections.
-Extractors that can exploit the incrementally maintained candidate
-structure additionally implement ``extract_incremental``, which receives
-the scan's :class:`~repro.core.candidates.IncrementalCandidateSet` and
-consumes its maintained cost/time orders and running cheapest-``n`` sum
-instead of re-sorting per step — identical selection (property-tested
-against :mod:`repro.core.reference`), strictly less work.
+``extract(window_start, candidates, request)`` is the whole protocol: the
+alive candidates arrive as a plain sequence in scan order, which is also
+what a user-defined criterion implements (``examples/custom_criterion.py``).
+The stock strategies are additionally replayed on numpy columns by
+:mod:`repro.core.vectorized`; the methods here are the definition that
+replay is tested against.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Protocol, Sequence
+from typing import Callable, Optional, Protocol, Sequence
 
 import numpy as np
 
 from repro.model.job import ResourceRequest
-from repro.model.window import COST_EPSILON, WindowSlot
+from repro.model.window import COST_EPSILON, Window, WindowSlot
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.core.candidates import IncrementalCandidateSet
+#: Minimal improvement for a new extraction to replace the incumbent; ties
+#: keep the earlier (earlier-starting) window, like the paper's strict
+#: comparison in the pseudo code.
+VALUE_EPSILON = 1e-12
 
 
 @dataclass(frozen=True)
@@ -56,6 +55,37 @@ class Extraction:
 
     value: float
     slots: tuple[WindowSlot, ...]
+
+
+@dataclass(frozen=True)
+class ScanResult:
+    """Outcome of an AEP scan, with structural complexity counters.
+
+    The counters give a noise-free view of the paper's complexity claims:
+    ``slots_scanned`` grows linearly with the slot list (each slot is
+    visited exactly once), ``candidate_peak`` is bounded by the number of
+    CPU nodes (at most one alive slot per node), and ``steps`` counts the
+    per-step extractions whose cost depends on the alive-set size — hence
+    "linear in slots, quadratic in nodes".
+
+    ``candidate_inserts`` / ``candidate_expiries`` count the extended
+    window's structural mutations.  Each scanned slot inserts at most one
+    candidate and every insert expires at most once, so
+    ``inserts + expiries <= 2 * slots_scanned`` — the amortized-O(1)
+    per-slot bookkeeping bound the regression tests pin down.  (With a
+    deadline, candidates that can no longer finish in time are expired
+    immediately, so ``candidate_peak`` counts only *eligible* candidates;
+    the frozen :func:`~repro.core.reference.reference_scan` keeps them
+    alive and filters per step.)
+    """
+
+    window: Window
+    value: float
+    steps: int  # number of extraction attempts
+    slots_scanned: int = 0  # slots visited by the scan
+    candidate_peak: int = 0  # largest extended-window size observed
+    candidate_inserts: int = 0  # candidates entering the extended window
+    candidate_expiries: int = 0  # candidates pruned by expiry
 
 
 class WindowExtractor(Protocol):
@@ -133,19 +163,6 @@ class EarliestStartExtractor:
             return None
         return Extraction(value=window_start, slots=tuple(chosen))
 
-    def extract_incremental(
-        self,
-        window_start: float,
-        candidates: "IncrementalCandidateSet",
-        request: ResourceRequest,
-    ) -> Optional[Extraction]:
-        """Incremental twin of :meth:`extract` (running cheapest-``n`` oracle)."""
-        found = candidates.feasible_cheapest(request.node_count, _budget_of(request))
-        if found is None:
-            return None
-        chosen, _ = found
-        return Extraction(value=window_start, slots=tuple(chosen))
-
 
 class MinTotalCostExtractor:
     """Selects the ``n`` cheapest candidates; value is their total cost.
@@ -167,53 +184,6 @@ class MinTotalCostExtractor:
             return None
         return Extraction(value=sum(ws.cost for ws in chosen), slots=tuple(chosen))
 
-    def extract_incremental(
-        self,
-        window_start: float,
-        candidates: "IncrementalCandidateSet",
-        request: ResourceRequest,
-    ) -> Optional[Extraction]:
-        """Incremental twin of :meth:`extract` (running cheapest-``n`` oracle)."""
-        found = candidates.feasible_cheapest(request.node_count, _budget_of(request))
-        if found is None:
-            return None
-        chosen, total = found
-        return Extraction(value=total, slots=tuple(chosen))
-
-
-def _substitute_runtime(
-    ordered: Sequence[WindowSlot], n: int, budget: float
-) -> Optional[Extraction]:
-    """The substitution walk over cost-``ordered`` candidates.
-
-    Shared by the sequence and incremental entry points of
-    :class:`MinRuntimeSubstitutionExtractor`; the replacement target is
-    the *first* longest member, matching ``max(..., key=...)`` of the
-    reference implementation.
-    """
-    if len(ordered) < n:
-        return None
-    result = list(ordered[:n])
-    cost = sum(ws.cost for ws in result)
-    if cost > budget:
-        return None
-    times = [ws.required_time for ws in result]
-    for short in ordered[n:]:
-        longest_index = 0
-        longest_time = times[0]
-        for index in range(1, n):
-            if times[index] > longest_time:
-                longest_time = times[index]
-                longest_index = index
-        if (
-            short.required_time < longest_time
-            and cost - result[longest_index].cost + short.cost <= budget
-        ):
-            cost += short.cost - result[longest_index].cost
-            result[longest_index] = short
-            times[longest_index] = short.required_time
-    return Extraction(value=max(times), slots=tuple(result))
-
 
 class MinRuntimeSubstitutionExtractor:
     """The paper's substitution heuristic for the minimum-runtime window.
@@ -234,45 +204,32 @@ class MinRuntimeSubstitutionExtractor:
         request: ResourceRequest,
     ) -> Optional[Extraction]:
         """Best feasible ``n``-subset at this scan step (see class docs)."""
+        n = request.node_count
+        budget = _budget_of(request)
         ordered = sorted(candidates, key=lambda ws: (ws.cost, ws.required_time))
-        return _substitute_runtime(ordered, request.node_count, _budget_of(request))
-
-    def extract_incremental(
-        self,
-        window_start: float,
-        candidates: "IncrementalCandidateSet",
-        request: ResourceRequest,
-    ) -> Optional[Extraction]:
-        """Incremental twin of :meth:`extract` (maintained cost order)."""
-        return _substitute_runtime(
-            candidates.ordered(), request.node_count, _budget_of(request)
-        )
-
-
-def _exact_runtime_sweep(
-    by_time: Sequence[WindowSlot], n: int, budget: float
-) -> Optional[Extraction]:
-    """The cheapest-``n``-per-prefix sweep over time-``by_time`` candidates."""
-    if len(by_time) < n:
-        return None
-    heap: list[tuple[float, int]] = []  # max-heap by cost via negation
-    kept: dict[int, WindowSlot] = {}
-    cost_sum = 0.0
-    for index, ws in enumerate(by_time):
-        if len(heap) < n:
-            heapq.heappush(heap, (-ws.cost, index))
-            kept[index] = ws
-            cost_sum += ws.cost
-        elif ws.cost < -heap[0][0]:
-            _, evicted = heapq.heapreplace(heap, (-ws.cost, index))
-            cost_sum += ws.cost - kept.pop(evicted).cost
-            kept[index] = ws
-        if len(heap) == n and cost_sum <= budget:
-            chosen = list(kept.values())
-            return Extraction(
-                value=max(w.required_time for w in chosen), slots=tuple(chosen)
-            )
-    return None
+        if len(ordered) < n:
+            return None
+        result = ordered[:n]
+        cost = sum(ws.cost for ws in result)
+        if cost > budget:
+            return None
+        times = [ws.required_time for ws in result]
+        for short in ordered[n:]:
+            # The replacement target is the *first* longest member.
+            longest_index = 0
+            longest_time = times[0]
+            for index in range(1, n):
+                if times[index] > longest_time:
+                    longest_time = times[index]
+                    longest_index = index
+            if (
+                short.required_time < longest_time
+                and cost - result[longest_index].cost + short.cost <= budget
+            ):
+                cost += short.cost - result[longest_index].cost
+                result[longest_index] = short
+                times[longest_index] = short.required_time
+        return Extraction(value=max(times), slots=tuple(result))
 
 
 class MinRuntimeExactExtractor:
@@ -292,19 +249,29 @@ class MinRuntimeExactExtractor:
         request: ResourceRequest,
     ) -> Optional[Extraction]:
         """Best feasible ``n``-subset at this scan step (see class docs)."""
+        n = request.node_count
+        budget = _budget_of(request)
         by_time = sorted(candidates, key=lambda ws: (ws.required_time, ws.cost))
-        return _exact_runtime_sweep(by_time, request.node_count, _budget_of(request))
-
-    def extract_incremental(
-        self,
-        window_start: float,
-        candidates: "IncrementalCandidateSet",
-        request: ResourceRequest,
-    ) -> Optional[Extraction]:
-        """Incremental twin of :meth:`extract` (maintained time order)."""
-        return _exact_runtime_sweep(
-            candidates.ordered_by_time(), request.node_count, _budget_of(request)
-        )
+        if len(by_time) < n:
+            return None
+        heap: list[tuple[float, int]] = []  # max-heap by cost via negation
+        kept: dict[int, WindowSlot] = {}
+        cost_sum = 0.0
+        for index, ws in enumerate(by_time):
+            if len(heap) < n:
+                heapq.heappush(heap, (-ws.cost, index))
+                kept[index] = ws
+                cost_sum += ws.cost
+            elif ws.cost < -heap[0][0]:
+                _, evicted = heapq.heapreplace(heap, (-ws.cost, index))
+                cost_sum += ws.cost - kept.pop(evicted).cost
+                kept[index] = ws
+            if len(heap) == n and cost_sum <= budget:
+                chosen = list(kept.values())
+                return Extraction(
+                    value=max(w.required_time for w in chosen), slots=tuple(chosen)
+                )
+        return None
 
 
 class EarliestFinishExtractor:
@@ -326,25 +293,6 @@ class EarliestFinishExtractor:
     ) -> Optional[Extraction]:
         """Best feasible ``n``-subset at this scan step (see class docs)."""
         extraction = self._runtime.extract(window_start, candidates, request)
-        if extraction is None:
-            return None
-        runtime = max(ws.required_time for ws in extraction.slots)
-        return Extraction(value=window_start + runtime, slots=extraction.slots)
-
-    def extract_incremental(
-        self,
-        window_start: float,
-        candidates: "IncrementalCandidateSet",
-        request: ResourceRequest,
-    ) -> Optional[Extraction]:
-        """Incremental twin of :meth:`extract` (delegates like it does)."""
-        inner = getattr(self._runtime, "extract_incremental", None)
-        if inner is not None:
-            extraction = inner(window_start, candidates, request)
-        else:
-            extraction = self._runtime.extract(
-                window_start, candidates.scan_ordered(), request
-            )
         if extraction is None:
             return None
         runtime = max(ws.required_time for ws in extraction.slots)
@@ -448,20 +396,6 @@ class GreedyAdditiveExtractor:
         outside = [ws for ws in candidates if id(ws) not in in_window]
         return self._swap_search(list(chosen), outside, budget)
 
-    def extract_incremental(
-        self,
-        window_start: float,
-        candidates: "IncrementalCandidateSet",
-        request: ResourceRequest,
-    ) -> Optional[Extraction]:
-        """Incremental twin of :meth:`extract` (running cheapest-``n`` oracle)."""
-        found = candidates.feasible_cheapest(request.node_count, _budget_of(request))
-        if found is None:
-            return None
-        chosen, _ = found
-        in_window = set(map(id, chosen))
-        outside = [ws for ws in candidates.scan_ordered() if id(ws) not in in_window]
-        return self._swap_search(chosen, outside, _budget_of(request))
 
     def _swap_search(
         self, current: list[WindowSlot], outside: list[WindowSlot], budget: float

@@ -1,9 +1,9 @@
-"""Frozen pre-incremental scan kernel — the equivalence baseline.
+"""Frozen original scan kernel — the equivalence baseline.
 
 This module preserves, verbatim, the generic AEP scan and the two
-extractors whose inner loops were rewritten when the incremental
-extended-window kernel (:mod:`repro.core.candidates`) became the main
-path:
+extractors as they stood before any kernel work (the per-step bookkeeping
+of :func:`repro.core.aep.aep_scan`, the rewritten extractor inner loops
+and the vector replay in :mod:`repro.core.vectorized` all came later):
 
 * :func:`reference_scan` — the original ``aep_scan``: per-slot
   list-comprehension pruning, per-step deadline filtering, and a fresh
@@ -13,10 +13,10 @@ path:
 * :class:`ReferenceGreedyAdditiveExtractor` — the swap search calling
   ``self._key`` inside the O(n·m) loop.
 
-It exists for two jobs only: the old-vs-new equivalence property tests
+It exists for two jobs only: the equivalence property tests
 (``tests/core/test_scan_equivalence.py``), which assert window-for-window
 identical selection, and the ``repro bench-core`` baseline, which reports
-the incremental kernel's speedup against these exact code paths.  Do not
+the production kernel's speedup against these exact code paths.  Do not
 "optimize" this module — its value is that it does not change.
 """
 
@@ -25,7 +25,9 @@ from __future__ import annotations
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from repro.core.extractors import (
+    VALUE_EPSILON,
     Extraction,
+    ScanResult,
     WindowExtractor,
     _budget_of,
     cheapest_subset,
@@ -33,9 +35,6 @@ from repro.core.extractors import (
 from repro.model.job import Job, ResourceRequest
 from repro.model.slot import TIME_EPSILON
 from repro.model.window import Window, WindowSlot
-
-#: Kept equal to :data:`repro.core.aep.VALUE_EPSILON`.
-VALUE_EPSILON = 1e-12
 
 
 def _request_of(job: Union[Job, ResourceRequest]) -> ResourceRequest:
@@ -51,9 +50,7 @@ def reference_scan(
     *,
     stop_at_first: bool = False,
 ):
-    """The pre-incremental ``aep_scan``, byte-for-byte (see module docs)."""
-    from repro.core.aep import ScanResult
-
+    """The original ``aep_scan``, byte-for-byte (see module docs)."""
     request = _request_of(job)
     n = request.node_count
     deadline = request.deadline

@@ -6,15 +6,15 @@ only the revoked legs for substitutes — every surviving reservation, and
 the job's position in the schedule, stay untouched.  The search here is
 the AEP scan degenerated to a single step: the window start is no longer
 a free variable, so the extended window is built once at the fixed start
-and the cheapest eligible candidates are read straight out of
-:meth:`~repro.core.candidates.IncrementalCandidateSet.eligible`.
+and its cheapest eligible candidates are the answer.
 """
 
 from __future__ import annotations
 
 from typing import AbstractSet, Optional
 
-from repro.core.candidates import IncrementalCandidateSet, LegFactory
+from repro.core.candidates import LegFactory
+from repro.core.extractors import cheapest_subset
 from repro.model.job import ResourceRequest
 from repro.model.slot import TIME_EPSILON
 from repro.model.slotpool import SlotPool
@@ -63,7 +63,7 @@ def find_fixed_start_replacements(
         return []
     factory = LegFactory(request)
     deadline = request.deadline
-    candidates = IncrementalCandidateSet(count, deadline)
+    candidates: list[WindowSlot] = []
     for slot in pool:
         if slot.start > start + TIME_EPSILON:
             break  # start-ordered: no later slot can cover the fixed start
@@ -74,10 +74,13 @@ def find_fixed_start_replacements(
         leg = factory.leg(slot)
         if not leg.fits_from(start):
             continue
-        candidates.insert(leg)
-    candidates.prune(start)
-    chosen = candidates.eligible(count, start, deadline)
-    if len(chosen) < count:
+        if deadline is not None and start + leg.required_time > deadline + TIME_EPSILON:
+            continue
+        candidates.append(leg)
+    # The scan's cost order; the remaining budget is checked below under
+    # the repair rule, not the extractors' slack.
+    chosen = cheapest_subset(candidates, count, float("inf"))
+    if chosen is None:
         return None
     total = sum(leg.cost for leg in chosen)
     if total > budget * (1.0 + COST_EPSILON) + COST_EPSILON:

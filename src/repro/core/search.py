@@ -48,13 +48,6 @@ class _LatestStartExtractor(EarliestStartExtractor):
             return None
         return Extraction(value=-window_start, slots=extraction.slots)
 
-    def extract_incremental(self, window_start, candidates, request) -> Optional[Extraction]:
-        """Incremental twin of :meth:`extract` — the negation must follow."""
-        extraction = super().extract_incremental(window_start, candidates, request)
-        if extraction is None:
-            return None
-        return Extraction(value=-window_start, slots=extraction.slots)
-
 
 def find_window(
     job: JobLike,

@@ -1,12 +1,11 @@
 """Vectorized AEP scan: numpy precomputation + a primitive event loop.
 
-The object kernel (:func:`repro.core.aep.aep_scan` over an
-:class:`~repro.core.candidates.IncrementalCandidateSet`) is already
-linear in the number of slots, but every one of its constant-factor
-steps — hardware matching, leg construction, ``fits_from``, expiry
-bookkeeping, per-step feasibility — touches Python objects.  This module
-removes the objects from the hot path while reproducing the object
-kernel's decisions *byte for byte*:
+The generic loop in :func:`repro.core.aep.aep_scan` is linear in the
+number of slots, but every one of its constant-factor steps — hardware
+matching, leg construction, ``fits_from``, expiry bookkeeping, the
+per-step ``extract`` — touches Python objects.  This module removes the
+objects from the hot path while reproducing that loop's decisions over
+the stock extractors *byte for byte*:
 
 1. **Columnar scan plan** (numpy, O(m), cached): per-request node
    matching, task runtimes, leg costs, expiry times and insertability
@@ -26,8 +25,8 @@ kernel's decisions *byte for byte*:
 2. **Event loop** (pure-primitive Python): one pass over the matching
    slots maintaining the alive-candidate count, an expiry pointer over
    the pre-sorted expiry order (valid because the slot list is strictly
-   start-ordered — anything else falls back to the object kernel), and
-   small sorted-rank structures per criterion.
+   start-ordered — anything else falls back to the generic loop), and
+   one :class:`_TopN` per sorted-rank structure a criterion needs.
 3. **Skip bounds**: the runtime/finish/greedy criteria only run their
    extraction walk at steps a provable lower bound says could still win.
    The runtime criteria use a *budget-aware* certificate: a window
@@ -41,31 +40,30 @@ kernel's decisions *byte for byte*:
    for the winning step, from the snapshot's slot list and the
    precomputed runtime/cost floats.
 
-Dispatch (:func:`vectorized_scan`) accepts exactly the extractor types
-whose extraction it replays — unknown extractors, subclasses, random
-selection and non-sorted slot inputs return :data:`UNSUPPORTED` and the
-caller falls back to the object kernel.  Set
-``REPRO_SCAN_KERNEL=object`` to disable the vector path globally (the
-equivalence suite runs both ways in CI).
+Dispatch (:func:`vectorized_scan`) selects from what it can observe:
+it accepts exactly the extractor types whose ``extract`` it replays —
+unknown extractors, subclasses, random selection, one-shot iterators
+and non-sorted slot inputs return :data:`UNSUPPORTED` and the caller
+runs the generic loop.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left, insort
-from dataclasses import dataclass
-from heapq import heapify, heappop, heappush, heapreplace
+from heapq import heappop, heappush, heapreplace
 from typing import Optional
 
 import numpy as np
 
 from repro.core.extractors import (
+    VALUE_EPSILON,
     EarliestFinishExtractor,
     EarliestStartExtractor,
     GreedyAdditiveExtractor,
     MinRuntimeExactExtractor,
     MinRuntimeSubstitutionExtractor,
     MinTotalCostExtractor,
+    ScanResult,
     _budget_of,
 )
 from repro.model.job import ResourceRequest
@@ -73,10 +71,6 @@ from repro.model.slot import TIME_EPSILON
 from repro.model.slotarrays import SlotArrays
 from repro.model.slotpool import SlotPool
 from repro.model.window import Window, WindowSlot
-
-#: Must match :data:`repro.core.aep.VALUE_EPSILON` (asserted by tests);
-#: duplicated here because :mod:`repro.core.aep` imports this module.
-VALUE_EPSILON = 1e-12
 
 #: Relative slack applied to the skip bounds that compare float sums
 #: accumulated in a different order than the extraction accumulates
@@ -87,14 +81,11 @@ VALUE_EPSILON = 1e-12
 _BOUND_SLACK = 1e-9
 
 #: Sentinel: the extractor/input combination is not vectorizable; the
-#: caller must run the object kernel.
+#: caller must run the generic loop.
 UNSUPPORTED = object()
 
-#: Environment switch: ``REPRO_SCAN_KERNEL=object`` forces the fallback.
-KERNEL_ENV = "REPRO_SCAN_KERNEL"
-
 #: Dispatch telemetry for tests and the CI smoke job: counts of scans
-#: served by the vector kernel vs. handed back to the object kernel,
+#: served by the vector kernel vs. handed back to the generic loop,
 #: of scan plans computed vs. reused from a snapshot's cache (the
 #: reuse the rolling-horizon broker banks on between mutations), and of
 #: the batched entry points' request-class grouping: how many jobs
@@ -122,30 +113,12 @@ scan_counters = {
 PLAN_CACHE_LIMIT = 64
 
 
-def kernel_enabled() -> bool:
-    """Whether the vector kernel participates in dispatch."""
-    return os.environ.get(KERNEL_ENV, "vector") != "object"
-
-
-@dataclass(frozen=True)
-class VectorScanResult:
-    """Field-compatible precursor of :class:`repro.core.aep.ScanResult`."""
-
-    window: Window
-    value: float
-    steps: int
-    slots_scanned: int
-    candidate_peak: int
-    candidate_inserts: int
-    candidate_expiries: int
-
-
 def _strategy_of(extractor) -> Optional[tuple]:
     """The replay strategy for ``extractor``, or ``None`` if unknown.
 
     Matches exact types only: a subclass may override ``extract`` (e.g.
     the maximizing ``_LatestStartExtractor``), so anything derived falls
-    back to the object kernel.
+    back to the generic loop.
     """
     kind = type(extractor)
     if kind is EarliestStartExtractor:
@@ -245,7 +218,7 @@ def _plan_for(arrays: SlotArrays, request: ResourceRequest) -> Optional[_ScanPla
         total > 1 and not bool((start_all[1:] >= start_all[:-1]).all())
     ):
         # Slot lists with (tolerated or raising) start-order wobble keep
-        # the object kernel's slot-by-slot order check; the expiry
+        # the generic loop's slot-by-slot order check; the expiry
         # pointer below also relies on non-decreasing starts.  The
         # verdict is request-independent, so it is flagged once per
         # snapshot instead of per plan key.
@@ -278,7 +251,7 @@ def _plan_for(arrays: SlotArrays, request: ResourceRequest) -> Optional[_ScanPla
 
     count = int(cpos.size)
     cand_of = np.where(insertable, np.cumsum(insertable) - 1, -1)
-    # Total order matching the incremental kernel's cost list:
+    # Total order matching the extractors' stable cost sort:
     # (cost, required_time, arrival) — np.lexsort is stable, so arrival
     # (the array index) is the implicit final key.
     cost_order = np.lexsort((req_c, cost_c))
@@ -361,12 +334,10 @@ def vectorized_scan(
 ):
     """Run the vector kernel, or return :data:`UNSUPPORTED`.
 
-    Returns a :class:`VectorScanResult`, ``None`` (no feasible window) or
-    :data:`UNSUPPORTED` (caller must use the object kernel).
+    Returns a :class:`~repro.core.extractors.ScanResult`, ``None`` (no
+    feasible window) or :data:`UNSUPPORTED` (caller must run the generic
+    loop).
     """
-    if not kernel_enabled():
-        scan_counters["fallback"] += 1
-        return UNSUPPORTED
     strategy = _strategy_of(extractor)
     if strategy is None:
         scan_counters["fallback"] += 1
@@ -386,12 +357,8 @@ def vectorized_scan(
     budget = _budget_of(request)
     kind = strategy[0]
     if kind == "cheapest":
-        outcome = _run_cheapest(plan, n, budget, stop_at_first, strategy[1])
-        best_cranks = outcome[1]
-        best_cands = (
-            None
-            if best_cranks is None
-            else [plan.cand_by_crank[r] for r in best_cranks]
+        (outcome,) = _run_cheapest_multi(
+            plan, n, [budget], stop_at_first, strategy[1]
         )
     elif kind == "walk":
         exact = strategy[1] == "exact"
@@ -399,47 +366,22 @@ def vectorized_scan(
             outcome = _run_walk_finish(plan, n, budget, stop_at_first, exact)
         else:
             outcome = _run_walk_budget(plan, n, budget, stop_at_first, exact)
-        best_cands = outcome[1]
     else:  # greedy
         extras = _greedy_extras(plan, arrays, strategy[1])
         outcome = _run_greedy(plan, extras, n, budget, strategy[2], stop_at_first)
-        best_cands = outcome[1]
-
-    best_value, _, best_start, steps, peak, inserted, expired, break_pos = outcome
-    if best_cands is None:
-        return None
-    return _materialize(
-        plan,
-        slot_list,
-        best_cands,
-        best_value,
-        best_start,
-        steps,
-        peak,
-        inserted,
-        expired,
-        break_pos,
-    )
+    return _materialize(plan, slot_list, outcome)
 
 
-def _materialize(
-    plan,
-    slot_list,
-    best_cands,
-    best_value,
-    best_start,
-    steps,
-    peak,
-    inserted,
-    expired,
-    break_pos,
-) -> VectorScanResult:
-    """Build the winning :class:`VectorScanResult` from candidate indices.
+def _materialize(plan, slot_list, outcome) -> Optional[ScanResult]:
+    """Build the :class:`ScanResult` of one criterion-loop outcome.
 
     Shared by the per-request scan above and the batched entry point
     (:mod:`repro.core.batchscan`), which resolves several budgets from
     one sweep and materializes each winner through this tail.
     """
+    value, best_cands, best_start, steps, peak, inserted, expired, break_pos = outcome
+    if best_cands is None:
+        return None
     scanned = int(plan.mpos[break_pos]) + 1 if break_pos >= 0 else plan.total
     cand_slot = plan.cand_slot
     req_list = plan.req_list
@@ -452,9 +394,9 @@ def _materialize(
         )
         for c in best_cands
     )
-    return VectorScanResult(
+    return ScanResult(
         window=Window(start=best_start, slots=legs),
-        value=best_value,
+        value=value,
         steps=steps,
         slots_scanned=scanned,
         candidate_peak=peak,
@@ -463,122 +405,93 @@ def _materialize(
     )
 
 
+class _TopN:
+    """The ``n`` smallest alive ranks of one total order.
+
+    ``top`` is the sorted member list; every other tracked rank waits in
+    the lazy min-heap ``beyond`` (entries of expired candidates are
+    flagged in ``dead`` and discarded on pop), so membership changes are
+    O(log) amortized.  Every alive entry of ``beyond`` ranks above
+    ``top[-1]``, and ``beyond`` holds alive entries only while ``top`` is
+    full.  With ``values`` (indexed by rank), ``total`` is the members'
+    value sum, recomputed over the sorted ranks on every membership
+    change — the ascending sequential summation ``cheapest_subset``
+    performs, so budget verdicts and the MinTotalCost value are
+    byte-identical.
+    """
+
+    __slots__ = ("n", "values", "top", "beyond", "dead", "total")
+
+    def __init__(self, n: int, size: int, values: Optional[list] = None) -> None:
+        self.n = n
+        self.values = values
+        self.top: list[int] = []
+        self.beyond: list[int] = []
+        self.dead = bytearray(size)  # indexed by rank
+        self.total = 0.0
+
+    def add(self, rank: int) -> None:
+        """Track a newly alive rank."""
+        top = self.top
+        if len(top) == self.n:
+            if rank > top[-1]:
+                heappush(self.beyond, rank)
+                return
+            heappush(self.beyond, top.pop())
+        insort(top, rank)
+        self._resum()
+
+    def expire(self, rank: int) -> None:
+        """Drop an expired rank, refilling ``top`` from ``beyond``."""
+        dead = self.dead
+        dead[rank] = 1
+        top = self.top
+        index = bisect_left(top, rank)
+        if index == len(top) or top[index] != rank:
+            return  # waiting in ``beyond`` (discarded on pop) or never tracked
+        del top[index]
+        beyond = self.beyond
+        while beyond:
+            refill = heappop(beyond)
+            if not dead[refill]:
+                top.append(refill)  # ranks above every member
+                break
+        self._resum()
+
+    def reset(self, ranks: list[int]) -> None:
+        """Restart from the sorted alive ``ranks`` (dead flags stay valid:
+        candidates expire at most once, so a flagged rank never returns)."""
+        self.top = ranks[: self.n]
+        self.beyond = ranks[self.n :]  # ascending, hence already a heap
+        self._resum()
+
+    def _resum(self) -> None:
+        values = self.values
+        if values is not None:
+            total = 0.0
+            for rank in self.top:
+                total += values[rank]
+            self.total = total
+
+
 # ----------------------------------------------------------------------
 # Criterion loops.  All of them walk the matching slots once, expiring
 # candidates through the shared pointer discipline; they differ only in
-# the per-step extraction replay.  The top-n structures keep the n
-# smallest alive ranks in a sorted list, every other alive rank in a
-# lazy min-heap (entries of expired candidates are flagged and discarded
-# on pop), so membership changes are O(log) amortized.
+# the per-step extraction replay.  Each returns ``(value, candidates,
+# window start, steps, peak, inserts, expiries, break position)``.
 # ----------------------------------------------------------------------
-def _run_cheapest(plan, n, budget, stop_at_first, start_valued):
-    """Start-time / total-cost criteria: the n cheapest alive + exact sum.
-
-    ``cheap_sum`` is recomputed over the sorted member ranks on every
-    membership change — the same ascending-cost sequential summation
-    ``IncrementalCandidateSet.feasible_cheapest`` performs, so the
-    budget verdict and the MinTotalCost value are byte-identical.
-    """
-    loop_start = plan.loop_start
-    loop_cand = plan.loop_cand
-    expiry_times = plan.expiry_times
-    expiry_cands = plan.expiry_cands
-    cand_crank = plan.cand_crank
-    cost_by_crank = plan.cost_by_crank
-    total_c = plan.count
-    topn: list[int] = []
-    beyond: list[int] = []
-    member = set()
-    dead = bytearray(total_c)  # indexed by cost rank
-    cheap_sum = 0.0
-    pointer = 0
-    alive = inserted = expired = peak = steps = 0
-    best_value = float("inf")
-    best_start = 0.0
-    best_cranks = None
-    break_pos = -1
-    for pos, window_start in enumerate(loop_start):
-        threshold = window_start - TIME_EPSILON
-        while pointer < total_c and expiry_times[pointer] < threshold:
-            rank = cand_crank[expiry_cands[pointer]]
-            pointer += 1
-            expired += 1
-            alive -= 1
-            dead[rank] = 1
-            if rank in member:
-                member.discard(rank)
-                topn.remove(rank)
-                while beyond:
-                    refill = heappop(beyond)
-                    if not dead[refill]:
-                        insort(topn, refill)
-                        member.add(refill)
-                        break
-                cheap_sum = 0.0
-                for r in topn:
-                    cheap_sum += cost_by_crank[r]
-        cand = loop_cand[pos]
-        if cand < 0:
-            continue
-        rank = cand_crank[cand]
-        inserted += 1
-        alive += 1
-        if alive > peak:
-            peak = alive
-        if len(topn) < n:
-            insort(topn, rank)
-            member.add(rank)
-            cheap_sum = 0.0
-            for r in topn:
-                cheap_sum += cost_by_crank[r]
-        elif rank < topn[-1]:
-            evicted = topn.pop()
-            member.discard(evicted)
-            heappush(beyond, evicted)
-            insort(topn, rank)
-            member.add(rank)
-            cheap_sum = 0.0
-            for r in topn:
-                cheap_sum += cost_by_crank[r]
-        else:
-            heappush(beyond, rank)
-        if alive < n:
-            continue
-        steps += 1
-        if cheap_sum > budget:
-            continue
-        value = window_start if start_valued else cheap_sum
-        if value < best_value - VALUE_EPSILON:
-            best_value = value
-            best_start = window_start
-            best_cranks = tuple(topn)
-            if stop_at_first:
-                break_pos = pos
-                break
-    return (
-        best_value,
-        best_cranks,
-        best_start,
-        steps,
-        peak,
-        inserted,
-        expired,
-        break_pos,
-    )
-
-
 def _run_cheapest_multi(plan, n, budgets, stop_at_first, start_valued):
-    """One candidate-evolution sweep serving several budgets at once.
+    """Start-time / total-cost criteria, for several budgets in one sweep.
 
-    ``budgets`` must be sorted ascending and distinct.  The candidate
-    evolution of :func:`_run_cheapest` — expiry pointer, top-n/beyond
-    structures, ``cheap_sum`` — does not depend on the budget, so one
-    sweep replays every budget's verdicts: at each step the feasible
-    budgets are exactly the suffix ``budgets[bisect_left(budgets,
-    cheap_sum):]`` (feasible iff ``cheap_sum <= budget``, the identical
-    comparison the single-budget loop makes).  Entry ``j`` of the
-    returned list is byte-identical to ``_run_cheapest(plan, n,
-    budgets[j], stop_at_first, start_valued)``:
+    ``budgets`` must be sorted ascending and distinct; a single scan is
+    the one-element case.  The candidate evolution — expiry pointer, the
+    n cheapest alive and their exact ``cheap_sum`` — does not depend on
+    the budget, so one sweep replays every budget's verdicts: at each
+    step the feasible budgets are exactly the suffix
+    ``budgets[bisect_left(budgets, cheap_sum):]`` (feasible iff
+    ``cheap_sum <= budget``, the comparison ``cheapest_subset`` makes).
+    Entry ``j`` of the returned list is byte-identical to scanning
+    ``budgets[j]`` on its own:
 
     - ``stop_at_first``: each budget resolves at its first feasible
       step with the running counters snapshot and that step as
@@ -598,81 +511,48 @@ def _run_cheapest_multi(plan, n, budgets, stop_at_first, start_valued):
     expiry_times = plan.expiry_times
     expiry_cands = plan.expiry_cands
     cand_crank = plan.cand_crank
-    cost_by_crank = plan.cost_by_crank
+    cand_by_crank = plan.cand_by_crank
     total_c = plan.count
-    topn: list[int] = []
-    beyond: list[int] = []
-    member = set()
-    dead = bytearray(total_c)  # indexed by cost rank
-    cheap_sum = 0.0
+    cheap = _TopN(n, total_c, plan.cost_by_crank)
     pointer = 0
     alive = inserted = expired = peak = steps = 0
     count_b = len(budgets)
     largest = budgets[-1]
     best_value = [float("inf")] * count_b
     best_start = [0.0] * count_b
-    best_cranks: list = [None] * count_b
+    best_cands: list = [None] * count_b
     outcomes: list = [None] * count_b
     boundary = count_b  # budgets[boundary:] already resolved (suffix)
     for pos, window_start in enumerate(loop_start):
         threshold = window_start - TIME_EPSILON
         while pointer < total_c and expiry_times[pointer] < threshold:
-            rank = cand_crank[expiry_cands[pointer]]
+            cheap.expire(cand_crank[expiry_cands[pointer]])
             pointer += 1
             expired += 1
             alive -= 1
-            dead[rank] = 1
-            if rank in member:
-                member.discard(rank)
-                topn.remove(rank)
-                while beyond:
-                    refill = heappop(beyond)
-                    if not dead[refill]:
-                        insort(topn, refill)
-                        member.add(refill)
-                        break
-                cheap_sum = 0.0
-                for r in topn:
-                    cheap_sum += cost_by_crank[r]
         cand = loop_cand[pos]
         if cand < 0:
             continue
-        rank = cand_crank[cand]
+        cheap.add(cand_crank[cand])
         inserted += 1
         alive += 1
         if alive > peak:
             peak = alive
-        if len(topn) < n:
-            insort(topn, rank)
-            member.add(rank)
-            cheap_sum = 0.0
-            for r in topn:
-                cheap_sum += cost_by_crank[r]
-        elif rank < topn[-1]:
-            evicted = topn.pop()
-            member.discard(evicted)
-            heappush(beyond, evicted)
-            insort(topn, rank)
-            member.add(rank)
-            cheap_sum = 0.0
-            for r in topn:
-                cheap_sum += cost_by_crank[r]
-        else:
-            heappush(beyond, rank)
         if alive < n:
             continue
         steps += 1
+        cheap_sum = cheap.total
         if cheap_sum > largest:
             continue
         idx = bisect_left(budgets, cheap_sum)
         value = window_start if start_valued else cheap_sum
         if stop_at_first:
             if idx < boundary:
-                cranks = tuple(topn)
+                cands = [cand_by_crank[r] for r in cheap.top]
                 for j in range(idx, boundary):
                     outcomes[j] = (
                         value,
-                        cranks,
+                        cands,
                         window_start,
                         steps,
                         peak,
@@ -685,26 +565,26 @@ def _run_cheapest_multi(plan, n, budgets, stop_at_first, start_valued):
                     break
         elif start_valued:
             if idx < boundary:
-                cranks = tuple(topn)
+                cands = [cand_by_crank[r] for r in cheap.top]
                 for j in range(idx, boundary):
                     best_value[j] = value
                     best_start[j] = window_start
-                    best_cranks[j] = cranks
+                    best_cands[j] = cands
                 boundary = idx
         else:
-            cranks = None
+            cands = None
             for j in range(idx, count_b):
                 if value < best_value[j] - VALUE_EPSILON:
-                    if cranks is None:
-                        cranks = tuple(topn)
+                    if cands is None:
+                        cands = [cand_by_crank[r] for r in cheap.top]
                     best_value[j] = value
                     best_start[j] = window_start
-                    best_cranks[j] = cranks
+                    best_cands[j] = cands
     for j in range(count_b):
         if outcomes[j] is None:
             outcomes[j] = (
                 best_value[j],
-                best_cranks[j],
+                best_cands[j],
                 best_start[j],
                 steps,
                 peak,
@@ -733,7 +613,6 @@ def _run_walk_budget(plan, n, budget, stop_at_first, exact):
     expiry_times = plan.expiry_times
     expiry_cands = plan.expiry_cands
     cand_crank = plan.cand_crank
-    cost_by_crank = plan.cost_by_crank
     req_by_crank = plan.req_by_crank
     req_list = plan.req_list
     if exact:
@@ -746,15 +625,11 @@ def _run_walk_budget(plan, n, budget, stop_at_first, exact):
         cand_erank = cand_crank
         cand_by_erank = plan.cand_by_crank
         req_by_erank = req_by_crank
-        cost_by_erank = cost_by_crank
+        cost_by_erank = plan.cost_by_crank
     total_c = plan.count
     skip_budget = budget + _BOUND_SLACK * (1.0 + abs(budget))
     alive_eval: list[int] = []  # alive candidates as eval-order ranks
-    qual_top: list[int] = []  # cost ranks: n cheapest with runtime < T
-    qual_beyond: list[int] = []
-    qual_member = set()
-    dead = bytearray(total_c)  # indexed by cost rank
-    qual_sum = 0.0
+    qual = _TopN(n, total_c, plan.cost_by_crank)  # n cheapest with runtime < T
     threshold_time = float("inf")  # T = best − ε, fixed between improvements
     pointer = 0
     alive = inserted = expired = peak = steps = 0
@@ -770,20 +645,7 @@ def _run_walk_budget(plan, n, budget, stop_at_first, exact):
             expired += 1
             alive -= 1
             alive_eval.remove(cand_erank[cand])
-            rank = cand_crank[cand]
-            dead[rank] = 1
-            if rank in qual_member:
-                qual_member.discard(rank)
-                qual_top.remove(rank)
-                while qual_beyond:
-                    refill = heappop(qual_beyond)
-                    if not dead[refill]:
-                        insort(qual_top, refill)
-                        qual_member.add(refill)
-                        break
-                qual_sum = 0.0
-                for r in qual_top:
-                    qual_sum += cost_by_crank[r]
+            qual.expire(cand_crank[cand])
         cand = loop_cand[pos]
         if cand < 0:
             continue
@@ -793,28 +655,11 @@ def _run_walk_budget(plan, n, budget, stop_at_first, exact):
         if alive > peak:
             peak = alive
         if req_list[cand] < threshold_time:
-            rank = cand_crank[cand]
-            if len(qual_top) < n:
-                insort(qual_top, rank)
-                qual_member.add(rank)
-                qual_sum = 0.0
-                for r in qual_top:
-                    qual_sum += cost_by_crank[r]
-            elif rank < qual_top[-1]:
-                evicted = qual_top.pop()
-                qual_member.discard(evicted)
-                heappush(qual_beyond, evicted)
-                insort(qual_top, rank)
-                qual_member.add(rank)
-                qual_sum = 0.0
-                for r in qual_top:
-                    qual_sum += cost_by_crank[r]
-            else:
-                heappush(qual_beyond, rank)
+            qual.add(cand_crank[cand])
         if alive < n:
             continue
         steps += 1
-        if len(qual_top) < n or qual_sum > skip_budget:
+        if len(qual.top) < n or qual.total > skip_budget:
             continue  # no qualifying subset can beat the incumbent
         times = [req_by_erank[r] for r in alive_eval]
         costs = [cost_by_erank[r] for r in alive_eval]
@@ -833,8 +678,7 @@ def _run_walk_budget(plan, n, budget, stop_at_first, exact):
                 break_pos = pos
                 break
             # The threshold tightened: rebuild the qualifying top-n from
-            # the alive set (dead flags stay valid — candidates expire
-            # at most once, so a flagged rank can never be alive again).
+            # the alive set.
             threshold_time = best_value - VALUE_EPSILON
             if exact:
                 alive_cranks = sorted(
@@ -842,16 +686,9 @@ def _run_walk_budget(plan, n, budget, stop_at_first, exact):
                 )
             else:
                 alive_cranks = alive_eval
-            qualifying = [
-                r for r in alive_cranks if req_by_crank[r] < threshold_time
-            ]
-            qual_top = qualifying[:n]
-            qual_member = set(qual_top)
-            qual_beyond = qualifying[n:]
-            heapify(qual_beyond)
-            qual_sum = 0.0
-            for r in qual_top:
-                qual_sum += cost_by_crank[r]
+            qual.reset(
+                [r for r in alive_cranks if req_by_crank[r] < threshold_time]
+            )
     return (
         best_value,
         best_cands,
@@ -892,10 +729,7 @@ def _run_walk_finish(plan, n, budget, stop_at_first, exact):
         cost_by_erank = plan.cost_by_crank
     total_c = plan.count
     alive_eval: list[int] = []
-    topn: list[int] = []  # time ranks: the n shortest alive runtimes
-    beyond: list[int] = []
-    member = set()
-    dead = bytearray(total_c)  # indexed by time rank
+    shortest = _TopN(n, total_c)  # time ranks: the n shortest alive runtimes
     pointer = 0
     alive = inserted = expired = peak = steps = 0
     best_value = float("inf")
@@ -910,41 +744,20 @@ def _run_walk_finish(plan, n, budget, stop_at_first, exact):
             expired += 1
             alive -= 1
             alive_eval.remove(cand_erank[cand])
-            rank = cand_trank[cand]
-            dead[rank] = 1
-            if rank in member:
-                member.discard(rank)
-                topn.remove(rank)
-                while beyond:
-                    refill = heappop(beyond)
-                    if not dead[refill]:
-                        insort(topn, refill)
-                        member.add(refill)
-                        break
+            shortest.expire(cand_trank[cand])
         cand = loop_cand[pos]
         if cand < 0:
             continue
         insort(alive_eval, cand_erank[cand])
-        rank = cand_trank[cand]
+        shortest.add(cand_trank[cand])
         inserted += 1
         alive += 1
         if alive > peak:
             peak = alive
-        if len(topn) < n:
-            insort(topn, rank)
-            member.add(rank)
-        elif rank < topn[-1]:
-            evicted = topn.pop()
-            member.discard(evicted)
-            heappush(beyond, evicted)
-            insort(topn, rank)
-            member.add(rank)
-        else:
-            heappush(beyond, rank)
         if alive < n:
             continue
         steps += 1
-        bound = window_start + req_by_trank[topn[-1]]
+        bound = window_start + req_by_trank[shortest.top[-1]]
         if not (bound < best_value - VALUE_EPSILON):
             continue
         times = [req_by_erank[r] for r in alive_eval]
@@ -988,24 +801,14 @@ def _run_greedy(plan, extras, n, budget, max_rounds, stop_at_first):
     expiry_times = plan.expiry_times
     expiry_cands = plan.expiry_cands
     cand_crank = plan.cand_crank
-    cost_by_crank = plan.cost_by_crank
     cand_by_crank = plan.cand_by_crank
     cand_krank = extras["cand_krank"]
-    key_by_krank = extras["key_by_krank"]
     key_list = extras["key_list"]
     cost_list = plan.cost_list
     total_c = plan.count
     alive_cands: list[int] = []  # alive candidate indices (arrival order)
-    cost_top: list[int] = []
-    cost_beyond: list[int] = []
-    cost_member = set()
-    cost_dead = bytearray(total_c)
-    key_top: list[int] = []
-    key_beyond: list[int] = []
-    key_member = set()
-    key_dead = bytearray(total_c)
-    cheap_sum = 0.0
-    key_sum = 0.0
+    cheap = _TopN(n, total_c, plan.cost_by_crank)
+    smallest = _TopN(n, total_c, extras["key_by_krank"])
     pointer = 0
     alive = inserted = expired = peak = steps = 0
     best_value = float("inf")
@@ -1020,87 +823,28 @@ def _run_greedy(plan, extras, n, budget, max_rounds, stop_at_first):
             expired += 1
             alive -= 1
             alive_cands.remove(cand)
-            rank = cand_crank[cand]
-            cost_dead[rank] = 1
-            if rank in cost_member:
-                cost_member.discard(rank)
-                cost_top.remove(rank)
-                while cost_beyond:
-                    refill = heappop(cost_beyond)
-                    if not cost_dead[refill]:
-                        insort(cost_top, refill)
-                        cost_member.add(refill)
-                        break
-                cheap_sum = 0.0
-                for r in cost_top:
-                    cheap_sum += cost_by_crank[r]
-            rank = cand_krank[cand]
-            key_dead[rank] = 1
-            if rank in key_member:
-                key_member.discard(rank)
-                key_top.remove(rank)
-                while key_beyond:
-                    refill = heappop(key_beyond)
-                    if not key_dead[refill]:
-                        insort(key_top, refill)
-                        key_member.add(refill)
-                        break
-                key_sum = 0.0
-                for r in key_top:
-                    key_sum += key_by_krank[r]
+            cheap.expire(cand_crank[cand])
+            smallest.expire(cand_krank[cand])
         cand = loop_cand[pos]
         if cand < 0:
             continue
         alive_cands.append(cand)  # candidate indices arrive in order
+        cheap.add(cand_crank[cand])
+        smallest.add(cand_krank[cand])
         inserted += 1
         alive += 1
         if alive > peak:
             peak = alive
-        rank = cand_crank[cand]
-        if len(cost_top) < n:
-            insort(cost_top, rank)
-            cost_member.add(rank)
-            cheap_sum = 0.0
-            for r in cost_top:
-                cheap_sum += cost_by_crank[r]
-        elif rank < cost_top[-1]:
-            evicted = cost_top.pop()
-            cost_member.discard(evicted)
-            heappush(cost_beyond, evicted)
-            insort(cost_top, rank)
-            cost_member.add(rank)
-            cheap_sum = 0.0
-            for r in cost_top:
-                cheap_sum += cost_by_crank[r]
-        else:
-            heappush(cost_beyond, rank)
-        rank = cand_krank[cand]
-        if len(key_top) < n:
-            insort(key_top, rank)
-            key_member.add(rank)
-            key_sum = 0.0
-            for r in key_top:
-                key_sum += key_by_krank[r]
-        elif rank < key_top[-1]:
-            evicted = key_top.pop()
-            key_member.discard(evicted)
-            heappush(key_beyond, evicted)
-            insort(key_top, rank)
-            key_member.add(rank)
-            key_sum = 0.0
-            for r in key_top:
-                key_sum += key_by_krank[r]
-        else:
-            heappush(key_beyond, rank)
         if alive < n:
             continue
         steps += 1
-        if cheap_sum > budget:
-            continue  # feasible_cheapest would return None
+        if cheap.total > budget:
+            continue  # cheapest_subset would return None
+        key_sum = smallest.total
         bound = key_sum - _BOUND_SLACK * (1.0 + abs(key_sum))
         if not (bound < best_value - VALUE_EPSILON):
             continue
-        current = [cand_by_crank[r] for r in cost_top]
+        current = [cand_by_crank[r] for r in cheap.top]
         in_window = set(current)
         outside = [c for c in alive_cands if c not in in_window]
         value, final = _swap_search(
@@ -1136,7 +880,7 @@ def _run_greedy(plan, extras, n, budget, max_rounds, stop_at_first):
 # Extraction replays (primitive twins of the object extractors).
 # ----------------------------------------------------------------------
 def _substitution_walk(times, costs, n, budget):
-    """Primitive twin of ``extractors._substitute_runtime``.
+    """Primitive twin of ``MinRuntimeSubstitutionExtractor.extract``.
 
     ``times``/``costs`` are the alive candidates in the exact
     ``(cost, required_time, arrival)`` order; returns ``(value,
@@ -1182,7 +926,7 @@ def _substitution_walk(times, costs, n, budget):
 
 
 def _exact_sweep(times, costs, n, budget):
-    """Primitive twin of ``extractors._exact_runtime_sweep``.
+    """Primitive twin of ``MinRuntimeExactExtractor.extract``.
 
     ``times``/``costs`` in ``(required_time, cost, arrival)`` order;
     returns ``(value, positions)`` with positions in the kept-dict

@@ -7,8 +7,8 @@ every complexity counter (``steps``, ``slots_scanned``,
 ``candidate_peak``, ``candidate_inserts``, ``candidate_expiries``) —
 across every criterion, ``stop_at_first``, adversarial duplicate-class
 batches, budget-only-varying classes (the shared multi-budget sweep),
-and under the object-kernel fallback.  Grouping removes recomputation,
-never changes a decision.
+and against the generic loop, which shares no code with the sweep.
+Grouping removes recomputation, never changes a decision.
 """
 
 from __future__ import annotations
@@ -133,6 +133,11 @@ class TestBatchScanEquivalence:
         assert scan_counters["grouped_jobs"] - before["grouped_jobs"] == 3
         assert scan_counters["grouped_classes"] - before["grouped_classes"] == 1
         assert scan_counters["grouped_shared"] - before["grouped_shared"] == 2
+        # One class is one budget: served by the sweep routine, but not
+        # counted as a *shared* sweep.
+        assert scan_counters["vectorized"] - before["vectorized"] == 1
+        assert scan_counters["batch_sweeps"] == before["batch_sweeps"]
+        assert scan_counters["batch_sweep_classes"] == before["batch_sweep_classes"]
 
     def test_budget_only_variants_use_shared_sweep(self):
         rng = np.random.default_rng(23)
@@ -160,15 +165,21 @@ class TestBatchScanEquivalence:
         CRITERIA,
         ids=[name for name, _, _ in CRITERIA],
     )
-    def test_object_kernel_parity(self, monkeypatch, name, make_extractor, stop_at_first):
-        monkeypatch.setenv("REPRO_SCAN_KERNEL", "object")
+    def test_object_kernel_parity(self, name, make_extractor, stop_at_first):
         rng = np.random.default_rng(101)
         pool = fragmented_pool(rng)
         extractor = make_extractor()
         batch = adversarial_batch(rng)
+        # A one-shot iterator forces the generic loop and the textbook
+        # ``extract``: a reference the batched sweeps share no code with.
         sequential = [
             full_fingerprint(
-                aep_scan(request, pool, extractor, stop_at_first=stop_at_first)
+                aep_scan(
+                    request,
+                    iter(pool.ordered()),
+                    extractor,
+                    stop_at_first=stop_at_first,
+                )
             )
             for request in batch
         ]

@@ -1,22 +1,18 @@
-"""Unit tests for the incremental extended-window kernel, plus the
-complexity-counter regression: amortized per-slot work must stay bounded
-as the pool grows (each candidate enters and leaves the structure at most
-once, so ``inserts + expiries <= 2 * slots_scanned`` at every size)."""
+"""Unit tests for the leg factory, plus the complexity-counter
+regression: amortized per-slot work must stay bounded as the pool grows
+(each candidate enters and leaves the extended window at most once, so
+``inserts + expiries <= 2 * slots_scanned`` at every size)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.aep import aep_scan
-from repro.core.candidates import IncrementalCandidateSet, LegFactory
+from repro.core.candidates import LegFactory
 from repro.core.extractors import MinRuntimeSubstitutionExtractor, MinTotalCostExtractor
 from repro.environment import EnvironmentConfig, EnvironmentGenerator
 from repro.model import ResourceRequest, Slot
 from tests.conftest import make_node, make_slot
-
-
-def leg_of(slot, request):
-    return LegFactory(request).leg(slot)
 
 
 @pytest.fixture
@@ -44,90 +40,6 @@ class TestLegFactory:
         cached = factory.leg(slot)
         assert cached.required_time == direct.required_time
         assert cached.cost == direct.cost
-
-
-class TestIncrementalCandidateSet:
-    def test_insert_orders_by_cost_then_time_then_arrival(self, request3):
-        candidates = IncrementalCandidateSet(2)
-        legs = [
-            leg_of(make_slot(0, 0.0, 100.0, performance=2.0, price=3.0), request3),
-            leg_of(make_slot(1, 0.0, 100.0, performance=4.0, price=1.0), request3),
-            leg_of(make_slot(2, 0.0, 100.0, performance=4.0, price=1.0), request3),
-        ]
-        for leg in legs:
-            candidates.insert(leg)
-        ordered = candidates.ordered()
-        # node 1 and node 2 tie on (cost, time); arrival order breaks the tie
-        assert [ws.slot.node.node_id for ws in ordered] == [1, 2, 0]
-        by_time = candidates.ordered_by_time()
-        assert [ws.required_time for ws in by_time] == sorted(
-            ws.required_time for ws in legs
-        )
-        assert [ws.slot.node.node_id for ws in candidates.scan_ordered()] == [0, 1, 2]
-
-    def test_cheap_sum_tracks_n_cheapest(self, request3):
-        candidates = IncrementalCandidateSet(2)
-        prices = [5.0, 1.0, 3.0, 0.5]
-        for node_id, price in enumerate(prices):
-            candidates.insert(
-                leg_of(
-                    make_slot(node_id, 0.0, 100.0, performance=4.0, price=price),
-                    request3,
-                )
-            )
-            costs = sorted(ws.cost for ws in candidates.ordered())
-            expected = sum(costs[:2])
-            assert candidates.cheapest_sum == pytest.approx(expected, abs=1e-9)
-
-    def test_prune_expires_by_slot_end(self, request3):
-        candidates = IncrementalCandidateSet(1)
-        short = leg_of(make_slot(0, 0.0, 22.0, performance=4.0), request3)  # runs 5
-        long = leg_of(make_slot(1, 0.0, 100.0, performance=4.0), request3)
-        candidates.insert(short)
-        candidates.insert(long)
-        assert len(candidates) == 2
-        # short fits while window_start <= 17; prune at 18 drops it
-        assert candidates.prune(17.0) == 0
-        assert candidates.prune(18.0) == 1
-        assert [ws.slot.node.node_id for ws in candidates.ordered()] == [1]
-        assert candidates.inserted == 2 and candidates.expired == 1
-
-    def test_deadline_expires_earlier_than_slot_end(self):
-        request = ResourceRequest(
-            node_count=1, reservation_time=20.0, budget=100.0, deadline=30.0
-        )
-        candidates = IncrementalCandidateSet(1, deadline=30.0)
-        leg = leg_of(make_slot(0, 0.0, 100.0, performance=4.0), request)  # runs 5
-        candidates.insert(leg)
-        # eligible while window_start + 5 <= 30
-        assert candidates.prune(25.0) == 0
-        assert candidates.prune(26.0) == 1
-
-    def test_feasible_cheapest_budget_boundary(self, request3):
-        candidates = IncrementalCandidateSet(2)
-        for node_id in range(3):
-            candidates.insert(
-                leg_of(make_slot(node_id, 0.0, 100.0, performance=4.0), request3)
-            )  # each costs 10
-        assert candidates.feasible_cheapest(2, 19.0) is None
-        found = candidates.feasible_cheapest(2, 20.0)
-        assert found is not None
-        chosen, total = found
-        assert total == 20.0 and len(chosen) == 2
-        assert candidates.feasible_cheapest(4, float("inf")) is None  # too few
-
-    def test_eligible_filters_by_deadline(self):
-        request = ResourceRequest(node_count=2, reservation_time=20.0, budget=1000.0)
-        candidates = IncrementalCandidateSet(2, deadline=50.0)
-        fast = leg_of(make_slot(0, 0.0, 100.0, performance=10.0), request)  # runs 2
-        slow = leg_of(make_slot(1, 0.0, 100.0, performance=1.0, price=0.1), request)  # runs 20
-        candidates.insert(fast)
-        candidates.insert(slow)
-        # At window start 40, slow (20 units) misses the 50 deadline.
-        eligible = candidates.eligible(2, 40.0)
-        assert [ws.slot.node.node_id for ws in eligible] == [0]
-        # Explicit deadline overrides the constructed one.
-        assert len(candidates.eligible(2, 40.0, deadline=80.0)) == 2
 
 
 class TestComplexityCounters:
@@ -179,79 +91,3 @@ class TestComplexityCounters:
         )
         assert result.candidate_inserts == 0
         assert result.candidate_expiries == 0
-
-
-class TestPruneIdentity:
-    """Expiry must delete the expiring candidate's *own* sorted-list
-    entries, never an equal-comparing neighbour's.
-
-    Distinct candidates can carry byte-equal ``(cost, required_time)``
-    pairs (identical node types), and IEEE comparison even equates
-    distinct keys (``-0.0 == 0.0``); only the serial identifies the
-    entry.  ``_delete_keyed`` verifies it before deleting and raises on
-    a miss instead of silently removing another candidate.
-    """
-
-    def test_delete_keyed_skips_equal_comparing_neighbour(self):
-        from repro.core.candidates import _delete_keyed
-
-        entries = [(0.0, 5.0, 1), (-0.0, 5.0, 2)]  # keys compare equal
-        index = _delete_keyed(entries, (-0.0, 5.0, 2))
-        assert index == 1
-        assert entries == [(0.0, 5.0, 1)]
-
-    def test_delete_keyed_missing_serial_raises(self):
-        from repro.core.candidates import _delete_keyed
-
-        with pytest.raises(LookupError):
-            _delete_keyed([(1.0, 2.0, 1)], (1.0, 2.0, 9))
-
-    def test_duplicate_key_storm_expires_the_right_candidates(self):
-        """Hypothesis storm: many candidates sharing exact (time, cost)
-        keys but different expiries; pruning must keep exactly the legs
-        the brute-force model keeps — verified by object identity."""
-        from hypothesis import given, settings
-        from hypothesis import strategies as st
-
-        from repro.model.slot import TIME_EPSILON, Slot
-        from repro.model.window import WindowSlot
-
-        spec = st.lists(
-            st.tuples(
-                st.sampled_from([1.0, 2.0]),       # cost: collisions guaranteed
-                st.sampled_from([3.0, 4.0]),       # required_time: ditto
-                st.sampled_from([8.0, 10.0, 12.0, 14.0]),  # slot end: expiry spread
-            ),
-            min_size=4,
-            max_size=20,
-        )
-
-        @settings(max_examples=60, deadline=None)
-        @given(spec=spec, cuts=st.lists(st.floats(0.0, 12.0), min_size=1, max_size=5))
-        def run(spec, cuts):
-            candidates = IncrementalCandidateSet(n=2)
-            model = []  # (serial, cost, time, expire, leg)
-            for serial, (cost, time, end) in enumerate(spec, start=1):
-                leg = WindowSlot(
-                    slot=Slot(make_node(serial), 0.0, end),
-                    required_time=time,
-                    cost=cost,
-                )
-                candidates.insert(leg)
-                model.append((serial, cost, time, end - time, leg))
-            for window_start in sorted(cuts):
-                expired = candidates.prune(window_start)
-                survivors = [
-                    entry
-                    for entry in model
-                    if entry[3] >= window_start - TIME_EPSILON
-                ]
-                assert expired == len(model) - len(survivors)
-                model = survivors
-                expected = sorted(model, key=lambda e: (e[1], e[2], e[0]))
-                actual = candidates.ordered()
-                assert len(actual) == len(expected)
-                for got, want in zip(actual, expected):
-                    assert got is want[4]  # identity, not mere equality
-
-        run()

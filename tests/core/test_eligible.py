@@ -1,19 +1,19 @@
-"""Tests of the public ``eligible(n, start, deadline)`` candidate API.
+"""Cheapest-eligible selection at a fixed start, and deadline behaviour.
 
-Successor of the retired ``repro.core.fastscan`` equivalence suite: the
-incrementally sorted fast scans *are* the main path now (``MinCost`` /
-``AMP``), and the private cost-order walk the old deadline path used is
-replaced by :meth:`IncrementalCandidateSet.eligible`.  These tests cover
-the public query directly, plus the deadline behavior the shim's callers
-relied on, through the public algorithms.
+Successor of the retired ``repro.core.fastscan`` equivalence suite.  The
+"up to ``n`` cheapest candidates able to finish by the deadline" query
+now has one caller and lives inside it:
+:func:`repro.core.repair.find_fixed_start_replacements`.  These tests
+cover its cost-order and deadline cases, plus the deadline behaviour the
+shim's callers relied on, through the public algorithms.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import AMP, MinCost
-from repro.core.candidates import IncrementalCandidateSet, LegFactory
-from repro.model import ResourceRequest
+from repro.core.repair import find_fixed_start_replacements
+from repro.model import ResourceRequest, SlotPool
 from tests.conftest import make_slot, random_small_pool
 
 
@@ -25,51 +25,42 @@ def random_request(rng):
     )
 
 
-def populated_set(request, n, deadline=None):
-    """A candidate set over three heterogeneous always-free slots.
+def replacements(count, start, deadline=None):
+    """Replacement legs' node ids over three always-free slots.
 
     With ``reservation_time=20``: node 0 (perf 2) runs 10 units for 10,
     node 1 (perf 4) runs 5 units for 15, node 2 (perf 8) runs 2.5 units
     for 22.5 — cost order [0, 1, 2], runtime order [2, 1, 0].
     """
-    candidates = IncrementalCandidateSet(n, deadline=deadline)
-    factory = LegFactory(request)
-    for node_id, performance, price in ((0, 2.0, 1.0), (1, 4.0, 3.0), (2, 8.0, 9.0)):
-        candidates.insert(
-            factory.leg(make_slot(node_id, 0.0, 100.0, performance, price))
-        )
-    return candidates
+    pool = SlotPool.from_slots(
+        make_slot(node_id, 0.0, 100.0, performance, price)
+        for node_id, performance, price in ((0, 2.0, 1.0), (1, 4.0, 3.0), (2, 8.0, 9.0))
+    )
+    request = ResourceRequest(node_count=2, reservation_time=20.0, deadline=deadline)
+    legs = find_fixed_start_replacements(
+        pool, request, start, count, exclude_nodes=set(), budget=float("inf")
+    )
+    return None if legs is None else [leg.slot.node.node_id for leg in legs]
 
 
 class TestEligible:
     def test_no_deadline_returns_cheapest_n(self):
-        request = ResourceRequest(node_count=2, reservation_time=20.0)
-        candidates = populated_set(request, 2)
-        chosen = candidates.eligible(2, window_start=0.0)
-        assert chosen == candidates.cheapest(2)
-        assert [ws.slot.node.node_id for ws in chosen] == [0, 1]
+        assert replacements(2, start=0.0) == [0, 1]
 
     def test_deadline_filters_slow_candidates(self):
-        request = ResourceRequest(node_count=2, reservation_time=20.0)
-        candidates = populated_set(request, 2)
         # node 0 needs 10 units; from start 45 it misses the 50 deadline,
         # so the selection must skip to the dearer-but-faster nodes.
-        chosen = candidates.eligible(2, window_start=45.0, deadline=50.0)
-        assert [ws.slot.node.node_id for ws in chosen] == [1, 2]
+        assert replacements(2, start=45.0, deadline=50.0) == [1, 2]
 
-    def test_explicit_deadline_overrides_constructed_one(self):
-        request = ResourceRequest(node_count=2, reservation_time=20.0)
-        candidates = populated_set(request, 2, deadline=200.0)
-        # The constructed deadline admits everyone; a per-query one filters.
-        assert len(candidates.eligible(3, window_start=45.0)) == 3
-        assert len(candidates.eligible(3, window_start=45.0, deadline=50.0)) == 2
+    def test_deadline_comes_from_the_request(self):
+        # A 200 deadline admits everyone from start 45; 50 leaves two.
+        assert replacements(3, start=45.0, deadline=200.0) == [0, 1, 2]
+        assert replacements(3, start=45.0, deadline=50.0) is None
 
-    def test_returns_fewer_when_not_enough_fit(self):
-        request = ResourceRequest(node_count=2, reservation_time=20.0)
-        candidates = populated_set(request, 2)
+    def test_none_when_not_enough_fit(self):
         # Only node 2 (2.5 units) can finish within 3 time units.
-        chosen = candidates.eligible(2, window_start=0.0, deadline=3.0)
-        assert [ws.slot.node.node_id for ws in chosen] == [2]
+        assert replacements(1, start=0.0, deadline=3.0) == [2]
+        assert replacements(2, start=0.0, deadline=3.0) is None
 
 
 class TestPublicAlgorithms:

@@ -3,26 +3,28 @@
 The byte-level equivalence net against the frozen pre-change kernel
 lives in ``test_scan_equivalence.py`` (the vector path participates in
 it transparently through ``aep_scan``).  These tests cover what that
-suite cannot: the dispatch seams — counter telemetry, the environment
-kill-switch, the object-kernel fallback for unsupported shapes — and a
-direct vector-vs-object comparison that includes the structural
-counters the reference kernel does not track.
+suite cannot: the dispatch seams — counter telemetry, the generic-loop
+fallback for unsupported shapes — and a direct vector-vs-generic-loop
+comparison that includes the structural counters the reference kernel
+does not track.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import aep as aep_module
 from repro.core import vectorized
 from repro.core.aep import aep_scan
 from repro.core.extractors import (
     EarliestFinishExtractor,
     EarliestStartExtractor,
+    Extraction,
     MinRuntimeExactExtractor,
     MinRuntimeSubstitutionExtractor,
     MinTotalCostExtractor,
+    cheapest_subset,
 )
+from repro.core.reference import reference_scan
 from repro.environment import EnvironmentConfig, EnvironmentGenerator
 from repro.model import ResourceRequest
 
@@ -49,12 +51,6 @@ def counters():
 
 
 class TestDispatch:
-    def test_value_epsilon_agrees_with_object_kernel(self):
-        # The replay compares improvement margins against the object
-        # kernel's constant; a drift between the two would silently
-        # change which step wins ties.
-        assert vectorized.VALUE_EPSILON == aep_module.VALUE_EPSILON
-
     def test_pool_scan_takes_vector_path(self):
         pool = make_pool()
         before = counters()
@@ -63,18 +59,18 @@ class TestDispatch:
         assert vectorized.scan_counters["vectorized"] == before["vectorized"] + 1
         assert vectorized.scan_counters["fallback"] == before["fallback"]
 
-    def test_env_switch_forces_object_kernel(self, monkeypatch):
-        monkeypatch.setenv(vectorized.KERNEL_ENV, "object")
-        assert not vectorized.kernel_enabled()
+    def test_one_shot_iterator_takes_generic_loop(self):
+        # Dispatch selects from the input type: an iterator cannot be
+        # snapshotted into columns, so the generic loop serves it.
         pool = make_pool()
         before = counters()
-        result = aep_scan(REQUEST, pool, MinTotalCostExtractor())
+        result = aep_scan(REQUEST, iter(pool.ordered()), MinTotalCostExtractor())
         assert result is not None
         assert vectorized.scan_counters["vectorized"] == before["vectorized"]
         assert vectorized.scan_counters["fallback"] == before["fallback"] + 1
 
     def test_unsorted_input_still_raises_order_error(self):
-        # The vector kernel refuses unsorted snapshots; the object kernel
+        # The vector kernel refuses unsorted snapshots; the generic loop
         # must keep its contractual ValueError on out-of-order slots.
         slots = make_pool().ordered()
         slots[0], slots[-1] = slots[-1], slots[0]
@@ -97,21 +93,28 @@ class TestVectorObjectEquivalence:
 
     Stronger than the reference-kernel net: the frozen kernel reports
     ``candidate_inserts``/``candidate_expiries`` as zero, so only the
-    object kernel can confirm the vector replay reproduces them.
+    generic loop can confirm the vector replay reproduces them.  A
+    one-shot iterator forces the generic loop (and the textbook
+    ``extract``), which shares no code with the replay.
     """
 
     @pytest.mark.parametrize("make_extractor", EXTRACTORS)
     @pytest.mark.parametrize("stop_at_first", [False, True])
     @pytest.mark.parametrize("seed", [3, 29])
-    def test_scanresult_identical(self, make_extractor, stop_at_first, seed, monkeypatch):
+    def test_scanresult_identical(self, make_extractor, stop_at_first, seed):
         pool = make_pool(seed=seed)
+        before = counters()
         vector = aep_scan(
             REQUEST, pool, make_extractor(), stop_at_first=stop_at_first
         )
-        monkeypatch.setenv(vectorized.KERNEL_ENV, "object")
         obj = aep_scan(
-            REQUEST, pool.ordered(), make_extractor(), stop_at_first=stop_at_first
+            REQUEST,
+            iter(pool.ordered()),
+            make_extractor(),
+            stop_at_first=stop_at_first,
         )
+        assert vectorized.scan_counters["vectorized"] == before["vectorized"] + 1
+        assert vectorized.scan_counters["fallback"] == before["fallback"] + 1
         assert (vector is None) == (obj is None)
         if vector is None:
             return
@@ -129,3 +132,38 @@ class TestVectorObjectEquivalence:
         assert vector.candidate_peak == obj.candidate_peak
         assert vector.candidate_inserts == obj.candidate_inserts
         assert vector.candidate_expiries == obj.candidate_expiries
+
+
+class _CheapestByNodeId:
+    """An ``extract``-only user criterion (no stock base class): among
+    feasible steps, prefer the window whose cheapest-``n`` legs carry the
+    smallest node-id sum — arbitrary, but order- and deadline-sensitive."""
+
+    def extract(self, window_start, candidates, request):
+        chosen = cheapest_subset(candidates, request.node_count, float("inf"))
+        if chosen is None:
+            return None
+        value = float(sum(ws.slot.node.node_id for ws in chosen))
+        return Extraction(value=value, slots=tuple(chosen))
+
+
+class TestUserExtractorThroughGenericLoop:
+    @pytest.mark.parametrize("seed", [3, 29])
+    def test_deadline_scan_matches_reference(self, seed):
+        pool = make_pool(seed=seed)
+        horizon = max(slot.end for slot in pool)
+        request = ResourceRequest(
+            node_count=4, reservation_time=60.0, deadline=0.6 * horizon
+        )
+        before = counters()
+        result = aep_scan(request, pool, _CheapestByNodeId())
+        assert vectorized.scan_counters["fallback"] == before["fallback"] + 1
+        reference = reference_scan(request, pool, _CheapestByNodeId())
+        assert result is not None and reference is not None
+        assert result.window == reference.window
+        assert result.value == reference.value
+        assert result.candidate_expiries > 0
+        assert (
+            result.candidate_inserts + result.candidate_expiries
+            <= 2 * result.slots_scanned
+        )
