@@ -35,7 +35,7 @@ bench-resilience:
 bench-federation:
 	PYTHONPATH=src $(PY) -m repro.cli bench-federation -o BENCH_federation.json
 
-# The 10^5-job rolling-horizon soak (~25 min on one CPU): refuses to
+# The 10^5-job rolling-horizon soak (a few minutes on one CPU): refuses to
 # record unless memory is flat, p99 is stable, and the incremental
 # snapshot beats a per-cycle rebuild by the gated factor.
 bench-soak:

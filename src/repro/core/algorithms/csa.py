@@ -21,6 +21,7 @@ from repro.core.algorithms.amp import AMP
 from repro.core.algorithms.base import JobLike, SlotSelectionAlgorithm
 from repro.core.candidates import LegFactory
 from repro.core.criteria import Criterion, best_window
+from repro.core.vectorized import UNSUPPORTED, vectorized_alternatives
 from repro.model.slotpool import SlotPool
 from repro.model.window import Window
 
@@ -69,14 +70,24 @@ class CSA(SlotSelectionAlgorithm):
     ) -> list[Window]:
         """All slot-disjoint alternatives found by repeated AMP + cutting.
 
-        The caller's pool is never mutated; cutting happens on a working
-        copy.
+        The caller's pool is never mutated.  With the cheapest policy and
+        ``consume`` cutting, cutting only ever removes slots, so one
+        continuing sweep over the pool's snapshot yields every re-run's
+        window (:func:`~repro.core.vectorized.vectorized_alternatives`);
+        otherwise — first-policy AMP, ``split`` cutting, input the kernel
+        does not take — AMP re-runs on a working copy that is cut between
+        runs.  Both produce the same windows.
         """
         cap = limit if limit is not None else self.max_alternatives
+        request = request_of(job)
+        if self._amp.policy == "cheapest" and self.cut_mode == "consume":
+            found = vectorized_alternatives(request, pool, cap)
+            if found is not UNSUPPORTED:
+                return found
         working = pool.copy()
         # One leg cache across all AMP re-runs: runtimes/costs depend only
         # on (node, request), and cutting never changes either.
-        legs = LegFactory(request_of(job))
+        legs = LegFactory(request)
         alternatives: list[Window] = []
         while cap is None or len(alternatives) < cap:
             window = self._amp.select(job, working, leg_factory=legs)
@@ -88,10 +99,7 @@ class CSA(SlotSelectionAlgorithm):
 
     def select(self, job: JobLike, pool: SlotPool) -> Optional[Window]:
         """The best alternative by ``self.criterion`` among all found."""
-        alternatives = self.find_alternatives(job, pool)
-        if not alternatives:
-            return None
-        return best_window(alternatives, self.criterion)
+        return self.select_by(job, pool, self.criterion)
 
     def select_by(
         self, job: JobLike, pool: SlotPool, criterion: Criterion

@@ -16,12 +16,12 @@ the stock extractors *byte for byte*:
    ``(required_time, cost, arrival)``).  The plan depends only on the
    request's matching/runtime fields — not on budget or node count — and
    is cached on the snapshot, so re-scanning an unchanged pool for the
-   same request (AMP re-runs inside CSA, repeated bench scans) pays only
-   the event loop.  Every float is produced by the same IEEE operation
-   the object path performs (elementwise ``/`` and ``*`` match scalar
-   ``/`` and ``*`` exactly; the one non-reproducible op,
-   ``performance ** 2`` inside ``CpuNode.power``, is precomputed per
-   node in Python).
+   same request (admission and phase one between mutations, repeated
+   bench scans) pays only the event loop.  Every float is produced by
+   the same IEEE operation the object path performs (elementwise ``/``
+   and ``*`` match scalar ``/`` and ``*`` exactly; the one
+   non-reproducible op, ``performance ** 2`` inside ``CpuNode.power``,
+   is precomputed per node in Python).
 2. **Event loop** (pure-primitive Python): one pass over the matching
    slots maintaining the alive-candidate count, an expiry pointer over
    the pre-sorted expiry order (valid because the slot list is strictly
@@ -45,6 +45,11 @@ it accepts exactly the extractor types whose ``extract`` it replays —
 unknown extractors, subclasses, random selection, one-shot iterators
 and non-sorted slot inputs return :data:`UNSUPPORTED` and the caller
 runs the generic loop.
+
+:func:`vectorized_alternatives` answers CSA's question — *every*
+earliest-start window, each on the pool without its predecessors' slots
+— from the same plan in one continuing pass
+(:func:`_run_cheapest_consume`) instead of one scan per alternative.
 """
 
 from __future__ import annotations
@@ -383,25 +388,63 @@ def _materialize(plan, slot_list, outcome) -> Optional[ScanResult]:
     if best_cands is None:
         return None
     scanned = int(plan.mpos[break_pos]) + 1 if break_pos >= 0 else plan.total
-    cand_slot = plan.cand_slot
-    req_list = plan.req_list
-    cost_list = plan.cost_list
-    legs = tuple(
-        WindowSlot(
-            slot=slot_list[cand_slot[c]],
-            required_time=req_list[c],
-            cost=cost_list[c],
-        )
-        for c in best_cands
-    )
     return ScanResult(
-        window=Window(start=best_start, slots=legs),
+        window=_window(plan, slot_list, best_start, best_cands),
         value=value,
         steps=steps,
         slots_scanned=scanned,
         candidate_peak=peak,
         candidate_inserts=inserted,
         candidate_expiries=expired,
+    )
+
+
+def vectorized_alternatives(
+    request: ResourceRequest, slots, cap: Optional[int] = None
+):
+    """Every CSA alternative of ``request`` from one sweep, or
+    :data:`UNSUPPORTED`.
+
+    The returned windows are what repeating the earliest-start
+    cheapest-``n`` scan (``AMP("cheapest").select``) and dropping each
+    found window's slots (``cut_window(mode="consume")``) collects, at
+    most ``cap`` of them — equal windows over the snapshot's own ``Slot``
+    objects — but from one snapshot, one plan and one pass
+    (:func:`_run_cheapest_consume`); ``slots`` is neither copied nor
+    mutated.  One sweep counts as one ``scan_counters["vectorized"]``
+    dispatch.  On :data:`UNSUPPORTED` the caller's repeated scans do
+    their own ``fallback`` counting.
+    """
+    if cap is not None and cap <= 0:
+        return []
+    resolved = _resolve_arrays(slots)
+    if resolved is None:
+        return UNSUPPORTED
+    arrays, slot_list = resolved
+    plan = _plan_for(arrays, request)
+    if plan is None:
+        return UNSUPPORTED
+    scan_counters["vectorized"] += 1
+    hits = _run_cheapest_consume(plan, request.node_count, _budget_of(request), cap)
+    return [_window(plan, slot_list, start, cands) for start, cands in hits]
+
+
+def _window(plan, slot_list, start, cands) -> Window:
+    """The window of candidates ``cands`` starting at ``start``: the
+    snapshot's own ``Slot`` objects with the plan's runtime/cost floats."""
+    cand_slot = plan.cand_slot
+    req_list = plan.req_list
+    cost_list = plan.cost_list
+    return Window(
+        start=start,
+        slots=tuple(
+            WindowSlot(
+                slot=slot_list[cand_slot[c]],
+                required_time=req_list[c],
+                cost=cost_list[c],
+            )
+            for c in cands
+        ),
     )
 
 
@@ -593,6 +636,69 @@ def _run_cheapest_multi(plan, n, budgets, stop_at_first, start_valued):
                 -1,
             )
     return outcomes
+
+
+def _run_cheapest_consume(plan, n, budget, cap):
+    """CSA's repeated earliest-start search as one continuing sweep.
+
+    Returns ``[(window start, candidates), ...]``: the windows that
+    re-running the stop-at-first cheapest-``n`` scan from slot 0, each
+    time on a pool without the slots of the windows found so far, yields
+    one after another — at most ``cap`` of them.
+
+    Continuing instead of restarting is exact because the alive set at a
+    step is "inserted, not expired, not consumed", independent of how the
+    scan got there.  After a hit at step *p* a restarted scan sees, at
+    every earlier step, a subset of what the previous scan saw: either
+    fewer than ``n`` alive, or an n-cheapest sum that is no smaller (both
+    summed ascending in the same ``(cost, required_time, arrival)`` order,
+    float ``+`` being monotone in each operand) and hence still over the
+    budget — so its first hit is at step >= *p*.  The same monotonicity
+    puts *p*'s own slot into every window found at *p* (were the n
+    cheapest all older, the step that inserted the youngest of them
+    would have hit already), so the restarted scan has no step *p* and
+    the sweep simply moves on.  Consumed candidates leave the top-n at
+    once and are skipped by the expiry pointer.  Relative cost ranks
+    among the survivors equal those of a rebuilt plan, so every sum adds
+    the same floats in the same order.
+    """
+    loop_cand = plan.loop_cand
+    expiry_times = plan.expiry_times
+    expiry_cands = plan.expiry_cands
+    cand_crank = plan.cand_crank
+    cand_by_crank = plan.cand_by_crank
+    total_c = plan.count
+    cheap = _TopN(n, total_c, plan.cost_by_crank)
+    consumed = bytearray(total_c)  # indexed by candidate
+    pointer = 0
+    alive = 0
+    hits: list[tuple[float, list[int]]] = []
+    for pos, window_start in enumerate(plan.loop_start):
+        threshold = window_start - TIME_EPSILON
+        while pointer < total_c and expiry_times[pointer] < threshold:
+            cand = expiry_cands[pointer]
+            pointer += 1
+            if not consumed[cand]:
+                cheap.expire(cand_crank[cand])
+                alive -= 1
+        cand = loop_cand[pos]
+        if cand < 0:
+            continue
+        cheap.add(cand_crank[cand])
+        alive += 1
+        if alive < n or cheap.total > budget:
+            continue
+        ranks = list(cheap.top)
+        winners = [cand_by_crank[rank] for rank in ranks]
+        hits.append((window_start, winners))
+        if len(hits) == cap:
+            break
+        for rank in ranks:
+            cheap.expire(rank)
+        for winner in winners:
+            consumed[winner] = 1
+        alive -= n
+    return hits
 
 
 def _run_walk_budget(plan, n, budget, stop_at_first, exact):

@@ -1,0 +1,306 @@
+"""CSA's one-sweep kernel against the copy / AMP re-run / cut loop.
+
+With the cheapest AMP policy and ``consume`` cutting,
+``CSA.find_alternatives`` collects every alternative from one
+continuing sweep (:func:`repro.core.vectorized.vectorized_alternatives`)
+instead of re-running AMP on a working copy that is cut between runs.
+The loop is kept here as the reference: both must return equal windows
+over the *same* ``Slot`` objects, for every request shape and cap.  The
+counter tests pin what the sweep saves (one plan, no pool copy, no
+mutation) and when the loop still runs.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.core import AMP, CSA, vectorized
+from repro.environment import EnvironmentConfig, EnvironmentGenerator
+from repro.model import ResourceRequest, Slot, SlotPool
+from tests.conftest import make_node, make_slot
+
+SEEDS = [11, 23, 47, 2013]
+NODE_COUNTS = [1, 2, 5, 12]
+CAPS = [0, 1, 3, None]
+#: Per-leg budget share: a fragmented-pool leg costs 0.6 .. 60.
+BUDGETS = {"tight": 5.0, "loose": 25.0, "absent": None}
+HARDWARE = [
+    {},
+    {"min_performance": 3.0},
+    {"max_price_per_unit": 4.0},
+]
+
+
+def loop_alternatives(request, pool, cap=None, policy="cheapest", mode="consume"):
+    """The reference scheme: AMP re-runs on a working copy, cut between runs."""
+    amp = AMP(policy)
+    working = pool.copy()
+    found = []
+    while cap is None or len(found) < cap:
+        window = amp.select(request, working)
+        if window is None:
+            break
+        found.append(window)
+        working.cut_window(window, mode=mode)
+    return found
+
+
+def sweep_csa(**kwargs) -> CSA:
+    return CSA(amp_policy="cheapest", cut_mode="consume", **kwargs)
+
+
+def assert_identical(found, expected):
+    """Equal windows (exact floats) over the very same ``Slot`` objects."""
+    assert found == expected
+    for window, reference in zip(found, expected):
+        for leg, reference_leg in zip(window.slots, reference.slots):
+            assert leg.slot is reference_leg.slot
+        # Every window contains the slot whose step formed it.
+        assert any(leg.slot.start == window.start for leg in window.slots)
+
+
+def fragmented_pool(seed: int, node_count: int = 24, segments: int = 4) -> SlotPool:
+    """Several disjoint slots per node, so candidates expire mid-sweep."""
+    rng = np.random.default_rng(seed)
+    slots = []
+    for node_id in range(node_count):
+        node = make_node(
+            node_id, float(rng.integers(1, 8)), float(rng.uniform(0.5, 6.0))
+        )
+        cursor = float(rng.uniform(0.0, 10.0))
+        for _ in range(segments):
+            length = float(rng.uniform(5.0, 40.0))
+            slots.append(Slot(node, cursor, cursor + length))
+            cursor += length + float(rng.uniform(1.0, 10.0))
+    return SlotPool.from_slots(slots)
+
+
+def counters():
+    return dict(vectorized.scan_counters)
+
+
+def counter_delta(before):
+    return {
+        key: vectorized.scan_counters[key] - before[key]
+        for key in before
+        if vectorized.scan_counters[key] != before[key]
+    }
+
+
+class TestSweepEqualsLoop:
+    @pytest.mark.parametrize("deadline", [None, 70.0])
+    @pytest.mark.parametrize("budget_kind", list(BUDGETS))
+    @pytest.mark.parametrize("node_count", NODE_COUNTS)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_random_pools(self, seed, node_count, budget_kind, deadline):
+        pool = fragmented_pool(seed)
+        share = BUDGETS[budget_kind]
+        for hardware in HARDWARE:
+            request = ResourceRequest(
+                node_count=node_count,
+                reservation_time=10.0,
+                budget=None if share is None else share * node_count,
+                deadline=deadline,
+                **hardware,
+            )
+            for cap in CAPS:
+                found = sweep_csa().find_alternatives(request, pool, limit=cap)
+                assert_identical(found, loop_alternatives(request, pool, cap))
+
+    def test_parametrization_is_not_vacuous(self):
+        counts = {kind: 0 for kind in BUDGETS}
+        for seed in SEEDS:
+            pool = fragmented_pool(seed)
+            for kind, share in BUDGETS.items():
+                request = ResourceRequest(
+                    node_count=2,
+                    reservation_time=10.0,
+                    budget=None if share is None else share * 2,
+                )
+                counts[kind] += len(sweep_csa().find_alternatives(request, pool))
+        assert 0 < counts["tight"] < counts["loose"] < counts["absent"]
+
+    @pytest.mark.parametrize("seed", [3, 2013])
+    def test_generated_environment(self, seed):
+        environment = EnvironmentGenerator(
+            EnvironmentConfig(node_count=60, seed=seed)
+        ).generate()
+        pool = environment.slot_pool()
+        for node_count, budget in [(1, None), (2, 400.0), (5, 1000.0), (12, None)]:
+            request = ResourceRequest(
+                node_count=node_count, reservation_time=60.0, budget=budget
+            )
+            found = sweep_csa().find_alternatives(request, pool)
+            assert len(found) > 1
+            assert_identical(found, loop_alternatives(request, pool))
+
+    def test_limit_takes_precedence_over_max_alternatives(self):
+        pool = fragmented_pool(11)
+        request = ResourceRequest(node_count=2, reservation_time=10.0)
+        everything = loop_alternatives(request, pool)
+        assert len(everything) > 5
+        csa = sweep_csa(max_alternatives=3)
+        assert_identical(csa.find_alternatives(request, pool), everything[:3])
+        assert_identical(csa.find_alternatives(request, pool, limit=1), everything[:1])
+        assert_identical(csa.find_alternatives(request, pool, limit=5), everything[:5])
+        assert csa.find_alternatives(request, pool, limit=0) == []
+
+
+class TestHandBuiltPools:
+    """Edge cases of the consumption bookkeeping (task(20) on the default
+    node runs 5 and costs 10)."""
+
+    @staticmethod
+    def check(slots, request, expected_starts):
+        pool = SlotPool.from_slots(slots)
+        found = sweep_csa().find_alternatives(request, pool)
+        assert_identical(found, loop_alternatives(request, pool))
+        assert [window.start for window in found] == expected_starts
+        return found
+
+    def test_slots_sharing_one_start_give_two_windows_there(self):
+        slots = [make_slot(node_id, 0.0, 100.0) for node_id in range(5)]
+        request = ResourceRequest(node_count=2, reservation_time=20.0)
+        found = self.check(slots, request, [0.0, 0.0])
+        assert [sorted(window.nodes()) for window in found] == [[0, 1], [2, 3]]
+
+    def test_hit_consumes_older_candidates_next_hit_needs_new_ones(self):
+        # Two over-priced slots wait alive; the cheap pairs form windows
+        # around them, each with the slot that arrived at its step.
+        slots = [
+            make_slot(0, 0.0, 100.0, price=8.0),
+            make_slot(1, 0.0, 100.0, price=8.0),
+            make_slot(2, 5.0, 100.0),
+            make_slot(3, 5.0, 100.0),
+            make_slot(4, 5.0, 100.0),
+            make_slot(5, 9.0, 100.0),
+        ]
+        request = ResourceRequest(node_count=2, reservation_time=20.0, budget=20.0)
+        found = self.check(slots, request, [5.0, 9.0])
+        assert [sorted(window.nodes()) for window in found] == [[2, 3], [4, 5]]
+
+    def test_equal_cost_ties_break_by_runtime_then_arrival(self):
+        slots = [
+            make_slot(0, 0.0, 100.0, performance=2.0, price=1.0),  # runs 10, costs 10
+            make_slot(1, 1.0, 100.0),  # runs 5, costs 10
+            make_slot(2, 2.0, 100.0),  # runs 5, costs 10
+            make_slot(3, 3.0, 100.0, price=1.0),  # costs 5
+            make_slot(4, 4.0, 100.0, price=1.0),
+            make_slot(5, 5.0, 100.0, price=1.0),
+        ]
+        request = ResourceRequest(node_count=2, reservation_time=20.0, budget=15.0)
+        found = self.check(slots, request, [3.0, 4.0, 5.0])
+        assert [window.nodes() for window in found] == [[3, 1], [4, 2], [5, 0]]
+
+    def test_fewer_matching_nodes_than_requested(self):
+        slots = [
+            make_slot(0, 0.0, 100.0, performance=6.0),
+            make_slot(1, 0.0, 100.0, performance=6.0),
+            make_slot(2, 0.0, 100.0, performance=2.0),
+            make_slot(3, 0.0, 100.0, performance=2.0),
+        ]
+        request = ResourceRequest(
+            node_count=3, reservation_time=20.0, min_performance=5.0
+        )
+        self.check(slots, request, [])
+
+    def test_consumed_candidate_is_not_expired_a_second_time(self):
+        # Nodes 0 and 1 are consumed at start 0 and reach their expiry
+        # time only at the step of node 4; counting them out again there
+        # would lose the last window.
+        slots = [
+            make_slot(0, 0.0, 30.0),
+            make_slot(1, 0.0, 30.0),
+            make_slot(2, 10.0, 100.0),
+            make_slot(3, 20.0, 100.0),
+            make_slot(4, 50.0, 100.0),
+            make_slot(5, 50.0, 100.0),
+        ]
+        request = ResourceRequest(node_count=2, reservation_time=20.0)
+        self.check(slots, request, [0.0, 20.0, 50.0])
+
+    def test_unconsumed_candidate_still_expires(self):
+        # Node 0 is never affordable next to node 1 and must be gone by
+        # the time nodes 2 and 3 arrive.
+        slots = [
+            make_slot(0, 0.0, 12.0, price=3.0),
+            make_slot(1, 0.0, 100.0, price=3.0),
+            make_slot(2, 20.0, 100.0, price=1.0),
+            make_slot(3, 30.0, 100.0, price=1.0),
+        ]
+        request = ResourceRequest(node_count=2, reservation_time=20.0, budget=20.0)
+        found = self.check(slots, request, [20.0])
+        assert found[0].nodes() == [2, 1]
+
+
+class TestSweepCounters:
+    REQUEST = ResourceRequest(node_count=2, reservation_time=10.0)
+
+    @pytest.fixture
+    def copies(self, monkeypatch):
+        """Spy on ``SlotPool.copy``: the list of pools copied."""
+        calls = []
+        original = SlotPool.copy
+
+        def spy(pool):
+            calls.append(pool)
+            return original(pool)
+
+        monkeypatch.setattr(SlotPool, "copy", spy)
+        return calls
+
+    def test_sweep_builds_one_plan_and_leaves_the_pool_alone(self, copies):
+        pool = fragmented_pool(23)
+        generation, size = pool.generation, len(pool)
+        before = counters()
+        found = sweep_csa().find_alternatives(self.REQUEST, pool)
+        assert len(found) > 5
+        assert counter_delta(before) == {"vectorized": 1, "plans_built": 1}
+        assert copies == []
+        assert (pool.generation, len(pool)) == (generation, size)
+        # An unchanged pool serves the next call from the cached plan.
+        before = counters()
+        assert sweep_csa().find_alternatives(self.REQUEST, pool) == found
+        assert counter_delta(before) == {"vectorized": 1, "plans_reused": 1}
+
+    def test_split_cutting_keeps_the_loop(self, copies):
+        pool = fragmented_pool(23)
+        expected = loop_alternatives(self.REQUEST, pool, mode="split")
+        del copies[:]
+        before = counters()
+        found = CSA(amp_policy="cheapest", cut_mode="split").find_alternatives(
+            self.REQUEST, pool
+        )
+        assert found == expected
+        # One kernel dispatch per AMP run, the failing last one included.
+        assert counter_delta(before)["vectorized"] == len(found) + 1
+        assert copies == [pool]
+
+    def test_first_policy_keeps_the_loop(self, copies):
+        pool = fragmented_pool(23)
+        expected = loop_alternatives(self.REQUEST, pool, policy="first")
+        del copies[:]
+        before = counters()
+        found = CSA(amp_policy="first").find_alternatives(self.REQUEST, pool)
+        assert len(found) > 5
+        assert found == expected
+        assert counter_delta(before) == {}  # the eviction scan is no AEP scan
+        assert copies == [pool]
+
+    def test_unsorted_snapshot_falls_back_to_the_loop(self, copies):
+        slots = fragmented_pool(23).ordered()
+        expected = loop_alternatives(self.REQUEST, SlotPool.from_slots(slots))
+        del copies[:]
+        pool = SlotPool.from_slots(slots)
+        pool.as_arrays()._plan_unsorted = True
+        assert (
+            vectorized.vectorized_alternatives(self.REQUEST, pool)
+            is vectorized.UNSUPPORTED
+        )
+        before = counters()
+        found = sweep_csa().find_alternatives(self.REQUEST, pool)
+        assert_identical(found, expected)
+        assert copies == [pool]
+        # The working copy shares the flagged snapshot until its first cut.
+        assert counter_delta(before)["fallback"] == 1
