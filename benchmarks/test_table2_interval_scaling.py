@@ -24,6 +24,7 @@ from repro.analysis.paper_reference import (
     TABLE2_SLOT_COUNTS,
 )
 from repro.core import AMP, CSA, MinCost, MinFinish, MinProcTime, MinRunTime
+from repro.core.algorithms.csa import rerun_alternatives
 from repro.simulation import growth_exponent
 from repro.simulation.experiment import make_generator
 
@@ -59,12 +60,21 @@ def test_table2_cell(benchmark, base_config, pools, name, length):
 
 @pytest.mark.parametrize("length", interval_sweep())
 def test_table2_csa_cell(benchmark, base_config, pools, length):
-    """The CSA row of Table 2 (one full alternatives search)."""
+    """The CSA row of Table 2: the paper's scheme, AMP re-run after every cut."""
     benchmark.group = f"table2-interval-{int(length)}"
-    csa = CSA()
     job = base_config.base_job()
-    alternatives = benchmark(csa.find_alternatives, job, pools[length])
+    alternatives = benchmark(rerun_alternatives, AMP(), job, pools[length])
     assert len(alternatives) > 0
+
+
+@pytest.mark.parametrize("length", interval_sweep())
+def test_table2_csa_sweep_cell(benchmark, base_config, pools, length):
+    """The same alternatives from ``CSA.find_alternatives``' one sweep."""
+    benchmark.group = f"table2-interval-{int(length)}"
+    job = base_config.base_job()
+    pool = pools[length]
+    alternatives = benchmark(CSA().find_alternatives, job, pool)
+    assert alternatives == rerun_alternatives(AMP(), job, pool)
 
 
 def test_table2_summary_and_trends(benchmark, base_config, interval_study):
@@ -87,6 +97,8 @@ def test_table2_summary_and_trends(benchmark, base_config, interval_study):
         ["CSA per Alt (ms)"]
         + [round(row.csa_seconds_per_alternative * 1e3, 2) for row in study.rows],
         ["CSA (ms)"] + [round(row.csa_seconds.mean * 1e3, 2) for row in study.rows],
+        ["CSA one-sweep (ms)"]
+        + [round(row.csa_sweep_seconds.mean * 1e3, 2) for row in study.rows],
     ]
     for name in ("AMP", "MinRunTime", "MinFinish", "MinProcTime", "MinCost"):
         rows.append(
@@ -130,6 +142,16 @@ def test_table2_summary_and_trends(benchmark, base_config, interval_study):
         # "Linear complexity with respect to the length of the scheduling
         # interval": the empirical order stays well below quadratic.
         assert exponent <= 1.6, name
+
+    # The one-sweep kernel stays linear in the interval too, well below
+    # the re-run scheme at the longest one.
+    sweep_exponent = growth_exponent(
+        [(row.parameter, row.csa_sweep_seconds.mean) for row in study.rows]
+    )
+    print(f"CSA one-sweep growth exponent vs interval: {sweep_exponent:.2f}")
+    assert sweep_exponent <= 1.6
+    longest_row = study.rows[-1]
+    assert longest_row.csa_seconds.mean >= 5 * longest_row.csa_sweep_seconds.mean
 
     # CSA alternative count grows roughly linearly with the interval.
     alt_exponent = growth_exponent(

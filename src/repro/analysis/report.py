@@ -57,16 +57,18 @@ def _figure_section(result: ComparisonResult, title: str, criterion: Criterion) 
 def _timing_section(study: TimingStudy, title: str, paper_note: str) -> str:
     lines = [f"## {title}", "", paper_note, ""]
     header = (
-        "| " + study.parameter_name + " | slots | CSA alts | CSA (ms) | AMP (ms) "
+        "| " + study.parameter_name + " | slots | CSA alts | CSA (ms) "
+        "| CSA one-sweep (ms) | AMP (ms) "
         "| MinRunTime (ms) | MinFinish (ms) | MinProcTime (ms) | MinCost (ms) |"
     )
     lines.append(header)
-    lines.append("|" + "---|" * 9)
+    lines.append("|" + "---|" * 10)
     for row in study.rows:
         lines.append(
             f"| {row.parameter:g} | {row.slot_count.mean:.1f} "
             f"| {row.csa_alternatives.mean:.1f} "
             f"| {row.csa_seconds.mean * 1e3:.2f} "
+            f"| {row.csa_sweep_seconds.mean * 1e3:.2f} "
             f"| {row.mean_ms('AMP'):.3f} "
             f"| {row.mean_ms('MinRunTime'):.2f} "
             f"| {row.mean_ms('MinFinish'):.2f} "

@@ -150,6 +150,8 @@ def _print_timing_study(study, parameter_label: str) -> None:
         ["CSA alternatives"]
         + [round(row.csa_alternatives.mean, 1) for row in study.rows],
         ["CSA (ms)"] + [round(row.csa_seconds.mean * 1e3, 2) for row in study.rows],
+        ["CSA one-sweep (ms)"]
+        + [round(row.csa_sweep_seconds.mean * 1e3, 2) for row in study.rows],
     ]
     for name in ("AMP", "MinRunTime", "MinFinish", "MinProcTime", "MinCost"):
         rows.append([f"{name} (ms)"] + [round(row.mean_ms(name), 3) for row in study.rows])
@@ -1211,8 +1213,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench_soak.add_argument("--batch-size", type=int, default=8)
     bench_soak.add_argument(
         "--amp-policy", default="cheapest", choices=("cheapest", "first"),
-        help="phase-one AMP policy: cheapest rides the vectorized scan "
-             "kernel, first is the paper-faithful object loop",
+        help="phase-one AMP policy: cheapest is the start-optimal "
+             "n-cheapest scan, first the paper-faithful eviction scan "
+             "(CSA serves either from one sweep per job)",
     )
     bench_soak.add_argument("--sample-every", type=int, default=64,
                             help="cycles between RSS / snapshot-cost probes")

@@ -95,7 +95,9 @@ class AMP(SlotSelectionAlgorithm):
         request = request_of(job)
         n = request.node_count
         budget = _budget_of(request)
+        # Latest admissible finish of any leg (nothing exceeds +inf).
         deadline = request.deadline
+        latest = float("inf") if deadline is None else deadline + TIME_EPSILON
         legs = leg_factory if leg_factory is not None else LegFactory(request)
         candidates: list[WindowSlot] = []
         for slot in pool:
@@ -103,13 +105,17 @@ class AMP(SlotSelectionAlgorithm):
                 continue
             leg = legs.leg(slot)
             window_start = slot.start
-            candidates = [ws for ws in candidates if ws.fits_from(window_start)]
+            # A waiting leg leaves once it no longer fits its slot from
+            # here, or could no longer finish by the deadline from here.
+            candidates = [
+                ws
+                for ws in candidates
+                if ws.fits_from(window_start)
+                and not window_start + ws.required_time > latest
+            ]
             if not leg.fits_from(window_start):
                 continue
-            if (
-                deadline is not None
-                and window_start + leg.required_time > deadline + TIME_EPSILON
-            ):
+            if window_start + leg.required_time > latest:
                 continue
             candidates.append(leg)
             # Evict over-priced slots from the forming window until the

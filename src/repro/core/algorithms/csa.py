@@ -26,6 +26,36 @@ from repro.model.slotpool import SlotPool
 from repro.model.window import Window
 
 
+def rerun_alternatives(
+    amp: AMP,
+    job: JobLike,
+    pool: SlotPool,
+    cap: Optional[int] = None,
+    cut_mode: str = "consume",
+) -> list[Window]:
+    """The CSA procedure as the paper states it: run AMP, cut, repeat.
+
+    AMP selects the earliest window on a working copy of ``pool``, the
+    window's slots are cut out of the copy, and AMP runs again from the
+    start of the list — until no window is left or ``cap`` are found.
+    This is what Tables 1-2 time as "CSA", the only path for ``split``
+    cutting and for input the sweep kernel does not take, and the
+    reference every sweep is tested against.
+    """
+    working = pool.copy()
+    # One leg cache across all AMP re-runs: runtimes/costs depend only
+    # on (node, request), and cutting never changes either.
+    legs = LegFactory(request_of(job))
+    alternatives: list[Window] = []
+    while cap is None or len(alternatives) < cap:
+        window = amp.select(job, working, leg_factory=legs)
+        if window is None:
+            break
+        alternatives.append(window)
+        working.cut_window(window, mode=cut_mode)
+    return alternatives
+
+
 class CSA(SlotSelectionAlgorithm):
     """Multi-alternative search via repeated AMP runs with slot cutting.
 
@@ -70,32 +100,23 @@ class CSA(SlotSelectionAlgorithm):
     ) -> list[Window]:
         """All slot-disjoint alternatives found by repeated AMP + cutting.
 
-        The caller's pool is never mutated.  With the cheapest policy and
-        ``consume`` cutting, cutting only ever removes slots, so one
-        continuing sweep over the pool's snapshot yields every re-run's
-        window (:func:`~repro.core.vectorized.vectorized_alternatives`);
-        otherwise — first-policy AMP, ``split`` cutting, input the kernel
-        does not take — AMP re-runs on a working copy that is cut between
-        runs.  Both produce the same windows.
+        The caller's pool is never mutated.  With ``consume`` cutting,
+        cutting only ever removes slots, so one sweep over the pool's
+        snapshot yields every re-run's window
+        (:func:`~repro.core.vectorized.vectorized_alternatives`: the
+        cheapest policy just keeps sweeping, the eviction policy resumes
+        from a checkpoint); ``split`` cutting and input the kernel does
+        not take run the procedure itself (:func:`rerun_alternatives`).
+        Both produce the same windows.
         """
         cap = limit if limit is not None else self.max_alternatives
-        request = request_of(job)
-        if self._amp.policy == "cheapest" and self.cut_mode == "consume":
-            found = vectorized_alternatives(request, pool, cap)
+        if self.cut_mode == "consume":
+            found = vectorized_alternatives(
+                request_of(job), pool, cap, self._amp.policy
+            )
             if found is not UNSUPPORTED:
                 return found
-        working = pool.copy()
-        # One leg cache across all AMP re-runs: runtimes/costs depend only
-        # on (node, request), and cutting never changes either.
-        legs = LegFactory(request)
-        alternatives: list[Window] = []
-        while cap is None or len(alternatives) < cap:
-            window = self._amp.select(job, working, leg_factory=legs)
-            if window is None:
-                break
-            alternatives.append(window)
-            working.cut_window(window, mode=self.cut_mode)
-        return alternatives
+        return rerun_alternatives(self._amp, job, pool, cap, self.cut_mode)
 
     def select(self, job: JobLike, pool: SlotPool) -> Optional[Window]:
         """The best alternative by ``self.criterion`` among all found."""

@@ -48,8 +48,11 @@ runs the generic loop.
 
 :func:`vectorized_alternatives` answers CSA's question — *every*
 earliest-start window, each on the pool without its predecessors' slots
-— from the same plan in one continuing pass
-(:func:`_run_cheapest_consume`) instead of one scan per alternative.
+— from the same plan in one sweep instead of one scan per alternative:
+a continuing pass for the cheapest AMP policy
+(:func:`_run_cheapest_consume`), a pass that resumes from per-step
+checkpoints for the paper's eviction policy
+(:func:`_run_first_consume`).
 """
 
 from __future__ import annotations
@@ -330,6 +333,26 @@ def _greedy_extras(plan: _ScanPlan, arrays: SlotArrays, key_name: str) -> dict:
     return extras
 
 
+def _first_extras(plan: _ScanPlan, arrays: SlotArrays) -> dict:
+    """Per-candidate slot bounds for the eviction scan, lazily cached.
+
+    The eviction scan tests a waiting leg with the object loop's own
+    ``end - window_start >= required_time - epsilon`` rather than the
+    plan's pre-subtracted expiry time, so it needs each candidate's slot
+    start and end next to the runtime column.
+    """
+    extras = plan.extras.get("first")
+    if extras is None:
+        cpos = np.asarray(plan.cand_slot, dtype=np.int64)
+        extras = {
+            "start_list": arrays.start[cpos].tolist(),
+            "end_list": arrays.end[cpos].tolist(),
+            "need_list": (plan.req_c - TIME_EPSILON).tolist(),
+        }
+        plan.extras["first"] = extras
+    return extras
+
+
 def vectorized_scan(
     request: ResourceRequest,
     slots,
@@ -400,21 +423,28 @@ def _materialize(plan, slot_list, outcome) -> Optional[ScanResult]:
 
 
 def vectorized_alternatives(
-    request: ResourceRequest, slots, cap: Optional[int] = None
+    request: ResourceRequest,
+    slots,
+    cap: Optional[int],
+    policy: str,
 ):
     """Every CSA alternative of ``request`` from one sweep, or
     :data:`UNSUPPORTED`.
 
-    The returned windows are what repeating the earliest-start
-    cheapest-``n`` scan (``AMP("cheapest").select``) and dropping each
-    found window's slots (``cut_window(mode="consume")``) collects, at
-    most ``cap`` of them — equal windows over the snapshot's own ``Slot``
-    objects — but from one snapshot, one plan and one pass
-    (:func:`_run_cheapest_consume`); ``slots`` is neither copied nor
-    mutated.  One sweep counts as one ``scan_counters["vectorized"]``
-    dispatch.  On :data:`UNSUPPORTED` the caller's repeated scans do
-    their own ``fallback`` counting.
+    The returned windows are what repeating ``AMP(policy).select`` and
+    dropping each found window's slots (``cut_window(mode="consume")``)
+    collects, at most ``cap`` of them — equal windows over the
+    snapshot's own ``Slot`` objects — but from one snapshot, one plan
+    and one sweep (:func:`_run_cheapest_consume` for the cheapest-``n``
+    policy, :func:`_run_first_consume` for the eviction policy);
+    ``slots`` is neither copied nor mutated.  One sweep counts as one
+    ``scan_counters["vectorized"]`` dispatch.  On :data:`UNSUPPORTED`
+    the caller's repeated scans do their own ``fallback`` counting.
+    ``policy`` is the AMP policy the caller holds, ``"first"`` or
+    ``"cheapest"``; anything else is an error, not a default.
     """
+    if policy not in ("first", "cheapest"):
+        raise ValueError(f"unknown AMP policy {policy!r}")
     if cap is not None and cap <= 0:
         return []
     resolved = _resolve_arrays(slots)
@@ -425,7 +455,13 @@ def vectorized_alternatives(
     if plan is None:
         return UNSUPPORTED
     scan_counters["vectorized"] += 1
-    hits = _run_cheapest_consume(plan, request.node_count, _budget_of(request), cap)
+    n = request.node_count
+    budget = _budget_of(request)
+    if policy == "first":
+        extras = _first_extras(plan, arrays)
+        hits = _run_first_consume(plan, extras, n, budget, request.deadline, cap)
+    else:  # "cheapest"
+        hits = _run_cheapest_consume(plan, n, budget, cap)
     return [_window(plan, slot_list, start, cands) for start, cands in hits]
 
 
@@ -698,6 +734,92 @@ def _run_cheapest_consume(plan, n, budget, cap):
         for winner in winners:
             consumed[winner] = 1
         alive -= n
+    return hits
+
+
+def _run_first_consume(plan, extras, n, budget, deadline, cap):
+    """CSA's repeated eviction scan as one sweep that resumes from
+    checkpoints.
+
+    Returns ``[(window start, candidates), ...]``: the windows that
+    re-running the paper-faithful AMP (``AMP("first").select``: the
+    longest-waiting legs in scan order, the most expensive of the first
+    ``n`` evicted while they exceed the budget) from slot 0, each time
+    on a pool without the slots of the windows found so far, yields one
+    after another — at most ``cap`` of them.  Every float operation is
+    the object loop's own: ``end - start >= required_time - epsilon``
+    and ``start + required_time > deadline + epsilon`` for a waiting
+    leg, ``sum()`` over the forming window's costs, the first index of
+    their maximum for the eviction.
+
+    Unlike the cheapest policy (:func:`_run_cheapest_consume`), this
+    scan cannot simply continue after a hit: evictions are history.  A
+    consumed slot no longer fills the forming window, so a leg that was
+    evicted while it did survives in the re-run and may complete a
+    window the continuing scan never sees.  A restart is exact from a
+    checkpoint, though.  The scan's whole state at entry to a step is
+    the waiting list, and that depends only on the slots before the step
+    and on which of them are consumed.  A hit's members all arrived at
+    or after the step of its first (longest-waiting) member, so the
+    re-run repeats its predecessor up to that step: it resumes from the
+    waiting list recorded there — one checkpoint per step, overwritten
+    whenever a later run passes the step again, so a list that still
+    holds a since-consumed slot is never resumed from — instead of from
+    slot 0.
+
+    Steps are the plan's insertable candidates only.  The object loop
+    also filters its waiting list at matching slots that insert nothing,
+    but both tests are monotone in the window start, so the filter at
+    the next inserting step removes the same legs, and the list is only
+    read after an insertion.  The list holds at most ``n - 1`` legs
+    between steps (a step that reaches ``n`` either hits or evicts one),
+    so the forming window is the whole list and the object loop's
+    ``while`` runs at most once per step.
+    """
+    start_list = extras["start_list"]
+    end_list = extras["end_list"]
+    need_list = extras["need_list"]
+    req_list = plan.req_list
+    cost_list = plan.cost_list
+    total_c = plan.count
+    latest = float("inf") if deadline is None else deadline + TIME_EPSILON
+    consumed = bytearray(total_c)  # indexed by candidate
+    # entry[c]: the waiting list at entry to candidate c's step, as the
+    # latest run to pass that step saw it.  Recorded lists are never
+    # mutated (every step filters into a fresh list).
+    entry: list = [None] * total_c
+    waiting: list[int] = []
+    hits: list[tuple[float, list[int]]] = []
+    cand = 0
+    while cand < total_c:
+        if consumed[cand]:
+            cand += 1
+            continue
+        entry[cand] = waiting
+        window_start = start_list[cand]
+        waiting = [
+            c
+            for c in waiting
+            if end_list[c] - window_start >= need_list[c]
+            and not window_start + req_list[c] > latest
+        ]
+        waiting.append(cand)
+        cand += 1
+        if len(waiting) < n:
+            continue
+        costs = [cost_list[c] for c in waiting]
+        if sum(costs) <= budget:
+            hits.append((window_start, waiting))
+            if len(hits) == cap:
+                break
+            for member in waiting:
+                consumed[member] = 1
+            # The longest-waiting member heads the window; no step
+            # before its own saw any slot this cut removes.
+            cand = waiting[0] + 1
+            waiting = entry[waiting[0]]
+        else:
+            del waiting[costs.index(max(costs))]
     return hits
 
 

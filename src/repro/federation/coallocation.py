@@ -124,16 +124,17 @@ class CoAllocator:
         """
         if not pools:
             return None
-        union = SlotPool(
-            min_usable_length=max(
-                pool.min_usable_length for pool in pools.values()
-            )
-        )
         node_shard: dict[int, int] = {}
+        slots = []
         for shard_id in sorted(pools):
             for slot in pools[shard_id]:
-                union.add(slot, coalesce=False)
+                slots.append(slot)
                 node_shard[slot.node.node_id] = shard_id
+        union = SlotPool.from_slots(
+            slots,
+            max(pool.min_usable_length for pool in pools.values()),
+            coalesce=False,
+        )
         plan_job = job
         multiplier = 1.0
         if self._tenancy is not None:

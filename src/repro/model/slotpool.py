@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from repro.model.errors import AllocationError
@@ -81,11 +82,38 @@ class SlotPool:
     _cache_generation: int = field(default=-1, repr=False, compare=False)
 
     @classmethod
-    def from_slots(cls, slots: Iterable[Slot], min_usable_length: float = TIME_EPSILON) -> "SlotPool":
-        """Build a pool from an iterable of slots."""
+    def from_slots(
+        cls,
+        slots: Iterable[Slot],
+        min_usable_length: float = TIME_EPSILON,
+        coalesce: bool = True,
+    ) -> "SlotPool":
+        """Build a pool from an iterable of slots.
+
+        With ``coalesce=False`` the slots are inserted verbatim, as by
+        ``add(slot, coalesce=False)`` one at a time, but in bulk: one
+        sort, then the ordered list, the per-node buckets and the column
+        store are filled in order instead of two ``insort``s and a
+        column-store splice per slot.
+        """
         pool = cls(min_usable_length=min_usable_length)
-        for slot in slots:
-            pool.add(slot)
+        if coalesce:
+            for slot in slots:
+                pool.add(slot)
+            return pool
+        entries = sorted(
+            (
+                (slot.sort_key(), slot)
+                for slot in slots
+                if not slot.length < min_usable_length
+            ),
+            key=itemgetter(0),
+        )
+        pool._slots = entries
+        by_node = pool._by_node
+        for entry in entries:
+            by_node.setdefault(entry[1].node.node_id, []).append(entry)
+        pool._store.load_sorted(entries)
         return pool
 
     @classmethod
@@ -102,9 +130,9 @@ class SlotPool:
         vectorized scan path never re-columnarizes what the writer
         already published.
         """
-        pool = cls(min_usable_length=min_usable_length)
-        for slot in arrays.slot_objects():
-            pool.add(slot, coalesce=False)
+        pool = cls.from_slots(
+            arrays.slot_objects(), min_usable_length, coalesce=False
+        )
         pool._cache = arrays
         pool._cache_generation = pool._store.generation
         return pool

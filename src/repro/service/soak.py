@@ -109,11 +109,10 @@ def bench_soak(
     regime where a leak or an O(run-length) snapshot cost would show.
 
     ``amp_policy`` defaults to ``"cheapest"``, the AMP variant the
-    columnar kernel serves: CSA collects a job's alternatives from one
-    sweep of the cycle's snapshot.  The paper-faithful ``"first"``
-    eviction scan is a per-slot object loop that CSA re-runs on a cut
-    working copy for every alternative — fine for a 200-job bench,
-    prohibitive for 10^5.  The first
+    committed baseline was recorded with; under either policy CSA
+    collects a job's alternatives from one sweep of the cycle's
+    snapshot (the paper-faithful ``"first"`` eviction scan restarts
+    from per-step checkpoints instead of continuing).  The first
     ``warmup_fraction`` of cycles is excluded from the stability gates:
     the broker starts on an empty pool and ramps to its steady-state
     active-job population over the first few dozen cycles, a one-time

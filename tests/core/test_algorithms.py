@@ -57,6 +57,25 @@ class TestAMP:
         assert window.start == pytest.approx(0.0)
         assert set(window.nodes()) == {1, 2}
 
+    @pytest.mark.parametrize("policy", ["first", "cheapest"])
+    def test_waiting_leg_leaves_once_it_would_miss_the_deadline(self, policy):
+        # The slow node's task runs 100: started at 0 it meets the
+        # deadline, started at 50 (when the second node frees up) it
+        # would end at 150.  No window exists.
+        pool = SlotPool.from_slots(
+            [
+                make_slot(0, 0.0, 1000.0, performance=1.0),
+                make_slot(1, 50.0, 1000.0, performance=4.0),
+            ]
+        )
+        req = ResourceRequest(node_count=2, reservation_time=100.0, deadline=110.0)
+        assert AMP(policy=policy).select(req, pool) is None
+        # With room for the slow leg the same pair does form a window.
+        relaxed = ResourceRequest(node_count=2, reservation_time=100.0, deadline=150.0)
+        window = AMP(policy=policy).select(relaxed, pool)
+        assert window.start == 50.0
+        window.validate(relaxed)
+
     def test_returns_none_when_budget_infeasible(self, heterogeneous_pool):
         assert AMP().select(request(2, budget=1.0), heterogeneous_pool) is None
 

@@ -1,13 +1,16 @@
-"""CSA's one-sweep kernel against the copy / AMP re-run / cut loop.
+"""CSA's one-sweep kernels against the copy / AMP re-run / cut procedure.
 
-With the cheapest AMP policy and ``consume`` cutting,
-``CSA.find_alternatives`` collects every alternative from one
-continuing sweep (:func:`repro.core.vectorized.vectorized_alternatives`)
-instead of re-running AMP on a working copy that is cut between runs.
-The loop is kept here as the reference: both must return equal windows
-over the *same* ``Slot`` objects, for every request shape and cap.  The
-counter tests pin what the sweep saves (one plan, no pool copy, no
-mutation) and when the loop still runs.
+With ``consume`` cutting, ``CSA.find_alternatives`` collects every
+alternative from one sweep
+(:func:`repro.core.vectorized.vectorized_alternatives`) instead of
+re-running AMP on a working copy that is cut between runs: a continuing
+pass for the cheapest policy, a pass that resumes from checkpoints for
+the paper's eviction ("first") policy.  The procedure itself
+(:func:`repro.core.algorithms.csa.rerun_alternatives`) is the
+reference: both must return equal windows over the *same* ``Slot``
+objects, for every request shape and cap.  The counter tests pin what
+the sweep saves (one plan, no pool copy, no mutation) and when the
+procedure still runs.
 """
 
 from __future__ import annotations
@@ -16,13 +19,15 @@ import numpy as np
 import pytest
 
 from repro.core import AMP, CSA, vectorized
+from repro.core.algorithms.csa import rerun_alternatives
 from repro.environment import EnvironmentConfig, EnvironmentGenerator
-from repro.model import ResourceRequest, Slot, SlotPool
+from repro.model import TIME_EPSILON, ResourceRequest, Slot, SlotPool
 from tests.conftest import make_node, make_slot
 
 SEEDS = [11, 23, 47, 2013]
 NODE_COUNTS = [1, 2, 5, 12]
 CAPS = [0, 1, 3, None]
+POLICIES = ["cheapest", "first"]
 #: Per-leg budget share: a fragmented-pool leg costs 0.6 .. 60.
 BUDGETS = {"tight": 5.0, "loose": 25.0, "absent": None}
 HARDWARE = [
@@ -32,22 +37,13 @@ HARDWARE = [
 ]
 
 
-def loop_alternatives(request, pool, cap=None, policy="cheapest", mode="consume"):
-    """The reference scheme: AMP re-runs on a working copy, cut between runs."""
-    amp = AMP(policy)
-    working = pool.copy()
-    found = []
-    while cap is None or len(found) < cap:
-        window = amp.select(request, working)
-        if window is None:
-            break
-        found.append(window)
-        working.cut_window(window, mode=mode)
-    return found
+def procedure(request, pool, cap=None, policy="cheapest", mode="consume"):
+    """The reference: AMP re-run and cut, as the paper states CSA."""
+    return rerun_alternatives(AMP(policy), request, pool, cap, mode)
 
 
-def sweep_csa(**kwargs) -> CSA:
-    return CSA(amp_policy="cheapest", cut_mode="consume", **kwargs)
+def sweep_csa(policy="cheapest", **kwargs) -> CSA:
+    return CSA(amp_policy=policy, cut_mode="consume", **kwargs)
 
 
 def assert_identical(found, expected):
@@ -58,6 +54,13 @@ def assert_identical(found, expected):
             assert leg.slot is reference_leg.slot
         # Every window contains the slot whose step formed it.
         assert any(leg.slot.start == window.start for leg in window.slots)
+
+
+def assert_legs_meet(deadline, windows):
+    """Every leg — not only the window's start — finishes by the deadline."""
+    for window in windows:
+        for leg in window.slots:
+            assert window.start + leg.required_time <= deadline + TIME_EPSILON
 
 
 def fragmented_pool(seed: int, node_count: int = 24, segments: int = 4) -> SlotPool:
@@ -104,22 +107,30 @@ class TestSweepEqualsLoop:
                 deadline=deadline,
                 **hardware,
             )
-            for cap in CAPS:
-                found = sweep_csa().find_alternatives(request, pool, limit=cap)
-                assert_identical(found, loop_alternatives(request, pool, cap))
+            for policy in POLICIES:
+                for cap in CAPS:
+                    found = sweep_csa(policy).find_alternatives(
+                        request, pool, limit=cap
+                    )
+                    assert_identical(found, procedure(request, pool, cap, policy))
+                    if deadline is not None:
+                        assert_legs_meet(deadline, found)
 
     def test_parametrization_is_not_vacuous(self):
-        counts = {kind: 0 for kind in BUDGETS}
-        for seed in SEEDS:
-            pool = fragmented_pool(seed)
-            for kind, share in BUDGETS.items():
-                request = ResourceRequest(
-                    node_count=2,
-                    reservation_time=10.0,
-                    budget=None if share is None else share * 2,
-                )
-                counts[kind] += len(sweep_csa().find_alternatives(request, pool))
-        assert 0 < counts["tight"] < counts["loose"] < counts["absent"]
+        for policy in POLICIES:
+            counts = {kind: 0 for kind in BUDGETS}
+            for seed in SEEDS:
+                pool = fragmented_pool(seed)
+                for kind, share in BUDGETS.items():
+                    request = ResourceRequest(
+                        node_count=2,
+                        reservation_time=10.0,
+                        budget=None if share is None else share * 2,
+                    )
+                    counts[kind] += len(
+                        sweep_csa(policy).find_alternatives(request, pool)
+                    )
+            assert 0 < counts["tight"] < counts["loose"] < counts["absent"]
 
     @pytest.mark.parametrize("seed", [3, 2013])
     def test_generated_environment(self, seed):
@@ -131,20 +142,25 @@ class TestSweepEqualsLoop:
             request = ResourceRequest(
                 node_count=node_count, reservation_time=60.0, budget=budget
             )
-            found = sweep_csa().find_alternatives(request, pool)
-            assert len(found) > 1
-            assert_identical(found, loop_alternatives(request, pool))
+            for policy in POLICIES:
+                found = sweep_csa(policy).find_alternatives(request, pool)
+                assert len(found) > 1
+                assert_identical(found, procedure(request, pool, policy=policy))
 
     def test_limit_takes_precedence_over_max_alternatives(self):
         pool = fragmented_pool(11)
         request = ResourceRequest(node_count=2, reservation_time=10.0)
-        everything = loop_alternatives(request, pool)
-        assert len(everything) > 5
-        csa = sweep_csa(max_alternatives=3)
-        assert_identical(csa.find_alternatives(request, pool), everything[:3])
-        assert_identical(csa.find_alternatives(request, pool, limit=1), everything[:1])
-        assert_identical(csa.find_alternatives(request, pool, limit=5), everything[:5])
-        assert csa.find_alternatives(request, pool, limit=0) == []
+        for policy in POLICIES:
+            everything = procedure(request, pool, policy=policy)
+            assert len(everything) > 5
+            csa = sweep_csa(policy, max_alternatives=3)
+            assert_identical(csa.find_alternatives(request, pool), everything[:3])
+            for limit in (1, 5):
+                assert_identical(
+                    csa.find_alternatives(request, pool, limit=limit),
+                    everything[:limit],
+                )
+            assert csa.find_alternatives(request, pool, limit=0) == []
 
 
 class TestHandBuiltPools:
@@ -152,10 +168,10 @@ class TestHandBuiltPools:
     node runs 5 and costs 10)."""
 
     @staticmethod
-    def check(slots, request, expected_starts):
+    def check(slots, request, expected_starts, policy="cheapest"):
         pool = SlotPool.from_slots(slots)
-        found = sweep_csa().find_alternatives(request, pool)
-        assert_identical(found, loop_alternatives(request, pool))
+        found = sweep_csa(policy).find_alternatives(request, pool)
+        assert_identical(found, procedure(request, pool, policy=policy))
         assert [window.start for window in found] == expected_starts
         return found
 
@@ -203,7 +219,8 @@ class TestHandBuiltPools:
         request = ResourceRequest(
             node_count=3, reservation_time=20.0, min_performance=5.0
         )
-        self.check(slots, request, [])
+        for policy in POLICIES:
+            self.check(slots, request, [], policy)
 
     def test_consumed_candidate_is_not_expired_a_second_time(self):
         # Nodes 0 and 1 are consumed at start 0 and reach their expiry
@@ -232,6 +249,68 @@ class TestHandBuiltPools:
         request = ResourceRequest(node_count=2, reservation_time=20.0, budget=20.0)
         found = self.check(slots, request, [20.0])
         assert found[0].nodes() == [2, 1]
+
+
+class TestEvictionPolicyHandBuiltPools:
+    """What the checkpointed restart of the first-policy sweep must get
+    right (task(20) on the default node runs 5 and costs 5 x price)."""
+
+    @staticmethod
+    def check(slots, request, expected_starts, expected_nodes):
+        found = TestHandBuiltPools.check(slots, request, expected_starts, "first")
+        assert [window.nodes() for window in found] == expected_nodes
+
+    def test_evicted_leg_survives_once_its_evictor_is_consumed(self):
+        # Node 0 is evicted only because node 1 fills the forming window
+        # (27.5 > 26).  With node 1 consumed by the first window the
+        # re-run keeps node 0 waiting and pairs it with node 3 — a sweep
+        # that just carried on after the first hit has forgotten node 0.
+        slots = [
+            make_slot(0, 0.0, 100.0, price=3.0),  # costs 15
+            make_slot(1, 1.0, 100.0, price=2.5),  # costs 12.5
+            make_slot(2, 2.0, 100.0),  # costs 10
+            make_slot(3, 3.0, 100.0),
+        ]
+        request = ResourceRequest(node_count=2, reservation_time=20.0, budget=26.0)
+        self.check(slots, request, [2.0, 3.0], [[1, 2], [0, 3]])
+
+    def test_equal_cost_tie_evicts_the_longest_waiting_leg(self):
+        slots = [
+            make_slot(0, 0.0, 100.0, price=5.0),  # costs 25
+            make_slot(1, 1.0, 100.0, price=5.0),  # costs 25
+            make_slot(2, 2.0, 100.0, price=1.0),  # costs 5
+            make_slot(3, 3.0, 100.0, price=1.0),
+        ]
+        request = ResourceRequest(node_count=2, reservation_time=20.0, budget=35.0)
+        self.check(slots, request, [2.0, 3.0], [[1, 2], [0, 3]])
+
+    def test_checkpoint_of_an_earlier_run_is_not_resumed_from(self):
+        # Run 1 passes node 1's step with node 0 waiting and hits {0, 2};
+        # run 2 passes it again with nothing waiting and hits {1, 3}.
+        # Run 3 resumes at that step: from run 1's list it would pair
+        # the consumed node 0 with node 4.
+        slots = [
+            make_slot(0, 0.0, 100.0, price=4.0),  # costs 20
+            make_slot(1, 1.0, 100.0, price=5.0),  # costs 25
+            make_slot(2, 2.0, 100.0, price=3.0),  # costs 15
+            make_slot(3, 3.0, 100.0, price=1.0),  # costs 5
+            make_slot(4, 4.0, 100.0),  # costs 10
+        ]
+        request = ResourceRequest(node_count=2, reservation_time=20.0, budget=36.0)
+        self.check(slots, request, [2.0, 3.0], [[0, 2], [1, 3]])
+
+    def test_waiting_leg_is_dropped_at_the_deadline_before_it_expires(self):
+        # The slow node's slot stays open, but started at 50 its task
+        # would end at 150.
+        slots = [
+            make_slot(0, 0.0, 1000.0, performance=1.0),
+            make_slot(1, 50.0, 1000.0),
+            make_slot(2, 60.0, 1000.0),
+        ]
+        request = ResourceRequest(
+            node_count=2, reservation_time=100.0, deadline=110.0
+        )
+        self.check(slots, request, [60.0], [[1, 2]])
 
 
 class TestSweepCounters:
@@ -264,9 +343,33 @@ class TestSweepCounters:
         assert sweep_csa().find_alternatives(self.REQUEST, pool) == found
         assert counter_delta(before) == {"vectorized": 1, "plans_reused": 1}
 
+    def test_unknown_policy_is_an_error_not_the_cheapest_kernel(self):
+        with pytest.raises(ValueError, match="unknown AMP policy"):
+            vectorized.vectorized_alternatives(
+                self.REQUEST, fragmented_pool(23), None, "frist"
+            )
+
+    def test_first_policy_rides_the_sweep(self, copies):
+        pool = fragmented_pool(23)
+        expected = procedure(self.REQUEST, pool, policy="first")
+        del copies[:]
+        generation, size = pool.generation, len(pool)
+        before = counters()
+        found = CSA().find_alternatives(self.REQUEST, pool)  # the defaults
+        assert len(found) > 5
+        assert_identical(found, expected)
+        assert counter_delta(before) == {"vectorized": 1, "plans_built": 1}
+        assert copies == []
+        assert (pool.generation, len(pool)) == (generation, size)
+        # Both policies share the request's plan on an unchanged pool.
+        before = counters()
+        sweep_csa("cheapest").find_alternatives(self.REQUEST, pool)
+        assert CSA().find_alternatives(self.REQUEST, pool) == found
+        assert counter_delta(before) == {"vectorized": 2, "plans_reused": 2}
+
     def test_split_cutting_keeps_the_loop(self, copies):
         pool = fragmented_pool(23)
-        expected = loop_alternatives(self.REQUEST, pool, mode="split")
+        expected = procedure(self.REQUEST, pool, mode="split")
         del copies[:]
         before = counters()
         found = CSA(amp_policy="cheapest", cut_mode="split").find_alternatives(
@@ -276,28 +379,26 @@ class TestSweepCounters:
         # One kernel dispatch per AMP run, the failing last one included.
         assert counter_delta(before)["vectorized"] == len(found) + 1
         assert copies == [pool]
-
-    def test_first_policy_keeps_the_loop(self, copies):
-        pool = fragmented_pool(23)
-        expected = loop_alternatives(self.REQUEST, pool, policy="first")
+        # The eviction scan is no AEP scan: its re-runs count nothing.
+        expected = procedure(self.REQUEST, pool, policy="first", mode="split")
         del copies[:]
         before = counters()
-        found = CSA(amp_policy="first").find_alternatives(self.REQUEST, pool)
-        assert len(found) > 5
+        found = CSA(cut_mode="split").find_alternatives(self.REQUEST, pool)
         assert found == expected
-        assert counter_delta(before) == {}  # the eviction scan is no AEP scan
+        assert counter_delta(before) == {}
         assert copies == [pool]
 
     def test_unsorted_snapshot_falls_back_to_the_loop(self, copies):
         slots = fragmented_pool(23).ordered()
-        expected = loop_alternatives(self.REQUEST, SlotPool.from_slots(slots))
+        expected = procedure(self.REQUEST, SlotPool.from_slots(slots))
         del copies[:]
         pool = SlotPool.from_slots(slots)
         pool.as_arrays()._plan_unsorted = True
-        assert (
-            vectorized.vectorized_alternatives(self.REQUEST, pool)
-            is vectorized.UNSUPPORTED
-        )
+        for policy in POLICIES:
+            assert (
+                vectorized.vectorized_alternatives(self.REQUEST, pool, None, policy)
+                is vectorized.UNSUPPORTED
+            )
         before = counters()
         found = sweep_csa().find_alternatives(self.REQUEST, pool)
         assert_identical(found, expected)

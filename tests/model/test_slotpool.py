@@ -1,5 +1,6 @@
 """Unit tests for the ordered slot pool and window cutting."""
 
+import numpy as np
 import pytest
 
 from repro.model import (
@@ -157,6 +158,55 @@ class TestCopyAndInvariants:
         )
         with pytest.raises(AllocationError):
             pool.assert_disjoint_per_node()
+
+
+class TestBulkBuild:
+    """``from_slots(coalesce=False)`` against one verbatim ``add`` per slot."""
+
+    @staticmethod
+    def shuffled_slots(nodes=7):
+        # Touching spans (never merged: no coalescing), one start shared
+        # by several nodes, and slots around the usable-length threshold.
+        slots = []
+        for node_id in range(nodes):
+            cursor = float(node_id % 3)
+            for length in (12.0, 4.0, 30.0, 5.0):
+                slots.append(make_slot(node_id, cursor, cursor + length))
+                cursor += length
+        order = np.random.default_rng(5).permutation(len(slots))
+        return [slots[index] for index in order]
+
+    # 7 nodes fit the store's initial storage, 12 need a larger one.
+    @pytest.mark.parametrize("nodes", [7, 12])
+    @pytest.mark.parametrize("threshold", [1e-9, 5.0])
+    def test_bulk_built_pool_equals_add_built_pool(self, threshold, nodes):
+        slots = self.shuffled_slots(nodes)
+        added = SlotPool(min_usable_length=threshold)
+        for slot in slots:
+            added.add(slot, coalesce=False)
+        bulk = SlotPool.from_slots(slots, threshold, coalesce=False)
+        assert len(bulk) == (4 if threshold < 5.0 else 3) * nodes
+        assert bulk == added  # threshold, ordered entries, per-node buckets
+        assert [id(slot) for slot in bulk] == [id(slot) for slot in added]
+        assert bulk.generation == added.generation
+        ours, theirs = bulk.as_arrays(), added.as_arrays()
+        for column in ("start", "end", "node_row", "node_id", "performance", "price"):
+            assert np.array_equal(getattr(ours, column), getattr(theirs, column))
+        assert ours.slot_objects() == theirs.slot_objects()
+
+    def test_bulk_built_pool_mutates_like_any_other(self):
+        slots = self.shuffled_slots()
+        bulk = SlotPool.from_slots(slots, coalesce=False)
+        added = SlotPool()
+        for slot in slots:
+            added.add(slot, coalesce=False)
+        for pool in (bulk, added):
+            pool.remove(slots[3])
+            pool.trim_before(10.0)
+            pool.add(make_slot(9, 2.0, 8.0))
+        assert bulk == added
+        assert np.array_equal(bulk.as_arrays().start, added.as_arrays().start)
+        assert np.array_equal(bulk.as_arrays().node_row, added.as_arrays().node_row)
 
 
 class TestMinUsableLength:

@@ -40,6 +40,7 @@ class TestMeasurePoint:
     def test_csa_statistics(self):
         row = measure_point(tiny_config(), parameter=20.0, repetitions=2)
         assert row.csa_seconds.count == 2
+        assert row.csa_sweep_seconds.count == 2
         assert row.csa_alternatives.mean >= 0.0
         assert row.csa_seconds_per_alternative >= 0.0
 
@@ -48,6 +49,7 @@ class TestMeasurePoint:
             tiny_config(), parameter=20.0, repetitions=1, include_csa=False
         )
         assert row.csa_seconds.count == 0
+        assert row.csa_sweep_seconds.count == 0
         assert row.csa_seconds_per_alternative == 0.0
 
     def test_mean_ms_conversion(self):
