@@ -1,63 +1,22 @@
 """Command-line interface: experiments, sweeps and scheduling from a shell.
 
 Installed as the ``repro`` console script (also runnable as
-``python -m repro.cli``).  Subcommands:
-
-``repro compare``
-    Run the Section 3.1 base comparison and print every figure's table,
-    measured next to the paper's published values.
-``repro sweep-nodes`` / ``repro sweep-interval``
-    The Table 1 / Table 2 working-time sweeps.
-``repro generate``
-    Generate an environment and write it to JSON (archival input).
-``repro schedule``
-    Run one two-phase batch scheduling cycle on a generated or loaded
-    environment and print the assignments plus an ASCII Gantt chart.
-``repro serve``
-    Stream a scripted Poisson arrival trace through the on-line broker
-    service and print its stats block.  ``--disturbance-rate`` /
-    ``--recovery-policy`` switch on live fault injection and recovery.
-``repro bench-resilience``
-    Sweep disturbance rates x recovery policies through the broker's
-    live resilience layer and archive the goodput baseline
-    (``BENCH_resilience.json``).
-``repro bench-service``
-    Time the broker service across pool sizes and archive the JSON
-    throughput baseline (``BENCH_service.json``).
-``repro bench-core``
-    Time one window search per criterion through the vectorized scan
-    kernel and the frozen reference kernel, and archive the JSON
-    baseline (``BENCH_core.json``).
-``repro bench-experiments``
-    Time the process-parallel Monte-Carlo experiment engine across worker
-    counts, verify worker-count-invariant aggregates, and archive the
-    JSON baseline (``BENCH_experiments.json``).
-``repro serve-federation``
-    Serve a sharded multi-broker federation over loopback TCP — either
-    listening until shutdown/SIGTERM or self-driving a scripted arrival
-    stream through a real socket client.
-``repro bench-federation``
-    Drive the federation front door over real loopback sockets across
-    shard counts and archive submit-to-schedule latency and throughput
-    (``BENCH_federation.json``).
-``repro bench-soak``
-    Drive a 10^5-job Poisson stream through a rolling-horizon broker
-    across hundreds of horizon segments, gate on flat RSS / stable p99
-    cycle latency / incremental-snapshot speedup, and archive the JSON
-    baseline (``BENCH_soak.json``).
-``repro bench-tenancy``
-    Run the hog-vs-small-tenants mix through FIFO and DRF cycle
-    ordering with credits and utilization pricing live, gate on credit
-    conservation + contention + DRF strictly beating FIFO on Jain's
-    fairness index, and archive the baseline (``BENCH_tenancy.json``).
+``python -m repro.cli``).  ``repro --help`` lists the subcommands and
+``repro <command> --help`` their options — the parser's ``help=``
+strings are the reference.  The ``bench-*`` family is table-driven: one
+:class:`Bench` row in :data:`BENCHES` per benchmark, one
+:func:`cmd_bench` running any of them and archiving its payload as
+``BENCH_<name>.json``.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.analysis import comparison_table, render_table
 from repro.analysis.gantt import render_gantt
@@ -333,38 +292,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench_service(args: argparse.Namespace) -> int:
-    """Handler of the ``repro bench-service`` subcommand."""
-    from repro.io import save_json
-    from repro.service import bench_service
-
-    node_counts = [int(value) for value in args.nodes.split(",")]
-    print(
-        f"benchmarking the broker service: {args.jobs} jobs at "
-        f"{node_counts} nodes, {args.workers} worker(s) ..."
-    )
-    payload = bench_service(
-        node_counts=node_counts,
-        jobs=args.jobs,
-        rate=args.rate,
-        workers=args.workers,
-        seed=args.seed,
-        trace_path=args.trace,
-    )
-    for row in payload["results"]:
-        print(
-            f"  {row['nodes']:>4} nodes: {row['jobs_per_second']:8.1f} jobs/s "
-            f"offered, {row['scheduled_per_second']:8.1f} scheduled/s, "
-            f"cycle p50 {row['cycle_latency_ms_p50']:.2f}ms "
-            f"p95 {row['cycle_latency_ms_p95']:.2f}ms, "
-            f"scheduled {row['scheduled']}/{row['jobs']}"
-        )
-    if args.output:
-        save_json(payload, args.output)
-        print(f"wrote {args.output}")
-    return 0
-
-
 def _federation_manager(args: argparse.Namespace, sinks) -> "object":
     """A ShardManager built from serve-federation CLI arguments."""
     from repro.environment import EnvironmentConfig, EnvironmentGenerator
@@ -502,142 +429,146 @@ def cmd_serve_federation(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench_federation(args: argparse.Namespace) -> int:
-    """Handler of the ``repro bench-federation`` subcommand."""
-    from repro.federation import bench_federation
+def _arg(*flags: str, **spec: object) -> tuple[tuple[str, ...], dict[str, object]]:
+    """One ``add_argument`` call, as data."""
+    return flags, spec
+
+
+def _resolve(target: str):
+    """The object a ``"module:name"`` string names, imported on use."""
+    module, _, name = target.partition(":")
+    return getattr(importlib.import_module(module), name)
+
+
+@dataclass(frozen=True)
+class Bench:
+    """One ``repro bench-<name>`` subcommand, archived as ``BENCH_<name>.json``."""
+
+    name: str
+    help: str
+    #: ``"module:function"`` returning the JSON payload.
+    runner: str
+    #: Its own options; ``--seed`` and ``-o/--output`` exist on every bench.
+    arguments: tuple[tuple[tuple[str, ...], dict[str, object]], ...]
+    banner: Callable[[argparse.Namespace], str]
+    #: The lines printed for a payload: one per result row, then notes.
+    report: Callable[[dict], Iterable[str]]
+    #: Comma-separated options and the type of their elements.
+    lists: Mapping[str, Callable[[str], object]] = field(default_factory=dict)
+    #: Options the runner takes under another keyword; the rest pass as named.
+    rename: Mapping[str, str] = field(default_factory=dict)
+    #: The runner's refuse-to-record error (``"module:Error"``) and the
+    #: banner it is reported under; a gate failure exits 1, nothing written.
+    gate: Optional[tuple[str, str]] = None
+    #: Exit code decided from the archived payload (after the write).
+    verdict: Optional[Callable[[dict, argparse.Namespace], int]] = None
+
+
+def cmd_bench(args: argparse.Namespace) -> int:
+    """Handler of every ``repro bench-*`` subcommand (see :data:`BENCHES`)."""
     from repro.io import save_json
 
-    shard_counts = [int(value) for value in args.shards.split(",")]
-    print(
-        f"benchmarking the federation front door: {args.jobs} jobs over "
-        f"loopback sockets at {shard_counts} shard(s), "
-        f"{args.nodes} nodes, {args.policy} routing ..."
-    )
-    payload = bench_federation(
-        shard_counts=shard_counts,
-        jobs=args.jobs,
-        rate=args.rate,
-        node_count=args.nodes,
-        seed=args.seed,
-        policy=args.policy,
-    )
+    bench: Bench = args.bench
+    for option, cast in bench.lists.items():
+        values = getattr(args, option).split(",")
+        setattr(args, option, [cast(value) for value in values])
+    print(bench.banner(args))
+    options = {
+        bench.rename.get(option, option): value
+        for option, value in vars(args).items()
+        if option not in ("command", "func", "bench", "output")
+    }
+    gate_error = _resolve(bench.gate[0]) if bench.gate else ()
+    try:
+        payload = _resolve(bench.runner)(**options)
+    except gate_error as error:
+        print(f"{bench.gate[1]}\n{error}", file=sys.stderr)
+        return 1
+    for line in bench.report(payload):
+        print(line)
+    if args.output:
+        save_json(payload, args.output)
+        print(f"wrote {args.output}")
+    return bench.verdict(payload, args) if bench.verdict else 0
+
+
+def _service_report(payload: dict) -> Iterable[str]:
+    for row in payload["results"]:
+        yield (
+            f"  {row['nodes']:>4} nodes: {row['jobs_per_second']:8.1f} jobs/s "
+            f"offered, {row['scheduled_per_second']:8.1f} scheduled/s, "
+            f"cycle p50 {row['cycle_latency_ms_p50']:.2f}ms "
+            f"p95 {row['cycle_latency_ms_p95']:.2f}ms, "
+            f"scheduled {row['scheduled']}/{row['jobs']}"
+        )
+
+
+def _federation_report(payload: dict) -> Iterable[str]:
     for row in payload["results"]:
         latency = row["submit_to_schedule_s"]
-        print(
+        yield (
             f"  {row['shards']:>3} shard(s): {row['jobs_per_s']:8.1f} jobs/s, "
             f"submit→schedule p50 {latency['p50'] * 1e3:.2f}ms "
             f"p99 {latency['p99'] * 1e3:.2f}ms "
             f"({latency['samples']} placed), {row['frames']} frames"
         )
     if payload["single_shard_equivalence"]:
-        print("  1-shard run matches the single broker exactly")
+        yield "  1-shard run matches the single broker exactly"
     if payload["host"]["cpu_limited"]:
-        print("  note: single-CPU host — throughput is CPU-bound")
-    if args.output:
-        save_json(payload, args.output)
-        print(f"wrote {args.output}")
-    return 0
+        yield "  note: single-CPU host — throughput is CPU-bound"
 
 
-def cmd_bench_resilience(args: argparse.Namespace) -> int:
-    """Handler of the ``repro bench-resilience`` subcommand."""
-    from repro.io import save_json
-    from repro.service.resilience import bench_resilience
-
-    rates = [float(value) for value in args.rates.split(",")]
-    policies = args.policies.split(",")
-    print(
-        f"benchmarking recovery policies: {args.jobs} jobs on {args.nodes} "
-        f"nodes, rates {rates} x policies {policies} "
-        f"(seed {args.seed}, disturbance seed {args.disturbance_seed}) ..."
-    )
-    payload = bench_resilience(
-        jobs=args.jobs,
-        node_count=args.nodes,
-        rates=rates,
-        policies=policies,
-        seed=args.seed,
-        disturbance_seed=args.disturbance_seed,
-    )
+def _resilience_report(payload: dict) -> Iterable[str]:
     for row in payload["results"]:
-        print(
+        yield (
             f"  rate {row['rate']:<6g} {row['policy']:<8} "
             f"goodput {row['goodput']:7.3f} node-s/t  "
             f"revoked {row['revocations']:>3}  repaired {row['repaired']:>3}  "
             f"replanned {row['replanned']:>3}  abandoned {row['abandoned']:>3}  "
             f"retired {row['retired']:>3}"
         )
-    if args.output:
-        save_json(payload, args.output)
-        print(f"wrote {args.output}")
-    # The headline claim: at the paper-scale disturbance rate, repairing
-    # in place must deliver strictly more goodput than replanning.
+
+
+def _resilience_verdict(payload: dict, args: argparse.Namespace) -> int:
+    """The headline claim: at the paper-scale disturbance rate, repairing
+    in place must deliver strictly more goodput than replanning."""
     from repro.execution import PAPER_DISTURBANCE_RATE
     from repro.service.resilience import goodput_by_policy
 
-    if PAPER_DISTURBANCE_RATE in rates:
-        at_paper_rate = goodput_by_policy(payload, PAPER_DISTURBANCE_RATE)
-        if {"repair", "replan"} <= set(at_paper_rate):
-            repair, replan = at_paper_rate["repair"], at_paper_rate["replan"]
-            if repair <= replan:
-                print(
-                    f"FAIL: repair goodput {repair:.4f} <= replan "
-                    f"{replan:.4f} at rate {PAPER_DISTURBANCE_RATE}"
-                )
-                return 1
-            print(
-                f"ordering holds at rate {PAPER_DISTURBANCE_RATE}: "
-                f"repair {repair:.4f} > replan {replan:.4f}"
-            )
+    if PAPER_DISTURBANCE_RATE not in args.rates:
+        return 0
+    at_paper_rate = goodput_by_policy(payload, PAPER_DISTURBANCE_RATE)
+    if not {"repair", "replan"} <= set(at_paper_rate):
+        return 0
+    repair, replan = at_paper_rate["repair"], at_paper_rate["replan"]
+    if repair <= replan:
+        print(
+            f"FAIL: repair goodput {repair:.4f} <= replan "
+            f"{replan:.4f} at rate {PAPER_DISTURBANCE_RATE}"
+        )
+        return 1
+    print(
+        f"ordering holds at rate {PAPER_DISTURBANCE_RATE}: "
+        f"repair {repair:.4f} > replan {replan:.4f}"
+    )
     return 0
 
 
-def cmd_bench_core(args: argparse.Namespace) -> int:
-    """Handler of the ``repro bench-core`` subcommand."""
-    from repro.core.bench import bench_core
-    from repro.io import save_json
-
-    node_counts = [int(value) for value in args.nodes.split(",")]
-    print(
-        f"benchmarking the scan kernel at {node_counts} nodes "
-        f"(best of {args.repeats}, seed {args.seed}) ..."
-    )
-    payload = bench_core(
-        node_counts=node_counts, repeats=args.repeats, seed=args.seed
-    )
+def _core_report(payload: dict) -> Iterable[str]:
     for row in payload["results"]:
-        print(
+        yield (
             f"  {row['nodes']:>4} nodes {row['criterion']:<11} "
             f"reference {row['reference_windows_per_second']:8.1f} win/s, "
             f"vectorized {row['incremental_windows_per_second']:8.1f} win/s "
             f"({row['speedup']:.2f}x); peak {row.get('candidate_peak', '-')}, "
             f"inserts {row.get('candidate_inserts', '-')}"
         )
-    if args.output:
-        save_json(payload, args.output)
-        print(f"wrote {args.output}")
-    return 0
 
 
-def cmd_bench_batch(args: argparse.Namespace) -> int:
-    """Handler of the ``repro bench-batch`` subcommand."""
-    from repro.core.bench import bench_batch
-    from repro.io import save_json
-
-    batch_sizes = [int(value) for value in args.batch_sizes.split(",")]
-    print(
-        f"benchmarking whole scheduling cycles at batch sizes {batch_sizes} "
-        f"on {args.nodes} nodes (best of {args.repeats}, seed {args.seed}) ..."
-    )
-    payload = bench_batch(
-        batch_sizes=batch_sizes,
-        node_count=args.nodes,
-        repeats=args.repeats,
-        seed=args.seed,
-    )
+def _batch_report(payload: dict) -> Iterable[str]:
     for row in payload["results"]:
         grouping = row["grouping"]
-        print(
+        yield (
             f"  {row['search']:<8} batch {row['batch_size']:>4} "
             f"({row['classes']} classes): per-job "
             f"{row['per_job_jobs_per_second']:8.1f} jobs/s, grouped "
@@ -645,56 +576,42 @@ def cmd_bench_batch(args: argparse.Namespace) -> int:
             f"({row['speedup']:.2f}x); sweeps {grouping['batch_sweeps']}, "
             f"shared {grouping['grouped_shared']}"
         )
-    if args.output:
-        save_json(payload, args.output)
-        print(f"wrote {args.output}")
-    return 0
 
 
-def cmd_bench_soak(args: argparse.Namespace) -> int:
-    """Handler of the ``repro bench-soak`` subcommand."""
-    from repro.io import save_json
-    from repro.service.soak import SoakGateError, bench_soak
-
-    print(
-        f"soaking the rolling-horizon broker: {args.jobs} jobs at rate "
-        f"{args.rate:g} on {args.nodes} nodes, horizon lead {args.lead:g} / "
-        f"stride {args.stride:g} ({args.amp_policy} scans) ..."
-    )
-    try:
-        payload = bench_soak(
-            jobs=args.jobs,
-            node_count=args.nodes,
-            rate=args.rate,
-            seed=args.seed,
-            lead=args.lead,
-            stride=args.stride,
-            batch_size=args.batch_size,
-            amp_policy=args.amp_policy,
-            sample_every=args.sample_every,
-            min_speedup=args.min_speedup,
-            max_p99_ratio=args.max_p99_ratio,
-            max_rss_ratio=args.max_rss_ratio,
+def _experiments_report(payload: dict) -> Iterable[str]:
+    for row in payload["results"]:
+        speedup = row.get("speedup_vs_1_worker")
+        yield (
+            f"  {row['mode']:<12} workers {row['workers']}: "
+            f"{row['seconds']:8.2f}s  {row['cycles_per_second']:7.1f} cycles/s"
+            + (f"  {speedup:.2f}x vs 1 worker" if speedup is not None else "")
         )
-    except SoakGateError as error:
-        print(f"SOAK GATE FAILED\n{error}", file=sys.stderr)
-        return 1
+    host = payload["host"]
+    yield (
+        f"aggregates bit-identical across all rows "
+        f"(fingerprint {payload['aggregate_fingerprint'][:16]}); "
+        f"{host['usable_cpus']} usable CPU(s)"
+        + (" — speedup is CPU-bound on this host" if host["cpu_limited"] else "")
+    )
+
+
+def _soak_report(payload: dict) -> Iterable[str]:
     latency = payload["cycle_latency_ms"]
     rss = payload["rss_mb"]
     snapshot = payload["snapshot"]
-    print(
+    yield (
         f"  {payload['counts']['cycles']} cycles over "
         f"{payload['virtual']['segments_published']} horizon segments "
         f"in {payload['elapsed_s']:.1f}s wall "
         f"({payload['jobs_per_s']:.1f} jobs/s)"
     )
-    print(
+    yield (
         f"  p99 cycle latency {latency['p99_first_decile']:.1f}ms -> "
         f"{latency['p99_last_decile']:.1f}ms "
         f"({latency['p99_ratio']:.2f}x); RSS {rss['first_decile']:.1f}MB -> "
         f"{rss['last_decile']:.1f}MB ({rss['ratio']:.2f}x)"
     )
-    print(
+    yield (
         f"  incremental snapshot {snapshot['incremental_us_mean']:.1f}us vs "
         f"rebuild {snapshot['rebuild_us_mean']:.1f}us = "
         f"{snapshot['speedup']:.1f}x over {snapshot['samples']} samples; "
@@ -702,40 +619,12 @@ def cmd_bench_soak(args: argparse.Namespace) -> int:
         f"{payload['scan_kernel']['fallback']} fallback"
     )
     if payload["host"]["cpu_limited"]:
-        print("  note: single-CPU host — wall throughput is CPU-bound")
-    if args.output:
-        save_json(payload, args.output)
-        print(f"wrote {args.output}")
-    return 0
+        yield "  note: single-CPU host — wall throughput is CPU-bound"
 
 
-def cmd_bench_tenancy(args: argparse.Namespace) -> int:
-    """Handler of the ``repro bench-tenancy`` subcommand."""
-    from repro.io import save_json
-    from repro.tenancy.bench import TenancyGateError, bench_tenancy
-
-    print(
-        f"benchmarking multi-tenant economics: {args.jobs} jobs "
-        f"(1 hog + {args.small_tenants} small tenants) on {args.nodes} "
-        f"nodes, waves of {args.wave}, batch {args.batch_size} "
-        f"(seed {args.seed}) ..."
-    )
-    try:
-        payload = bench_tenancy(
-            jobs=args.jobs,
-            node_count=args.nodes,
-            small_tenants=args.small_tenants,
-            arrival_rate=args.rate,
-            wave=args.wave,
-            seed=args.seed,
-            credit=args.credit,
-            batch_size=args.batch_size,
-        )
-    except TenancyGateError as error:
-        print(f"TENANCY GATE FAILED\n{error}", file=sys.stderr)
-        return 1
+def _tenancy_report(payload: dict) -> Iterable[str]:
     for row in payload["results"]:
-        print(
+        yield (
             f"  {row['ordering']:<5} Jain {row['jain_index']:.4f}  "
             f"revenue {row['revenue']:10.2f}  "
             f"multiplier {row['price_multiplier']:.3f}  "
@@ -745,57 +634,214 @@ def cmd_bench_tenancy(args: argparse.Namespace) -> int:
         )
     by_ordering = {row["ordering"]: row for row in payload["results"]}
     if {"fifo", "drf"} <= set(by_ordering):
-        print(
+        yield (
             f"fairness gate holds: DRF Jain "
             f"{by_ordering['drf']['jain_index']:.4f} > FIFO "
             f"{by_ordering['fifo']['jain_index']:.4f}"
         )
-    if args.output:
-        save_json(payload, args.output)
-        print(f"wrote {args.output}")
-    return 0
 
 
-def cmd_bench_experiments(args: argparse.Namespace) -> int:
-    """Handler of the ``repro bench-experiments`` subcommand."""
-    from repro.io import save_json
-    from repro.simulation.bench import InvarianceError, bench_experiments
-
-    worker_counts = [int(value) for value in args.workers.split(",")]
-    print(
-        f"benchmarking the experiment engine: {args.cycles} cycles on "
-        f"{args.nodes} nodes at worker counts {worker_counts} "
-        f"(seed {args.seed}, chunk {args.chunk_size}) ..."
-    )
-    try:
-        payload = bench_experiments(
-            cycles=args.cycles,
-            worker_counts=worker_counts,
-            seed=args.seed,
-            node_count=args.nodes,
-            chunk_size=args.chunk_size,
-        )
-    except InvarianceError as error:
-        print(f"WORKER-COUNT INVARIANCE VIOLATION\n{error}", file=sys.stderr)
-        return 1
-    for row in payload["results"]:
-        speedup = row.get("speedup_vs_1_worker")
-        print(
-            f"  {row['mode']:<12} workers {row['workers']}: "
-            f"{row['seconds']:8.2f}s  {row['cycles_per_second']:7.1f} cycles/s"
-            + (f"  {speedup:.2f}x vs 1 worker" if speedup is not None else "")
-        )
-    host = payload["host"]
-    print(
-        f"aggregates bit-identical across all rows "
-        f"(fingerprint {payload['aggregate_fingerprint'][:16]}); "
-        f"{host['usable_cpus']} usable CPU(s)"
-        + (" — speedup is CPU-bound on this host" if host["cpu_limited"] else "")
-    )
-    if args.output:
-        save_json(payload, args.output)
-        print(f"wrote {args.output}")
-    return 0
+BENCHES: tuple[Bench, ...] = (
+    Bench(
+        name="service",
+        help="broker-service throughput across pool sizes",
+        runner="repro.service:bench_service",
+        arguments=(
+            _arg("--nodes", default="50,200", help="comma-separated node counts"),
+            _arg("--jobs", type=int, default=200),
+            _arg("--rate", type=float, default=2.0),
+            _arg("--workers", type=int, default=4),
+            _arg("--trace", help="archive each run's JSONL event trace "
+                                 "(per-pool-size files derived from this path)"),
+        ),
+        lists={"nodes": int},
+        rename={"nodes": "node_counts", "trace": "trace_path"},
+        banner=lambda args: (
+            f"benchmarking the broker service: {args.jobs} jobs at "
+            f"{args.nodes} nodes, {args.workers} worker(s) ..."
+        ),
+        report=_service_report,
+    ),
+    Bench(
+        name="federation",
+        help="federation latency/throughput over real loopback sockets",
+        runner="repro.federation:bench_federation",
+        arguments=(
+            _arg("--shards", default="1,4,16", help="comma-separated shard counts"),
+            _arg("--jobs", type=int, default=200),
+            _arg("--rate", type=float, default=2.0),
+            _arg("--nodes", type=int, default=64),
+            _arg("--policy", default="hash", choices=list(_FEDERATION_POLICIES)),
+        ),
+        lists={"shards": int},
+        rename={"shards": "shard_counts", "nodes": "node_count"},
+        banner=lambda args: (
+            f"benchmarking the federation front door: {args.jobs} jobs over "
+            f"loopback sockets at {args.shards} shard(s), "
+            f"{args.nodes} nodes, {args.policy} routing ..."
+        ),
+        report=_federation_report,
+    ),
+    Bench(
+        name="resilience",
+        help="recovery-policy goodput under live slot revocation",
+        runner="repro.service.resilience:bench_resilience",
+        arguments=(
+            _arg("--jobs", type=int, default=150),
+            _arg("--nodes", type=int, default=50),
+            _arg("--rates", default="0.0,0.002,0.01",
+                 help="comma-separated disturbance rates (arrivals/node/time unit)"),
+            _arg("--policies", default="repair,replan,abandon",
+                 help="comma-separated recovery policies to sweep"),
+            _arg("--disturbance-seed", type=int, default=97,
+                 help="revocation injector seed"),
+        ),
+        lists={"rates": float, "policies": str},
+        rename={"nodes": "node_count"},
+        banner=lambda args: (
+            f"benchmarking recovery policies: {args.jobs} jobs on {args.nodes} "
+            f"nodes, rates {args.rates} x policies {args.policies} "
+            f"(seed {args.seed}, disturbance seed {args.disturbance_seed}) ..."
+        ),
+        report=_resilience_report,
+        verdict=_resilience_verdict,
+    ),
+    Bench(
+        name="core",
+        help="scan-kernel windows/s, vectorized vs reference",
+        runner="repro.core.bench:bench_core",
+        arguments=(
+            _arg("--nodes", default="50,100,200", help="comma-separated node counts"),
+            _arg("--repeats", type=int, default=3,
+                 help="timing repetitions per row (best-of)"),
+        ),
+        lists={"nodes": int},
+        rename={"nodes": "node_counts"},
+        banner=lambda args: (
+            f"benchmarking the scan kernel at {args.nodes} nodes "
+            f"(best of {args.repeats}, seed {args.seed}) ..."
+        ),
+        report=_core_report,
+    ),
+    Bench(
+        name="batch",
+        help="whole-cycle jobs/s, per-job vs request-class-grouped dispatch",
+        runner="repro.core.bench:bench_batch",
+        arguments=(
+            _arg("--batch-sizes", default="16,64,256",
+                 help="comma-separated job-batch sizes"),
+            _arg("--nodes", type=int, default=200, help="pool size (nodes)"),
+            _arg("--repeats", type=int, default=3,
+                 help="timing repetitions per row (best-of)"),
+        ),
+        lists={"batch_sizes": int},
+        rename={"nodes": "node_count"},
+        banner=lambda args: (
+            f"benchmarking whole scheduling cycles at batch sizes "
+            f"{args.batch_sizes} on {args.nodes} nodes "
+            f"(best of {args.repeats}, seed {args.seed}) ..."
+        ),
+        report=_batch_report,
+    ),
+    Bench(
+        name="experiments",
+        help="experiment-engine wall-clock across worker counts "
+             "(verifies worker-count-invariant aggregates)",
+        runner="repro.simulation.bench:bench_experiments",
+        arguments=(
+            _arg("--cycles", type=int, default=250),
+            _arg("--nodes", type=int, default=100),
+            _arg("--workers", default="1,2,4,8",
+                 help="comma-separated worker counts (the in-process reference "
+                      "row always runs first)"),
+            _arg("--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE,
+                 help="cycles per worker task (fixed per run; part of the "
+                      "deterministic merge tree)"),
+        ),
+        lists={"workers": int},
+        rename={"workers": "worker_counts", "nodes": "node_count"},
+        banner=lambda args: (
+            f"benchmarking the experiment engine: {args.cycles} cycles on "
+            f"{args.nodes} nodes at worker counts {args.workers} "
+            f"(seed {args.seed}, chunk {args.chunk_size}) ..."
+        ),
+        report=_experiments_report,
+        gate=(
+            "repro.simulation.bench:InvarianceError",
+            "WORKER-COUNT INVARIANCE VIOLATION",
+        ),
+    ),
+    Bench(
+        name="soak",
+        help="rolling-horizon soak: flat-memory / stable-latency gates "
+             "over 10^5 jobs and hundreds of horizon segments",
+        runner="repro.service.soak:bench_soak",
+        arguments=(
+            _arg("--jobs", type=int, default=100_000),
+            _arg("--nodes", type=int, default=200),
+            _arg("--rate", type=float, default=0.8,
+                 help="mean arrivals per virtual time unit"),
+            _arg("--lead", type=float, default=600.0,
+                 help="rolling-horizon lead (time units ahead of now the pool "
+                      "must cover)"),
+            _arg("--stride", type=float, default=600.0,
+                 help="horizon segment length"),
+            _arg("--batch-size", type=int, default=8),
+            _arg("--amp-policy", default="cheapest", choices=("cheapest", "first"),
+                 help="phase-one AMP policy: cheapest is the start-optimal "
+                      "n-cheapest scan, first the paper-faithful eviction scan "
+                      "(CSA serves either from one sweep per job)"),
+            _arg("--sample-every", type=int, default=64,
+                 help="cycles between RSS / snapshot-cost probes"),
+            _arg("--min-speedup", type=float, default=5.0,
+                 help="refuse-to-record gate: incremental snapshot vs "
+                      "per-cycle rebuild"),
+            _arg("--max-p99-ratio", type=float, default=1.2,
+                 help="refuse-to-record gate: last-decile p99 over "
+                      "first-decile p99 (post-warmup)"),
+            _arg("--max-rss-ratio", type=float, default=1.2,
+                 help="refuse-to-record gate: last-decile RSS over "
+                      "first-decile RSS (post-warmup)"),
+        ),
+        rename={"nodes": "node_count"},
+        banner=lambda args: (
+            f"soaking the rolling-horizon broker: {args.jobs} jobs at rate "
+            f"{args.rate:g} on {args.nodes} nodes, horizon lead {args.lead:g} / "
+            f"stride {args.stride:g} ({args.amp_policy} scans) ..."
+        ),
+        report=_soak_report,
+        gate=("repro.service.soak:SoakGateError", "SOAK GATE FAILED"),
+    ),
+    Bench(
+        name="tenancy",
+        help="multi-tenant fairness and revenue: DRF vs FIFO cycle "
+             "ordering under a hog-vs-small-tenants mix",
+        runner="repro.tenancy.bench:bench_tenancy",
+        arguments=(
+            _arg("--jobs", type=int, default=160),
+            _arg("--nodes", type=int, default=16),
+            _arg("--small-tenants", type=int, default=4,
+                 help="tenants sharing the non-hog half of the stream"),
+            _arg("--rate", type=float, default=8.0,
+                 help="mean arrivals per virtual time unit"),
+            _arg("--wave", type=int, default=24,
+                 help="jobs per arrival burst (must exceed the batch size for "
+                      "ordering to bite)"),
+            _arg("--credit", type=float, default=1_000_000.0,
+                 help="initial credit per tenant account"),
+            _arg("--batch-size", type=int, default=4),
+        ),
+        rename={"nodes": "node_count", "rate": "arrival_rate"},
+        banner=lambda args: (
+            f"benchmarking multi-tenant economics: {args.jobs} jobs "
+            f"(1 hog + {args.small_tenants} small tenants) on {args.nodes} "
+            f"nodes, waves of {args.wave}, batch {args.batch_size} "
+            f"(seed {args.seed}) ..."
+        ),
+        report=_tenancy_report,
+        gate=("repro.tenancy.bench:TenancyGateError", "TENANCY GATE FAILED"),
+    ),
+)
 
 
 def cmd_presets(args: argparse.Namespace) -> int:
@@ -906,6 +952,14 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_criterion(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--criterion",
+        default="finish_time",
+        choices=[criterion.value for criterion in Criterion],
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argparse command-line interface definition."""
     parser = argparse.ArgumentParser(
@@ -966,11 +1020,7 @@ def build_parser() -> argparse.ArgumentParser:
     schedule.add_argument("--seed", type=int, default=7)
     schedule.add_argument("--jobs", type=int, default=5)
     schedule.add_argument("--alternatives", type=int, default=15)
-    schedule.add_argument(
-        "--criterion",
-        default="finish_time",
-        choices=[criterion.value for criterion in Criterion],
-    )
+    _add_criterion(schedule)
     schedule.add_argument("--gantt", action="store_true", help="draw an ASCII Gantt")
     schedule.add_argument(
         "--json", action="store_true", help="emit the assignments as JSON"
@@ -998,11 +1048,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-wait", type=float, default=25.0,
                        help="max virtual-time wait before a cycle fires")
     serve.add_argument("--alternatives", type=int, default=10)
-    serve.add_argument(
-        "--criterion",
-        default="finish_time",
-        choices=[criterion.value for criterion in Criterion],
-    )
+    _add_criterion(serve)
     serve.add_argument(
         "--completion-factor", type=float, default=1.0,
         help="fraction of the reservation jobs actually use (<1 = early finish)",
@@ -1031,22 +1077,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--json", action="store_true", help="emit the stats as JSON")
     serve.set_defaults(func=cmd_serve)
-
-    bench = sub.add_parser(
-        "bench-service", help="broker-service throughput across pool sizes"
-    )
-    bench.add_argument("--nodes", default="50,200",
-                       help="comma-separated node counts")
-    bench.add_argument("--jobs", type=int, default=200)
-    bench.add_argument("--rate", type=float, default=2.0)
-    bench.add_argument("--workers", type=int, default=4)
-    bench.add_argument("--seed", type=int, default=2013)
-    bench.add_argument("--trace",
-                       help="archive each run's JSONL event trace "
-                            "(per-pool-size files derived from this path)")
-    bench.add_argument("-o", "--output",
-                       help="write the JSON payload here (BENCH_service.json)")
-    bench.set_defaults(func=cmd_bench_service)
 
     serve_fed = sub.add_parser(
         "serve-federation",
@@ -1081,11 +1111,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_fed.add_argument("--batch-size", type=int, default=8)
     serve_fed.add_argument("--max-wait", type=float, default=25.0)
     serve_fed.add_argument("--alternatives", type=int, default=10)
-    serve_fed.add_argument(
-        "--criterion",
-        default="finish_time",
-        choices=[criterion.value for criterion in Criterion],
-    )
+    _add_criterion(serve_fed)
     serve_fed.add_argument(
         "--no-coallocation", action="store_true",
         help="disable the cross-shard co-allocation fallback",
@@ -1102,161 +1128,16 @@ def build_parser() -> argparse.ArgumentParser:
                            help="emit the stats as JSON")
     serve_fed.set_defaults(func=cmd_serve_federation)
 
-    bench_fed = sub.add_parser(
-        "bench-federation",
-        help="federation latency/throughput over real loopback sockets",
-    )
-    bench_fed.add_argument("--shards", default="1,4,16",
-                           help="comma-separated shard counts")
-    bench_fed.add_argument("--jobs", type=int, default=200)
-    bench_fed.add_argument("--rate", type=float, default=2.0)
-    bench_fed.add_argument("--nodes", type=int, default=64)
-    bench_fed.add_argument("--seed", type=int, default=2013)
-    bench_fed.add_argument(
-        "--policy", default="hash", choices=list(_FEDERATION_POLICIES)
-    )
-    bench_fed.add_argument("-o", "--output",
-                           help="write the JSON payload here "
-                                "(BENCH_federation.json)")
-    bench_fed.set_defaults(func=cmd_bench_federation)
-
-    bench_resilience = sub.add_parser(
-        "bench-resilience",
-        help="recovery-policy goodput under live slot revocation",
-    )
-    bench_resilience.add_argument("--jobs", type=int, default=150)
-    bench_resilience.add_argument("--nodes", type=int, default=50)
-    bench_resilience.add_argument(
-        "--rates", default="0.0,0.002,0.01",
-        help="comma-separated disturbance rates (arrivals/node/time unit)",
-    )
-    bench_resilience.add_argument(
-        "--policies", default="repair,replan,abandon",
-        help="comma-separated recovery policies to sweep",
-    )
-    bench_resilience.add_argument("--seed", type=int, default=2013,
-                                  help="job-stream / environment seed")
-    bench_resilience.add_argument("--disturbance-seed", type=int, default=97,
-                                  help="revocation injector seed")
-    bench_resilience.add_argument(
-        "-o", "--output",
-        help="write the JSON payload here (BENCH_resilience.json)",
-    )
-    bench_resilience.set_defaults(func=cmd_bench_resilience)
-
-    bench_core = sub.add_parser(
-        "bench-core", help="scan-kernel windows/s, vectorized vs reference"
-    )
-    bench_core.add_argument("--nodes", default="50,100,200",
-                            help="comma-separated node counts")
-    bench_core.add_argument("--repeats", type=int, default=3,
-                            help="timing repetitions per row (best-of)")
-    bench_core.add_argument("--seed", type=int, default=2013)
-    bench_core.add_argument("-o", "--output",
-                            help="write the JSON payload here (BENCH_core.json)")
-    bench_core.set_defaults(func=cmd_bench_core)
-
-    bench_batch = sub.add_parser(
-        "bench-batch",
-        help="whole-cycle jobs/s, per-job vs request-class-grouped dispatch",
-    )
-    bench_batch.add_argument("--batch-sizes", default="16,64,256",
-                             help="comma-separated job-batch sizes")
-    bench_batch.add_argument("--nodes", type=int, default=200,
-                             help="pool size (nodes)")
-    bench_batch.add_argument("--repeats", type=int, default=3,
-                             help="timing repetitions per row (best-of)")
-    bench_batch.add_argument("--seed", type=int, default=2013)
-    bench_batch.add_argument("-o", "--output",
-                             help="write the JSON payload here (BENCH_batch.json)")
-    bench_batch.set_defaults(func=cmd_bench_batch)
-
-    bench_experiments = sub.add_parser(
-        "bench-experiments",
-        help="experiment-engine wall-clock across worker counts "
-             "(verifies worker-count-invariant aggregates)",
-    )
-    bench_experiments.add_argument("--cycles", type=int, default=250)
-    bench_experiments.add_argument("--nodes", type=int, default=100)
-    bench_experiments.add_argument("--seed", type=int, default=2013)
-    bench_experiments.add_argument(
-        "--workers", default="1,2,4,8",
-        help="comma-separated worker counts (the in-process reference row "
-             "always runs first)",
-    )
-    bench_experiments.add_argument(
-        "--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE,
-        help="cycles per worker task (fixed per run; part of the "
-             "deterministic merge tree)",
-    )
-    bench_experiments.add_argument(
-        "-o", "--output",
-        help="write the JSON payload here (BENCH_experiments.json)",
-    )
-    bench_experiments.set_defaults(func=cmd_bench_experiments)
-
-    bench_soak = sub.add_parser(
-        "bench-soak",
-        help="rolling-horizon soak: flat-memory / stable-latency gates "
-             "over 10^5 jobs and hundreds of horizon segments",
-    )
-    bench_soak.add_argument("--jobs", type=int, default=100_000)
-    bench_soak.add_argument("--nodes", type=int, default=200)
-    bench_soak.add_argument("--rate", type=float, default=0.8,
-                            help="mean arrivals per virtual time unit")
-    bench_soak.add_argument("--seed", type=int, default=2013)
-    bench_soak.add_argument("--lead", type=float, default=600.0,
-                            help="rolling-horizon lead (time units ahead "
-                                 "of now the pool must cover)")
-    bench_soak.add_argument("--stride", type=float, default=600.0,
-                            help="horizon segment length")
-    bench_soak.add_argument("--batch-size", type=int, default=8)
-    bench_soak.add_argument(
-        "--amp-policy", default="cheapest", choices=("cheapest", "first"),
-        help="phase-one AMP policy: cheapest is the start-optimal "
-             "n-cheapest scan, first the paper-faithful eviction scan "
-             "(CSA serves either from one sweep per job)",
-    )
-    bench_soak.add_argument("--sample-every", type=int, default=64,
-                            help="cycles between RSS / snapshot-cost probes")
-    bench_soak.add_argument("--min-speedup", type=float, default=5.0,
-                            help="refuse-to-record gate: incremental "
-                                 "snapshot vs per-cycle rebuild")
-    bench_soak.add_argument("--max-p99-ratio", type=float, default=1.2,
-                            help="refuse-to-record gate: last-decile p99 "
-                                 "over first-decile p99 (post-warmup)")
-    bench_soak.add_argument("--max-rss-ratio", type=float, default=1.2,
-                            help="refuse-to-record gate: last-decile RSS "
-                                 "over first-decile RSS (post-warmup)")
-    bench_soak.add_argument("-o", "--output",
-                            help="write the JSON payload here "
-                                 "(BENCH_soak.json)")
-    bench_soak.set_defaults(func=cmd_bench_soak)
-
-    bench_tenancy = sub.add_parser(
-        "bench-tenancy",
-        help="multi-tenant fairness and revenue: DRF vs FIFO cycle "
-             "ordering under a hog-vs-small-tenants mix",
-    )
-    bench_tenancy.add_argument("--jobs", type=int, default=160)
-    bench_tenancy.add_argument("--nodes", type=int, default=16)
-    bench_tenancy.add_argument("--small-tenants", type=int, default=4,
-                               help="tenants sharing the non-hog half of "
-                                    "the stream")
-    bench_tenancy.add_argument("--rate", type=float, default=8.0,
-                               help="mean arrivals per virtual time unit")
-    bench_tenancy.add_argument("--wave", type=int, default=24,
-                               help="jobs per arrival burst (must exceed "
-                                    "the batch size for ordering to bite)")
-    bench_tenancy.add_argument("--seed", type=int, default=2013)
-    bench_tenancy.add_argument("--credit", type=float, default=1_000_000.0,
-                               help="initial credit per tenant account")
-    bench_tenancy.add_argument("--batch-size", type=int, default=4)
-    bench_tenancy.add_argument(
-        "-o", "--output",
-        help="write the JSON payload here (BENCH_tenancy.json)",
-    )
-    bench_tenancy.set_defaults(func=cmd_bench_tenancy)
+    for bench in BENCHES:
+        bench_parser = sub.add_parser(f"bench-{bench.name}", help=bench.help)
+        for flags, spec in bench.arguments:
+            bench_parser.add_argument(*flags, **spec)
+        bench_parser.add_argument("--seed", type=int, default=2013, help="root seed")
+        bench_parser.add_argument(
+            "-o", "--output",
+            help=f"write the JSON payload here (BENCH_{bench.name}.json)",
+        )
+        bench_parser.set_defaults(func=cmd_bench, bench=bench)
 
     presets = sub.add_parser("presets", help="list environment presets")
     presets.add_argument("--nodes", type=int, default=100)
@@ -1269,11 +1150,7 @@ def build_parser() -> argparse.ArgumentParser:
     flow.add_argument("--nodes", type=int, default=50)
     flow.add_argument("--seed", type=int, default=7)
     flow.add_argument("--alternatives", type=int, default=10)
-    flow.add_argument(
-        "--criterion",
-        default="finish_time",
-        choices=[criterion.value for criterion in Criterion],
-    )
+    _add_criterion(flow)
     flow.add_argument("--trace", help="write a JSON event trace to this path")
     flow.set_defaults(func=cmd_flow)
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import platform
 import sys
 from time import perf_counter
 from typing import Any, Optional, Sequence
@@ -42,7 +41,7 @@ from repro.service.broker import BrokerService
 from repro.service.config import ServiceConfig
 from repro.service.events import Event, EventSink, EventType
 from repro.service.stats import ReservoirSampler
-from repro.hostinfo import usable_cpu_count
+from repro.hostinfo import host_payload
 from repro.simulation.bench import InvarianceError
 from repro.simulation.jobgen import JobGenerator
 
@@ -219,9 +218,8 @@ def bench_federation(
                 "federation": observed,
             }
         rows.append(row)
-    cpus = usable_cpu_count()
     return {
-        "bench": "federation",
+        "benchmark": "federation",
         "config": {
             "shard_counts": list(shard_counts),
             "jobs": jobs,
@@ -231,16 +229,10 @@ def bench_federation(
             "policy": policy,
             "workers_per_shard": service.workers,
         },
-        "host": {
-            "python": platform.python_version(),
-            "implementation": platform.python_implementation(),
-            "platform": platform.platform(),
-            "cpus": cpus,
-            # Server, client and every shard broker share one process;
-            # on a single-CPU host the throughput column measures the
-            # host, not the protocol.
-            "cpu_limited": cpus < 2,
-        },
+        # Server, client and every shard broker share one process; on a
+        # single-CPU host the throughput column measures the host, not
+        # the protocol.
+        "host": host_payload(parallel_target=2),
         "single_shard_equivalence": equivalence,
         "scan_kernel": dict(scan_counters),
         "results": rows,

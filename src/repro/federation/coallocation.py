@@ -22,7 +22,6 @@ surviving legs flow back to their (still live) pools.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
@@ -34,6 +33,7 @@ from repro.model.slotpool import SlotPool
 from repro.model.window import Window, WindowSlot
 from repro.scheduling.metascheduler import BatchScheduler
 from repro.service.config import ServiceConfig
+from repro.service.participants import NO_TENANCY
 
 
 @dataclass(frozen=True)
@@ -82,9 +82,9 @@ class CoAllocator:
         self._completion_factor = service.completion_factor
         #: Shared tenancy manager (the federation's, so shard brokers and
         #: cross-shard windows debit one ledger) and the federation
-        #: emitter the credit events go to.  ``None`` keeps the
-        #: co-allocator credit-free and byte-identical.
-        self._tenancy = tenancy
+        #: emitter the credit events go to.  Without one the stand-in
+        #: keeps the co-allocator credit-free and byte-identical.
+        self._tenancy = NO_TENANCY if tenancy is None else tenancy
         self._emitter = emitter
         self._active: dict[str, CoAllocation] = {}
 
@@ -135,33 +135,12 @@ class CoAllocator:
             max(pool.min_usable_length for pool in pools.values()),
             coalesce=False,
         )
-        plan_job = job
-        multiplier = 1.0
-        if self._tenancy is not None:
-            multiplier = self._tenancy.price_multiplier
-            if multiplier != 1.0:
-                # Same uniform-scaling trick as the broker cycle: live
-                # window cost m*C fits budget b iff static cost C fits
-                # b/m, so the union search sees live prices by scaling
-                # the budget and price cap instead of the slots.
-                request = plan_job.request
-                budget = request.effective_budget
-                cap = request.max_price_per_unit
-                plan_job = replace(
-                    plan_job,
-                    request=replace(
-                        request,
-                        budget=(
-                            None if not math.isfinite(budget)
-                            else budget / multiplier
-                        ),
-                        max_price_per_unit=(
-                            None if cap is None else cap / multiplier
-                        ),
-                    ),
-                )
+        # As in the broker cycle, the union search sees live prices
+        # through a request whose budget and price cap are scaled.
+        multiplier = self._tenancy.price_multiplier
+        request = self._tenancy.live_request(job.request, multiplier)
         batch = JobBatch()
-        batch.add(plan_job)
+        batch.add(replace(job, request=request))
         report = self._scheduler.plan(batch, union)
         window = report.scheduled.get(job.job_id)
         if window is None:
@@ -170,28 +149,25 @@ class CoAllocator:
         by_shard: dict[int, list[WindowSlot]] = {}
         for ws in window.slots:
             by_shard.setdefault(node_shard[ws.slot.node.node_id], []).append(ws)
-        committed: list[tuple[SlotPool, Window]] = []
         legs: dict[int, Window] = {}
         try:
             for shard_id in sorted(by_shard):
                 sub = Window(start=window.start, slots=tuple(by_shard[shard_id]))
                 pools[shard_id].commit_window(sub, mode=self._cut_mode)
-                committed.append((pools[shard_id], sub))
                 legs[shard_id] = sub
         except AllocationError:
-            # Roll back in reverse: everything cut so far goes straight
-            # back, so a half-committed window never holds capacity.
-            for pool, sub in reversed(committed):
-                pool.release(sub)
-            return None
-        if self._tenancy is not None and not self._tenancy.charge_commit(
-            job, window, self._emitter, multiplier=multiplier
-        ):
-            # The tenant cannot pay for the cross-shard window: the
-            # two-phase commit rolls back exactly like a failed leg, so
-            # an unfunded attempt never holds capacity either.
-            for pool, sub in reversed(committed):
-                pool.release(sub)
+            placed = False
+        else:
+            placed = self._tenancy.charge_commit(
+                job, window, self._emitter, multiplier=multiplier
+            )
+        if not placed:
+            # A failed leg, or a tenant who cannot pay for the window:
+            # roll back in reverse — everything cut so far goes straight
+            # back, so neither a half-committed nor an unfunded attempt
+            # ever holds capacity.
+            for shard_id in reversed(legs):
+                pools[shard_id].release(legs[shard_id])
             return None
         entry = CoAllocation(
             job=job,
@@ -224,9 +200,8 @@ class CoAllocator:
             for shard_id in sorted(entry.legs):
                 pools[shard_id].release(entry.legs[shard_id])
             del self._active[entry.job.job_id]
-            if self._tenancy is not None:
-                # Clean completion settles the escrow into revenue.
-                self._tenancy.on_retired(entry.job.job_id)
+            # Clean completion settles the escrow into revenue.
+            self._tenancy.on_retired(entry.job.job_id)
         return due
 
     def fail_shard(
@@ -261,13 +236,10 @@ class CoAllocator:
                     forfeited += sub.processor_time
                     forfeited_cost += sub.total_cost
             del self._active[entry.job.job_id]
-            if self._tenancy is not None:
-                # The dead legs forfeit (partial refund on their share
-                # of the escrow); the surviving legs never ran, so the
-                # rest of the escrow flows back in full.
-                self._tenancy.on_forfeit(
-                    entry.job.job_id, forfeited_cost, self._emitter
-                )
-                self._tenancy.on_release(entry.job.job_id, self._emitter)
+            # The dead legs forfeit (partial refund on their share of
+            # the escrow); the surviving legs never ran, so the rest of
+            # the escrow flows back in full.
+            self._tenancy.on_forfeit(entry.job.job_id, forfeited_cost, self._emitter)
+            self._tenancy.on_release(entry.job.job_id, self._emitter)
             results.append((entry, released, forfeited))
         return results

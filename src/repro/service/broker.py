@@ -3,10 +3,11 @@
 This is the long-running counterpart of the one-shot batch cycle
 (:class:`~repro.scheduling.BatchScheduler`): jobs are submitted one at a
 time through admission control into a bounded queue; a size-or-deadline
-trigger coalesces them into scheduling cycles; each cycle runs phase one
-in parallel across jobs on one shared read-only pool snapshot (reused
-persistent worker pool), picks the phase-two combination, and commits it
-onto the shared pool under one lock.  A
+trigger coalesces them into scheduling cycles; each cycle is a fixed
+list of stages (``_run_cycle``) — phase one in parallel across jobs on
+one shared read-only pool snapshot, the phase-two combination, the
+commit onto the shared pool — that consult a tenancy and a resilience
+participant, each a do-nothing stand-in when its layer is off.  A
 virtual-clock lifecycle retires finished jobs and returns their slots
 via :meth:`~repro.model.SlotPool.release`, so the service can run
 indefinitely without fragmenting or leaking the pool.
@@ -22,10 +23,9 @@ the configuration — never on wall-clock or worker count.
 
 from __future__ import annotations
 
-import math
 import threading
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Iterable, Optional, Sequence
 
@@ -43,10 +43,34 @@ from repro.service.admission import (
 )
 from repro.service.config import ServiceConfig
 from repro.service.events import EventEmitter, EventSink, EventType
-from repro.service.lifecycle import ActiveJob, JobLifecycle
+from repro.service.lifecycle import JobLifecycle
 from repro.service.parallel import parallel_find_alternatives
+from repro.service.participants import NO_RESILIENCE, NO_TENANCY
 from repro.service.queueing import BoundedJobQueue, CycleTrigger, QueuedJob
+from repro.service.resilience.manager import ResilienceManager
 from repro.service.stats import ServiceStats
+
+
+def _earliest(*times: Optional[float]) -> Optional[float]:
+    """The smallest of the times that are set, ``None`` when none is."""
+    known = [time for time in times if time is not None]
+    return min(known) if known else None
+
+
+@dataclass
+class _Cycle:
+    """What one scheduling cycle's stages hand each other."""
+
+    index: int
+    started: float  # wall clock (perf_counter) at entry
+    queued: dict[str, QueuedJob] = field(default_factory=dict)  # popped, by job id
+    multiplier: float = 1.0  # live price the whole cycle is planned and charged at
+    batch: JobBatch = field(default_factory=JobBatch)
+    alternatives: dict[str, list[Window]] = field(default_factory=dict)
+    search_seconds: float = 0.0
+    report: Optional[CycleReport] = None
+    committed: int = 0
+    leftover: list[str] = field(default_factory=list)  # no window, or an unpaid one
 
 
 class BrokerService:
@@ -80,10 +104,9 @@ class BrokerService:
         over unbounded virtual time.  ``None`` (the default) keeps the
         paper's fixed-interval behaviour.
     tenancy:
-        Optional shared :class:`~repro.tenancy.TenancyManager`.  A
-        federation passes one manager to every shard broker so credit
-        balances and the pricing EWMA are deployment-global; a
-        standalone broker builds its own from ``config.tenancy``.
+        Optional shared :class:`~repro.tenancy.TenancyManager`: a
+        federation passes one to every shard broker so balances and the
+        pricing EWMA are global; else one is built from ``config.tenancy``.
     """
 
     def __init__(
@@ -98,15 +121,13 @@ class BrokerService:
     ):
         self.config = config if config is not None else ServiceConfig()
         self.pool = pool
-        self.scheduler = (
-            scheduler
-            if scheduler is not None
-            else BatchScheduler(
+        if scheduler is None:
+            scheduler = BatchScheduler(
                 search=CSA(max_alternatives=self.config.alternatives_per_job),
                 criterion=self.config.criterion,
                 alternatives_per_job=self.config.alternatives_per_job,
             )
-        )
+        self.scheduler = scheduler
         self.stats = ServiceStats()
         self.assignments: dict[str, Window] = {}
         self.last_report: Optional[CycleReport] = None
@@ -127,26 +148,21 @@ class BrokerService:
         self._lifecycle = JobLifecycle(emitter=self.events)
         self._lock = threading.RLock()
         self._now = clock_start
-        #: Live fault injection + recovery; ``None`` (the default) keeps
-        #: every clock/cycle path — and the traces — byte-identical to a
-        #: broker without the subsystem.  Imported lazily: the manager
-        #: module pulls in service submodules, so a module-level import
-        #: would close an import cycle for some entry points.
-        #: Multi-tenant economics (credit ledger, DRF ordering, pricing);
-        #: ``None`` keeps every path byte-identical to a broker without
-        #: the subsystem.  A shared manager (federation) wins over
-        #: building one from the config; imported lazily like the
-        #: resilience manager to keep the optional package out of the
-        #: default import graph.
-        self._tenancy = tenancy
-        if self._tenancy is None and self.config.tenancy is not None:
+        #: Multi-tenant economics (credit ledger, DRF ordering, pricing).
+        #: A shared manager (federation) wins over building one from the
+        #: config; with neither, the do-nothing stand-in keeps every path
+        #: byte-identical to a broker without the subsystem.  Imported
+        #: lazily: the optional package stays out of the default graph.
+        if tenancy is None and self.config.tenancy is not None:
             from repro.tenancy.manager import TenancyManager
 
-            self._tenancy = TenancyManager(self.config.tenancy)
-        self._resilience = None
+            tenancy = TenancyManager(self.config.tenancy)
+        self._tenancy = NO_TENANCY if tenancy is None else tenancy
+        #: Live fault injection + recovery; the stand-in (the default)
+        #: samples no faults and buffers no retries, so every clock and
+        #: cycle path — and the traces — match a broker without the layer.
+        self._resilience = NO_RESILIENCE
         if self.config.resilience is not None:
-            from repro.service.resilience.manager import ResilienceManager
-
             self._resilience = ResilienceManager(
                 self.config.resilience,
                 pool=self.pool,
@@ -160,14 +176,11 @@ class BrokerService:
                 record_assignments=self.config.record_assignments,
                 tenancy=self._tenancy,
             )
-        #: Persistent phase-one executor, created on first parallel cycle
-        #: and reused for the broker's lifetime (thread spawn per cycle
-        #: was pure overhead); ``close()`` shuts it down.
+        #: Persistent phase-one executor: created on the first parallel
+        #: cycle, reused for the broker's lifetime, shut down by ``close()``.
         self._executor: Optional[Executor] = None
         self._horizon = horizon_source
-        self.pool.trim_before(self._now)
-        if self._horizon is not None:
-            self.stats.slots_published += self._horizon.ensure(self.pool, self._now)
+        self._retire_and_trim()
 
     # ------------------------------------------------------------------
     # Resource management
@@ -184,13 +197,10 @@ class BrokerService:
             return None
         if self._executor is None:
             if self.config.worker_mode == "process":
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.config.workers
-                )
+                self._executor = ProcessPoolExecutor(max_workers=self.config.workers)
             else:
                 self._executor = ThreadPoolExecutor(
-                    max_workers=self.config.workers,
-                    thread_name_prefix="repro-phase1",
+                    max_workers=self.config.workers, thread_name_prefix="repro-phase1"
                 )
         return self._executor
 
@@ -232,26 +242,21 @@ class BrokerService:
     @property
     def resilience(self):
         """The resilience manager, or ``None`` when the layer is off."""
-        return self._resilience
+        return None if self._resilience is NO_RESILIENCE else self._resilience
 
     @property
     def tenancy(self):
         """The tenancy manager, or ``None`` when the layer is off."""
-        return self._tenancy
+        return None if self._tenancy is NO_TENANCY else self._tenancy
 
     @property
     def is_idle(self) -> bool:
         """No queued jobs, no active windows, no pending retries."""
         with self._lock:
-            pending = (
-                self._resilience.pending_retries
-                if self._resilience is not None
-                else 0
-            )
             return (
                 self._queue.depth == 0
                 and self._lifecycle.active_count == 0
-                and pending == 0
+                and self._resilience.pending_retries == 0
             )
 
     def next_event_time(self) -> Optional[float]:
@@ -264,20 +269,12 @@ class BrokerService:
         due cycle or retirement.
         """
         with self._lock:
-            candidates: list[float] = []
-            fire = self._trigger.next_fire_time(self._queue, self._now)
-            if fire is not None:
-                candidates.append(fire)
-            completion = self._lifecycle.next_completion()
-            if completion is not None:
-                candidates.append(completion)
-            if self._resilience is not None:
-                wake = self._resilience.next_wakeup()
-                if wake is not None:
-                    candidates.append(wake)
-            if not candidates:
-                return None
-            return max(self._now, min(candidates))
+            due = _earliest(
+                self._trigger.next_fire_time(self._queue, self._now),
+                self._lifecycle.next_completion(),
+                self._resilience.next_wakeup(),
+            )
+            return None if due is None else max(self._now, due)
 
     def in_flight_ids(self) -> set[str]:
         """Ids of every job the broker currently owns in any form.
@@ -287,10 +284,11 @@ class BrokerService:
         so a federation can run the same check across shards.
         """
         with self._lock:
-            known = self._queue.job_ids() | self._lifecycle.active_ids()
-            if self._resilience is not None:
-                known |= self._resilience.pending_ids()
-            return known
+            return (
+                self._queue.job_ids()
+                | self._lifecycle.active_ids()
+                | self._resilience.pending_ids()
+            )
 
     # ------------------------------------------------------------------
     # Intake
@@ -307,23 +305,17 @@ class BrokerService:
         with self._lock:
             self.stats.submitted += 1
             self.events.emit(EventType.SUBMITTED, job_id=job.job_id)
-            # A replanned job waiting out its backoff is still in flight:
-            # resubmitting its id would fork the job, so in_flight_ids
-            # includes the retry buffer.
-            known = self.in_flight_ids()
-            price_multiplier = 1.0
-            credit_balance = None
-            if self._tenancy is not None:
-                price_multiplier = self._tenancy.price_multiplier
-                credit_balance = self._tenancy.admission_balance(job.owner)
             decision = self._admission.evaluate(
                 job,
                 self.pool,
                 queue_depth=self._queue.depth,
                 queue_capacity=self._queue.capacity,
-                known_ids=known,
-                price_multiplier=price_multiplier,
-                credit_balance=credit_balance,
+                # A replanned job waiting out its backoff is still in
+                # flight: resubmitting its id would fork the job, so
+                # in_flight_ids includes the retry buffer.
+                known_ids=self.in_flight_ids(),
+                price_multiplier=self._tenancy.price_multiplier,
+                credit_balance=self._tenancy.admission_balance(job.owner),
             )
             if decision.admitted:
                 self._queue.push(job, self._now)
@@ -346,17 +338,17 @@ class BrokerService:
             removed = self._queue.remove(job_id)
             if removed is None:
                 return False
-            self.stats.dropped += 1
             self.stats.queue_depth = self._queue.depth
-            self.events.emit(
-                EventType.DROPPED,
-                job_id=job_id,
-                cause="cancelled",
-                deferrals=removed.deferrals,
-            )
-            if self._resilience is not None:
-                self._resilience.forget(job_id)
+            self._drop(job_id, "cancelled", removed.deferrals)
             return True
+
+    def _drop(self, job_id: str, cause: str, deferrals: int, **fields: object) -> None:
+        """Seal a pending job's fate as DROPPED (the one place that does)."""
+        self.stats.dropped += 1
+        self.events.emit(
+            EventType.DROPPED, job_id=job_id, **fields, cause=cause, deferrals=deferrals
+        )
+        self._resilience.forget(job_id)
 
     def evacuate(self, cause: str = "shard_lost") -> list[Job]:
         """Empty the broker for teardown; returns every in-flight job.
@@ -374,47 +366,29 @@ class BrokerService:
             evacuated: list[Job] = []
             while self._queue.depth > 0:
                 for item in self._queue.pop_batch(self._queue.depth):
-                    self.stats.dropped += 1
-                    self.events.emit(
-                        EventType.DROPPED,
-                        job_id=item.job.job_id,
-                        cause=cause,
-                        deferrals=item.deferrals,
-                    )
-                    if self._resilience is not None:
-                        self._resilience.forget(item.job.job_id)
+                    self._drop(item.job.job_id, cause, item.deferrals)
                     evacuated.append(item.job)
-            if self._resilience is not None:
-                for job in self._resilience.drain_pending():
-                    self.stats.dropped += 1
-                    self.events.emit(
-                        EventType.DROPPED,
-                        job_id=job.job_id,
-                        cause=cause,
-                        deferrals=0,
-                    )
-                    evacuated.append(job)
+            for job in self._resilience.drain_pending():
+                self._drop(job.job_id, cause, 0)
+                evacuated.append(job)
             for entry in self._lifecycle.entries():
-                window = entry.window
+                job_id, window = entry.job.job_id, entry.window
                 node_seconds = window.processor_time
                 self.events.emit(
                     EventType.REVOKED,
-                    job_id=entry.job.job_id,
+                    job_id=job_id,
                     cause=cause,
                     nodes=window.nodes(),
                     node_seconds=node_seconds,
                 )
-                if self._tenancy is not None:
-                    # The whole window is forfeited: partial refund on
-                    # its full escrowed cost, then close out whatever
-                    # remains (nothing runnable survives the shard).
-                    self._tenancy.on_forfeit(
-                        entry.job.job_id, window.total_cost, self.events
-                    )
-                    self._tenancy.on_release(entry.job.job_id, self.events)
+                # The whole window is forfeited: partial refund on its full
+                # escrowed cost, then close out the rest (nothing runnable
+                # survives the shard).
+                self._tenancy.on_forfeit(job_id, window.total_cost, self.events)
+                self._tenancy.on_release(job_id, self.events)
                 self.events.emit(
                     EventType.ABANDONED,
-                    job_id=entry.job.job_id,
+                    job_id=job_id,
                     cause=cause,
                     released_node_seconds=0.0,
                 )
@@ -422,10 +396,9 @@ class BrokerService:
                 self.stats.legs_revoked += len(window.slots)
                 self.stats.abandoned += 1
                 self.stats.record_forfeit(entry.job.owner, node_seconds)
-                self._lifecycle.cancel(entry.job.job_id)
-                self.assignments.pop(entry.job.job_id, None)
-                if self._resilience is not None:
-                    self._resilience.forget(entry.job.job_id)
+                self._lifecycle.cancel(job_id)
+                self.assignments.pop(job_id, None)
+                self._resilience.forget(job_id)
                 evacuated.append(entry.job)
             self.stats.queue_depth = 0
             self.stats.active_jobs = 0
@@ -451,22 +424,21 @@ class BrokerService:
     def _step_clock(self, target: float) -> None:
         """Move the clock to ``target``, injecting faults along the way.
 
-        Without a resilience layer this is a plain clock assignment.
-        With one, the interval ``[now, target)`` is sampled for local-job
-        arrivals on the active nodes and each preemption is applied *at
-        its arrival time*: jobs that complete before it are retired
-        first (their windows are no longer revocable), then the
-        compromised windows are recovered.  The ordering makes revocation
-        timing independent of how coarsely callers step the clock.
+        The interval ``[now, target)`` is sampled for local-job arrivals
+        on the active nodes (none when the resilience layer is off) and
+        each preemption is applied *at its arrival time*: jobs completing
+        before it are retired first (their windows are no longer
+        revocable), then the compromised windows are recovered — so
+        revocation timing does not depend on how coarsely callers step.
+        Retries whose backoff has elapsed by ``target`` re-enter the queue.
         """
-        if self._resilience is None or target <= self._now + TIME_EPSILON:
-            self._now = max(self._now, target)
-            return
-        for hit in self._resilience.sample_interval(self._now, target):
-            self._now = max(self._now, hit.arrival)
-            self._retire_and_trim()
-            self._resilience.apply(hit, self._now)
+        if target > self._now + TIME_EPSILON:
+            for hit in self._resilience.sample_interval(self._now, target):
+                self._now = max(self._now, hit.arrival)
+                self._retire_and_trim()
+                self._resilience.apply(hit, self._now)
         self._now = max(self._now, target)
+        self._resilience.release_due_retries(self._now)
 
     def advance_to(self, now: float) -> int:
         """Advance the virtual clock, firing cycles as they come due.
@@ -486,26 +458,15 @@ class BrokerService:
         with self._lock:
             ran = 0
             while True:
-                due: list[float] = []
                 fire = self._trigger.next_fire_time(self._queue, self._now)
-                if fire is not None and fire <= now + TIME_EPSILON:
-                    due.append(fire)
-                if self._resilience is not None:
-                    wake = self._resilience.next_wakeup()
-                    if wake is not None and wake <= now + TIME_EPSILON:
-                        due.append(wake)
-                if not due:
+                target = _earliest(fire, self._resilience.next_wakeup())
+                if target is None or target > now + TIME_EPSILON:
                     break
-                target = min(due)
                 self._step_clock(target)
-                if self._resilience is not None:
-                    self._resilience.release_due_retries(self._now)
                 if fire is not None and fire <= target + TIME_EPSILON:
                     self._run_cycle()
                     ran += 1
             self._step_clock(now)
-            if self._resilience is not None:
-                self._resilience.release_due_retries(self._now)
             self._retire_and_trim()
             return ran
 
@@ -518,285 +479,26 @@ class BrokerService:
         """
         with self._lock:
             for _ in range(max_cycles):
-                pending_retries = (
-                    self._resilience.pending_retries
-                    if self._resilience is not None
-                    else 0
-                )
-                if (
-                    self._queue.depth == 0
-                    and self._lifecycle.active_count == 0
-                    and pending_retries == 0
-                ):
+                if self.is_idle:
                     return self._now
-                wake = (
-                    self._resilience.next_wakeup()
-                    if self._resilience is not None
-                    else None
-                )
+                wake = self._resilience.next_wakeup()
                 fire = self._trigger.next_fire_time(self._queue, self._now)
                 if fire is not None:
-                    # Step to the retry wake-up first when it is earlier,
-                    # so re-enqueues happen at their ready time (as in
-                    # advance_to), not lumped onto the next cycle.
-                    target = fire if wake is None else min(fire, wake)
-                    self._step_clock(max(self._now, target))
-                    if self._resilience is not None:
-                        self._resilience.release_due_retries(self._now)
+                    # Step to an earlier retry wake-up first: re-enqueues happen
+                    # at their ready time (as in advance_to), not at the cycle.
+                    target = _earliest(fire, wake)
+                    self._step_clock(target)
                     if fire <= target + TIME_EPSILON:
                         self._run_cycle()
                     continue
-                candidates = []
-                completion = self._lifecycle.next_completion()
-                if completion is not None:
-                    candidates.append(completion)
-                if wake is not None:
-                    candidates.append(wake)
-                assert candidates  # queue empty => jobs active or retries pending
-                self._step_clock(max(self._now, min(candidates)))
-                if self._resilience is not None:
-                    self._resilience.release_due_retries(self._now)
+                due = _earliest(self._lifecycle.next_completion(), wake)
+                assert due is not None  # queue empty => active or retrying
+                self._step_clock(due)
                 self._retire_and_trim()
             raise SchedulingError(
                 f"drain() did not converge within {max_cycles} cycles"
             )
 
-    # ------------------------------------------------------------------
-    # The cycle
-    # ------------------------------------------------------------------
-    def _retire_and_trim(self) -> list[ActiveJob]:
-        """Retire finished jobs (releasing slots) and drop past free time.
-
-        With a rolling-horizon source attached, this is also where the
-        future is published: after the past is trimmed, the pool is
-        topped up to ``now + lead``, so each step leaves the pool inside
-        the bounded window the source guarantees.
-        """
-        retired = self._lifecycle.retire_due(self._now, self.pool)
-        self.stats.retired += len(retired)
-        for entry in retired:
-            # Goodput numerator: node-seconds actually delivered to jobs
-            # that ran to completion (repaired windows count in full).
-            self.stats.delivered_node_seconds += entry.window.processor_time
-            if self._resilience is not None:
-                self._resilience.forget(entry.job.job_id)
-            if self._tenancy is not None:
-                # A clean retirement settles the escrow: the window's
-                # cost becomes provider revenue, no event to replay.
-                self._tenancy.on_retired(entry.job.job_id)
-        self.pool.trim_before(self._now)
-        if self._horizon is not None:
-            self.stats.slots_published += self._horizon.ensure(self.pool, self._now)
-        self.stats.active_jobs = self._lifecycle.active_count
-        return retired
-
-    def _run_cycle(self) -> CycleReport:
-        """One scheduling cycle at the current virtual time (locked).
-
-        Retire & trim, pop a batch, search phase one in parallel over
-        snapshots, choose the phase-two combination, commit it onto the
-        shared pool, start lifecycles, and requeue or drop the rest.
-        """
-        cycle_started = perf_counter()
-        cycle_index = self.stats.cycles
-        self._retire_and_trim()
-        self.events.emit(
-            EventType.CYCLE_START,
-            cycle=cycle_index,
-            queue_depth=self._queue.depth,
-            active_jobs=self._lifecycle.active_count,
-        )
-        if self._tenancy is not None:
-            queued = self._tenancy.drain_batch(self._queue, self.config.batch_size)
-        else:
-            queued = self._queue.pop_batch(self.config.batch_size)
-        price_multiplier = (
-            1.0 if self._tenancy is None else self._tenancy.price_multiplier
-        )
-        batch = JobBatch()
-        by_id: dict[str, QueuedJob] = {}
-        for item in queued:
-            by_id[item.job.job_id] = item
-            request = item.job.request
-            if price_multiplier != 1.0:
-                # Live prices are the static prices scaled uniformly by
-                # the multiplier ``m``, so "window cost m*C fits budget
-                # b" is exactly "C fits b/m": scaling the *budget* (and
-                # the per-node price cap) lets phase one and phase two
-                # see live prices without touching the slot snapshot.
-                budget = request.effective_budget
-                cap = request.max_price_per_unit
-                request = replace(
-                    request,
-                    budget=(
-                        None if not math.isfinite(budget)
-                        else budget / price_multiplier
-                    ),
-                    max_price_per_unit=(
-                        None if cap is None else cap / price_multiplier
-                    ),
-                )
-            # Ageing: every deferral bumps the priority, as in the flow
-            # simulation, so waiting jobs eventually win conflicts.
-            batch.add(
-                Job(
-                    item.job.job_id,
-                    request,
-                    priority=item.job.priority + item.deferrals,
-                    owner=item.job.owner,
-                )
-            )
-
-        search_started = perf_counter()
-        jobs_by_priority = batch.by_priority()
-        alternatives = parallel_find_alternatives(
-            self.scheduler.search,
-            jobs_by_priority,
-            self.pool,
-            workers=self.config.workers,
-            limit=self.config.alternatives_per_job,
-            executor=self._phase_one_executor(),
-            mode=self.config.worker_mode,
-        )
-        search_seconds = perf_counter() - search_started
-        self.stats.search_seconds += search_seconds
-        self.stats.windows_found += sum(len(found) for found in alternatives.values())
-        # Per-broker grouping telemetry: how many phase-1 searches the
-        # request-class grouping collapsed this cycle (the process-wide
-        # scan_counters cannot attribute savings to one broker).
-        self.stats.phase1_jobs += len(jobs_by_priority)
-        self.stats.phase1_classes += len({job.request for job in jobs_by_priority})
-
-        report = self.scheduler.plan(batch, self.pool, alternatives=alternatives)
-        credit_blocked: list[str] = []
-        for job_id, window in report.scheduled.items():
-            if self._tenancy is not None and not self._tenancy.charge_commit(
-                by_id[job_id].job,
-                window,
-                self.events,
-                multiplier=price_multiplier,
-            ):
-                # The tenant cannot pay for the window it won: the
-                # commit is withheld (the pool is untouched — phase-two
-                # windows are disjoint, so skipping one never invalidates
-                # the others) and the job rides the defer/drop path below.
-                credit_blocked.append(job_id)
-                continue
-            # Commit by span containment: earlier commits this cycle may
-            # have replaced a leg's snapshot slot with its remainders.
-            self.pool.commit_window(window, mode=self.config.cut_mode)
-            self._lifecycle.start(
-                by_id[job_id].job,
-                window,
-                self._now,
-                completion_factor=self.config.completion_factor,
-            )
-            if self.config.record_assignments:
-                self.assignments[job_id] = window
-            self.events.emit(
-                EventType.SCHEDULED,
-                job_id=job_id,
-                cycle=cycle_index,
-                window_start=window.start,
-                window_finish=window.finish,
-                cost=window.total_cost,
-                nodes=window.nodes(),
-                node_seconds=window.processor_time,
-            )
-            if self._resilience is not None:
-                self._resilience.on_scheduled(job_id, self._now)
-        committed = len(report.scheduled) - len(credit_blocked)
-        self.stats.scheduled += committed
-        if queued:
-            # Feed the warm-start outlook: this cycle's demonstrated fit
-            # ratio and the batch's mean queue wait (virtual time).
-            mean_wait = sum(
-                self._now - item.enqueued_at for item in queued
-            ) / len(queued)
-            self.outlook.observe_cycle(
-                self.config.criterion.value,
-                len(queued),
-                committed,
-                mean_wait,
-            )
-
-        for job_id in list(report.unscheduled) + credit_blocked:
-            item = by_id[job_id]
-            deferrals = item.deferrals + 1
-            if deferrals > self.config.max_deferrals:
-                self.stats.dropped += 1
-                self.events.emit(
-                    EventType.DROPPED,
-                    job_id=job_id,
-                    cycle=cycle_index,
-                    cause="max_deferrals",
-                    deferrals=item.deferrals,
-                )
-                if self._resilience is not None:
-                    self._resilience.forget(job_id)
-            elif not self._queue.push(item.job, self._now, deferrals=deferrals):
-                # The re-push can meet a full queue (e.g. the bound was
-                # shrunk while the batch was in flight); counting the job
-                # as dropped keeps the admitted = scheduled + dropped +
-                # queued conservation law — ignoring the push result here
-                # used to lose the job without a trace.
-                self.stats.dropped += 1
-                self.events.emit(
-                    EventType.DROPPED,
-                    job_id=job_id,
-                    cycle=cycle_index,
-                    cause="queue_full",
-                    deferrals=item.deferrals,
-                )
-                if self._resilience is not None:
-                    self._resilience.forget(job_id)
-            else:
-                self.stats.deferred += 1
-                self.events.emit(
-                    EventType.DEFERRED,
-                    job_id=job_id,
-                    cycle=cycle_index,
-                    deferrals=deferrals,
-                )
-
-        self.stats.cycles += 1
-        self.stats.queue_depth = self._queue.depth
-        self.stats.active_jobs = self._lifecycle.active_count
-        cycle_seconds = perf_counter() - cycle_started
-        self.stats.cycle_latency.add(cycle_seconds)
-        cycle_fields: dict[str, object] = dict(
-            cycle=cycle_index,
-            batch=len(queued),
-            scheduled=committed,
-            unscheduled=len(report.unscheduled) + len(credit_blocked),
-            queue_depth=self._queue.depth,
-            active_jobs=self._lifecycle.active_count,
-            wall_search_seconds=search_seconds,
-            wall_cycle_seconds=cycle_seconds,
-        )
-        if self._tenancy is not None:
-            # Fold this cycle's utilization into the pricing EWMA: the
-            # node-seconds held by live windows against what the pool
-            # still offers.  The updated multiplier prices the *next*
-            # cycle and every admission until then.
-            held = sum(
-                entry.window.processor_time
-                for entry in self._lifecycle.entries()
-            )
-            arrays = self.pool.as_arrays()
-            free = float((arrays.end - arrays.start).sum())
-            cycle_fields["price_multiplier"] = self._tenancy.observe_cycle(
-                held, free
-            )
-        self.events.emit(EventType.CYCLE_END, **cycle_fields)
-        if self.config.check_invariants:
-            self.pool.assert_disjoint_per_node()
-        self.last_report = report
-        return report
-
-    # ------------------------------------------------------------------
-    # Convenience
-    # ------------------------------------------------------------------
     def process(self, arrivals: Iterable[tuple[float, Job]]) -> ServiceStats:
         """Feed a timed arrival stream through the service and drain it.
 
@@ -811,3 +513,188 @@ class BrokerService:
             self.pump()
         self.drain()
         return self.stats
+
+    # ------------------------------------------------------------------
+    # The cycle
+    # ------------------------------------------------------------------
+    def _retire_and_trim(self) -> None:
+        """Retire finished jobs (releasing slots) and drop past free time.
+
+        With a rolling-horizon source attached, this is also where the
+        future is published: the trimmed pool is topped up to ``now +
+        lead``, so each step leaves it inside the source's bounded window.
+        """
+        retired = self._lifecycle.retire_due(self._now, self.pool)
+        self.stats.retired += len(retired)
+        for entry in retired:
+            # Goodput numerator: node-seconds actually delivered to jobs
+            # that ran to completion (repaired windows count in full).
+            self.stats.delivered_node_seconds += entry.window.processor_time
+            self._resilience.forget(entry.job.job_id)
+            # A clean retirement settles the escrow: the window's cost
+            # becomes provider revenue, no event to replay.
+            self._tenancy.on_retired(entry.job.job_id)
+        self.pool.trim_before(self._now)
+        if self._horizon is not None:
+            self.stats.slots_published += self._horizon.ensure(self.pool, self._now)
+        self.stats.active_jobs = self._lifecycle.active_count
+
+    def _run_cycle(self) -> CycleReport:
+        """One scheduling cycle at the current virtual time (locked).
+
+        The paper's loop, one stage per line: collect a batch, search
+        alternatives (phase one), choose a combination (phase two),
+        commit it, then requeue or drop what is left.
+        """
+        cycle = _Cycle(index=self.stats.cycles, started=perf_counter())
+        self._retire_and_trim()
+        self.events.emit(
+            EventType.CYCLE_START,
+            cycle=cycle.index,
+            queue_depth=self._queue.depth,
+            active_jobs=self._lifecycle.active_count,
+        )
+        self._drain_batch(cycle)
+        self._price_batch(cycle)
+        self._search(cycle)
+        cycle.report = self.scheduler.plan(
+            cycle.batch, self.pool, alternatives=cycle.alternatives
+        )
+        self._commit(cycle)
+        self._settle(cycle)
+        self._close_cycle(cycle)
+        return cycle.report
+
+    def _drain_batch(self, cycle: _Cycle) -> None:
+        """Pop this cycle's jobs off the queue, in the tenancy's order."""
+        popped = self._tenancy.drain_batch(self._queue, self.config.batch_size)
+        cycle.queued = {item.job.job_id: item for item in popped}
+
+    def _price_batch(self, cycle: _Cycle) -> None:
+        """Build the batch phase one sees: live-priced and aged."""
+        cycle.multiplier = self._tenancy.price_multiplier
+        for item in cycle.queued.values():
+            # Ageing: every deferral bumps the priority, as in the flow
+            # simulation, so waiting jobs eventually win conflicts.
+            cycle.batch.add(
+                Job(
+                    item.job.job_id,
+                    self._tenancy.live_request(item.job.request, cycle.multiplier),
+                    priority=item.job.priority + item.deferrals,
+                    owner=item.job.owner,
+                )
+            )
+
+    def _search(self, cycle: _Cycle) -> None:
+        """Phase one: alternatives per job over one shared pool snapshot."""
+        search_started = perf_counter()
+        jobs_by_priority = cycle.batch.by_priority()
+        cycle.alternatives = parallel_find_alternatives(
+            self.scheduler.search,
+            jobs_by_priority,
+            self.pool,
+            workers=self.config.workers,
+            limit=self.config.alternatives_per_job,
+            executor=self._phase_one_executor(),
+            mode=self.config.worker_mode,
+        )
+        cycle.search_seconds = perf_counter() - search_started
+        self.stats.search_seconds += cycle.search_seconds
+        self.stats.windows_found += sum(
+            len(found) for found in cycle.alternatives.values()
+        )
+        # Per-broker grouping telemetry: searches the request-class grouping
+        # collapsed (process-wide scan_counters cannot attribute them).
+        self.stats.phase1_jobs += len(jobs_by_priority)
+        self.stats.phase1_classes += len({job.request for job in jobs_by_priority})
+
+    def _commit(self, cycle: _Cycle) -> None:
+        """Charge and commit the phase-two windows; start their lifecycles."""
+        cycle.leftover = list(cycle.report.unscheduled)
+        for job_id, window in cycle.report.scheduled.items():
+            job = cycle.queued[job_id].job
+            if not self._tenancy.charge_commit(
+                job, window, self.events, multiplier=cycle.multiplier
+            ):
+                # The tenant cannot pay for the window it won: the commit
+                # is withheld (phase-two windows are disjoint, so skipping
+                # one never invalidates the others) and the job is settled.
+                cycle.leftover.append(job_id)
+                continue
+            # Commit by span containment: earlier commits this cycle may
+            # have replaced a leg's snapshot slot with its remainders.
+            self.pool.commit_window(window, mode=self.config.cut_mode)
+            self._lifecycle.start(
+                job, window, self._now, completion_factor=self.config.completion_factor
+            )
+            if self.config.record_assignments:
+                self.assignments[job_id] = window
+            self.events.emit(
+                EventType.SCHEDULED,
+                job_id=job_id,
+                cycle=cycle.index,
+                window_start=window.start,
+                window_finish=window.finish,
+                cost=window.total_cost,
+                nodes=window.nodes(),
+                node_seconds=window.processor_time,
+            )
+            self._resilience.on_scheduled(job_id, self._now)
+            cycle.committed += 1
+        self.stats.scheduled += cycle.committed
+        if cycle.queued:
+            # Feed the warm-start outlook: this cycle's demonstrated fit
+            # ratio and the batch's mean queue wait (virtual time).
+            waits = [self._now - item.enqueued_at for item in cycle.queued.values()]
+            self.outlook.observe_cycle(
+                self.config.criterion.value,
+                len(waits),
+                cycle.committed,
+                sum(waits) / len(waits),
+            )
+
+    def _settle(self, cycle: _Cycle) -> None:
+        """Requeue every leftover job one deferral older, or drop it."""
+        for job_id in cycle.leftover:
+            item = cycle.queued[job_id]
+            deferrals = item.deferrals + 1
+            if deferrals > self.config.max_deferrals:
+                self._drop(job_id, "max_deferrals", item.deferrals, cycle=cycle.index)
+            elif not self._queue.push(item.job, self._now, deferrals=deferrals):
+                # The re-push can meet a full queue (e.g. the bound was
+                # shrunk while the batch was in flight); counting the job as
+                # dropped keeps admitted = scheduled + dropped + queued —
+                # ignoring the push result used to lose the job untraced.
+                self._drop(job_id, "queue_full", item.deferrals, cycle=cycle.index)
+            else:
+                self.stats.deferred += 1
+                self.events.emit(
+                    EventType.DEFERRED,
+                    job_id=job_id,
+                    cycle=cycle.index,
+                    deferrals=deferrals,
+                )
+
+    def _close_cycle(self, cycle: _Cycle) -> None:
+        """Book the cycle: counters, latency, CYCLE_END, invariants."""
+        self.stats.cycles += 1
+        self.stats.queue_depth = self._queue.depth
+        self.stats.active_jobs = self._lifecycle.active_count
+        cycle_seconds = perf_counter() - cycle.started
+        self.stats.cycle_latency.add(cycle_seconds)
+        self.events.emit(
+            EventType.CYCLE_END,
+            cycle=cycle.index,
+            batch=len(cycle.queued),
+            scheduled=cycle.committed,
+            unscheduled=len(cycle.leftover),
+            queue_depth=self._queue.depth,
+            active_jobs=self._lifecycle.active_count,
+            wall_search_seconds=cycle.search_seconds,
+            wall_cycle_seconds=cycle_seconds,
+            # The tenancy's closing entry: the pricing EWMA update.
+            **self._tenancy.cycle_end_fields(self._lifecycle, self.pool),
+        )
+        if self.config.check_invariants:
+            self.pool.assert_disjoint_per_node()
+        self.last_report = cycle.report

@@ -36,6 +36,7 @@ from repro.model.slotpool import SlotPool
 from repro.model.window import Window, WindowSlot
 from repro.service.events import EventEmitter, EventType
 from repro.service.lifecycle import ActiveJob, JobLifecycle
+from repro.service.participants import NO_TENANCY
 from repro.service.queueing import BoundedJobQueue
 from repro.service.resilience.config import ResilienceConfig
 from repro.service.resilience.injector import NodePreemption, RevocationInjector
@@ -78,9 +79,10 @@ class ResilienceManager:
         self._cut_mode = cut_mode
         self._completion_factor = completion_factor
         self._record_assignments = record_assignments
-        #: Optional tenancy manager: forfeits trigger partial credit
-        #: refunds, replans/abandons release the remaining escrow.
-        self._tenancy = tenancy
+        #: Tenancy participant (the do-nothing stand-in when the layer is
+        #: off): forfeits trigger partial credit refunds, replans and
+        #: abandons release the remaining escrow.
+        self._tenancy = NO_TENANCY if tenancy is None else tenancy
         #: (ready_at, seq, job) — jobs waiting out their replan backoff.
         self._retry_heap: list[tuple[float, int, Job]] = []
         self._retry_seq = 0
@@ -228,12 +230,11 @@ class ResilienceManager:
             nodes=sorted(leg.slot.node.node_id for leg in revoked),
             node_seconds=revoked_seconds,
         )
-        if self._tenancy is not None:
-            # The revoked legs' escrowed cost is partially refunded; the
-            # remainder is spent (the disruption's shared cost).
-            self._tenancy.on_forfeit(
-                job.job_id, sum(leg.cost for leg in revoked), self._emitter
-            )
+        # The revoked legs' escrowed cost is partially refunded; the
+        # remainder is spent (the disruption's shared cost).
+        self._tenancy.on_forfeit(
+            job.job_id, sum(leg.cost for leg in revoked), self._emitter
+        )
 
         context = RevocationContext(
             job=job,
@@ -325,10 +326,9 @@ class ResilienceManager:
             retries=retries,
             ready_at=action.ready_at,
         )
-        if self._tenancy is not None:
-            # The window is gone without running: the rest of the escrow
-            # flows back (the job will pay afresh when it lands again).
-            self._tenancy.on_release(job_id, self._emitter)
+        # The window is gone without running: the rest of the escrow
+        # flows back (the job will pay afresh when it lands again).
+        self._tenancy.on_release(job_id, self._emitter)
 
     def _apply_abandon(
         self,
@@ -347,6 +347,5 @@ class ResilienceManager:
             cause=action.cause,
             released_node_seconds=released,
         )
-        if self._tenancy is not None:
-            self._tenancy.on_release(job_id, self._emitter)
+        self._tenancy.on_release(job_id, self._emitter)
         self.forget(job_id)

@@ -231,7 +231,7 @@ def bench_soak(
         )
 
     return {
-        "bench": "soak",
+        "benchmark": "soak",
         "config": {
             "jobs": jobs,
             "node_count": node_count,

@@ -14,6 +14,8 @@ state safe across shards.
 
 from __future__ import annotations
 
+import math
+from dataclasses import replace
 from typing import TYPE_CHECKING, Optional
 
 from repro.service.events import EventEmitter, EventType
@@ -23,8 +25,10 @@ from repro.tenancy.ledger import CreditLedger
 from repro.tenancy.pricing import PricingEngine
 
 if TYPE_CHECKING:
-    from repro.model.job import Job
+    from repro.model.job import Job, ResourceRequest
+    from repro.model.slotpool import SlotPool
     from repro.model.window import Window
+    from repro.service.lifecycle import JobLifecycle
     from repro.service.queueing import BoundedJobQueue, QueuedJob
 
 
@@ -79,10 +83,44 @@ class TenancyManager:
     def price_multiplier(self) -> float:
         return self.pricing.multiplier
 
+    def live_request(
+        self, request: "ResourceRequest", multiplier: float
+    ) -> "ResourceRequest":
+        """``request`` as a search must see it under live prices.
+
+        Live prices are the static prices scaled uniformly by the
+        multiplier ``m``, so "window cost m*C fits budget b" is exactly
+        "C fits b/m": scaling the *budget* (and the per-node price cap)
+        lets phase one and phase two — the broker cycle's and the
+        co-allocator's union search alike — see live prices without
+        touching the slot snapshot.
+        """
+        if multiplier == 1.0:
+            return request
+        budget = request.effective_budget
+        cap = request.max_price_per_unit
+        return replace(
+            request,
+            budget=None if not math.isfinite(budget) else budget / multiplier,
+            max_price_per_unit=None if cap is None else cap / multiplier,
+        )
+
     def observe_cycle(
         self, held_node_seconds: float, free_node_seconds: float
     ) -> float:
         return self.pricing.observe_cycle(held_node_seconds, free_node_seconds)
+
+    def cycle_end_fields(
+        self, lifecycle: "JobLifecycle", pool: "SlotPool"
+    ) -> dict[str, object]:
+        """Close a broker cycle: fold its utilization into the pricing
+        EWMA — the node-seconds held by live windows against what the
+        pool still offers — and report the multiplier that prices the
+        *next* cycle and every admission until then."""
+        held = sum(entry.window.processor_time for entry in lifecycle.entries())
+        arrays = pool.as_arrays()
+        free = float((arrays.end - arrays.start).sum())
+        return {"price_multiplier": self.observe_cycle(held, free)}
 
     # -- admission ----------------------------------------------------
 

@@ -13,7 +13,7 @@ class TestBenchFederation:
         payload = bench_federation(
             shard_counts=(1, 2), jobs=12, rate=2.0, node_count=12, seed=3
         )
-        assert payload["bench"] == "federation"
+        assert payload["benchmark"] == "federation"
         assert [row["shards"] for row in payload["results"]] == [1, 2]
         equivalence = payload["single_shard_equivalence"]
         assert equivalence["checked"]
@@ -94,7 +94,7 @@ class TestFederationCli:
         assert "submit→schedule" in out
         assert "matches the single broker" in out
         payload = json.loads(output.read_text())
-        assert payload["bench"] == "federation"
+        assert payload["benchmark"] == "federation"
 
     def test_parser_rejects_unknown_policy(self):
         import pytest

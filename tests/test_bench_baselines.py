@@ -51,3 +51,19 @@ def test_every_bench_target_has_a_committed_baseline(command):
     assert isinstance(payload, dict) and payload, (
         f"{path.name} is not a benchmark payload"
     )
+
+
+@pytest.mark.parametrize(
+    "path", sorted(REPO_ROOT.glob("BENCH_*.json")), ids=lambda path: path.name
+)
+def test_every_committed_baseline_carries_the_shared_header(path):
+    """One payload header across the benches: the name under
+    ``benchmark`` and the ``repro.hostinfo`` host block, so baselines
+    can be read (and ``cpu_limited`` rows discounted) uniformly."""
+    payload = json.loads(path.read_text())
+    assert isinstance(payload.get("benchmark"), str), (
+        f"{path.name} does not name itself under 'benchmark'"
+    )
+    host = payload.get("host", {})
+    assert isinstance(host.get("usable_cpus"), int), path.name
+    assert isinstance(host.get("cpu_limited"), bool), path.name
