@@ -13,12 +13,12 @@ column layout:
   per-*node*, so the table keeps the derived columns O(nodes) and a
   single ``take`` broadcasts them per slot.
 * :class:`SlotColumnStore` — the *incremental* maintenance engine
-  behind :meth:`repro.model.SlotPool.as_arrays`: mutations append or
-  tombstone storage rows in O(1), dead rows are compacted periodically,
-  and each snapshot is assembled from the live rows with numpy sorts
-  instead of a per-slot Python rebuild.  Snapshots are byte-equal to
-  :meth:`SlotArrays.from_slots` over the same slots (property-tested),
-  so the vectorized kernel cannot tell the difference.
+  behind :meth:`repro.model.SlotPool.as_arrays`: the per-slot columns
+  kept row for row in the pool's own slot order, each mutation applied
+  at the list position the pool hands over, so a snapshot is a copy of
+  the rows in use instead of a per-slot Python rebuild.  Snapshots are
+  byte-equal to :meth:`SlotArrays.from_slots` over the same slots
+  (property-tested), so the vectorized kernel cannot tell the difference.
 * :data:`STRUCTURED_DTYPE` / :meth:`SlotArrays.structured` — the
   flattened one-record-per-slot view (``node_id``, ``start``, ``end``,
   ``cost`` — the node's price per unit time — and ``performance``),
@@ -43,7 +43,7 @@ Readers that need objects back — e.g. worker processes returning
 from __future__ import annotations
 
 import pickle
-from bisect import bisect_left, bisect_right, insort
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -354,330 +354,210 @@ class SharedSlotArrays:
 
 
 class SlotColumnStore:
-    """Incrementally maintained columnar state of a mutating slot pool.
+    """The columnar mirror of a mutating pool's ordered slot list.
 
-    The pool's old snapshot discipline rebuilt :class:`SlotArrays` from
-    scratch — a per-slot Python loop — after *any* mutation.  A
-    long-running broker mutates the pool every cycle (commits, releases,
-    trims, horizon extensions), so the rebuild made per-cycle snapshot
-    cost O(pool) in interpreted code regardless of how small the delta
-    was.  This store keeps the columns alive across mutations:
+    Rebuilding :class:`SlotArrays` from scratch — a per-slot Python loop
+    — after *any* mutation made per-cycle snapshot cost O(pool) in
+    interpreted code however small the delta was, and a long-running
+    broker mutates its pool every cycle (commits, releases, trims,
+    horizon extensions).  This store keeps the per-slot columns alive
+    across mutations, *position for position* with the pool's list: row
+    ``i`` of ``_start`` / ``_end`` / ``_nid`` describes the pool's
+    ``i``-th slot.  The pool owns the one sorted order and hands over
+    the position its own bisect found:
 
-    * ``add`` appends one storage row — O(1) amortized.
-    * ``discard`` tombstones the slot's row — O(1) (the row is found
-      through a sort-key lookup table, not a scan).
-    * dead rows are **compacted** away once they outnumber half the
-      storage (and at least ``compact_min``), so storage stays
-      proportional to the live pool — the flat-memory requirement of
-      soak serving.
-    * the start-time sort order is maintained *incrementally*: a
-      permutation array (``_order``) lists the live storage rows in
-      ``Slot.sort_key`` order, updated per mutation with one bisect on
-      a parallel key list and one ``memmove``-style shift.  ``snapshot``
-      is therefore sort-free — three fancy-index gathers plus one
-      ``searchsorted`` for the node rows.  The result is byte-equal to
-      ``SlotArrays.from_slots`` over the pool's ordered slots: equal
-      sort keys can only order value-identical rows differently, which
-      no column can observe.
+    * ``insert`` / ``delete`` shift the column tails by one row (three
+      contiguous ``memmove``-style moves) — no second bisect, no lookup
+      table, nothing left behind to clean up later.
+    * ``replace_prefix`` swaps the first rows for a rewritten prefix in
+      one splice — what a virtual-clock trim amounts to.
+    * ``snapshot`` is two slice copies plus one ``searchsorted`` for
+      the node rows.  The result is byte-equal to
+      ``SlotArrays.from_slots`` over the pool's ordered slots.
+
+    The column buffers grow by doubling and are never larger than twice
+    the largest pool seen, so storage stays proportional to the pool —
+    the flat-memory requirement of soak serving.
 
     The *node table* is maintained as a reference-counted registry in
     ascending ``node_id`` order: a node enters when its first slot
-    arrives and leaves when its last slot is tombstoned, so fully
-    trimmed nodes never linger in snapshots.  ``generation`` increments
-    on every mutation; callers cache snapshots per generation.
+    arrives and leaves when its last slot goes, so fully trimmed nodes
+    never linger in snapshots.  ``generation`` increments on every
+    mutation; callers cache snapshots per generation.
     """
 
     __slots__ = (
         "_start",
         "_end",
         "_nid",
-        "_alive",
-        "_size",
-        "_dead",
-        "_order",
-        "_keys",
-        "_lookup",
+        "_count",
         "_node_objs",
         "_node_refs",
         "_sorted_ids",
         "_table",
         "generation",
-        "compact_min",
     )
 
-    #: Storage growth factor headroom for the append path.
-    _INITIAL_CAPACITY = 32
-
-    def __init__(self, compact_min: int = 64):
-        self._start = np.empty(self._INITIAL_CAPACITY, dtype=np.float64)
-        self._end = np.empty(self._INITIAL_CAPACITY, dtype=np.float64)
-        self._nid = np.empty(self._INITIAL_CAPACITY, dtype=np.int64)
-        self._alive = np.zeros(self._INITIAL_CAPACITY, dtype=bool)
-        self._size = 0
-        self._dead = 0
-        #: Live storage rows in ``Slot.sort_key`` order (the snapshot
-        #: permutation, maintained incrementally); ``_keys`` is the
-        #: parallel sorted list of sort keys used to bisect positions.
-        self._order = np.empty(self._INITIAL_CAPACITY, dtype=np.int64)
-        self._keys: list[tuple[float, float, int]] = []
-        #: sort_key -> storage rows holding that key (a list only to
-        #: tolerate value-identical duplicates; popping either is
-        #: correct because their column bytes are indistinguishable).
-        self._lookup: dict[tuple[float, float, int], list[int]] = {}
+    def __init__(self):
+        self._start = np.empty(0, dtype=np.float64)
+        self._end = np.empty(0, dtype=np.float64)
+        self._nid = np.empty(0, dtype=np.int64)
+        #: Rows in use (the pool's slot count); the buffers may be longer.
+        self._count = 0
         self._node_objs: dict[int, CpuNode] = {}
         self._node_refs: dict[int, int] = {}
         self._sorted_ids: list[int] = []
-        self._table: Optional[tuple] = None
+        self._table: Optional[dict] = None
         self.generation = 0
-        self.compact_min = compact_min
-
-    # ------------------------------------------------------------------
-    # Shape
-    # ------------------------------------------------------------------
-    @property
-    def live_count(self) -> int:
-        """Number of live (non-tombstoned) rows."""
-        return self._size - self._dead
-
-    @property
-    def dead_count(self) -> int:
-        """Number of tombstoned rows awaiting compaction."""
-        return self._dead
-
-    @property
-    def storage_rows(self) -> int:
-        """Rows currently occupied in storage (live + dead)."""
-        return self._size
-
-    @property
-    def node_count(self) -> int:
-        """Distinct nodes with at least one live slot."""
-        return len(self._sorted_ids)
 
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def _ensure_capacity(self) -> None:
-        if self._size < self._start.shape[0]:
-            return
-        capacity = max(self._INITIAL_CAPACITY, 2 * self._start.shape[0])
-        for name in ("_start", "_end", "_nid", "_alive"):
-            old = getattr(self, name)
-            grown = np.zeros(capacity, dtype=old.dtype)
-            grown[: self._size] = old[: self._size]
-            setattr(self, name, grown)
+    def _splice(
+        self, low: int, high: int, rows: Sequence[tuple[float, float, int]]
+    ) -> None:
+        """Mirror ``list[low:high] = ...`` in the pool, given the sort
+        keys — ``(start, end, node_id)`` — of the slots spliced in."""
+        count = self._count
+        middle = low + len(rows)
+        total = middle + count - high
+        capacity = self._start.shape[0]
+        if total > capacity:
+            capacity = max(total, 2 * capacity)
+            for name in ("_start", "_end", "_nid"):
+                old = getattr(self, name)
+                grown = np.empty(capacity, dtype=old.dtype)
+                grown[:count] = old[:count]
+                setattr(self, name, grown)
+        for index, column in enumerate((self._start, self._end, self._nid)):
+            column[middle:total] = column[high:count]
+            column[low:middle] = [row[index] for row in rows]
+        self._count = total
 
-    def add(self, slot: Slot) -> None:
-        """Append one slot's storage row and splice it into the order.
-
-        The column append is O(1) amortized; keeping the permutation
-        sorted costs one bisect plus a contiguous shift (a single
-        ``memmove``, not a numpy sort) — microseconds at soak-scale
-        pools, repaid every snapshot.
-        """
-        self._ensure_capacity()
-        row = self._size
-        self._start[row] = slot.start
-        self._end[row] = slot.end
-        node = slot.node
-        self._nid[row] = node.node_id
-        self._alive[row] = True
-        self._size = row + 1
-        key = slot.sort_key()
-        live = len(self._keys)
-        if live >= self._order.shape[0]:
-            grown = np.empty(max(self._INITIAL_CAPACITY, 2 * live), dtype=np.int64)
-            grown[:live] = self._order[:live]
-            self._order = grown
-        position = bisect_right(self._keys, key)
-        self._keys.insert(position, key)
-        self._order[position + 1 : live + 1] = self._order[position:live]
-        self._order[position] = row
-        if self._register(key, row, node):
-            insort(self._sorted_ids, node.node_id)
-            self._table = None
-        self.generation += 1
-
-    def _register(self, key, row: int, node: CpuNode) -> bool:
-        """Record ``row`` under ``key`` and count one more slot of
-        ``node``; true when the node is new to the store (the first
-        object registered under a ``node_id`` is the one kept)."""
-        self._lookup.setdefault(key, []).append(row)
+    def _retain(self, node: CpuNode) -> None:
+        """Count one more slot of ``node`` (the first object registered
+        under a ``node_id`` is the one the table keeps)."""
         node_id = node.node_id
         refs = self._node_refs.get(node_id)
         if refs is None:
             self._node_refs[node_id] = 1
             self._node_objs[node_id] = node
-            return True
-        self._node_refs[node_id] = refs + 1
-        return False
+            insort(self._sorted_ids, node_id)
+            self._table = None
+        else:
+            self._node_refs[node_id] = refs + 1
 
-    def load_sorted(
-        self, entries: Sequence[tuple[tuple[float, float, int], Slot]]
-    ) -> None:
-        """Fill an empty store from ``(sort key, slot)`` pairs in key order.
-
-        The bulk twin of one :meth:`add` per slot: the rows are written
-        in order, so the permutation is the identity and no per-slot
-        bisect or shift is paid.  Snapshots equal those of a store the
-        same slots were added to one by one.
-        """
-        if self._size:
-            raise ValueError("load_sorted needs an empty store")
-        count = len(entries)
-        keys = [key for key, _ in entries]
-        if count > min(self._start.shape[0], self._order.shape[0]):
-            self._start = np.empty(count, dtype=np.float64)
-            self._end = np.empty(count, dtype=np.float64)
-            self._nid = np.empty(count, dtype=np.int64)
-            self._alive = np.zeros(count, dtype=bool)
-            self._order = np.empty(count, dtype=np.int64)
-        self._start[:count] = [key[0] for key in keys]
-        self._end[:count] = [key[1] for key in keys]
-        self._nid[:count] = [key[2] for key in keys]
-        self._alive[:count] = True
-        self._order[:count] = np.arange(count, dtype=np.int64)
-        self._size = count
-        self._keys = keys
-        for row, (key, slot) in enumerate(entries):
-            self._register(key, row, slot.node)
-        self._sorted_ids = sorted(self._node_refs)
-        self._table = None
-        self.generation += count
-
-    def discard(self, slot: Slot) -> None:
-        """Tombstone one slot's row and splice it out of the order."""
-        key = slot.sort_key()
-        rows = self._lookup[key]
-        row = rows.pop()
-        if not rows:
-            del self._lookup[key]
-        # Equal keys sit contiguously in the permutation; scan the short
-        # duplicate run for the exact row the lookup table released.
-        position = bisect_left(self._keys, key)
-        while self._order[position] != row:  # pragma: no branch - present
-            position += 1
-        live = len(self._keys)
-        del self._keys[position]
-        self._order[position : live - 1] = self._order[position + 1 : live]
-        self._alive[row] = False
-        self._dead += 1
-        node_id = slot.node.node_id
+    def _release(self, node_id: int) -> None:
+        """Count one slot of the node fewer; its last slot takes the
+        node out of the table at once, so snapshots list nodes with
+        slots only."""
         refs = self._node_refs[node_id] - 1
-        if refs == 0:
-            # The node's last slot is gone: compact it out of the table
-            # immediately so node_count/snapshots track live nodes only.
+        if refs:
+            self._node_refs[node_id] = refs
+        else:
             del self._node_refs[node_id]
             del self._node_objs[node_id]
             self._sorted_ids.remove(node_id)
             self._table = None
-        else:
-            self._node_refs[node_id] = refs
-        self.generation += 1
-        if self._dead >= self.compact_min and 2 * self._dead >= self._size:
-            self._compact()
 
-    def _compact(self) -> None:
-        """Drop tombstoned rows, renumbering the lookup and order tables."""
-        if self._dead == 0:
-            return
-        live = np.flatnonzero(self._alive[: self._size])
-        count = int(live.size)
-        new_row = np.empty(self._size, dtype=np.int64)
-        new_row[live] = np.arange(count, dtype=np.int64)
-        self._start[:count] = self._start[: self._size][live]
-        self._end[:count] = self._end[: self._size][live]
-        self._nid[:count] = self._nid[: self._size][live]
-        self._alive[:count] = True
-        self._alive[count : self._size] = False
-        self._size = count
-        self._dead = 0
-        self._order[:count] = new_row[self._order[:count]]
-        renumber = new_row.tolist()
-        for rows in self._lookup.values():
-            rows[:] = [renumber[row] for row in rows]
+    def insert(self, position: int, slot: Slot) -> None:
+        """Mirror ``list.insert(position, ...)`` of ``slot`` in the pool."""
+        self._splice(position, position, (slot.sort_key(),))
+        self._retain(slot.node)
+        self.generation += 1
+
+    def delete(self, position: int, slot: Slot) -> None:
+        """Mirror ``del list[position]`` (the row of ``slot``) in the pool."""
+        self._splice(position, position + 1, ())
+        self._release(slot.node.node_id)
+        self.generation += 1
+
+    def replace_prefix(
+        self,
+        cutoff: int,
+        removed: Sequence[Slot],
+        entries: Sequence[tuple[tuple[float, float, int], Slot]],
+    ) -> None:
+        """Mirror ``list[:cutoff] = entries`` in the pool.
+
+        ``removed`` are the slots of the old prefix with no successor in
+        ``entries``; every other row is kept or rewritten on the same
+        node, so theirs are the only node references to drop.
+        """
+        self._splice(0, cutoff, [key for key, _ in entries])
+        for slot in removed:
+            self._release(slot.node.node_id)
+        self.generation += 1
+
+    def load_sorted(
+        self, entries: Sequence[tuple[tuple[float, float, int], Slot]]
+    ) -> None:
+        """Fill an empty store from the pool's ``(sort key, slot)`` list.
+
+        The bulk twin of one :meth:`insert` per slot: the rows are
+        written in one splice, so no per-slot shift is paid.  Snapshots
+        equal those of a store the same slots were inserted into one by
+        one.
+        """
+        if self._count:
+            raise ValueError("load_sorted needs an empty store")
+        self._splice(0, 0, [key for key, _ in entries])
+        for _, slot in entries:
+            self._retain(slot.node)
+        self.generation += len(entries)
 
     # ------------------------------------------------------------------
     # Snapshot assembly
     # ------------------------------------------------------------------
-    def _table_arrays(self) -> tuple:
-        """The node-table columns (cached until node arrival/departure)."""
+    def _node_table(self) -> dict:
+        """The node-table fields of a snapshot (cached until node
+        arrival/departure; never written in place, so snapshots and
+        twins share them)."""
         if self._table is None:
             nodes = [self._node_objs[node_id] for node_id in self._sorted_ids]
-            self._table = (
-                np.array(self._sorted_ids, dtype=np.int64),
-                np.array([n.performance for n in nodes], dtype=np.float64),
-                np.array([n.price_per_unit for n in nodes], dtype=np.float64),
-                np.array([n.spec.clock_speed for n in nodes], dtype=np.float64),
-                np.array([n.spec.ram for n in nodes], dtype=np.int64),
-                np.array([n.spec.disk for n in nodes], dtype=np.int64),
-                np.array([n.power() for n in nodes], dtype=np.float64),
-                [n.spec.os for n in nodes],
-                nodes,
+            self._table = dict(
+                node_id=np.array(self._sorted_ids, dtype=np.int64),
+                performance=np.array([n.performance for n in nodes], dtype=np.float64),
+                price=np.array([n.price_per_unit for n in nodes], dtype=np.float64),
+                clock=np.array([n.spec.clock_speed for n in nodes], dtype=np.float64),
+                ram=np.array([n.spec.ram for n in nodes], dtype=np.int64),
+                disk=np.array([n.spec.disk for n in nodes], dtype=np.int64),
+                power=np.array([n.power() for n in nodes], dtype=np.float64),
+                os_names=[n.spec.os for n in nodes],
+                _nodes=nodes,
             )
         return self._table
 
     def snapshot(self, ordered_slots: Optional[list[Slot]] = None) -> SlotArrays:
-        """Assemble the live rows into a fresh :class:`SlotArrays`.
+        """Copy the rows in use into a fresh :class:`SlotArrays`.
 
         ``ordered_slots`` optionally supplies the pool's object list so
         the snapshot's ``slot_objects()`` returns the pool's own
         instances (matching :meth:`SlotArrays.from_slots`); without it
         objects are rebuilt lazily from the columns on first use.
         """
-        # The permutation is maintained per mutation, so assembly is
-        # three gathers — no sort, no tombstone filtering (dead rows are
-        # simply absent from the order).
-        order = self._order[: len(self._keys)]
-        start = self._start[order]
-        end = self._end[order]
-        nid = self._nid[order]
-        (
-            node_id,
-            performance,
-            price,
-            clock,
-            ram,
-            disk,
-            power,
-            os_names,
-            nodes,
-        ) = self._table_arrays()
-        node_row = np.searchsorted(node_id, nid).astype(np.int64, copy=False)
+        count = self._count
+        table = self._node_table()
+        node_row = np.searchsorted(table["node_id"], self._nid[:count])
         return SlotArrays(
-            start=start,
-            end=end,
-            node_row=node_row,
-            node_id=node_id,
-            performance=performance,
-            price=price,
-            clock=clock,
-            ram=ram,
-            disk=disk,
-            power=power,
-            os_names=list(os_names),
+            start=self._start[:count].copy(),
+            end=self._end[:count].copy(),
+            node_row=node_row.astype(np.int64, copy=False),
             _slots=ordered_slots,
-            _nodes=list(nodes),
+            **table,
         )
 
     def copy(self) -> "SlotColumnStore":
         """An independent twin (numpy buffers and registries copied)."""
         twin = SlotColumnStore.__new__(SlotColumnStore)
-        twin._start = self._start[: self._size].copy()
-        twin._end = self._end[: self._size].copy()
-        twin._nid = self._nid[: self._size].copy()
-        twin._alive = self._alive[: self._size].copy()
-        twin._size = self._size
-        twin._dead = self._dead
-        twin._order = self._order[: len(self._keys)].copy()
-        twin._keys = list(self._keys)
-        twin._lookup = {key: list(rows) for key, rows in self._lookup.items()}
+        count = self._count
+        twin._start = self._start[:count].copy()
+        twin._end = self._end[:count].copy()
+        twin._nid = self._nid[:count].copy()
+        twin._count = count
         twin._node_objs = dict(self._node_objs)
         twin._node_refs = dict(self._node_refs)
         twin._sorted_ids = list(self._sorted_ids)
-        # The table cache is immutable once built (rebuilt, never written
-        # in place), so the twin may share it.
         twin._table = self._table
         twin.generation = self.generation
-        twin.compact_min = self.compact_min
         return twin

@@ -11,7 +11,7 @@ time.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
@@ -69,8 +69,8 @@ class SlotPool:
     _by_node: dict[int, list[tuple[tuple[float, float, int], Slot]]] = field(
         default_factory=dict
     )
-    #: Incrementally maintained columnar state: every mutation appends
-    #: or tombstones storage rows in O(1) instead of invalidating a
+    #: The columnar mirror of ``_slots``, row for row: every mutation
+    #: passes on the list position it touched instead of invalidating a
     #: cached snapshot, so :meth:`as_arrays` never pays a per-slot
     #: Python rebuild (see :class:`~repro.model.slotarrays.SlotColumnStore`).
     _store: SlotColumnStore = field(
@@ -93,8 +93,8 @@ class SlotPool:
         With ``coalesce=False`` the slots are inserted verbatim, as by
         ``add(slot, coalesce=False)`` one at a time, but in bulk: one
         sort, then the ordered list, the per-node buckets and the column
-        store are filled in order instead of two ``insort``s and a
-        column-store splice per slot.
+        store are filled in order instead of two bisects and a
+        column-store shift per slot.
         """
         pool = cls(min_usable_length=min_usable_length)
         if coalesce:
@@ -171,18 +171,17 @@ class SlotPool:
 
         Slots shorter than ``min_usable_length`` are dropped — the same
         strict threshold :meth:`repro.model.Slot.split` applies to cut
-        remainders.  (An earlier revision subtracted a further
-        :data:`TIME_EPSILON` here, quietly admitting slots up to one
-        epsilon *shorter* than the configured cutting threshold.)
+        remainders.
         """
         if slot.length < self.min_usable_length:
             return
         if coalesce:
             slot = self._coalesce(slot)
         entry = (slot.sort_key(), slot)
-        insort(self._slots, entry)
+        position = bisect_right(self._slots, entry)
+        self._slots.insert(position, entry)
         insort(self._by_node.setdefault(slot.node.node_id, []), entry)
-        self._store.add(slot)
+        self._store.insert(position, slot)
 
     def _coalesce(self, slot: Slot) -> Slot:
         """Absorb same-node neighbours touching ``slot`` and return the union.
@@ -219,7 +218,7 @@ class SlotPool:
             raise AllocationError(f"slot not in pool: {slot!r}")
         del self._slots[index]
         self._bucket_discard(entry)
-        self._store.discard(slot)
+        self._store.delete(index, slot)
 
     def _bucket_discard(self, entry: tuple[tuple[float, float, int], Slot]) -> None:
         """Drop ``entry`` (known present) from its node's index bucket."""
@@ -247,21 +246,21 @@ class SlotPool:
           statistics (~57 alternatives from ~470 slots in the base
           environment); see DESIGN.md's cutting-policy ablation.
         """
-        if mode not in ("split", "consume"):
-            raise ValueError(f"unknown cut mode {mode!r}")
         for ws in window.slots:
             if not ws.fits_from(window.start):
                 raise AllocationError(
                     f"window leg on node {ws.slot.node.node_id} does not fit its slot"
                 )
-            self.remove(ws.slot)
-            if mode == "consume":
-                continue
-            reservation_start = window.start
-            reservation_end = window.start + ws.required_time
-            for remainder in ws.slot.split(
-                reservation_start, reservation_end, self.min_usable_length
-            ):
+            self._carve(ws.slot, window.start, window.start + ws.required_time, mode)
+
+    def _carve(self, host: Slot, span_start: float, span_end: float, mode: str) -> None:
+        """Take ``host`` out of the pool and, in ``"split"`` mode, put
+        back what the span ``[span_start, span_end)`` leaves of it."""
+        if mode not in ("split", "consume"):
+            raise ValueError(f"unknown cut mode {mode!r}")
+        self.remove(host)
+        if mode == "split":
+            for remainder in host.split(span_start, span_end, self.min_usable_length):
                 self.add(remainder)
 
     def commit_window(self, window: Window, mode: str = "split") -> None:
@@ -276,28 +275,27 @@ class SlotPool:
         reserved span (phase two guarantees the spans themselves are
         disjoint).  Raises :class:`AllocationError` when no containing
         slot exists — e.g. the span was lost to a sub-threshold remainder
-        drop on a pool with a raised ``min_usable_length``.
+        drop on a pool with a raised ``min_usable_length``; the pool is
+        left unchanged in that case.
         """
-        if mode not in ("split", "consume"):
-            raise ValueError(f"unknown cut mode {mode!r}")
+        # Every leg's host is located before the first cut, so a window
+        # with a homeless leg fails whole.  The legs sit on distinct
+        # nodes: cutting one cannot invalidate another's host.
+        cuts: list[tuple[Slot, float, float]] = []
         for ws in window.slots:
             span_start = window.start
             span_end = window.start + ws.required_time
-            host: Optional[Slot] = None
             for _, slot in self._by_node.get(ws.slot.node.node_id, ()):
                 if slot.contains(span_start, span_end):
-                    host = slot
+                    cuts.append((slot, span_start, span_end))
                     break
-            if host is None:
+            else:
                 raise AllocationError(
                     f"no free slot on node {ws.slot.node.node_id} contains the "
                     f"reserved span [{span_start:g}, {span_end:g})"
                 )
-            self.remove(host)
-            if mode == "consume":
-                continue
-            for remainder in host.split(span_start, span_end, self.min_usable_length):
-                self.add(remainder)
+        for host, span_start, span_end in cuts:
+            self._carve(host, span_start, span_end, mode)
 
     def release(self, window: Window) -> None:
         """Return a committed window's reservations to the pool.
@@ -348,30 +346,32 @@ class SlotPool:
         if cutoff == 0:
             return 0
         changed = 0
+        removed: list[Slot] = []
         rebuilt: list[tuple[tuple[float, float, int], Slot]] = []
         for entry in self._slots[:cutoff]:
             slot = entry[1]
             if slot.end <= time + TIME_EPSILON:
                 changed += 1
                 self._bucket_discard(entry)
-                self._store.discard(slot)
+                removed.append(slot)
                 continue
             if slot.start < time - TIME_EPSILON:
                 changed += 1
                 self._bucket_discard(entry)
-                self._store.discard(slot)
                 tail = slot.end - time
                 if tail > TIME_EPSILON and tail >= self.min_usable_length:
                     trimmed = Slot(slot.node, time, slot.end)
                     trimmed_entry = (trimmed.sort_key(), trimmed)
                     rebuilt.append(trimmed_entry)
                     insort(self._by_node.setdefault(trimmed.node.node_id, []), trimmed_entry)
-                    self._store.add(trimmed)
+                else:
+                    removed.append(slot)
                 continue
             rebuilt.append(entry)
         if changed:
             rebuilt.sort()
             self._slots[:cutoff] = rebuilt
+            self._store.replace_prefix(cutoff, removed, rebuilt)
         return changed
 
     def copy(self) -> "SlotPool":
@@ -409,9 +409,9 @@ class SlotPool:
         repeated scans of an unchanged pool (the broker's phase-one
         fan-out, admission between cycles, benchmark repeats) reuse
         both the columns and any scan plans cached on them — and a
-        mutated pool assembles a fresh snapshot by gathering the live
-        storage rows through the incrementally maintained sort
-        permutation, never a per-slot Python rebuild or a numpy sort.
+        mutated pool assembles a fresh snapshot by copying the store's
+        columns, which already sit in this pool's slot order, never a
+        per-slot Python rebuild or a numpy sort.
         """
         if self._cache is None or self._cache_generation != self._store.generation:
             self._cache = self._store.snapshot(self.ordered())

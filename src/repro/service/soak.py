@@ -159,8 +159,8 @@ def bench_soak(
                 rss_samples.append(_rss_bytes())
                 pool_sizes.append(len(pool))
                 # Paired sample of the tentpole comparison: one fresh
-                # gather through the maintained permutation (what every
-                # cycle actually pays after mutations) against the cold
+                # copy of the maintained columns (what every cycle
+                # actually pays after mutations) against the cold
                 # per-slot rebuild it replaced.  The store is this
                 # module's own internals — the probe bypasses the pool's
                 # snapshot cache on purpose, since a cached hit times

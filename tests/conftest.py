@@ -33,6 +33,24 @@ def make_slot(
     return Slot(make_node(node_id, performance, price), start, end)
 
 
+#: Every array column of a snapshot, in a fixed order for byte comparison.
+SNAPSHOT_COLUMNS = ("start", "end", "node_row", "node_id", "performance",
+                    "price", "clock", "ram", "disk", "power")
+
+
+def pool_state(pool: SlotPool) -> tuple:
+    """Everything observable about a pool's contents: the ordered slots,
+    the per-node index and the snapshot's column bytes — what "the pool
+    is left unchanged" means for an operation that refuses."""
+    arrays = pool.as_arrays()
+    return (
+        pool.ordered(),
+        pool.by_node(),
+        [getattr(arrays, column).tobytes() for column in SNAPSHOT_COLUMNS],
+        arrays.os_names,
+    )
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)

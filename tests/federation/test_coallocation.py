@@ -14,7 +14,7 @@ from repro.model import Job, ResourceRequest, SlotPool
 from repro.model.errors import AllocationError
 from repro.model.window import Window
 from repro.service.config import ServiceConfig
-from tests.conftest import make_slot
+from tests.conftest import make_slot, pool_state
 
 
 def two_node_pool(first_id: int) -> SlotPool:
@@ -37,6 +37,16 @@ class FailingCommitPool(SlotPool):
 
     def commit_window(self, window: Window, mode: str = "split") -> None:
         raise AllocationError("injected commit failure")
+
+
+class PhantomSlotPool(SlotPool):
+    """A pool that advertises one slot it does not hold, so a window
+    searched over the union loses that leg's host at commit time —
+    the real ``commit_window`` runs and refuses."""
+
+    def __iter__(self):
+        yield from super().__iter__()
+        yield make_slot(99, 0.0, 100.0)
 
 
 class TestTryPlace:
@@ -86,6 +96,22 @@ class TestRollback:
         assert allocator.active_count == 0
         assert healthy.total_free_time() == pytest.approx(before)
         healthy.assert_disjoint_per_node()
+
+    def test_refused_commit_leaves_every_shard_pool_byte_identical(self):
+        # All five advertised nodes are needed, so shard 1's sub-window
+        # has two housed legs and the phantom one.
+        stale = PhantomSlotPool()
+        for slot in two_node_pool(2):
+            stale.add(slot, coalesce=False)
+        pools = {0: two_node_pool(0), 1: stale}
+        before = {shard_id: pool_state(pool) for shard_id, pool in pools.items()}
+        allocator = CoAllocator(ServiceConfig())
+
+        assert allocator.try_place(wide_job(node_count=5), pools, now=0.0) is None
+
+        assert allocator.active_count == 0
+        for shard_id, pool in pools.items():
+            assert pool_state(pool) == before[shard_id], shard_id
 
 
 class TestLifecycle:

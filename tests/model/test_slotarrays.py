@@ -21,7 +21,9 @@ from repro.core.extractors import MinTotalCostExtractor
 from repro.core.reference import reference_scan
 from repro.environment import EnvironmentConfig, EnvironmentGenerator
 from repro.model import ResourceRequest, Slot, SlotPool
+from repro.model.slot import TIME_EPSILON
 from repro.model.slotarrays import SharedSlotArrays, SlotArrays
+from tests.conftest import SNAPSHOT_COLUMNS as COLUMNS
 from tests.conftest import make_node, make_slot
 
 
@@ -52,15 +54,11 @@ def assert_columns_match_objects(pool: SlotPool) -> None:
         assert arrays.price[row] == slot.node.price_per_unit
 
 
-#: Every column of a snapshot, in a fixed order for byte comparison.
-COLUMNS = ("start", "end", "node_row", "node_id", "performance", "price",
-           "clock", "ram", "disk", "power")
-
-
-def assert_bytes_equal_rebuild(pool: SlotPool) -> None:
-    """The delta-maintained snapshot is byte-equal to a cold rebuild."""
+def assert_bytes_equal_rebuild(pool: SlotPool, slots=None) -> None:
+    """The delta-maintained snapshot is byte-equal to a cold rebuild
+    (of the pool's own ordered slots, or of ``slots`` when given)."""
     maintained = pool.as_arrays()
-    rebuilt = SlotArrays.from_slots(pool.ordered())
+    rebuilt = SlotArrays.from_slots(pool.ordered() if slots is None else slots)
     for column in COLUMNS:
         left, right = getattr(maintained, column), getattr(rebuilt, column)
         assert left.dtype == right.dtype, column
@@ -226,26 +224,58 @@ class TestMutationStorm:
                 source.extend_to(pool, horizon)
             assert_bytes_equal_rebuild(pool)
 
-    def test_compaction_boundary_byte_equal(self):
-        """Crossing the tombstone-compaction threshold renumbers storage
-        rows; the maintained permutation must follow exactly."""
+    def test_capacity_boundary_byte_equal(self):
+        """Crossing a doubling boundary of the column buffers (every
+        power of two) reallocates them under the pool; the mirrored rows
+        must follow exactly, on the way up, back down and up again."""
         pool = SlotPool(min_usable_length=1e-9)
-        pool._store.compact_min = 8  # reach the boundary quickly
+        boundary = 32
         slots = [
-            Slot(make_node(i % 5), float(i), float(i) + 10.0) for i in range(40)
+            Slot(make_node(i % 5), float(i), float(i) + 10.0)
+            for i in range(boundary + 8)
         ]
         for slot in slots:
             pool.add(slot, coalesce=False)
-        # Tombstone more than half the storage, one discard at a time,
-        # checking equivalence on both sides of the compaction trigger.
-        for slot in slots[:30]:
+            assert_bytes_equal_rebuild(pool)
+        # Shrink well below the boundary, one delete at a time ...
+        for slot in slots[: boundary - 2]:
             pool.remove(slot)
             assert_bytes_equal_rebuild(pool)
-        # And keep mutating after compaction.
-        for i in range(40, 55):
+        assert len(pool) < boundary
+        # ... and keep mutating until the pool has outgrown it again.
+        for i in range(boundary + 8, 2 * boundary + 8):
             pool.add(Slot(make_node(i % 5), float(i), float(i) + 5.0),
                      coalesce=False)
             assert_bytes_equal_rebuild(pool)
+        assert len(pool) > boundary
+
+    def test_copy_twins_stay_byte_equal_to_their_own_rebuild(self):
+        """``copy()`` hands the twin its own column buffers: mutating
+        twin and original alternately must never show through on the
+        other side."""
+        rng = np.random.default_rng(77)
+        original = generated_pool(node_count=8, seed=3)
+        pools = [original, original.copy()]
+        clocks = [0.0, 0.0]
+        fresh_node = 20_000
+        for step in range(90):
+            side = step % 2
+            pool = pools[side]
+            op = rng.integers(0, 3)
+            if op == 0 or len(pool) == 0:
+                fresh_node += 1
+                start = clocks[side] + float(rng.uniform(0.0, 300.0))
+                pool.add(Slot(make_node(fresh_node), start, start + 25.0))
+            elif op == 1:
+                slots = pool.ordered()
+                pool.remove(slots[int(rng.integers(len(slots)))])
+            else:
+                clocks[side] += float(rng.uniform(0.0, 20.0))
+                pool.trim_before(clocks[side])
+            for each in pools:
+                assert_bytes_equal_rebuild(each)
+                assert_index_consistent(each)
+        assert span_list(pools[0]) != span_list(pools[1])
 
     def test_full_trim_compacts_node_table_and_bucket_index(self):
         """A node whose slots are all trimmed must vanish from the
@@ -292,3 +322,66 @@ class TestMutationStorm:
             assert incremental.value == reference.value
             assert incremental.steps == reference.steps
             assert incremental.slots_scanned == reference.slots_scanned
+
+
+def naive_trim(slots, time, min_usable_length):
+    """``trim_before`` on a plain slot list: filter, truncate, re-sort."""
+    changed = 0
+    kept = []
+    for slot in slots:
+        if slot.end <= time + TIME_EPSILON:
+            changed += 1
+        elif slot.start < time - TIME_EPSILON:
+            changed += 1
+            tail = slot.end - time
+            if tail > TIME_EPSILON and tail >= min_usable_length:
+                kept.append(Slot(slot.node, time, slot.end))
+        else:
+            kept.append(slot)
+    return changed, sorted(kept, key=Slot.sort_key)
+
+
+@st.composite
+def touching_slot_lists(draw):
+    """Per-node disjoint slots on an integer grid, so spans often touch
+    (coalescing matters) and trims often land exactly on an endpoint."""
+    slots = []
+    for node_id in range(draw(st.integers(1, 6))):
+        node = make_node(node_id)
+        points = sorted(draw(st.sets(st.integers(0, 120), min_size=2, max_size=9)))
+        for left, right in zip(points, points[1:]):
+            if draw(st.booleans()):
+                slots.append(Slot(node, float(left), float(right)))
+    return draw(st.permutations(slots))
+
+
+class TestTrimAgainstNaiveModel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        slots=touching_slot_lists(),
+        coalesce=st.booleans(),
+        min_usable_length=st.sampled_from([TIME_EPSILON, 5.0]),
+        times=st.lists(
+            st.one_of(
+                st.integers(0, 125).map(float),
+                st.floats(0.0, 125.0, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_trim_before_equals_filter_and_truncate(
+        self, slots, coalesce, min_usable_length, times
+    ):
+        pool = SlotPool.from_slots(slots, min_usable_length, coalesce=coalesce)
+        model = pool.ordered()
+        for time in sorted(times):
+            changed, model = naive_trim(model, time, min_usable_length)
+            assert pool.trim_before(time) == changed
+            assert pool.ordered() == model
+            grouped = {}
+            for slot in model:
+                grouped.setdefault(slot.node.node_id, []).append(slot)
+            assert pool.by_node() == grouped
+            assert_index_consistent(pool)
+            assert_bytes_equal_rebuild(pool, model)

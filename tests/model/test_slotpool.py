@@ -176,7 +176,8 @@ class TestBulkBuild:
         order = np.random.default_rng(5).permutation(len(slots))
         return [slots[index] for index in order]
 
-    # 7 nodes fit the store's initial storage, 12 need a larger one.
+    # 28 or 48 slots: the bulk load sizes the column buffers in one go,
+    # the add-built pool doubles its way there (to 32 resp. 64 rows).
     @pytest.mark.parametrize("nodes", [7, 12])
     @pytest.mark.parametrize("threshold", [1e-9, 5.0])
     def test_bulk_built_pool_equals_add_built_pool(self, threshold, nodes):

@@ -12,10 +12,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core.algorithms import AMP
-from repro.model import Job, ResourceRequest, Slot, SlotPool
+from repro.model import Job, ResourceRequest, Slot, SlotPool, Window, WindowSlot
 from repro.model.errors import AllocationError
 
-from tests.conftest import make_node, make_slot
+from tests.conftest import make_node, make_slot, pool_state
 
 
 def pool_spans(pool: SlotPool) -> dict[int, list[tuple[float, float]]]:
@@ -134,6 +134,25 @@ def test_commit_window_without_containing_slot_raises(uniform_pool):
     uniform_pool.commit_window(window)
     with pytest.raises(AllocationError, match="contains the"):
         uniform_pool.commit_window(window)
+
+
+@pytest.mark.parametrize("mode", ["split", "consume"])
+def test_commit_window_with_a_homeless_leg_leaves_pool_unchanged(uniform_pool, mode):
+    """All or nothing: the first leg has a host, the second does not —
+    the refusal must not have cut the first."""
+    housed = uniform_pool.ordered()[0]
+    homeless = make_slot(9, 0.0, 100.0)  # node 9 has no free time here
+    window = Window(
+        start=10.0,
+        slots=tuple(
+            WindowSlot(slot=slot, required_time=5.0, cost=10.0)
+            for slot in (housed, homeless)
+        ),
+    )
+    before = pool_state(uniform_pool)
+    with pytest.raises(AllocationError, match="node 9 contains the"):
+        uniform_pool.commit_window(window, mode=mode)
+    assert pool_state(uniform_pool) == before
 
 
 # ----------------------------------------------------------------------
