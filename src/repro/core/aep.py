@@ -26,8 +26,11 @@ list) and the extractor is one of the stock strategies,
 :func:`aep_scan` hands the scan to the columnar replay in
 :mod:`repro.core.vectorized` instead, which evaluates eligibility and
 leg costs on numpy arrays and returns the byte-identical
-:class:`ScanResult`; ``repro.core.vectorized.scan_counters`` records
-which of the two served each scan.  The frozen
+:class:`ScanResult` — for the randomized
+:class:`~repro.core.extractors.RandomWindowExtractor` that includes
+leaving the extractor's generator in the state this loop would leave it
+in; ``repro.core.vectorized.scan_counters`` records which of the two
+served each scan.  The frozen
 :func:`repro.core.reference.reference_scan` is the baseline the
 equivalence tests hold both against.
 """

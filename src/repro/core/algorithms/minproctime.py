@@ -58,7 +58,10 @@ class MinProcTime(SlotSelectionAlgorithm):
             self._extractor = RandomWindowExtractor(rng=rng)
             # The randomized extractor consumes a shared random stream:
             # grouping equal requests would draw fewer times than the
-            # sequential per-job loop, changing later selections.
+            # sequential per-job loop, changing later selections.  (The
+            # scan itself runs on the columnar kernel, which replays the
+            # stream draw for draw — that keeps the stream, it does not
+            # make two scans of one request interchangeable.)
             self.deterministic = False
         elif exact:
             self.name = "MinProcTime-exact"

@@ -484,7 +484,10 @@ class ExactAdditiveExtractor:
             nonlocal best_value, best_subset
             remaining = n - len(taken)
             if remaining == 0:
-                if key_sum < best_value:
+                # The feasibility bound below only vouches for the
+                # cheapest completion, not for the item actually taken
+                # last, so the full subset is priced here.
+                if cost_sum <= budget and key_sum < best_value:
                     best_value = key_sum
                     best_subset = list(taken)
                 return

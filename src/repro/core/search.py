@@ -78,7 +78,7 @@ def find_window(
         (runtime, finish, processor time, energy).
     rng:
         Randomness source for the simplified MinProcTime (ignored when
-        ``exact`` selects the optimizing variant).
+        ``exact`` selects the branch-and-bound variant, which draws nothing).
     """
     if not maximize:
         if criterion is Criterion.START_TIME:
@@ -91,7 +91,7 @@ def find_window(
             return MinFinish(exact=exact).select(job, pool)
         if criterion is Criterion.PROCESSOR_TIME:
             if exact:
-                return MinProcTime(simplified=False).select(job, pool)
+                return MinProcTime(simplified=False, exact=True).select(job, pool)
             return MinProcTime(simplified=True, rng=rng).select(job, pool)
         if criterion is Criterion.ENERGY:
             return MinEnergy(exact=exact).select(job, pool)

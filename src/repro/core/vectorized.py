@@ -35,16 +35,18 @@ the stock extractors *byte for byte*:
    the loop maintains the n-cheapest-cost sum over exactly that set and
    skips while it exceeds the budget.  Skipped steps provably cannot
    improve the incumbent, so the scan's outcome is identical to
-   evaluating every step.
+   evaluating every step.  The paper's randomized MinProcTime
+   (:func:`_run_random`) has no bound: it replays the extractor's own
+   generator draw for draw, and a skipped step would skip a draw.
 4. **Materialization**: ``Slot``/``WindowSlot`` objects are built only
    for the winning step, from the snapshot's slot list and the
    precomputed runtime/cost floats.
 
 Dispatch (:func:`vectorized_scan`) selects from what it can observe:
 it accepts exactly the extractor types whose ``extract`` it replays —
-unknown extractors, subclasses, random selection, one-shot iterators
-and non-sorted slot inputs return :data:`UNSUPPORTED` and the caller
-runs the generic loop.
+unknown extractors, subclasses, random selection by any key but the
+runtime, one-shot iterators and non-sorted slot inputs return
+:data:`UNSUPPORTED` and the caller runs the generic loop.
 
 :func:`vectorized_alternatives` answers CSA's question — *every*
 earliest-start window, each on the pool without its predecessors' slots
@@ -71,8 +73,10 @@ from repro.core.extractors import (
     MinRuntimeExactExtractor,
     MinRuntimeSubstitutionExtractor,
     MinTotalCostExtractor,
+    RandomWindowExtractor,
     ScanResult,
     _budget_of,
+    runtime_key,
 )
 from repro.model.job import ResourceRequest
 from repro.model.slot import TIME_EPSILON
@@ -148,6 +152,8 @@ def _strategy_of(extractor) -> Optional[tuple]:
         if extractor.key_name in GreedyAdditiveExtractor.VECTOR_KEYS:
             return ("greedy", extractor.key_name, extractor._max_rounds)
         return None
+    if kind is RandomWindowExtractor and extractor._key is runtime_key:
+        return ("random", extractor._rng, extractor._attempts)
     return None
 
 
@@ -394,6 +400,8 @@ def vectorized_scan(
             outcome = _run_walk_finish(plan, n, budget, stop_at_first, exact)
         else:
             outcome = _run_walk_budget(plan, n, budget, stop_at_first, exact)
+    elif kind == "random":
+        outcome = _run_random(plan, n, budget, stop_at_first, strategy[1], strategy[2])
     else:  # greedy
         extras = _greedy_extras(plan, arrays, strategy[1])
         outcome = _run_greedy(plan, extras, n, budget, strategy[2], stop_at_first)
@@ -1089,6 +1097,95 @@ def _run_greedy(plan, extras, n, budget, max_rounds, stop_at_first):
             best_value = value
             best_start = window_start
             best_cands = final
+            if stop_at_first:
+                break_pos = pos
+                break
+    return (
+        best_value,
+        best_cands,
+        best_start,
+        steps,
+        peak,
+        inserted,
+        expired,
+        break_pos,
+    )
+
+
+def _run_random(plan, n, budget, stop_at_first, rng, attempts):
+    """Simplified MinProcTime (a random window per step), draw for draw.
+
+    Replays ``RandomWindowExtractor.extract`` on the extractor's *own*
+    generator: at every step with at least ``n`` alive candidates, one
+    ``rng.choice(alive, size=n, replace=False)`` per attempt over the
+    alive list in scan order, the picked costs summed in pick order
+    against the budget; when every attempt busts it, the ``n`` cheapest
+    (``cheap`` is ``cheapest_subset``: same order, same ascending sum),
+    their runtimes summed in cost-rank order.  Candidates are numbered
+    in scan order, so the alive list stays sorted: an insert appends and
+    an expiry bisects.
+
+    There is no skip bound.  A skipped step would not draw, and every
+    later selection — this scan's, the next job's, the next cycle's
+    environment when the caller shares the generator — depends on the
+    stream position, so the scan must leave the generator in the state
+    the generic loop leaves it in.  The per-step cost floor is therefore
+    one ``Generator.choice`` call.
+    """
+    loop_cand = plan.loop_cand
+    expiry_times = plan.expiry_times
+    expiry_cands = plan.expiry_cands
+    cand_crank = plan.cand_crank
+    cand_by_crank = plan.cand_by_crank
+    req_list = plan.req_list
+    cost_list = plan.cost_list
+    total_c = plan.count
+    choice = rng.choice
+    alive_cands: list[int] = []  # alive candidates in scan order (ascending)
+    cheap = _TopN(n, total_c, plan.cost_by_crank)
+    pointer = 0
+    inserted = expired = peak = steps = 0
+    best_value = float("inf")
+    best_start = 0.0
+    best_cands = None
+    break_pos = -1
+    for pos, window_start in enumerate(plan.loop_start):
+        threshold = window_start - TIME_EPSILON
+        while pointer < total_c and expiry_times[pointer] < threshold:
+            cand = expiry_cands[pointer]
+            pointer += 1
+            expired += 1
+            del alive_cands[bisect_left(alive_cands, cand)]
+            cheap.expire(cand_crank[cand])
+        cand = loop_cand[pos]
+        if cand < 0:
+            continue
+        alive_cands.append(cand)
+        cheap.add(cand_crank[cand])
+        inserted += 1
+        alive = len(alive_cands)
+        if alive > peak:
+            peak = alive
+        if alive < n:
+            continue
+        steps += 1
+        chosen = None
+        for _ in range(attempts):
+            picked = [
+                alive_cands[i] for i in choice(alive, size=n, replace=False).tolist()
+            ]
+            if sum([cost_list[c] for c in picked]) <= budget:
+                chosen = picked
+                break
+        if chosen is None:
+            if cheap.total > budget:
+                continue  # cheapest_subset would return None
+            chosen = [cand_by_crank[r] for r in cheap.top]
+        value = sum([req_list[c] for c in chosen])
+        if value < best_value - VALUE_EPSILON:
+            best_value = value
+            best_start = window_start
+            best_cands = chosen
             if stop_at_first:
                 break_pos = pos
                 break

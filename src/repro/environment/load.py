@@ -72,7 +72,7 @@ class LoadModel:
             return 0
         expected = busy_total / self.mean_job_length
         jitter = int(rng.integers(-1, 2))
-        return int(np.clip(round(expected) + jitter, 1, upper))
+        return min(max(round(expected) + jitter, 1), upper)
 
     def populate(self, timeline: Timeline, rng: np.random.Generator) -> float:
         """Fill a node timeline with local jobs; returns the load level used.

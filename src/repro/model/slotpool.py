@@ -46,6 +46,17 @@ def _find_entry(
     return None
 
 
+def _has_neighbours(bucket: list[tuple[tuple[float, float, int], Slot]]) -> bool:
+    """Whether two slots of one node's start-ordered bucket overlap or lie
+    within :data:`COALESCE_GAP` — the only inputs coalescing could merge."""
+    reach = float("-inf")  # furthest end so far: each slot clears the last
+    for (start, end, _), _slot in bucket:
+        if start - reach <= COALESCE_GAP:
+            return True
+        reach = end
+    return False
+
+
 @dataclass
 class SlotPool:
     """A mutable, start-time-ordered collection of free slots.
@@ -88,19 +99,22 @@ class SlotPool:
         min_usable_length: float = TIME_EPSILON,
         coalesce: bool = True,
     ) -> "SlotPool":
-        """Build a pool from an iterable of slots.
+        """Build a pool from an iterable of slots, in bulk where possible.
 
-        With ``coalesce=False`` the slots are inserted verbatim, as by
-        ``add(slot, coalesce=False)`` one at a time, but in bulk: one
-        sort, then the ordered list, the per-node buckets and the column
-        store are filled in order instead of two bisects and a
-        column-store shift per slot.
+        The result always equals ``add(slot, coalesce)`` one slot at a
+        time.  Coalescing can only change anything when two kept slots
+        of one node overlap or lie within :data:`COALESCE_GAP`, and the
+        start-ordered per-node buckets show whether any do (a slot
+        starting within the gap of the furthest end before it).  When
+        none do — every generated environment: a timeline's free gaps
+        are separated by busy chunks — or with ``coalesce=False``, the
+        pool is filled in bulk: one sort, then the ordered list, the
+        buckets and the column store in order, instead of a bucket walk,
+        two bisects and a column-store shift per slot.  Otherwise the
+        slots are added one by one.
         """
         pool = cls(min_usable_length=min_usable_length)
-        if coalesce:
-            for slot in slots:
-                pool.add(slot)
-            return pool
+        slots = list(slots)
         entries = sorted(
             (
                 (slot.sort_key(), slot)
@@ -109,10 +123,15 @@ class SlotPool:
             ),
             key=itemgetter(0),
         )
-        pool._slots = entries
-        by_node = pool._by_node
+        by_node: dict[int, list[tuple[tuple[float, float, int], Slot]]] = {}
         for entry in entries:
             by_node.setdefault(entry[1].node.node_id, []).append(entry)
+        if coalesce and any(map(_has_neighbours, by_node.values())):
+            for slot in slots:
+                pool.add(slot)
+            return pool
+        pool._slots = entries
+        pool._by_node = by_node
         pool._store.load_sorted(entries)
         return pool
 

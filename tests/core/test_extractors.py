@@ -289,6 +289,19 @@ class TestAdditiveExtractors:
             else:
                 assert exact.value == pytest.approx(best)
 
+    def test_exact_prices_the_last_item_taken(self):
+        """The feasibility bound vouches for the cheapest completion
+        only; a subset whose last-taken item busts the budget must not
+        be accepted (the fastest pair here costs 102)."""
+        cands = [
+            candidate(0, performance=10.0, price=1.0),   # time 2, cost 2
+            candidate(1, performance=5.0, price=25.0),   # time 4, cost 100
+            candidate(2, performance=4.0, price=1.0),    # time 5, cost 5
+        ]
+        exact = ExactAdditiveExtractor().extract(0.0, cands, request(2, 50.0))
+        assert sum(ws.cost for ws in exact.slots) <= 50.0
+        assert exact.value == pytest.approx(7.0)
+
     def test_greedy_never_exceeds_budget(self, mixed_candidates):
         for budget in (20.0, 26.0, 36.0, 44.0):
             extraction = GreedyAdditiveExtractor().extract(

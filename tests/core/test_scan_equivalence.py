@@ -190,6 +190,27 @@ def test_equivalence_random_window_extractor(seed):
     assert fingerprint(new) == fingerprint(old)
 
 
+@pytest.mark.parametrize("deadline", [None, 400.0])
+def test_equivalence_random_window_extractor_base_environment(deadline):
+    """The same on the paper's base environment (100 nodes, seed 2013,
+    base job), where nearly every draw busts the budget and the
+    cheapest-``n`` fallback decides the step."""
+    environment = EnvironmentGenerator(
+        EnvironmentConfig(node_count=100, seed=2013)
+    ).generate()
+    pool = environment.slot_pool()
+    request = ResourceRequest(
+        node_count=5, reservation_time=150.0, budget=1500.0, deadline=deadline
+    )
+    new_rng = np.random.default_rng(2013)
+    old_rng = np.random.default_rng(2013)
+    new = aep_scan(request, pool, RandomWindowExtractor(rng=new_rng))
+    old = reference_scan(request, pool, RandomWindowExtractor(rng=old_rng))
+    assert new is not None
+    assert fingerprint(new) == fingerprint(old)
+    assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+
 def test_equivalence_infeasible_everywhere():
     """Both kernels agree on None when no feasible window exists."""
     pool = SlotPool.from_slots([Slot(make_node(0), 0.0, 50.0)])

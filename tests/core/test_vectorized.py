@@ -11,10 +11,12 @@ does not track.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import vectorized
 from repro.core.aep import aep_scan
+from repro.core.algorithms.minproctime import MinProcTime
 from repro.core.extractors import (
     EarliestFinishExtractor,
     EarliestStartExtractor,
@@ -22,13 +24,30 @@ from repro.core.extractors import (
     MinRuntimeExactExtractor,
     MinRuntimeSubstitutionExtractor,
     MinTotalCostExtractor,
+    RandomWindowExtractor,
     cheapest_subset,
+    energy_key,
 )
 from repro.core.reference import reference_scan
 from repro.environment import EnvironmentConfig, EnvironmentGenerator
 from repro.model import ResourceRequest
 
 REQUEST = ResourceRequest(node_count=4, reservation_time=60.0, budget=900.0)
+#: On the 40-node pools a random 4-subset fits this budget at some steps,
+#: busts it at most (the cheapest four then serve), and at a few steps
+#: even the cheapest four are too dear — every branch of the random
+#: extraction, which the generous ``REQUEST`` never leaves the first of.
+TIGHT_REQUEST = ResourceRequest(node_count=4, reservation_time=60.0, budget=450.0)
+
+
+def random_window(attempts: int):
+    """Factory of twin-seeded random extractors: every call starts a
+    fresh generator on the same seed, so the vector and the generic scan
+    draw from identical streams."""
+    return lambda: RandomWindowExtractor(
+        rng=np.random.default_rng(41), attempts=attempts
+    )
+
 
 EXTRACTORS = [
     EarliestStartExtractor,
@@ -36,6 +55,8 @@ EXTRACTORS = [
     MinRuntimeSubstitutionExtractor,
     MinRuntimeExactExtractor,
     EarliestFinishExtractor,
+    pytest.param(random_window(1), id="RandomWindowExtractor-1-attempt"),
+    pytest.param(random_window(3), id="RandomWindowExtractor-3-attempts"),
 ]
 
 
@@ -87,6 +108,30 @@ class TestDispatch:
         assert result is not None
         assert vectorized.scan_counters["fallback"] == before["fallback"] + 1
 
+    def test_randomized_minproctime_takes_vector_path(self):
+        pool = make_pool()
+        before = counters()
+        window = MinProcTime(rng=np.random.default_rng(5)).select(REQUEST, pool)
+        assert window is not None
+        assert vectorized.scan_counters["vectorized"] == before["vectorized"] + 1
+        assert vectorized.scan_counters["fallback"] == before["fallback"]
+
+    def test_random_window_with_other_key_or_subclass_falls_back(self):
+        # The replay sums runtimes; any other objective, and anything
+        # that may override ``extract``, keeps the textbook method.
+        class Derived(RandomWindowExtractor):
+            pass
+
+        pool = make_pool()
+        for extractor in (
+            RandomWindowExtractor(rng=np.random.default_rng(5), key=energy_key),
+            Derived(rng=np.random.default_rng(5)),
+        ):
+            before = counters()
+            assert aep_scan(REQUEST, pool, extractor) is not None
+            assert vectorized.scan_counters["vectorized"] == before["vectorized"]
+            assert vectorized.scan_counters["fallback"] == before["fallback"] + 1
+
 
 class TestVectorObjectEquivalence:
     """Full ``ScanResult`` equality — counters included — per extractor.
@@ -95,26 +140,49 @@ class TestVectorObjectEquivalence:
     ``candidate_inserts``/``candidate_expiries`` as zero, so only the
     generic loop can confirm the vector replay reproduces them.  A
     one-shot iterator forces the generic loop (and the textbook
-    ``extract``), which shares no code with the replay.
+    ``extract``), which shares no code with the replay.  The random
+    extractors must also leave their generators in the same state: the
+    study shares one stream between MinProcTime and the environment.
     """
 
     @pytest.mark.parametrize("make_extractor", EXTRACTORS)
     @pytest.mark.parametrize("stop_at_first", [False, True])
     @pytest.mark.parametrize("seed", [3, 29])
     def test_scanresult_identical(self, make_extractor, stop_at_first, seed):
+        self.assert_identical(REQUEST, make_extractor, stop_at_first, seed)
+
+    @pytest.mark.parametrize("attempts", [1, 3])
+    @pytest.mark.parametrize("stop_at_first", [False, True])
+    @pytest.mark.parametrize("seed", [3, 29])
+    def test_random_replay_identical_on_a_tight_budget(
+        self, attempts, stop_at_first, seed
+    ):
+        self.assert_identical(
+            TIGHT_REQUEST, random_window(attempts), stop_at_first, seed
+        )
+
+    @staticmethod
+    def assert_identical(request, make_extractor, stop_at_first, seed):
         pool = make_pool(seed=seed)
         before = counters()
+        vector_extractor = make_extractor()
+        object_extractor = make_extractor()
         vector = aep_scan(
-            REQUEST, pool, make_extractor(), stop_at_first=stop_at_first
+            request, pool, vector_extractor, stop_at_first=stop_at_first
         )
         obj = aep_scan(
-            REQUEST,
+            request,
             iter(pool.ordered()),
-            make_extractor(),
+            object_extractor,
             stop_at_first=stop_at_first,
         )
         assert vectorized.scan_counters["vectorized"] == before["vectorized"] + 1
         assert vectorized.scan_counters["fallback"] == before["fallback"] + 1
+        if isinstance(vector_extractor, RandomWindowExtractor):
+            assert (
+                vector_extractor._rng.bit_generator.state
+                == object_extractor._rng.bit_generator.state
+            )
         assert (vector is None) == (obj is None)
         if vector is None:
             return

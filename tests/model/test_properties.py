@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.model import ResourceRequest, Slot, SlotPool, Timeline, Window, WindowSlot
-from tests.conftest import make_node
+from tests.conftest import make_node, pool_state
 
 times = st.floats(min_value=0.0, max_value=1000.0, allow_nan=False, allow_infinity=False)
 
@@ -100,7 +100,40 @@ class TestTimelineProperties:
             assert timeline.is_free(start + 1e-9, end - 1e-9)
 
 
+#: One node object per id, so every slot of a node carries equal columns.
+GRID_NODES = [make_node(node_id, performance=2.0 + node_id) for node_id in range(3)]
+
+
+@st.composite
+def grid_slot_lists(draw):
+    """Slots of three nodes on a 5-unit grid, nudged by fractions of the
+    coalescing gap: exactly touching, within / just beyond the gap,
+    overlapping, duplicate and short slots all turn up in a few draws."""
+    nudges = st.sampled_from([0.0, 0.0, 5e-10, -5e-10, 3e-9])
+    slots = []
+    for _ in range(draw(st.integers(min_value=0, max_value=9))):
+        node = GRID_NODES[draw(st.integers(min_value=0, max_value=2))]
+        start = 5.0 * draw(st.integers(min_value=0, max_value=8)) + draw(nudges)
+        length = draw(st.sampled_from([0.5, 5.0, 5.0, 10.0])) + draw(nudges)
+        slots.append(Slot(node, start, start + length))
+        if draw(st.integers(min_value=0, max_value=5)) == 0:
+            slots.append(draw(st.sampled_from(slots)))
+    return slots
+
+
 class TestSlotPoolProperties:
+    @given(slots=grid_slot_lists(), threshold=st.sampled_from([1e-9, 1.0, 6.0]))
+    @settings(max_examples=400)
+    def test_from_slots_equals_one_add_per_slot(self, slots, threshold):
+        """Whichever way ``from_slots`` builds — in bulk or slot by slot —
+        the pool is the one sequential coalescing ``add`` produces."""
+        added = SlotPool(min_usable_length=threshold)
+        for slot in slots:
+            added.add(slot)
+        built = SlotPool.from_slots(iter(slots), threshold)
+        assert pool_state(built) == pool_state(added)
+        assert built.generation == added.generation
+
     @given(data=st.data())
     @settings(max_examples=100)
     def test_cut_window_preserves_per_node_disjointness(self, data):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.environment import EnvironmentConfig, EnvironmentGenerator
 from repro.model import (
     AllocationError,
     ResourceRequest,
@@ -10,7 +11,7 @@ from repro.model import (
     Window,
     WindowSlot,
 )
-from tests.conftest import make_slot
+from tests.conftest import make_slot, pool_state
 
 
 def window_for(slot, reservation=20.0, start=None):
@@ -208,6 +209,40 @@ class TestBulkBuild:
         assert bulk == added
         assert np.array_equal(bulk.as_arrays().start, added.as_arrays().start)
         assert np.array_equal(bulk.as_arrays().node_row, added.as_arrays().node_row)
+
+
+class TestBulkSelection:
+    """``from_slots`` picks bulk or per-slot building from its input."""
+
+    def test_generated_environment_is_bulk_loaded(self, monkeypatch):
+        # A timeline's free gaps are separated by busy chunks, so no two
+        # slots of a node are neighbours and nothing could coalesce.
+        slots = EnvironmentGenerator(
+            EnvironmentConfig(node_count=100, seed=2013)
+        ).generate().slots()
+        verbatim = SlotPool.from_slots(slots, coalesce=False)
+
+        def no_add(self, slot, coalesce=True):
+            raise AssertionError("the cold pool is built per slot again")
+
+        monkeypatch.setattr(SlotPool, "add", no_add)
+        pool = SlotPool.from_slots(slots)
+        assert len(pool) == len(slots) > 400
+        assert pool_state(pool) == pool_state(verbatim)
+        assert pool.generation == verbatim.generation
+
+    def test_touching_slots_are_still_merged(self):
+        slots = [
+            make_slot(1, 40.0, 50.0),
+            make_slot(0, 10.0, 20.0),
+            make_slot(0, 0.0, 10.0),
+        ]
+        pool = SlotPool.from_slots(slots)
+        assert pool.ordered() == [make_slot(0, 0.0, 20.0), make_slot(1, 40.0, 50.0)]
+        added = SlotPool()
+        for slot in slots:
+            added.add(slot)
+        assert pool_state(pool) == pool_state(added)
 
 
 class TestMinUsableLength:
