@@ -224,7 +224,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             batch_size=args.batch_size,
             max_wait=args.max_wait,
             workers=args.workers,
-            worker_mode=args.worker_mode,
             alternatives_per_job=args.alternatives,
             criterion=Criterion[args.criterion.upper()],
             completion_factor=args.completion_factor,
@@ -313,7 +312,6 @@ def _federation_manager(args: argparse.Namespace, sinks) -> "object":
             batch_size=args.batch_size,
             max_wait=args.max_wait,
             workers=args.workers,
-            worker_mode=args.worker_mode,
             alternatives_per_job=args.alternatives,
             criterion=Criterion[args.criterion.upper()],
         ),
@@ -1038,11 +1036,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--workers", type=int, default=1,
                        help="phase-one search workers")
-    serve.add_argument("--worker-mode", choices=("thread", "process"),
-                       default="thread",
-                       help="phase-one fan-out transport: threads over the "
-                            "shared snapshot, or processes fed through a "
-                            "shared-memory snapshot")
     serve.add_argument("--batch-size", type=int, default=8,
                        help="queue depth that triggers a cycle")
     serve.add_argument("--max-wait", type=float, default=25.0,
@@ -1105,9 +1098,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_fed.add_argument("--workers", type=int, default=1,
                            help="phase-one search workers per shard")
-    serve_fed.add_argument("--worker-mode", choices=("thread", "process"),
-                           default="thread",
-                           help="phase-one fan-out transport per shard")
     serve_fed.add_argument("--batch-size", type=int, default=8)
     serve_fed.add_argument("--max-wait", type=float, default=25.0)
     serve_fed.add_argument("--alternatives", type=int, default=10)

@@ -30,7 +30,8 @@ class SlotSelectionAlgorithm(abc.ABC):
     #: MinProcTime) set this ``False``, which disables request-class
     #: grouping in :meth:`find_alternatives_batch` — sharing one result
     #: across equal requests would consume the random stream differently
-    #: than the sequential per-job loop does.
+    #: than the sequential per-job loop does — and the broker's thread
+    #: fan-out, whose workers would race on that stream.
     deterministic: bool = True
 
     @abc.abstractmethod

@@ -19,56 +19,27 @@ column layout:
   the rows in use instead of a per-slot Python rebuild.  Snapshots are
   byte-equal to :meth:`SlotArrays.from_slots` over the same slots
   (property-tested), so the vectorized kernel cannot tell the difference.
-* :data:`STRUCTURED_DTYPE` / :meth:`SlotArrays.structured` — the
-  flattened one-record-per-slot view (``node_id``, ``start``, ``end``,
-  ``cost`` — the node's price per unit time — and ``performance``),
-  used as the interchange format of shared-memory snapshots and by
-  tests that cross-check columns against the object pool.
-* :meth:`SlotArrays.to_shared` / :meth:`SlotArrays.from_shared` — one
-  writer publishes a snapshot into a ``multiprocessing.shared_memory``
-  block; N readers attach zero-copy.  Object state that numpy cannot
-  carry (OS names) travels in a small pickled header inside the same
-  block.
 
 The arrays are a *snapshot*: building one from a :class:`SlotPool`
 captures the pool at that instant; the pool serves one snapshot object
 per mutation generation (see :meth:`repro.model.SlotPool.as_arrays`),
 assembling fresh generations from the incremental store rather than
-re-walking objects.
-Readers that need objects back — e.g. worker processes returning
-:class:`~repro.model.Window` results — rebuild value-equal ``Slot`` /
-``CpuNode`` instances from the columns via :meth:`slot_objects`.
+re-walking objects.  A snapshot keeps the ``Slot`` objects it was taken
+from (:meth:`SlotArrays.slot_objects`); the winning window is built from
+those, never from the columns.
 """
 
 from __future__ import annotations
 
-import pickle
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.model.job import ResourceRequest
-from repro.model.resource import CpuNode, NodeSpec
+from repro.model.resource import CpuNode
 from repro.model.slot import Slot
-
-#: The flat per-slot record layout named in the array API.  ``cost`` is
-#: the node's price per occupied time unit (the request-independent cost
-#: rate); per-request leg costs are ``cost * task_runtime`` and are
-#: derived per scan, never stored.
-STRUCTURED_DTYPE = np.dtype(
-    [
-        ("node_id", np.int64),
-        ("start", np.float64),
-        ("end", np.float64),
-        ("cost", np.float64),
-        ("performance", np.float64),
-    ]
-)
-
-#: Numeric node-table columns shipped through shared memory, in order.
-_NODE_COLUMNS = ("node_id", "performance", "price", "clock", "ram", "disk", "power")
 
 
 @dataclass
@@ -94,10 +65,8 @@ class SlotArrays:
     disk: np.ndarray
     power: np.ndarray
     os_names: list[str]
-    #: Original ``Slot`` objects when built locally; rebuilt lazily from
-    #: the columns after a shared-memory attach.
-    _slots: Optional[list[Slot]] = None
-    _nodes: Optional[list[CpuNode]] = field(default=None, repr=False)
+    #: The ``Slot`` objects the columns describe, row for row.
+    _slots: list[Slot]
 
     # ------------------------------------------------------------------
     # Construction
@@ -147,7 +116,6 @@ class SlotArrays:
             power=np.array([n.power() for n in nodes], dtype=np.float64),
             os_names=[n.spec.os for n in nodes],
             _slots=slots,
-            _nodes=nodes,
         )
 
     # ------------------------------------------------------------------
@@ -161,46 +129,8 @@ class SlotArrays:
     def node_count(self) -> int:
         return int(self.node_id.shape[0])
 
-    def structured(self) -> np.ndarray:
-        """The flat :data:`STRUCTURED_DTYPE` record array (one per slot)."""
-        records = np.empty(self.slot_count, dtype=STRUCTURED_DTYPE)
-        records["node_id"] = self.node_id[self.node_row]
-        records["start"] = self.start
-        records["end"] = self.end
-        records["cost"] = self.price[self.node_row]
-        records["performance"] = self.performance[self.node_row]
-        return records
-
-    def nodes(self) -> list[CpuNode]:
-        """The distinct nodes, rebuilt from the table when attached remotely."""
-        if self._nodes is None:
-            self._nodes = [
-                CpuNode(
-                    node_id=int(self.node_id[row]),
-                    performance=float(self.performance[row]),
-                    price_per_unit=float(self.price[row]),
-                    spec=NodeSpec(
-                        clock_speed=float(self.clock[row]),
-                        ram=int(self.ram[row]),
-                        disk=int(self.disk[row]),
-                        os=self.os_names[row],
-                    ),
-                )
-                for row in range(self.node_count)
-            ]
-        return self._nodes
-
     def slot_objects(self) -> list[Slot]:
-        """The slots as objects (value-equal to the snapshot's source)."""
-        if self._slots is None:
-            nodes = self.nodes()
-            rows = self.node_row.tolist()
-            starts = self.start.tolist()
-            ends = self.end.tolist()
-            self._slots = [
-                Slot(nodes[rows[i]], starts[i], ends[i])
-                for i in range(self.slot_count)
-            ]
+        """The snapshot's source slots, parallel to the per-slot columns."""
         return self._slots
 
     # ------------------------------------------------------------------
@@ -226,131 +156,6 @@ class SlotArrays:
         if request.max_price_per_unit is not None:
             mask &= self.price <= request.max_price_per_unit
         return mask
-
-    # ------------------------------------------------------------------
-    # Shared-memory transport
-    # ------------------------------------------------------------------
-    def to_shared(self, shared_memory_cls=None) -> "SharedSlotArrays":
-        """Publish this snapshot into a new shared-memory block.
-
-        The caller owns the returned handle: ``close()`` detaches,
-        ``unlink()`` frees the block (writer-side, once all readers are
-        done with the cycle).
-        """
-        if shared_memory_cls is None:
-            from multiprocessing import shared_memory as _shm
-
-            shared_memory_cls = _shm.SharedMemory
-        header = pickle.dumps(
-            {
-                "slot_count": self.slot_count,
-                "node_count": self.node_count,
-                "os_names": self.os_names,
-            },
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        slot_block = 3 * 8 * self.slot_count
-        node_block = len(_NODE_COLUMNS) * 8 * self.node_count
-        header_span = 8 + len(header)
-        padding = (-header_span) % 8
-        total = max(1, header_span + padding + slot_block + node_block)
-        memory = shared_memory_cls(create=True, size=total)
-        buffer = memory.buf
-        buffer[:8] = len(header).to_bytes(8, "little")
-        buffer[8 : 8 + len(header)] = header
-        offset = header_span + padding
-        for column in (self.start, self.end, self.node_row.astype(np.float64)):
-            view = np.ndarray(self.slot_count, dtype=np.float64, buffer=buffer, offset=offset)
-            view[:] = column
-            offset += 8 * self.slot_count
-        for name in _NODE_COLUMNS:
-            column = getattr(self, name).astype(np.float64)
-            view = np.ndarray(self.node_count, dtype=np.float64, buffer=buffer, offset=offset)
-            view[:] = column
-            offset += 8 * self.node_count
-        return SharedSlotArrays(memory=memory, owner=True)
-
-    @classmethod
-    def _from_buffer(cls, buffer) -> "SlotArrays":
-        """Rebuild a snapshot from a shared block's buffer (copying out)."""
-        header_length = int.from_bytes(bytes(buffer[:8]), "little")
-        header = pickle.loads(bytes(buffer[8 : 8 + header_length]))
-        slot_count = header["slot_count"]
-        node_count = header["node_count"]
-        offset = 8 + header_length
-        offset += (-offset) % 8
-
-        def take(count: int, dtype) -> np.ndarray:
-            nonlocal offset
-            view = np.ndarray(count, dtype=np.float64, buffer=buffer, offset=offset)
-            offset += 8 * count
-            # Copy out so the arrays outlive the mapping; readers that
-            # want true zero-copy use ``attach_view`` semantics via the
-            # snapshot handle instead.
-            return np.array(view, dtype=dtype)
-
-        start = take(slot_count, np.float64)
-        end = take(slot_count, np.float64)
-        node_row = take(slot_count, np.int64)
-        columns = {name: None for name in _NODE_COLUMNS}
-        for name in _NODE_COLUMNS:
-            dtype = np.int64 if name in ("node_id", "ram", "disk") else np.float64
-            columns[name] = take(node_count, dtype)
-        return cls(
-            start=start,
-            end=end,
-            node_row=node_row,
-            node_id=columns["node_id"],
-            performance=columns["performance"],
-            price=columns["price"],
-            clock=columns["clock"],
-            ram=columns["ram"],
-            disk=columns["disk"],
-            power=columns["power"],
-            os_names=header["os_names"],
-        )
-
-
-@dataclass
-class SharedSlotArrays:
-    """Handle on a shared-memory slot snapshot (writer or reader side)."""
-
-    memory: object
-    owner: bool = False
-
-    @property
-    def name(self) -> str:
-        """The OS-level block name readers attach with."""
-        return self.memory.name
-
-    @classmethod
-    def attach(cls, name: str, shared_memory_cls=None) -> "SharedSlotArrays":
-        """Open an existing snapshot block read-only (reader side)."""
-        if shared_memory_cls is None:
-            from multiprocessing import shared_memory as _shm
-
-            shared_memory_cls = _shm.SharedMemory
-        return cls(memory=shared_memory_cls(name=name), owner=False)
-
-    def arrays(self) -> SlotArrays:
-        """Decode the snapshot into :class:`SlotArrays`."""
-        return SlotArrays._from_buffer(self.memory.buf)
-
-    def close(self) -> None:
-        """Detach this process's mapping."""
-        self.memory.close()
-
-    def unlink(self) -> None:
-        """Free the block (writer side, after the cycle completes)."""
-        if self.owner:
-            self.memory.unlink()
-
-    def __enter__(self) -> "SharedSlotArrays":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-        self.unlink()
 
 
 class SlotColumnStore:
@@ -524,17 +329,15 @@ class SlotColumnStore:
                 disk=np.array([n.spec.disk for n in nodes], dtype=np.int64),
                 power=np.array([n.power() for n in nodes], dtype=np.float64),
                 os_names=[n.spec.os for n in nodes],
-                _nodes=nodes,
             )
         return self._table
 
-    def snapshot(self, ordered_slots: Optional[list[Slot]] = None) -> SlotArrays:
+    def snapshot(self, ordered_slots: list[Slot]) -> SlotArrays:
         """Copy the rows in use into a fresh :class:`SlotArrays`.
 
-        ``ordered_slots`` optionally supplies the pool's object list so
-        the snapshot's ``slot_objects()`` returns the pool's own
-        instances (matching :meth:`SlotArrays.from_slots`); without it
-        objects are rebuilt lazily from the columns on first use.
+        ``ordered_slots`` is the pool's own object list — the slots the
+        rows mirror — so the snapshot's ``slot_objects()`` returns the
+        pool's instances (matching :meth:`SlotArrays.from_slots`).
         """
         count = self._count
         table = self._node_table()

@@ -135,27 +135,6 @@ class SlotPool:
         pool._store.load_sorted(entries)
         return pool
 
-    @classmethod
-    def from_arrays(
-        cls, arrays: SlotArrays, min_usable_length: float = TIME_EPSILON
-    ) -> "SlotPool":
-        """Rebuild a pool from a columnar snapshot (shared-memory readers).
-
-        Slots are inserted verbatim (no coalescing): the snapshot was
-        taken from a pool whose :meth:`add` already coalesced, so
-        re-coalescing could only merge spans the source kept apart.  The
-        snapshot itself is installed as the rebuilt pool's columnar
-        cache — its row order is exactly the pool's slot order — so the
-        vectorized scan path never re-columnarizes what the writer
-        already published.
-        """
-        pool = cls.from_slots(
-            arrays.slot_objects(), min_usable_length, coalesce=False
-        )
-        pool._cache = arrays
-        pool._cache_generation = pool._store.generation
-        return pool
-
     # ------------------------------------------------------------------
     # Collection protocol
     # ------------------------------------------------------------------

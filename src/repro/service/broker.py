@@ -13,8 +13,8 @@ via :meth:`~repro.model.SlotPool.release`, so the service can run
 indefinitely without fragmenting or leaking the pool.
 
 Threading model: every public method takes the broker lock, and the
-only concurrency *inside* the lock is the phase-one worker pool over
-read-only snapshots — so the shared pool is mutated (trim, cut,
+only concurrency *inside* the lock is the phase-one thread pool over
+one read-only snapshot — so the shared pool is mutated (trim, cut,
 release) strictly sequentially.  Virtual time is monotone and entirely
 caller-driven (``advance_to``), which keeps runs reproducible: the
 assignments of a run depend only on the submitted jobs, their times and
@@ -24,7 +24,7 @@ the configuration — never on wall-clock or worker count.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Iterable, Optional, Sequence
@@ -186,22 +186,13 @@ class BrokerService:
     # Resource management
     # ------------------------------------------------------------------
     def _phase_one_executor(self) -> Optional[Executor]:
-        """The persistent worker pool (lazily created; None when inline).
-
-        ``worker_mode`` picks the executor flavour; the process pool is
-        fed through per-cycle shared-memory snapshots (see
-        :mod:`repro.service.parallel`), so its tasks carry block names,
-        never pickled pools.
-        """
+        """The persistent thread pool (lazily created; None when inline)."""
         if self.config.workers <= 1:
             return None
         if self._executor is None:
-            if self.config.worker_mode == "process":
-                self._executor = ProcessPoolExecutor(max_workers=self.config.workers)
-            else:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.config.workers, thread_name_prefix="repro-phase1"
-                )
+            self._executor = ThreadPoolExecutor(
+                max_workers=self.config.workers, thread_name_prefix="repro-phase1"
+            )
         return self._executor
 
     def close(self) -> None:
@@ -596,7 +587,6 @@ class BrokerService:
             workers=self.config.workers,
             limit=self.config.alternatives_per_job,
             executor=self._phase_one_executor(),
-            mode=self.config.worker_mode,
         )
         cycle.search_seconds = perf_counter() - search_started
         self.stats.search_seconds += cycle.search_seconds

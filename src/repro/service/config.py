@@ -39,19 +39,11 @@ class ServiceConfig:
         waiting for a full batch.
     workers:
         Phase-one workers.  ``1`` searches jobs sequentially; larger
-        values fan the per-job window search out over a
-        ``concurrent.futures`` pool against one shared pool snapshot per
-        cycle.  Results are merged in job order, so the assignments are
+        values fan the window search out over a thread pool against one
+        shared pool snapshot per cycle.  Results are merged in job
+        order, and a stochastic search (one random stream, drawn in job
+        order) always runs sequentially, so the assignments are
         identical for any worker count.
-    worker_mode:
-        ``"thread"`` (default) fans phase one out over a thread pool
-        sharing the snapshot object directly.  ``"process"`` uses a
-        process pool fed through a ``multiprocessing.shared_memory``
-        snapshot (one writer, N readers per cycle — the pool is *not*
-        pickled per job); it sidesteps the GIL at the price of one
-        columnar decode per worker per cycle, so it pays off when
-        phase-one search dominates the cycle and real cores are
-        available.
     max_deferrals:
         A job left unscheduled by this many consecutive cycles is dropped
         (the user walks away), keeping the backlog bounded.
@@ -110,7 +102,6 @@ class ServiceConfig:
     batch_size: int = 8
     max_wait: float = 25.0
     workers: int = 1
-    worker_mode: str = "thread"
     max_deferrals: int = 3
     alternatives_per_job: Optional[int] = 10
     criterion: Criterion = Criterion.FINISH_TIME
@@ -135,8 +126,6 @@ class ServiceConfig:
             raise ConfigurationError(f"max_wait must be positive, got {self.max_wait}")
         if self.workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
-        if self.worker_mode not in ("thread", "process"):
-            raise ConfigurationError(f"unknown worker mode {self.worker_mode!r}")
         if self.max_deferrals < 0:
             raise ConfigurationError(
                 f"max_deferrals must be >= 0, got {self.max_deferrals}"

@@ -2,96 +2,43 @@
 
 Phase one is embarrassingly parallel — each job's alternative search
 reads the pool and writes nothing (``select`` never mutates, and CSA
-copies internally before cutting) — so the broker publishes **one**
-read-only snapshot of the pool per cycle and fans the searches out over
-it on a ``concurrent.futures`` pool.  Results are merged back in job
-order, so the output is *identical* for any worker count: parallelism
-changes wall-clock time, never assignments.
+copies internally before cutting) — so the broker takes **one**
+read-only snapshot of the pool per cycle and, with ``workers > 1``, fans
+the searches out over it on a thread pool whose workers share the
+snapshot object.  That single snapshot replaces the per-job
+``SlotPool.copy()`` the first service version took: with hundreds of
+jobs per cycle those copies dominated the cycle's allocation churn while
+providing no isolation the read-only discipline did not already
+guarantee.  Results are merged back in job order, so the output is
+*identical* for any worker count: parallelism changes wall-clock time,
+never assignments.
 
-Since the cycle-level batching change, the unit of fan-out is the
-*request class*, not the job: jobs whose requests compare equal are
-grouped in the parent before submission, one search task runs per class,
-and every member of the class receives the class result (later members
-get shallow list copies; sharing windows is decision-safe because a
-window conflicts with itself, so phase 2 can never assign one twice).
-Shared-memory payloads and task counts shrink accordingly on duplicate-
-heavy traffic.  Grouping only applies to deterministic searches
-(``search.deterministic``); pass ``group_by_class=False`` to restore
-strict per-job dispatch.
+The unit of fan-out is the *request class*, not the job: jobs whose
+requests compare equal are grouped before submission, one search task
+runs per class, and every member of the class receives the class result
+(later members get shallow list copies; sharing windows is decision-safe
+because a window conflicts with itself, so phase 2 can never assign one
+twice).
 
-Two fan-out transports share that discipline:
-
-``"thread"``
-    Workers share the snapshot object directly.  The single shared
-    snapshot replaces the per-job ``SlotPool.copy()`` the first service
-    version took: with hundreds of jobs per cycle those copies dominated
-    the cycle's allocation churn while providing no isolation the
-    read-only discipline did not already guarantee.
-
-``"process"``
-    The cycle's snapshot is published once into a
-    ``multiprocessing.shared_memory`` block
-    (:meth:`~repro.model.slotarrays.SlotArrays.to_shared`) and workers
-    receive only its *name* — the pool is never pickled, neither per job
-    nor per cycle.  Each worker process attaches, decodes the columns
-    into a pool exactly once per block (cached by name, so a cycle's N
-    jobs in one worker pay one decode), and searches that rebuilt pool.
-    The rebuilt slots are value-equal to the writer's, which is all the
-    broker's span-containment commit requires.  The search object is
-    pickled per task, so process mode requires a stateless search (CSA
-    is); a search mutating itself across jobs would diverge from the
-    thread-mode result.
+Only deterministic searches (``search.deterministic``) are grouped or
+fanned out.  A stochastic search draws from one random stream, in job
+order: sharing a result would skip draws and worker threads would race
+on the generator, so it runs the inline per-job loop whatever
+``workers`` says.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
+from contextlib import nullcontext
 from typing import Optional, Sequence
 
 from repro.core.aep import request_of
 from repro.core.algorithms.base import SlotSelectionAlgorithm
 from repro.core.vectorized import scan_counters
 from repro.model.job import Job, ResourceRequest
-from repro.model.slotarrays import SharedSlotArrays
 from repro.model.slotpool import SlotPool
 from repro.model.window import Window
-
-#: Worker-process cache of the last decoded snapshot: ``(block name,
-#: rebuilt pool)``.  One entry suffices — the broker publishes one block
-#: per cycle and unlinks it afterwards, so a stale entry is never
-#: revisited and the cache cannot grow.
-_attached_block: Optional[tuple[str, SlotPool]] = None
-
-
-def _pool_from_block(name: str, min_usable_length: float) -> SlotPool:
-    """The pool decoded from shared block ``name`` (cached per process)."""
-    global _attached_block
-    if _attached_block is None or _attached_block[0] != name:
-        handle = SharedSlotArrays.attach(name)
-        try:
-            arrays = handle.arrays()  # copies out of the mapping
-        finally:
-            handle.close()
-        _attached_block = (
-            name,
-            SlotPool.from_arrays(arrays, min_usable_length=min_usable_length),
-        )
-    return _attached_block[1]
-
-
-def _search_against_block(
-    name: str,
-    min_usable_length: float,
-    search: SlotSelectionAlgorithm,
-    job: Job,
-    limit: Optional[int],
-) -> list[Window]:
-    """One job's phase-one search inside a worker process.
-
-    Module-level so ``ProcessPoolExecutor`` can pickle it.
-    """
-    pool = _pool_from_block(name, min_usable_length)
-    return search.find_alternatives(job, pool, limit=limit)
 
 
 def _class_members(jobs: Sequence[Job]) -> list[list[int]]:
@@ -102,23 +49,6 @@ def _class_members(jobs: Sequence[Job]) -> list[list[int]]:
     return list(groups.values())
 
 
-def _collect(
-    executor: Executor,
-    submit_one,
-    jobs: Sequence[Job],
-    member_lists: list[list[int]],
-) -> dict[str, list[Window]]:
-    futures = [submit_one(executor, jobs[members[0]]) for members in member_lists]
-    windows_by_index: dict[int, list[Window]] = {}
-    for members, future in zip(member_lists, futures):
-        windows = future.result()
-        windows_by_index[members[0]] = windows
-        for index in members[1:]:
-            windows_by_index[index] = list(windows)
-    # Keyed in ``jobs`` order, exactly like the historical per-job path.
-    return {job.job_id: windows_by_index[index] for index, job in enumerate(jobs)}
-
-
 def parallel_find_alternatives(
     search: SlotSelectionAlgorithm,
     jobs: Sequence[Job],
@@ -126,8 +56,6 @@ def parallel_find_alternatives(
     workers: int = 1,
     limit: Optional[int] = None,
     executor: Optional[Executor] = None,
-    mode: str = "thread",
-    group_by_class: bool = True,
 ) -> dict[str, list[Window]]:
     """Phase-one alternatives per job, searched on a shared pool snapshot.
 
@@ -135,70 +63,50 @@ def parallel_find_alternatives(
     published at the start of the cycle (the non-consuming discipline of
     :class:`~repro.scheduling.BatchScheduler`), so job order carries no
     information and the searches are independent.  With ``workers <= 1``
-    the loop runs inline; every path returns the same mapping, keyed in
-    ``jobs`` order.
+    — or a stochastic search (``search.deterministic == False``), which
+    must consume its random stream in job order — the loop runs inline;
+    every path returns the same mapping, keyed in ``jobs`` order.
 
-    With ``group_by_class`` (the default) jobs of equal requests share
-    one search task — see the module docstring; results are identical to
-    per-job dispatch for deterministic searches, and stochastic searches
-    (``search.deterministic == False``) are dispatched per job
-    regardless.
+    Jobs of equal requests share one search — see the module docstring;
+    the result is identical to searching every job on its own.
 
-    ``mode`` selects the fan-out transport (see the module docstring):
-    ``"thread"`` shares the snapshot object, ``"process"`` publishes one
-    shared-memory block per call and fans out over processes.
-
-    ``executor`` optionally supplies a persistent executor matching the
-    mode (the broker keeps one for its lifetime); when omitted and
-    ``workers > 1`` a transient executor is created for the call.
+    ``executor`` optionally supplies a persistent thread pool (the
+    broker keeps one for its lifetime); when omitted and ``workers > 1``
+    a transient one is created for the call.
     """
     # Duck-typed: test doubles and third-party searches may predate the
-    # grouping protocol, in which case they get per-job dispatch.
-    grouped = group_by_class and getattr(search, "deterministic", False)
+    # grouping protocol, in which case they get the per-job loop.
+    deterministic = getattr(search, "deterministic", False)
     batch_search = getattr(search, "find_alternatives_batch", None)
-    if workers <= 1 or len(jobs) <= 1:
-        snapshot = pool.copy()
-        if grouped and batch_search is not None:
+    snapshot = pool.copy()
+    if workers <= 1 or len(jobs) <= 1 or not deterministic:
+        if deterministic and batch_search is not None:
             found = batch_search(list(jobs), snapshot, limit=limit)
             return {job.job_id: windows for job, windows in zip(jobs, found)}
         return {
             job.job_id: search.find_alternatives(job, snapshot, limit=limit)
             for job in jobs
         }
-    if grouped:
-        member_lists = _class_members(jobs)
-        scan_counters["grouped_jobs"] += len(jobs)
-        scan_counters["grouped_classes"] += len(member_lists)
-        scan_counters["grouped_shared"] += len(jobs) - len(member_lists)
-    else:
-        member_lists = [[index] for index in range(len(jobs))]
-    if mode == "process":
-        shared = pool.as_arrays().to_shared()
-        try:
-
-            def submit_one(pool_executor: Executor, job: Job):
-                return pool_executor.submit(
-                    _search_against_block,
-                    shared.name,
-                    pool.min_usable_length,
-                    search,
-                    job,
-                    limit,
-                )
-
-            if executor is not None:
-                return _collect(executor, submit_one, jobs, member_lists)
-            with ProcessPoolExecutor(max_workers=workers) as transient:
-                return _collect(transient, submit_one, jobs, member_lists)
-        finally:
-            shared.close()
-            shared.unlink()
-    snapshot = pool.copy()
-
-    def submit_one(pool_executor: Executor, job: Job):
-        return pool_executor.submit(search.find_alternatives, job, snapshot, limit)
-
-    if executor is not None:
-        return _collect(executor, submit_one, jobs, member_lists)
-    with ThreadPoolExecutor(max_workers=workers) as transient:
-        return _collect(transient, submit_one, jobs, member_lists)
+    member_lists = _class_members(jobs)
+    scan_counters["grouped_jobs"] += len(jobs)
+    scan_counters["grouped_classes"] += len(member_lists)
+    scan_counters["grouped_shared"] += len(jobs) - len(member_lists)
+    # A caller's persistent pool outlives the call; a transient one does not.
+    owned = (
+        ThreadPoolExecutor(max_workers=workers)
+        if executor is None
+        else nullcontext(executor)
+    )
+    with owned as running:
+        futures = [
+            running.submit(search.find_alternatives, jobs[members[0]], snapshot, limit)
+            for members in member_lists
+        ]
+        windows_by_index: dict[int, list[Window]] = {}
+        for members, future in zip(member_lists, futures):
+            windows = future.result()
+            windows_by_index[members[0]] = windows
+            for index in members[1:]:
+                windows_by_index[index] = list(windows)
+    # Keyed in ``jobs`` order, exactly like the inline path.
+    return {job.job_id: windows_by_index[index] for index, job in enumerate(jobs)}

@@ -1,11 +1,9 @@
-"""The columnar snapshot: roundtrips, cache discipline, mutation storms.
+"""The columnar snapshot: cache discipline, mutation storms.
 
 The pool's numpy snapshot (:meth:`SlotPool.as_arrays`) is the substrate
-of both the vectorized scan kernel and the shared-memory fan-out, so two
-things must hold under arbitrary interleavings of every mutating
-operation: the columns always describe exactly the object state
-(``_slots`` and the per-node index), and a snapshot that crossed a
-shared-memory block decodes value-equal to its source.
+of the vectorized scan kernel, so under arbitrary interleavings of every
+mutating operation the columns must always describe exactly the object
+state (``_slots`` and the per-node index).
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from repro.core.reference import reference_scan
 from repro.environment import EnvironmentConfig, EnvironmentGenerator
 from repro.model import ResourceRequest, Slot, SlotPool
 from repro.model.slot import TIME_EPSILON
-from repro.model.slotarrays import SharedSlotArrays, SlotArrays
+from repro.model.slotarrays import SlotArrays
 from tests.conftest import SNAPSHOT_COLUMNS as COLUMNS
 from tests.conftest import make_node, make_slot
 
@@ -76,68 +74,6 @@ def assert_index_consistent(pool: SlotPool) -> None:
         assert bucket  # empty buckets are deleted eagerly
         assert bucket == sorted(bucket)
         assert all(slot.node.node_id == node_id for _, slot in bucket)
-
-
-class TestSharedMemoryRoundtrip:
-    def test_decoded_columns_value_equal(self):
-        arrays = generated_pool().as_arrays()
-        with arrays.to_shared() as shared:
-            reader = SharedSlotArrays.attach(shared.name)
-            try:
-                decoded = reader.arrays()
-            finally:
-                reader.close()
-        for column in ("start", "end", "node_row", "node_id", "performance",
-                       "price", "clock", "ram", "disk", "power"):
-            left, right = getattr(arrays, column), getattr(decoded, column)
-            assert left.dtype == right.dtype
-            assert np.array_equal(left, right)
-        assert decoded.os_names == arrays.os_names
-
-    def test_decoded_arrays_outlive_the_block(self):
-        pool = generated_pool()
-        arrays = pool.as_arrays()
-        shared = arrays.to_shared()
-        reader = SharedSlotArrays.attach(shared.name)
-        decoded = reader.arrays()
-        reader.close()
-        shared.close()
-        shared.unlink()
-        # The block is gone; the copied-out columns must still be intact.
-        assert np.array_equal(decoded.start, arrays.start)
-        rebuilt = [
-            (s.node.node_id, s.start, s.end) for s in decoded.slot_objects()
-        ]
-        assert rebuilt == span_list(pool)
-
-    def test_from_arrays_rebuild_is_faithful(self):
-        pool = generated_pool()
-        arrays = pool.as_arrays()
-        with arrays.to_shared() as shared:
-            reader = SharedSlotArrays.attach(shared.name)
-            try:
-                decoded = reader.arrays()
-            finally:
-                reader.close()
-            rebuilt = SlotPool.from_arrays(
-                decoded, min_usable_length=pool.min_usable_length
-            )
-        assert span_list(rebuilt) == span_list(pool)
-        assert rebuilt.min_usable_length == pool.min_usable_length
-        # The decoded snapshot doubles as the rebuilt pool's columnar
-        # cache — no re-columnarization on the reader side.
-        assert rebuilt.as_arrays() is decoded
-        assert_index_consistent(rebuilt)
-        # A rebuilt pool searches identically to its source.
-        request = ResourceRequest(
-            node_count=3, reservation_time=40.0, budget=600.0
-        )
-        original = MinCost().select(request, pool)
-        mirrored = MinCost().select(request, rebuilt)
-        assert (original is None) == (mirrored is None)
-        if original is not None:
-            assert original.start == mirrored.start
-            assert sorted(original.nodes()) == sorted(mirrored.nodes())
 
 
 class TestMutationStorm:

@@ -7,12 +7,19 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 
-import pytest
+import numpy as np
 
 from repro.core.algorithms.csa import CSA
+from repro.core.algorithms.minproctime import MinProcTime
 from repro.environment import EnvironmentConfig, EnvironmentGenerator
 from repro.model import Job, ResourceRequest
-from repro.service import BrokerService, ServiceConfig
+from repro.scheduling import BatchScheduler
+from repro.service import (
+    BrokerService,
+    CollectingSink,
+    ServiceConfig,
+    deterministic_trace,
+)
 from repro.service.parallel import parallel_find_alternatives
 
 
@@ -119,62 +126,20 @@ class TestPersistentBrokerExecutor:
     def test_worker_count_invariance_end_to_end(self):
         jobs = make_jobs(10)
 
-        def run(workers: int):
-            service = BrokerService(
-                make_pool(),
-                config=ServiceConfig(workers=workers, batch_size=3, max_wait=5.0),
+        def run(workers: int, search):
+            sink = CollectingSink()
+            config = ServiceConfig(
+                workers=workers, batch_size=3, max_wait=5.0, record_assignments=True
             )
-            for index, job in enumerate(jobs):
-                service.advance_to(float(index))
-                service.submit(job)
-                service.pump()
-            service.drain()
-            service.close()
-            return {
-                job_id: (window.start, tuple(sorted(window.nodes())))
-                for job_id, window in service.assignments.items()
-            }
-
-        assert run(1) == run(4)
-
-
-class TestProcessFanOut:
-    """The shared-memory process transport must be invisible in the
-    results: identical alternatives, identical broker assignments."""
-
-    def test_process_mode_matches_inline(self):
-        pool = make_pool()
-        jobs = make_jobs(6)
-        search = CSA(max_alternatives=4)
-        inline = parallel_find_alternatives(search, jobs, pool, workers=1, limit=4)
-        process = parallel_find_alternatives(
-            search, jobs, pool, workers=2, limit=4, mode="process"
-        )
-        assert fingerprint(inline) == fingerprint(process)
-
-    def test_process_mode_leaves_pool_untouched(self):
-        pool = make_pool()
-        before = [(slot.node.node_id, slot.start, slot.end) for slot in pool]
-        parallel_find_alternatives(
-            CSA(max_alternatives=3),
-            make_jobs(4),
-            pool,
-            workers=2,
-            limit=3,
-            mode="process",
-        )
-        after = [(slot.node.node_id, slot.start, slot.end) for slot in pool]
-        assert before == after
-
-    def test_broker_process_mode_matches_thread_mode(self):
-        jobs = make_jobs(8)
-
-        def run(mode: str):
             service = BrokerService(
                 make_pool(),
-                config=ServiceConfig(
-                    workers=2, worker_mode=mode, batch_size=3, max_wait=5.0
+                config=config,
+                scheduler=BatchScheduler(
+                    search=search,
+                    criterion=config.criterion,
+                    alternatives_per_job=config.alternatives_per_job,
                 ),
+                sinks=[sink],
             )
             for index, job in enumerate(jobs):
                 service.advance_to(float(index))
@@ -182,48 +147,40 @@ class TestProcessFanOut:
                 service.pump()
             service.drain()
             service.close()
-            return {
+            assert service.assignments
+            assignments = {
                 job_id: (window.start, tuple(sorted(window.nodes())))
                 for job_id, window in service.assignments.items()
             }
+            return assignments, deterministic_trace(sink.events)
 
-        assert run("thread") == run("process")
-
-    def test_unknown_worker_mode_rejected(self):
-        from repro.model.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            ServiceConfig(worker_mode="fiber")
+        # CSA fans out; the seeded randomized search must not (one
+        # random stream, drawn in job order).
+        for make_search in (
+            lambda: CSA(max_alternatives=10),
+            lambda: MinProcTime(simplified=True, rng=np.random.default_rng(42)),
+        ):
+            assert run(1, make_search()) == run(4, make_search())
 
 
 class TestClassGroupedFanOut:
-    """Request-class grouping is a pure optimization: every transport and
-    worker count must produce the identical mapping with grouping on and
-    off, and the grouping telemetry must record the sharing."""
+    """Request-class grouping is a pure optimization: every worker count
+    must produce the mapping of one search per job, and the grouping
+    telemetry must record the sharing."""
 
     def test_grouped_matches_per_job_across_modes(self):
         pool = make_pool()
         jobs = make_jobs(10)  # two request classes, five duplicates each
         search = CSA(max_alternatives=4)
-        per_job = parallel_find_alternatives(
-            search, jobs, pool, workers=1, limit=4, group_by_class=False
-        )
+        per_job = {
+            job.job_id: search.find_alternatives(job, pool.copy(), 4) for job in jobs
+        }
         reference = fingerprint(per_job)
-        for workers, mode in ((1, "thread"), (4, "thread"), (2, "process")):
+        for workers in (1, 4):
             grouped = parallel_find_alternatives(
-                search, jobs, pool, workers=workers, limit=4, mode=mode
+                search, jobs, pool, workers=workers, limit=4
             )
-            assert fingerprint(grouped) == reference, (workers, mode)
-            ungrouped = parallel_find_alternatives(
-                search,
-                jobs,
-                pool,
-                workers=workers,
-                limit=4,
-                mode=mode,
-                group_by_class=False,
-            )
-            assert fingerprint(ungrouped) == reference, (workers, mode)
+            assert fingerprint(grouped) == reference, workers
 
     def test_grouping_counters_record_sharing(self):
         from repro.core.vectorized import scan_counters
@@ -251,31 +208,26 @@ class TestClassGroupedFanOut:
         assert first is not third
 
     def test_nondeterministic_search_dispatched_per_job(self):
-        import numpy as np
-
-        from repro.core.algorithms.minproctime import MinProcTime
-
         pool = make_pool()
         jobs = make_jobs(6)  # duplicate request classes
-        assert MinProcTime(simplified=True).deterministic is False
-        # The randomized search consumes one shared random stream, so
-        # grouping would draw fewer times than a sequential loop.  With
-        # grouping requested (the default) the fan-out must fall back to
-        # per-job dispatch: identical results to group_by_class=False
-        # for same-seeded instances.
-        grouped_path = parallel_find_alternatives(
-            MinProcTime(simplified=True, rng=np.random.default_rng(42)),
-            jobs,
-            pool,
-            workers=1,
-            limit=3,
-        )
-        per_job_path = parallel_find_alternatives(
-            MinProcTime(simplified=True, rng=np.random.default_rng(42)),
-            jobs,
-            pool,
-            workers=1,
-            limit=3,
-            group_by_class=False,
-        )
-        assert fingerprint(grouped_path) == fingerprint(per_job_path)
+        limit = 3
+
+        def seeded():
+            return MinProcTime(simplified=True, rng=np.random.default_rng(42))
+
+        assert seeded().deterministic is False
+        # The randomized search consumes one shared random stream, in
+        # job order: grouping would draw fewer times than a sequential
+        # loop and worker threads would race on the generator.  Whatever
+        # ``workers`` says, the result must be the one-search-per-job
+        # loop of a same-seeded instance.
+        search = seeded()
+        per_job = {
+            job.job_id: search.find_alternatives(job, pool.copy(), limit)
+            for job in jobs
+        }
+        for workers in (1, 4):
+            found = parallel_find_alternatives(
+                seeded(), jobs, pool, workers=workers, limit=limit
+            )
+            assert fingerprint(found) == fingerprint(per_job), workers

@@ -9,7 +9,9 @@ The literals were recorded on the commit *before* the cycle was staged
 (PR 15) and must never be regenerated alongside a behaviour-preserving
 change.  Each scenario also asserts that it really visits the paths it
 is there to pin — a fingerprint over a trace that never co-allocates
-would guard nothing.
+would guard nothing.  Every scenario runs inline (``workers=1``) and
+over the phase-one thread pool (``workers=2``) against the same literal:
+the fan-out may not move an event either.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
+
+import pytest
 
 from repro.environment import EnvironmentConfig, EnvironmentGenerator
 from repro.federation import (
@@ -76,13 +80,14 @@ def tenancy_config() -> TenancyConfig:
     )
 
 
-def run_broker(policy: str):
+def run_broker(policy: str, workers: int):
     sink = CollectingSink()
     validator = TraceValidator()
     service = BrokerService(
         make_pool(),
         config=ServiceConfig(
             batch_size=4,
+            workers=workers,
             queue_capacity=32,
             record_assignments=True,
             tenancy=tenancy_config(),
@@ -124,9 +129,10 @@ def drop_causes(sink) -> set:
     }
 
 
+@pytest.mark.parametrize("workers", [1, 2])
 class TestBrokerWithBothParticipants:
-    def test_repair_trace_matches_the_pinned_fingerprint(self):
-        service, sink = run_broker("repair")
+    def test_repair_trace_matches_the_pinned_fingerprint(self, workers):
+        service, sink = run_broker("repair", workers)
         counts = counts_of(sink)
         assert counts[EventType.REPAIRED] > 0
         assert counts[EventType.INSUFFICIENT_CREDIT] > 0
@@ -140,8 +146,8 @@ class TestBrokerWithBothParticipants:
         assert max(multipliers) > 1.0  # live prices reached phase one
         assert trace_fingerprint(sink.events) == BROKER_REPAIR_FINGERPRINT
 
-    def test_replan_trace_matches_the_pinned_fingerprint(self):
-        service, sink = run_broker("replan")
+    def test_replan_trace_matches_the_pinned_fingerprint(self, workers):
+        service, sink = run_broker("replan", workers)
         counts = counts_of(sink)
         assert counts[EventType.REPLANNED] > 0
         assert counts[EventType.INSUFFICIENT_CREDIT] > 0
@@ -161,8 +167,9 @@ def wide_job(job_id: str, owner: str) -> Job:
     )
 
 
+@pytest.mark.parametrize("workers", [1, 2])
 class TestFederationWithSharedTenancy:
-    def test_trace_matches_the_pinned_fingerprint(self):
+    def test_trace_matches_the_pinned_fingerprint(self, workers):
         sink = CollectingSink()
         validator = FederationTraceValidator()
         manager = ShardManager(
@@ -171,6 +178,7 @@ class TestFederationWithSharedTenancy:
                 shards=4,
                 service=ServiceConfig(
                     batch_size=4,
+                    workers=workers,
                     tenancy=tenancy_config(),
                     resilience=ResilienceConfig(
                         rate=0.01, seed=7, policy="replan"
