@@ -705,43 +705,71 @@ def _run_cheapest_consume(plan, n, budget, cap):
     once and are skipped by the expiry pointer.  Relative cost ranks
     among the survivors equal those of a rebuilt plan, so every sum adds
     the same floats in the same order.
+
+    The same argument says which steps can hit at all.  After every step
+    — a miss, or a hit once its winners are consumed — fewer than ``n``
+    are alive or the n-cheapest sum is over the budget, and expiry and
+    consumption only shrink the alive set, which only raises that sum.
+    So the budget is tested, and the sum taken, only at a step whose own
+    slot enters the n cheapest; a step whose slot ranks above all of
+    them leaves the sum where it was and moves on.
     """
     loop_cand = plan.loop_cand
     expiry_times = plan.expiry_times
     expiry_cands = plan.expiry_cands
     cand_crank = plan.cand_crank
     cand_by_crank = plan.cand_by_crank
+    cost_by_crank = plan.cost_by_crank
     total_c = plan.count
-    cheap = _TopN(n, total_c, plan.cost_by_crank)
-    consumed = bytearray(total_c)  # indexed by candidate
+    flags = bytearray(total_c)  # by rank: inserted, not expired, not consumed
+    top: list[int] = []  # the min(n, alive) smallest flagged ranks, ascending
     pointer = 0
     alive = 0
     hits: list[tuple[float, list[int]]] = []
     for pos, window_start in enumerate(plan.loop_start):
         threshold = window_start - TIME_EPSILON
         while pointer < total_c and expiry_times[pointer] < threshold:
-            cand = expiry_cands[pointer]
+            rank = cand_crank[expiry_cands[pointer]]
             pointer += 1
-            if not consumed[cand]:
-                cheap.expire(cand_crank[cand])
-                alive -= 1
+            if not flags[rank]:
+                continue  # consumed by an earlier hit
+            flags[rank] = 0
+            alive -= 1
+            last = top[-1]
+            if rank <= last:  # a member: ``top`` holds every flagged rank <= last
+                del top[bisect_left(top, rank)]
+                if alive >= n:
+                    top.append(flags.find(1, last + 1))
         cand = loop_cand[pos]
         if cand < 0:
             continue
-        cheap.add(cand_crank[cand])
+        rank = cand_crank[cand]
+        flags[rank] = 1
         alive += 1
-        if alive < n or cheap.total > budget:
+        if len(top) == n:
+            if rank > top[-1]:
+                continue  # the n cheapest did not change: still over budget
+            top.pop()
+        insort(top, rank)
+        if alive < n:
             continue
-        ranks = list(cheap.top)
-        winners = [cand_by_crank[rank] for rank in ranks]
-        hits.append((window_start, winners))
+        cheap_sum = 0.0
+        for member in top:
+            cheap_sum += cost_by_crank[member]
+        if cheap_sum > budget:
+            continue
+        hits.append((window_start, [cand_by_crank[member] for member in top]))
         if len(hits) == cap:
             break
-        for rank in ranks:
-            cheap.expire(rank)
-        for winner in winners:
-            consumed[winner] = 1
+        for member in top:
+            flags[member] = 0
         alive -= n
+        # Everything still flagged ranks above the consumed members.
+        refill = top[-1]
+        top = []
+        while len(top) < n and len(top) < alive:
+            refill = flags.find(1, refill + 1)
+            top.append(refill)
     return hits
 
 

@@ -189,6 +189,10 @@ class CoAllocator:
 
         Deterministic order (completion time, then job id), like the
         broker lifecycle's retire sweep.  Returns the retired entries.
+
+        Every shard trims its pool to its clock, which is at ``now`` or
+        later, before it searches again, and ``release`` is told so:
+        legs that ended in the past are checked but not inserted.
         """
         due = [
             entry
@@ -198,7 +202,7 @@ class CoAllocator:
         due.sort(key=lambda entry: (entry.completes_at, entry.job.job_id))
         for entry in due:
             for shard_id in sorted(entry.legs):
-                pools[shard_id].release(entry.legs[shard_id])
+                pools[shard_id].release(entry.legs[shard_id], now)
             del self._active[entry.job.job_id]
             # Clean completion settles the escrow into revenue.
             self._tenancy.on_retired(entry.job.job_id)

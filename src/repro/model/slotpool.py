@@ -295,7 +295,7 @@ class SlotPool:
         for host, span_start, span_end in cuts:
             self._carve(host, span_start, span_end, mode)
 
-    def release(self, window: Window) -> None:
+    def release(self, window: Window, floor: Optional[float] = None) -> None:
         """Return a committed window's reservations to the pool.
 
         The inverse of :meth:`cut_window`: each leg's reserved span
@@ -306,27 +306,47 @@ class SlotPool:
         service relies on this to retire finished jobs without leaking or
         fragmenting capacity.
 
+        ``floor`` is the time the caller trims to next
+        (``trim_before(floor)``).  A span ending more than two
+        :data:`TIME_EPSILON` before it is checked but not inserted,
+        because that trim would delete all of it: the span and a
+        coalesced left neighbour end before ``floor``, and the one slot
+        it could merge with on its right starts within one epsilon of
+        the span's end — before ``floor - TIME_EPSILON`` — so the trim
+        truncates that slot to ``[floor, end)``, or drops it under the
+        same tail rule, merged or not.  The pool after ``release(window,
+        floor)`` and ``trim_before(floor)`` equals the pool after
+        ``release(window)`` and ``trim_before(floor)``; spans nearer
+        the boundary, and every span without a ``floor``, are inserted.
+
         Raises :class:`AllocationError` when any released span overlaps
         free time already in the pool (the signature of a double release);
         the pool is left unchanged in that case.
         """
-        spans = [
-            (ws.slot.node, window.start, window.start + ws.required_time)
-            for ws in window.slots
-        ]
-        for node, span_start, span_end in spans:
-            for _, slot in self._by_node.get(node.node_id, ()):
-                if (
-                    slot.start < span_end - TIME_EPSILON
-                    and span_start < slot.end - TIME_EPSILON
-                ):
+        start = window.start
+        # ``trim_before(floor)`` truncates what starts before this bound.
+        bound = float("-inf") if floor is None else floor - TIME_EPSILON
+        by_node = self._by_node
+        inserts: list[Slot] = []
+        for ws in window.slots:
+            node = ws.slot.node
+            span_end = start + ws.required_time
+            reach = span_end - TIME_EPSILON
+            for (slot_start, slot_end, _), _slot in by_node.get(node.node_id, ()):
+                if slot_start >= reach:
+                    break  # start-ordered: nothing later overlaps either
+                if start < slot_end - TIME_EPSILON:
                     raise AllocationError(
-                        f"released span [{span_start:g}, {span_end:g}) on node "
+                        f"released span [{start:g}, {span_end:g}) on node "
                         f"{node.node_id} overlaps free slot "
-                        f"[{slot.start:g}, {slot.end:g}) — double release?"
+                        f"[{slot_start:g}, {slot_end:g}) — double release?"
                     )
-        for node, span_start, span_end in spans:
-            self.add(Slot(node, span_start, span_end))
+            # Written with the sums the coalescing and the trim compare
+            # floats by, so the two-epsilon rule holds to the last bit.
+            if not span_end + TIME_EPSILON < bound:
+                inserts.append(Slot(node, start, span_end))
+        for slot in inserts:
+            self.add(slot)
 
     def trim_before(self, time: float) -> int:
         """Drop free time earlier than ``time`` (virtual-clock advance).
@@ -336,40 +356,67 @@ class SlotPool:
         tail falls below ``min_usable_length``).  Returns the number of
         slots removed or truncated.  The broker service calls this at the
         start of every cycle so searches only ever see future time.
+
+        Only the prefix of slots starting before ``time + TIME_EPSILON``
+        is inspected: every later slot is kept untouched (its end exceeds
+        its start, hence the cutoff too).  The per-node buckets share the
+        pool's total order, so a node's entries inside that prefix are
+        the first entries of its bucket and are rewritten by position —
+        no search, no per-slot delete and re-insert.
         """
-        # Every slot starting at or after ``time + TIME_EPSILON`` is kept
-        # untouched (its end exceeds its start, hence the cutoff too), so
-        # only the prefix up to that point needs per-slot inspection.
-        cutoff = bisect_left(self._slots, ((time + TIME_EPSILON,),))
+        bound = time + TIME_EPSILON
+        cutoff = bisect_left(self._slots, ((bound,),))
         if cutoff == 0:
             return 0
+        truncate_before = time - TIME_EPSILON
+        min_tail = self.min_usable_length
+        by_node = self._by_node
         changed = 0
         removed: list[Slot] = []
         rebuilt: list[tuple[tuple[float, float, int], Slot]] = []
+        # node id -> what each prefix entry of a node owning several of
+        # them became (``None``: removed), in bucket order.
+        crowded: dict[int, list] = {}
         for entry in self._slots[:cutoff]:
-            slot = entry[1]
-            if slot.end <= time + TIME_EPSILON:
-                changed += 1
-                self._bucket_discard(entry)
-                removed.append(slot)
-                continue
-            if slot.start < time - TIME_EPSILON:
-                changed += 1
-                self._bucket_discard(entry)
-                tail = slot.end - time
-                if tail > TIME_EPSILON and tail >= self.min_usable_length:
-                    trimmed = Slot(slot.node, time, slot.end)
-                    trimmed_entry = (trimmed.sort_key(), trimmed)
-                    rebuilt.append(trimmed_entry)
-                    insort(self._by_node.setdefault(trimmed.node.node_id, []), trimmed_entry)
+            (start, end, node_id), slot = entry
+            survivor = None
+            if end > bound:
+                if start >= truncate_before:
+                    survivor = entry  # starts at ``time``: kept as it is
                 else:
-                    removed.append(slot)
-                continue
-            rebuilt.append(entry)
-        if changed:
-            rebuilt.sort()
-            self._slots[:cutoff] = rebuilt
-            self._store.replace_prefix(cutoff, removed, rebuilt)
+                    tail = end - time
+                    if tail > TIME_EPSILON and tail >= min_tail:
+                        survivor = ((time, end, node_id), Slot(slot.node, time, end))
+            if survivor is not entry:
+                changed += 1
+            if survivor is None:
+                removed.append(slot)
+            else:
+                rebuilt.append(survivor)
+            bucket = by_node[node_id]
+            if len(bucket) > 1 and bucket[1][0][0] < bound:
+                crowded.setdefault(node_id, []).append(survivor)
+            elif survivor is not None:
+                bucket[0] = survivor
+            elif len(bucket) > 1:
+                del bucket[0]
+            else:
+                del by_node[node_id]
+        if not changed:
+            return 0
+        for node_id, survivors in crowded.items():
+            # Two overlapping slots of one node (a ``coalesce=False``
+            # pool) can swap order once both start at ``time``.
+            bucket = by_node[node_id]
+            bucket[: len(survivors)] = sorted(
+                (entry for entry in survivors if entry is not None),
+                key=itemgetter(0),
+            )
+            if not bucket:
+                del by_node[node_id]
+        rebuilt.sort(key=itemgetter(0))
+        self._slots[:cutoff] = rebuilt
+        self._store.replace_prefix(cutoff, removed, rebuilt)
         return changed
 
     def copy(self) -> "SlotPool":

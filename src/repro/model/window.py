@@ -11,6 +11,7 @@ criteria the evaluated algorithms optimize.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from repro.model.errors import WindowValidationError
@@ -64,13 +65,17 @@ class Window:
 
     # ------------------------------------------------------------------
     # Aggregate characteristics (the optimization criteria of Section 3).
+    # The four that phase two compares windows by are computed once per
+    # window: a frozen dataclass still has an instance ``__dict__`` for
+    # ``cached_property`` to fill, and equality, hash and repr read the
+    # fields only.
     # ------------------------------------------------------------------
     @property
     def size(self) -> int:
         """Number of co-allocated slots ``n``."""
         return len(self.slots)
 
-    @property
+    @cached_property
     def runtime(self) -> float:
         """Execution time: the length of the longest composing reservation.
 
@@ -79,17 +84,17 @@ class Window:
         """
         return max(ws.required_time for ws in self.slots)
 
-    @property
+    @cached_property
     def finish(self) -> float:
         """Completion time of the window: ``start + runtime``."""
         return self.start + self.runtime
 
-    @property
+    @cached_property
     def processor_time(self) -> float:
         """Total node (CPU) time: the sum of the reservations' lengths."""
         return sum(ws.required_time for ws in self.slots)
 
-    @property
+    @cached_property
     def total_cost(self) -> float:
         """Total allocation cost: the sum of the individual slot costs."""
         return sum(ws.cost for ws in self.slots)

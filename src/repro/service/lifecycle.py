@@ -139,6 +139,12 @@ class JobLifecycle:
         Each retired window's reservations go back into ``pool`` via
         :meth:`SlotPool.release`; retirement order is deterministic
         (completion time, then job id).  Returns the retired entries.
+
+        The caller trims the pool to ``now`` next (the broker's clock
+        step), and ``release`` is told so: every span is checked, but
+        one that ended in the past — all but the longest leg of a job
+        that ran its full reservation — is not inserted only for that
+        trim to delete it again.
         """
         due = [
             entry
@@ -147,7 +153,7 @@ class JobLifecycle:
         ]
         due.sort(key=lambda entry: (entry.completes_at, entry.job.job_id))
         for entry in due:
-            pool.release(entry.window)
+            pool.release(entry.window, now)
             del self._active[entry.job.job_id]
             self._emitter.emit(
                 EventType.RETIRED,

@@ -51,6 +51,14 @@ def pool_state(pool: SlotPool) -> tuple:
     )
 
 
+def free_spans(pool: SlotPool) -> dict[int, list[tuple[float, float]]]:
+    """The pool's free time as ``node id -> [(start, end), ...]``."""
+    return {
+        node_id: [(slot.start, slot.end) for slot in slots]
+        for node_id, slots in pool.by_node().items()
+    }
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)

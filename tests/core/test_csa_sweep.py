@@ -250,6 +250,30 @@ class TestHandBuiltPools:
         found = self.check(slots, request, [20.0])
         assert found[0].nodes() == [2, 1]
 
+    def test_window_of_candidates_older_than_the_last_hit(self):
+        # The sweep takes the cheapest-three sum only at a step whose own
+        # slot enters the cheapest three.  Costs: nodes 0-6 wait from
+        # start 0 with 10, 11, 12, 13, 13.5, 14, 14.5 (cheapest three 33,
+        # over the budget; nodes 3-6 rank above them and are not tested);
+        # nodes 0 and 1 expire before start 4, where node 7 (cost 5)
+        # hits with nodes 2 and 3.  The three cheapest left — nodes 4, 5,
+        # 6 — are all older than that hit and over the budget, node 8
+        # (cost 20) ranks above them, and node 9 (cost 4) must still
+        # find nodes 4 and 5 beside it.
+        prices = [2.0, 2.2, 2.4, 2.6, 2.7, 2.8, 2.9]
+        slots = [
+            make_slot(node_id, 0.0, 8.0 if node_id < 2 else 100.0, price=price)
+            for node_id, price in enumerate(prices)
+        ]
+        slots += [
+            make_slot(7, 4.0, 100.0, price=1.0),
+            make_slot(8, 4.5, 100.0, price=4.0),
+            make_slot(9, 5.0, 100.0, price=0.8),
+        ]
+        request = ResourceRequest(node_count=3, reservation_time=20.0, budget=32.0)
+        found = self.check(slots, request, [4.0, 5.0])
+        assert [window.nodes() for window in found] == [[7, 2, 3], [9, 4, 5]]
+
 
 class TestEvictionPolicyHandBuiltPools:
     """What the checkpointed restart of the first-policy sweep must get

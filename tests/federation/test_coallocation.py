@@ -14,7 +14,7 @@ from repro.model import Job, ResourceRequest, SlotPool
 from repro.model.errors import AllocationError
 from repro.model.window import Window
 from repro.service.config import ServiceConfig
-from tests.conftest import make_slot, pool_state
+from tests.conftest import free_spans, make_slot, pool_state
 
 
 def two_node_pool(first_id: int) -> SlotPool:
@@ -129,6 +129,35 @@ class TestLifecycle:
         for shard_id, pool in pools.items():
             assert pool.total_free_time() == pytest.approx(before[shard_id])
             pool.assert_disjoint_per_node()
+
+    def test_release_due_tells_release_the_time_the_shards_trim_to(self):
+        """Legs on faster nodes end before the window completes: they are
+        not put back for the shards' next trim to delete, and after that
+        trim the pools equal those of a plain release of every leg."""
+        pools = {
+            0: SlotPool.from_slots(
+                [make_slot(0, 0.0, 100.0, performance=8.0), make_slot(1, 0.0, 100.0)]
+            ),
+            1: SlotPool.from_slots([make_slot(2, 0.0, 100.0, performance=2.0)]),
+        }
+        allocator = CoAllocator(ServiceConfig())
+        entry = allocator.try_place(wide_job(), pools, now=0.0)
+        assert entry is not None
+        now = entry.completes_at
+        expected = {}
+        for shard_id, pool in pools.items():
+            twin = pool.copy()
+            twin.release(entry.legs[shard_id])
+            twin.trim_before(now)
+            expected[shard_id] = pool_state(twin)
+
+        assert len(allocator.release_due(pools, now)) == 1
+        # Runtimes 2.5, 5 and 10: only node 2's leg reaches ``now``.
+        assert free_spans(pools[0]) == {0: [(2.5, 100.0)], 1: [(5.0, 100.0)]}
+        assert free_spans(pools[1]) == {2: [(0.0, 100.0)]}
+        for shard_id, pool in pools.items():
+            pool.trim_before(now)
+            assert pool_state(pool) == expected[shard_id], shard_id
 
     def test_next_completion_tracks_earliest(self):
         pools = {0: two_node_pool(0), 1: two_node_pool(2)}

@@ -310,9 +310,13 @@ class TestTrimAgainstNaiveModel:
         self, slots, coalesce, min_usable_length, times
     ):
         pool = SlotPool.from_slots(slots, min_usable_length, coalesce=coalesce)
+        self.assert_trims_match_model(pool, sorted(times))
+
+    @staticmethod
+    def assert_trims_match_model(pool, times):
         model = pool.ordered()
-        for time in sorted(times):
-            changed, model = naive_trim(model, time, min_usable_length)
+        for time in times:
+            changed, model = naive_trim(model, time, pool.min_usable_length)
             assert pool.trim_before(time) == changed
             assert pool.ordered() == model
             grouped = {}
@@ -321,3 +325,37 @@ class TestTrimAgainstNaiveModel:
             assert pool.by_node() == grouped
             assert_index_consistent(pool)
             assert_bytes_equal_rebuild(pool, model)
+
+    def test_overlapping_straddlers_swap_order_once_truncated(self):
+        """A ``coalesce=False`` pool may hold overlapping slots of one
+        node: ``[0, 50)`` sorts before ``[1, 40)``, but ``[10, 50)``
+        after ``[10, 40)`` — in the pool's order and in the node's bucket."""
+        node = make_node(1)
+        pool = SlotPool.from_slots(
+            [Slot(node, 0.0, 50.0), Slot(node, 1.0, 40.0), make_slot(2, 0.0, 45.0)],
+            coalesce=False,
+        )
+        self.assert_trims_match_model(pool, [10.0])
+        assert [(s.start, s.end) for s in pool.by_node()[1]] == [
+            (10.0, 40.0),
+            (10.0, 50.0),
+        ]
+
+    @pytest.mark.parametrize("min_usable_length", [TIME_EPSILON, 5.0])
+    def test_node_with_three_entries_in_the_walked_prefix(self, min_usable_length):
+        """Dead, straddling, and starting within an epsilon of ``time``:
+        removed, truncated (to nothing, under the raised threshold) and
+        kept as it is, next to a node with the usual single entry."""
+        node = make_node(1)
+        pool = SlotPool.from_slots(
+            [
+                Slot(node, 0.0, 5.0),
+                Slot(node, 2.0, 13.0),
+                Slot(node, 10.0 - TIME_EPSILON / 2, 60.0),
+                Slot(node, 70.0, 80.0),
+                make_slot(2, 0.0, 45.0),
+            ],
+            min_usable_length,
+            coalesce=False,
+        )
+        self.assert_trims_match_model(pool, [10.0, 10.0, 65.0, 90.0])

@@ -170,9 +170,9 @@ class TestAcceptanceRun:
         releases = []
         original_release = service.pool.release
 
-        def counting_release(window):
+        def counting_release(window, *args, **kwargs):
             releases.append(window)
-            return original_release(window)
+            return original_release(window, *args, **kwargs)
 
         service.pool.release = counting_release
         run_service_trace(config, service=service)

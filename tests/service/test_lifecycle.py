@@ -5,9 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core.algorithms import AMP
-from repro.model import Job, ResourceRequest
+from repro.model import Job, ResourceRequest, Window, WindowSlot
 from repro.model.errors import SchedulingError
 from repro.service import JobLifecycle
+from tests.conftest import free_spans
 
 
 @pytest.fixture
@@ -83,3 +84,53 @@ def test_retirement_order_is_deterministic(uniform_pool):
     ]
     assert lifecycle.active_count == 0
     uniform_pool.assert_disjoint_per_node()
+
+
+# ----------------------------------------------------------------------
+# Retirement tells ``release`` the time the broker trims to next
+# ----------------------------------------------------------------------
+@pytest.fixture
+def rough_edged(heterogeneous_pool):
+    """A committed window whose legs run 10 (node 0) and 5 (node 1)."""
+    job = Job("lc", ResourceRequest(node_count=2, reservation_time=20.0, budget=1000.0))
+    by_node = heterogeneous_pool.by_node()
+    window = Window(
+        start=0.0,
+        slots=tuple(
+            WindowSlot.for_request(by_node[node_id][0], job.request)
+            for node_id in (0, 1)
+        ),
+    )
+    assert [ws.required_time for ws in window.slots] == [10.0, 5.0]
+    heterogeneous_pool.commit_window(window)
+    untouched = {
+        node_id: spans
+        for node_id, spans in free_spans(heterogeneous_pool).items()
+        if node_id > 1
+    }
+    return job, window, heterogeneous_pool, untouched
+
+
+def test_retiring_at_completion_coalesces_the_longest_leg(rough_edged):
+    job, window, pool, untouched = rough_edged
+    lifecycle = JobLifecycle()
+    entry = lifecycle.start(job, window, now=0.0)
+    assert len(lifecycle.retire_due(entry.completes_at, pool)) == 1
+    # Node 0's leg ends exactly at ``now`` and is merged back; node 1's
+    # ended 5 earlier and is not inserted for the trim to delete again.
+    assert free_spans(pool) == {0: [(0.0, 100.0)], 1: [(5.0, 100.0)], **untouched}
+    pool.trim_before(entry.completes_at)
+    assert free_spans(pool)[0] == free_spans(pool)[1] == [(10.0, 100.0)]
+
+
+def test_early_finish_returns_the_future_tail(rough_edged):
+    job, window, pool, untouched = rough_edged
+    lifecycle = JobLifecycle()
+    entry = lifecycle.start(job, window, now=0.0, completion_factor=0.5)
+    assert entry.completes_at == 5.0
+    assert len(lifecycle.retire_due(entry.completes_at, pool)) == 1
+    # Both legs reach ``now``: the reserved but unused [5, 10) of node 0
+    # is free again.
+    assert free_spans(pool) == {0: [(0.0, 100.0)], 1: [(0.0, 100.0)], **untouched}
+    pool.trim_before(entry.completes_at)
+    assert free_spans(pool)[0] == free_spans(pool)[1] == [(5.0, 100.0)]
