@@ -4,7 +4,7 @@ PY ?= python
 
 .PHONY: install test bench bench-full bench-all bench-core bench-batch \
 	bench-service bench-experiments bench-resilience bench-federation \
-	bench-soak bench-tenancy figures report examples clean
+	bench-soak bench-tenancy flow-check figures report examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -52,6 +52,16 @@ bench-tenancy:
 bench-all: bench-core bench-batch bench-service bench-experiments \
 	bench-resilience bench-federation bench-soak bench-tenancy
 
+# The one flow driver, end to end: a seeded `repro flow` on the broker, its
+# JSONL replayed by the validator, and a guard that the pre-broker
+# generation stays deleted.
+flow-check:
+	PYTHONPATH=src $(PY) -m repro.cli flow --cycles 6 --arrivals 4 \
+		--nodes 40 --seed 11 --trace flow-trace.jsonl
+	PYTHONPATH=src $(PY) -c 'from repro.service import validate_trace_file; validate_trace_file("flow-trace.jsonl", expect_drained=True)'
+	! grep -rnE "JobFlowSimulation|FlowConfig|FlowResult|CycleStats|UpdateModel|UpdateStats|apply_updates|ReservationLedger|FlowTrace|FlowEvent|remove_busy" \
+		src/ tests/ examples/ benchmarks/ docs/ README.md DESIGN.md CONTRIBUTING.md
+
 # The paper-scale run (hours): 5000 cycles, 1000 reps, full grids.
 bench-full:
 	REPRO_BENCH_CYCLES=5000 REPRO_BENCH_REPS=1000 REPRO_BENCH_FULL=1 \
@@ -69,5 +79,5 @@ examples:
 	done
 
 clean:
-	rm -rf figures reproduction_report.md .pytest_cache
+	rm -rf figures reproduction_report.md flow-trace.jsonl .pytest_cache
 	find . -name __pycache__ -type d -exec rm -rf {} +

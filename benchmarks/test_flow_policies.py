@@ -2,34 +2,30 @@
 
 The paper's algorithms feed phase one of the enclosing scheduling scheme;
 this study measures the *policy* effect over many cycles: running the same
-seeded workload under different phase-two criteria, the cheapest policy
-spends the least per scheduled job and the finish-time policy keeps
-makespan short — the job-flow counterpart of Fig. 4's spread.
+seeded arrival stream through the broker under different phase-two
+criteria, the cheapest policy spends the least per scheduled job and the
+finish-time policy keeps makespan short — the job-flow counterpart of
+Fig. 4's spread.
 """
 
 from repro.analysis import render_table
-from repro.core import CSA, Criterion
-from repro.environment import EnvironmentConfig
-from repro.scheduling import BatchScheduler, FlowConfig, JobFlowSimulation
-from repro.simulation import JobGenerator
+from repro.core import Criterion
+from repro.service import ServiceConfig, run_flow
 
 POLICIES = (Criterion.FINISH_TIME, Criterion.COST, Criterion.PROCESSOR_TIME)
 SEED = 31337
 
 
 def run_policy(criterion: Criterion):
-    config = FlowConfig(
+    return run_flow(
         cycles=6,
-        arrivals_per_cycle=4,
-        max_deferrals=2,
-        environment=EnvironmentConfig(node_count=40),
+        arrivals=4,
+        node_count=40,
         seed=SEED,
+        service=ServiceConfig(
+            max_deferrals=2, alternatives_per_job=10, criterion=criterion
+        ),
     )
-    scheduler = BatchScheduler(search=CSA(max_alternatives=10), criterion=criterion)
-    simulation = JobFlowSimulation(
-        config, scheduler=scheduler, job_generator=JobGenerator(seed=SEED)
-    )
-    return simulation.run()
 
 
 def test_flow_policies(benchmark):

@@ -3,16 +3,16 @@
 The paper's algorithms feed phase one of the VO scheduling scheme; the
 *policy* question — which criterion should phase two optimize? — only
 shows up over many cycles of arriving, deferring and ageing jobs.  This
-example runs the same seeded job flow under three VO policies and
-contrasts throughput, money spent and waiting time.
+example feeds the same seeded arrival stream (5 jobs per tick) through
+the broker under three VO policies, with local jobs preempting committed
+legs along the way, and contrasts throughput, money spent and waiting
+time.
 
 Run:  python examples/job_flow_policies.py
 """
 
-from repro.core import CSA, Criterion
-from repro.environment import EnvironmentConfig
-from repro.scheduling import BatchScheduler, FlowConfig, JobFlowSimulation, UpdateModel
-from repro.simulation import JobGenerator
+from repro.core import Criterion
+from repro.service import ResilienceConfig, ServiceConfig, run_flow
 
 POLICIES = (
     ("earliest finish", Criterion.FINISH_TIME),
@@ -22,26 +22,24 @@ POLICIES = (
 
 
 def run_policy(criterion: Criterion):
-    config = FlowConfig(
+    return run_flow(
         cycles=8,
-        arrivals_per_cycle=5,
-        max_deferrals=2,
-        environment=EnvironmentConfig(node_count=40),
-        updates=UpdateModel(local_job_rate=0.3),
+        arrivals=5,
+        node_count=40,
         seed=2024,  # identical flow for every policy
+        service=ServiceConfig(
+            max_deferrals=2,
+            alternatives_per_job=12,
+            criterion=criterion,
+            # Local-job churn on the nodes that host committed legs.
+            resilience=ResilienceConfig(rate=0.0005, seed=2024),
+        ),
     )
-    scheduler = BatchScheduler(
-        search=CSA(max_alternatives=12), criterion=criterion
-    )
-    simulation = JobFlowSimulation(
-        config, scheduler=scheduler, job_generator=JobGenerator(seed=2024)
-    )
-    return simulation.run()
 
 
 def main() -> None:
     print(
-        "8 cycles x 5 arriving jobs on 40 nodes, identical seeded workload, "
+        "8 ticks x 5 arriving jobs on 40 nodes, identical seeded workload, "
         "three VO policies:\n"
     )
     header = (

@@ -872,43 +872,27 @@ def cmd_presets(args: argparse.Namespace) -> int:
 
 def cmd_flow(args: argparse.Namespace) -> int:
     """Handler of the ``repro flow`` subcommand."""
-    from repro.scheduling import BatchScheduler, FlowConfig, JobFlowSimulation
-    from repro.simulation import FlowTrace, JobGenerator
+    from repro.service import ServiceConfig, TraceInvariantError, run_flow
 
-    config = FlowConfig(
-        cycles=args.cycles,
-        arrivals_per_cycle=args.arrivals,
-        environment=EnvironmentConfig(node_count=args.nodes),
-        seed=args.seed,
-    )
-    scheduler = BatchScheduler(
-        search=CSA(max_alternatives=args.alternatives),
-        criterion=Criterion[args.criterion.upper()],
-    )
-    trace = FlowTrace() if args.trace else None
-    simulation = JobFlowSimulation(
-        config,
-        scheduler=scheduler,
-        job_generator=JobGenerator(seed=args.seed),
-        trace=trace,
-    )
-    result = simulation.run()
-    rows = [
-        [
-            stats.cycle,
-            stats.submitted,
-            stats.scheduled,
-            stats.deferred,
-            stats.dropped,
-            round(stats.total_cost, 1),
-            round(stats.makespan, 1),
-        ]
-        for stats in result.cycles
-    ]
+    try:
+        result = run_flow(
+            args.cycles,
+            args.arrivals,
+            node_count=args.nodes,
+            seed=args.seed,
+            service=ServiceConfig(
+                alternatives_per_job=args.alternatives,
+                criterion=Criterion[args.criterion.upper()],
+            ),
+            trace_path=args.trace,
+        )
+    except TraceInvariantError as error:
+        print(f"TRACE INVARIANT VIOLATION\n{error}", file=sys.stderr)
+        return 1
     print(
         render_table(
             ["cycle", "submitted", "scheduled", "deferred", "dropped", "cost", "makespan"],
-            rows,
+            [row[:5] + [round(row[5], 1), round(row[6], 1)] for row in result.cycles],
             title=(
                 f"job flow: {args.cycles} cycles x {args.arrivals} arrivals, "
                 f"policy {args.criterion}"
@@ -920,11 +904,12 @@ def cmd_flow(args: argparse.Namespace) -> int:
         f"drop rate {result.drop_rate:.0%}, "
         f"mean cost {result.cost.mean:.1f}, "
         f"mean wait {result.waiting_cycles.mean:.2f} cycles, "
-        f"service fairness {result.fairness.service_fairness:.2f}"
+        f"service fairness {result.service_fairness:.2f}"
     )
-    if trace is not None:
-        trace.save(args.trace)
-        print(f"wrote event trace to {args.trace} ({len(trace.events)} events)")
+    if result.rejected_total:
+        print(f"{result.rejected_total} job(s) rejected at admission")
+    if args.trace:
+        print(f"wrote event trace to {args.trace}")
     return 0
 
 
@@ -1134,14 +1119,14 @@ def build_parser() -> argparse.ArgumentParser:
     presets.add_argument("--seed", type=int, default=1)
     presets.set_defaults(func=cmd_presets)
 
-    flow = sub.add_parser("flow", help="run a multi-cycle job-flow simulation")
+    flow = sub.add_parser("flow", help="run a cycle-by-cycle job flow on the broker")
     flow.add_argument("--cycles", type=int, default=6)
     flow.add_argument("--arrivals", type=int, default=4)
     flow.add_argument("--nodes", type=int, default=50)
     flow.add_argument("--seed", type=int, default=7)
     flow.add_argument("--alternatives", type=int, default=10)
     _add_criterion(flow)
-    flow.add_argument("--trace", help="write a JSON event trace to this path")
+    flow.add_argument("--trace", help="write the broker's JSONL event trace here")
     flow.set_defaults(func=cmd_flow)
 
     report = sub.add_parser(

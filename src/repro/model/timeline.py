@@ -59,32 +59,6 @@ class Timeline:
         insort(self._busy, (start, end))
         self._merge()
 
-    def remove_busy(self, start: float, end: float) -> None:
-        """Release ``[start, end)``: the span becomes free again.
-
-        The span must currently be entirely busy (releasing free time is a
-        bookkeeping bug we surface).  Used by reservation cancellation —
-        an advance reservation that is withdrawn returns its span to the
-        published slots.
-        """
-        if end - start <= TIME_EPSILON:
-            raise InvalidIntervalError(start, end)
-        covering = None
-        for index, (busy_start, busy_end) in enumerate(self._busy):
-            if busy_start - TIME_EPSILON <= start and end <= busy_end + TIME_EPSILON:
-                covering = index
-                break
-        if covering is None:
-            raise ModelError(
-                f"cannot release [{start}, {end}) on node {self.node.node_id}: "
-                "the span is not entirely busy"
-            )
-        busy_start, busy_end = self._busy.pop(covering)
-        if start - busy_start > TIME_EPSILON:
-            insort(self._busy, (busy_start, start))
-        if busy_end - end > TIME_EPSILON:
-            insort(self._busy, (end, busy_end))
-
     def _merge(self) -> None:
         merged: list[tuple[float, float]] = []
         for start, end in self._busy:

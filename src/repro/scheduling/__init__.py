@@ -6,28 +6,11 @@ from repro.scheduling.combination import (
     optimal_combination,
 )
 from repro.scheduling.metascheduler import BatchScheduler, CycleReport
-from repro.scheduling.reservations import Reservation, ReservationLedger
-from repro.scheduling.simulation import (
-    CycleStats,
-    FlowConfig,
-    FlowResult,
-    JobFlowSimulation,
-)
-from repro.scheduling.updates import UpdateModel, UpdateStats, apply_updates
 
 __all__ = [
-    "apply_updates",
     "BatchScheduler",
     "CombinationChoice",
     "CycleReport",
-    "CycleStats",
-    "FlowConfig",
-    "FlowResult",
     "greedy_combination",
-    "JobFlowSimulation",
     "optimal_combination",
-    "Reservation",
-    "ReservationLedger",
-    "UpdateModel",
-    "UpdateStats",
 ]

@@ -18,10 +18,12 @@ from repro.service.admission import (
 from repro.service.broker import BrokerService
 from repro.service.config import ServiceConfig
 from repro.service.driver import (
+    FlowSummary,
     TraceConfig,
     TraceResult,
     bench_service,
     build_service,
+    run_flow,
     run_service_trace,
 )
 from repro.service.events import (
@@ -85,6 +87,7 @@ __all__ = [
     "EventEmitter",
     "EventSink",
     "EventType",
+    "FlowSummary",
     "graceful_interrupt",
     "JobLifecycle",
     "JsonlSink",
@@ -104,6 +107,7 @@ __all__ = [
     "RevocationContext",
     "RevocationInjector",
     "RingBufferSink",
+    "run_flow",
     "run_service_trace",
     "ServiceConfig",
     "ServiceStats",

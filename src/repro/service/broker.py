@@ -565,8 +565,8 @@ class BrokerService:
         """Build the batch phase one sees: live-priced and aged."""
         cycle.multiplier = self._tenancy.price_multiplier
         for item in cycle.queued.values():
-            # Ageing: every deferral bumps the priority, as in the flow
-            # simulation, so waiting jobs eventually win conflicts.
+            # Ageing: every deferral bumps the priority, so waiting jobs
+            # eventually win conflicts.
             cycle.batch.add(
                 Job(
                     item.job.job_id,

@@ -22,7 +22,6 @@ from repro.simulation.experiment import (
     run_cycle,
 )
 from repro.simulation.jobgen import JobGenerator, JobGeneratorConfig
-from repro.simulation.trace import FlowEvent, FlowTrace
 from repro.simulation.metrics import (
     REPORTED_CRITERIA,
     CsaStats,
@@ -53,8 +52,6 @@ __all__ = [
     "ExperimentConfig",
     "JobGenerator",
     "JobGeneratorConfig",
-    "FlowEvent",
-    "FlowTrace",
     "growth_exponent",
     "make_generator",
     "measure_point",

@@ -15,7 +15,6 @@ from repro.environment import EnvironmentConfig, EnvironmentGenerator
 from repro.execution import PoissonDisturbances, replay_execution
 from repro.io import environment_from_dict, environment_to_dict
 from repro.model import Job, ResourceRequest
-from repro.scheduling import ReservationLedger
 
 
 @pytest.fixture(scope="module")
@@ -55,11 +54,11 @@ def test_full_pipeline(pipeline_state):
     assert any(chosen is member for member in front)
 
     # 4. Book it; the published free time shrinks by the processor time.
-    ledger = ReservationLedger(environment)
-    free_before = environment.slot_pool().total_free_time()
-    reservation = ledger.book(job.job_id, chosen)
-    free_after = environment.slot_pool().total_free_time()
-    assert free_after == pytest.approx(free_before - chosen.processor_time)
+    free_before = pool.total_free_time()
+    pool.commit_window(chosen)
+    assert pool.total_free_time() == pytest.approx(
+        free_before - chosen.processor_time
+    )
 
     # 5. The Gantt view shows the reservation.
     chart = render_gantt(environment, [chosen], legend=False)
@@ -80,9 +79,9 @@ def test_full_pipeline(pipeline_state):
     assert fairness.owners["alice"].scheduled == 1
     assert fairness.service_fairness == 1.0
 
-    # 8. Cancel: the environment returns to its pre-booking state.
-    ledger.cancel(reservation.reservation_id)
-    assert environment.slot_pool().total_free_time() == pytest.approx(free_before)
+    # 8. Withdraw: the pool returns to its pre-booking state.
+    pool.release(chosen)
+    assert pool.total_free_time() == pytest.approx(free_before)
 
 
 def test_pipeline_survives_reload_mid_flight(pipeline_state):

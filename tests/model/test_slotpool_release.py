@@ -83,9 +83,12 @@ def test_release_is_inverse_of_cut(window_and_pool):
 def test_release_is_inverse_of_commit(window_and_pool):
     window, pool = window_and_pool
     before = pool_spans(pool)
+    free_before = pool.total_free_time()
     pool.commit_window(window)
+    assert pool.total_free_time() == pytest.approx(free_before - window.processor_time)
     pool.release(window)
     assert pool_spans(pool) == before
+    assert pool.total_free_time() == pytest.approx(free_before)
 
 
 def test_double_release_raises_and_leaves_pool_unchanged(window_and_pool):
@@ -132,8 +135,10 @@ def test_commit_window_without_containing_slot_raises(uniform_pool):
     job = Job("a", ResourceRequest(node_count=2, reservation_time=20.0, budget=1000.0))
     window = AMP().select(job, uniform_pool)
     uniform_pool.commit_window(window)
+    booked = pool_state(uniform_pool)
     with pytest.raises(AllocationError, match="contains the"):
         uniform_pool.commit_window(window)
+    assert pool_state(uniform_pool) == booked
 
 
 @pytest.mark.parametrize("mode", ["split", "consume"])
@@ -153,6 +158,45 @@ def test_commit_window_with_a_homeless_leg_leaves_pool_unchanged(uniform_pool, m
     with pytest.raises(AllocationError, match="node 9 contains the"):
         uniform_pool.commit_window(window, mode=mode)
     assert pool_state(uniform_pool) == before
+
+
+def shifted(window: Window, start: float) -> Window:
+    """The same legs on the same nodes, starting at ``start``."""
+    return Window(start=start, slots=window.slots)
+
+
+def test_a_swap_may_reuse_the_released_spans(window_and_pool):
+    """Release then commit is a rebooking: the new window overlaps the
+    old one, which only fits because the old spans came back first."""
+    window, pool = window_and_pool
+    pool.commit_window(window)
+    overlapping = shifted(window, window.start + window.runtime / 2)
+    with pytest.raises(AllocationError):
+        pool.commit_window(overlapping)
+    pool.release(window)
+    pool.commit_window(overlapping)
+    pool.assert_disjoint_per_node()
+    pool.release(overlapping)
+    assert pool_spans(pool) == {i: [(0.0, 100.0)] for i in range(4)}
+
+
+def test_a_refused_second_commit_leaves_the_first_intact(window_and_pool):
+    window, pool = window_and_pool
+    pool.commit_window(window)
+    booked = pool_state(pool)
+    # The rival's first leg is free, its second overlaps the booking:
+    # the refusal must not have cut the free one.
+    free_node = next(i for i in range(4) if i not in window.nodes())
+    free_leg = WindowSlot(
+        slot=make_slot(free_node, 0.0, 100.0), required_time=5.0, cost=10.0
+    )
+    rival = Window(start=window.start, slots=(free_leg, window.slots[0]))
+    with pytest.raises(AllocationError):
+        pool.commit_window(rival)
+    assert pool_state(pool) == booked
+    # the first booking is still there to be withdrawn, exactly once
+    pool.release(window)
+    assert pool_spans(pool) == {i: [(0.0, 100.0)] for i in range(4)}
 
 
 # ----------------------------------------------------------------------

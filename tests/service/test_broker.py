@@ -13,7 +13,7 @@ import pytest
 
 from repro.environment import EnvironmentConfig, EnvironmentGenerator
 from repro.model import Job, ResourceRequest
-from repro.model.errors import SchedulingError
+from repro.model.errors import ConfigurationError, SchedulingError
 from repro.scheduling.combination import CombinationChoice
 from repro.scheduling.metascheduler import CycleReport
 from repro.service import (
@@ -67,6 +67,24 @@ class NeverScheduler:
             alternatives_found={job.job_id: 0 for job in jobs},
             jobs=jobs,
         )
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        {"queue_capacity": 0},
+        {"batch_size": 0},
+        {"max_wait": 0.0},
+        {"workers": 0},
+        {"max_deferrals": -1},
+        {"alternatives_per_job": 0},
+        {"cut_mode": "shred"},
+        {"completion_factor": 0.0},
+    ],
+)
+def test_service_config_rejects_out_of_range_values(field):
+    with pytest.raises(ConfigurationError):
+        ServiceConfig(**field)
 
 
 class TestSubmitAndCycle:
@@ -240,6 +258,30 @@ class TestDeferralAccounting:
         drops = [e for e in collector.events if e.type is EventType.DROPPED]
         assert {event.job_id for event in drops} == {"a", "b"}
         assert all(e.fields["cause"] == "max_deferrals" for e in drops)
+
+    def test_each_deferral_ages_the_job_by_one_priority_step(self):
+        seen: list[dict[str, int]] = []
+
+        class Recording(NeverScheduler):
+            def plan(self, batch, pool, alternatives=None):
+                seen.append({job.job_id: job.priority for job in batch.jobs})
+                return super().plan(batch, pool, alternatives)
+
+        service = BrokerService(
+            make_pool(),
+            config=ServiceConfig(batch_size=8, max_deferrals=2, max_wait=5.0),
+            scheduler=Recording(),
+        )
+        service.submit(Job("old", make_job("old").request, priority=3))
+        service.advance_to(5.0)  # cycle 0: "old" defers
+        service.submit(Job("new", make_job("new").request, priority=3))
+        service.drain()
+        assert seen == [
+            {"old": 3},
+            {"old": 4, "new": 3},
+            {"old": 5, "new": 4},
+            {"new": 5},
+        ]
 
     def test_deferral_repush_keeps_enqueue_times_nondecreasing(self):
         # the invariant behind the O(1) oldest-item peek, exercised

@@ -8,7 +8,7 @@ from repro.core.algorithms import AMP
 from repro.model import Job, ResourceRequest, Window, WindowSlot
 from repro.model.errors import SchedulingError
 from repro.service import JobLifecycle
-from tests.conftest import free_spans
+from tests.conftest import free_spans, pool_state
 
 
 @pytest.fixture
@@ -134,3 +134,46 @@ def test_early_finish_returns_the_future_tail(rough_edged):
     assert free_spans(pool) == {0: [(0.0, 100.0)], 1: [(0.0, 100.0)], **untouched}
     pool.trim_before(entry.completes_at)
     assert free_spans(pool)[0] == free_spans(pool)[1] == [(5.0, 100.0)]
+
+
+# ----------------------------------------------------------------------
+# Swap and withdraw: the registry half of a rebooking
+# ----------------------------------------------------------------------
+def test_replace_swaps_the_window_and_keeps_the_schedule_time(rough_edged):
+    job, window, pool, _ = rough_edged
+    lifecycle = JobLifecycle()
+    original = lifecycle.start(job, window, now=3.0)
+    # The repaired window keeps the start but trades node 1's leg (runs 5)
+    # for one on the slower node 4 (runs 20): the job completes later.
+    substitute = WindowSlot.for_request(pool.by_node()[4][0], job.request)
+    repaired = Window(start=window.start, slots=(window.slots[0], substitute))
+    assert repaired.runtime == 20.0 != window.runtime
+    entry = lifecycle.replace(job.job_id, repaired, completion_factor=0.5)
+    assert lifecycle.get(job.job_id) is entry
+    assert (entry.job, entry.window) == (job, repaired)
+    assert entry.scheduled_at == original.scheduled_at == 3.0
+    assert entry.completes_at == repaired.start + repaired.runtime * 0.5
+    assert lifecycle.active_count == 1
+    assert lifecycle.next_completion() == entry.completes_at
+
+
+def test_replace_of_an_unknown_job_raises(rough_edged):
+    job, window, _, _ = rough_edged
+    with pytest.raises(SchedulingError, match="not running"):
+        JobLifecycle().replace(job.job_id, window)
+
+
+def test_cancel_drops_the_entry_without_touching_the_pool(rough_edged):
+    job, window, pool, _ = rough_edged
+    lifecycle = JobLifecycle()
+    entry = lifecycle.start(job, window, now=0.0)
+    held = pool_state(pool)
+    assert lifecycle.cancel(job.job_id) is entry
+    assert lifecycle.active_count == 0
+    assert lifecycle.next_completion() is None
+    # The caller owns the release: nothing came back, nothing retires later.
+    assert pool_state(pool) == held
+    assert lifecycle.retire_due(1e9, pool) == []
+    with pytest.raises(SchedulingError, match="not running"):
+        lifecycle.cancel(job.job_id)
+

@@ -124,6 +124,10 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "throughput" in out
         assert "job flow" in out
+        # one table row per tick (nothing defers here), five summary figures
+        assert [line.split()[0] for line in out.splitlines()[3:5]] == ["0", "1"]
+        for figure in ("drop rate", "mean cost", "mean wait", "service fairness"):
+            assert figure in out
 
     def test_flow_trace_option(self, tmp_path, capsys):
         path = str(tmp_path / "trace.json")
@@ -143,10 +147,29 @@ class TestCommands:
             ]
         )
         assert code == 0
-        from repro.simulation import FlowTrace
+        from repro.service import validate_trace_file
 
-        trace = FlowTrace.load(path)
-        assert trace.events
+        counts = validate_trace_file(path, expect_drained=True).summary()
+        assert counts["scheduled"] + counts["dropped"] == 2 * 2
+
+    def test_flow_output_is_a_function_of_the_seed(self, capsys):
+        argv = ["flow", "--cycles", "3", "--arrivals", "3", "--nodes", "30"]
+        outputs = []
+        for seed in ("4", "4", "5"):
+            assert main(argv + ["--seed", seed]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] != outputs[2]
+
+    def test_flow_exits_nonzero_on_a_trace_violation(self, monkeypatch, capsys):
+        import repro.service
+        from repro.service import TraceInvariantError
+
+        def violated(*args, **kwargs):
+            raise TraceInvariantError("2 job(s) are still pending")
+
+        monkeypatch.setattr(repro.service, "run_flow", violated)
+        assert main(["flow", "--cycles", "1", "--arrivals", "1"]) == 1
+        assert "TRACE INVARIANT VIOLATION" in capsys.readouterr().err
 
     def test_report_with_sweeps(self, tmp_path, capsys):
         path = str(tmp_path / "full_report.md")
