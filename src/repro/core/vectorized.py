@@ -713,6 +713,11 @@ def _run_cheapest_consume(plan, n, budget, cap):
     So the budget is tested, and the sum taken, only at a step whose own
     slot enters the n cheapest; a step whose slot ranks above all of
     them leaves the sum where it was and moves on.
+
+    Nor can any step hit when the n cheapest ranks of the whole plan
+    bust the budget: any alive set's n cheapest ranks are, rank for
+    rank, no cheaper, so their ascending sum — the float sum a step
+    takes — is no smaller.  That sweep returns at once.
     """
     loop_cand = plan.loop_cand
     expiry_times = plan.expiry_times
@@ -721,6 +726,13 @@ def _run_cheapest_consume(plan, n, budget, cap):
     cand_by_crank = plan.cand_by_crank
     cost_by_crank = plan.cost_by_crank
     total_c = plan.count
+    if total_c < n:
+        return []
+    cheapest_sum = 0.0
+    for rank in range(n):
+        cheapest_sum += cost_by_crank[rank]
+    if cheapest_sum > budget:
+        return []
     flags = bytearray(total_c)  # by rank: inserted, not expired, not consumed
     top: list[int] = []  # the min(n, alive) smallest flagged ranks, ascending
     pointer = 0

@@ -8,12 +8,21 @@ window's reservations return via :meth:`repro.model.SlotPool.release`,
 which coalesces them with neighbouring free slots.  Retired entries are
 discarded, so an indefinitely running service holds state only for jobs
 actually in flight.
+
+The registry also indexes its windows by node (node id -> ids of the
+live jobs with a leg there), kept in step with the entries by the four
+methods that change them — :meth:`JobLifecycle.start`, ``replace``,
+``cancel`` and ``retire_due``.  The resilience layer reads it on every
+clock step: :meth:`JobLifecycle.active_nodes` is the set of nodes a
+local job can disturb, :meth:`JobLifecycle.entries_on` the windows one
+preemption can compromise — so a step costs what changes, not a walk
+over every live window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import KeysView, Optional
 
 from repro.model.errors import SchedulingError
 from repro.model.job import Job
@@ -38,6 +47,9 @@ class JobLifecycle:
 
     def __init__(self, emitter: Optional[EventEmitter] = None) -> None:
         self._active: dict[str, ActiveJob] = {}
+        #: node id -> ids of the live jobs with a leg on it; a node with
+        #: none has no key.
+        self._on_node: dict[int, set[str]] = {}
         self._emitter = emitter if emitter is not None else EventEmitter()
 
     @property
@@ -52,13 +64,32 @@ class JobLifecycle:
     def entries(self) -> list[ActiveJob]:
         """Every active entry, ordered by (window start, job id).
 
-        The deterministic scan order the resilience layer uses to find
-        windows compromised by a node preemption.
+        The deterministic order a shard evacuation walks the live
+        windows in.  The resilience layer reads the node index instead
+        (:meth:`active_nodes`, :meth:`entries_on`).
         """
-        return sorted(
-            self._active.values(),
-            key=lambda entry: (entry.window.start, entry.job.job_id),
-        )
+        return sorted(self._active.values(), key=_entry_order)
+
+    def active_nodes(self) -> KeysView[int]:
+        """Ids of the nodes hosting a leg of some running job.
+
+        A live read-only view of the node index: copy it before the
+        lifecycle changes if it must stay as it was.
+        """
+        return self._on_node.keys()
+
+    def entries_on(self, node_id: int) -> list[ActiveJob]:
+        """The running jobs with a leg on ``node_id``, as a fresh list in
+        :meth:`entries`' (window start, job id) order.
+
+        The windows one preemption of ``node_id`` can compromise, in the
+        order the resilience layer recovers them.
+        """
+        job_ids = self._on_node.get(node_id)
+        if not job_ids:
+            return []
+        active = self._active
+        return sorted((active[job_id] for job_id in job_ids), key=_entry_order)
 
     def get(self, job_id: str) -> Optional[ActiveJob]:
         """The active entry for ``job_id``, or ``None``."""
@@ -96,6 +127,7 @@ class JobLifecycle:
             completes_at=window.start + window.runtime * completion_factor,
         )
         self._active[job.job_id] = entry
+        self._index(job.job_id, window)
         return entry
 
     def replace(
@@ -119,6 +151,8 @@ class JobLifecycle:
             completes_at=window.start + window.runtime * completion_factor,
         )
         self._active[job_id] = entry
+        self._unindex(job_id, old.window)
+        self._index(job_id, window)
         return entry
 
     def cancel(self, job_id: str) -> ActiveJob:
@@ -131,6 +165,7 @@ class JobLifecycle:
         entry = self._active.pop(job_id, None)
         if entry is None:
             raise SchedulingError(f"job {job_id!r} is not running")
+        self._unindex(job_id, entry.window)
         return entry
 
     def retire_due(self, now: float, pool: SlotPool) -> list[ActiveJob]:
@@ -153,12 +188,37 @@ class JobLifecycle:
         ]
         due.sort(key=lambda entry: (entry.completes_at, entry.job.job_id))
         for entry in due:
+            job_id = entry.job.job_id
             pool.release(entry.window, now)
-            del self._active[entry.job.job_id]
+            del self._active[job_id]
+            self._unindex(job_id, entry.window)
             self._emitter.emit(
                 EventType.RETIRED,
-                job_id=entry.job.job_id,
+                job_id=job_id,
                 completed_at=entry.completes_at,
                 released_node_seconds=entry.window.processor_time,
             )
         return due
+
+    def _index(self, job_id: str, window: Window) -> None:
+        on_node = self._on_node
+        for leg in window.slots:
+            node_id = leg.slot.node.node_id
+            job_ids = on_node.get(node_id)
+            if job_ids is None:
+                on_node[node_id] = {job_id}
+            else:
+                job_ids.add(job_id)
+
+    def _unindex(self, job_id: str, window: Window) -> None:
+        on_node = self._on_node
+        for leg in window.slots:
+            node_id = leg.slot.node.node_id
+            job_ids = on_node[node_id]
+            job_ids.discard(job_id)
+            if not job_ids:
+                del on_node[node_id]
+
+
+def _entry_order(entry: ActiveJob) -> tuple[float, str]:
+    return (entry.window.start, entry.job.job_id)

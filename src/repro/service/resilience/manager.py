@@ -166,11 +166,11 @@ class ResilienceManager:
     # Injection
     # ------------------------------------------------------------------
     def sample_interval(self, start: float, end: float) -> list[NodePreemption]:
-        """Preemptions over ``[start, end)`` on the currently active nodes."""
-        nodes: set[int] = set()
-        for entry in self._lifecycle.entries():
-            nodes.update(entry.window.nodes())
-        return self.injector.sample_interval(start, end, nodes)
+        """Preemptions over ``[start, end)`` on the currently active nodes
+        (the lifecycle's node index, read as it stands)."""
+        return self.injector.sample_interval(
+            start, end, self._lifecycle.active_nodes()
+        )
 
     # ------------------------------------------------------------------
     # Revocation handling
@@ -181,9 +181,11 @@ class ResilienceManager:
         Every active window with a leg on the hit node whose reservation
         span overlaps the local job's busy interval is compromised; each
         is revoked and recovered independently, in deterministic
-        ``(window start, job id)`` order.
+        ``(window start, job id)`` order.  Only the windows on the hit
+        node are examined; the list is taken before the first recovery
+        changes the lifecycle.
         """
-        for entry in self._lifecycle.entries():
+        for entry in self._lifecycle.entries_on(hit.node_id):
             revoked, surviving = self._partition(entry, hit)
             if revoked:
                 self._recover(entry, revoked, surviving, now)

@@ -275,6 +275,54 @@ class TestHandBuiltPools:
         assert [window.nodes() for window in found] == [[7, 2, 3], [9, 4, 5]]
 
 
+class TestDoomedCheapestSweep:
+    """The cheapest sweep returns at once when the plan's n cheapest cost
+    ranks already bust the budget — and only then."""
+
+    # Costs 6.5, 3.5, 14.5, 5.5, 9.0 (task(20) runs 5 on the default node).
+    PRICES = [1.3, 0.7, 2.9, 1.1, 1.8]
+    REQUEST = ResourceRequest(node_count=3, reservation_time=20.0)
+
+    def plan(self):
+        slots = [
+            make_slot(node_id, float(node_id), 100.0, price=price)
+            for node_id, price in enumerate(self.PRICES)
+        ]
+        arrays, _ = vectorized._resolve_arrays(SlotPool.from_slots(slots))
+        plan = vectorized._plan_for(arrays, self.REQUEST)
+        cheapest = 0.0
+        for cost in plan.cost_by_crank[:3]:
+            cheapest += cost
+        return plan, cheapest
+
+    def test_budget_at_exactly_the_n_cheapest_sum_still_hits(self):
+        plan, cheapest = self.plan()
+        # The three cheapest (nodes 1, 3, 0) are all alive from start 3.
+        hits = vectorized._run_cheapest_consume(plan, 3, cheapest, None)
+        assert [start for start, _ in hits] == [3.0]
+        below = np.nextafter(cheapest, -np.inf)
+        assert vectorized._run_cheapest_consume(plan, 3, below, None) == []
+
+    def test_fewer_candidates_than_nodes_hit_nothing(self):
+        plan, _ = self.plan()
+        assert vectorized._run_cheapest_consume(plan, 6, float("inf"), None) == []
+
+    def test_doomed_request_still_counts_one_sweep_and_one_plan(self):
+        slots = [
+            make_slot(node_id, float(node_id), 100.0, price=price)
+            for node_id, price in enumerate(self.PRICES)
+        ]
+        pool = SlotPool.from_slots(slots)
+        request = ResourceRequest(node_count=3, reservation_time=20.0, budget=15.0)
+        assert procedure(request, pool) == []
+        before = counters()
+        assert sweep_csa().find_alternatives(request, pool) == []
+        assert counter_delta(before) == {"vectorized": 1, "plans_built": 1}
+        before = counters()
+        assert sweep_csa().find_alternatives(request, pool) == []
+        assert counter_delta(before) == {"vectorized": 1, "plans_reused": 1}
+
+
 class TestEvictionPolicyHandBuiltPools:
     """What the checkpointed restart of the first-policy sweep must get
     right (task(20) on the default node runs 5 and costs 5 x price)."""

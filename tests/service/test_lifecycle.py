@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core.algorithms import AMP
 from repro.model import Job, ResourceRequest, Window, WindowSlot
 from repro.model.errors import SchedulingError
 from repro.service import JobLifecycle
-from tests.conftest import free_spans, pool_state
+from tests.conftest import free_spans, make_slot, pool_state
 
 
 @pytest.fixture
@@ -177,3 +180,111 @@ def test_cancel_drops_the_entry_without_touching_the_pool(rough_edged):
     with pytest.raises(SchedulingError, match="not running"):
         lifecycle.cancel(job.job_id)
 
+
+
+# ----------------------------------------------------------------------
+# The node index against a rebuild from the entries
+# ----------------------------------------------------------------------
+NODES = range(8)
+
+
+class DiscardingPool:
+    """Stands in for the pool: the index only needs retirement to happen."""
+
+    def release(self, window, floor=None):
+        pass
+
+
+def window_on(node_ids, start: float, runtime: float) -> Window:
+    return Window(
+        start=start,
+        slots=tuple(
+            WindowSlot(
+                slot=make_slot(node_id, start, start + 100.0),
+                required_time=runtime,
+                cost=1.0,
+            )
+            for node_id in node_ids
+        ),
+    )
+
+
+def assert_index_matches_entries(lifecycle: JobLifecycle) -> None:
+    """``active_nodes`` / ``entries_on`` equal what every entry says."""
+    rebuilt: dict[int, list] = {}
+    for entry in lifecycle.entries():
+        for node_id in entry.window.nodes():
+            rebuilt.setdefault(node_id, []).append(entry)
+    assert set(lifecycle.active_nodes()) == set(rebuilt)
+    for node_id in NODES:
+        assert lifecycle.entries_on(node_id) == rebuilt.get(node_id, [])
+
+
+node_sets = st.sets(st.sampled_from(NODES), min_size=1, max_size=4)
+job_ids = st.sampled_from([f"j{index}" for index in range(6)])
+
+
+class NodeIndexMachine(RuleBasedStateMachine):
+    """Random start / replace / cancel / retire_due sequences; the index
+    must equal a rebuild after every step."""
+
+    def __init__(self):
+        super().__init__()
+        self.lifecycle = JobLifecycle()
+        self.now = 0.0
+
+    @rule(
+        job_id=job_ids,
+        nodes=node_sets,
+        delay=st.integers(0, 20),
+        runtime=st.integers(1, 30),
+    )
+    def start(self, job_id, nodes, delay, runtime):
+        if self.lifecycle.get(job_id) is not None:
+            return
+        job = Job(job_id, ResourceRequest(node_count=len(nodes), reservation_time=1.0))
+        window = window_on(sorted(nodes), self.now + delay, float(runtime))
+        self.lifecycle.start(job, window, now=self.now)
+
+    @rule(job_id=job_ids, nodes=node_sets, runtime=st.integers(1, 30))
+    def replace(self, job_id, nodes, runtime):
+        entry = self.lifecycle.get(job_id)
+        if entry is None or set(nodes) == set(entry.window.nodes()):
+            return
+        window = window_on(sorted(nodes), entry.window.start, float(runtime))
+        self.lifecycle.replace(job_id, window)
+
+    @rule(job_id=job_ids)
+    def cancel(self, job_id):
+        if self.lifecycle.get(job_id) is not None:
+            self.lifecycle.cancel(job_id)
+
+    @rule(step=st.integers(0, 25))
+    def retire_due(self, step):
+        self.now += step
+        self.lifecycle.retire_due(self.now, DiscardingPool())
+
+    @invariant()
+    def index_matches_entries(self):
+        assert_index_matches_entries(self.lifecycle)
+
+
+TestNodeIndexMachine = NodeIndexMachine.TestCase
+TestNodeIndexMachine.settings = settings(
+    max_examples=100, stateful_step_count=30, deadline=None
+)
+
+
+def test_entries_on_is_a_fresh_list_in_entries_order(rough_edged):
+    job, window, _, _ = rough_edged
+    lifecycle = JobLifecycle()
+    lifecycle.start(job, window, now=0.0)
+    early = Job("early", job.request)
+    lifecycle.start(early, window_on([1, 5], window.start - 1.0, 5.0), now=0.0)
+    on_node_1 = lifecycle.entries_on(1)
+    assert [entry.job.job_id for entry in on_node_1] == ["early", "lc"]
+    on_node_1.clear()
+    assert len(lifecycle.entries_on(1)) == 2
+    assert sorted(lifecycle.active_nodes()) == [0, 1, 5]
+    assert lifecycle.entries_on(7) == []
+    assert_index_matches_entries(lifecycle)

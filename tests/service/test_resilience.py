@@ -37,6 +37,7 @@ from repro.service import (
     run_service_trace,
 )
 from repro.service.resilience.bench import bench_resilience, goodput_by_policy
+from repro.service.resilience.manager import ResilienceManager
 from repro.service.resilience.policies import (
     AbandonAction,
     RepairAction,
@@ -352,6 +353,65 @@ class TestEndToEnd:
         assert outcome.validator.forfeited_node_seconds == pytest.approx(
             stats.forfeited_node_seconds
         )
+
+
+class TestIndexedFaultPath:
+    """The manager reads the lifecycle's node index: ``sample_interval``
+    its node set, ``apply`` the hit node's windows.  A shadow recomputes
+    both from every live entry, as the manager did before the index,
+    on every call of a disturbed run."""
+
+    @pytest.fixture
+    def divergences(self, monkeypatch):
+        found: list = []
+        calls = {"sample": 0, "apply": 0}
+        sample, apply = ResilienceManager.sample_interval, ResilienceManager.apply
+
+        def shadow_sample(manager, start, end):
+            calls["sample"] += 1
+            lifecycle = manager._lifecycle
+            nodes: set[int] = set()
+            for entry in lifecycle.entries():
+                nodes.update(entry.window.nodes())
+            indexed = set(lifecycle.active_nodes())
+            if indexed != nodes:
+                found.append(("sample_interval", start, indexed, nodes))
+            return sample(manager, start, end)
+
+        def shadow_apply(manager, hit, now):
+            calls["apply"] += 1
+            lifecycle = manager._lifecycle
+            on_node = [
+                entry
+                for entry in lifecycle.entries()
+                if hit.node_id in entry.window.nodes()
+            ]
+            compromised = [
+                entry for entry in lifecycle.entries() if manager._partition(entry, hit)[0]
+            ]
+            indexed = lifecycle.entries_on(hit.node_id)
+            if indexed != on_node or [
+                entry for entry in indexed if manager._partition(entry, hit)[0]
+            ] != compromised:
+                found.append(("apply", hit, indexed, on_node))
+            return apply(manager, hit, now)
+
+        monkeypatch.setattr(ResilienceManager, "sample_interval", shadow_sample)
+        monkeypatch.setattr(ResilienceManager, "apply", shadow_apply)
+        return found, calls
+
+    @pytest.mark.parametrize("policy", ["repair", "replan"])
+    def test_index_never_diverges_from_the_full_scan(self, tmp_path, divergences, policy):
+        found, calls = divergences
+        outcome, _ = traced_run(
+            tmp_path, policy, ResilienceConfig(rate=0.01, seed=5, policy=policy)
+        )
+        stats = outcome.service.stats
+        assert found == []
+        # Not vacuous: the shadow saw every step and every hit, and the
+        # index went through repairs or cancellations.
+        assert calls["sample"] > 50 and calls["apply"] >= stats.revocations > 0
+        assert (stats.repaired if policy == "repair" else stats.replanned) > 0
 
 
 # ----------------------------------------------------------------------
