@@ -80,10 +80,10 @@ class SlotPool:
     _by_node: dict[int, list[tuple[tuple[float, float, int], Slot]]] = field(
         default_factory=dict
     )
-    #: The columnar mirror of ``_slots``, row for row: every mutation
-    #: passes on the list position it touched instead of invalidating a
-    #: cached snapshot, so :meth:`as_arrays` never pays a per-slot
-    #: Python rebuild (see :class:`~repro.model.slotarrays.SlotColumnStore`).
+    #: The columnar mirror of ``_slots``: every mutation records the
+    #: entries it inserted or deleted, and the columns catch up on the
+    #: next read, so :meth:`as_arrays` never pays a per-slot Python
+    #: rebuild (see :class:`~repro.model.slotarrays.SlotColumnStore`).
     _store: SlotColumnStore = field(
         default_factory=SlotColumnStore, repr=False, compare=False
     )
@@ -179,7 +179,7 @@ class SlotPool:
         position = bisect_right(self._slots, entry)
         self._slots.insert(position, entry)
         insort(self._by_node.setdefault(slot.node.node_id, []), entry)
-        self._store.insert(position, slot)
+        self._store.insert(entry)
 
     def _coalesce(self, slot: Slot) -> Slot:
         """Absorb same-node neighbours touching ``slot`` and return the union.
@@ -214,9 +214,9 @@ class SlotPool:
         index = _find_entry(self._slots, entry)
         if index is None:
             raise AllocationError(f"slot not in pool: {slot!r}")
-        del self._slots[index]
+        entry = self._slots.pop(index)
         self._bucket_discard(entry)
-        self._store.delete(index, slot)
+        self._store.delete(entry)
 
     def _bucket_discard(self, entry: tuple[tuple[float, float, int], Slot]) -> None:
         """Drop ``entry`` (known present) from its node's index bucket."""
@@ -354,8 +354,9 @@ class SlotPool:
         Slots ending at or before ``time`` are removed; slots straddling it
         are truncated to ``[time, end)`` (dropped entirely when the usable
         tail falls below ``min_usable_length``).  Returns the number of
-        slots removed or truncated.  The broker service calls this at the
-        start of every cycle so searches only ever see future time.
+        slots removed or truncated.  The broker service calls this on
+        every clock step — each ``advance_to`` and each arrival's step,
+        not only once per cycle — so searches only ever see future time.
 
         Only the prefix of slots starting before ``time + TIME_EPSILON``
         is inspected: every later slot is kept untouched (its end exceeds
@@ -365,9 +366,11 @@ class SlotPool:
         no search, no per-slot delete and re-insert.
         """
         bound = time + TIME_EPSILON
-        cutoff = bisect_left(self._slots, ((bound,),))
+        probe = ((bound,),)
+        cutoff = bisect_left(self._slots, probe)
         if cutoff == 0:
             return 0
+        prefix = self._slots[:cutoff]
         truncate_before = time - TIME_EPSILON
         min_tail = self.min_usable_length
         by_node = self._by_node
@@ -377,7 +380,7 @@ class SlotPool:
         # node id -> what each prefix entry of a node owning several of
         # them became (``None``: removed), in bucket order.
         crowded: dict[int, list] = {}
-        for entry in self._slots[:cutoff]:
+        for entry in prefix:
             (start, end, node_id), slot = entry
             survivor = None
             if end > bound:
@@ -416,7 +419,7 @@ class SlotPool:
                 del by_node[node_id]
         rebuilt.sort(key=itemgetter(0))
         self._slots[:cutoff] = rebuilt
-        self._store.replace_prefix(cutoff, removed, rebuilt)
+        self._store.replace_prefix(probe, prefix, rebuilt, removed)
         return changed
 
     def copy(self) -> "SlotPool":
@@ -426,7 +429,7 @@ class SlotPool:
         twin._by_node = {
             node_id: list(bucket) for node_id, bucket in self._by_node.items()
         }
-        twin._store = self._store.copy()
+        twin._store = self._store.copy(self._slots)
         # The cached snapshot describes identical contents, so the twin
         # shares it until either side mutates (snapshots are never
         # written in place; each pool tracks its own generation).
@@ -454,12 +457,13 @@ class SlotPool:
         repeated scans of an unchanged pool (the broker's phase-one
         fan-out, admission between cycles, benchmark repeats) reuse
         both the columns and any scan plans cached on them — and a
-        mutated pool assembles a fresh snapshot by copying the store's
-        columns, which already sit in this pool's slot order, never a
-        per-slot Python rebuild or a numpy sort.
+        mutated pool's store applies every edit since the last read in
+        one column rewrite, never a per-slot Python rebuild or a numpy
+        sort.  The snapshot keeps a copy of the entry list; its
+        ``slot_objects()`` list is built only if a scan asks for it.
         """
         if self._cache is None or self._cache_generation != self._store.generation:
-            self._cache = self._store.snapshot(self.ordered())
+            self._cache = self._store.snapshot(self._slots)
             self._cache_generation = self._store.generation
         return self._cache
 

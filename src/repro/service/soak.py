@@ -158,21 +158,19 @@ def bench_soak(
                 next_probe = broker.stats.cycles + sample_every
                 rss_samples.append(_rss_bytes())
                 pool_sizes.append(len(pool))
-                # Paired sample of the tentpole comparison: one fresh
-                # copy of the maintained columns (what every cycle
-                # actually pays after mutations) against the cold
-                # per-slot rebuild it replaced.  The store is this
-                # module's own internals — the probe bypasses the pool's
-                # snapshot cache on purpose, since a cached hit times
-                # nothing.
+                # Paired sample of the snapshot comparison: the store's
+                # catch-up on the edits since the last read (its copy of
+                # the pool's entry list included) plus the snapshot built
+                # on it — what a cycle pays after mutations — against
+                # the cold per-slot rebuild it replaced.  The store is
+                # the model's own internals — the probe bypasses the
+                # pool's snapshot cache on purpose, since a cached hit
+                # times nothing.
                 tick = perf_counter()
-                rebuilt = SlotArrays.from_slots(list(pool))
+                SlotArrays.from_slots(list(pool))
                 rebuild_seconds += perf_counter() - tick
-                # The rebuild's slot list serves as the object list a
-                # snapshot carries, so neither timing pays for a walk
-                # the other does not.
                 tick = perf_counter()
-                pool._store.snapshot(rebuilt.slot_objects())
+                pool._store.snapshot(pool._slots)
                 incremental_seconds += perf_counter() - tick
                 snapshot_samples += 1
         broker.drain()

@@ -20,7 +20,7 @@ from repro.core.reference import reference_scan
 from repro.environment import EnvironmentConfig, EnvironmentGenerator
 from repro.model import ResourceRequest, Slot, SlotPool
 from repro.model.slot import TIME_EPSILON
-from repro.model.slotarrays import SlotArrays
+from repro.model.slotarrays import SlotArrays, SlotColumnStore
 from tests.conftest import SNAPSHOT_COLUMNS as COLUMNS
 from tests.conftest import make_node, make_slot
 
@@ -161,9 +161,9 @@ class TestMutationStorm:
             assert_bytes_equal_rebuild(pool)
 
     def test_capacity_boundary_byte_equal(self):
-        """Crossing a doubling boundary of the column buffers (every
-        power of two) reallocates them under the pool; the mirrored rows
-        must follow exactly, on the way up, back down and up again."""
+        """Growing past a power of two, shrinking back under it and
+        outgrowing it again, one mutation and one read at a time: the
+        mirrored rows must follow exactly at every size."""
         pool = SlotPool(min_usable_length=1e-9)
         boundary = 32
         slots = [
@@ -186,9 +186,9 @@ class TestMutationStorm:
         assert len(pool) > boundary
 
     def test_copy_twins_stay_byte_equal_to_their_own_rebuild(self):
-        """``copy()`` hands the twin its own column buffers: mutating
-        twin and original alternately must never show through on the
-        other side."""
+        """``copy()`` shares the read-only column block and gives the
+        twin its own edit record: mutating twin and original
+        alternately must never show through on the other side."""
         rng = np.random.default_rng(77)
         original = generated_pool(node_count=8, seed=3)
         pools = [original, original.copy()]
@@ -258,6 +258,192 @@ class TestMutationStorm:
             assert incremental.value == reference.value
             assert incremental.steps == reference.steps
             assert incremental.slots_scanned == reference.slots_scanned
+
+
+def assert_read_matches(pool: SlotPool) -> None:
+    """One read of a pool whose store may hold pending edits: columns
+    byte-equal to a rebuild, the snapshot's slots the pool's own, in
+    order, and the per-node index consistent."""
+    assert_bytes_equal_rebuild(pool)
+    ordered = pool.ordered()
+    slots = pool.as_arrays().slot_objects()
+    assert len(slots) == len(ordered)
+    assert all(ours is theirs for ours, theirs in zip(slots, ordered))
+    assert_index_consistent(pool)
+
+
+class TestBatchedEditStorm:
+    """The storms above read after every mutation, so the store never
+    applies more than one edit at a time.  Here reads come only after
+    runs of 1-60 mutations, with ``copy()`` and ``trim_before`` taken
+    while edits are pending and twins mutated on their own."""
+
+    REQUEST = ResourceRequest(node_count=2, reservation_time=30.0, budget=500.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
+    def test_batched_reads_byte_equal_to_rebuild(self, seed):
+        rng = np.random.default_rng(seed)
+        pool = generated_pool(node_count=10, seed=int(rng.integers(1, 1000)))
+        pool.as_arrays()
+        twins: list[SlotPool] = []
+        committed = []
+        clock = 0.0
+        fresh_node = 30_000
+        search = MinCost()
+        for _ in range(5):
+            for _ in range(int(rng.integers(1, 61))):
+                op = int(rng.integers(0, 6))
+                if op == 0:
+                    fresh_node += 1
+                    start = float(rng.uniform(clock, clock + 200.0))
+                    node = make_node(fresh_node, performance=float(rng.integers(1, 8)))
+                    pool.add(Slot(node, start, start + float(rng.uniform(5.0, 80.0))))
+                elif op == 1 and len(pool):
+                    slots = pool.ordered()
+                    pool.remove(slots[int(rng.integers(len(slots)))])
+                elif op == 2:
+                    # The generic loop reads objects, not columns: the
+                    # search itself must not catch the store up.
+                    window = search.select(self.REQUEST, iter(pool.ordered()))
+                    if window is not None:
+                        pool.commit_window(window)
+                        committed.append(window)
+                elif op == 3 and committed:
+                    pool.release(committed.pop(int(rng.integers(len(committed)))))
+                elif op == 4:
+                    clock += float(rng.uniform(0.0, 15.0))
+                    pool.trim_before(clock)
+                    committed = [w for w in committed if w.start >= clock]
+                elif twins and rng.random() < 0.5:
+                    twin = twins[int(rng.integers(len(twins)))]
+                    if len(twin) and rng.random() < 0.5:
+                        slots = twin.ordered()
+                        twin.remove(slots[int(rng.integers(len(slots)))])
+                    else:
+                        twin.trim_before(clock + float(rng.uniform(0.0, 30.0)))
+                else:
+                    twins.append(pool.copy())
+            for each in [pool, *twins]:
+                each.assert_disjoint_per_node()
+                assert_read_matches(each)
+
+    def test_powers_of_two_crossed_inside_one_batch(self):
+        """One batch grows the pool from 30 rows past 32 and 64, the
+        next shrinks it under 32 again; each is applied in one read."""
+        pool = SlotPool(min_usable_length=1e-9)
+        for i in range(30):
+            pool.add(Slot(make_node(i % 5), float(i), float(i) + 10.0), coalesce=False)
+        assert_read_matches(pool)
+        added = [
+            Slot(make_node(i % 7), float(i) + 0.5, float(i) + 3.0) for i in range(45)
+        ]
+        for slot in added:
+            pool.add(slot, coalesce=False)
+        pool.trim_before(1.0)
+        assert len(pool) > 64
+        assert_read_matches(pool)
+        for slot in added[5:]:
+            pool.remove(slot)
+        pool.trim_before(12.0)
+        assert len(pool) < 32
+        assert_read_matches(pool)
+
+
+class TestSnapshotIsolation:
+    """A snapshot describes its own generation, even when its slot list
+    is first asked for after the pool has moved on."""
+
+    @pytest.mark.parametrize("side", ["pool", "twin"])
+    def test_late_slot_objects_describe_the_snapshot_generation(self, side):
+        original = generated_pool(node_count=8, seed=4)
+        original.trim_before(5.0)  # an edit pending when the twin is taken
+        pool = original if side == "pool" else original.copy()
+        before = pool.ordered()
+        rebuilt = SlotArrays.from_slots(before)
+        old = pool.as_arrays()
+        generation = pool.generation
+        # A kernel scan of the pool would build ``old``'s slot list now.
+        window = MinCost().select(TestMutationStorm.REQUEST, iter(before))
+        assert window is not None
+        for each in {id(original): original, id(pool): pool}.values():
+            each.commit_window(window)
+            each.trim_before(20.0)
+            each.add(make_slot(99_999, 30.0, 90.0))
+        assert pool.generation != generation
+        assert pool.as_arrays() is not old
+        assert old._slots is None  # never asked for until now
+        slots = old.slot_objects()
+        assert len(slots) == len(before)
+        assert all(ours is theirs for ours, theirs in zip(slots, before))
+        assert old.slot_objects() is slots
+        for column in COLUMNS:
+            assert getattr(old, column).tobytes() == getattr(rebuilt, column).tobytes()
+        assert old.os_names == rebuilt.os_names
+
+
+class TestCatchUpOnRead:
+    """The columns are rewritten on a read with edits pending, once,
+    never per mutation: a counter on the store's one column writer."""
+
+    @staticmethod
+    def count_rewrites(monkeypatch) -> list:
+        calls = []
+        rewrite = SlotColumnStore._catch_up
+
+        def counted(store, entries):
+            calls.append(store.generation)
+            return rewrite(store, entries)
+
+        monkeypatch.setattr(SlotColumnStore, "_catch_up", counted)
+        return calls
+
+    def test_fifty_adds_then_one_read_rewrite_once(self, monkeypatch):
+        calls = self.count_rewrites(monkeypatch)
+        pool = SlotPool()
+        for i in range(50):
+            pool.add(Slot(make_node(i % 9), 10.0 * i, 10.0 * i + 4.0))
+        assert calls == []
+        arrays = pool.as_arrays()
+        assert len(calls) == 1
+        assert pool.as_arrays() is arrays  # unchanged pool: cached
+        assert len(calls) == 1
+        assert_bytes_equal_rebuild(pool)
+
+    def test_mutations_without_a_read_never_rewrite(self, monkeypatch):
+        pool = generated_pool(node_count=10, seed=6)
+        pool.as_arrays()
+        calls = self.count_rewrites(monkeypatch)
+        window = MinCost().select(TestMutationStorm.REQUEST, iter(pool.ordered()))
+        assert window is not None
+        pool.commit_window(window)
+        pool.trim_before(4.0)
+        pool.release(window)
+        pool.remove(pool.ordered()[3])
+        pool.add(make_slot(77_777, 50.0, 60.0))
+        assert calls == []
+        twin = pool.copy()  # a read: catches up once, the twin shares it
+        assert len(calls) == 1
+        twin.as_arrays()
+        pool.as_arrays()
+        assert len(calls) == 1
+        assert_bytes_equal_rebuild(twin)
+        assert_bytes_equal_rebuild(pool)
+
+
+class TestSnapshotIdentity:
+    def test_snapshots_compare_and_hash_by_identity(self):
+        """Field-wise ``==`` on numpy columns raised ``ValueError``
+        and left snapshots unhashable."""
+        pool = generated_pool(node_count=6, seed=2)
+        first = pool.as_arrays()
+        pool.trim_before(5.0)
+        second = pool.as_arrays()
+        assert first.slot_count > 1
+        assert first == first
+        assert first != second
+        assert SlotArrays.from_slots(pool.ordered()) != second
+        assert len({first, second, first}) == 2
 
 
 def naive_trim(slots, time, min_usable_length):

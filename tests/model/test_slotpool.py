@@ -177,8 +177,8 @@ class TestBulkBuild:
         order = np.random.default_rng(5).permutation(len(slots))
         return [slots[index] for index in order]
 
-    # 28 or 48 slots: the bulk load sizes the column buffers in one go,
-    # the add-built pool doubles its way there (to 32 resp. 64 rows).
+    # 28 or 48 slots, either side of a power of two: the bulk load is
+    # one batch of edits, the add-built pool one edit per slot.
     @pytest.mark.parametrize("nodes", [7, 12])
     @pytest.mark.parametrize("threshold", [1e-9, 5.0])
     def test_bulk_built_pool_equals_add_built_pool(self, threshold, nodes):
