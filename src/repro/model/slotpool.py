@@ -7,6 +7,13 @@ scan sufficient.  The pool maintains that order, and implements the
 reserved spans are removed from the affected slots and the usable
 remainders are re-inserted, so the next search sees only genuinely free
 time.
+
+Past free time is dropped lazily: a virtual-clock step records a
+*floor* (:meth:`SlotPool.advance_floor`, O(1)), and the pool trims to
+it (:meth:`SlotPool.trim_before`) the first time it is mutated or hands
+out slots or a snapshot.  The readers that run on every arrival —
+``len()`` and admission (:meth:`SlotPool.arrays_before_floor`) — apply
+the floor on read (:func:`floor_survivors`) and leave it pending.
 """
 
 from __future__ import annotations
@@ -14,7 +21,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
+
+import numpy as np
 
 from repro.model.errors import AllocationError
 from repro.model.slot import TIME_EPSILON, Slot
@@ -26,6 +35,42 @@ from repro.model.window import Window
 #: This is the *same* single-epsilon rule the usable-length admission
 #: check applies — one epsilon of slack on the time axis, never two.
 COALESCE_GAP = TIME_EPSILON
+
+
+def floor_survivors(
+    start: np.ndarray, end: np.ndarray, floor: float, min_usable_length: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """What ``trim_before(floor)`` makes of rows, as columns.
+
+    ``start`` / ``end`` are rows the trim inspects — rows starting
+    before ``floor + TIME_EPSILON``.  Returns the mask of rows it keeps
+    and their starts afterwards: a row ending by ``floor +
+    TIME_EPSILON`` is dropped, one starting at or after ``floor -
+    TIME_EPSILON`` is kept as it is, and any other is cut to ``[floor,
+    end)`` and kept only if that tail is longer than ``TIME_EPSILON``
+    and at least ``min_usable_length``.  The comparisons are the trim's
+    own, float for float; :meth:`SlotPool.trim_before`'s object loop is
+    the twin this rule is tested against.
+    """
+    cut = start < floor - TIME_EPSILON
+    tail = end - floor
+    kept = end > floor + TIME_EPSILON
+    kept &= ~cut | ((tail > TIME_EPSILON) & (tail >= min_usable_length))
+    return kept, np.where(cut, floor, start)
+
+
+class PendingFloor(NamedTuple):
+    """A pending floor as a snapshot's rows see it.
+
+    ``trim_before(floor)`` inspects the rows before ``cutoff``, keeps
+    those ``kept`` marks and leaves them starting at ``start`` (both
+    over the rows before ``cutoff``); every later row is untouched.
+    """
+
+    floor: float
+    cutoff: int
+    kept: np.ndarray
+    start: np.ndarray
 
 
 def _find_entry(
@@ -91,6 +136,17 @@ class SlotPool:
     #: next mutation, so unchanged pools keep their scan-plan caches).
     _cache: Optional[SlotArrays] = field(default=None, repr=False, compare=False)
     _cache_generation: int = field(default=-1, repr=False, compare=False)
+    #: The floor recorded by :meth:`advance_floor` and not yet applied.
+    _floor: Optional[float] = field(default=None, repr=False, compare=False)
+    #: ``(time, generation)`` of the last :meth:`trim_before`: while the
+    #: generation holds, a floor at or below ``time`` changes nothing.
+    _trimmed: tuple[float, int] = field(
+        default=(float("-inf"), -1), repr=False, compare=False
+    )
+    #: The pending floor over the snapshot it was evaluated on.
+    _pending: Optional[tuple[SlotArrays, PendingFloor]] = field(
+        default=None, repr=False, compare=False
+    )
 
     @classmethod
     def from_slots(
@@ -136,20 +192,69 @@ class SlotPool:
         return pool
 
     # ------------------------------------------------------------------
+    # The floor
+    # ------------------------------------------------------------------
+    def advance_floor(self, time: float) -> None:
+        """Record that free time before ``time`` is past, in O(1).
+
+        The pool applies the floor through :meth:`trim_before` the first
+        time it is mutated or hands out slots or a snapshot, so a run of
+        clock steps with nothing between them costs one trim.  That is
+        exact: with nothing between them, ``trim_before(t1)`` then
+        ``trim_before(t2)`` leaves what ``trim_before(t2)`` alone leaves
+        when ``t1 + TIME_EPSILON < t2 - TIME_EPSILON`` (a slot cut to
+        ``[t1, end)`` is cut again to ``[t2, end)``, and every tail
+        test at ``t2`` is monotone in the floor), and what
+        ``trim_before(t1)`` leaves when ``t2 <= t1``.  A floor less
+        than two epsilons above the pending one applies that one first.
+        """
+        pending = self._floor
+        if pending is None:
+            trimmed, generation = self._trimmed
+            if time <= trimmed and generation == self._store.generation:
+                return
+        elif time <= pending:
+            return
+        elif not pending + TIME_EPSILON < time - TIME_EPSILON:
+            self.apply_floor()
+        self._floor = time
+
+    def apply_floor(self) -> int:
+        """Trim to the pending floor now; returns what the trim changed
+        (0 when no floor is pending)."""
+        floor = self._floor
+        if floor is None:
+            return 0
+        self._floor = self._pending = None
+        return self.trim_before(floor)
+
+    # ------------------------------------------------------------------
     # Collection protocol
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._slots)
+        """The slot count once the pending floor is applied.
+
+        Counted without applying it: the rows ``trim_before`` would
+        drop are subtracted (see :meth:`arrays_before_floor`).
+        """
+        if self._floor is None:
+            return len(self._slots)
+        _, pending = self.arrays_before_floor()
+        assert pending is not None
+        return len(self._slots) - pending.cutoff + int(np.count_nonzero(pending.kept))
 
     def __iter__(self) -> Iterator[Slot]:
         """Iterate slots by non-decreasing start time."""
+        self.apply_floor()
         return (slot for _, slot in self._slots)
 
     def ordered(self) -> list[Slot]:
         """The slots as a list, ordered by non-decreasing start time."""
+        self.apply_floor()
         return [slot for _, slot in self._slots]
 
     def __contains__(self, slot: Slot) -> bool:
+        self.apply_floor()
         bucket = self._by_node.get(slot.node.node_id)
         if not bucket:
             return False
@@ -171,6 +276,7 @@ class SlotPool:
         strict threshold :meth:`repro.model.Slot.split` applies to cut
         remainders.
         """
+        self.apply_floor()
         if slot.length < self.min_usable_length:
             return
         if coalesce:
@@ -210,6 +316,7 @@ class SlotPool:
 
     def remove(self, slot: Slot) -> None:
         """Remove one slot; raises :class:`AllocationError` if absent."""
+        self.apply_floor()
         entry = (slot.sort_key(), slot)
         index = _find_entry(self._slots, entry)
         if index is None:
@@ -244,6 +351,7 @@ class SlotPool:
           statistics (~57 alternatives from ~470 slots in the base
           environment); see DESIGN.md's cutting-policy ablation.
         """
+        self.apply_floor()
         for ws in window.slots:
             if not ws.fits_from(window.start):
                 raise AllocationError(
@@ -276,6 +384,7 @@ class SlotPool:
         drop on a pool with a raised ``min_usable_length``; the pool is
         left unchanged in that case.
         """
+        self.apply_floor()
         # Every leg's host is located before the first cut, so a window
         # with a homeless leg fails whole.  The legs sit on distinct
         # nodes: cutting one cannot invalidate another's host.
@@ -307,7 +416,8 @@ class SlotPool:
         fragmenting capacity.
 
         ``floor`` is the time the caller trims to next
-        (``trim_before(floor)``).  A span ending more than two
+        (``trim_before(floor)``, directly or as the floor it records
+        with :meth:`advance_floor`).  A span ending more than two
         :data:`TIME_EPSILON` before it is checked but not inserted,
         because that trim would delete all of it: the span and a
         coalesced left neighbour end before ``floor``, and the one slot
@@ -323,6 +433,7 @@ class SlotPool:
         free time already in the pool (the signature of a double release);
         the pool is left unchanged in that case.
         """
+        self.apply_floor()
         start = window.start
         # ``trim_before(floor)`` truncates what starts before this bound.
         bound = float("-inf") if floor is None else floor - TIME_EPSILON
@@ -354,9 +465,12 @@ class SlotPool:
         Slots ending at or before ``time`` are removed; slots straddling it
         are truncated to ``[time, end)`` (dropped entirely when the usable
         tail falls below ``min_usable_length``).  Returns the number of
-        slots removed or truncated.  The broker service calls this on
-        every clock step — each ``advance_to`` and each arrival's step,
-        not only once per cycle — so searches only ever see future time.
+        slots removed or truncated.  This is the one code that trims:
+        the broker service only records each clock step's floor
+        (:meth:`advance_floor`), and the pool calls this with it when it
+        is next mutated or read — in a steady stream once per cycle,
+        not once per arrival — so searches only ever see future time.
+        A pending floor is applied first.
 
         Only the prefix of slots starting before ``time + TIME_EPSILON``
         is inspected: every later slot is kept untouched (its end exceeds
@@ -365,6 +479,13 @@ class SlotPool:
         the first entries of its bucket and are rewritten by position —
         no search, no per-slot delete and re-insert.
         """
+        self.apply_floor()
+        changed = self._trim(time)
+        self._trimmed = (time, self._store.generation)
+        return changed
+
+    def _trim(self, time: float) -> int:
+        """The body of :meth:`trim_before`, on a pool with no floor pending."""
         bound = time + TIME_EPSILON
         probe = ((bound,),)
         cutoff = bisect_left(self._slots, probe)
@@ -424,17 +545,20 @@ class SlotPool:
 
     def copy(self) -> "SlotPool":
         """A shallow copy (slots are immutable, so this is fully safe)."""
+        # A fresh snapshot, shared with the twin until either side
+        # mutates (snapshots are never written in place; each pool
+        # tracks its own generation): scan plans built on one serve the
+        # other.
+        arrays = self.as_arrays()
         twin = SlotPool(min_usable_length=self.min_usable_length)
         twin._slots = list(self._slots)
         twin._by_node = {
             node_id: list(bucket) for node_id, bucket in self._by_node.items()
         }
         twin._store = self._store.copy(self._slots)
-        # The cached snapshot describes identical contents, so the twin
-        # shares it until either side mutates (snapshots are never
-        # written in place; each pool tracks its own generation).
-        twin._cache = self._cache
+        twin._cache = arrays
         twin._cache_generation = self._cache_generation
+        twin._trimmed = self._trimmed
         return twin
 
     # ------------------------------------------------------------------
@@ -445,8 +569,10 @@ class SlotPool:
         """Mutation counter: increments on every add/remove/trim.
 
         Two reads with equal generations saw identical contents, so
-        callers key snapshot and scan-plan caches on it.
+        callers key snapshot and scan-plan caches on it.  Reading it
+        applies a pending floor.
         """
+        self.apply_floor()
         return self._store.generation
 
     def as_arrays(self) -> SlotArrays:
@@ -462,6 +588,33 @@ class SlotPool:
         sort.  The snapshot keeps a copy of the entry list; its
         ``slot_objects()`` list is built only if a scan asks for it.
         """
+        self.apply_floor()
+        return self._snapshot()
+
+    def arrays_before_floor(self) -> tuple[SlotArrays, Optional[PendingFloor]]:
+        """The snapshot of the slots *before* the pending floor, and
+        what that floor makes of its rows (``None`` when none is
+        pending; :func:`floor_survivors`).
+
+        Leaves the floor pending, for readers that apply it on read:
+        ``len()`` and admission do, on every arrival.  The rows are
+        evaluated once per floor and snapshot.
+        """
+        arrays = self._snapshot()
+        floor = self._floor
+        if floor is None:
+            return arrays, None
+        cached = self._pending
+        if cached is not None and cached[0] is arrays and cached[1].floor == floor:
+            return cached
+        cutoff = int(np.searchsorted(arrays.start, floor + TIME_EPSILON))
+        kept, start = floor_survivors(
+            arrays.start[:cutoff], arrays.end[:cutoff], floor, self.min_usable_length
+        )
+        self._pending = (arrays, PendingFloor(floor, cutoff, kept, start))
+        return self._pending
+
+    def _snapshot(self) -> SlotArrays:
         if self._cache is None or self._cache_generation != self._store.generation:
             self._cache = self._store.snapshot(self._slots)
             self._cache_generation = self._store.generation
@@ -477,6 +630,7 @@ class SlotPool:
         Served from the per-node index; the returned lists are fresh
         copies, so callers may mutate them freely.
         """
+        self.apply_floor()
         return {
             node_id: [slot for _, slot in bucket]
             for node_id, bucket in self._by_node.items()
@@ -484,6 +638,7 @@ class SlotPool:
 
     def node_count(self) -> int:
         """Number of distinct nodes contributing at least one slot (O(1))."""
+        self.apply_floor()
         return len(self._by_node)
 
     def assert_disjoint_per_node(self) -> None:

@@ -87,7 +87,9 @@ class BrokerService:
         The two-phase cycle kernel; by default CSA phase one capped at
         ``config.alternatives_per_job`` with ``config.criterion`` phase two.
     clock_start:
-        Initial virtual time; free time before it is trimmed immediately.
+        Initial virtual time; free time before it is the pool's first
+        floor (:meth:`~repro.model.SlotPool.advance_floor`), trimmed
+        when the pool is first mutated or read.
     sinks:
         Event consumers (ring buffer, JSONL writer, trace validator, ...)
         fed every job/cycle state transition; empty means tracing is a
@@ -98,10 +100,10 @@ class BrokerService:
     horizon_source:
         Optional rolling-horizon slot supply
         (:class:`~repro.environment.RollingHorizonSource`).  When set,
-        every retire-and-trim step also tops the pool up to ``now +
-        lead`` — trim garbage-collects the past while the source
-        publishes the future, so the pool stays inside a bounded window
-        over unbounded virtual time.  ``None`` (the default) keeps the
+        every clock step also tops the pool up to ``now + lead`` — the
+        floor garbage-collects the past while the source publishes the
+        future, so the pool stays inside a bounded window over
+        unbounded virtual time.  ``None`` (the default) keeps the
         paper's fixed-interval behaviour.
     tenancy:
         Optional shared :class:`~repro.tenancy.TenancyManager`: a
@@ -311,6 +313,10 @@ class BrokerService:
             if decision.admitted:
                 self._queue.push(job, self._now)
                 self.stats.admitted += 1
+                if self._trigger.should_fire(self._queue, self._now):
+                    # Apply the floor and build the snapshot here, so the
+                    # cycle this job makes due pays for neither.
+                    self.pool.as_arrays()
             else:
                 assert decision.reason is not None
                 self.stats.record_rejection(decision.reason.value)
@@ -511,9 +517,12 @@ class BrokerService:
     def _retire_and_trim(self) -> None:
         """Retire finished jobs (releasing slots) and drop past free time.
 
-        With a rolling-horizon source attached, this is also where the
-        future is published: the trimmed pool is topped up to ``now +
-        lead``, so each step leaves it inside the source's bounded window.
+        Past free time is dropped by raising the pool's floor to ``now``
+        (O(1)); the pool trims to it when it is next mutated or read —
+        once per cycle in a steady stream, not once per arrival.  With a
+        rolling-horizon source attached, this is also where the future
+        is published: the pool is topped up to ``now + lead``, so each
+        step leaves it inside the source's bounded window.
         """
         retired = self._lifecycle.retire_due(self._now, self.pool)
         self.stats.retired += len(retired)
@@ -525,7 +534,7 @@ class BrokerService:
             # A clean retirement settles the escrow: the window's cost
             # becomes provider revenue, no event to replay.
             self._tenancy.on_retired(entry.job.job_id)
-        self.pool.trim_before(self._now)
+        self.pool.advance_floor(self._now)
         if self._horizon is not None:
             self.stats.slots_published += self._horizon.ensure(self.pool, self._now)
         self.stats.active_jobs = self._lifecycle.active_count

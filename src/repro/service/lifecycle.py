@@ -175,8 +175,9 @@ class JobLifecycle:
         :meth:`SlotPool.release`; retirement order is deterministic
         (completion time, then job id).  Returns the retired entries.
 
-        The caller trims the pool to ``now`` next (the broker's clock
-        step), and ``release`` is told so: every span is checked, but
+        The caller raises the pool's floor to ``now`` next (the
+        broker's clock step; the pool trims to it when next mutated or
+        read), and ``release`` is told so: every span is checked, but
         one that ended in the past — all but the longest leg of a job
         that ran its full reservation — is not inserted only for that
         trim to delete it again.

@@ -165,7 +165,11 @@ def bench_soak(
                 # the cold per-slot rebuild it replaced.  The store is
                 # the model's own internals — the probe bypasses the
                 # pool's snapshot cache on purpose, since a cached hit
-                # times nothing.
+                # times nothing.  The pending floor is applied before
+                # either timer starts: ``list(pool)`` would otherwise run
+                # the trim inside the rebuild's timer and inflate the
+                # ratio the snapshot gate checks.
+                pool.apply_floor()
                 tick = perf_counter()
                 SlotArrays.from_slots(list(pool))
                 rebuild_seconds += perf_counter() - tick

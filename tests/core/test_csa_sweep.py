@@ -307,16 +307,35 @@ class TestDoomedCheapestSweep:
         plan, _ = self.plan()
         assert vectorized._run_cheapest_consume(plan, 6, float("inf"), None) == []
 
-    def test_doomed_request_still_counts_one_sweep_and_one_plan(self):
-        slots = [
+    REQUEST_DOOMED = ResourceRequest(node_count=3, reservation_time=20.0, budget=15.0)
+
+    def slots(self):
+        return [
             make_slot(node_id, float(node_id), 100.0, price=price)
             for node_id, price in enumerate(self.PRICES)
         ]
-        pool = SlotPool.from_slots(slots)
-        request = ResourceRequest(node_count=3, reservation_time=20.0, budget=15.0)
-        assert procedure(request, pool) == []
+
+    def test_doomed_request_still_counts_one_sweep_and_one_plan(self):
+        request = self.REQUEST_DOOMED
+        # The reference runs on a pool of its own: its working copy
+        # shares the snapshot of the pool it copies, so on ``pool`` it
+        # would build the plan counted below (see the next test).
+        assert procedure(request, SlotPool.from_slots(self.slots())) == []
+        pool = SlotPool.from_slots(self.slots())
         before = counters()
         assert sweep_csa().find_alternatives(request, pool) == []
+        assert counter_delta(before) == {"vectorized": 1, "plans_built": 1}
+        before = counters()
+        assert sweep_csa().find_alternatives(request, pool) == []
+        assert counter_delta(before) == {"vectorized": 1, "plans_reused": 1}
+
+    def test_a_copy_shares_the_snapshot_and_its_plans(self):
+        """``SlotPool.copy()`` hands its twin the pool's own snapshot, so
+        the plan the procedure's AMP builds on the twin serves the pool."""
+        request = self.REQUEST_DOOMED
+        pool = SlotPool.from_slots(self.slots())
+        before = counters()
+        assert procedure(request, pool) == []
         assert counter_delta(before) == {"vectorized": 1, "plans_built": 1}
         before = counters()
         assert sweep_csa().find_alternatives(request, pool) == []

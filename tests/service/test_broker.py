@@ -11,9 +11,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.environment import EnvironmentConfig, EnvironmentGenerator
-from repro.model import Job, ResourceRequest
+from repro.environment import (
+    EnvironmentConfig,
+    EnvironmentGenerator,
+    HorizonConfig,
+    RollingHorizonSource,
+)
+from repro.model import Job, ResourceRequest, SlotPool
 from repro.model.errors import ConfigurationError, SchedulingError
+from repro.model.slotarrays import SlotColumnStore
 from repro.scheduling.combination import CombinationChoice
 from repro.scheduling.metascheduler import CycleReport
 from repro.service import (
@@ -326,3 +332,55 @@ class TestEarlyCompletion:
         assert early.service.stats.retired == early.service.stats.scheduled
         # early finishes can only help (or match) the schedule rate
         assert early.service.stats.scheduled >= full.service.stats.scheduled
+
+
+class TestOneTrimPerCycle:
+    """Clock steps between cycles only raise the pool's floor: arrivals
+    that make no cycle due trim nothing and rebuild no snapshot, and the
+    submit that fills the batch trims once, so the cycle starts on a
+    trimmed pool.  Counted on the one trim and the one column writer."""
+
+    @staticmethod
+    def count(monkeypatch) -> dict[str, list]:
+        calls: dict[str, list] = {"trim": [], "catch_up": []}
+        trim, catch_up = SlotPool.trim_before, SlotColumnStore._catch_up
+
+        def counted_trim(pool, time):
+            calls["trim"].append(time)
+            return trim(pool, time)
+
+        def counted_catch_up(store, entries):
+            calls["catch_up"].append(store.generation)
+            return catch_up(store, entries)
+
+        monkeypatch.setattr(SlotPool, "trim_before", counted_trim)
+        monkeypatch.setattr(SlotColumnStore, "_catch_up", counted_catch_up)
+        return calls
+
+    def test_arrivals_between_cycles_trim_nothing(self, monkeypatch):
+        service = BrokerService(
+            SlotPool(),
+            config=ServiceConfig(batch_size=4, max_wait=1000.0),
+            horizon_source=RollingHorizonSource(
+                EnvironmentConfig(node_count=30, seed=5),
+                HorizonConfig(lead=600.0, stride=600.0),
+            ),
+        )
+        # The first step publishes the second horizon segment and the
+        # first admission reads the pool: both before counting starts.
+        service.advance_to(1.0)
+        assert service.submit(make_job("j0"))
+        calls = self.count(monkeypatch)
+        for index, at in enumerate((2.0, 3.5, 5.0), start=1):
+            assert service.advance_to(at) == 0
+            assert calls == {"trim": [], "catch_up": []}
+            assert service.submit(make_job(f"j{index}"))
+            if index < 3:
+                assert calls == {"trim": [], "catch_up": []}
+        # The fourth job fills the batch: its submit trims to 5.0 once.
+        assert calls["trim"] == [5.0]
+        assert service.queue_depth == 4
+        trimmed = len(calls["trim"])
+        assert service.pump() == 1
+        assert len(calls["trim"]) == trimmed
+        assert service.stats.scheduled == 4
