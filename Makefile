@@ -2,9 +2,8 @@
 
 PY ?= python
 
-.PHONY: install test bench bench-full bench-all bench-core bench-batch \
-	bench-service bench-experiments bench-resilience bench-federation \
-	bench-soak bench-tenancy flow-check figures report examples clean
+.PHONY: install test bench bench-full bench-all bench-federation bench-soak \
+	flow-check figures report examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -16,22 +15,8 @@ bench:
 	$(PY) -m pytest benchmarks/ --benchmark-only
 
 # The committed baselines: regenerate after intentional changes to the
-# kernels, the experiment engine or the resilience layer, and diff.
-bench-core:
-	PYTHONPATH=src $(PY) -m repro.cli bench-core -o BENCH_core.json
-
-bench-batch:
-	PYTHONPATH=src $(PY) -m repro.cli bench-batch -o BENCH_batch.json
-
-bench-service:
-	PYTHONPATH=src $(PY) -m repro.cli bench-service -o BENCH_service.json
-
-bench-experiments:
-	PYTHONPATH=src $(PY) -m repro.cli bench-experiments -o BENCH_experiments.json
-
-bench-resilience:
-	PYTHONPATH=src $(PY) -m repro.cli bench-resilience -o BENCH_resilience.json
-
+# federation front door or the rolling-horizon broker, and diff.  The
+# `perf/` harness measures everything else.
 bench-federation:
 	PYTHONPATH=src $(PY) -m repro.cli bench-federation -o BENCH_federation.json
 
@@ -41,16 +26,10 @@ bench-federation:
 bench-soak:
 	PYTHONPATH=src $(PY) -m repro.cli bench-soak -o BENCH_soak.json
 
-# Hog-vs-small-tenants fairness/revenue run: refuses to record unless
-# the stream was contended and DRF beat FIFO on Jain's index.
-bench-tenancy:
-	PYTHONPATH=src $(PY) -m repro.cli bench-tenancy -o BENCH_tenancy.json
-
 # Regenerate every committed BENCH_*.json in one pass (one slow-ish
 # command per archive; each refuses to record numbers whose invariants
 # do not hold).
-bench-all: bench-core bench-batch bench-service bench-experiments \
-	bench-resilience bench-federation bench-soak bench-tenancy
+bench-all: bench-federation bench-soak
 
 # The one flow driver, end to end: a seeded `repro flow` on the broker, its
 # JSONL replayed by the validator, and a guard that the pre-broker

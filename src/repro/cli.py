@@ -27,7 +27,6 @@ from repro.federation.config import POLICY_NAMES as _FEDERATION_POLICIES
 from repro.io import load_environment, save_environment
 from repro.scheduling import BatchScheduler
 from repro.simulation import (
-    DEFAULT_CHUNK_SIZE,
     ExperimentConfig,
     run_comparison,
     sweep_interval_lengths,
@@ -458,8 +457,6 @@ class Bench:
     #: The runner's refuse-to-record error (``"module:Error"``) and the
     #: banner it is reported under; a gate failure exits 1, nothing written.
     gate: Optional[tuple[str, str]] = None
-    #: Exit code decided from the archived payload (after the write).
-    verdict: Optional[Callable[[dict, argparse.Namespace], int]] = None
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -487,18 +484,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.output:
         save_json(payload, args.output)
         print(f"wrote {args.output}")
-    return bench.verdict(payload, args) if bench.verdict else 0
-
-
-def _service_report(payload: dict) -> Iterable[str]:
-    for row in payload["results"]:
-        yield (
-            f"  {row['nodes']:>4} nodes: {row['jobs_per_second']:8.1f} jobs/s "
-            f"offered, {row['scheduled_per_second']:8.1f} scheduled/s, "
-            f"cycle p50 {row['cycle_latency_ms_p50']:.2f}ms "
-            f"p95 {row['cycle_latency_ms_p95']:.2f}ms, "
-            f"scheduled {row['scheduled']}/{row['jobs']}"
-        )
+    return 0
 
 
 def _federation_report(payload: dict) -> Iterable[str]:
@@ -514,83 +500,6 @@ def _federation_report(payload: dict) -> Iterable[str]:
         yield "  1-shard run matches the single broker exactly"
     if payload["host"]["cpu_limited"]:
         yield "  note: single-CPU host — throughput is CPU-bound"
-
-
-def _resilience_report(payload: dict) -> Iterable[str]:
-    for row in payload["results"]:
-        yield (
-            f"  rate {row['rate']:<6g} {row['policy']:<8} "
-            f"goodput {row['goodput']:7.3f} node-s/t  "
-            f"revoked {row['revocations']:>3}  repaired {row['repaired']:>3}  "
-            f"replanned {row['replanned']:>3}  abandoned {row['abandoned']:>3}  "
-            f"retired {row['retired']:>3}"
-        )
-
-
-def _resilience_verdict(payload: dict, args: argparse.Namespace) -> int:
-    """The headline claim: at the paper-scale disturbance rate, repairing
-    in place must deliver strictly more goodput than replanning."""
-    from repro.execution import PAPER_DISTURBANCE_RATE
-    from repro.service.resilience import goodput_by_policy
-
-    if PAPER_DISTURBANCE_RATE not in args.rates:
-        return 0
-    at_paper_rate = goodput_by_policy(payload, PAPER_DISTURBANCE_RATE)
-    if not {"repair", "replan"} <= set(at_paper_rate):
-        return 0
-    repair, replan = at_paper_rate["repair"], at_paper_rate["replan"]
-    if repair <= replan:
-        print(
-            f"FAIL: repair goodput {repair:.4f} <= replan "
-            f"{replan:.4f} at rate {PAPER_DISTURBANCE_RATE}"
-        )
-        return 1
-    print(
-        f"ordering holds at rate {PAPER_DISTURBANCE_RATE}: "
-        f"repair {repair:.4f} > replan {replan:.4f}"
-    )
-    return 0
-
-
-def _core_report(payload: dict) -> Iterable[str]:
-    for row in payload["results"]:
-        yield (
-            f"  {row['nodes']:>4} nodes {row['criterion']:<11} "
-            f"reference {row['reference_windows_per_second']:8.1f} win/s, "
-            f"vectorized {row['incremental_windows_per_second']:8.1f} win/s "
-            f"({row['speedup']:.2f}x); peak {row.get('candidate_peak', '-')}, "
-            f"inserts {row.get('candidate_inserts', '-')}"
-        )
-
-
-def _batch_report(payload: dict) -> Iterable[str]:
-    for row in payload["results"]:
-        grouping = row["grouping"]
-        yield (
-            f"  {row['search']:<8} batch {row['batch_size']:>4} "
-            f"({row['classes']} classes): per-job "
-            f"{row['per_job_jobs_per_second']:8.1f} jobs/s, grouped "
-            f"{row['grouped_jobs_per_second']:8.1f} jobs/s "
-            f"({row['speedup']:.2f}x); sweeps {grouping['batch_sweeps']}, "
-            f"shared {grouping['grouped_shared']}"
-        )
-
-
-def _experiments_report(payload: dict) -> Iterable[str]:
-    for row in payload["results"]:
-        speedup = row.get("speedup_vs_1_worker")
-        yield (
-            f"  {row['mode']:<12} workers {row['workers']}: "
-            f"{row['seconds']:8.2f}s  {row['cycles_per_second']:7.1f} cycles/s"
-            + (f"  {speedup:.2f}x vs 1 worker" if speedup is not None else "")
-        )
-    host = payload["host"]
-    yield (
-        f"aggregates bit-identical across all rows "
-        f"(fingerprint {payload['aggregate_fingerprint'][:16]}); "
-        f"{host['usable_cpus']} usable CPU(s)"
-        + (" — speedup is CPU-bound on this host" if host["cpu_limited"] else "")
-    )
 
 
 def _soak_report(payload: dict) -> Iterable[str]:
@@ -620,46 +529,7 @@ def _soak_report(payload: dict) -> Iterable[str]:
         yield "  note: single-CPU host — wall throughput is CPU-bound"
 
 
-def _tenancy_report(payload: dict) -> Iterable[str]:
-    for row in payload["results"]:
-        yield (
-            f"  {row['ordering']:<5} Jain {row['jain_index']:.4f}  "
-            f"revenue {row['revenue']:10.2f}  "
-            f"multiplier {row['price_multiplier']:.3f}  "
-            f"retired {row['retired']:>3}  dropped {row['dropped']:>3}  "
-            f"debits {row['credits_debited']:>3} / refunds "
-            f"{row['credits_refunded']:>3}"
-        )
-    by_ordering = {row["ordering"]: row for row in payload["results"]}
-    if {"fifo", "drf"} <= set(by_ordering):
-        yield (
-            f"fairness gate holds: DRF Jain "
-            f"{by_ordering['drf']['jain_index']:.4f} > FIFO "
-            f"{by_ordering['fifo']['jain_index']:.4f}"
-        )
-
-
 BENCHES: tuple[Bench, ...] = (
-    Bench(
-        name="service",
-        help="broker-service throughput across pool sizes",
-        runner="repro.service:bench_service",
-        arguments=(
-            _arg("--nodes", default="50,200", help="comma-separated node counts"),
-            _arg("--jobs", type=int, default=200),
-            _arg("--rate", type=float, default=2.0),
-            _arg("--workers", type=int, default=4),
-            _arg("--trace", help="archive each run's JSONL event trace "
-                                 "(per-pool-size files derived from this path)"),
-        ),
-        lists={"nodes": int},
-        rename={"nodes": "node_counts", "trace": "trace_path"},
-        banner=lambda args: (
-            f"benchmarking the broker service: {args.jobs} jobs at "
-            f"{args.nodes} nodes, {args.workers} worker(s) ..."
-        ),
-        report=_service_report,
-    ),
     Bench(
         name="federation",
         help="federation latency/throughput over real loopback sockets",
@@ -679,95 +549,6 @@ BENCHES: tuple[Bench, ...] = (
             f"{args.nodes} nodes, {args.policy} routing ..."
         ),
         report=_federation_report,
-    ),
-    Bench(
-        name="resilience",
-        help="recovery-policy goodput under live slot revocation",
-        runner="repro.service.resilience:bench_resilience",
-        arguments=(
-            _arg("--jobs", type=int, default=150),
-            _arg("--nodes", type=int, default=50),
-            _arg("--rates", default="0.0,0.002,0.01",
-                 help="comma-separated disturbance rates (arrivals/node/time unit)"),
-            _arg("--policies", default="repair,replan,abandon",
-                 help="comma-separated recovery policies to sweep"),
-            _arg("--disturbance-seed", type=int, default=97,
-                 help="revocation injector seed"),
-        ),
-        lists={"rates": float, "policies": str},
-        rename={"nodes": "node_count"},
-        banner=lambda args: (
-            f"benchmarking recovery policies: {args.jobs} jobs on {args.nodes} "
-            f"nodes, rates {args.rates} x policies {args.policies} "
-            f"(seed {args.seed}, disturbance seed {args.disturbance_seed}) ..."
-        ),
-        report=_resilience_report,
-        verdict=_resilience_verdict,
-    ),
-    Bench(
-        name="core",
-        help="scan-kernel windows/s, vectorized vs reference",
-        runner="repro.core.bench:bench_core",
-        arguments=(
-            _arg("--nodes", default="50,100,200", help="comma-separated node counts"),
-            _arg("--repeats", type=int, default=3,
-                 help="timing repetitions per row (best-of)"),
-        ),
-        lists={"nodes": int},
-        rename={"nodes": "node_counts"},
-        banner=lambda args: (
-            f"benchmarking the scan kernel at {args.nodes} nodes "
-            f"(best of {args.repeats}, seed {args.seed}) ..."
-        ),
-        report=_core_report,
-    ),
-    Bench(
-        name="batch",
-        help="whole-cycle jobs/s, per-job vs request-class-grouped dispatch",
-        runner="repro.core.bench:bench_batch",
-        arguments=(
-            _arg("--batch-sizes", default="16,64,256",
-                 help="comma-separated job-batch sizes"),
-            _arg("--nodes", type=int, default=200, help="pool size (nodes)"),
-            _arg("--repeats", type=int, default=3,
-                 help="timing repetitions per row (best-of)"),
-        ),
-        lists={"batch_sizes": int},
-        rename={"nodes": "node_count"},
-        banner=lambda args: (
-            f"benchmarking whole scheduling cycles at batch sizes "
-            f"{args.batch_sizes} on {args.nodes} nodes "
-            f"(best of {args.repeats}, seed {args.seed}) ..."
-        ),
-        report=_batch_report,
-    ),
-    Bench(
-        name="experiments",
-        help="experiment-engine wall-clock across worker counts "
-             "(verifies worker-count-invariant aggregates)",
-        runner="repro.simulation.bench:bench_experiments",
-        arguments=(
-            _arg("--cycles", type=int, default=250),
-            _arg("--nodes", type=int, default=100),
-            _arg("--workers", default="1,2,4,8",
-                 help="comma-separated worker counts (the in-process reference "
-                      "row always runs first)"),
-            _arg("--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE,
-                 help="cycles per worker task (fixed per run; part of the "
-                      "deterministic merge tree)"),
-        ),
-        lists={"workers": int},
-        rename={"workers": "worker_counts", "nodes": "node_count"},
-        banner=lambda args: (
-            f"benchmarking the experiment engine: {args.cycles} cycles on "
-            f"{args.nodes} nodes at worker counts {args.workers} "
-            f"(seed {args.seed}, chunk {args.chunk_size}) ..."
-        ),
-        report=_experiments_report,
-        gate=(
-            "repro.simulation.bench:InvarianceError",
-            "WORKER-COUNT INVARIANCE VIOLATION",
-        ),
     ),
     Bench(
         name="soak",
@@ -809,35 +590,6 @@ BENCHES: tuple[Bench, ...] = (
         ),
         report=_soak_report,
         gate=("repro.service.soak:SoakGateError", "SOAK GATE FAILED"),
-    ),
-    Bench(
-        name="tenancy",
-        help="multi-tenant fairness and revenue: DRF vs FIFO cycle "
-             "ordering under a hog-vs-small-tenants mix",
-        runner="repro.tenancy.bench:bench_tenancy",
-        arguments=(
-            _arg("--jobs", type=int, default=160),
-            _arg("--nodes", type=int, default=16),
-            _arg("--small-tenants", type=int, default=4,
-                 help="tenants sharing the non-hog half of the stream"),
-            _arg("--rate", type=float, default=8.0,
-                 help="mean arrivals per virtual time unit"),
-            _arg("--wave", type=int, default=24,
-                 help="jobs per arrival burst (must exceed the batch size for "
-                      "ordering to bite)"),
-            _arg("--credit", type=float, default=1_000_000.0,
-                 help="initial credit per tenant account"),
-            _arg("--batch-size", type=int, default=4),
-        ),
-        rename={"nodes": "node_count", "rate": "arrival_rate"},
-        banner=lambda args: (
-            f"benchmarking multi-tenant economics: {args.jobs} jobs "
-            f"(1 hog + {args.small_tenants} small tenants) on {args.nodes} "
-            f"nodes, waves of {args.wave}, batch {args.batch_size} "
-            f"(seed {args.seed}) ..."
-        ),
-        report=_tenancy_report,
-        gate=("repro.tenancy.bench:TenancyGateError", "TENANCY GATE FAILED"),
     ),
 )
 

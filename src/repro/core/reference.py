@@ -15,9 +15,10 @@ and the vector replay in :mod:`repro.core.vectorized` all came later):
 
 It exists for two jobs only: the equivalence property tests
 (``tests/core/test_scan_equivalence.py``), which assert window-for-window
-identical selection, and the ``repro bench-core`` baseline, which reports
-the production kernel's speedup against these exact code paths.  Do not
-"optimize" this module — its value is that it does not change.
+identical selection, and the fast-scan ablation
+(``benchmarks/test_ablation_fast_scan.py``), which times the production
+kernel against these exact code paths.  Do not "optimize" this module —
+its value is that it does not change.
 """
 
 from __future__ import annotations

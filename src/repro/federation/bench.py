@@ -10,8 +10,7 @@ not an in-process shortcut — at several shard counts and reports
 * end-to-end submission throughput (jobs per wall second over the full
   submit-and-drain run).
 
-Two refuse-to-record guards keep the numbers honest, in the spirit of
-the simulation bench's invariance check:
+Two refuse-to-record guards keep the numbers honest:
 
 * every run's merged trace must pass
   :class:`~repro.federation.tracing.FederationTraceValidator` with the
@@ -42,8 +41,12 @@ from repro.service.config import ServiceConfig
 from repro.service.events import Event, EventSink, EventType
 from repro.service.stats import ReservoirSampler
 from repro.hostinfo import host_payload
-from repro.simulation.bench import InvarianceError
 from repro.simulation.jobgen import JobGenerator
+
+
+class InvarianceError(AssertionError):
+    """The 1-shard federation diverged from the single broker — never
+    record timings."""
 
 
 class SubmitLatencyRecorder(EventSink):
@@ -187,11 +190,10 @@ def bench_federation(
 ) -> dict[str, Any]:
     """Benchmark the federation front door across shard counts.
 
-    Returns a JSON-ready payload.  Raises
-    :class:`~repro.simulation.bench.InvarianceError` when the 1-shard
-    federation diverges from the single-broker reference, and the trace
-    validator raises when any run's merged trace breaks a conservation
-    law — either way, no timings are reported.
+    Returns a JSON-ready payload.  Raises :class:`InvarianceError` when
+    the 1-shard federation diverges from the single-broker reference,
+    and the trace validator raises when any run's merged trace breaks a
+    conservation law — either way, no timings are reported.
     """
     service = ServiceConfig(workers=1, check_invariants=False)
     arrivals = _make_arrivals(jobs, rate, seed)

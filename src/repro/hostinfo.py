@@ -1,8 +1,8 @@
 """Host capability reporting shared by the bench payloads.
 
-Every ``bench-*`` command archives a JSON payload next to the code, and
-those numbers are only interpretable against the machine that produced
-them.  The one subtlety is the CPU count: containers and CI runners
+Every ``bench-*`` command and the ``perf/`` harness record a host block,
+because their numbers are only interpretable against the machine that
+produced them.  The one subtlety is the CPU count: containers and CI runners
 routinely pin processes to a subset of the machine's cores, so
 ``os.cpu_count()`` (the machine) overstates what a benchmark could
 actually use.  :func:`usable_cpu_count` asks the scheduler for the

@@ -21,7 +21,6 @@ from repro.service.driver import (
     FlowSummary,
     TraceConfig,
     TraceResult,
-    bench_service,
     build_service,
     run_flow,
     run_service_trace,
@@ -45,7 +44,7 @@ from repro.service.queueing import BoundedJobQueue, CycleTrigger, QueuedJob
 # repro.service.resilience (whose manager module initialises this
 # package), the subpackage is still partially initialised here, but its
 # config/injector/policies modules are already complete.
-# ResilienceManager and bench_resilience live in repro.service.resilience.
+# ResilienceManager lives in repro.service.resilience.
 from repro.service.resilience.config import POLICY_NAMES, ResilienceConfig
 from repro.service.resilience.injector import NodePreemption, RevocationInjector
 from repro.service.resilience.policies import (
@@ -74,7 +73,6 @@ __all__ = [
     "ActiveJob",
     "AdmissionController",
     "AdmissionDecision",
-    "bench_service",
     "BoundedJobQueue",
     "BrokerService",
     "build_service",

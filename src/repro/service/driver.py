@@ -1,14 +1,10 @@
-"""Scripted-trace driver and throughput benchmark for the broker service.
+"""Scripted-trace driver for the broker service.
 
 ``run_service_trace`` is what ``repro serve`` executes: generate an
 environment, stream a seeded Poisson arrival trace through a
 :class:`~repro.service.BrokerService`, and report the stats block.
 ``run_flow`` is what ``repro flow`` executes: the same run fed a
 tick-aligned arrival stream, folded into per-cycle and per-job figures.
-``bench_service`` is the ``repro bench-service`` workhorse: the same
-run, wall-clock timed at several pool sizes, emitting the JSON payload
-archived in ``BENCH_service.json`` so successive PRs have a throughput
-trajectory to beat.
 """
 
 from __future__ import annotations
@@ -19,9 +15,7 @@ from time import perf_counter
 from typing import Iterable, Optional, Sequence
 
 from repro.analysis.fairness import jain_index
-from repro.core.vectorized import scan_counters
 from repro.environment.generator import EnvironmentConfig, EnvironmentGenerator
-from repro.hostinfo import host_payload
 from repro.model.errors import ConfigurationError
 from repro.model.job import Job
 from repro.service.broker import BrokerService
@@ -253,81 +247,3 @@ def run_flow(
     owners = {job.job_id: job.owner for _, job in stream}
     return summarize_flow(collector.events, owners)
 
-
-def _trace_path_for_nodes(trace_path: str, node_count: int) -> str:
-    """Per-pool-size JSONL path: ``trace.jsonl`` -> ``trace-50nodes.jsonl``."""
-    stem, dot, suffix = trace_path.rpartition(".")
-    if not dot:
-        return f"{trace_path}-{node_count}nodes"
-    return f"{stem}-{node_count}nodes.{suffix}"
-
-
-def bench_service(
-    node_counts: Sequence[int] = (50, 200),
-    jobs: int = 200,
-    rate: float = 2.0,
-    workers: int = 4,
-    seed: int = 2013,
-    trace_path: Optional[str] = None,
-) -> dict[str, object]:
-    """Throughput benchmark across pool sizes.
-
-    Invariant checking is disabled (measured, not verified, runs) and the
-    phase-one fan-out uses ``workers`` threads.  ``trace_path`` archives
-    each run's event stream to a per-pool-size JSONL file.  Returns the
-    payload written to ``BENCH_service.json``; per row it reports both
-    the offered rate (``jobs_per_second``, submissions over wall time)
-    and the useful throughput (``scheduled_per_second``).
-    """
-    results: list[dict[str, object]] = []
-    for node_count in node_counts:
-        config = TraceConfig(
-            jobs=jobs,
-            rate=rate,
-            node_count=node_count,
-            seed=seed,
-            service=ServiceConfig(workers=workers, check_invariants=False),
-            trace_path=(
-                _trace_path_for_nodes(trace_path, node_count)
-                if trace_path is not None
-                else None
-            ),
-        )
-        outcome = run_service_trace(config)
-        stats = outcome.service.stats
-        latency_p50, latency_p95 = stats.cycle_latency.quantiles(0.50, 0.95)
-        elapsed = outcome.elapsed_seconds
-        results.append(
-            {
-                "nodes": node_count,
-                "jobs": jobs,
-                "elapsed_seconds": round(elapsed, 3),
-                "jobs_per_second": round(jobs / elapsed, 1) if elapsed > 0 else 0.0,
-                "scheduled_per_second": round(stats.scheduled / elapsed, 1)
-                if elapsed > 0
-                else 0.0,
-                "cycles": stats.cycles,
-                "cycle_latency_ms_p50": round(latency_p50 * 1e3, 3),
-                "cycle_latency_ms_p95": round(latency_p95 * 1e3, 3),
-                "windows_per_second": round(stats.windows_per_second, 1),
-                "scheduled": stats.scheduled,
-                "rejected": stats.rejected,
-                "dropped": stats.dropped,
-                "retired": stats.retired,
-            }
-        )
-    return {
-        "benchmark": "service_throughput",
-        "config": {
-            "jobs": jobs,
-            "rate": rate,
-            "workers": workers,
-            "seed": seed,
-            "criterion": ServiceConfig().criterion.value,
-            "batch_size": ServiceConfig().batch_size,
-            "max_wait": ServiceConfig().max_wait,
-        },
-        "host": host_payload(parallel_target=max(workers, 2)),
-        "scan_kernel": dict(scan_counters),
-        "results": results,
-    }

@@ -15,8 +15,6 @@ leaves every broker code path and trace byte-identical to before.
 * :class:`ResilienceManager` — executes the actions: in-place repairs
   via the fixed-start search, backoff retry buffering, forfeit/release
   accounting, REVOKED/REPAIRED/REPLANNED/ABANDONED events.
-* :func:`bench_resilience` — the goodput benchmark behind
-  ``repro bench-resilience`` and ``BENCH_resilience.json``.
 """
 
 # Import order matters: config/injector/policies touch only core, model
@@ -41,13 +39,10 @@ from repro.service.resilience.policies import (
     RevocationContext,
 )
 from repro.service.resilience.manager import ResilienceManager
-from repro.service.resilience.bench import bench_resilience, goodput_by_policy
 
 __all__ = [
     "AbandonAction",
     "AbandonPolicy",
-    "bench_resilience",
-    "goodput_by_policy",
     "NodePreemption",
     "POLICIES",
     "POLICY_NAMES",

@@ -1,7 +1,7 @@
 """Soak benchmark: 10^5 jobs through a rolling-horizon broker.
 
-The long-running counterpart of ``bench-service``'s short bursts: a
-Poisson stream of jobs is driven through one broker whose pool is fed by
+The long-running counterpart of the ``perf/`` harness's short
+``soak_poisson`` episodes: a Poisson stream of jobs is driven through one broker whose pool is fed by
 a :class:`~repro.environment.RollingHorizonSource`, so virtual time
 crosses hundreds of horizon segments while ``trim_before`` keeps the
 pool inside a bounded window.  The run exists to prove two properties a
@@ -15,7 +15,7 @@ short benchmark cannot:
   last decile of cycles matches the first decile.
 
 Four refuse-to-record gates (:class:`SoakGateError`) keep the payload
-honest, in the tradition of the repo's invariance-checked benches:
+honest:
 
 1. RSS growth between the first and last decile of samples must stay
    under ``max_rss_ratio``;

@@ -1,43 +1,19 @@
-"""``repro bench-experiments``: Monte-Carlo engine wall-clock + invariance.
+"""Bit-exact fingerprint of a comparison run's aggregates.
 
-Times the multi-cycle comparison runner on the Section 3.1 base
-experiment (spawned streams) across a list of worker counts, always
-including the no-subprocess in-process mode as the reference row, and
-*verifies before it reports*: every row's aggregate statistics must be
-bit-identical to the in-process reference — the runner's central
-worker-count-invariance guarantee — or the benchmark raises instead of
-producing numbers (the same refuse-to-record discipline as
-``repro bench-core``).
-
-The archived payload (``BENCH_experiments.json``) records per row the
-wall-clock seconds, cycles/s, and the speedup against the 1-worker row,
-plus the host's usable CPU count — parallel speedup is bounded by the
-hardware, and a 1-core CI runner measuring ~1.0x is the expected
-reading, not a regression (no timing gate in CI for exactly that
-reason).
+:func:`result_fingerprint` hashes every accumulator of a
+:class:`~repro.simulation.runner.ComparisonResult` through ``float.hex``,
+so two runs agree on it only if their aggregate statistics are
+bit-identical.  The runner's worker-count invariance test and the
+``paper_study`` workload of the ``perf/`` harness compare runs by it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from time import perf_counter
-from typing import Optional, Sequence
 
-from repro.core.vectorized import scan_counters
-from repro.hostinfo import host_payload, usable_cpu_count
-from repro.model.errors import ConfigurationError
-from repro.simulation.config import ExperimentConfig, paper_base_config
 from repro.simulation.metrics import RunningStat, WindowStats
-from repro.simulation.runner import (
-    DEFAULT_CHUNK_SIZE,
-    ComparisonResult,
-    run_comparison,
-)
-
-
-class InvarianceError(AssertionError):
-    """Aggregates differed across worker counts — never record timings."""
+from repro.simulation.runner import ComparisonResult
 
 
 def _stat_fields(stat: RunningStat) -> list:
@@ -80,94 +56,3 @@ def result_fingerprint(result: ComparisonResult) -> str:
         json.dumps(payload, sort_keys=True).encode("ascii")
     ).hexdigest()
     return digest
-
-
-#: Affinity-aware CPU count; kept as a module alias because other bench
-#: modules import it from here.  See :mod:`repro.hostinfo`.
-_usable_cpus = usable_cpu_count
-
-
-def bench_experiments(
-    cycles: int = 250,
-    worker_counts: Sequence[int] = (1, 2, 4, 8),
-    seed: int = 2013,
-    node_count: int = 100,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    include_csa: bool = True,
-    config: Optional[ExperimentConfig] = None,
-) -> dict[str, object]:
-    """The experiment-engine benchmark payload (``BENCH_experiments.json``).
-
-    Runs the base experiment once in-process (workers = 0, the reference)
-    and once per entry of ``worker_counts``, asserting bit-identical
-    aggregates throughout, and reports wall-clock plus speedup-vs-1-worker
-    per row.  Raises :class:`InvarianceError` on any aggregate mismatch.
-    """
-    if cycles < 1:
-        raise ConfigurationError(f"cycles must be >= 1, got {cycles}")
-    if any(workers < 1 for workers in worker_counts):
-        raise ConfigurationError(f"worker counts must be >= 1, got {worker_counts}")
-    if config is None:
-        config = paper_base_config(cycles=cycles, seed=seed).with_node_count(
-            node_count
-        )
-    else:
-        config = config.with_cycles(cycles)
-    if config.stream_mode != "spawned":
-        raise ConfigurationError(
-            "bench_experiments measures the parallel engine; "
-            "config.stream_mode must be 'spawned'"
-        )
-
-    rows: list[dict[str, object]] = []
-    reference_digest: Optional[str] = None
-    for workers in [0, *worker_counts]:
-        began = perf_counter()
-        result = run_comparison(
-            config,
-            include_csa=include_csa,
-            workers=workers or None,
-            chunk_size=chunk_size,
-        )
-        elapsed = perf_counter() - began
-        digest = result_fingerprint(result)
-        if reference_digest is None:
-            reference_digest = digest
-        elif digest != reference_digest:
-            raise InvarianceError(
-                f"aggregates at workers={workers} differ from the in-process "
-                f"reference ({digest[:12]} != {reference_digest[:12]}) — "
-                "refusing to record timings"
-            )
-        rows.append(
-            {
-                "workers": workers,
-                "mode": "in-process" if workers == 0 else "process-pool",
-                "seconds": round(elapsed, 3),
-                "cycles_per_second": round(cycles / elapsed, 2),
-                "fingerprint": digest[:16],
-            }
-        )
-
-    single = next((row for row in rows if row["workers"] == 1), None)
-    for row in rows:
-        if single is not None:
-            row["speedup_vs_1_worker"] = round(
-                float(single["seconds"]) / float(row["seconds"]), 2
-            )
-    return {
-        "benchmark": "experiments_engine",
-        "config": {
-            "cycles": cycles,
-            "node_count": node_count,
-            "seed": seed,
-            "chunk_size": chunk_size,
-            "stream_mode": config.stream_mode,
-            "include_csa": include_csa,
-        },
-        "host": host_payload(parallel_target=max(worker_counts, default=1)),
-        "scan_kernel": dict(scan_counters),
-        "invariant": True,
-        "aggregate_fingerprint": reference_digest,
-        "results": rows,
-    }

@@ -6,7 +6,6 @@ identical to a build without this package until a
 :class:`TenancyConfig` is supplied.
 """
 
-from repro.tenancy.bench import TenancyGateError, bench_tenancy
 from repro.tenancy.config import ORDERING_NAMES, TenancyConfig, TenantSpec
 from repro.tenancy.drf import DRFSorter, dominant_share
 from repro.tenancy.ledger import (
@@ -26,10 +25,8 @@ __all__ = [
     "ORDERING_NAMES",
     "PricingEngine",
     "TenancyConfig",
-    "TenancyGateError",
     "TenancyManager",
     "TenantAccount",
     "TenantSpec",
-    "bench_tenancy",
     "dominant_share",
 ]

@@ -17,7 +17,7 @@ from repro.model.errors import ConfigurationError
 
 #: Cycle-ordering policies: ``drf`` serves the tenant with the smallest
 #: dominant share first (the Mesos sorter), ``fifo`` preserves the
-#: legacy arrival-order batch draining (used as the bench baseline).
+#: legacy arrival-order batch draining (the baseline DRF is tested against).
 ORDERING_NAMES = ("drf", "fifo")
 
 
@@ -62,7 +62,7 @@ class TenancyConfig:
         ``"drf"`` drains each cycle's batch by smallest dominant share
         of committed node-seconds (the Mesos sorter port);  ``"fifo"``
         keeps arrival-order draining — same credit accounting, legacy
-        ordering — which is the bench baseline DRF must beat.
+        ordering — the baseline DRF must beat on fairness.
     enforce_credits:
         When ``True``, submissions whose tenant cannot afford the
         cheapest feasible window are rejected (``INSUFFICIENT_CREDIT``)

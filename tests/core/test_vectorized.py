@@ -38,6 +38,8 @@ REQUEST = ResourceRequest(node_count=4, reservation_time=60.0, budget=900.0)
 #: even the cheapest four are too dear — every branch of the random
 #: extraction, which the generous ``REQUEST`` never leaves the first of.
 TIGHT_REQUEST = ResourceRequest(node_count=4, reservation_time=60.0, budget=450.0)
+#: The paper's base resource request (Section 3.1).
+BASE_REQUEST = ResourceRequest(node_count=5, reservation_time=150.0, budget=1500.0)
 
 
 def random_window(attempts: int):
@@ -76,6 +78,29 @@ class TestDispatch:
         pool = make_pool()
         before = counters()
         result = aep_scan(REQUEST, pool, MinTotalCostExtractor())
+        assert result is not None
+        assert vectorized.scan_counters["vectorized"] == before["vectorized"] + 1
+        assert vectorized.scan_counters["fallback"] == before["fallback"]
+
+    @pytest.mark.parametrize(
+        "make_extractor, stop_at_first",
+        [
+            (EarliestStartExtractor, True),
+            (MinTotalCostExtractor, False),
+            (MinRuntimeSubstitutionExtractor, False),
+            (EarliestFinishExtractor, False),
+        ],
+        ids=["start_time", "cost", "runtime", "finish_time"],
+    )
+    def test_base_request_criteria_take_vector_path(self, make_extractor, stop_at_first):
+        # The paper's base job (n = 5, t = 150, S = 1500) under each
+        # window criterion, on a generated 20-node pool: the kernel serves
+        # the scan and the generic loop never runs.
+        pool = make_pool(node_count=20, seed=2013)
+        before = counters()
+        result = aep_scan(
+            BASE_REQUEST, pool, make_extractor(), stop_at_first=stop_at_first
+        )
         assert result is not None
         assert vectorized.scan_counters["vectorized"] == before["vectorized"] + 1
         assert vectorized.scan_counters["fallback"] == before["fallback"]

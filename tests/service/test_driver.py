@@ -8,7 +8,7 @@ import pytest
 
 from repro.cli import main
 from repro.model.errors import ConfigurationError
-from repro.service import TraceConfig, bench_service, run_service_trace
+from repro.service import TraceConfig, run_service_trace
 from repro.simulation.jobgen import JobGenerator
 
 
@@ -54,16 +54,6 @@ class TestDriver:
         assert payload["final_virtual_time"] == round(outcome.final_virtual_time, 1)
         assert "cycle_latency_ms" in payload
 
-    def test_bench_service_payload(self):
-        payload = bench_service(node_counts=(20,), jobs=12, workers=2, seed=1)
-        assert payload["benchmark"] == "service_throughput"
-        assert payload["config"]["jobs"] == 12
-        (row,) = payload["results"]
-        assert row["nodes"] == 20
-        assert row["scheduled"] + row["rejected"] + row["dropped"] == 12
-        # offered vs useful throughput: scheduled/s never exceeds jobs/s
-        assert row["scheduled_per_second"] <= row["jobs_per_second"]
-
     def test_run_service_trace_with_tracing(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
         outcome = run_service_trace(
@@ -80,17 +70,6 @@ class TestDriver:
         from repro.service import load_trace
 
         assert len(load_trace(path)) == payload["trace"]["events"]
-
-    def test_bench_service_archives_traces(self, tmp_path):
-        trace_path = str(tmp_path / "bench.jsonl")
-        bench_service(
-            node_counts=(20,), jobs=10, workers=2, seed=1, trace_path=trace_path
-        )
-        from repro.service import TraceValidator, load_trace
-
-        events = load_trace(str(tmp_path / "bench-20nodes.jsonl"))
-        assert events
-        TraceValidator().observe_all(events).check(expect_drained=True)
 
 
 class TestServiceCli:
@@ -133,20 +112,6 @@ class TestServiceCli:
             ]
         )
         assert code == 0
-
-    def test_bench_service_writes_json(self, tmp_path, capsys):
-        path = str(tmp_path / "bench.json")
-        code = main(
-            [
-                "bench-service", "--nodes", "20", "--jobs", "10",
-                "--workers", "2", "-o", path,
-            ]
-        )
-        assert code == 0
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        assert payload["benchmark"] == "service_throughput"
-        assert payload["results"][0]["nodes"] == 20
 
     def test_schedule_json_output(self, capsys):
         code = main(

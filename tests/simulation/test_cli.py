@@ -215,35 +215,6 @@ class TestCommands:
         assert text.count("\\begin{table}") == 5
         assert "MinCost" in text
 
-    def test_bench_experiments_writes_payload(self, tmp_path, capsys):
-        path = str(tmp_path / "bench.json")
-        code = main(
-            [
-                "bench-experiments",
-                "--cycles",
-                "6",
-                "--nodes",
-                "25",
-                "--seed",
-                "9",
-                "--workers",
-                "1,2",
-                "-o",
-                path,
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "invariant" in out.lower() or "bit-identical" in out.lower()
-        import json
-
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        assert payload["invariant"] is True
-        assert {row["workers"] for row in payload["results"]} == {0, 1, 2}
-        fingerprints = {row["fingerprint"] for row in payload["results"]}
-        assert len(fingerprints) == 1
-
     def test_compare_stream_mode_and_workers(self, capsys):
         code = main(
             [

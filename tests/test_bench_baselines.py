@@ -1,10 +1,12 @@
-"""Every ``bench-*`` CLI target must have a committed baseline.
+"""``bench-*`` CLI targets and committed baselines match one to one.
 
 The repo's convention is that each benchmark subcommand archives its
 refuse-to-record-gated payload as ``BENCH_<name>.json`` at the repo
 root, so regressions are diffable.  This guard walks the real argparse
-tree — a new ``bench-foo`` subcommand without a committed
-``BENCH_foo.json`` fails CI until the baseline is recorded.
+tree in both directions: a new ``bench-foo`` subcommand without a
+committed ``BENCH_foo.json`` fails until the baseline is recorded, and a
+committed ``BENCH_foo.json`` whose ``bench-foo`` is gone fails until the
+stale baseline is deleted.
 """
 
 from __future__ import annotations
@@ -36,6 +38,10 @@ def baseline_path(command: str) -> Path:
     return REPO_ROOT / f"BENCH_{command.removeprefix('bench-')}.json"
 
 
+def committed_baselines() -> list[Path]:
+    return sorted(REPO_ROOT.glob("BENCH_*.json"))
+
+
 def test_the_cli_still_has_benchmarks():
     assert bench_commands()
 
@@ -53,9 +59,16 @@ def test_every_bench_target_has_a_committed_baseline(command):
     )
 
 
-@pytest.mark.parametrize(
-    "path", sorted(REPO_ROOT.glob("BENCH_*.json")), ids=lambda path: path.name
-)
+@pytest.mark.parametrize("path", committed_baselines(), ids=lambda path: path.name)
+def test_every_committed_baseline_has_a_bench_target(path):
+    targets = {baseline_path(command) for command in bench_commands()}
+    assert path in targets, (
+        f"{path.name} has no `bench-*` CLI target left to regenerate it: "
+        "delete the stale baseline"
+    )
+
+
+@pytest.mark.parametrize("path", committed_baselines(), ids=lambda path: path.name)
 def test_every_committed_baseline_carries_the_shared_header(path):
     """One payload header across the benches: the name under
     ``benchmark`` and the ``repro.hostinfo`` host block, so baselines

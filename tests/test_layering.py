@@ -7,8 +7,7 @@ module level, import only from its own layer or a layer below.
 Scope: module-level imports only (including those under a top-level
 ``if`` / ``try``, e.g. ``TYPE_CHECKING`` blocks).  Imports inside a
 function body — ``CycleReport.fairness`` reaching for
-``repro.analysis``, ``core/bench.py`` loading its reporting helpers —
-are deliberate lazy edges and are not checked here.
+``repro.analysis`` — are deliberate lazy edges and are not checked here.
 """
 
 from __future__ import annotations
