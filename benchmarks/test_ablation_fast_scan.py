@@ -4,7 +4,7 @@ Quantifies the constant-factor headroom the paper's scan structure leaves:
 computing the candidate cost order once per scan (the vectorized kernel
 behind ``MinCost``, see ``repro.core.vectorized``) returns identical
 MinCost windows at a fraction of the per-selection time of the frozen
-generic kernel (``repro.core.reference``), which re-sorts the candidates
+generic kernel (``tests.core.reference``), which re-sorts the candidates
 at every scan step.
 """
 
@@ -13,8 +13,8 @@ import time
 from repro.analysis import render_table
 from repro.core import MinCost
 from repro.core.extractors import MinTotalCostExtractor
-from repro.core.reference import reference_scan
 from repro.simulation.experiment import make_generator
+from tests.core.reference import reference_scan
 
 SAMPLES = 10
 

@@ -5,10 +5,9 @@ Runs N independent scheduling cycles of the Section 3.1 base experiment
 1500 budget) and prints, for each reported criterion, the measured means
 side by side with the paper's published values.
 
-Each cycle draws from its own spawned RNG stream (the config default),
-so the cycles fan out over worker processes and the aggregates are
-bit-identical for every worker count — pass 0 workers for the
-no-subprocess in-process mode.
+Each cycle draws from its own spawned RNG stream, so the cycles fan out
+over worker processes and the aggregates are bit-identical for every
+worker count — pass 0 workers for the no-subprocess in-process mode.
 
 Run:  python examples/algorithm_comparison.py [cycles] [workers]
       (default 200 cycles in-process; the paper used 5000 — pass
@@ -38,8 +37,7 @@ def main() -> None:
     config = paper_base_config(cycles=cycles, seed=2013)
     print(
         f"running {cycles} scheduling cycles of the base experiment "
-        f"({config.stream_mode} streams, "
-        f"{workers or 'in-process'} worker(s)) ..."
+        f"({workers or 'in-process'} worker(s)) ..."
     )
     began = time.perf_counter()
     result = run_comparison(config, workers=workers or None)

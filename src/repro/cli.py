@@ -60,7 +60,6 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
         environment=EnvironmentConfig(node_count=args.nodes),
         cycles=args.cycles,
         seed=args.seed,
-        stream_mode=getattr(args, "stream_mode", "spawned"),
     )
 
 
@@ -69,7 +68,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     config = _experiment_config(args)
     print(
         f"running {config.cycles} cycles on {args.nodes} nodes "
-        f"(seed {args.seed}, {config.stream_mode} streams, "
+        f"(seed {args.seed}, "
         f"{args.workers or 'in-process'} worker(s)) ..."
     )
     result = run_comparison(config, workers=args.workers or None)
@@ -714,11 +713,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=0,
         help="worker processes for the cycle fan-out (0 = in-process; "
              "aggregates are identical for every value)",
-    )
-    compare.add_argument(
-        "--stream-mode", default="spawned", choices=["spawned", "sequential"],
-        help="per-cycle RNG discipline: spawned = independent parallel-safe "
-             "streams (default), sequential = the legacy single stream",
     )
     compare.add_argument(
         "--latex", help="also write the figure tables as LaTeX to this path"

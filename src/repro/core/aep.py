@@ -30,9 +30,9 @@ leg costs on numpy arrays and returns the byte-identical
 :class:`~repro.core.extractors.RandomWindowExtractor` that includes
 leaving the extractor's generator in the state this loop would leave it
 in; ``repro.core.vectorized.scan_counters`` records which of the two
-served each scan.  The frozen
-:func:`repro.core.reference.reference_scan` is the baseline the
-equivalence tests hold both against.
+served each scan.  The frozen ``reference_scan`` in
+``tests/core/reference.py`` is the baseline the equivalence tests hold
+both against.
 """
 
 from __future__ import annotations

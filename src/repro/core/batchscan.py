@@ -43,6 +43,7 @@ from repro.core.aep import ScanResult, aep_scan, request_of
 from repro.core.candidates import LegFactory, leg_shape_key
 from repro.core.extractors import WindowExtractor, _budget_of
 from repro.core.vectorized import (
+    _Cheapest,
     _materialize,
     _plan_for,
     _plan_key,
@@ -134,19 +135,18 @@ def _scan_multi_budget(pending, slots, extractor, stop_at_first, out) -> None:
     """Serve the cheapest-subset classes, one sweep per budget group.
 
     Classes it can serve are moved from ``pending`` into ``out``; the
-    rest stay pending for the per-class fallback.  Only the
-    cheapest-subset strategies qualify — their candidate evolution is
-    budget-independent, which is what lets one sweep answer several
-    budgets (see :func:`repro.core.vectorized._run_cheapest_multi`).
+    rest stay pending for the per-class fallback.  Only extractors whose
+    rule is the cheapest subset (``_Cheapest``) qualify — their candidate
+    evolution is budget-independent, which is what lets one sweep answer
+    several budgets (see :func:`repro.core.vectorized._run_cheapest_multi`).
     """
-    strategy = _strategy_of(extractor)
-    if strategy is None or strategy[0] != "cheapest":
+    rule = _strategy_of(extractor)
+    if not isinstance(rule, _Cheapest):
         return
     resolved = _resolve_arrays(slots)
     if resolved is None:
         return
     arrays, slot_list = resolved
-    start_valued = strategy[1]
 
     sweep_groups: dict[tuple, list[tuple]] = {}
     for key in pending:
@@ -161,7 +161,9 @@ def _scan_multi_budget(pending, slots, extractor, stop_at_first, out) -> None:
         budget_values = [_budget_of(pending[key]) for key in group_keys]
         order = sorted(range(len(group_keys)), key=budget_values.__getitem__)
         budgets = [budget_values[position] for position in order]
-        outcomes = _run_cheapest_multi(plan, n, budgets, stop_at_first, start_valued)
+        outcomes = _run_cheapest_multi(
+            plan, n, budgets, stop_at_first, rule.start_valued
+        )
         scan_counters["vectorized"] += len(group_keys)
         if len(group_keys) > 1:  # the telemetry counts *shared* sweeps
             scan_counters["batch_sweeps"] += 1

@@ -75,8 +75,8 @@ class ScanResult:
     per-slot bookkeeping bound the regression tests pin down.  (With a
     deadline, candidates that can no longer finish in time are expired
     immediately, so ``candidate_peak`` counts only *eligible* candidates;
-    the frozen :func:`~repro.core.reference.reference_scan` keeps them
-    alive and filters per step.)
+    the frozen ``reference_scan`` in ``tests/core/reference.py`` keeps
+    them alive and filters per step.)
     """
 
     window: Window

@@ -1,4 +1,4 @@
-"""Vectorized AEP scan: numpy precomputation + a primitive event loop.
+"""Vectorized AEP scan: numpy precomputation + one primitive event loop.
 
 The generic loop in :func:`repro.core.aep.aep_scan` is linear in the
 number of slots, but every one of its constant-factor steps — hardware
@@ -22,44 +22,66 @@ the stock extractors *byte for byte*:
    and ``*`` match scalar ``/`` and ``*`` exactly; the one
    non-reproducible op, ``performance ** 2`` inside ``CpuNode.power``,
    is precomputed per node in Python).
-2. **Event loop** (pure-primitive Python): one pass over the matching
-   slots maintaining the alive-candidate count, an expiry pointer over
-   the pre-sorted expiry order (valid because the slot list is strictly
-   start-ordered — anything else falls back to the generic loop), and
-   one :class:`_TopN` per sorted-rank structure a criterion needs.
-3. **Skip bounds**: the runtime/finish/greedy criteria only run their
-   extraction walk at steps a provable lower bound says could still win.
-   The runtime criteria use a *budget-aware* certificate: a window
-   beating the incumbent must consist of candidates with runtime below
-   ``best − ε`` (a threshold that is constant between improvements), so
-   the loop maintains the n-cheapest-cost sum over exactly that set and
-   skips while it exceeds the budget.  Skipped steps provably cannot
-   improve the incumbent, so the scan's outcome is identical to
-   evaluating every step.  The paper's randomized MinProcTime
-   (:func:`_run_random`) has no bound: it replays the extractor's own
+2. **One sweep skeleton** (pure-primitive Python): :func:`_sweep` is the
+   paper's scan, written once.  It walks the matching slots, expires
+   candidates through a pointer over the pre-sorted expiry order (valid
+   because the slot list is start-ordered — anything else falls back to
+   the generic loop), keeps the alive / inserted / expired / peak /
+   steps counters, and owns the ``alive < n`` gate, the improvement
+   test ``value < best − ε``, the ``stop_at_first`` break and the
+   outcome.  A criterion is a small *rule*: ``expire`` and ``add`` hooks
+   that keep the sorted-rank structures its extraction reads (one
+   :class:`_TopN` each), and a ``step`` hook, a skip bound followed by
+   the primitive replay of its ``extract``.  There are three rules.
+   :class:`_Walk` serves MinRuntime and MinFinish, substitution or
+   exact; the four differ only in the skip bound and the
+   ``window_start +`` offset of the value.  :class:`_Greedy` is the
+   additive swap search, and :class:`_Random` the paper's randomized
+   MinProcTime.
+3. **Skip bounds**: the walk and greedy rules only run their extraction
+   at steps a provable lower bound says could still win.  MinRuntime
+   uses a *budget-aware* certificate: a window beating the incumbent
+   must consist of candidates with runtime below ``best − ε`` (a
+   threshold that is constant between improvements), so the rule keeps
+   the n-cheapest-cost sum over exactly that set and skips while it
+   exceeds the budget.  Skipped steps provably cannot improve the
+   incumbent, so the scan's outcome is identical to evaluating every
+   step.  :class:`_Random` has no bound: it replays the extractor's own
    generator draw for draw, and a skipped step would skip a draw.
 4. **Materialization**: ``Slot``/``WindowSlot`` objects are built only
    for the winning step, from the snapshot's slot list and the
    precomputed runtime/cost floats.
 
 Dispatch (:func:`vectorized_scan`) selects from what it can observe:
-it accepts exactly the extractor types whose ``extract`` it replays —
-unknown extractors, subclasses, random selection by any key but the
-runtime, one-shot iterators and non-sorted slot inputs return
-:data:`UNSUPPORTED` and the caller runs the generic loop.
+:func:`_strategy_of` maps exactly the extractor types whose ``extract``
+it replays to their rule — unknown extractors, subclasses, random
+selection by any key but the runtime, one-shot iterators and non-sorted
+slot inputs return :data:`UNSUPPORTED` and the caller runs the generic
+loop.
 
-:func:`vectorized_alternatives` answers CSA's question — *every*
-earliest-start window, each on the pool without its predecessors' slots
-— from the same plan in one sweep instead of one scan per alternative:
-a continuing pass for the cheapest AMP policy
-(:func:`_run_cheapest_consume`), a pass that resumes from per-step
-checkpoints for the paper's eviction policy
-(:func:`_run_first_consume`).
+Three sweeps stay outside the skeleton, each for a reason:
+
+- :func:`_run_cheapest_multi` (earliest start and minimum total cost)
+  resolves several budgets in one pass for
+  :func:`repro.core.batchscan.batch_aep_scan`, each budget with its own
+  incumbent and, under ``stop_at_first``, its own snapshot of the
+  counters; the skeleton keeps one of each.  A single cheapest scan is
+  its one-budget case, so routing that through the skeleton would add a
+  second cheapest path rather than remove one.  It costs 88 code lines.
+- :func:`_run_cheapest_consume` and :func:`_run_first_consume` answer
+  CSA's question — *every* earliest-start window, each on the pool
+  without its predecessors' slots — in one sweep instead of one scan
+  per alternative (:func:`vectorized_alternatives`).  Their state is not
+  one alive set: consumed flags that the expiry pointer skips, and for
+  the paper's eviction policy a restart from per-step checkpoints of
+  the waiting list.  They are also the hot path of all four broker
+  workloads, which the skeleton's per-slot hook calls would tax.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from dataclasses import dataclass
 from heapq import heappop, heappush, heapreplace
 from typing import Optional
 
@@ -125,36 +147,23 @@ scan_counters = {
 PLAN_CACHE_LIMIT = 64
 
 
-def _strategy_of(extractor) -> Optional[tuple]:
-    """The replay strategy for ``extractor``, or ``None`` if unknown.
+def _strategy_of(extractor):
+    """The replay rule for ``extractor``, or ``None`` if unknown.
 
     Matches exact types only: a subclass may override ``extract`` (e.g.
     the maximizing ``_LatestStartExtractor``), so anything derived falls
     back to the generic loop.
     """
     kind = type(extractor)
-    if kind is EarliestStartExtractor:
-        return ("cheapest", True)
-    if kind is MinTotalCostExtractor:
-        return ("cheapest", False)
-    if kind is MinRuntimeSubstitutionExtractor:
-        return ("walk", "substitution", False)
-    if kind is MinRuntimeExactExtractor:
-        return ("walk", "exact", False)
     if kind is EarliestFinishExtractor:
-        inner = type(extractor._runtime)
-        if inner is MinRuntimeSubstitutionExtractor:
-            return ("walk", "substitution", True)
-        if inner is MinRuntimeExactExtractor:
-            return ("walk", "exact", True)
-        return None
+        return _FINISH_RULES.get(type(extractor._runtime))
     if kind is GreedyAdditiveExtractor:
         if extractor.key_name in GreedyAdditiveExtractor.VECTOR_KEYS:
-            return ("greedy", extractor.key_name, extractor._max_rounds)
+            return _Greedy(extractor.key_name, extractor._max_rounds)
         return None
     if kind is RandomWindowExtractor and extractor._key is runtime_key:
-        return ("random", extractor._rng, extractor._attempts)
-    return None
+        return _Random(extractor._rng, extractor._attempts)
+    return _RULES.get(kind)
 
 
 def _resolve_arrays(slots):
@@ -175,8 +184,8 @@ class _ScanPlan:
     matching/runtime fields — budget, node count and ``stop_at_first``
     stay in the per-scan loop — so one plan serves every scan of the
     same (pool snapshot, request shape) pair.  ``extras`` holds the
-    strategy-specific orders (time ranks, greedy objective ranks),
-    attached lazily the first time a strategy needs them.
+    rule-specific orders (time ranks, greedy objective ranks),
+    attached lazily the first time a rule needs them.
     """
 
     __slots__ = (
@@ -301,25 +310,28 @@ def _plan_for(arrays: SlotArrays, request: ResourceRequest) -> Optional[_ScanPla
     return plan
 
 
-def _time_extras(plan: _ScanPlan) -> dict:
-    """Time-order ranks: (required_time, cost, arrival), lazily cached."""
+def _time_extras(plan: _ScanPlan) -> tuple:
+    """The time order (required_time, cost, arrival), lazily cached:
+    ``(rank by candidate, candidate by rank, runtime by rank, cost by
+    rank)``, the four lists the plan keeps for the cost order."""
     extras = plan.extras.get("time")
     if extras is None:
         time_order = np.lexsort((plan.cost_c, plan.req_c))
         trank = np.empty(plan.count, dtype=np.int64)
         trank[time_order] = np.arange(plan.count)
-        extras = {
-            "cand_trank": trank.tolist(),
-            "cand_by_trank": time_order.tolist(),
-            "req_by_trank": plan.req_c[time_order].tolist(),
-            "cost_by_trank": plan.cost_c[time_order].tolist(),
-        }
+        extras = (
+            trank.tolist(),
+            time_order.tolist(),
+            plan.req_c[time_order].tolist(),
+            plan.cost_c[time_order].tolist(),
+        )
         plan.extras["time"] = extras
     return extras
 
 
-def _greedy_extras(plan: _ScanPlan, arrays: SlotArrays, key_name: str) -> dict:
-    """Objective-key ranks for the greedy criterion, lazily cached."""
+def _greedy_extras(plan: _ScanPlan, arrays: SlotArrays, key_name: str) -> tuple:
+    """The greedy criterion's objective-key order, lazily cached: ``(rank
+    by candidate, key by rank, key by candidate)``."""
     cache_key = "greedy:" + key_name
     extras = plan.extras.get(cache_key)
     if extras is None:
@@ -330,11 +342,7 @@ def _greedy_extras(plan: _ScanPlan, arrays: SlotArrays, key_name: str) -> dict:
         key_order = np.argsort(key_c, kind="stable")
         krank = np.empty(plan.count, dtype=np.int64)
         krank[key_order] = np.arange(plan.count)
-        extras = {
-            "cand_krank": krank.tolist(),
-            "key_by_krank": key_c[key_order].tolist(),
-            "key_list": key_c.tolist(),
-        }
+        extras = (krank.tolist(), key_c[key_order].tolist(), key_c.tolist())
         plan.extras[cache_key] = extras
     return extras
 
@@ -372,8 +380,8 @@ def vectorized_scan(
     feasible window) or :data:`UNSUPPORTED` (caller must run the generic
     loop).
     """
-    strategy = _strategy_of(extractor)
-    if strategy is None:
+    rule = _strategy_of(extractor)
+    if rule is None:
         scan_counters["fallback"] += 1
         return UNSUPPORTED
     resolved = _resolve_arrays(slots)
@@ -386,25 +394,9 @@ def vectorized_scan(
         scan_counters["fallback"] += 1
         return UNSUPPORTED
     scan_counters["vectorized"] += 1
-
-    n = request.node_count
-    budget = _budget_of(request)
-    kind = strategy[0]
-    if kind == "cheapest":
-        (outcome,) = _run_cheapest_multi(
-            plan, n, [budget], stop_at_first, strategy[1]
-        )
-    elif kind == "walk":
-        exact = strategy[1] == "exact"
-        if strategy[2]:
-            outcome = _run_walk_finish(plan, n, budget, stop_at_first, exact)
-        else:
-            outcome = _run_walk_budget(plan, n, budget, stop_at_first, exact)
-    elif kind == "random":
-        outcome = _run_random(plan, n, budget, stop_at_first, strategy[1], strategy[2])
-    else:  # greedy
-        extras = _greedy_extras(plan, arrays, strategy[1])
-        outcome = _run_greedy(plan, extras, n, budget, strategy[2], stop_at_first)
+    outcome = rule.scan(
+        plan, arrays, request.node_count, _budget_of(request), stop_at_first
+    )
     return _materialize(plan, slot_list, outcome)
 
 
@@ -562,10 +554,341 @@ class _TopN:
 
 
 # ----------------------------------------------------------------------
-# Criterion loops.  All of them walk the matching slots once, expiring
-# candidates through the shared pointer discipline; they differ only in
-# the per-step extraction replay.  Each returns ``(value, candidates,
-# window start, steps, peak, inserts, expiries, break position)``.
+# The sweep skeleton and its rules.  A scan's outcome is ``(value,
+# candidates, window start, steps, peak, inserts, expiries, break
+# position)``, the tuple :func:`_materialize` reads.
+# ----------------------------------------------------------------------
+def _sweep(plan, n, stop_at_first, rule):
+    """One AEP pass over the plan, the criterion given by ``rule``.
+
+    ``rule`` is the ``(expire, add, step)`` hook triple a rule's
+    ``hooks`` binds for one scan.  ``expire(cand)`` and ``add(cand)``
+    see every candidate leave and enter the alive set, in the generic
+    loop's order; ``step(window_start, best_value)`` runs at every step
+    with at least ``n`` alive and returns ``None`` (skipped, or no
+    feasible extraction) or ``(value, candidates)``.  The incumbent, the
+    counters and the break are the skeleton's alone.
+    """
+    expire, add, step = rule
+    loop_cand = plan.loop_cand
+    expiry_times = plan.expiry_times
+    expiry_cands = plan.expiry_cands
+    total_c = plan.count
+    pointer = 0
+    alive = inserted = expired = peak = steps = 0
+    best_value = float("inf")
+    best_start = 0.0
+    best_cands = None
+    break_pos = -1
+    for pos, window_start in enumerate(plan.loop_start):
+        threshold = window_start - TIME_EPSILON
+        while pointer < total_c and expiry_times[pointer] < threshold:
+            expire(expiry_cands[pointer])
+            pointer += 1
+            expired += 1
+            alive -= 1
+        cand = loop_cand[pos]
+        if cand < 0:
+            continue
+        add(cand)
+        inserted += 1
+        alive += 1
+        if alive > peak:
+            peak = alive
+        if alive < n:
+            continue
+        steps += 1
+        found = step(window_start, best_value)
+        if found is not None and found[0] < best_value - VALUE_EPSILON:
+            best_value, best_cands = found
+            best_start = window_start
+            if stop_at_first:
+                break_pos = pos
+                break
+    return (
+        best_value,
+        best_cands,
+        best_start,
+        steps,
+        peak,
+        inserted,
+        expired,
+        break_pos,
+    )
+
+
+class _Rule:
+    """A criterion of the skeleton: ``hooks`` binds its per-scan state."""
+
+    def scan(self, plan, arrays, n, budget, stop_at_first):
+        return _sweep(plan, n, stop_at_first, self.hooks(plan, arrays, n, budget))
+
+
+@dataclass(frozen=True)
+class _Walk(_Rule):
+    """MinRuntime and MinFinish, each by substitution or exact sweep.
+
+    The alive candidates are kept as ranks of the extraction's order —
+    ``(cost, required_time, arrival)`` for the substitution walk,
+    ``(required_time, cost, arrival)`` for the exact sweep — so a step
+    hands the replay its input already sorted.  The two criteria differ
+    in their skip bound:
+
+    - MinRuntime (budget-aware certificate): a window improving on
+      ``best`` consists of n candidates whose runtimes are all below
+      ``T = best − ε`` and whose costs sum within the budget, so the
+      minimum such cost sum is the n cheapest among the alive candidates
+      with runtime < T.  ``T`` is constant between improvements, which
+      makes that sum maintainable with the standard top-n discipline
+      (rebuilt from the alive set at the first step after an
+      improvement); while it exceeds the slack-widened budget — or fewer
+      than n candidates qualify — the step is skipped.
+    - MinFinish (start + runtime): the threshold shifts with every
+      window start, so each step is bounded by ``start + (n-th shortest
+      alive runtime)``, an exact lower bound on any extraction's finish
+      time (float ``+`` is monotone, so no slack is needed).
+    """
+
+    exact: bool
+    finish: bool
+
+    def hooks(self, plan, arrays, n, budget):
+        exact = self.exact
+        finish = self.finish
+        if exact:
+            order = _time_extras(plan)
+            extract = _exact_sweep
+        else:
+            order = (
+                plan.cand_crank,
+                plan.cand_by_crank,
+                plan.req_by_crank,
+                plan.cost_by_crank,
+            )
+            extract = _substitution_walk
+        cand_erank, cand_by_erank, req_by_erank, cost_by_erank = order
+        alive_eval: list[int] = []  # alive candidates as extraction-order ranks
+
+        def evaluate(window_start):
+            extraction = extract(
+                [req_by_erank[r] for r in alive_eval],
+                [cost_by_erank[r] for r in alive_eval],
+                n,
+                budget,
+            )
+            if extraction is None:
+                return None
+            value, positions = extraction
+            if finish:
+                value = window_start + value
+            return value, [cand_by_erank[alive_eval[p]] for p in positions]
+
+        if finish:
+            cand_trank, _, req_by_trank, _ = _time_extras(plan)
+            ranked = cand_trank
+            tracked = _TopN(n, plan.count)  # time ranks: the n shortest runtimes
+
+            def add(cand):
+                insort(alive_eval, cand_erank[cand])
+                tracked.add(cand_trank[cand])
+
+            def step(window_start, best_value):
+                shortest = req_by_trank[tracked.top[-1]]
+                if window_start + shortest < best_value - VALUE_EPSILON:
+                    return evaluate(window_start)
+                return None
+
+        else:
+            cand_crank = plan.cand_crank
+            req_by_crank = plan.req_by_crank
+            req_list = plan.req_list
+            skip_budget = budget + _BOUND_SLACK * (1.0 + abs(budget))
+            ranked = cand_crank
+            tracked = _TopN(n, plan.count, plan.cost_by_crank)  # runtime < T
+            incumbent = threshold_time = float("inf")  # T = best − ε
+
+            def add(cand):
+                insort(alive_eval, cand_erank[cand])
+                if req_list[cand] < threshold_time:
+                    tracked.add(cand_crank[cand])
+
+            def step(window_start, best_value):
+                nonlocal incumbent, threshold_time
+                if best_value != incumbent:
+                    # The incumbent improved since the last step: rebuild
+                    # the qualifying top-n from the alive set under the
+                    # tighter T.
+                    incumbent = best_value
+                    threshold_time = best_value - VALUE_EPSILON
+                    if exact:
+                        alive_cranks = sorted(
+                            cand_crank[cand_by_erank[r]] for r in alive_eval
+                        )
+                    else:
+                        alive_cranks = alive_eval
+                    tracked.reset(
+                        [r for r in alive_cranks if req_by_crank[r] < threshold_time]
+                    )
+                if len(tracked.top) == n and tracked.total <= skip_budget:
+                    return evaluate(window_start)
+                return None
+
+        def expire(cand):
+            alive_eval.remove(cand_erank[cand])
+            tracked.expire(ranked[cand])
+
+        return expire, add, step
+
+
+@dataclass(frozen=True)
+class _Greedy(_Rule):
+    """Additive-objective criterion: cheapest-n feasibility + swap search.
+
+    Bounded by the sum of the n smallest alive objective keys (minus
+    :data:`_BOUND_SLACK`, covering summation-order drift); the swap
+    search replays the object extractor's in-place exchanges exactly.
+    """
+
+    key_name: str
+    max_rounds: int
+
+    def hooks(self, plan, arrays, n, budget):
+        cand_krank, key_by_krank, key_list = _greedy_extras(
+            plan, arrays, self.key_name
+        )
+        max_rounds = self.max_rounds
+        cand_crank = plan.cand_crank
+        cand_by_crank = plan.cand_by_crank
+        cost_list = plan.cost_list
+        alive_cands: list[int] = []  # alive candidate indices (arrival order)
+        cheap = _TopN(n, plan.count, plan.cost_by_crank)
+        smallest = _TopN(n, plan.count, key_by_krank)
+
+        def expire(cand):
+            alive_cands.remove(cand)
+            cheap.expire(cand_crank[cand])
+            smallest.expire(cand_krank[cand])
+
+        def add(cand):
+            alive_cands.append(cand)  # candidate indices arrive in order
+            cheap.add(cand_crank[cand])
+            smallest.add(cand_krank[cand])
+
+        def step(window_start, best_value):
+            if cheap.total > budget:
+                return None  # cheapest_subset would return None
+            key_sum = smallest.total
+            bound = key_sum - _BOUND_SLACK * (1.0 + abs(key_sum))
+            if not (bound < best_value - VALUE_EPSILON):
+                return None
+            current = [cand_by_crank[r] for r in cheap.top]
+            in_window = set(current)
+            outside = [c for c in alive_cands if c not in in_window]
+            return _swap_search(
+                current,
+                [key_list[c] for c in current],
+                [cost_list[c] for c in current],
+                outside,
+                [key_list[c] for c in outside],
+                [cost_list[c] for c in outside],
+                budget,
+                max_rounds,
+            )
+
+        return expire, add, step
+
+
+@dataclass(frozen=True)
+class _Random(_Rule):
+    """Simplified MinProcTime (a random window per step), draw for draw.
+
+    Replays ``RandomWindowExtractor.extract`` on the extractor's *own*
+    generator: at every step with at least ``n`` alive candidates, one
+    ``rng.choice(alive, size=n, replace=False)`` per attempt over the
+    alive list in scan order, the picked costs summed in pick order
+    against the budget; when every attempt busts it, the ``n`` cheapest
+    (``cheap`` is ``cheapest_subset``: same order, same ascending sum),
+    their runtimes summed in cost-rank order.  Candidates are numbered
+    in scan order, so the alive list stays sorted: an insert appends and
+    an expiry bisects.
+
+    There is no skip bound.  A skipped step would not draw, and every
+    later selection — this scan's, the next job's, the next cycle's
+    environment when the caller shares the generator — depends on the
+    stream position, so the scan must leave the generator in the state
+    the generic loop leaves it in.  The per-step cost floor is therefore
+    one ``Generator.choice`` call.
+    """
+
+    rng: np.random.Generator
+    attempts: int
+
+    def hooks(self, plan, arrays, n, budget):
+        choice = self.rng.choice
+        attempts = range(self.attempts)
+        cand_crank = plan.cand_crank
+        cand_by_crank = plan.cand_by_crank
+        req_list = plan.req_list
+        cost_list = plan.cost_list
+        alive_cands: list[int] = []  # alive candidates in scan order (ascending)
+        cheap = _TopN(n, plan.count, plan.cost_by_crank)
+
+        def expire(cand):
+            del alive_cands[bisect_left(alive_cands, cand)]
+            cheap.expire(cand_crank[cand])
+
+        def add(cand):
+            alive_cands.append(cand)
+            cheap.add(cand_crank[cand])
+
+        def step(window_start, best_value):
+            alive = len(alive_cands)
+            for _ in attempts:
+                chosen = [
+                    alive_cands[i] for i in choice(alive, size=n, replace=False).tolist()
+                ]
+                if sum([cost_list[c] for c in chosen]) <= budget:
+                    break
+            else:
+                if cheap.total > budget:
+                    return None  # cheapest_subset would return None
+                chosen = [cand_by_crank[r] for r in cheap.top]
+            return sum([req_list[c] for c in chosen]), chosen
+
+        return expire, add, step
+
+
+@dataclass(frozen=True)
+class _Cheapest:
+    """Earliest start (``start_valued``) or minimum total cost: the one
+    criterion pair served by :func:`_run_cheapest_multi`, not the
+    skeleton (see the module docstring)."""
+
+    start_valued: bool
+
+    def scan(self, plan, arrays, n, budget, stop_at_first):
+        (outcome,) = _run_cheapest_multi(
+            plan, n, [budget], stop_at_first, self.start_valued
+        )
+        return outcome
+
+
+#: The rules of the extractors whose replay reads no parameter of theirs,
+#: by exact type; MinFinish by the type of its runtime extractor.
+_RULES = {
+    EarliestStartExtractor: _Cheapest(start_valued=True),
+    MinTotalCostExtractor: _Cheapest(start_valued=False),
+    MinRuntimeSubstitutionExtractor: _Walk(exact=False, finish=False),
+    MinRuntimeExactExtractor: _Walk(exact=True, finish=False),
+}
+_FINISH_RULES = {
+    MinRuntimeSubstitutionExtractor: _Walk(exact=False, finish=True),
+    MinRuntimeExactExtractor: _Walk(exact=True, finish=True),
+}
+
+
+# ----------------------------------------------------------------------
+# The sweeps outside the skeleton.
 # ----------------------------------------------------------------------
 def _run_cheapest_multi(plan, n, budgets, stop_at_first, start_valued):
     """Start-time / total-cost criteria, for several budgets in one sweep.
@@ -869,376 +1192,6 @@ def _run_first_consume(plan, extras, n, budget, deadline, cap):
         else:
             del waiting[costs.index(max(costs))]
     return hits
-
-
-def _run_walk_budget(plan, n, budget, stop_at_first, exact):
-    """MinRuntime (substitution or exact): budget-aware skip certificate.
-
-    A window improving on ``best`` consists of n candidates whose
-    runtimes are all below ``T = best − ε`` and whose costs sum within
-    the budget, so the minimum such cost sum is the n cheapest among the
-    alive candidates with runtime < T.  ``T`` is constant between
-    improvements, which makes that sum maintainable with the standard
-    top-n discipline (rebuilt from the alive set on the rare
-    improvement); while it exceeds the slack-widened budget — or fewer
-    than n candidates qualify — the extraction provably cannot win and
-    the step is skipped.
-    """
-    loop_start = plan.loop_start
-    loop_cand = plan.loop_cand
-    expiry_times = plan.expiry_times
-    expiry_cands = plan.expiry_cands
-    cand_crank = plan.cand_crank
-    req_by_crank = plan.req_by_crank
-    req_list = plan.req_list
-    if exact:
-        extras = _time_extras(plan)
-        cand_erank = extras["cand_trank"]
-        cand_by_erank = extras["cand_by_trank"]
-        req_by_erank = extras["req_by_trank"]
-        cost_by_erank = extras["cost_by_trank"]
-    else:
-        cand_erank = cand_crank
-        cand_by_erank = plan.cand_by_crank
-        req_by_erank = req_by_crank
-        cost_by_erank = plan.cost_by_crank
-    total_c = plan.count
-    skip_budget = budget + _BOUND_SLACK * (1.0 + abs(budget))
-    alive_eval: list[int] = []  # alive candidates as eval-order ranks
-    qual = _TopN(n, total_c, plan.cost_by_crank)  # n cheapest with runtime < T
-    threshold_time = float("inf")  # T = best − ε, fixed between improvements
-    pointer = 0
-    alive = inserted = expired = peak = steps = 0
-    best_value = float("inf")
-    best_start = 0.0
-    best_cands = None
-    break_pos = -1
-    for pos, window_start in enumerate(loop_start):
-        threshold = window_start - TIME_EPSILON
-        while pointer < total_c and expiry_times[pointer] < threshold:
-            cand = expiry_cands[pointer]
-            pointer += 1
-            expired += 1
-            alive -= 1
-            alive_eval.remove(cand_erank[cand])
-            qual.expire(cand_crank[cand])
-        cand = loop_cand[pos]
-        if cand < 0:
-            continue
-        insort(alive_eval, cand_erank[cand])
-        inserted += 1
-        alive += 1
-        if alive > peak:
-            peak = alive
-        if req_list[cand] < threshold_time:
-            qual.add(cand_crank[cand])
-        if alive < n:
-            continue
-        steps += 1
-        if len(qual.top) < n or qual.total > skip_budget:
-            continue  # no qualifying subset can beat the incumbent
-        times = [req_by_erank[r] for r in alive_eval]
-        costs = [cost_by_erank[r] for r in alive_eval]
-        if exact:
-            extraction = _exact_sweep(times, costs, n, budget)
-        else:
-            extraction = _substitution_walk(times, costs, n, budget)
-        if extraction is None:
-            continue
-        value, positions = extraction
-        if value < best_value - VALUE_EPSILON:
-            best_value = value
-            best_start = window_start
-            best_cands = [cand_by_erank[alive_eval[p]] for p in positions]
-            if stop_at_first:
-                break_pos = pos
-                break
-            # The threshold tightened: rebuild the qualifying top-n from
-            # the alive set.
-            threshold_time = best_value - VALUE_EPSILON
-            if exact:
-                alive_cranks = sorted(
-                    cand_crank[cand_by_erank[r]] for r in alive_eval
-                )
-            else:
-                alive_cranks = alive_eval
-            qual.reset(
-                [r for r in alive_cranks if req_by_crank[r] < threshold_time]
-            )
-    return (
-        best_value,
-        best_cands,
-        best_start,
-        steps,
-        peak,
-        inserted,
-        expired,
-        break_pos,
-    )
-
-
-def _run_walk_finish(plan, n, budget, stop_at_first, exact):
-    """MinFinish (start + runtime): bound by the n-th shortest runtime.
-
-    The finish-time improvement threshold shifts with every window start,
-    so the fixed-threshold certificate of :func:`_run_walk_budget` does
-    not apply; instead each step is bounded by ``start + (n-th shortest
-    alive runtime)``, an exact lower bound on any extraction's finish
-    time (float ``+`` is monotone, so no slack is needed).
-    """
-    loop_start = plan.loop_start
-    loop_cand = plan.loop_cand
-    expiry_times = plan.expiry_times
-    expiry_cands = plan.expiry_cands
-    extras = _time_extras(plan)
-    cand_trank = extras["cand_trank"]
-    req_by_trank = extras["req_by_trank"]
-    if exact:
-        cand_erank = cand_trank
-        cand_by_erank = extras["cand_by_trank"]
-        req_by_erank = req_by_trank
-        cost_by_erank = extras["cost_by_trank"]
-    else:
-        cand_erank = plan.cand_crank
-        cand_by_erank = plan.cand_by_crank
-        req_by_erank = plan.req_by_crank
-        cost_by_erank = plan.cost_by_crank
-    total_c = plan.count
-    alive_eval: list[int] = []
-    shortest = _TopN(n, total_c)  # time ranks: the n shortest alive runtimes
-    pointer = 0
-    alive = inserted = expired = peak = steps = 0
-    best_value = float("inf")
-    best_start = 0.0
-    best_cands = None
-    break_pos = -1
-    for pos, window_start in enumerate(loop_start):
-        threshold = window_start - TIME_EPSILON
-        while pointer < total_c and expiry_times[pointer] < threshold:
-            cand = expiry_cands[pointer]
-            pointer += 1
-            expired += 1
-            alive -= 1
-            alive_eval.remove(cand_erank[cand])
-            shortest.expire(cand_trank[cand])
-        cand = loop_cand[pos]
-        if cand < 0:
-            continue
-        insort(alive_eval, cand_erank[cand])
-        shortest.add(cand_trank[cand])
-        inserted += 1
-        alive += 1
-        if alive > peak:
-            peak = alive
-        if alive < n:
-            continue
-        steps += 1
-        bound = window_start + req_by_trank[shortest.top[-1]]
-        if not (bound < best_value - VALUE_EPSILON):
-            continue
-        times = [req_by_erank[r] for r in alive_eval]
-        costs = [cost_by_erank[r] for r in alive_eval]
-        if exact:
-            extraction = _exact_sweep(times, costs, n, budget)
-        else:
-            extraction = _substitution_walk(times, costs, n, budget)
-        if extraction is None:
-            continue
-        value, positions = extraction
-        value = window_start + value
-        if value < best_value - VALUE_EPSILON:
-            best_value = value
-            best_start = window_start
-            best_cands = [cand_by_erank[alive_eval[p]] for p in positions]
-            if stop_at_first:
-                break_pos = pos
-                break
-    return (
-        best_value,
-        best_cands,
-        best_start,
-        steps,
-        peak,
-        inserted,
-        expired,
-        break_pos,
-    )
-
-
-def _run_greedy(plan, extras, n, budget, max_rounds, stop_at_first):
-    """Additive-objective criterion: cheapest-n feasibility + swap search.
-
-    Bounded by the sum of the n smallest alive objective keys (minus
-    :data:`_BOUND_SLACK`, covering summation-order drift); the swap
-    search replays the object extractor's in-place exchanges exactly.
-    """
-    loop_start = plan.loop_start
-    loop_cand = plan.loop_cand
-    expiry_times = plan.expiry_times
-    expiry_cands = plan.expiry_cands
-    cand_crank = plan.cand_crank
-    cand_by_crank = plan.cand_by_crank
-    cand_krank = extras["cand_krank"]
-    key_list = extras["key_list"]
-    cost_list = plan.cost_list
-    total_c = plan.count
-    alive_cands: list[int] = []  # alive candidate indices (arrival order)
-    cheap = _TopN(n, total_c, plan.cost_by_crank)
-    smallest = _TopN(n, total_c, extras["key_by_krank"])
-    pointer = 0
-    alive = inserted = expired = peak = steps = 0
-    best_value = float("inf")
-    best_start = 0.0
-    best_cands = None
-    break_pos = -1
-    for pos, window_start in enumerate(loop_start):
-        threshold = window_start - TIME_EPSILON
-        while pointer < total_c and expiry_times[pointer] < threshold:
-            cand = expiry_cands[pointer]
-            pointer += 1
-            expired += 1
-            alive -= 1
-            alive_cands.remove(cand)
-            cheap.expire(cand_crank[cand])
-            smallest.expire(cand_krank[cand])
-        cand = loop_cand[pos]
-        if cand < 0:
-            continue
-        alive_cands.append(cand)  # candidate indices arrive in order
-        cheap.add(cand_crank[cand])
-        smallest.add(cand_krank[cand])
-        inserted += 1
-        alive += 1
-        if alive > peak:
-            peak = alive
-        if alive < n:
-            continue
-        steps += 1
-        if cheap.total > budget:
-            continue  # cheapest_subset would return None
-        key_sum = smallest.total
-        bound = key_sum - _BOUND_SLACK * (1.0 + abs(key_sum))
-        if not (bound < best_value - VALUE_EPSILON):
-            continue
-        current = [cand_by_crank[r] for r in cheap.top]
-        in_window = set(current)
-        outside = [c for c in alive_cands if c not in in_window]
-        value, final = _swap_search(
-            current,
-            [key_list[c] for c in current],
-            [cost_list[c] for c in current],
-            outside,
-            [key_list[c] for c in outside],
-            [cost_list[c] for c in outside],
-            budget,
-            max_rounds,
-        )
-        if value < best_value - VALUE_EPSILON:
-            best_value = value
-            best_start = window_start
-            best_cands = final
-            if stop_at_first:
-                break_pos = pos
-                break
-    return (
-        best_value,
-        best_cands,
-        best_start,
-        steps,
-        peak,
-        inserted,
-        expired,
-        break_pos,
-    )
-
-
-def _run_random(plan, n, budget, stop_at_first, rng, attempts):
-    """Simplified MinProcTime (a random window per step), draw for draw.
-
-    Replays ``RandomWindowExtractor.extract`` on the extractor's *own*
-    generator: at every step with at least ``n`` alive candidates, one
-    ``rng.choice(alive, size=n, replace=False)`` per attempt over the
-    alive list in scan order, the picked costs summed in pick order
-    against the budget; when every attempt busts it, the ``n`` cheapest
-    (``cheap`` is ``cheapest_subset``: same order, same ascending sum),
-    their runtimes summed in cost-rank order.  Candidates are numbered
-    in scan order, so the alive list stays sorted: an insert appends and
-    an expiry bisects.
-
-    There is no skip bound.  A skipped step would not draw, and every
-    later selection — this scan's, the next job's, the next cycle's
-    environment when the caller shares the generator — depends on the
-    stream position, so the scan must leave the generator in the state
-    the generic loop leaves it in.  The per-step cost floor is therefore
-    one ``Generator.choice`` call.
-    """
-    loop_cand = plan.loop_cand
-    expiry_times = plan.expiry_times
-    expiry_cands = plan.expiry_cands
-    cand_crank = plan.cand_crank
-    cand_by_crank = plan.cand_by_crank
-    req_list = plan.req_list
-    cost_list = plan.cost_list
-    total_c = plan.count
-    choice = rng.choice
-    alive_cands: list[int] = []  # alive candidates in scan order (ascending)
-    cheap = _TopN(n, total_c, plan.cost_by_crank)
-    pointer = 0
-    inserted = expired = peak = steps = 0
-    best_value = float("inf")
-    best_start = 0.0
-    best_cands = None
-    break_pos = -1
-    for pos, window_start in enumerate(plan.loop_start):
-        threshold = window_start - TIME_EPSILON
-        while pointer < total_c and expiry_times[pointer] < threshold:
-            cand = expiry_cands[pointer]
-            pointer += 1
-            expired += 1
-            del alive_cands[bisect_left(alive_cands, cand)]
-            cheap.expire(cand_crank[cand])
-        cand = loop_cand[pos]
-        if cand < 0:
-            continue
-        alive_cands.append(cand)
-        cheap.add(cand_crank[cand])
-        inserted += 1
-        alive = len(alive_cands)
-        if alive > peak:
-            peak = alive
-        if alive < n:
-            continue
-        steps += 1
-        chosen = None
-        for _ in range(attempts):
-            picked = [
-                alive_cands[i] for i in choice(alive, size=n, replace=False).tolist()
-            ]
-            if sum([cost_list[c] for c in picked]) <= budget:
-                chosen = picked
-                break
-        if chosen is None:
-            if cheap.total > budget:
-                continue  # cheapest_subset would return None
-            chosen = [cand_by_crank[r] for r in cheap.top]
-        value = sum([req_list[c] for c in chosen])
-        if value < best_value - VALUE_EPSILON:
-            best_value = value
-            best_start = window_start
-            best_cands = chosen
-            if stop_at_first:
-                break_pos = pos
-                break
-    return (
-        best_value,
-        best_cands,
-        best_start,
-        steps,
-        peak,
-        inserted,
-        expired,
-        break_pos,
-    )
 
 
 # ----------------------------------------------------------------------

@@ -257,7 +257,6 @@ def comparison_to_dict(result: ComparisonResult) -> dict[str, Any]:
     payload: dict[str, Any] = {
         "format_version": FORMAT_VERSION,
         "cycles": result.cycles_run,
-        "stream_mode": result.config.stream_mode,
         "slot_count_mean": result.slot_count.mean,
         "csa_alternatives_mean": result.csa.alternatives.mean,
         "algorithms": {},

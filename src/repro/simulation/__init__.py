@@ -10,7 +10,6 @@ from repro.simulation.config import (
     PAPER_RESERVATION_TIME,
     PAPER_TABLE_CYCLES,
     PAPER_TASK_COUNT,
-    STREAM_MODES,
     ExperimentConfig,
     paper_base_config,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "run_cycle",
     "run_spawned_cycle",
     "RunningStat",
-    "STREAM_MODES",
     "sweep_interval_lengths",
     "sweep_node_counts",
     "TimingRow",

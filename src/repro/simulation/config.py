@@ -27,9 +27,6 @@ PAPER_TABLE_CYCLES = 1000
 PAPER_NODE_SWEEP = (50, 100, 200, 300, 400)
 PAPER_INTERVAL_SWEEP = (600.0, 1200.0, 1800.0, 2400.0, 3000.0, 3600.0)
 
-#: Valid values of :attr:`ExperimentConfig.stream_mode`.
-STREAM_MODES = ("spawned", "sequential")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -41,19 +38,8 @@ class ExperimentConfig:
     budget: Optional[float] = PAPER_BUDGET
     cycles: int = PAPER_FIGURE_CYCLES
     seed: Optional[int] = None
-    #: ``"spawned"`` (default): every cycle draws from its own
-    #: ``SeedSequence.spawn`` child stream, so cycles are independent and
-    #: can run in any order on any number of worker processes.
-    #: ``"sequential"``: the legacy single stream threaded through every
-    #: cycle in order — cycle *k* depends on all prior draws, execution is
-    #: forced in-process, but pre-existing seeded results reproduce exactly.
-    stream_mode: str = "spawned"
 
     def __post_init__(self) -> None:
-        if self.stream_mode not in STREAM_MODES:
-            raise ConfigurationError(
-                f"stream_mode must be one of {STREAM_MODES}, got {self.stream_mode!r}"
-            )
         if self.cycles < 1:
             raise ConfigurationError(f"cycles must be >= 1, got {self.cycles}")
         if self.node_count_requested < 1:
@@ -81,12 +67,8 @@ class ExperimentConfig:
         """A copy with a different cycle count."""
         return replace(self, cycles=cycles)
 
-    def with_stream_mode(self, stream_mode: str) -> "ExperimentConfig":
-        """A copy with a different RNG stream discipline."""
-        return replace(self, stream_mode=stream_mode)
-
     def spawn_cycle_seeds(self) -> list:
-        """One independent ``SeedSequence`` child per cycle (spawned mode).
+        """One independent ``SeedSequence`` child per cycle.
 
         Spawning happens once, in the parent, so the per-cycle streams are
         a pure function of ``seed`` — identical no matter which process

@@ -6,25 +6,16 @@ the CSA alternative statistics.  All randomness flows from the experiment
 seed, so results are exactly reproducible.
 
 The 5000-cycle Monte-Carlo campaign of Section 3 is embarrassingly
-parallel *if* the cycles are independent, and the config's
-``stream_mode`` decides exactly that:
-
-``"spawned"`` (default)
-    ``np.random.SeedSequence(seed).spawn(cycles)`` gives every cycle its
-    own independent child stream; cycle *k* is a pure function of the
-    seed, so cycles fan out in fixed-size chunks over a
-    ``ProcessPoolExecutor`` (processes, not threads — the scan kernel is
-    pure Python and GIL-bound).  Workers fold their chunk into compact
-    partial accumulators (:class:`~repro.simulation.metrics.WindowStats`
-    et al., O(algorithms × criteria) floats) and the parent merges the
-    partials in deterministic chunk order, so **any worker count —
-    including 1 and the no-subprocess in-process mode — produces
-    bit-identical aggregate statistics**.
-
-``"sequential"``
-    The legacy single stream threaded through every cycle in order.
-    Cycle *k* depends on all prior draws, execution is forced in-process,
-    and pre-change seeded results reproduce bit-for-bit.
+parallel because the cycles are independent:
+``np.random.SeedSequence(seed).spawn(cycles)`` gives every cycle its own
+child stream, so cycle *k* is a pure function of the seed, and cycles
+fan out in fixed-size chunks over a ``ProcessPoolExecutor`` (processes,
+not threads — the scan kernel is pure Python and GIL-bound).  Workers
+fold their chunk into compact partial accumulators
+(:class:`~repro.simulation.metrics.WindowStats` et al., O(algorithms ×
+criteria) floats) and the parent merges the partials in deterministic
+chunk order, so **any worker count — including 1 and the no-subprocess
+in-process mode — produces bit-identical aggregate statistics**.
 """
 
 from __future__ import annotations
@@ -43,7 +34,6 @@ from repro.model.job import Job
 from repro.simulation.config import ExperimentConfig
 from repro.simulation.experiment import (
     CycleSummary,
-    make_generator,
     paper_algorithm_suite,
     run_cycle,
 )
@@ -231,45 +221,6 @@ def _merge_chunks(
     return result
 
 
-def _run_sequential(
-    config: ExperimentConfig,
-    algorithms: Optional[Sequence[SlotSelectionAlgorithm]],
-    include_csa: bool,
-    validate: bool,
-    job: Optional[Job],
-) -> ComparisonResult:
-    """The legacy single-stream loop, kept verbatim for exact reproduction."""
-    generator = make_generator(config)
-    if algorithms is None:
-        algorithms = paper_algorithm_suite(rng=generator.rng)
-    target_job = job if job is not None else config.base_job()
-
-    result = ComparisonResult(config=config)
-    for algorithm in algorithms:
-        result.algorithms[algorithm.name] = WindowStats()
-
-    for _ in range(config.cycles):
-        outcome = run_cycle(
-            generator,
-            target_job,
-            algorithms,
-            include_csa=include_csa,
-            validate=validate,
-        )
-        summary = outcome.summary()
-        for algorithm in algorithms:
-            result.algorithms[algorithm.name].observe_metrics(
-                summary.windows[algorithm.name]
-            )
-        if include_csa:
-            result.csa.observe_metrics(
-                summary.csa_alternative_count, summary.csa_selections
-            )
-        result.slot_count.add(float(summary.slot_count))
-        result.cycles_run += 1
-    return result
-
-
 def run_comparison(
     config: ExperimentConfig,
     algorithms: Optional[Sequence[SlotSelectionAlgorithm]] = None,
@@ -286,11 +237,11 @@ def run_comparison(
     ----------
     config:
         The study configuration (environment model, base job, cycle count,
-        RNG stream discipline).
+        seed).
     algorithms:
-        Algorithms to compare; the paper's suite by default.  In spawned
-        mode the default suite is rebuilt per cycle around the cycle's own
-        stream; an explicit list is reused as-is (and must be picklable
+        Algorithms to compare; the paper's suite by default.  The default
+        suite is rebuilt per cycle around the cycle's own stream; an
+        explicit list is reused as-is (and must be picklable
         when ``workers`` is set — avoid algorithms holding private RNGs,
         their state would depend on execution order).
     include_csa:
@@ -302,8 +253,8 @@ def run_comparison(
         Override the predefined base job.
     workers:
         ``None`` or ``0`` — in-process, no subprocesses (the default).
-        ``n >= 1`` — fan the chunks out over ``n`` worker processes
-        (spawned mode only).  Aggregates are bit-identical for every
+        ``n >= 1`` — fan the chunks out over ``n`` worker processes.
+        Aggregates are bit-identical for every
         value of ``workers``.
     chunk_size:
         Cycles per worker task.  Part of the deterministic merge tree: the
@@ -315,15 +266,6 @@ def run_comparison(
         raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
     if workers is not None and workers < 0:
         raise ConfigurationError(f"workers must be >= 0, got {workers}")
-    if config.stream_mode == "sequential":
-        if workers is not None and workers > 1:
-            raise ConfigurationError(
-                "stream_mode='sequential' threads one RNG stream through every "
-                "cycle and cannot run on multiple workers; use "
-                "stream_mode='spawned' (the default) for parallel execution"
-            )
-        return _run_sequential(config, algorithms, include_csa, validate, job)
-
     if algorithms is None:
         algorithm_names = [a.name for a in paper_algorithm_suite()]
     else:

@@ -1,10 +1,14 @@
-"""Shared fixtures: small hand-built environments with known optima."""
+"""Shared fixtures: small hand-built environments with known optima, and
+the kernel shadow oracle."""
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 import pytest
 
+from repro.core import aep, batchscan, vectorized
 from repro.model import CpuNode, Job, NodeSpec, ResourceRequest, Slot, SlotPool
 
 
@@ -103,6 +107,131 @@ def heterogeneous_pool() -> SlotPool:
         make_slot(4, 0.0, 30.0, performance=1.0, price=0.5),
     ]
     return SlotPool.from_slots(slots)
+
+
+def scan_fingerprint(result) -> tuple | None:
+    """Everything a :class:`~repro.core.aep.ScanResult` reports: the
+    window's start and legs (the slot objects themselves, runtimes and
+    costs), the criterion value and every structural counter."""
+    if result is None:
+        return None
+    return (
+        result.window.start,
+        tuple((ws.slot, ws.required_time, ws.cost) for ws in result.window.slots),
+        result.value,
+        result.steps,
+        result.slots_scanned,
+        result.candidate_peak,
+        result.candidate_inserts,
+        result.candidate_expiries,
+    )
+
+
+def _generator_state(extractor):
+    rng = getattr(extractor, "_rng", None)
+    return None if rng is None else rng.bit_generator.state
+
+
+class KernelShadow:
+    """Re-runs every kernel-served scan on the generic loop and compares.
+
+    ``checked`` counts the compared scans (``"scan"``) and batch jobs
+    (``"batch"``); ``divergences`` lists every mismatch as ``(where,
+    request, kernel fingerprint, generic fingerprint)``.
+    """
+
+    def __init__(self) -> None:
+        self.checked = {"scan": 0, "batch": 0}
+        self.divergences: list[tuple] = []
+
+    def _generic(self, request, slot_list, twin, stop_at_first):
+        # The re-run is the oracle's, not the caller's: its dispatch
+        # counts are rolled back so the shadowed run reads as unshadowed.
+        saved = dict(vectorized.scan_counters)
+        try:
+            return aep.aep_scan(
+                request, iter(slot_list), twin, stop_at_first=stop_at_first
+            )
+        finally:
+            vectorized.scan_counters.update(saved)
+
+    def _compare(self, where, request, kernel, generic) -> None:
+        self.checked[where] += 1
+        kernel_print = scan_fingerprint(kernel)
+        generic_print = scan_fingerprint(generic)
+        if kernel_print != generic_print:
+            self.divergences.append((where, request, kernel_print, generic_print))
+
+    def _compare_streams(self, where, request, extractor, twin) -> None:
+        state = _generator_state(extractor)
+        twin_state = _generator_state(twin)
+        if state != twin_state:
+            self.divergences.append((where, request, state, twin_state))
+
+    def wrap_scan(self, kernel_scan):
+        def shadowed(request, slots, extractor, *, stop_at_first=False):
+            # A twin in the extractor's current state: for a random
+            # extractor, a generator in the same ``bit_generator.state``.
+            twin = copy.deepcopy(extractor)
+            result = kernel_scan(
+                request, slots, extractor, stop_at_first=stop_at_first
+            )
+            if result is vectorized.UNSUPPORTED:
+                return result
+            slot_list = vectorized._resolve_arrays(slots)[1]
+            generic = self._generic(request, slot_list, twin, stop_at_first)
+            self._compare("scan", request, result, generic)
+            self._compare_streams("scan", request, extractor, twin)
+            return result
+
+        return shadowed
+
+    def wrap_batch(self, kernel_batch):
+        def shadowed(jobs, slots, extractor, *, stop_at_first=False):
+            job_list = list(jobs)
+            if not isinstance(slots, (SlotPool, list, tuple)):
+                slots = list(slots)
+            twin = copy.deepcopy(extractor)
+            results = kernel_batch(
+                job_list, slots, extractor, stop_at_first=stop_at_first
+            )
+            slot_list = vectorized._resolve_arrays(slots)[1]
+            # Each distinct request is one generic scan, in the order the
+            # batch first meets it (equal requests share one result, so a
+            # random extractor draws once per request either way).
+            generic: dict = {}
+            for job, result in zip(job_list, results):
+                request = aep.request_of(job)
+                if request not in generic:
+                    generic[request] = self._generic(
+                        request, slot_list, twin, stop_at_first
+                    )
+                self._compare("batch", request, result, generic[request])
+            self._compare_streams("batch", None, extractor, twin)
+            return results
+
+        return shadowed
+
+
+@pytest.fixture
+def kernel_shadow(monkeypatch) -> KernelShadow:
+    """Shadow every kernel scan with the generic loop for one test.
+
+    Wraps ``repro.core.aep.vectorized_scan`` (what ``aep_scan`` and so
+    every stock algorithm dispatches through) and
+    ``repro.core.batchscan.batch_aep_scan``: each kernel-served scan is
+    re-run as ``aep_scan(request, iter(slot_list), twin)`` — the generic
+    loop with the textbook ``extract`` on a copy of the extractor taken
+    before the kernel ran — and the full results (legs, value, every
+    counter) and, for random extractors, the generators' states are
+    compared.  Nothing in ``src/`` knows the shadow exists.
+    """
+    shadow = KernelShadow()
+    monkeypatch.setattr(aep, "vectorized_scan", shadow.wrap_scan(aep.vectorized_scan))
+    monkeypatch.setattr(
+        batchscan, "batch_aep_scan", shadow.wrap_batch(batchscan.batch_aep_scan)
+    )
+    return shadow
 
 
 def random_small_pool(

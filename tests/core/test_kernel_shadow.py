@@ -1,0 +1,103 @@
+"""The vector kernel under its shadow oracle (``kernel_shadow``).
+
+Every scan the kernel serves in these runs is re-run on the generic loop
+with the textbook ``extract`` and compared in full — the legs, the
+value, every structural counter and, for the randomized MinProcTime, the
+generator's state afterwards.  Two drivers: a test-size paper study (all
+five single-window algorithms plus CSA on fresh pools, the one place the
+randomized MinProcTime runs) and the eight-class request palette of the
+``burst_classes`` workload through :func:`batch_aep_scan`, once per stock
+extractor.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.core import batchscan
+from repro.core.extractors import (
+    EarliestFinishExtractor,
+    EarliestStartExtractor,
+    GreedyAdditiveExtractor,
+    MinRuntimeExactExtractor,
+    MinRuntimeSubstitutionExtractor,
+    MinTotalCostExtractor,
+    RandomWindowExtractor,
+    energy_key,
+)
+from repro.environment import EnvironmentConfig, EnvironmentGenerator
+from repro.model import Job, ResourceRequest
+from repro.simulation.config import paper_base_config
+from repro.simulation.runner import run_comparison
+
+#: The ``burst_classes`` palette (``perf/workloads.py``): four shapes
+#: ``(node_count, reservation_time)`` times two budgets per unit.
+PALETTE_SHAPES = ((5, 150.0), (3, 100.0), (8, 150.0), (5, 100.0))
+PALETTE_BUDGET_PER_UNIT = (2.0, 4.0)
+
+#: (id, extractor factory, stop_at_first): every stock extractor the
+#: kernel replays, the start criterion in both scan modes.
+STOCK = [
+    ("start_first", EarliestStartExtractor, True),
+    ("start_full", EarliestStartExtractor, False),
+    ("cost", MinTotalCostExtractor, False),
+    ("runtime_substitution", MinRuntimeSubstitutionExtractor, False),
+    ("runtime_exact", MinRuntimeExactExtractor, False),
+    ("finish_substitution", EarliestFinishExtractor, False),
+    (
+        "finish_exact",
+        lambda: EarliestFinishExtractor(MinRuntimeExactExtractor()),
+        False,
+    ),
+    ("greedy_runtime", GreedyAdditiveExtractor, False),
+    ("greedy_energy", lambda: GreedyAdditiveExtractor(energy_key), False),
+    (
+        "random",
+        lambda: RandomWindowExtractor(rng=np.random.default_rng(41), attempts=3),
+        False,
+    ),
+]
+
+
+def palette_batch(rng: np.random.Generator, size: int = 24) -> list[Job]:
+    palette = [
+        ResourceRequest(
+            node_count=node_count,
+            reservation_time=reservation_time,
+            budget=per_unit * reservation_time * node_count,
+        )
+        for node_count, reservation_time in PALETTE_SHAPES
+        for per_unit in PALETTE_BUDGET_PER_UNIT
+    ]
+    return [
+        Job(job_id=f"palette-{index}", request=palette[int(rng.integers(len(palette)))])
+        for index in range(size)
+    ]
+
+
+def test_paper_study_under_shadow(kernel_shadow):
+    config = paper_base_config(cycles=3).with_node_count(40)
+    result = run_comparison(config, include_csa=True)
+    assert result.cycles_run == 3
+    assert kernel_shadow.divergences == []
+    # MinFinish, MinCost, MinRunTime and MinProcTime are one kernel scan
+    # each per cycle (AMP and CSA run their own sweeps).
+    assert kernel_shadow.checked["scan"] == 4 * 3
+
+
+@pytest.mark.parametrize(
+    "make_extractor, stop_at_first",
+    [pytest.param(make, stop, id=name) for name, make, stop in STOCK],
+)
+def test_palette_batch_under_shadow(kernel_shadow, make_extractor, stop_at_first):
+    pool = EnvironmentGenerator(
+        EnvironmentConfig(node_count=60, seed=2013)
+    ).generate().slot_pool()
+    jobs = palette_batch(np.random.default_rng(7))
+    results = batchscan.batch_aep_scan(
+        jobs, pool, make_extractor(), stop_at_first=stop_at_first
+    )
+    assert kernel_shadow.divergences == []
+    assert kernel_shadow.checked["batch"] == len(jobs)
+    assert any(result is not None for result in results)

@@ -1,6 +1,6 @@
 """Old-vs-new scan equivalence: the incremental kernel must select
 window-for-window identical results to the frozen pre-change kernel
-(:mod:`repro.core.reference`) for every criterion, across random pools,
+(:mod:`tests.core.reference`) for every criterion, across random pools,
 seeds, and budget/deadline configurations.  Equality is exact — floats
 are compared byte-for-byte, not approximately — because the incremental
 kernel is engineered to reproduce the reference's summation orders and
@@ -22,14 +22,14 @@ from repro.core.extractors import (
     MinTotalCostExtractor,
     RandomWindowExtractor,
 )
-from repro.core.reference import (
+from repro.environment import EnvironmentConfig, EnvironmentGenerator
+from repro.model import ResourceRequest, Slot, SlotPool
+from tests.conftest import make_node
+from tests.core.reference import (
     ReferenceGreedyAdditiveExtractor,
     ReferenceMinRuntimeSubstitutionExtractor,
     reference_scan,
 )
-from repro.environment import EnvironmentConfig, EnvironmentGenerator
-from repro.model import ResourceRequest, Slot, SlotPool
-from tests.conftest import make_node
 
 SEEDS = [11, 23, 47, 101, 2013]
 

@@ -21,6 +21,7 @@ from repro.core.extractors import (
     EarliestFinishExtractor,
     EarliestStartExtractor,
     Extraction,
+    GreedyAdditiveExtractor,
     MinRuntimeExactExtractor,
     MinRuntimeSubstitutionExtractor,
     MinTotalCostExtractor,
@@ -28,9 +29,9 @@ from repro.core.extractors import (
     cheapest_subset,
     energy_key,
 )
-from repro.core.reference import reference_scan
 from repro.environment import EnvironmentConfig, EnvironmentGenerator
 from repro.model import ResourceRequest
+from tests.core.reference import reference_scan
 
 REQUEST = ResourceRequest(node_count=4, reservation_time=60.0, budget=900.0)
 #: On the 40-node pools a random 4-subset fits this budget at some steps,
@@ -57,6 +58,10 @@ EXTRACTORS = [
     MinRuntimeSubstitutionExtractor,
     MinRuntimeExactExtractor,
     EarliestFinishExtractor,
+    GreedyAdditiveExtractor,
+    pytest.param(
+        lambda: GreedyAdditiveExtractor(energy_key), id="GreedyAdditiveExtractor-energy"
+    ),
     pytest.param(random_window(1), id="RandomWindowExtractor-1-attempt"),
     pytest.param(random_window(3), id="RandomWindowExtractor-3-attempts"),
 ]

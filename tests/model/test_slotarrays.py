@@ -16,13 +16,13 @@ from hypothesis import strategies as st
 from repro.core import MinCost
 from repro.core.aep import aep_scan
 from repro.core.extractors import MinTotalCostExtractor
-from repro.core.reference import reference_scan
 from repro.environment import EnvironmentConfig, EnvironmentGenerator
 from repro.model import ResourceRequest, Slot, SlotPool
 from repro.model.slot import TIME_EPSILON
 from repro.model.slotarrays import SlotArrays, SlotColumnStore
 from tests.conftest import SNAPSHOT_COLUMNS as COLUMNS
 from tests.conftest import make_node, make_slot
+from tests.core.reference import reference_scan
 
 
 def generated_pool(node_count: int = 25, seed: int = 9) -> SlotPool:

@@ -214,20 +214,3 @@ class TestCommands:
             text = handle.read()
         assert text.count("\\begin{table}") == 5
         assert "MinCost" in text
-
-    def test_compare_stream_mode_and_workers(self, capsys):
-        code = main(
-            [
-                "compare",
-                "--cycles",
-                "3",
-                "--nodes",
-                "25",
-                "--seed",
-                "1",
-                "--stream-mode",
-                "sequential",
-            ]
-        )
-        assert code == 0
-        assert "MinCost" in capsys.readouterr().out

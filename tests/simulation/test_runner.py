@@ -142,74 +142,6 @@ class TestStreamDiscipline:
         }
         assert len(set(fingerprints.values())) == 1
 
-    def test_sequential_reproduces_single_stream_loop(self):
-        from repro.simulation import (
-            ComparisonResult,
-            CsaStats,
-            RunningStat,
-            WindowStats,
-        )
-        from repro.simulation.bench import result_fingerprint
-        from repro.simulation.experiment import run_cycle
-
-        config = small_config(cycles=6, seed=29).with_stream_mode("sequential")
-        engine = run_comparison(config)
-
-        # The pre-engine semantics: one generator, one stream, cycles in order.
-        generator = make_generator(config)
-        job = config.base_job()
-        algorithms = paper_algorithm_suite(rng=generator.rng)
-        stats = {algorithm.name: WindowStats() for algorithm in algorithms}
-        csa = CsaStats()
-        slot_count = RunningStat()
-        for _ in range(config.cycles):
-            outcome = run_cycle(generator, job, algorithms)
-            for name, window in outcome.windows.items():
-                stats[name].observe(window)
-            csa.observe(outcome.csa_alternatives)
-            slot_count.add(float(outcome.slot_count))
-        legacy = ComparisonResult(
-            config=config,
-            algorithms=stats,
-            csa=csa,
-            slot_count=slot_count,
-            cycles_run=config.cycles,
-        )
-        assert result_fingerprint(engine) == result_fingerprint(legacy)
-
-    def test_spawned_differs_from_sequential_but_agrees_statistically(self):
-        config = small_config(cycles=10, seed=31)
-        spawned = run_comparison(config)
-        sequential = run_comparison(config.with_stream_mode("sequential"))
-        assert spawned.cycles_run == sequential.cycles_run == 10
-        # Different draw histories...
-        assert spawned.algorithms["MinCost"].mean(
-            Criterion.COST
-        ) != sequential.algorithms["MinCost"].mean(Criterion.COST)
-        # ...but the same experiment: every algorithm attempted every cycle.
-        for name in spawned.algorithms:
-            assert spawned.algorithms[name].attempts == 10
-            assert sequential.algorithms[name].attempts == 10
-
-    def test_invalid_stream_mode_rejected(self):
-        from repro.model.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="stream_mode"):
-            ExperimentConfig(
-                environment=EnvironmentConfig(node_count=10),
-                node_count_requested=2,
-                reservation_time=50.0,
-                cycles=2,
-                stream_mode="threads",
-            )
-
-    def test_sequential_cannot_fan_out(self):
-        from repro.model.errors import ConfigurationError
-
-        config = small_config().with_stream_mode("sequential")
-        with pytest.raises(ConfigurationError, match="sequential"):
-            run_comparison(config, workers=2)
-
     def test_chunk_size_changes_merge_tree_not_statistics(self):
         config = small_config(cycles=9, seed=37)
         # The chunk decomposition is the merge tree: worker counts share
