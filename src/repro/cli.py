@@ -221,7 +221,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         service=ServiceConfig(
             batch_size=args.batch_size,
             max_wait=args.max_wait,
-            workers=args.workers,
             alternatives_per_job=args.alternatives,
             criterion=Criterion[args.criterion.upper()],
             completion_factor=args.completion_factor,
@@ -234,13 +233,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(
             f"streaming {args.jobs} jobs (rate {args.rate:g}/time unit) through "
             f"a {args.nodes}-node broker, batch {args.batch_size} / "
-            f"max wait {args.max_wait:g}, {args.workers} worker(s) ..."
+            f"max wait {args.max_wait:g} ..."
         )
     try:
         with graceful_interrupt():
             outcome = run_service_trace(config)
     except KeyboardInterrupt:
-        print("interrupted — broker closed, trace flushed", file=sys.stderr)
+        print("interrupted — trace flushed", file=sys.stderr)
         return 130
     except TraceInvariantError as error:
         print(f"TRACE INVARIANT VIOLATION\n{error}", file=sys.stderr)
@@ -309,7 +308,6 @@ def _federation_manager(args: argparse.Namespace, sinks) -> "object":
         service=ServiceConfig(
             batch_size=args.batch_size,
             max_wait=args.max_wait,
-            workers=args.workers,
             alternatives_per_job=args.alternatives,
             criterion=Criterion[args.criterion.upper()],
         ),
@@ -323,8 +321,7 @@ def cmd_serve_federation(args: argparse.Namespace) -> int:
     With ``--jobs N`` the command self-drives a scripted arrival stream
     through a loopback client (real sockets end to end) and exits; with
     ``--jobs 0`` (the default) it listens until a ``shutdown`` frame,
-    SIGTERM, or Ctrl-C, closing every shard broker and flushing JSONL
-    sinks on the way out.
+    SIGTERM, or Ctrl-C, flushing JSONL sinks on the way out.
     """
     import asyncio
 
@@ -380,10 +377,9 @@ def cmd_serve_federation(args: argparse.Namespace) -> int:
         with graceful_interrupt():
             stats = asyncio.run(_run())
     except KeyboardInterrupt:
-        manager.close()
         if trace_sink is not None:
             trace_sink.close()
-        print("interrupted — shards closed, trace flushed", file=sys.stderr)
+        print("interrupted — trace flushed", file=sys.stderr)
         return 130
     finally:
         if trace_sink is not None:
@@ -765,8 +761,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--rate", type=float, default=2.0, help="mean arrivals per virtual time unit"
     )
-    serve.add_argument("--workers", type=int, default=1,
-                       help="phase-one search workers")
     serve.add_argument("--batch-size", type=int, default=8,
                        help="queue depth that triggers a cycle")
     serve.add_argument("--max-wait", type=float, default=25.0,
@@ -827,8 +821,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=0,
         help="TCP port to bind (0 picks a free port and prints it)",
     )
-    serve_fed.add_argument("--workers", type=int, default=1,
-                           help="phase-one search workers per shard")
     serve_fed.add_argument("--batch-size", type=int, default=8)
     serve_fed.add_argument("--max-wait", type=float, default=25.0)
     serve_fed.add_argument("--alternatives", type=int, default=10)

@@ -28,10 +28,9 @@ class SlotSelectionAlgorithm(abc.ABC):
     #: Whether ``select``/``find_alternatives`` is a pure function of the
     #: (request, pool) pair.  Stochastic algorithms (the randomized
     #: MinProcTime) set this ``False``, which disables request-class
-    #: grouping in :meth:`find_alternatives_batch` — sharing one result
+    #: grouping in :meth:`find_alternatives_batch`: sharing one result
     #: across equal requests would consume the random stream differently
-    #: than the sequential per-job loop does — and the broker's thread
-    #: fan-out, whose workers would race on that stream.
+    #: than the sequential per-job loop does.
     deterministic: bool = True
 
     @abc.abstractmethod

@@ -116,8 +116,8 @@ def _single_broker_counts(
     seed: int,
 ) -> dict[str, int]:
     """Reference counts from an unfederated broker on the same stream."""
-    with BrokerService(_make_pool(node_count, seed), config=service) as broker:
-        stats = broker.process(iter(arrivals))
+    broker = BrokerService(_make_pool(node_count, seed), config=service)
+    stats = broker.process(iter(arrivals))
     return {
         "scheduled": stats.scheduled,
         "dropped": stats.dropped,
@@ -195,7 +195,7 @@ def bench_federation(
     and the trace validator raises when any run's merged trace breaks a
     conservation law — either way, no timings are reported.
     """
-    service = ServiceConfig(workers=1, check_invariants=False)
+    service = ServiceConfig(check_invariants=False)
     arrivals = _make_arrivals(jobs, rate, seed)
     rows = []
     equivalence: Optional[dict[str, Any]] = None

@@ -70,13 +70,12 @@ class FederationServer:
         self._shutdown.set()
 
     async def stop(self) -> None:
-        """Stop accepting, close the listener, and close the federation."""
+        """Stop accepting and close the listener."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
         self._shutdown.set()
-        self.manager.close()
 
     # ------------------------------------------------------------------
     # Connection loop

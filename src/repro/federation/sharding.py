@@ -236,20 +236,6 @@ class ShardManager:
         self.stats = FederationStats()
 
     # ------------------------------------------------------------------
-    # Resource management
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Close every shard broker's worker pool (idempotent)."""
-        for shard in self.shards:
-            shard.broker.close()
-
-    def __enter__(self) -> "ShardManager":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property

@@ -581,7 +581,7 @@ class SlotPool:
         Served from the incrementally maintained column store: the
         *same* snapshot object is returned until the pool mutates — so
         repeated scans of an unchanged pool (the broker's phase-one
-        fan-out, admission between cycles, benchmark repeats) reuse
+        batch, admission between cycles, benchmark repeats) reuse
         both the columns and any scan plans cached on them — and a
         mutated pool's store applies every edit since the last read in
         one column rewrite, never a per-slot Python rebuild or a numpy

@@ -101,6 +101,17 @@ class BatchScheduler:
     alternatives_per_job: Optional[int] = None
     consume_slots: bool = False
 
+    @property
+    def shares_searches(self) -> bool:
+        """Whether phase one runs one search per request class.
+
+        Jobs of equal requests share a search only when every job sees
+        the same pool (not ``consume_slots``) and the search is a pure
+        function of it (``search.deterministic``); otherwise every job
+        gets its own search.
+        """
+        return not self.consume_slots and self.search.deterministic
+
     def find_alternatives(
         self, batch: JobBatch, pool: SlotPool
     ) -> dict[str, list[Window]]:
@@ -153,8 +164,8 @@ class BatchScheduler:
 
         This is the cycle kernel shared by :meth:`run_cycle` and by service
         contexts (the broker service) that own their pool, run phase one
-        externally — e.g. in parallel across jobs — and commit under their
-        own locking discipline.  Pass ``alternatives`` to reuse precomputed
+        on their own snapshot of it, and commit under their own locking
+        discipline.  Pass ``alternatives`` to reuse precomputed
         phase-one results; otherwise phase one runs here.
         """
         if alternatives is None:

@@ -3,7 +3,7 @@
 The service layer turns the one-shot reproduction tooling into a
 long-running component: admission-controlled streaming submissions, a
 bounded queue coalesced into scheduling cycles (size-or-deadline
-batching), parallel phase-one window search over pool snapshots, locked
+batching), phase-one window search over one pool snapshot per cycle, locked
 commits onto a shared :class:`~repro.model.SlotPool`, and a virtual-clock
 slot lifecycle that returns finished jobs' reservations to the pool.
 See ``docs/architecture.md`` ("Service layer").
@@ -37,7 +37,6 @@ from repro.service.events import (
     load_trace,
 )
 from repro.service.lifecycle import ActiveJob, JobLifecycle
-from repro.service.parallel import parallel_find_alternatives
 from repro.service.queueing import BoundedJobQueue, CycleTrigger, QueuedJob
 # Resilience names are imported from the subpackage's leaf modules, not
 # from the subpackage itself: when an import chain *starts* inside
@@ -92,7 +91,6 @@ __all__ = [
     "LatencyTracker",
     "load_trace",
     "NodePreemption",
-    "parallel_find_alternatives",
     "percentile",
     "percentile_of_sorted",
     "POLICY_NAMES",

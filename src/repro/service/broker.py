@@ -4,27 +4,25 @@ This is the long-running counterpart of the one-shot batch cycle
 (:class:`~repro.scheduling.BatchScheduler`): jobs are submitted one at a
 time through admission control into a bounded queue; a size-or-deadline
 trigger coalesces them into scheduling cycles; each cycle is a fixed
-list of stages (``_run_cycle``) — phase one in parallel across jobs on
-one shared read-only pool snapshot, the phase-two combination, the
+list of stages (``_run_cycle``) — phase one for every job on one
+read-only pool snapshot, the phase-two combination, the
 commit onto the shared pool — that consult a tenancy and a resilience
 participant, each a do-nothing stand-in when its layer is off.  A
 virtual-clock lifecycle retires finished jobs and returns their slots
 via :meth:`~repro.model.SlotPool.release`, so the service can run
 indefinitely without fragmenting or leaking the pool.
 
-Threading model: every public method takes the broker lock, and the
-only concurrency *inside* the lock is the phase-one thread pool over
-one read-only snapshot — so the shared pool is mutated (trim, cut,
-release) strictly sequentially.  Virtual time is monotone and entirely
-caller-driven (``advance_to``), which keeps runs reproducible: the
-assignments of a run depend only on the submitted jobs, their times and
-the configuration — never on wall-clock or worker count.
+Threading model: every public method takes the broker lock, and
+nothing inside the lock runs concurrently — so the shared pool is
+mutated (trim, cut, release) strictly sequentially.  Virtual time is
+monotone and entirely caller-driven (``advance_to``), which keeps runs
+reproducible: the assignments of a run depend only on the submitted
+jobs, their times and the configuration — never on wall-clock.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Iterable, Optional, Sequence
@@ -44,7 +42,6 @@ from repro.service.admission import (
 from repro.service.config import ServiceConfig
 from repro.service.events import EventEmitter, EventSink, EventType
 from repro.service.lifecycle import JobLifecycle
-from repro.service.parallel import parallel_find_alternatives
 from repro.service.participants import NO_RESILIENCE, NO_TENANCY
 from repro.service.queueing import BoundedJobQueue, CycleTrigger, QueuedJob
 from repro.service.resilience.manager import ResilienceManager
@@ -82,7 +79,7 @@ class BrokerService:
         The shared slot pool the service owns and mutates (commits, trims,
         releases).  Typically ``environment.slot_pool()``.
     config:
-        Operational knobs (queue bound, batching, workers, policy).
+        Operational knobs (queue bound, batching, policy).
     scheduler:
         The two-phase cycle kernel; by default CSA phase one capped at
         ``config.alternatives_per_job`` with ``config.criterion`` phase two.
@@ -96,7 +93,7 @@ class BrokerService:
         no-op.  All components share one emitter, so sequence numbers
         totally order the trace.  Every emitted field is deterministic
         for a given job stream and configuration except ``wall_``-prefixed
-        timing fields, preserving PR 1's worker-count invariance.
+        timing fields.
     horizon_source:
         Optional rolling-horizon slot supply
         (:class:`~repro.environment.RollingHorizonSource`).  When set,
@@ -178,41 +175,16 @@ class BrokerService:
                 record_assignments=self.config.record_assignments,
                 tenancy=self._tenancy,
             )
-        #: Persistent phase-one executor: created on the first parallel
-        #: cycle, reused for the broker's lifetime, shut down by ``close()``.
-        self._executor: Optional[Executor] = None
         self._horizon = horizon_source
         self._retire_and_trim()
 
-    # ------------------------------------------------------------------
-    # Resource management
-    # ------------------------------------------------------------------
-    def _phase_one_executor(self) -> Optional[Executor]:
-        """The persistent thread pool (lazily created; None when inline)."""
-        if self.config.workers <= 1:
-            return None
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.config.workers, thread_name_prefix="repro-phase1"
-            )
-        return self._executor
-
-    def close(self) -> None:
-        """Release the phase-one worker pool (idempotent).
-
-        The broker remains usable afterwards — the next parallel cycle
-        simply creates a fresh executor.
-        """
-        with self._lock:
-            if self._executor is not None:
-                self._executor.shutdown(wait=True)
-                self._executor = None
-
+    # ``with broker:`` stays valid for existing callers; the broker holds
+    # no threads or handles, so leaving the block releases nothing.
     def __enter__(self) -> "BrokerService":
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self.close()
+        return None
 
     # ------------------------------------------------------------------
     # Clock and introspection
@@ -356,8 +328,8 @@ class BrokerService:
         forfeited, never released, because the pool underneath is gone.
         The returned jobs (intake order: queued, retry-buffered, then
         active by window start) are the candidates the caller may
-        re-route elsewhere.  The worker pool is closed; the broker stays
-        structurally usable but owns no work afterwards.
+        re-route elsewhere.  The broker stays structurally usable but
+        owns no work afterwards.
         """
         with self._lock:
             evacuated: list[Job] = []
@@ -399,7 +371,6 @@ class BrokerService:
                 evacuated.append(entry.job)
             self.stats.queue_depth = 0
             self.stats.active_jobs = 0
-            self.close()
             return evacuated
 
     # ------------------------------------------------------------------
@@ -586,16 +557,10 @@ class BrokerService:
             )
 
     def _search(self, cycle: _Cycle) -> None:
-        """Phase one: alternatives per job over one shared pool snapshot."""
+        """Phase one: alternatives per job over one pool snapshot."""
         search_started = perf_counter()
-        jobs_by_priority = cycle.batch.by_priority()
-        cycle.alternatives = parallel_find_alternatives(
-            self.scheduler.search,
-            jobs_by_priority,
-            self.pool,
-            workers=self.config.workers,
-            limit=self.config.alternatives_per_job,
-            executor=self._phase_one_executor(),
+        cycle.alternatives = self.scheduler.find_alternatives(
+            cycle.batch, self.pool.copy()
         )
         cycle.search_seconds = perf_counter() - search_started
         self.stats.search_seconds += cycle.search_seconds
@@ -603,9 +568,14 @@ class BrokerService:
             len(found) for found in cycle.alternatives.values()
         )
         # Per-broker grouping telemetry: searches the request-class grouping
-        # collapsed (process-wide scan_counters cannot attribute them).
-        self.stats.phase1_jobs += len(jobs_by_priority)
-        self.stats.phase1_classes += len({job.request for job in jobs_by_priority})
+        # collapsed (process-wide scan_counters cannot attribute them).  A
+        # search that does not group runs once per job.
+        self.stats.phase1_jobs += len(cycle.batch)
+        self.stats.phase1_classes += (
+            len({job.request for job in cycle.batch.jobs})
+            if self.scheduler.shares_searches
+            else len(cycle.batch)
+        )
 
     def _commit(self, cycle: _Cycle) -> None:
         """Charge and commit the phase-two windows; start their lifecycles."""

@@ -38,12 +38,9 @@ class ServiceConfig:
         long (virtual time), so a trickle of submissions is not starved
         waiting for a full batch.
     workers:
-        Phase-one workers.  ``1`` searches jobs sequentially; larger
-        values fan the window search out over a thread pool against one
-        shared pool snapshot per cycle.  Results are merged in job
-        order, and a stochastic search (one random stream, drawn in job
-        order) always runs sequentially, so the assignments are
-        identical for any worker count.
+        Always ``1``: phase one runs in the cycle's own thread.  Kept
+        so existing ``workers=1`` callers keep working; any other value
+        is rejected.
     max_deferrals:
         A job left unscheduled by this many consecutive cycles is dropped
         (the user walks away), keeping the backlog bounded.
@@ -124,8 +121,11 @@ class ServiceConfig:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_wait <= 0:
             raise ConfigurationError(f"max_wait must be positive, got {self.max_wait}")
-        if self.workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
+        if self.workers != 1:
+            raise ConfigurationError(
+                f"workers must be 1, got {self.workers}: the phase-one "
+                "thread fan-out was removed"
+            )
         if self.max_deferrals < 0:
             raise ConfigurationError(
                 f"max_deferrals must be >= 0, got {self.max_deferrals}"

@@ -108,8 +108,7 @@ def run_service_trace(
         arrivals = generator.iter_arrivals(config.jobs, rate=config.rate)
     started = perf_counter()
     try:
-        with service:
-            service.process(arrivals)
+        service.process(arrivals)
         elapsed = perf_counter() - started
     finally:
         service.events.close()

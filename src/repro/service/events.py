@@ -20,8 +20,8 @@ Determinism contract: every field of every event is a pure function of
 the submitted jobs, their virtual times and the configuration — except
 fields whose names start with :data:`WALL_CLOCK_PREFIX`, which carry
 measured wall-clock timings.  Stripping those (``deterministic_dict``)
-must leave traces byte-identical across worker counts, the same
-invariance PR 1 established for assignments.
+must leave traces of identically seeded runs byte-identical, whatever
+the process's hash seed.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ class Event:
         """:meth:`to_dict` minus wall-clock fields — the comparable part.
 
         Two identically seeded runs must agree on this view exactly,
-        whatever their worker counts.
+        whatever their hash seeds.
         """
         return {
             key: value

@@ -13,7 +13,7 @@ Determinism follows the experiment engine's spawned-stream discipline:
 one root :class:`numpy.random.SeedSequence` per injector, one spawned
 child per sampled interval, nodes visited in sorted order.  The draws
 depend only on the seed, the interval sequence and the active node sets
-— never on worker counts or wall time — so resilience traces inherit the
+— never on wall time or hash order — so resilience traces inherit the
 broker's determinism contract.
 
 Per interval the expected arrivals per node are a few thousandths, so

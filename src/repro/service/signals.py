@@ -3,11 +3,11 @@
 ``repro serve`` and ``repro serve-federation`` run until their job
 stream ends — or until the operator stops them.  A bare SIGTERM (the
 default ``kill``, and what most supervisors send) would tear the process
-down mid-write, leaving a truncated JSONL trace and a live thread pool.
+down mid-write, leaving a truncated JSONL trace.
 :func:`graceful_interrupt` converts the first SIGTERM into the same
 :class:`KeyboardInterrupt` a Ctrl-C raises, so both stop paths flow
-through one ``except KeyboardInterrupt`` that closes the broker (worker
-pool shutdown) and flushes every event sink before exiting.
+through one ``except KeyboardInterrupt`` that flushes every event sink
+before exiting.
 
 The handler is installed only around the serving loop and the previous
 disposition is restored on exit, so library callers and tests are never

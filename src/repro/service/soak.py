@@ -142,45 +142,45 @@ def bench_soak(
 
     arrivals = JobGenerator(seed=seed).iter_arrivals(jobs, rate=rate)
     started = perf_counter()
-    with BrokerService(
+    broker = BrokerService(
         pool,
         config=service,
         scheduler=scheduler,
         sinks=[probe],
         horizon_source=source,
-    ) as broker:
-        next_probe = sample_every
-        for arrival_time, job in arrivals:
-            broker.advance_to(arrival_time)
-            broker.submit(job)
-            broker.pump()
-            if broker.stats.cycles >= next_probe:
-                next_probe = broker.stats.cycles + sample_every
-                rss_samples.append(_rss_bytes())
-                pool_sizes.append(len(pool))
-                # Paired sample of the snapshot comparison: the store's
-                # catch-up on the edits since the last read (its copy of
-                # the pool's entry list included) plus the snapshot built
-                # on it — what a cycle pays after mutations — against
-                # the cold per-slot rebuild it replaced.  The store is
-                # the model's own internals — the probe bypasses the
-                # pool's snapshot cache on purpose, since a cached hit
-                # times nothing.  The pending floor is applied before
-                # either timer starts: ``list(pool)`` would otherwise run
-                # the trim inside the rebuild's timer and inflate the
-                # ratio the snapshot gate checks.
-                pool.apply_floor()
-                tick = perf_counter()
-                SlotArrays.from_slots(list(pool))
-                rebuild_seconds += perf_counter() - tick
-                tick = perf_counter()
-                pool._store.snapshot(pool._slots)
-                incremental_seconds += perf_counter() - tick
-                snapshot_samples += 1
-        broker.drain()
-        stats = broker.stats
-        final_time = broker.now
-        outlook_view = broker.outlook.snapshot()
+    )
+    next_probe = sample_every
+    for arrival_time, job in arrivals:
+        broker.advance_to(arrival_time)
+        broker.submit(job)
+        broker.pump()
+        if broker.stats.cycles >= next_probe:
+            next_probe = broker.stats.cycles + sample_every
+            rss_samples.append(_rss_bytes())
+            pool_sizes.append(len(pool))
+            # Paired sample of the snapshot comparison: the store's
+            # catch-up on the edits since the last read (its copy of
+            # the pool's entry list included) plus the snapshot built
+            # on it — what a cycle pays after mutations — against
+            # the cold per-slot rebuild it replaced.  The store is
+            # the model's own internals — the probe bypasses the
+            # pool's snapshot cache on purpose, since a cached hit
+            # times nothing.  The pending floor is applied before
+            # either timer starts: ``list(pool)`` would otherwise run
+            # the trim inside the rebuild's timer and inflate the
+            # ratio the snapshot gate checks.
+            pool.apply_floor()
+            tick = perf_counter()
+            SlotArrays.from_slots(list(pool))
+            rebuild_seconds += perf_counter() - tick
+            tick = perf_counter()
+            pool._store.snapshot(pool._slots)
+            incremental_seconds += perf_counter() - tick
+            snapshot_samples += 1
+    broker.drain()
+    stats = broker.stats
+    final_time = broker.now
+    outlook_view = broker.outlook.snapshot()
     elapsed = perf_counter() - started
 
     # ------------------------------------------------------------------

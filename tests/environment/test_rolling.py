@@ -82,19 +82,19 @@ class TestBrokerIntegration:
         pool = SlotPool()
         service = ServiceConfig(batch_size=4, check_invariants=False)
         sizes = []
-        with BrokerService(
+        broker = BrokerService(
             pool, config=service, horizon_source=source
-        ) as broker:
-            assert broker.stats.slots_published > 0
-            for t, job in JobGenerator(seed=11).iter_arrivals(120, rate=0.5):
-                broker.advance_to(t)
-                broker.submit(job)
-                broker.pump()
-                sizes.append(len(pool))
-                for slot in pool:
-                    assert slot.end > broker.now  # past is trimmed
-                    assert slot.start < broker.now + horizon.lead + horizon.stride
-            broker.drain()
+        )
+        assert broker.stats.slots_published > 0
+        for t, job in JobGenerator(seed=11).iter_arrivals(120, rate=0.5):
+            broker.advance_to(t)
+            broker.submit(job)
+            broker.pump()
+            sizes.append(len(pool))
+            for slot in pool:
+                assert slot.end > broker.now  # past is trimmed
+                assert slot.start < broker.now + horizon.lead + horizon.stride
+        broker.drain()
         # Bounded: the pool never grows with virtual time.
         assert max(sizes) < 40 * config.node_count
 
@@ -106,10 +106,10 @@ class TestBrokerIntegration:
         pool = EnvironmentGenerator(
             EnvironmentConfig(node_count=6, seed=3)
         ).generate().slot_pool()
-        with BrokerService(pool, config=ServiceConfig(batch_size=4)) as broker:
-            for t, job in JobGenerator(seed=5).iter_arrivals(20, rate=1.0):
-                broker.advance_to(t)
-                broker.submit(job)
-                broker.pump()
-            broker.drain()
-            assert broker.stats.slots_published == 0
+        broker = BrokerService(pool, config=ServiceConfig(batch_size=4))
+        for t, job in JobGenerator(seed=5).iter_arrivals(20, rate=1.0):
+            broker.advance_to(t)
+            broker.submit(job)
+            broker.pump()
+        broker.drain()
+        assert broker.stats.slots_published == 0

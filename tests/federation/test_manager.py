@@ -38,14 +38,14 @@ def wide_job(job_id="job-wide", node_count=3):
 class TestSingleShardEquivalence:
     def test_one_shard_hash_matches_plain_broker(self):
         """Federating must not change any scheduling decision at N=1."""
-        service = ServiceConfig(workers=1)
+        service = ServiceConfig()
         stream = arrivals(jobs=40)
-        with BrokerService(env_pool(), config=service) as broker:
-            reference = broker.process(iter(stream))
+        broker = BrokerService(env_pool(), config=service)
+        reference = broker.process(iter(stream))
         config = FederationConfig(shards=1, policy="hash", service=service)
-        with ShardManager(env_pool(), config=config) as manager:
-            manager.process(iter(stream))
-            shard_stats = manager.shards[0].broker.stats
+        manager = ShardManager(env_pool(), config=config)
+        manager.process(iter(stream))
+        shard_stats = manager.shards[0].broker.stats
         assert shard_stats.scheduled == reference.scheduled
         assert shard_stats.dropped == reference.dropped
         assert shard_stats.rejected == reference.rejected
@@ -55,40 +55,40 @@ class TestSingleShardEquivalence:
 
 class TestIntake:
     def test_routed_jobs_land_on_one_shard(self):
-        config = FederationConfig(shards=2, service=ServiceConfig(workers=1))
-        with ShardManager(env_pool(), config=config) as manager:
-            decision = manager.submit(arrivals(jobs=1)[0][1])
-            assert decision.admitted
-            assert decision.shard_id in (0, 1)
-            assert not decision.coallocated
+        config = FederationConfig(shards=2, service=ServiceConfig())
+        manager = ShardManager(env_pool(), config=config)
+        decision = manager.submit(arrivals(jobs=1)[0][1])
+        assert decision.admitted
+        assert decision.shard_id in (0, 1)
+        assert not decision.coallocated
 
     def test_duplicate_id_rejected_everywhere(self):
-        config = FederationConfig(shards=2, service=ServiceConfig(workers=1))
-        with ShardManager(env_pool(), config=config) as manager:
-            job = arrivals(jobs=1)[0][1]
-            assert manager.submit(job).admitted
-            duplicate = manager.submit(job)
-            assert not duplicate.admitted
-            assert duplicate.reason == "duplicate_id"
+        config = FederationConfig(shards=2, service=ServiceConfig())
+        manager = ShardManager(env_pool(), config=config)
+        job = arrivals(jobs=1)[0][1]
+        assert manager.submit(job).admitted
+        duplicate = manager.submit(job)
+        assert not duplicate.admitted
+        assert duplicate.reason == "duplicate_id"
 
     def test_coallocation_when_no_shard_is_wide_enough(self):
         # 4 nodes in 2 shards of 2: a 3-node job fits no single shard.
         pool = SlotPool.from_slots(
             make_slot(i, 0.0, 200.0) for i in range(4)
         )
-        config = FederationConfig(shards=2, service=ServiceConfig(workers=1))
+        config = FederationConfig(shards=2, service=ServiceConfig())
         validator = FederationTraceValidator()
-        with ShardManager(pool, config=config, sinks=[validator]) as manager:
-            decision = manager.submit(wide_job())
-            assert decision.admitted and decision.coallocated
-            assert len(decision.shard_ids) == 2
-            located = manager.locate("job-wide")
-            assert located == {
-                "state": "coallocated",
-                "shards": list(decision.shard_ids),
-            }
-            manager.drain()
-            assert manager.stats.coalloc_retired == 1
+        manager = ShardManager(pool, config=config, sinks=[validator])
+        decision = manager.submit(wide_job())
+        assert decision.admitted and decision.coallocated
+        assert len(decision.shard_ids) == 2
+        located = manager.locate("job-wide")
+        assert located == {
+            "state": "coallocated",
+            "shards": list(decision.shard_ids),
+        }
+        manager.drain()
+        assert manager.stats.coalloc_retired == 1
         validator.check(expect_drained=True)
 
     def test_coallocation_disabled_rejects_wide_jobs(self):
@@ -96,44 +96,44 @@ class TestIntake:
             make_slot(i, 0.0, 200.0) for i in range(4)
         )
         config = FederationConfig(
-            shards=2, coallocation=False, service=ServiceConfig(workers=1)
+            shards=2, coallocation=False, service=ServiceConfig()
         )
-        with ShardManager(pool, config=config) as manager:
-            decision = manager.submit(wide_job())
-            assert not decision.admitted
-            assert decision.reason == "too_few_nodes"
+        manager = ShardManager(pool, config=config)
+        decision = manager.submit(wide_job())
+        assert not decision.admitted
+        assert decision.reason == "too_few_nodes"
 
     def test_cancel_reaches_the_owning_shard(self):
         # A huge batch trigger keeps the job queued at cancel time.
         config = FederationConfig(
             shards=2,
-            service=ServiceConfig(workers=1, batch_size=100, max_wait=1e6),
+            service=ServiceConfig(batch_size=100, max_wait=1e6),
         )
-        with ShardManager(env_pool(), config=config) as manager:
-            job = arrivals(jobs=1)[0][1]
-            assert manager.submit(job).admitted
-            assert manager.cancel(job.job_id)
-            assert manager.locate(job.job_id) is None
-            assert not manager.cancel(job.job_id)
+        manager = ShardManager(env_pool(), config=config)
+        job = arrivals(jobs=1)[0][1]
+        assert manager.submit(job).admitted
+        assert manager.cancel(job.job_id)
+        assert manager.locate(job.job_id) is None
+        assert not manager.cancel(job.job_id)
 
 
 class TestClockAndDrain:
     def test_advance_is_monotone(self):
-        config = FederationConfig(shards=2, service=ServiceConfig(workers=1))
-        with ShardManager(env_pool(), config=config) as manager:
-            manager.advance_to(10.0)
-            with pytest.raises(SchedulingError):
-                manager.advance_to(5.0)
+        config = FederationConfig(shards=2, service=ServiceConfig())
+        manager = ShardManager(env_pool(), config=config)
+        manager.advance_to(10.0)
+        with pytest.raises(SchedulingError):
+            manager.advance_to(5.0)
 
     def test_process_drains_everything(self):
         validator = FederationTraceValidator()
-        config = FederationConfig(shards=3, service=ServiceConfig(workers=1))
-        with ShardManager(
+        config = FederationConfig(shards=3, service=ServiceConfig())
+        manager = ShardManager(
             env_pool(24), config=config, sinks=[validator]
-        ) as manager:
-            manager.process(iter(arrivals(jobs=30)))
-            assert manager.is_idle()
-            snapshot = manager.stats_snapshot()
+        )
+        manager.process(iter(arrivals(jobs=30)))
+        assert manager.is_idle()
+        snapshot = manager.stats_snapshot()
         validator.check(expect_drained=True)
         federation = snapshot["federation"]
         assert federation["submitted"] == 30
@@ -145,10 +145,10 @@ class TestClockAndDrain:
         )
 
     def test_stats_snapshot_aggregate_sums_shards(self):
-        config = FederationConfig(shards=2, service=ServiceConfig(workers=1))
-        with ShardManager(env_pool(), config=config) as manager:
-            manager.process(iter(arrivals(jobs=20)))
-            snapshot = manager.stats_snapshot()
+        config = FederationConfig(shards=2, service=ServiceConfig())
+        manager = ShardManager(env_pool(), config=config)
+        manager.process(iter(arrivals(jobs=20)))
+        snapshot = manager.stats_snapshot()
         for key in ("submitted", "scheduled", "dropped", "retired"):
             assert snapshot["aggregate"][key] == sum(
                 row[key] for row in snapshot["shards"]
@@ -162,21 +162,20 @@ class TestShardLoss:
             shards=shards,
             # Large batch trigger: jobs pile up queued, so the kill hits
             # a shard with real in-flight state to evacuate.
-            service=ServiceConfig(workers=1, batch_size=12, max_wait=50.0),
+            service=ServiceConfig(batch_size=12, max_wait=50.0),
         )
         manager = ShardManager(env_pool(24), config=config, sinks=[validator])
-        with manager:
-            stream = arrivals(jobs=jobs)
-            for when, job in stream[:kill_after]:
-                manager.advance_to(when)
-                manager.submit(job)
-                manager.pump()
-            evacuated = manager.kill_shard(1)
-            for when, job in stream[kill_after:]:
-                manager.advance_to(max(when, manager.now))
-                manager.submit(job)
-                manager.pump()
-            manager.drain()
+        stream = arrivals(jobs=jobs)
+        for when, job in stream[:kill_after]:
+            manager.advance_to(when)
+            manager.submit(job)
+            manager.pump()
+        evacuated = manager.kill_shard(1)
+        for when, job in stream[kill_after:]:
+            manager.advance_to(max(when, manager.now))
+            manager.submit(job)
+            manager.pump()
+        manager.drain()
         return manager, validator, evacuated
 
     def test_lost_shard_jobs_rerouted_or_dropped_never_lost(self):
@@ -214,10 +213,10 @@ class TestShardLoss:
         validator.check(expect_drained=True)
 
     def test_losing_every_shard_rejects_new_work(self):
-        config = FederationConfig(shards=2, service=ServiceConfig(workers=1))
-        with ShardManager(env_pool(), config=config) as manager:
-            manager.kill_shard(0)
-            manager.kill_shard(1)
-            decision = manager.submit(arrivals(jobs=1)[0][1])
-            assert not decision.admitted
-            assert decision.reason == "no_live_shards"
+        config = FederationConfig(shards=2, service=ServiceConfig())
+        manager = ShardManager(env_pool(), config=config)
+        manager.kill_shard(0)
+        manager.kill_shard(1)
+        decision = manager.submit(arrivals(jobs=1)[0][1])
+        assert not decision.admitted
+        assert decision.reason == "no_live_shards"

@@ -27,7 +27,7 @@ def make_server(shards=2, node_count=16, sinks=()):
         .slot_pool()
     )
     config = FederationConfig(
-        shards=shards, service=ServiceConfig(workers=1)
+        shards=shards, service=ServiceConfig()
     )
     return FederationServer(ShardManager(pool, config=config, sinks=sinks))
 

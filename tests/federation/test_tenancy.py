@@ -64,8 +64,7 @@ class TestDisabledIsByteIdentical:
             ),
             sinks=[sink],
         )
-        with manager:
-            manager.process(JobGenerator(seed=42).iter_arrivals(60, rate=1.5))
+        manager.process(JobGenerator(seed=42).iter_arrivals(60, rate=1.5))
         assert manager.tenancy is None
         canonical = json.dumps(
             deterministic_trace(sink.events), sort_keys=True
@@ -90,19 +89,18 @@ class TestSharedLedgerAcrossShards:
             ),
             sinks=[sink, validator],
         )
-        with manager:
-            arrivals = list(JobGenerator(seed=42).iter_arrivals(60, rate=1.5))
-            for when, job in arrivals[:30]:
-                manager.advance_to(when)
-                manager.submit(job)
-                manager.pump()
-            if kill:
-                manager.kill_shard(1)
-            for when, job in arrivals[30:]:
-                manager.advance_to(when)
-                manager.submit(job)
-                manager.pump()
-            manager.drain()
+        arrivals = list(JobGenerator(seed=42).iter_arrivals(60, rate=1.5))
+        for when, job in arrivals[:30]:
+            manager.advance_to(when)
+            manager.submit(job)
+            manager.pump()
+        if kill:
+            manager.kill_shard(1)
+        for when, job in arrivals[30:]:
+            manager.advance_to(when)
+            manager.submit(job)
+            manager.pump()
+        manager.drain()
         return manager, validator, sink
 
     def test_clean_run_balances_the_shared_ledger(self):
@@ -133,9 +131,7 @@ class TestProtocolOps:
             make_pool(),
             config=FederationConfig(
                 shards=2,
-                service=ServiceConfig(
-                    workers=1, batch_size=2, tenancy=tenancy_config()
-                ),
+                service=ServiceConfig(batch_size=2, tenancy=tenancy_config()),
             ),
             sinks=sinks,
         )
@@ -181,7 +177,7 @@ class TestProtocolOps:
             manager = ShardManager(
                 pool,
                 config=FederationConfig(
-                    shards=2, service=ServiceConfig(workers=1)
+                    shards=2, service=ServiceConfig()
                 ),
             )
             server = FederationServer(manager)

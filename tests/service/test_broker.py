@@ -2,15 +2,19 @@
 
 The headline checks: a 500-job streaming run completes with the pool's
 per-node disjointness verified after *every* cycle, every retired job's
-reservations come back through :meth:`SlotPool.release`, and the parallel
-phase-one path (4 workers) produces assignments identical to the
-sequential one at the same seed.
+reservations come back through :meth:`SlotPool.release`, and phase one's
+grouped batch search (one search per request class) produces assignments
+identical to the one-search-per-job loop at the same seed.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.core.algorithms.csa import CSA
+from repro.core.algorithms.minproctime import MinProcTime
+from repro.core.vectorized import scan_counters
 from repro.environment import (
     EnvironmentConfig,
     EnvironmentGenerator,
@@ -21,7 +25,7 @@ from repro.model import Job, ResourceRequest, SlotPool
 from repro.model.errors import ConfigurationError, SchedulingError
 from repro.model.slotarrays import SlotColumnStore
 from repro.scheduling.combination import CombinationChoice
-from repro.scheduling.metascheduler import CycleReport
+from repro.scheduling.metascheduler import BatchScheduler, CycleReport
 from repro.service import (
     BrokerService,
     CollectingSink,
@@ -55,12 +59,10 @@ def make_job(job_id: str, nodes: int = 2, budget: float = 2000.0) -> Job:
 class NeverScheduler:
     """Cycle kernel stub that schedules nothing: every job defers."""
 
-    class _NoSearch:
-        def find_alternatives(self, job, pool, limit=None):
-            return []
+    shares_searches = False
 
-    def __init__(self):
-        self.search = self._NoSearch()
+    def find_alternatives(self, batch, pool):
+        return {job.job_id: [] for job in batch}
 
     def plan(self, batch, pool, alternatives=None):
         jobs = tuple(batch.by_priority())
@@ -81,7 +83,7 @@ class NeverScheduler:
         {"queue_capacity": 0},
         {"batch_size": 0},
         {"max_wait": 0.0},
-        {"workers": 0},
+        {"workers": 2},
         {"max_deferrals": -1},
         {"alternatives_per_job": 0},
         {"cut_mode": "shred"},
@@ -91,6 +93,50 @@ class NeverScheduler:
 def test_service_config_rejects_out_of_range_values(field):
     with pytest.raises(ConfigurationError):
         ServiceConfig(**field)
+
+
+class PerJobCSA(CSA):
+    """CSA flagged stochastic: phase one searches it once per job."""
+
+    deterministic = False
+
+
+class TestPhaseOneGroupingTelemetry:
+    """``phase1_grouping`` counts the searches phase one really shared."""
+
+    def run_cycle(self, search) -> dict:
+        config = ServiceConfig(batch_size=6)
+        service = BrokerService(
+            make_pool(),
+            config=config,
+            scheduler=BatchScheduler(
+                search=search,
+                criterion=config.criterion,
+                alternatives_per_job=config.alternatives_per_job,
+            ),
+        )
+        before = scan_counters["grouped_shared"]
+        for index in range(6):
+            service.submit(make_job(f"j{index}"))
+        assert service.pump() == 1
+        grouping = service.stats.snapshot()["phase1_grouping"]
+        grouping["grouped_shared"] = scan_counters["grouped_shared"] - before
+        return grouping
+
+    def test_grouped_search_shares_equal_requests(self):
+        grouping = self.run_cycle(CSA(max_alternatives=10))
+        assert grouping == {
+            "jobs": 6, "classes": 1, "shared": 5, "grouped_shared": 5
+        }
+
+    def test_stochastic_search_shares_nothing(self):
+        # Six equal requests, but a seeded search runs once per job.
+        grouping = self.run_cycle(
+            MinProcTime(simplified=True, rng=np.random.default_rng(3))
+        )
+        assert grouping == {
+            "jobs": 6, "classes": 6, "shared": 0, "grouped_shared": 0
+        }
 
 
 class TestSubmitAndCycle:
@@ -158,7 +204,7 @@ class TestAcceptanceRun:
 
     JOBS = 500
 
-    def run_trace(self, **service_kwargs):
+    def run_trace(self, service=None, **service_kwargs):
         config = TraceConfig(
             jobs=self.JOBS,
             rate=2.0,
@@ -166,7 +212,7 @@ class TestAcceptanceRun:
             seed=7,
             service=ServiceConfig(record_assignments=True, **service_kwargs),
         )
-        return run_service_trace(config)
+        return run_service_trace(config, service=service)
 
     def test_streaming_run_is_leak_free(self):
         outcome = self.run_trace(check_invariants=True)
@@ -205,8 +251,22 @@ class TestAcceptanceRun:
         assert service.active_count == 0
 
     def test_parallel_search_matches_sequential(self):
-        sequential = self.run_trace(workers=1).service
-        parallel = self.run_trace(workers=4).service
+        # Phase one searches the batch's jobs independently, on one
+        # snapshot, sharing one search per request class; a search that
+        # never groups runs the plain per-job loop.  Same decisions.
+        parallel = self.run_trace().service
+        config = ServiceConfig(record_assignments=True)
+        per_job = BrokerService(
+            make_pool(50, 7),
+            config=config,
+            scheduler=BatchScheduler(
+                search=PerJobCSA(max_alternatives=config.alternatives_per_job),
+                criterion=config.criterion,
+                alternatives_per_job=config.alternatives_per_job,
+            ),
+        )
+        sequential = self.run_trace(service=per_job).service
+        assert sequential.stats.phase1_classes == sequential.stats.phase1_jobs
         assert sequential.stats.scheduled == parallel.stats.scheduled
         assert sequential.stats.rejected == parallel.stats.rejected
         assert sequential.stats.dropped == parallel.stats.dropped

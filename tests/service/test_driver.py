@@ -107,11 +107,18 @@ class TestServiceCli:
         code = main(
             [
                 "serve", "--jobs", "10", "--nodes", "25", "--seed", "3",
-                "--workers", "2", "--batch-size", "4", "--max-wait", "15",
+                "--batch-size", "4", "--max-wait", "15",
                 "--criterion", "cost", "--completion-factor", "0.8",
             ]
         )
         assert code == 0
+
+    @pytest.mark.parametrize("command", ["serve", "serve-federation"])
+    def test_serve_has_no_workers_option(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_schedule_json_output(self, capsys):
         code = main(

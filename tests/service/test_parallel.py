@@ -1,26 +1,25 @@
-"""The zero-copy phase-one fan-out: one shared snapshot per cycle, a
-persistent executor on the broker, and — above all — determinism: the
-alternatives must be identical inline, with a transient pool, and with a
-caller-supplied persistent executor."""
+"""Phase one over a whole batch: every job searched in parallel — each
+against the same published pool snapshot, never against another job's
+cuts — with jobs of equal requests sharing one search.
+
+``BatchScheduler.find_alternatives`` is the one phase-one path; the
+broker's cycle calls it on a copy of its pool.  Sharing is a pure
+optimization: every mode must return the mapping of one search per job,
+keyed in priority order, leave the pool untouched, and record the
+sharing in the grouping telemetry."""
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from repro.core.algorithms.csa import CSA
+from repro.core.algorithms.minfinish import MinFinish
 from repro.core.algorithms.minproctime import MinProcTime
+from repro.core.vectorized import scan_counters
 from repro.environment import EnvironmentConfig, EnvironmentGenerator
-from repro.model import Job, ResourceRequest
+from repro.model import Job, JobBatch, ResourceRequest
 from repro.scheduling import BatchScheduler
-from repro.service import (
-    BrokerService,
-    CollectingSink,
-    ServiceConfig,
-    deterministic_trace,
-)
-from repro.service.parallel import parallel_find_alternatives
+from repro.service import BrokerService, ServiceConfig
 
 
 def make_pool(node_count: int = 30, seed: int = 5):
@@ -42,6 +41,10 @@ def make_jobs(count: int = 8) -> list[Job]:
     ]
 
 
+def batch_of(jobs) -> JobBatch:
+    return JobBatch(list(jobs))
+
+
 def fingerprint(alternatives):
     return {
         job_id: [
@@ -52,155 +55,108 @@ def fingerprint(alternatives):
     }
 
 
+def per_job(search, jobs, pool, limit):
+    """The reference: one search per job, each on its own pool copy."""
+    return {
+        job.job_id: search.find_alternatives(job, pool.copy(), limit)
+        for job in jobs
+    }
+
+
 class TestSharedSnapshotFanOut:
     def test_identical_across_execution_modes(self):
-        pool = make_pool()
+        # The grouped batch search, the per-job loop and the broker's
+        # phase one (on its own pool snapshot) find the same windows.
         jobs = make_jobs()
         search = CSA(max_alternatives=5)
-        inline = parallel_find_alternatives(search, jobs, pool, workers=1, limit=5)
-        transient = parallel_find_alternatives(search, jobs, pool, workers=4, limit=5)
-        with ThreadPoolExecutor(max_workers=4) as executor:
-            persistent = parallel_find_alternatives(
-                search, jobs, pool, workers=4, limit=5, executor=executor
-            )
-        assert fingerprint(inline) == fingerprint(transient) == fingerprint(persistent)
+        scheduler = BatchScheduler(search=search, alternatives_per_job=5)
+        grouped = scheduler.find_alternatives(batch_of(jobs), make_pool())
+        reference = per_job(search, jobs, make_pool(), 5)
+        service = BrokerService(
+            make_pool(),
+            config=ServiceConfig(alternatives_per_job=5),
+            scheduler=scheduler,
+        )
+        seen = []
+        original = scheduler.find_alternatives
+
+        def recording(batch, pool):
+            found = original(batch, pool)
+            seen.append(found)
+            return found
+
+        scheduler.find_alternatives = recording
+        for job in jobs:
+            service.submit(job)
+        service.pump()
+        assert len(seen) == 1
+        assert fingerprint(grouped) == fingerprint(reference) == fingerprint(seen[0])
 
     def test_pool_unchanged_by_fan_out(self):
         pool = make_pool()
         before = [(slot.node.node_id, slot.start, slot.end) for slot in pool]
-        parallel_find_alternatives(
-            CSA(max_alternatives=3), make_jobs(4), pool, workers=4, limit=3
-        )
+        generation = pool.generation
+        BatchScheduler(
+            search=CSA(max_alternatives=3), alternatives_per_job=3
+        ).find_alternatives(batch_of(make_jobs(4)), pool)
         after = [(slot.node.node_id, slot.start, slot.end) for slot in pool]
         assert before == after
+        assert pool.generation == generation
 
     def test_result_keyed_in_job_order(self):
-        pool = make_pool()
-        jobs = make_jobs(5)
-        result = parallel_find_alternatives(
-            CSA(max_alternatives=2), jobs, pool, workers=3, limit=2
-        )
-        assert list(result) == [job.job_id for job in jobs]
-
-
-class TestPersistentBrokerExecutor:
-    def test_executor_reused_across_cycles(self):
-        service = BrokerService(
-            make_pool(), config=ServiceConfig(workers=4, batch_size=2, max_wait=5.0)
-        )
-        assert service._executor is None  # lazy until the first parallel cycle
-        for index, job in enumerate(make_jobs(8)):
-            service.advance_to(float(index))
-            service.submit(job)
-            service.pump()
-        first = service._executor
-        assert first is not None
-        service.drain()
-        assert service._executor is first  # same pool across all cycles
-        service.close()
-        assert service._executor is None
-        service.close()  # idempotent
-
-    def test_inline_broker_never_builds_executor(self):
-        service = BrokerService(
-            make_pool(), config=ServiceConfig(workers=1, batch_size=2, max_wait=5.0)
-        )
-        for index, job in enumerate(make_jobs(6)):
-            service.advance_to(float(index))
-            service.submit(job)
-            service.pump()
-        service.drain()
-        assert service._executor is None
-        service.close()
-
-    def test_context_manager_closes(self):
-        with BrokerService(
-            make_pool(), config=ServiceConfig(workers=2, batch_size=1, max_wait=5.0)
-        ) as service:
-            service.submit(make_jobs(1)[0])
-            service.pump()
-            service.drain()
-            assert service._executor is not None
-        assert service._executor is None
-
-    def test_worker_count_invariance_end_to_end(self):
-        jobs = make_jobs(10)
-
-        def run(workers: int, search):
-            sink = CollectingSink()
-            config = ServiceConfig(
-                workers=workers, batch_size=3, max_wait=5.0, record_assignments=True
-            )
-            service = BrokerService(
-                make_pool(),
-                config=config,
-                scheduler=BatchScheduler(
-                    search=search,
-                    criterion=config.criterion,
-                    alternatives_per_job=config.alternatives_per_job,
-                ),
-                sinks=[sink],
-            )
-            for index, job in enumerate(jobs):
-                service.advance_to(float(index))
-                service.submit(job)
-                service.pump()
-            service.drain()
-            service.close()
-            assert service.assignments
-            assignments = {
-                job_id: (window.start, tuple(sorted(window.nodes())))
-                for job_id, window in service.assignments.items()
-            }
-            return assignments, deterministic_trace(sink.events)
-
-        # CSA fans out; the seeded randomized search must not (one
-        # random stream, drawn in job order).
-        for make_search in (
-            lambda: CSA(max_alternatives=10),
-            lambda: MinProcTime(simplified=True, rng=np.random.default_rng(42)),
-        ):
-            assert run(1, make_search()) == run(4, make_search())
+        # Keys follow the batch's processing order: descending priority,
+        # submission order among equals.
+        jobs = [
+            Job(job.job_id, job.request, priority=priority)
+            for job, priority in zip(make_jobs(5), (0, 2, 1, 2, 0))
+        ]
+        result = BatchScheduler(
+            search=CSA(max_alternatives=2), alternatives_per_job=2
+        ).find_alternatives(batch_of(jobs), make_pool())
+        assert list(result) == ["job-1", "job-3", "job-2", "job-0", "job-4"]
 
 
 class TestClassGroupedFanOut:
-    """Request-class grouping is a pure optimization: every worker count
+    """Request-class grouping is a pure optimization: every search kind
     must produce the mapping of one search per job, and the grouping
     telemetry must record the sharing."""
 
     def test_grouped_matches_per_job_across_modes(self):
-        pool = make_pool()
+        # CSA takes the generic per-class dispatch, MinFinish the batched
+        # scan kernel; both must match the one-search-per-job loop.
         jobs = make_jobs(10)  # two request classes, five duplicates each
-        search = CSA(max_alternatives=4)
-        per_job = {
-            job.job_id: search.find_alternatives(job, pool.copy(), 4) for job in jobs
-        }
-        reference = fingerprint(per_job)
-        for workers in (1, 4):
-            grouped = parallel_find_alternatives(
-                search, jobs, pool, workers=workers, limit=4
-            )
-            assert fingerprint(grouped) == reference, workers
+        for search in (CSA(max_alternatives=4), MinFinish()):
+            grouped = BatchScheduler(
+                search=search, alternatives_per_job=4
+            ).find_alternatives(batch_of(jobs), make_pool())
+            reference = per_job(search, jobs, make_pool(), 4)
+            assert fingerprint(grouped) == fingerprint(reference), search.name
 
     def test_grouping_counters_record_sharing(self):
-        from repro.core.vectorized import scan_counters
-
-        pool = make_pool()
         jobs = make_jobs(10)
         before = dict(scan_counters)
-        parallel_find_alternatives(
-            CSA(max_alternatives=3), jobs, pool, workers=4, limit=3
-        )
+        BatchScheduler(
+            search=CSA(max_alternatives=3), alternatives_per_job=3
+        ).find_alternatives(batch_of(jobs), make_pool())
         assert scan_counters["grouped_jobs"] - before["grouped_jobs"] == 10
         assert scan_counters["grouped_classes"] - before["grouped_classes"] == 2
         assert scan_counters["grouped_shared"] - before["grouped_shared"] == 8
 
-    def test_duplicate_jobs_receive_independent_lists(self):
-        pool = make_pool()
-        jobs = make_jobs(4)
-        result = parallel_find_alternatives(
-            CSA(max_alternatives=3), jobs, pool, workers=2, limit=3
+        # The broker's own telemetry records the same sharing.
+        service = BrokerService(
+            make_pool(), config=ServiceConfig(batch_size=10, alternatives_per_job=3)
         )
+        for job in jobs:
+            service.submit(job)
+        assert service.pump() == 1
+        grouping = service.stats.snapshot()["phase1_grouping"]
+        assert grouping == {"jobs": 10, "classes": 2, "shared": 8}
+
+    def test_duplicate_jobs_receive_independent_lists(self):
+        jobs = make_jobs(4)
+        result = BatchScheduler(
+            search=CSA(max_alternatives=3), alternatives_per_job=3
+        ).find_alternatives(batch_of(jobs), make_pool())
         # jobs 0 and 2 share a request class; their lists are equal but
         # not the same object, so a caller may mutate one safely.
         first, third = result[jobs[0].job_id], result[jobs[2].job_id]
@@ -208,7 +164,6 @@ class TestClassGroupedFanOut:
         assert first is not third
 
     def test_nondeterministic_search_dispatched_per_job(self):
-        pool = make_pool()
         jobs = make_jobs(6)  # duplicate request classes
         limit = 3
 
@@ -218,16 +173,10 @@ class TestClassGroupedFanOut:
         assert seeded().deterministic is False
         # The randomized search consumes one shared random stream, in
         # job order: grouping would draw fewer times than a sequential
-        # loop and worker threads would race on the generator.  Whatever
-        # ``workers`` says, the result must be the one-search-per-job
-        # loop of a same-seeded instance.
-        search = seeded()
-        per_job = {
-            job.job_id: search.find_alternatives(job, pool.copy(), limit)
-            for job in jobs
-        }
-        for workers in (1, 4):
-            found = parallel_find_alternatives(
-                seeded(), jobs, pool, workers=workers, limit=limit
-            )
-            assert fingerprint(found) == fingerprint(per_job), workers
+        # loop.  The result must be the one-search-per-job loop of a
+        # same-seeded instance.
+        reference = per_job(seeded(), jobs, make_pool(), limit)
+        scheduler = BatchScheduler(search=seeded(), alternatives_per_job=limit)
+        assert not scheduler.shares_searches
+        found = scheduler.find_alternatives(batch_of(jobs), make_pool())
+        assert fingerprint(found) == fingerprint(reference)

@@ -70,11 +70,11 @@ class TestLayerOffAnswers:
 class TestPublicSurfaceStillSaysNone:
     def test_layer_off_broker_reports_no_participants(self):
         pool = SlotPool.from_slots([make_slot(i, 0.0, 100.0) for i in range(4)])
-        with BrokerService(pool, config=ServiceConfig()) as service:
-            assert service.tenancy is None
-            assert service.resilience is None
-            assert service.in_flight_ids() == set()
-            assert service.is_idle
+        service = BrokerService(pool, config=ServiceConfig())
+        assert service.tenancy is None
+        assert service.resilience is None
+        assert service.in_flight_ids() == set()
+        assert service.is_idle
 
 
 def test_importing_the_service_loads_no_tenancy_module():

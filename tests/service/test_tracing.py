@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.service import (
@@ -9,7 +14,6 @@ from repro.service import (
     Event,
     EventType,
     JsonlSink,
-    ServiceConfig,
     TraceConfig,
     TraceInvariantError,
     TraceValidator,
@@ -176,52 +180,43 @@ class TestEndToEndConservation:
         assert validator.events_seen == len(load_trace(path))
 
 
-class TestWorkerInvariance:
-    """Same seed, any worker count: identical traces modulo wall-clock."""
+class TestRunToRunInvariance:
+    """Same seed, any run and any hash seed: identical traces modulo
+    wall-clock fields."""
 
-    def run_collected(self, workers: int):
-        collector = CollectingSink()
-        from repro.service import build_service
-        from repro.simulation.jobgen import JobGenerator
-
-        config = TraceConfig(
-            jobs=60,
-            rate=2.0,
-            node_count=30,
-            seed=7,
-            service=ServiceConfig(workers=workers),
+    def serve_trace(self, path: Path, hash_seed: str):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        repo_src = str(Path(__file__).resolve().parents[2] / "src")
+        env["PYTHONPATH"] = repo_src + os.pathsep + env.get("PYTHONPATH", "")
+        subprocess.run(
+            [
+                sys.executable, "-m", "repro.cli", "serve", "--jobs", "40",
+                "--nodes", "25", "--seed", "9", "--trace", str(path), "--json",
+            ],
+            env=env,
+            check=True,
+            stdout=subprocess.DEVNULL,
         )
-        service = build_service(config, sinks=[collector])
-        service.process(JobGenerator(seed=7).iter_arrivals(60, rate=2.0))
-        return collector.events
+        return deterministic_trace(load_trace(str(path)))
 
-    def test_traces_identical_across_worker_counts(self):
-        sequential = deterministic_trace(self.run_collected(workers=1))
-        parallel = deterministic_trace(self.run_collected(workers=4))
-        assert sequential == parallel
+    def test_traces_identical_across_hash_seeds(self, tmp_path):
+        # Set and dict iteration order must never reach a decision.
+        first = self.serve_trace(tmp_path / "h0.jsonl", "0")
+        second = self.serve_trace(tmp_path / "h1.jsonl", "1")
+        assert first
+        assert first == second
 
     def test_jsonl_bytes_identical_modulo_wall_clock(self, tmp_path):
-        paths = {}
-        for workers in (1, 4):
-            path = tmp_path / f"w{workers}.jsonl"
+        paths = [tmp_path / f"run{run}.jsonl" for run in range(2)]
+        for path in paths:
             run_service_trace(
-                TraceConfig(
-                    jobs=50,
-                    node_count=25,
-                    seed=9,
-                    service=ServiceConfig(workers=workers),
-                    trace_path=str(path),
-                )
+                TraceConfig(jobs=50, node_count=25, seed=9, trace_path=str(path))
             )
-            paths[workers] = path
-        lines = {
-            workers: [
-                event.deterministic_dict()
-                for event in load_trace(str(path))
-            ]
-            for workers, path in paths.items()
-        }
-        assert lines[1] == lines[4]
+        first, second = (
+            [event.deterministic_dict() for event in load_trace(str(path))]
+            for path in paths
+        )
+        assert first == second
 
 
 class TestJsonlFailureArtifact:

@@ -59,19 +59,19 @@ def run_ordering(ordering, waves, node_count, batch_size=4, env_seed=42):
         check_invariants=False,
         tenancy=TenancyConfig(ordering=ordering, default_credit=1_000_000.0),
     )
-    with BrokerService(pool, config=config, sinks=[validator]) as broker:
-        for wave_time, wave_jobs in waves:
-            broker.advance_to(wave_time)
-            for job in wave_jobs:
-                broker.submit(job)
-            broker.pump()
-        broker.drain()
-        validator.check(expect_drained=True)
-        ledger = broker.tenancy.ledger
-        ledger.assert_conservation()
-        shares = ledger.committed_shares()
-        assert "hog" in shares
-        return jain_index(list(shares.values())), broker.stats
+    broker = BrokerService(pool, config=config, sinks=[validator])
+    for wave_time, wave_jobs in waves:
+        broker.advance_to(wave_time)
+        for job in wave_jobs:
+            broker.submit(job)
+        broker.pump()
+    broker.drain()
+    validator.check(expect_drained=True)
+    ledger = broker.tenancy.ledger
+    ledger.assert_conservation()
+    shares = ledger.committed_shares()
+    assert "hog" in shares
+    return jain_index(list(shares.values())), broker.stats
 
 
 class TestGates:

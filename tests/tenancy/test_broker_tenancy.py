@@ -73,8 +73,7 @@ class TestDisabledIsByteIdentical:
             config=ServiceConfig(batch_size=4, record_assignments=True),
             sinks=[sink],
         )
-        with service:
-            service.process(JobGenerator(seed=42).iter_arrivals(60, rate=1.5))
+        service.process(JobGenerator(seed=42).iter_arrivals(60, rate=1.5))
         assert service.tenancy is None
         assert trace_fingerprint(sink.events) == BROKER_FINGERPRINT
 
@@ -91,21 +90,19 @@ class TestDRFBatchSelection:
 
     def test_fifo_lets_the_queue_head_monopolise_the_batch(self):
         broker = self.make_broker("fifo")
-        with broker:
-            for j in (job("h1", "hog"), job("h2", "hog"), job("s1", "small")):
-                broker.submit(j)
-            broker.pump()
-            shares = broker.tenancy.ledger.committed_shares()
+        for j in (job("h1", "hog"), job("h2", "hog"), job("s1", "small")):
+            broker.submit(j)
+        broker.pump()
+        shares = broker.tenancy.ledger.committed_shares()
         assert shares.get("hog", 0.0) > 0.0
         assert shares.get("small", 0.0) == 0.0
 
     def test_drf_serves_the_smallest_dominant_share_first(self):
         broker = self.make_broker("drf")
-        with broker:
-            for j in (job("h1", "hog"), job("h2", "hog"), job("s1", "small")):
-                broker.submit(j)
-            broker.pump()
-            shares = broker.tenancy.ledger.committed_shares()
+        for j in (job("h1", "hog"), job("h2", "hog"), job("s1", "small")):
+            broker.submit(j)
+        broker.pump()
+        shares = broker.tenancy.ledger.committed_shares()
         # Serving the first hog job lifts the hog's share above zero, so
         # the second batch slot must go to the small tenant.
         assert shares.get("hog", 0.0) > 0.0
@@ -124,8 +121,7 @@ class TestCreditGates:
         )
         sink = CollectingSink()
         broker.events.add_sink(sink)
-        with broker:
-            decision = broker.submit(job("j1", "poor"))
+        decision = broker.submit(job("j1", "poor"))
         assert not decision.admitted
         assert decision.reason is RejectionReason.INSUFFICIENT_CREDIT
         kinds = [e.type for e in sink.events]
@@ -143,13 +139,12 @@ class TestCreditGates:
                 ),
             ),
         )
-        with broker:
-            decision = broker.submit(job("j1", "poor"))
-            assert decision.admitted  # ledger is observe-only at the door
-            broker.pump()
-            # ...but the commit still cannot overdraw the account.
-            assert broker.tenancy.ledger.balance("poor") == 5.0
-            assert broker.stats.scheduled == 0
+        decision = broker.submit(job("j1", "poor"))
+        assert decision.admitted  # ledger is observe-only at the door
+        broker.pump()
+        # ...but the commit still cannot overdraw the account.
+        assert broker.tenancy.ledger.balance("poor") == 5.0
+        assert broker.stats.scheduled == 0
 
     def test_commit_gate_blocks_the_second_window_of_a_thin_account(self):
         # Balance 30 passes the admission lower bound (20) for both
@@ -166,15 +161,14 @@ class TestCreditGates:
             ),
             sinks=[validator],
         )
-        with broker:
-            assert broker.submit(job("j1", "thin")).admitted
-            assert broker.submit(job("j2", "thin")).admitted
-            broker.pump()
-            assert broker.stats.scheduled == 1
-            assert validator.counts[EventType.INSUFFICIENT_CREDIT] == 1
-            assert broker.tenancy.ledger.balance("thin") == pytest.approx(10.0)
-            broker.drain()
-            broker.tenancy.ledger.assert_conservation()
+        assert broker.submit(job("j1", "thin")).admitted
+        assert broker.submit(job("j2", "thin")).admitted
+        broker.pump()
+        assert broker.stats.scheduled == 1
+        assert validator.counts[EventType.INSUFFICIENT_CREDIT] == 1
+        assert broker.tenancy.ledger.balance("thin") == pytest.approx(10.0)
+        broker.drain()
+        broker.tenancy.ledger.assert_conservation()
         # The drained trace still satisfies every law: the blocked job
         # reached a terminal state without ever touching the ledger.
         validator.check(expect_drained=True)
@@ -187,16 +181,15 @@ class TestCreditGates:
                 tenancy=TenancyConfig(tenants=(TenantSpec("a", credit=100.0),)),
             ),
         )
-        with broker:
-            broker.submit(job("j1", "a"))
-            broker.pump()
-            assert broker.tenancy.ledger.balance("a") == pytest.approx(80.0)
-            broker.drain()
-            ledger = broker.tenancy.ledger
-            assert ledger.balance("a") == pytest.approx(80.0)
-            assert ledger.total_revenue() == pytest.approx(20.0)
-            assert ledger.open_escrow() == 0.0
-            ledger.assert_conservation()
+        broker.submit(job("j1", "a"))
+        broker.pump()
+        assert broker.tenancy.ledger.balance("a") == pytest.approx(80.0)
+        broker.drain()
+        ledger = broker.tenancy.ledger
+        assert ledger.balance("a") == pytest.approx(80.0)
+        assert ledger.total_revenue() == pytest.approx(20.0)
+        assert ledger.open_escrow() == 0.0
+        ledger.assert_conservation()
 
 
 class TestPricingInTheTrace:
@@ -207,9 +200,8 @@ class TestPricingInTheTrace:
             config=ServiceConfig(batch_size=1, tenancy=TenancyConfig()),
             sinks=[sink],
         )
-        with broker:
-            broker.submit(job("j1", "a"))
-            broker.pump()
+        broker.submit(job("j1", "a"))
+        broker.pump()
         cycle_ends = [e for e in sink.events if e.type is EventType.CYCLE_END]
         assert cycle_ends
         multiplier = cycle_ends[-1].fields["price_multiplier"]
@@ -222,11 +214,10 @@ class TestPricingInTheTrace:
                 tenancy=TenancyConfig(pricing=False)
             ),
         )
-        with broker:
-            for index in range(4):
-                broker.submit(job(f"j{index}", "a"))
-            broker.pump()
-            assert broker.tenancy.price_multiplier == 1.0
+        for index in range(4):
+            broker.submit(job(f"j{index}", "a"))
+        broker.pump()
+        assert broker.tenancy.price_multiplier == 1.0
 
 
 class TestForfeitAttribution:
@@ -318,16 +309,15 @@ class TestEndToEndConservation:
             config=ServiceConfig(batch_size=4, tenancy=TenancyConfig()),
             sinks=[validator],
         )
-        with broker:
-            for start in range(0, len(arrivals), 8):
-                wave = arrivals[start : start + 8]
-                broker.advance_to(wave[0][0])
-                for _, item in wave:
-                    broker.submit(item)
-                broker.pump()
-            broker.drain()
-            ledger = broker.tenancy.ledger
-            ledger.assert_conservation()
-            assert ledger.open_escrow() == 0.0
-            assert validator.counts[EventType.CREDIT_DEBITED] > 0
+        for start in range(0, len(arrivals), 8):
+            wave = arrivals[start : start + 8]
+            broker.advance_to(wave[0][0])
+            for _, item in wave:
+                broker.submit(item)
+            broker.pump()
+        broker.drain()
+        ledger = broker.tenancy.ledger
+        ledger.assert_conservation()
+        assert ledger.open_escrow() == 0.0
+        assert validator.counts[EventType.CREDIT_DEBITED] > 0
         validator.check(expect_drained=True)

@@ -9,9 +9,7 @@ The literals were recorded on the commit *before* the cycle was staged
 (PR 15) and must never be regenerated alongside a behaviour-preserving
 change.  Each scenario also asserts that it really visits the paths it
 is there to pin — a fingerprint over a trace that never co-allocates
-would guard nothing.  Every scenario runs inline (``workers=1``) and
-over the phase-one thread pool (``workers=2``) against the same literal:
-the fan-out may not move an event either.
+would guard nothing.
 """
 
 from __future__ import annotations
@@ -19,8 +17,6 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
-
-import pytest
 
 from repro.environment import EnvironmentConfig, EnvironmentGenerator
 from repro.federation import (
@@ -80,14 +76,13 @@ def tenancy_config() -> TenancyConfig:
     )
 
 
-def run_broker(policy: str, workers: int):
+def run_broker(policy: str):
     sink = CollectingSink()
     validator = TraceValidator()
     service = BrokerService(
         make_pool(),
         config=ServiceConfig(
             batch_size=4,
-            workers=workers,
             queue_capacity=32,
             record_assignments=True,
             tenancy=tenancy_config(),
@@ -95,23 +90,22 @@ def run_broker(policy: str, workers: int):
         ),
         sinks=[sink, validator],
     )
-    with service:
-        arrivals = list(JobGenerator(seed=42).iter_arrivals(80, rate=1.5))
-        for index, (when, job) in enumerate(arrivals):
-            service.advance_to(when)
-            service.submit(job)
-            if index == 20:
-                # A queued job withdrawn before its cycle: the
-                # ``cancelled`` drop.
-                extra = Job(
-                    "withdrawn",
-                    ResourceRequest(node_count=2, reservation_time=20.0),
-                    owner="bob",
-                )
-                assert service.submit(extra).admitted
-                assert service.cancel("withdrawn")
-            service.pump()
-        service.drain()
+    arrivals = list(JobGenerator(seed=42).iter_arrivals(80, rate=1.5))
+    for index, (when, job) in enumerate(arrivals):
+        service.advance_to(when)
+        service.submit(job)
+        if index == 20:
+            # A queued job withdrawn before its cycle: the
+            # ``cancelled`` drop.
+            extra = Job(
+                "withdrawn",
+                ResourceRequest(node_count=2, reservation_time=20.0),
+                owner="bob",
+            )
+            assert service.submit(extra).admitted
+            assert service.cancel("withdrawn")
+        service.pump()
+    service.drain()
     validator.check(expect_drained=True)
     service.tenancy.ledger.assert_conservation()
     return service, sink
@@ -129,10 +123,9 @@ def drop_causes(sink) -> set:
     }
 
 
-@pytest.mark.parametrize("workers", [1, 2])
 class TestBrokerWithBothParticipants:
-    def test_repair_trace_matches_the_pinned_fingerprint(self, workers):
-        service, sink = run_broker("repair", workers)
+    def test_repair_trace_matches_the_pinned_fingerprint(self):
+        service, sink = run_broker("repair")
         counts = counts_of(sink)
         assert counts[EventType.REPAIRED] > 0
         assert counts[EventType.INSUFFICIENT_CREDIT] > 0
@@ -146,8 +139,8 @@ class TestBrokerWithBothParticipants:
         assert max(multipliers) > 1.0  # live prices reached phase one
         assert trace_fingerprint(sink.events) == BROKER_REPAIR_FINGERPRINT
 
-    def test_replan_trace_matches_the_pinned_fingerprint(self, workers):
-        service, sink = run_broker("replan", workers)
+    def test_replan_trace_matches_the_pinned_fingerprint(self):
+        service, sink = run_broker("replan")
         counts = counts_of(sink)
         assert counts[EventType.REPLANNED] > 0
         assert counts[EventType.INSUFFICIENT_CREDIT] > 0
@@ -167,9 +160,8 @@ def wide_job(job_id: str, owner: str) -> Job:
     )
 
 
-@pytest.mark.parametrize("workers", [1, 2])
 class TestFederationWithSharedTenancy:
-    def test_trace_matches_the_pinned_fingerprint(self, workers):
+    def test_trace_matches_the_pinned_fingerprint(self):
         sink = CollectingSink()
         validator = FederationTraceValidator()
         manager = ShardManager(
@@ -178,7 +170,6 @@ class TestFederationWithSharedTenancy:
                 shards=4,
                 service=ServiceConfig(
                     batch_size=4,
-                    workers=workers,
                     tenancy=tenancy_config(),
                     resilience=ResilienceConfig(
                         rate=0.01, seed=7, policy="replan"
@@ -188,29 +179,28 @@ class TestFederationWithSharedTenancy:
             sinks=[sink, validator],
         )
         decisions = {}
-        with manager:
-            arrivals = list(JobGenerator(seed=42).iter_arrivals(60, rate=1.5))
-            for index, (when, job) in enumerate(arrivals):
-                manager.advance_to(when)
-                manager.submit(job)
-                if index % 10 == 4:
-                    for name, owner in (("wide", "bob"), ("broke", "poor")):
-                        job_id = f"{name}-{index}"
-                        decisions[job_id] = manager.submit(
-                            wide_job(job_id, owner)
-                        )
-                manager.pump()
-                if index == 29:
-                    on_dead_shard = [
-                        job_id
-                        for job_id in manager.coallocator.active_ids()
-                        if 2 in manager.coallocator.get(job_id).shard_ids
-                    ]
-                    assert on_dead_shard  # fail_shard has legs to forfeit
-                    assert manager.shards[2].broker.queue_depth > 0
-                    assert manager.shards[2].broker.active_count > 0
-                    manager.kill_shard(2)
-            manager.drain()
+        arrivals = list(JobGenerator(seed=42).iter_arrivals(60, rate=1.5))
+        for index, (when, job) in enumerate(arrivals):
+            manager.advance_to(when)
+            manager.submit(job)
+            if index % 10 == 4:
+                for name, owner in (("wide", "bob"), ("broke", "poor")):
+                    job_id = f"{name}-{index}"
+                    decisions[job_id] = manager.submit(
+                        wide_job(job_id, owner)
+                    )
+            manager.pump()
+            if index == 29:
+                on_dead_shard = [
+                    job_id
+                    for job_id in manager.coallocator.active_ids()
+                    if 2 in manager.coallocator.get(job_id).shard_ids
+                ]
+                assert on_dead_shard  # fail_shard has legs to forfeit
+                assert manager.shards[2].broker.queue_depth > 0
+                assert manager.shards[2].broker.active_count > 0
+                manager.kill_shard(2)
+        manager.drain()
         validator.check(expect_drained=True)
         manager.tenancy.ledger.assert_conservation()
 
