@@ -76,6 +76,16 @@ Three sweeps stay outside the skeleton, each for a reason:
   the paper's eviction policy a restart from per-step checkpoints of
   the waiting list.  They are also the hot path of all four broker
   workloads, which the skeleton's per-slot hook calls would tax.
+
+The cheapest consume sweep also knows, before it starts, which
+candidates can ever be in a window: the budget admits a cost rank only
+if the ``n - 1`` cheapest costs plus its own fit, so the survivors are a
+rank prefix found by binary search, and the other ranks are never
+inserted.  When that prefix is a small share of the plan (an
+over-subscribed broker's tight budgets), the sweep walks the survivors'
+steps and expiries alone; otherwise it steps at every candidate and
+skips the pruned ranks inline.  Windows, hits and counters are unchanged
+(:func:`_run_cheapest_consume` has the proof).
 """
 
 from __future__ import annotations
@@ -113,6 +123,16 @@ from repro.model.window import Window, WindowSlot
 #: evaluate" region, so a skipped step provably cannot beat the
 #: incumbent.
 _BOUND_SLACK = 1e-9
+
+#: Survivor share (rank bound / candidates) at or below which CSA's
+#: cheapest sweep walks only the survivors (:func:`_run_cheapest_consume`).
+#: Timed per sweep in both regimes on the three broker workloads that
+#: run it: walking pays below about 0.6 on the over-subscribed
+#: ``tenants_faults`` and costs from about 0.3 on ``soak_poisson``,
+#: whose capped sweeps stop after a few hits and so never reach most of
+#: the steps a walk saves; the two workloads' summed sweep time is
+#: lowest at 0.4.
+_WALK_SHARE = 0.4
 
 #: Sentinel: the extractor/input combination is not vectorizable; the
 #: caller must run the generic loop.
@@ -184,8 +204,10 @@ class _ScanPlan:
     matching/runtime fields — budget, node count and ``stop_at_first``
     stay in the per-scan loop — so one plan serves every scan of the
     same (pool snapshot, request shape) pair.  ``extras`` holds the
-    rule-specific orders (time ranks, greedy objective ranks),
-    attached lazily the first time a rule needs them.
+    rule-specific orders (time ranks, greedy objective ranks, the CSA
+    sweeps' candidate starts and survivor-walk column), attached lazily
+    the first time a rule needs them, from the numpy columns the plan
+    keeps.
     """
 
     __slots__ = (
@@ -206,6 +228,10 @@ class _ScanPlan:
         "req_c",
         "cost_c",
         "cand_node_row",
+        "start_m",
+        "insertable",
+        "cost_order",
+        "expiry_order",
         "extras",
     )
 
@@ -302,6 +328,10 @@ def _plan_for(arrays: SlotArrays, request: ResourceRequest) -> Optional[_ScanPla
     plan.req_c = req_c
     plan.cost_c = cost_c
     plan.cand_node_row = crow
+    plan.start_m = start_m
+    plan.insertable = insertable
+    plan.cost_order = cost_order
+    plan.expiry_order = expiry_order
     plan.extras = {}
     if len(cache) >= PLAN_CACHE_LIMIT:
         cache.pop(next(iter(cache)))
@@ -347,6 +377,16 @@ def _greedy_extras(plan: _ScanPlan, arrays: SlotArrays, key_name: str) -> tuple:
     return extras
 
 
+def _cand_starts(plan: _ScanPlan) -> list:
+    """The window start of every candidate, lazily cached: the steps of
+    the CSA sweeps, which step only where a candidate arrives."""
+    starts = plan.extras.get("starts")
+    if starts is None:
+        starts = plan.start_m[plan.insertable].tolist()
+        plan.extras["starts"] = starts
+    return starts
+
+
 def _first_extras(plan: _ScanPlan, arrays: SlotArrays) -> dict:
     """Per-candidate slot bounds for the eviction scan, lazily cached.
 
@@ -359,11 +399,24 @@ def _first_extras(plan: _ScanPlan, arrays: SlotArrays) -> dict:
     if extras is None:
         cpos = np.asarray(plan.cand_slot, dtype=np.int64)
         extras = {
-            "start_list": arrays.start[cpos].tolist(),
+            "start_list": _cand_starts(plan),
             "end_list": arrays.end[cpos].tolist(),
             "need_list": (plan.req_c - TIME_EPSILON).tolist(),
         }
         plan.extras["first"] = extras
+    return extras
+
+
+def _walk_extras(plan: _ScanPlan) -> list:
+    """Expiry index by cost rank, lazily cached on a plan's first
+    survivor walk: one sort of a rank prefix of it lists those ranks'
+    expiries in expiry order."""
+    extras = plan.extras.get("walk")
+    if extras is None:
+        expiry_index = np.empty(plan.count, dtype=np.int64)
+        expiry_index[plan.expiry_order] = np.arange(plan.count)
+        extras = expiry_index[plan.cost_order].tolist()
+        plan.extras["walk"] = extras
     return extras
 
 
@@ -1005,6 +1058,27 @@ def _run_cheapest_multi(plan, n, budgets, stop_at_first, start_valued):
     return outcomes
 
 
+def _rank_bound(cost_by_crank, n, budget) -> int:
+    """The first cost rank ``r >= n - 1`` with ``head + cost_by_crank[r]
+    > budget`` (``len(cost_by_crank)`` if none), where ``head`` is the
+    ascending float sum of the ``n - 1`` cheapest costs; ``n`` must not
+    exceed the number of costs.  Costs ascend by rank and float ``+`` is
+    monotone, so the test is monotone in ``r`` and a binary search finds
+    the first failing rank (by hand: ``bisect``'s ``key=`` needs Python
+    3.10)."""
+    head = 0.0
+    for rank in range(n - 1):
+        head += cost_by_crank[rank]
+    low, high = n - 1, len(cost_by_crank)
+    while low < high:
+        middle = (low + high) // 2
+        if head + cost_by_crank[middle] <= budget:
+            low = middle + 1
+        else:
+            high = middle
+    return low
+
+
 def _run_cheapest_consume(plan, n, budget, cap):
     """CSA's repeated earliest-start search as one continuing sweep.
 
@@ -1035,39 +1109,72 @@ def _run_cheapest_consume(plan, n, budget, cap):
     consumption only shrink the alive set, which only raises that sum.
     So the budget is tested, and the sum taken, only at a step whose own
     slot enters the n cheapest; a step whose slot ranks above all of
-    them leaves the sum where it was and moves on.
+    them leaves the sum where it was and moves on.  Hence the sweep
+    steps only where a candidate arrives (:func:`_cand_starts`), not at
+    every matching slot: window starts are non-decreasing, so an expiry
+    that falls between two steps is applied at the later one, the first
+    step to read the alive set after it.
 
-    Nor can any step hit when the n cheapest ranks of the whole plan
-    bust the budget: any alive set's n cheapest ranks are, rank for
-    rank, no cheaper, so their ascending sum — the float sum a step
-    takes — is no smaller.  That sweep returns at once.
+    Nor can every candidate hit: the budget bounds the cost ranks that
+    can.  Let ``head`` be the ascending float sum of the plan's ``n - 1``
+    cheapest costs and ``bound`` the first rank ``r >= n - 1`` with
+    ``head + cost_by_crank[r] > budget`` (:func:`_rank_bound`).
+    *Exactness.*  Take any n-set containing a rank ``r >= bound``.  Its
+    ascending ranks are, position by position, at least ``0, 1, ...,
+    n - 2`` and ``r``; costs ascend with rank and float ``+`` is
+    monotone in each operand, so the sweep's ascending sum of that set
+    is at least ``head + c_r`` — over the budget.  Only the rank prefix
+    ``[0, bound)`` can ever hit, and the sweep never inserts the rest.
+    That moves nothing: the n cheapest alive survivors are the n
+    cheapest alive candidates whenever those are all survivors, and if
+    a pruned rank is among the n cheapest alive, fewer than ``n``
+    survivors are alive, so neither sweep hits there — no hit, and no
+    consumption, changes.  ``bound < n`` is the sweep that cannot hit
+    at all (the plan's n cheapest ranks bust the budget, the old
+    ``cheapest_sum > budget`` test): it returns at once.
+
+    The survivor share ``bound / count`` picks one of two regimes.  At
+    or below :data:`_WALK_SHARE` the sweep steps at the survivors alone:
+    in scan order (candidates are numbered in scan order, so that is one
+    sort of the prefix of ``cand_by_crank``), with their expiries alone
+    in expiry order (one sort of the prefix of a cached rank → expiry
+    index column, :func:`_walk_extras`).  Above the share the sorts
+    would cost more than the steps they save, so the sweep steps at
+    every candidate and skips pruned ranks inline.
     """
-    loop_cand = plan.loop_cand
-    expiry_times = plan.expiry_times
-    expiry_cands = plan.expiry_cands
     cand_crank = plan.cand_crank
     cand_by_crank = plan.cand_by_crank
     cost_by_crank = plan.cost_by_crank
     total_c = plan.count
     if total_c < n:
         return []
-    cheapest_sum = 0.0
-    for rank in range(n):
-        cheapest_sum += cost_by_crank[rank]
-    if cheapest_sum > budget:
+    bound = _rank_bound(cost_by_crank, n, budget)
+    if bound < n:
         return []
+    starts = _cand_starts(plan)
+    expiry_times = plan.expiry_times
+    expiry_cands = plan.expiry_cands
+    if bound <= _WALK_SHARE * total_c:
+        steps = sorted(cand_by_crank[:bound])
+        starts = [starts[cand] for cand in steps]
+        order = sorted(_walk_extras(plan)[:bound])
+        expiry_times = [expiry_times[index] for index in order]
+        expiry_cands = [expiry_cands[index] for index in order]
+    else:
+        steps = range(total_c)
+    expiry_count = len(expiry_times)
     flags = bytearray(total_c)  # by rank: inserted, not expired, not consumed
     top: list[int] = []  # the min(n, alive) smallest flagged ranks, ascending
     pointer = 0
     alive = 0
     hits: list[tuple[float, list[int]]] = []
-    for pos, window_start in enumerate(plan.loop_start):
+    for cand, window_start in zip(steps, starts):
         threshold = window_start - TIME_EPSILON
-        while pointer < total_c and expiry_times[pointer] < threshold:
+        while pointer < expiry_count and expiry_times[pointer] < threshold:
             rank = cand_crank[expiry_cands[pointer]]
             pointer += 1
             if not flags[rank]:
-                continue  # consumed by an earlier hit
+                continue  # pruned, or consumed by an earlier hit
             flags[rank] = 0
             alive -= 1
             last = top[-1]
@@ -1075,10 +1182,9 @@ def _run_cheapest_consume(plan, n, budget, cap):
                 del top[bisect_left(top, rank)]
                 if alive >= n:
                     top.append(flags.find(1, last + 1))
-        cand = loop_cand[pos]
-        if cand < 0:
-            continue
         rank = cand_crank[cand]
+        if rank >= bound:
+            continue  # pruned: in no window
         flags[rank] = 1
         alive += 1
         if len(top) == n:

@@ -8,7 +8,8 @@ import copy
 import numpy as np
 import pytest
 
-from repro.core import aep, batchscan, vectorized
+from repro.core import AMP, aep, batchscan, vectorized
+from repro.core.algorithms import csa
 from repro.model import CpuNode, Job, NodeSpec, ResourceRequest, Slot, SlotPool
 
 
@@ -135,25 +136,29 @@ def _generator_state(extractor):
 class KernelShadow:
     """Re-runs every kernel-served scan on the generic loop and compares.
 
-    ``checked`` counts the compared scans (``"scan"``) and batch jobs
-    (``"batch"``); ``divergences`` lists every mismatch as ``(where,
-    request, kernel fingerprint, generic fingerprint)``.
+    ``checked`` counts the compared scans (``"scan"``), batch jobs
+    (``"batch"``) and CSA sweeps (``"csa"``); ``divergences`` lists every
+    mismatch as ``(where, request, kernel result, twin result)``.
     """
 
     def __init__(self) -> None:
-        self.checked = {"scan": 0, "batch": 0}
+        self.checked = {"scan": 0, "batch": 0, "csa": 0}
         self.divergences: list[tuple] = []
 
-    def _generic(self, request, slot_list, twin, stop_at_first):
+    @staticmethod
+    def _uncounted(run, *args, **kwargs):
         # The re-run is the oracle's, not the caller's: its dispatch
         # counts are rolled back so the shadowed run reads as unshadowed.
         saved = dict(vectorized.scan_counters)
         try:
-            return aep.aep_scan(
-                request, iter(slot_list), twin, stop_at_first=stop_at_first
-            )
+            return run(*args, **kwargs)
         finally:
             vectorized.scan_counters.update(saved)
+
+    def _generic(self, request, slot_list, twin, stop_at_first):
+        return self._uncounted(
+            aep.aep_scan, request, iter(slot_list), twin, stop_at_first=stop_at_first
+        )
 
     def _compare(self, where, request, kernel, generic) -> None:
         self.checked[where] += 1
@@ -212,6 +217,30 @@ class KernelShadow:
 
         return shadowed
 
+    def wrap_alternatives(self, kernel_alternatives):
+        def shadowed(request, slots, cap, policy):
+            found = kernel_alternatives(request, slots, cap, policy)
+            if found is vectorized.UNSUPPORTED:
+                return found
+            expected = self._uncounted(
+                csa.rerun_alternatives, AMP(policy), request, slots, cap, "consume"
+            )
+            self.checked["csa"] += 1
+            if not same_windows(found, expected):
+                self.divergences.append(("csa", request, found, expected))
+            return found
+
+        return shadowed
+
+
+def same_windows(found, expected) -> bool:
+    """Equal windows (exact floats) over the very same ``Slot`` objects."""
+    return found == expected and all(
+        leg.slot is reference_leg.slot
+        for window, reference in zip(found, expected)
+        for leg, reference_leg in zip(window.slots, reference.slots)
+    )
+
 
 @pytest.fixture
 def kernel_shadow(monkeypatch) -> KernelShadow:
@@ -224,12 +253,21 @@ def kernel_shadow(monkeypatch) -> KernelShadow:
     loop with the textbook ``extract`` on a copy of the extractor taken
     before the kernel ran — and the full results (legs, value, every
     counter) and, for random extractors, the generators' states are
-    compared.  Nothing in ``src/`` knows the shadow exists.
+    compared.  It also wraps CSA's consume sweeps
+    (``repro.core.algorithms.csa.vectorized_alternatives``): each sweep
+    is re-run as the procedure, ``rerun_alternatives(AMP(policy),
+    request, pool, cap, "consume")``, and the windows are compared one
+    for one.  Nothing in ``src/`` knows the shadow exists.
     """
     shadow = KernelShadow()
     monkeypatch.setattr(aep, "vectorized_scan", shadow.wrap_scan(aep.vectorized_scan))
     monkeypatch.setattr(
         batchscan, "batch_aep_scan", shadow.wrap_batch(batchscan.batch_aep_scan)
+    )
+    monkeypatch.setattr(
+        csa,
+        "vectorized_alternatives",
+        shadow.wrap_alternatives(csa.vectorized_alternatives),
     )
     return shadow
 

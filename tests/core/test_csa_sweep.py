@@ -15,6 +15,9 @@ procedure still runs.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -22,14 +25,16 @@ from repro.core import AMP, CSA, vectorized
 from repro.core.algorithms.csa import rerun_alternatives
 from repro.environment import EnvironmentConfig, EnvironmentGenerator
 from repro.model import TIME_EPSILON, ResourceRequest, Slot, SlotPool
-from tests.conftest import make_node, make_slot
+from tests.conftest import make_node, make_slot, same_windows
 
 SEEDS = [11, 23, 47, 2013]
 NODE_COUNTS = [1, 2, 5, 12]
 CAPS = [0, 1, 3, None]
 POLICIES = ["cheapest", "first"]
-#: Per-leg budget share: a fragmented-pool leg costs 0.6 .. 60.
-BUDGETS = {"tight": 5.0, "loose": 25.0, "absent": None}
+#: Per-leg budget share: a fragmented-pool leg costs 0.6 .. 60.  A
+#: ``starved`` budget leaves the cheapest sweep a small rank prefix of
+#: survivors for n > 1, so it walks them alone.
+BUDGETS = {"starved": 3.0, "tight": 5.0, "loose": 25.0, "absent": None}
 HARDWARE = [
     {},
     {"min_performance": 3.0},
@@ -49,9 +54,8 @@ def sweep_csa(policy="cheapest", **kwargs) -> CSA:
 def assert_identical(found, expected):
     """Equal windows (exact floats) over the very same ``Slot`` objects."""
     assert found == expected
-    for window, reference in zip(found, expected):
-        for leg, reference_leg in zip(window.slots, reference.slots):
-            assert leg.slot is reference_leg.slot
+    assert same_windows(found, expected)
+    for window in found:
         # Every window contains the slot whose step formed it.
         assert any(leg.slot.start == window.start for leg in window.slots)
 
@@ -81,6 +85,40 @@ def fragmented_pool(seed: int, node_count: int = 24, segments: int = 4) -> SlotP
 
 def counters():
     return dict(vectorized.scan_counters)
+
+
+def sweep_regimes(monkeypatch) -> Counter:
+    """Count the cheapest sweeps by pruning regime from here on:
+    ``"doomed"`` (no rank survives the bound), ``"walk"`` (the survivors
+    walked alone), ``"inline"`` (ranks pruned inline) or ``"whole"``
+    (every rank survives)."""
+    regimes: Counter = Counter()
+    walked = []
+    real_walk = vectorized._walk_extras
+    real_sweep = vectorized._run_cheapest_consume
+
+    def walk(plan):
+        walked.append(plan)
+        return real_walk(plan)
+
+    def sweep(plan, n, budget, cap):
+        del walked[:]
+        hits = real_sweep(plan, n, budget, cap)
+        count = plan.count
+        bound = 0
+        if count >= n:
+            bound = vectorized._rank_bound(plan.cost_by_crank, n, budget)
+        if bound < n:
+            regimes["doomed"] += 1
+        elif walked:
+            regimes["walk"] += 1
+        else:
+            regimes["inline" if bound < count else "whole"] += 1
+        return hits
+
+    monkeypatch.setattr(vectorized, "_walk_extras", walk)
+    monkeypatch.setattr(vectorized, "_run_cheapest_consume", sweep)
+    return regimes
 
 
 def counter_delta(before):
@@ -116,7 +154,8 @@ class TestSweepEqualsLoop:
                     if deadline is not None:
                         assert_legs_meet(deadline, found)
 
-    def test_parametrization_is_not_vacuous(self):
+    def test_parametrization_is_not_vacuous(self, monkeypatch):
+        regimes = sweep_regimes(monkeypatch)
         for policy in POLICIES:
             counts = {kind: 0 for kind in BUDGETS}
             for seed in SEEDS:
@@ -130,7 +169,15 @@ class TestSweepEqualsLoop:
                     counts[kind] += len(
                         sweep_csa(policy).find_alternatives(request, pool)
                     )
-            assert 0 < counts["tight"] < counts["loose"] < counts["absent"]
+            assert (
+                0
+                < counts["starved"]
+                < counts["tight"]
+                < counts["loose"]
+                < counts["absent"]
+            )
+        # Both pruning regimes of the cheapest sweep run, and hit.
+        assert regimes["walk"] > 0 and regimes["inline"] > 0
 
     @pytest.mark.parametrize("seed", [3, 2013])
     def test_generated_environment(self, seed):
@@ -340,6 +387,59 @@ class TestDoomedCheapestSweep:
         before = counters()
         assert sweep_csa().find_alternatives(request, pool) == []
         assert counter_delta(before) == {"vectorized": 1, "plans_reused": 1}
+
+
+class TestRankBound:
+    """The cheapest sweep's survivor prefix: a rank whose ``head + cost``
+    equals the budget is kept, one float step above it is pruned."""
+
+    # Exact binary floats, ascending by rank.
+    COSTS = [0.5, 1.0, 1.5, 4.0, 6.5]
+
+    def test_rank_at_exactly_the_budget_is_kept(self):
+        # n = 3: head = 0.5 + 1.0 = 1.5, and 1.5 + 4.0 is the budget.
+        assert vectorized._rank_bound(self.COSTS, 3, 5.5) == 4
+        assert vectorized._rank_bound(self.COSTS, 3, math.nextafter(5.5, 0.0)) == 3
+        above = self.COSTS[:3] + [math.nextafter(4.0, math.inf), 6.5]
+        assert 1.5 + above[3] > 5.5
+        assert vectorized._rank_bound(above, 3, 5.5) == 3
+
+    def test_single_node_keeps_every_affordable_rank(self):
+        assert vectorized._rank_bound(self.COSTS, 1, 1.5) == 3
+        assert vectorized._rank_bound(self.COSTS, 1, math.nextafter(0.5, 0.0)) == 0
+        assert vectorized._rank_bound(self.COSTS, 1, float("inf")) == 5
+
+    def test_bound_below_n_is_the_sweep_that_cannot_hit(self):
+        # The three cheapest sum to 3.0: any less and rank 2 is pruned.
+        assert vectorized._rank_bound(self.COSTS, 3, 3.0) == 3
+        assert vectorized._rank_bound(self.COSTS, 3, math.nextafter(3.0, 0.0)) == 2
+
+    @pytest.mark.parametrize("padding, regime", [(6, "walk"), (1, "inline")])
+    def test_window_completed_by_the_boundary_rank(self, monkeypatch, padding, regime):
+        # Costs 2.5 then 7.5 (task(20) runs 5 on the default node), then
+        # ``padding`` slots at 47.5 that no window can afford: the only
+        # window is the first two, summing to exactly the budget.
+        slots = [
+            make_slot(0, 0.0, 100.0, price=0.5),
+            make_slot(1, 1.0, 100.0, price=1.5),
+        ]
+        slots += [
+            make_slot(2 + index, 2.0 + index, 100.0, price=9.5)
+            for index in range(padding)
+        ]
+        request = ResourceRequest(node_count=2, reservation_time=20.0, budget=10.0)
+        arrays, _ = vectorized._resolve_arrays(SlotPool.from_slots(slots))
+        plan = vectorized._plan_for(arrays, request)
+        regimes = sweep_regimes(monkeypatch)
+        hits = vectorized._run_cheapest_consume(plan, 2, 10.0, None)
+        assert [(start, sorted(cands)) for start, cands in hits] == [(1.0, [0, 1])]
+        assert regimes == {regime: 1}
+        below = math.nextafter(10.0, 0.0)
+        assert vectorized._run_cheapest_consume(plan, 2, below, None) == []
+        pool = SlotPool.from_slots(slots)
+        found = sweep_csa().find_alternatives(request, pool)
+        assert_identical(found, procedure(request, pool))
+        assert [window.nodes() for window in found] == [[0, 1]]
 
 
 class TestEvictionPolicyHandBuiltPools:

@@ -3,11 +3,15 @@
 Every scan the kernel serves in these runs is re-run on the generic loop
 with the textbook ``extract`` and compared in full — the legs, the
 value, every structural counter and, for the randomized MinProcTime, the
-generator's state afterwards.  Two drivers: a test-size paper study (all
-five single-window algorithms plus CSA on fresh pools, the one place the
-randomized MinProcTime runs) and the eight-class request palette of the
-``burst_classes`` workload through :func:`batch_aep_scan`, once per stock
-extractor.
+generator's state afterwards — and every CSA consume sweep is re-run as
+the copy / AMP / cut procedure and compared window for window.  Four
+drivers: a test-size paper study (all five single-window algorithms plus
+CSA on fresh pools, the one place the randomized MinProcTime runs), the
+eight-class request palette of the ``burst_classes`` workload through
+:func:`batch_aep_scan`, once per stock extractor, and two small brokers
+searching with CSA — one shaped like ``tenants_faults`` (cheapest policy,
+DRF tenancy, repair resilience, over-subscribed, tight budgets), one on
+the default first policy.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import batchscan
+from repro.core import CSA, batchscan
 from repro.core.extractors import (
     EarliestFinishExtractor,
     EarliestStartExtractor,
@@ -27,9 +31,14 @@ from repro.core.extractors import (
     energy_key,
 )
 from repro.environment import EnvironmentConfig, EnvironmentGenerator
-from repro.model import Job, ResourceRequest
+from repro.environment.rolling import HorizonConfig, RollingHorizonSource
+from repro.model import Job, ResourceRequest, SlotPool
+from repro.scheduling.metascheduler import BatchScheduler
+from repro.service import BrokerService, ResilienceConfig, ServiceConfig
 from repro.simulation.config import paper_base_config
+from repro.simulation.jobgen import JobGenerator
 from repro.simulation.runner import run_comparison
+from repro.tenancy import TenancyConfig
 
 #: The ``burst_classes`` palette (``perf/workloads.py``): four shapes
 #: ``(node_count, reservation_time)`` times two budgets per unit.
@@ -101,3 +110,51 @@ def test_palette_batch_under_shadow(kernel_shadow, make_extractor, stop_at_first
     assert kernel_shadow.divergences == []
     assert kernel_shadow.checked["batch"] == len(jobs)
     assert any(result is not None for result in results)
+
+
+def run_broker(config: ServiceConfig, scheduler, arrivals, nodes: int) -> BrokerService:
+    """Feed ``arrivals`` through a broker on a rolling horizon and drain."""
+    broker = BrokerService(
+        SlotPool(),
+        config=config,
+        scheduler=scheduler,
+        horizon_source=RollingHorizonSource(
+            EnvironmentConfig(node_count=nodes, seed=2013),
+            HorizonConfig(lead=600.0, stride=600.0),
+        ),
+    )
+    with broker:
+        for when, job in arrivals:
+            broker.advance_to(when)
+            broker.submit(job)
+            broker.pump()
+        broker.drain()
+    return broker
+
+
+def test_over_subscribed_cheapest_broker_under_shadow(kernel_shadow):
+    config = ServiceConfig(
+        tenancy=TenancyConfig(ordering="drf", default_credit=200_000.0),
+        resilience=ResilienceConfig(rate=0.002, seed=7, policy="repair"),
+    )
+    scheduler = BatchScheduler(
+        search=CSA(max_alternatives=config.alternatives_per_job, amp_policy="cheapest"),
+        criterion=config.criterion,
+        alternatives_per_job=config.alternatives_per_job,
+    )
+    # The generator's budgets are tight for this fleet: most jobs are
+    # refused at the door, and many admitted ones are never placed.
+    arrivals = list(JobGenerator(seed=7).iter_arrivals(300, rate=0.5))
+    broker = run_broker(config, scheduler, arrivals, nodes=30)
+    assert broker.stats.rejected > broker.stats.admitted
+    assert broker.stats.dropped > 0
+    assert kernel_shadow.divergences == []
+    assert kernel_shadow.checked["csa"] > 100
+
+
+def test_first_policy_broker_under_shadow(kernel_shadow):
+    config = ServiceConfig()
+    arrivals = list(JobGenerator(seed=11).iter_arrivals(80, rate=0.5))
+    run_broker(config, None, arrivals, nodes=24)
+    assert kernel_shadow.divergences == []
+    assert kernel_shadow.checked["csa"] > 50
