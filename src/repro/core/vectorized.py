@@ -86,6 +86,20 @@ over-subscribed broker's tight budgets), the sweep walks the survivors'
 steps and expiries alone; otherwise it steps at every candidate and
 skips the pruned ranks inline.  Windows, hits and counters are unchanged
 (:func:`_run_cheapest_consume` has the proof).
+
+Most CSA searches of an over-subscribed broker find nothing, and two
+things keep them from paying for a full search.  *The pre-check*: every
+window of the eviction sweep is an n-set of co-alive candidates within
+budget, so the cheapest sweep, run for one window with its expiry test
+and budget widened by a margin that covers the two sweeps' differing
+float tests, hits at the same step or earlier; when it finds nothing the
+eviction sweep is not run (:func:`_may_evict_hit` has the proof in
+floats).  *Negative certificates*: a zero of the cheapest sweep, or of
+the pre-check, stays a zero while a pool only loses free time, so it is
+recorded on the :class:`SlotPool` searched, and an identical search is
+answered ``[]`` before any snapshot or plan is read, counted as
+``scan_counters["certified"]`` rather than as a scan, until the pool
+gains free time (:func:`vectorized_alternatives`).
 """
 
 from __future__ import annotations
@@ -139,7 +153,9 @@ _WALK_SHARE = 0.4
 UNSUPPORTED = object()
 
 #: Dispatch telemetry for tests and the CI smoke job: counts of scans
-#: served by the vector kernel vs. handed back to the generic loop,
+#: served by the vector kernel vs. handed back to the generic loop, of
+#: CSA searches answered by a pool's negative certificate without a
+#: scan (:func:`vectorized_alternatives`),
 #: of scan plans computed vs. reused from a snapshot's cache (the
 #: reuse the rolling-horizon broker banks on between mutations), and of
 #: the batched entry points' request-class grouping: how many jobs
@@ -150,6 +166,7 @@ UNSUPPORTED = object()
 scan_counters = {
     "vectorized": 0,
     "fallback": 0,
+    "certified": 0,
     "plans_built": 0,
     "plans_reused": 0,
     "grouped_jobs": 0,
@@ -495,11 +512,57 @@ def vectorized_alternatives(
     the caller's repeated scans do their own ``fallback`` counting.
     ``policy`` is the AMP policy the caller holds, ``"first"`` or
     ``"cheapest"``; anything else is an error, not a default.
+
+    An eviction sweep runs only after a pre-check says it can hit: the
+    cheapest sweep with one window to find and widened tests
+    (:func:`_may_evict_hit`).  When that finds nothing the answer is
+    ``[]`` without the eviction sweep; the dispatch still counts once.
+
+    A search that finds nothing on a :class:`SlotPool` is recorded on
+    the pool under ``(policy, node count, budget, plan key)``
+    (:meth:`SlotPool.certify`), for the cheapest policy when its sweep
+    finds nothing, for the eviction policy when the pre-check does.  An
+    identical search on the pool answers ``[]`` from that record before
+    any snapshot or plan is read, and counts as
+    ``scan_counters["certified"]``, not as a dispatch: it is no scan.
+    The record holds while the pool only loses free time and is dropped
+    when it gains some (see :class:`SlotPool`).  Removals keep a zero a
+    zero.  A cheapest sweep's zero says no step has ``n`` alive
+    candidates — inserted, expiry time not below the step's threshold —
+    whose ascending cost sum fits the budget.  On a pool with slots
+    dropped, or cut to a sub-span of themselves on the same node, every
+    candidate is the candidate of an old slot with the same node (so
+    the same cost), a start no earlier and an end, hence an expiry
+    time, no later (float ``-`` is monotone).  Given a hit on the new
+    pool, take its member whose old slot comes last in the old scan
+    order: at that member's step in the old pool every member was
+    inserted, and, the threshold being monotone in the window start,
+    none had expired, so the old sweep would have hit there.  The
+    argument needs the sweep's alive set to be exactly that set, which
+    fails only for a candidate whose expiry time is already below its
+    own step's threshold: the sweep then never expires it.  The plan's
+    insertability test rules that out in reals; in floats it takes a
+    slot end within a few ulps of that test's boundary, where the
+    kernel already departs from the generic loop, which drops such a
+    candidate at the next step.  The pre-check's margin rules it out in
+    floats, and only shrinks as a pool loses slots, so eviction-policy
+    certificates are exact (:func:`_may_evict_hit`).  An exact
+    cheapest-policy zero does not certify the eviction policy (the
+    eviction scan's float tests differ from the plan's), so the policy
+    is part of the key.
     """
     if policy not in ("first", "cheapest"):
         raise ValueError(f"unknown AMP policy {policy!r}")
     if cap is not None and cap <= 0:
         return []
+    n = request.node_count
+    budget = _budget_of(request)
+    pool = slots if isinstance(slots, SlotPool) else None
+    if pool is not None:
+        key = (policy, n, budget, _plan_key(request))
+        if pool.certified(key):
+            scan_counters["certified"] += 1
+            return []
     resolved = _resolve_arrays(slots)
     if resolved is None:
         return UNSUPPORTED
@@ -508,13 +571,17 @@ def vectorized_alternatives(
     if plan is None:
         return UNSUPPORTED
     scan_counters["vectorized"] += 1
-    n = request.node_count
-    budget = _budget_of(request)
-    if policy == "first":
-        extras = _first_extras(plan, arrays)
-        hits = _run_first_consume(plan, extras, n, budget, request.deadline, cap)
-    else:  # "cheapest"
+    if policy == "cheapest":
         hits = _run_cheapest_consume(plan, n, budget, cap)
+        proven = not hits
+    else:
+        proven = not _may_evict_hit(plan, arrays, n, budget, request.deadline)
+        hits = []
+        if not proven:
+            extras = _first_extras(plan, arrays)
+            hits = _run_first_consume(plan, extras, n, budget, request.deadline, cap)
+    if proven and pool is not None:
+        pool.certify(key, PLAN_CACHE_LIMIT)
     return [_window(plan, slot_list, start, cands) for start, cands in hits]
 
 
@@ -1142,6 +1209,14 @@ def _run_cheapest_consume(plan, n, budget, cap):
     would cost more than the steps they save, so the sweep steps at
     every candidate and skips pruned ranks inline.
     """
+    return _cheapest_sweep(plan, n, budget, cap, TIME_EPSILON)
+
+
+def _cheapest_sweep(plan, n, budget, cap, margin):
+    """The body of :func:`_run_cheapest_consume`, expiring a candidate
+    at a step when its expiry time is below ``window_start - margin``
+    (``margin`` is :data:`TIME_EPSILON` there; :func:`_may_evict_hit`
+    widens it)."""
     cand_crank = plan.cand_crank
     cand_by_crank = plan.cand_by_crank
     cost_by_crank = plan.cost_by_crank
@@ -1169,7 +1244,7 @@ def _run_cheapest_consume(plan, n, budget, cap):
     alive = 0
     hits: list[tuple[float, list[int]]] = []
     for cand, window_start in zip(steps, starts):
-        threshold = window_start - TIME_EPSILON
+        threshold = window_start - margin
         while pointer < expiry_count and expiry_times[pointer] < threshold:
             rank = cand_crank[expiry_cands[pointer]]
             pointer += 1
@@ -1212,6 +1287,85 @@ def _run_cheapest_consume(plan, n, budget, cap):
             refill = flags.find(1, refill + 1)
             top.append(refill)
     return hits
+
+
+def _may_evict_hit(plan, arrays, n, budget, deadline) -> bool:
+    """Whether the eviction sweep (:func:`_run_first_consume`) can find
+    a window: ``False`` proves it finds none.
+
+    Runs the cheapest sweep (:func:`_cheapest_sweep`) for one window,
+    with the budget widened to ``B' = budget + _BOUND_SLACK * n *
+    budget`` and a candidate expired at a step only when its expiry
+    time is below ``window_start - m``, ``m`` the plan's margin
+    ``TIME_EPSILON + _BOUND_SLACK * (1 + S)`` (cached on the plan; ``S``
+    is the largest magnitude of the candidates' starts, ends and
+    runtimes and of the deadline).  Every window the eviction sweep
+    finds is an n-set of co-alive candidates within budget, so this
+    sweep hits at that window's step or earlier.  In floats, with ``u
+    = 2**-53`` and ``|fl(x) - x| <= u |x|`` for every operation:
+
+    *Alive.*  The eviction scan keeps a waiting leg at window start
+    ``ws`` (a candidate's start, ``|ws| <= S``) when ``fl(end - ws) >=
+    fl(req - eps)`` and ``fl(ws + req) <= fl(deadline + eps)``.  The
+    first gives ``end - req >= ws - eps - u (3S + eps)``, so the plan's
+    ``fl(end - req) >= ws - eps - u (5S + eps)``; the second gives the
+    same bound for ``fl(deadline - req)``, and the expiry time is the
+    smaller of the two.  The threshold ``fl(ws - m)`` is at most ``ws -
+    m + u (S + m)``, and ``m`` as computed is at least ``(eps +
+    _BOUND_SLACK (1 + S)) (1 - u)**3``.  ``_BOUND_SLACK`` (1e-9) is
+    more than 10**6 times ``u``, so ``m (1 - u) >= eps (1 + u) + 6 u
+    S``: the leg's expiry time is not below the threshold.  The margin
+    grows with ``S`` because the rounding error does; one that scaled
+    with ``|ws|`` alone would not cover a runtime near 1e7 on a
+    window starting at 0, where one ulp of ``req - eps`` exceeds
+    ``eps``.  ``m`` is fixed per plan, so the threshold is monotone in
+    ``ws`` and a leg kept at a step was never expired before it.  The
+    plan's insertable test is the same pair of tests at a candidate's
+    own start, so no candidate expires before it is inserted either.
+
+    *Budget.*  Costs are non-negative (prices are), so a float sum of
+    ``n`` of them, left to right or compensated (``sum()`` from Python
+    3.12), is within ``2 n u`` of their exact sum, relatively.  The
+    eviction scan's ``sum()`` in waiting order is at most the budget,
+    so the ascending sum of the same costs is at most ``budget (1 + 2 n
+    u) / (1 - 2 n u) <= budget (1 + 5 n u)``.  ``B'`` as computed is at
+    least ``budget (1 + _BOUND_SLACK n (1 - u)**2) (1 - u)``, which is
+    more, since ``_BOUND_SLACK`` exceeds ``7 u`` by far.  An infinite
+    budget stays infinite.
+
+    *Hit.*  Let the eviction sweep, in any of its runs, hit at step
+    ``p`` with members ``W``.  All of them are candidates at or before
+    ``p`` that the scan keeps at ``p``'s start.  Their ascending sum is
+    within ``B'``, so every member's cost rank is below the widened
+    rank bound (:func:`_run_cheapest_consume`'s argument), and none has
+    expired by ``p``.  The n cheapest alive candidates at ``p`` are, in
+    ascending order, position by position no dearer than ``W``, and
+    float ``+`` is monotone, so their sum is within ``B'`` and this
+    sweep hits at ``p`` if it has not hit before.  The converse does
+    not hold: a hit here only means the eviction sweep must run.
+
+    The same two facts make a zero here a certificate: the margin of a
+    pool that lost slots is no larger (each of its candidates is a
+    sub-span of an old one on the same node), and since nothing expires
+    before it is inserted, the sweep's alive set at a step is exactly
+    the inserted candidates whose expiry time reaches the threshold
+    (:func:`vectorized_alternatives` gives the argument).
+    """
+    if plan.count < n:
+        return False
+    margin = plan.extras.get("margin")
+    if margin is None:
+        cpos = plan.mpos[plan.insertable]
+        scale = max(
+            float(np.abs(arrays.start[cpos]).max()),
+            float(np.abs(arrays.end[cpos]).max()),
+            float(plan.req_c.max()),
+            0.0 if deadline is None else abs(deadline),
+        )
+        margin = TIME_EPSILON + _BOUND_SLACK * (1.0 + scale)
+        plan.extras["margin"] = margin
+    wide = budget + _BOUND_SLACK * n * budget
+    return bool(_cheapest_sweep(plan, n, wide, 1, margin))
 
 
 def _run_first_consume(plan, extras, n, budget, deadline, cap):

@@ -14,6 +14,12 @@ it (:meth:`SlotPool.trim_before`) the first time it is mutated or hands
 out slots or a snapshot.  The readers that run on every arrival —
 ``len()`` and admission (:meth:`SlotPool.arrays_before_floor`) — apply
 the floor on read (:func:`floor_survivors`) and leave it pending.
+
+The pool also keeps *negative certificates*: keys of searches a kernel
+proved empty on it (:meth:`SlotPool.certify`, read by
+:func:`repro.core.vectorized.vectorized_alternatives`).  Such a proof
+survives every mutation that only takes free time away and dies with
+every one that adds some; :class:`SlotPool` says which is which.
 """
 
 from __future__ import annotations
@@ -113,6 +119,28 @@ class SlotPool:
         The paper's environment has local jobs of length >= 10, so by
         default any positive remainder is kept; raising the threshold is the
         "cutting policy" ablation discussed in DESIGN.md.
+
+    Every mutation is a *removal* or a *gain* of free time, and the
+    certificate store (:meth:`certify`) follows that split.
+
+    * Removals keep the certificates.  :meth:`remove`, the trims
+      (:meth:`trim_before`, and the floors :meth:`advance_floor`
+      records), and cutting (:meth:`cut_window`, :meth:`commit_window`)
+      only drop slots or leave a slot's sub-span on the same node: a
+      trimmed slot keeps its end and starts later, and a cut remainder
+      is part of its host.  A search proven empty stays empty on any
+      such sub-pool (the proof is in :mod:`repro.core.vectorized`).
+    * Gains empty the store.  :meth:`add`, :meth:`release` and a cut
+      remainder that *coalesces* with a neighbour all add free time,
+      and a bulk load (:meth:`from_slots`) starts a pool with an empty
+      store.  A remainder can only coalesce when
+      the pool holds touching slots of one node, as a pool built with
+      ``coalesce=False`` can (``partition_pool`` builds shards so).
+    * :meth:`copy` shares the store with the twin until either side
+      mutates: a removal then gives the mutated pool its own copy of
+      the store, and a gain an empty one.  Pools sharing one store
+      therefore always hold the same slots, and a certificate recorded
+      through one is true of all of them.
     """
 
     min_usable_length: float = TIME_EPSILON
@@ -147,6 +175,10 @@ class SlotPool:
     _pending: Optional[tuple[SlotArrays, PendingFloor]] = field(
         default=None, repr=False, compare=False
     )
+    #: Negative certificates: search key -> ``True``, oldest first
+    #: (:meth:`certify`), and whether a :meth:`copy` may share the dict.
+    _certificates: dict = field(default_factory=dict, repr=False, compare=False)
+    _certificates_shared: bool = field(default=False, repr=False, compare=False)
 
     @classmethod
     def from_slots(
@@ -279,6 +311,8 @@ class SlotPool:
         self.apply_floor()
         if slot.length < self.min_usable_length:
             return
+        if self._certificates or self._certificates_shared:
+            self._gained()
         if coalesce:
             slot = self._coalesce(slot)
         entry = (slot.sort_key(), slot)
@@ -324,6 +358,20 @@ class SlotPool:
         entry = self._slots.pop(index)
         self._bucket_discard(entry)
         self._store.delete(entry)
+        if self._certificates_shared:
+            self._removed()
+
+    def _removed(self) -> None:
+        """Free time was only taken away: the certificates stay true,
+        but a store shared with a copy is copied first."""
+        if self._certificates_shared:
+            self._certificates = dict(self._certificates)
+            self._certificates_shared = False
+
+    def _gained(self) -> None:
+        """Free time was added: start an empty certificate store."""
+        self._certificates = {}
+        self._certificates_shared = False
 
     def _bucket_discard(self, entry: tuple[tuple[float, float, int], Slot]) -> None:
         """Drop ``entry`` (known present) from its node's index bucket."""
@@ -366,8 +414,15 @@ class SlotPool:
             raise ValueError(f"unknown cut mode {mode!r}")
         self.remove(host)
         if mode == "split":
-            for remainder in host.split(span_start, span_end, self.min_usable_length):
+            remainders = host.split(span_start, span_end, self.min_usable_length)
+            kept = self._certificates
+            size = len(self._slots)
+            for remainder in remainders:
                 self.add(remainder)
+            # ``add`` counts as a gain, but a remainder that merged with
+            # nothing is a sub-span of its host: the cut removed time.
+            if len(self._slots) == size + len(remainders):
+                self._certificates = kept
 
     def commit_window(self, window: Window, mode: str = "split") -> None:
         """Cut a window out of the pool by *span containment*.
@@ -528,6 +583,7 @@ class SlotPool:
                 del by_node[node_id]
         if not changed:
             return 0
+        self._removed()
         for node_id, survivors in crowded.items():
             # Two overlapping slots of one node (a ``coalesce=False``
             # pool) can swap order once both start at ``time``.
@@ -559,7 +615,29 @@ class SlotPool:
         twin._cache = arrays
         twin._cache_generation = self._cache_generation
         twin._trimmed = self._trimmed
+        twin._certificates = self._certificates
+        twin._certificates_shared = self._certificates_shared = True
         return twin
+
+    # ------------------------------------------------------------------
+    # Negative certificates
+    # ------------------------------------------------------------------
+    def certified(self, key) -> bool:
+        """Whether a search keyed ``key`` was proven empty on this pool
+        since it last gained free time.  Applies a pending floor, as
+        the snapshot read the search would otherwise make does."""
+        self.apply_floor()
+        return key in self._certificates
+
+    def certify(self, key, limit: int) -> None:
+        """Record that the search keyed ``key`` finds nothing on this
+        pool as it is now; the oldest of more than ``limit`` records is
+        forgotten.  The caller owns the proof that removals keep the
+        search empty."""
+        store = self._certificates
+        if len(store) >= limit:
+            del store[next(iter(store))]
+        store[key] = True
 
     # ------------------------------------------------------------------
     # Queries

@@ -15,6 +15,7 @@ procedure still runs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 
@@ -67,15 +68,18 @@ def assert_legs_meet(deadline, windows):
             assert window.start + leg.required_time <= deadline + TIME_EPSILON
 
 
-def fragmented_pool(seed: int, node_count: int = 24, segments: int = 4) -> SlotPool:
-    """Several disjoint slots per node, so candidates expire mid-sweep."""
+def fragmented_pool(
+    seed: int, node_count: int = 24, segments: int = 4, offset: float = 0.0
+) -> SlotPool:
+    """Several disjoint slots per node, so candidates expire mid-sweep;
+    the first start on each node is drawn from ``offset + [0, 10)``."""
     rng = np.random.default_rng(seed)
     slots = []
     for node_id in range(node_count):
         node = make_node(
             node_id, float(rng.integers(1, 8)), float(rng.uniform(0.5, 6.0))
         )
-        cursor = float(rng.uniform(0.0, 10.0))
+        cursor = offset + float(rng.uniform(0.0, 10.0))
         for _ in range(segments):
             length = float(rng.uniform(5.0, 40.0))
             slots.append(Slot(node, cursor, cursor + length))
@@ -372,9 +376,11 @@ class TestDoomedCheapestSweep:
         before = counters()
         assert sweep_csa().find_alternatives(request, pool) == []
         assert counter_delta(before) == {"vectorized": 1, "plans_built": 1}
+        # The zero is recorded on the pool: the repeat reads no snapshot,
+        # no plan, and is no scan.
         before = counters()
         assert sweep_csa().find_alternatives(request, pool) == []
-        assert counter_delta(before) == {"vectorized": 1, "plans_reused": 1}
+        assert counter_delta(before) == {"certified": 1}
 
     def test_a_copy_shares_the_snapshot_and_its_plans(self):
         """``SlotPool.copy()`` hands its twin the pool's own snapshot, so
@@ -596,3 +602,141 @@ class TestSweepCounters:
         assert copies == [pool]
         # The working copy shares the flagged snapshot until its first cut.
         assert counter_delta(before)["fallback"] == 1
+
+
+def eviction_only(request, pool, cap=None):
+    """The eviction sweep on the pool's plan without the pre-check."""
+    arrays, slot_list = vectorized._resolve_arrays(pool)
+    plan = vectorized._plan_for(arrays, request)
+    extras = vectorized._first_extras(plan, arrays)
+    budget = vectorized._budget_of(request)
+    hits = vectorized._run_first_consume(
+        plan, extras, request.node_count, budget, request.deadline, cap
+    )
+    return [vectorized._window(plan, slot_list, start, cands) for start, cands in hits]
+
+
+def plan_of(slots, request):
+    arrays, _ = vectorized._resolve_arrays(SlotPool.from_slots(slots))
+    return arrays, vectorized._plan_for(arrays, request)
+
+
+class TestEvictionPreCheck:
+    """The first policy's pre-check: a widened cheapest sweep that finds
+    nothing proves the eviction sweep finds nothing.  It widens the
+    eviction scan's float tests, so each boundary below is one the
+    eviction sweep hits on and an unwidened cheapest sweep misses."""
+
+    @staticmethod
+    def boundary_end(window_start: float, need: float) -> float:
+        """The least slot end ``e`` with ``e - window_start >= need``."""
+        end = window_start + need
+        while end - window_start >= need:
+            end = math.nextafter(end, -math.inf)
+        while not end - window_start >= need:
+            end = math.nextafter(end, math.inf)
+        return end
+
+    @pytest.mark.parametrize("base", [0.0, 1e9], ids=["zero", "1e9"])
+    @pytest.mark.parametrize("step", [-1, 0, 1])
+    def test_waiting_leg_on_the_end_test(self, base, step):
+        # task(20) runs 5 on the default node.  Node 0 waits from
+        # ``base``; node 1 arrives at ``base + 64``, where the eviction
+        # scan keeps node 0 iff ``end - ws >= 5 - eps``.
+        request = ResourceRequest(node_count=2, reservation_time=20.0)
+        window_start = base + 64.0
+        end = self.boundary_end(window_start, 5.0 - TIME_EPSILON)
+        end = {-1: math.nextafter(end, -math.inf), 0: end, 1: math.nextafter(end, math.inf)}[step]
+        slots = [make_slot(0, base, end), make_slot(1, window_start, base + 200.0)]
+        pool = SlotPool.from_slots(slots)
+        found = sweep_csa("first").find_alternatives(request, pool)
+        assert_identical(found, procedure(request, pool, policy="first"))
+        assert found == eviction_only(request, SlotPool.from_slots(slots))
+        assert [window.start for window in found] == ([] if step < 0 else [window_start])
+        if found:
+            # A pre-check zero here would be a wrong answer.  (Below the
+            # boundary it may still say "search": the converse is free.)
+            arrays, plan = plan_of(slots, request)
+            budget = vectorized._budget_of(request)
+            assert vectorized._may_evict_hit(plan, arrays, 2, budget, None)
+
+    def test_budget_between_the_waiting_order_and_the_ascending_sum(self):
+        # task(4) runs 1 on the default node, so a leg costs its price.
+        # In waiting (arrival) order the four costs sum, by ``sum()``
+        # with or without compensation, one ulp below their ascending
+        # float sum; a budget of exactly the waiting-order sum is a hit
+        # for the eviction scan and a miss for an unwidened cheapest one.
+        prices = [
+            float.fromhex("0x1.0000000000003p-53"),
+            float.fromhex("0x1.fffffffffffffp-1"),
+            float.fromhex("0x1.0000000000006p-54"),
+            float.fromhex("0x1.0000000000002p-1"),
+        ]
+        ascending = 0.0
+        for price in sorted(prices):
+            ascending += price
+        budget = sum(prices)
+        assert budget < ascending
+        request = ResourceRequest(node_count=4, reservation_time=4.0)
+        slots = [
+            make_slot(node_id, float(node_id), 100.0, price=price)
+            for node_id, price in enumerate(prices)
+        ]
+        arrays, plan = plan_of(slots, request)
+        assert plan.cost_list == prices
+        extras = vectorized._first_extras(plan, arrays)
+        hits = vectorized._run_first_consume(plan, extras, 4, budget, None, None)
+        assert [(start, sorted(cands)) for start, cands in hits] == [(3.0, [0, 1, 2, 3])]
+        assert vectorized._run_cheapest_consume(plan, 4, budget, None) == []
+        assert vectorized._may_evict_hit(plan, arrays, 4, budget, None)
+
+    def test_margin_scales_with_the_runtime_not_the_window_start(self):
+        # A runtime of 1e7 (task(4e7) on the default node): one ulp of
+        # ``1e7 - eps`` is about 1.86e-9, so ``fl(req - eps)`` falls a
+        # whole ulp below ``req``.  Node 0's slot ends exactly there past
+        # the window start 2**-20, so the eviction scan keeps it, while
+        # its expiry time lies 1.86e-9 before the window start: below
+        # ``ws - eps`` and ``ws - eps - 1e-9 * |ws|`` alike.
+        request = ResourceRequest(node_count=2, reservation_time=4e7)
+        runtime = 1e7
+        window_start = 2.0**-20
+        need = runtime - TIME_EPSILON
+        assert need == math.nextafter(runtime, 0.0)
+        end = window_start + need
+        assert end - window_start == need
+        assert end - runtime < window_start - TIME_EPSILON - 1e-9 * window_start
+        slots = [make_slot(0, 0.0, end), make_slot(1, window_start, 3e7)]
+        pool = SlotPool.from_slots(slots)
+        found = sweep_csa("first").find_alternatives(request, pool)
+        assert [window.start for window in found] == [window_start]
+        assert_identical(found, procedure(request, pool, policy="first"))
+        arrays, plan = plan_of(slots, request)
+        assert vectorized._run_cheapest_consume(plan, 2, math.inf, None) == []
+        assert vectorized._may_evict_hit(plan, arrays, 2, math.inf, None)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e9], ids=["zero", "1e9"])
+    def test_random_pools_with_and_without_the_pre_check(self, offset):
+        proven = 0
+        for seed, node_count, (kind, share), deadline in itertools.product(
+            SEEDS, NODE_COUNTS, BUDGETS.items(), [None, 70.0]
+        ):
+            pool = fragmented_pool(seed, offset=offset)
+            request = ResourceRequest(
+                node_count=node_count,
+                reservation_time=10.0,
+                budget=None if share is None else share * node_count,
+                deadline=None if deadline is None else offset + deadline,
+            )
+            for cap in (1, None):
+                found = sweep_csa("first").find_alternatives(request, pool, limit=cap)
+                assert found == eviction_only(request, fragmented_pool(seed, offset=offset), cap)
+            arrays, slot_list = vectorized._resolve_arrays(pool)
+            plan = vectorized._plan_for(arrays, request)
+            budget = vectorized._budget_of(request)
+            if not vectorized._may_evict_hit(
+                plan, arrays, node_count, budget, request.deadline
+            ):
+                proven += 1
+                assert found == []
+        # The pre-check settles a share of the searches on its own.
+        assert proven > 20

@@ -11,7 +11,9 @@ eight-class request palette of the ``burst_classes`` workload through
 :func:`batch_aep_scan`, once per stock extractor, and two small brokers
 searching with CSA — one shaped like ``tenants_faults`` (cheapest policy,
 DRF tenancy, repair resilience, over-subscribed, tight budgets), one on
-the default first policy.
+the default first policy — and a first-policy broker on a static pool,
+where searches proven empty are answered by the pool's certificates and
+the shadow re-runs each such answer as the procedure.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import CSA, batchscan
+from repro.core import CSA, batchscan, vectorized
 from repro.core.extractors import (
     EarliestFinishExtractor,
     EarliestStartExtractor,
@@ -158,3 +160,24 @@ def test_first_policy_broker_under_shadow(kernel_shadow):
     run_broker(config, None, arrivals, nodes=24)
     assert kernel_shadow.divergences == []
     assert kernel_shadow.checked["csa"] > 50
+
+
+def test_first_policy_static_pool_broker_under_shadow(kernel_shadow):
+    # A generated pool and no horizon, like a federation shard: the pool
+    # only loses free time between releases, so repeated searches of a
+    # job that found nothing are answered by the pool's certificate.
+    # The shadow re-runs those answers as the procedure too.
+    pool = EnvironmentGenerator(
+        EnvironmentConfig(node_count=24, seed=2013)
+    ).generate().slot_pool()
+    arrivals = list(JobGenerator(seed=2013).iter_arrivals(80, rate=2.0))
+    before = vectorized.scan_counters["certified"]
+    with BrokerService(pool, config=ServiceConfig()) as broker:
+        for when, job in arrivals:
+            broker.advance_to(when)
+            broker.submit(job)
+            broker.pump()
+        broker.drain()
+    assert kernel_shadow.divergences == []
+    assert vectorized.scan_counters["certified"] - before > 30
+    assert kernel_shadow.checked["csa"] > 100
