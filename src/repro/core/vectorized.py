@@ -249,6 +249,7 @@ class _ScanPlan:
         "insertable",
         "cost_order",
         "expiry_order",
+        "expire_c",
         "extras",
     )
 
@@ -349,6 +350,7 @@ def _plan_for(arrays: SlotArrays, request: ResourceRequest) -> Optional[_ScanPla
     plan.insertable = insertable
     plan.cost_order = cost_order
     plan.expiry_order = expiry_order
+    plan.expire_c = expire_c
     plan.extras = {}
     if len(cache) >= PLAN_CACHE_LIMIT:
         cache.pop(next(iter(cache)))
@@ -422,6 +424,29 @@ def _first_extras(plan: _ScanPlan, arrays: SlotArrays) -> dict:
         }
         plan.extras["first"] = extras
     return extras
+
+
+def _arrival_expired(plan: _ScanPlan) -> dict:
+    """Cost rank -> expiry time of every candidate whose expiry time is
+    below its own threshold ``start - TIME_EPSILON``, lazily cached.
+
+    The plan's insertable test rules such a candidate out in reals; in
+    floats a slot end a few ulps inside that test, with a runtime far
+    larger than the start, makes one.  Usually there is none.  A wider
+    margin (:func:`_may_evict_hit`) only lowers the threshold, so this
+    holds every candidate expired on arrival under it too.
+    """
+    found = plan.extras.get("arrival_expired")
+    if found is None:
+        expired = np.flatnonzero(
+            plan.expire_c < plan.start_m[plan.insertable] - TIME_EPSILON
+        )
+        found = {
+            plan.cand_crank[cand]: float(plan.expire_c[cand])
+            for cand in expired.tolist()
+        }
+        plan.extras["arrival_expired"] = found
+    return found
 
 
 def _walk_extras(plan: _ScanPlan) -> list:
@@ -528,28 +553,33 @@ def vectorized_alternatives(
     The record holds while the pool only loses free time and is dropped
     when it gains some (see :class:`SlotPool`).  Removals keep a zero a
     zero.  A cheapest sweep's zero says no step has ``n`` alive
-    candidates — inserted, expiry time not below the step's threshold —
-    whose ascending cost sum fits the budget.  On a pool with slots
+    candidates whose ascending cost sum fits the budget; alive means
+    inserted and not expired, and a candidate expires at the first step
+    whose threshold is above its expiry time — at the step after its own
+    when its expiry time is already below its own threshold (expired on
+    arrival, which the generic loop does too).  On a pool with slots
     dropped, or cut to a sub-span of themselves on the same node, every
     candidate is the candidate of an old slot with the same node (so
     the same cost), a start no earlier and an end, hence an expiry
     time, no later (float ``-`` is monotone).  Given a hit on the new
-    pool, take its member whose old slot comes last in the old scan
-    order: at that member's step in the old pool every member was
-    inserted, and, the threshold being monotone in the window start,
-    none had expired, so the old sweep would have hit there.  The
-    argument needs the sweep's alive set to be exactly that set, which
-    fails only for a candidate whose expiry time is already below its
-    own step's threshold: the sweep then never expires it.  The plan's
-    insertability test rules that out in reals; in floats it takes a
-    slot end within a few ulps of that test's boundary, where the
-    kernel already departs from the generic loop, which drops such a
-    candidate at the next step.  The pre-check's margin rules it out in
-    floats, and only shrinks as a pool loses slots, so eviction-policy
-    certificates are exact (:func:`_may_evict_hit`).  An exact
-    cheapest-policy zero does not certify the eviction policy (the
-    eviction scan's float tests differ from the plan's), so the policy
-    is part of the key.
+    pool at the step of candidate ``c``, take its member ``y`` whose
+    old slot comes last in the old scan order: at ``y``'s step in the
+    old pool every member was inserted, and, the threshold being
+    monotone in the window start, every member but ``c`` was alive
+    there, since each was alive at ``c``'s later step of the new pool.
+    So was ``c`` unless it was expired on arrival in the new pool; then
+    its old expiry time is within ``delta = 16 u (1 + S)`` below the
+    threshold at ``y``'s old start (``c``'s new slot passed the
+    insertable test; ``u = 2**-53``, ``S`` as in
+    :func:`_may_evict_hit`), and the old sweep's zero is recorded only
+    when no candidate's expiry time lies within ``delta`` below a
+    candidate's threshold (:func:`_near_expiry`).  Either way the old
+    sweep would have hit at ``y``'s step.  The pre-check's margin rules
+    out expiry on arrival in floats, and only shrinks as a pool loses
+    slots, so eviction-policy certificates are exact
+    (:func:`_may_evict_hit`).  An exact cheapest-policy zero does not
+    certify the eviction policy (the eviction scan's float tests differ
+    from the plan's), so the policy is part of the key.
     """
     if policy not in ("first", "cheapest"):
         raise ValueError(f"unknown AMP policy {policy!r}")
@@ -573,7 +603,9 @@ def vectorized_alternatives(
     scan_counters["vectorized"] += 1
     if policy == "cheapest":
         hits = _run_cheapest_consume(plan, n, budget, cap)
-        proven = not hits
+        proven = not hits and (
+            pool is None or not _near_expiry(plan, arrays, request.deadline)
+        )
     else:
         proven = not _may_evict_hit(plan, arrays, n, budget, request.deadline)
         hits = []
@@ -1238,6 +1270,7 @@ def _cheapest_sweep(plan, n, budget, cap, margin):
     else:
         steps = range(total_c)
     expiry_count = len(expiry_times)
+    arrival_expired = _arrival_expired(plan)
     flags = bytearray(total_c)  # by rank: inserted, not expired, not consumed
     top: list[int] = []  # the min(n, alive) smallest flagged ranks, ascending
     pointer = 0
@@ -1249,7 +1282,7 @@ def _cheapest_sweep(plan, n, budget, cap, margin):
             rank = cand_crank[expiry_cands[pointer]]
             pointer += 1
             if not flags[rank]:
-                continue  # pruned, or consumed by an earlier hit
+                continue  # pruned, not yet inserted, or consumed by a hit
             flags[rank] = 0
             alive -= 1
             last = top[-1]
@@ -1262,6 +1295,12 @@ def _cheapest_sweep(plan, n, budget, cap, margin):
             continue  # pruned: in no window
         flags[rank] = 1
         alive += 1
+        if arrival_expired and rank in arrival_expired:
+            # Expired on arrival: alive at its own step, as in the generic
+            # loop.  Its entry may already be behind the pointer, which
+            # steps back to meet it again at the next step; every entry
+            # re-read on the way is unflagged or expired on arrival too.
+            pointer = min(pointer, bisect_left(expiry_times, arrival_expired[rank]))
         if len(top) == n:
             if rank > top[-1]:
                 continue  # the n cheapest did not change: still over budget
@@ -1355,6 +1394,18 @@ def _may_evict_hit(plan, arrays, n, budget, deadline) -> bool:
         return False
     margin = plan.extras.get("margin")
     if margin is None:
+        margin = TIME_EPSILON + _BOUND_SLACK * (1.0 + _scale(plan, arrays, deadline))
+        plan.extras["margin"] = margin
+    wide = budget + _BOUND_SLACK * n * budget
+    return bool(_cheapest_sweep(plan, n, wide, 1, margin))
+
+
+def _scale(plan, arrays, deadline) -> float:
+    """``S``: the largest magnitude of the plan's candidate starts, ends
+    and runtimes and of the deadline (``plan.count`` must be > 0; the
+    deadline is part of the plan key), lazily cached."""
+    scale = plan.extras.get("scale")
+    if scale is None:
         cpos = plan.mpos[plan.insertable]
         scale = max(
             float(np.abs(arrays.start[cpos]).max()),
@@ -1362,10 +1413,36 @@ def _may_evict_hit(plan, arrays, n, budget, deadline) -> bool:
             float(plan.req_c.max()),
             0.0 if deadline is None else abs(deadline),
         )
-        margin = TIME_EPSILON + _BOUND_SLACK * (1.0 + scale)
-        plan.extras["margin"] = margin
-    wide = budget + _BOUND_SLACK * n * budget
-    return bool(_cheapest_sweep(plan, n, wide, 1, margin))
+        plan.extras["scale"] = scale
+    return scale
+
+
+def _near_expiry(plan, arrays, deadline) -> bool:
+    """Whether a candidate's expiry time lies within ``delta = 16 u (1
+    + S)`` below some candidate's threshold ``start - TIME_EPSILON``,
+    cached on the plan: where a cheapest-policy zero is not recorded
+    as a certificate (:func:`vectorized_alternatives` says why).
+
+    A candidate expired on arrival on a cut pool has, in floats, an old
+    expiry time at least ``thr - u (6 S + 2)`` for the threshold
+    ``thr`` at its new start: ``fl(end - start) >= fl(req - eps)``
+    gives ``end - req >= start - eps - u (3 S + 1)``, the expiry time
+    loses at most ``2 u S`` more and the threshold gains at most ``u (S
+    + 1)``.  ``delta`` doubles that to cover its own rounding.  Thresholds
+    ascend with the candidates' starts, so for each expiry time only the
+    first threshold above it is compared."""
+    near = plan.extras.get("near_expiry")
+    if near is None:
+        near = False
+        if plan.count:
+            delta = 16.0 * 2.0**-53 * (1.0 + _scale(plan, arrays, deadline))
+            thresholds = np.append(
+                plan.start_m[plan.insertable] - TIME_EPSILON, np.inf
+            )
+            above = np.searchsorted(thresholds, plan.expire_c, side="right")
+            near = bool((plan.expire_c + delta >= thresholds[above]).any())
+        plan.extras["near_expiry"] = near
+    return near
 
 
 def _run_first_consume(plan, extras, n, budget, deadline, cap):

@@ -65,10 +65,6 @@ class FederationServer:
         await self._shutdown.wait()
         await self.stop()
 
-    def request_shutdown(self) -> None:
-        """Flag the server to stop (safe from signal handlers via loop)."""
-        self._shutdown.set()
-
     async def stop(self) -> None:
         """Stop accepting and close the listener."""
         if self._server is not None:

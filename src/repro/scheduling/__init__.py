@@ -1,10 +1,6 @@
 """Two-phase batch scheduling (the VO scheme of the paper's reference [6])."""
 
-from repro.scheduling.combination import (
-    CombinationChoice,
-    greedy_combination,
-    optimal_combination,
-)
+from repro.scheduling.combination import CombinationChoice, greedy_combination
 from repro.scheduling.metascheduler import BatchScheduler, CycleReport
 
 __all__ = [
@@ -12,5 +8,4 @@ __all__ = [
     "CombinationChoice",
     "CycleReport",
     "greedy_combination",
-    "optimal_combination",
 ]

@@ -11,22 +11,19 @@ problem 2: pick exactly one alternative per job so that
 * an optional VO-level budget on the combined cost is respected,
 * the sum of a criterion over the chosen windows is minimized.
 
-Two solvers are provided: a fast greedy pass in priority order (the
-production default) and an exact branch-and-bound used as a reference on
-small batches.  Jobs whose every alternative conflicts with earlier
-choices are left unscheduled for the cycle, as in the VO model where an
-unallocated job waits for the next scheduling cycle.
+The solver is a greedy pass in priority order, linear in the
+alternatives it tests (:func:`greedy_combination`).  Jobs whose every
+alternative conflicts with earlier choices are left unscheduled for the
+cycle, as in the VO model where an unallocated job waits for the next
+scheduling cycle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from repro.core.criteria import Criterion
-from repro.model.errors import SchedulingError
 from repro.model.job import Job
 from repro.model.slot import TIME_EPSILON
 from repro.model.window import Window
@@ -56,90 +53,46 @@ class CombinationChoice:
         return max(window.finish for window in self.assignments.values())
 
 
-def _conflicts_with_any(window: Window, chosen: Sequence[Window]) -> bool:
-    """Reference predicate: pairwise :meth:`Window.conflicts_with` loop.
-
-    Kept as the specification :class:`ConflictIndex` is tested against;
-    the solvers below use the index, which answers the same question in
-    O(window legs) numpy comparisons instead of O(chosen x legs) Python.
-    """
-    return any(window.conflicts_with(other) for other in chosen)
-
-
 class ConflictIndex:
-    """Chosen-window reservations indexed by node, with LIFO removal.
+    """Chosen-window reservations as plain span lists per node.
 
     Phase 2 asks one question per candidate alternative: does it overlap
-    any already-chosen window on a common node?  The historical answer
-    walked every chosen window's legs in Python — O(chosen x legs) per
-    candidate, the phase-2 hot loop on large batches.  This index keeps,
-    per node, flat arrays of the chosen reservations' starts and
-    epsilon-adjusted ends, so a candidate is checked with one vectorized
-    interval-overlap mask per (distinct) candidate node.
+    any already-chosen window on a common node?  Per node, the index
+    keeps a list of ``(start, (start + required_time) - TIME_EPSILON)``
+    spans, one per chosen leg, and tests a candidate against each with
+    two float comparisons.  A cycle books a handful of legs per node,
+    so the per-node walk is short.
 
     Exactness: ``candidate.conflicts_with(chosen)`` declares a conflict
     on a common node iff ``cand.start < (chosen.start +
     chosen_leg.required_time) - TIME_EPSILON`` and ``chosen.start <
     (cand.start + cand_leg.required_time) - TIME_EPSILON``.  The index
-    precomputes the epsilon-adjusted ends with the identical ``(start +
-    required_time) - TIME_EPSILON`` operation order, and it mirrors the
-    reference's node-reuse asymmetry exactly: the *candidate* side keeps
-    only the last leg per node (the ``mine`` dict comprehension) while
-    the *chosen* side retains every pushed leg (the ``other.slots``
-    loop) — so accept/reject decisions are byte-identical to the
+    makes the same two comparisons on floats computed in the same
+    operation order, and mirrors the node-reuse asymmetry: the
+    *candidate* side keeps only the last leg per node (the ``mine``
+    dict comprehension) while the *chosen* side keeps every pushed leg
+    (the ``other.slots`` loop).  Verdicts are byte-identical to the
     pairwise loop (property-tested in
     ``tests/scheduling/test_combination.py``).
-
-    ``pop`` removes the most recently pushed window (per-node count
-    rollback), which is exactly the discipline the branch-and-bound
-    recursion needs.
     """
 
-    __slots__ = ("_starts", "_ends_eps", "_counts", "_stack")
+    __slots__ = ("_spans",)
 
     def __init__(self) -> None:
-        self._starts: dict[int, np.ndarray] = {}
-        self._ends_eps: dict[int, np.ndarray] = {}
-        self._counts: dict[int, int] = {}
-        self._stack: list[list[int]] = []
-
-    def __len__(self) -> int:
-        return len(self._stack)
+        self._spans: dict[int, list[tuple[float, float]]] = {}
 
     def push(self, window: Window) -> None:
         """Add a chosen window's reservations to the index."""
         start = window.start
-        nodes: list[int] = []
         for ws in window.slots:
-            node_id = ws.slot.node.node_id
-            end_eps = (start + ws.required_time) - TIME_EPSILON
-            count = self._counts.get(node_id, 0)
-            starts = self._starts.get(node_id)
-            if starts is None:
-                starts = np.empty(4)
-                self._starts[node_id] = starts
-                self._ends_eps[node_id] = np.empty(4)
-            elif count == starts.size:  # amortized doubling growth
-                starts = np.concatenate([starts, np.empty(starts.size)])
-                self._starts[node_id] = starts
-                self._ends_eps[node_id] = np.concatenate(
-                    [self._ends_eps[node_id], np.empty(count)]
-                )
-            starts[count] = start
-            self._ends_eps[node_id][count] = end_eps
-            self._counts[node_id] = count + 1
-            nodes.append(node_id)
-        self._stack.append(nodes)
-
-    def pop(self) -> None:
-        """Remove the most recently pushed window (LIFO)."""
-        for node_id in self._stack.pop():
-            self._counts[node_id] -= 1
+            self._spans.setdefault(ws.slot.node.node_id, []).append(
+                (start, (start + ws.required_time) - TIME_EPSILON)
+            )
 
     def conflicts(self, window: Window) -> bool:
         """Whether ``window`` overlaps any indexed window on a common node."""
         start = window.start
-        counts = self._counts
+        spans = self._spans
         # Last leg wins on a node reused within the window, mirroring the
         # span dict in Window.conflicts_with.
         cand_end_eps: dict[int, float] = {}
@@ -148,15 +101,9 @@ class ConflictIndex:
                 start + ws.required_time
             ) - TIME_EPSILON
         for node_id, end_eps in cand_end_eps.items():
-            count = counts.get(node_id, 0)
-            if not count:
-                continue
-            chosen_starts = self._starts[node_id][:count]
-            chosen_ends_eps = self._ends_eps[node_id][:count]
-            if bool(
-                ((start < chosen_ends_eps) & (chosen_starts < end_eps)).any()
-            ):
-                return True
+            for chosen_start, chosen_end_eps in spans.get(node_id, ()):
+                if start < chosen_end_eps and chosen_start < end_eps:
+                    return True
         return False
 
 
@@ -170,8 +117,33 @@ def greedy_combination(
 
     For each job (highest priority first) pick the alternative with the
     smallest criterion value that does not conflict with already chosen
-    windows and fits the remaining VO budget.  Linear in the total number
-    of alternatives; the scheme the metascheduler uses on-line.
+    windows and fits the remaining VO budget: the scheme the
+    metascheduler uses on-line.
+
+    Phase one hands every job of one request class a copy of one list
+    of the same :class:`Window` objects
+    (:meth:`~repro.core.algorithms.base.SlotSelectionAlgorithm.find_alternatives_batch`).
+    Such a list is ranked once, and each job resumes it where the last
+    job holding it stopped.  Lists are matched by the identity of their
+    windows, in order (``tuple(map(id, options))``), not by equality: a
+    job must be given its own list's objects.  The memo keeps every
+    ranked list alive, so no id is reused while the pass runs; it is
+    only looked up, never iterated.
+
+    *Exactness.*  A window is passed over for one of two reasons.
+    Either ``total_cost > remaining + 1e-9``, and ``remaining`` only
+    falls, because a chosen cost is ``>= 0`` (node prices are) and
+    float ``-`` of a non-negative number does not raise it.  Or it
+    conflicts with a chosen window, and the chosen set only grows.
+    Either way a window passed over for one job is passed over for
+    every later job, so a later job holding the same list starts where
+    the last one stopped: at the *selected* window itself, not after
+    it, since a window whose legs are all at most ``TIME_EPSILON`` long
+    does not conflict with itself and may be assigned twice.  So each
+    list is walked once per batch.  A selected window that would raise
+    ``remaining`` or make it NaN (a negative or NaN cost, which only a
+    hand-built window can have) clears the memo, and lists are walked
+    afresh from there.
     """
     ordered = sorted(jobs, key=lambda job: -job.priority)
     chosen = ConflictIndex()
@@ -179,119 +151,37 @@ def greedy_combination(
     unscheduled: list[str] = []
     remaining_budget = float("inf") if vo_budget is None else vo_budget
     total_value = 0.0
+    # Window ids in order -> [the list ranked by criterion, resume index].
+    ranked_lists: dict[tuple[int, ...], list] = {}
     for job in ordered:
         options = alternatives.get(job.job_id, ())
-        ranked = sorted(options, key=criterion.evaluate)
-        selected: Optional[Window] = None
-        for window in ranked:
+        key = tuple(map(id, options))
+        entry = ranked_lists.get(key)
+        if entry is None:
+            entry = [sorted(options, key=criterion.evaluate), 0]
+            ranked_lists[key] = entry
+        ranked = entry[0]
+        for index in range(entry[1], len(ranked)):
+            window = ranked[index]
             if window.total_cost > remaining_budget + 1e-9:
                 continue
             if chosen.conflicts(window):
                 continue
-            selected = window
             break
-        if selected is None:
+        else:
+            entry[1] = len(ranked)
             unscheduled.append(job.job_id)
             continue
-        chosen.push(selected)
-        assignments[job.job_id] = selected
-        remaining_budget -= selected.total_cost
-        total_value += criterion.evaluate(selected)
+        entry[1] = index
+        chosen.push(window)
+        assignments[job.job_id] = window
+        left = remaining_budget - window.total_cost
+        if not left <= remaining_budget:
+            ranked_lists.clear()  # a negative or NaN cost
+        remaining_budget = left
+        total_value += criterion.evaluate(window)
     return CombinationChoice(
         assignments=assignments,
         total_value=total_value,
         unscheduled=tuple(unscheduled),
-    )
-
-
-@dataclass
-class _SearchState:
-    best_value: float = float("inf")
-    best_scheduled: int = -1
-    best_assignments: dict[str, Window] = field(default_factory=dict)
-
-
-def optimal_combination(
-    jobs: Sequence[Job],
-    alternatives: dict[str, Sequence[Window]],
-    criterion: Criterion = Criterion.COST,
-    vo_budget: Optional[float] = None,
-    max_nodes_expanded: int = 200_000,
-) -> CombinationChoice:
-    """Exact phase-two selection by branch and bound.
-
-    Maximizes the number of scheduled jobs first, then minimizes the total
-    criterion value — the lexicographic objective the VO administrator
-    cares about.  Exponential in the worst case; ``max_nodes_expanded``
-    bounds the search and raises :class:`SchedulingError` when exceeded, to
-    keep misuse loud.
-    """
-    ordered = sorted(jobs, key=lambda job: -job.priority)
-    state = _SearchState()
-    budget = float("inf") if vo_budget is None else vo_budget
-    expanded = 0
-
-    options_by_job: list[tuple[Job, list[Window]]] = [
-        (job, sorted(alternatives.get(job.job_id, ()), key=criterion.evaluate))
-        for job in ordered
-    ]
-
-    def visit(
-        index: int,
-        chosen: ConflictIndex,
-        assignments: dict[str, Window],
-        value: float,
-        cost: float,
-    ) -> None:
-        """Depth-first branch-and-bound recursion."""
-        nonlocal expanded
-        expanded += 1
-        if expanded > max_nodes_expanded:
-            raise SchedulingError(
-                f"optimal_combination exceeded {max_nodes_expanded} search nodes; "
-                "use greedy_combination for batches of this size"
-            )
-        if index == len(options_by_job):
-            scheduled = len(assignments)
-            if scheduled > state.best_scheduled or (
-                scheduled == state.best_scheduled and value < state.best_value
-            ):
-                state.best_scheduled = scheduled
-                state.best_value = value
-                state.best_assignments = dict(assignments)
-            return
-        # Bound: even scheduling every remaining job cannot beat the best.
-        remaining = len(options_by_job) - index
-        if len(assignments) + remaining < state.best_scheduled:
-            return
-        job, options = options_by_job[index]
-        for window in options:
-            if cost + window.total_cost > budget + 1e-9:
-                continue
-            if chosen.conflicts(window):
-                continue
-            chosen.push(window)
-            assignments[job.job_id] = window
-            visit(
-                index + 1,
-                chosen,
-                assignments,
-                value + criterion.evaluate(window),
-                cost + window.total_cost,
-            )
-            chosen.pop()
-            del assignments[job.job_id]
-        # Also consider leaving the job unscheduled.
-        visit(index + 1, chosen, assignments, value, cost)
-
-    visit(0, ConflictIndex(), {}, 0.0, 0.0)
-    scheduled_ids = set(state.best_assignments)
-    unscheduled = tuple(job.job_id for job in ordered if job.job_id not in scheduled_ids)
-    total_value = (
-        state.best_value if state.best_scheduled > 0 else 0.0
-    )
-    return CombinationChoice(
-        assignments=state.best_assignments,
-        total_value=total_value,
-        unscheduled=unscheduled,
     )

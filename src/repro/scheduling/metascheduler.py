@@ -26,11 +26,7 @@ from repro.model.errors import SchedulingError
 from repro.model.job import Job, JobBatch
 from repro.model.slotpool import SlotPool
 from repro.model.window import Window
-from repro.scheduling.combination import (
-    CombinationChoice,
-    greedy_combination,
-    optimal_combination,
-)
+from repro.scheduling.combination import CombinationChoice, greedy_combination
 
 
 @dataclass(frozen=True)
@@ -82,8 +78,6 @@ class BatchScheduler:
         Phase-two selection criterion (VO policy).
     vo_budget:
         Optional cap on the combined cost of the chosen windows.
-    exact_phase2:
-        Use the exact branch-and-bound selector instead of the greedy one.
     alternatives_per_job:
         Optional cap passed to the phase-one search.
     consume_slots:
@@ -97,7 +91,6 @@ class BatchScheduler:
     search: SlotSelectionAlgorithm = field(default_factory=CSA)
     criterion: Criterion = Criterion.COST
     vo_budget: Optional[float] = None
-    exact_phase2: bool = False
     alternatives_per_job: Optional[int] = None
     consume_slots: bool = False
 
@@ -148,10 +141,6 @@ class BatchScheduler:
     ) -> CombinationChoice:
         """Phase two: one alternative per job under the VO policy."""
         jobs: Sequence[Job] = batch.by_priority()
-        if self.exact_phase2:
-            return optimal_combination(
-                jobs, alternatives, self.criterion, self.vo_budget
-            )
         return greedy_combination(jobs, alternatives, self.criterion, self.vo_budget)
 
     def plan(

@@ -286,10 +286,6 @@ class EventEmitter:
         """Attach one more consumer (takes effect on the next emit)."""
         self._sinks.append(sink)
 
-    def set_clock(self, clock: Callable[[], float]) -> None:
-        """Rebind the virtual-time source (the broker's ``now``)."""
-        self._clock = clock
-
     def emit(
         self, event_type: EventType, job_id: Optional[str] = None, **fields: object
     ) -> Optional[Event]:

@@ -60,10 +60,6 @@ class CycleSummary:
     csa_selections: dict[Criterion, Optional[dict[Criterion, float]]]
     slot_count: int
 
-    def metrics_of(self, algorithm_name: str) -> Optional[dict[Criterion, float]]:
-        """The named algorithm's criterion record this cycle (or ``None``)."""
-        return self.windows.get(algorithm_name)
-
 
 @dataclass(frozen=True)
 class CycleOutcome:

@@ -326,6 +326,136 @@ class TestHandBuiltPools:
         assert [window.nodes() for window in found] == [[7, 2, 3], [9, 4, 5]]
 
 
+class TestCandidateExpiredOnArrival:
+    """A candidate whose expiry time is already below its own step's
+    threshold: the plan's insertability test keeps it (in reals the two
+    tests are one), but in floats a slot end a few ulps inside that test
+    can give ``end - required_time < start - epsilon`` when the runtime
+    dwarfs the start.  The generic loop inserts it and drops it at the
+    next step; so must the cheapest sweep."""
+
+    # start 0.88..., runtime 1.52e6: end - start passes ``>= runtime -
+    # epsilon``, while end - runtime falls below start - epsilon.
+    START = 0.8800301687734118
+    END = 1522731.6770924227
+    RUNTIME = 1522730.797062255
+
+    @staticmethod
+    def generic_procedure(request, pool):
+        """AMP re-run and cut with every scan on the generic loop."""
+        working = pool.copy()
+        found = []
+        while True:
+            window = AMP("cheapest").select(request, iter(working.ordered()))
+            if window is None:
+                return found
+            found.append(window)
+            working.cut_window(window, mode="consume")
+
+    def pool(self, *later):
+        # performance 1.0 makes the node's runtime the reservation time.
+        slots = [make_slot(0, self.START, self.END, performance=1.0, price=1e-6)]
+        slots += [
+            make_slot(node_id, start, 1e7, performance=1e6, price=1e-6)
+            for node_id, start in enumerate(later, start=1)
+        ]
+        return SlotPool.from_slots(slots)
+
+    def test_the_constructed_slot_sits_on_the_float_boundary(self):
+        assert self.END - self.START >= self.RUNTIME - TIME_EPSILON
+        assert self.END - self.RUNTIME < self.START - TIME_EPSILON
+
+    @pytest.mark.parametrize("later", [(1.0,), (1.0, 2.0), (2.0, 2.0, 3.0)])
+    def test_dead_candidate_is_dropped_at_the_next_step(self, later):
+        pool = self.pool(*later)
+        request = ResourceRequest(node_count=2, reservation_time=self.RUNTIME)
+        found = sweep_csa("cheapest").find_alternatives(request, pool)
+        expected = self.generic_procedure(request, pool)
+        assert found == expected
+        assert same_windows(found, expected)
+        for window in found:
+            window.validate(request)
+            assert 0 not in window.nodes()
+
+    def test_dead_candidate_is_dropped_in_the_survivor_walk(self, monkeypatch):
+        # Cheapest of all, next to six slots the budget cannot afford:
+        # the sweep walks the three survivors alone.
+        slots = [make_slot(0, self.START, self.END, performance=1.0, price=1e-9)]
+        slots += [
+            make_slot(node_id, start, 1e7, performance=1e6, price=2e-3)
+            for node_id, start in ((1, 1.0), (2, 2.0))
+        ]
+        slots += [
+            make_slot(node_id, 5.0, 1e7, performance=1e6, price=1.0)
+            for node_id in range(3, 9)
+        ]
+        pool = SlotPool.from_slots(slots)
+        request = ResourceRequest(
+            node_count=2, reservation_time=self.RUNTIME, budget=0.01
+        )
+        regimes = sweep_regimes(monkeypatch)
+        found = sweep_csa("cheapest").find_alternatives(request, pool)
+        assert regimes == {"walk": 1}
+        expected = self.generic_procedure(request, pool)
+        assert found == expected
+        assert [window.nodes() for window in found] == [[1, 2]]
+
+    @staticmethod
+    def arrival_expired_end(start, runtime):
+        """A slot end that passes the insertable test at ``start`` while
+        ``end - runtime`` falls below ``start - epsilon``, or ``None``."""
+        end = start + runtime
+        for _ in range(8):
+            if end - start >= runtime - TIME_EPSILON and (
+                end - runtime < start - TIME_EPSILON
+            ):
+                return end
+            end = math.nextafter(end, -math.inf)
+        return None
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_pools_with_candidates_expired_on_arrival(self, seed):
+        rng = np.random.default_rng(seed)
+        runtime = float(rng.uniform(1e6, 1e7))
+        slots = []
+        for node_id in range(14):
+            start = float(rng.uniform(0.0, 4.0))
+            end = self.arrival_expired_end(start, runtime)
+            if end is not None and rng.random() < 0.6:
+                price = float(rng.choice([1e-9, 1e-6]))
+                slots.append(make_slot(node_id, start, end, performance=1.0, price=price))
+            else:
+                length = float(rng.uniform(1.0, 8.0))
+                slots.append(
+                    make_slot(node_id, start, start + length, performance=1e6,
+                              price=float(rng.choice([1e-3, 1.0])))
+                )
+        pool = SlotPool.from_slots(slots)
+        for node_count in (1, 2, 3):
+            for budget in (None, 0.02, 5.0):
+                request = ResourceRequest(
+                    node_count=node_count, reservation_time=runtime, budget=budget
+                )
+                found = sweep_csa("cheapest").find_alternatives(request, pool)
+                expected = self.generic_procedure(request, pool)
+                assert found == expected, (node_count, budget)
+                assert same_windows(found, expected)
+
+    def test_dead_candidate_is_alive_at_its_own_step(self):
+        # A partner already waiting at the dead candidate's own start
+        # completes a window there, as in the generic loop.
+        slots = [
+            make_slot(1, 0.0, 1e7, performance=1.0, price=1e-6),
+            make_slot(0, self.START, self.END, performance=1.0, price=1e-6),
+        ]
+        pool = SlotPool.from_slots(slots)
+        request = ResourceRequest(node_count=2, reservation_time=self.RUNTIME)
+        found = sweep_csa("cheapest").find_alternatives(request, pool)
+        expected = self.generic_procedure(request, pool)
+        assert found == expected
+        assert [window.start for window in found] == [self.START]
+
+
 class TestDoomedCheapestSweep:
     """The cheapest sweep returns at once when the plan's n cheapest cost
     ranks already bust the budget — and only then."""

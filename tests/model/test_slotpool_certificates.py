@@ -226,6 +226,39 @@ STORM_OPS = (
 )
 
 
+class TestExpiryNearAThreshold:
+    """A cheapest-policy zero is no certificate on a plan where a
+    candidate's expiry time lies a few ulps below a later candidate's
+    threshold: cutting that candidate's slot to start there can leave it
+    expired on arrival, alive at its own step only, and a window forms
+    there that the old pool never had."""
+
+    # Node 0 runs 1.52e6 (performance 1.0); its slot, cut to start at
+    # CUT, passes the insertable test yet has end - runtime below CUT -
+    # epsilon.  Node 1 starts between that expiry time and CUT.
+    CUT = 0.8800301687734118
+    END = 1522731.6770924227
+    RUNTIME = 1522730.797062255
+    PARTNER = 0.88003016876
+
+    def test_zero_before_the_cut_is_not_recorded(self):
+        pool = SlotPool.from_slots(
+            [
+                make_slot(0, 0.5, self.END, performance=1.0, price=1e-6),
+                make_slot(1, self.PARTNER, 1e7, performance=1e6, price=1e-6),
+            ]
+        )
+        request = ResourceRequest(node_count=2, reservation_time=self.RUNTIME)
+        assert vectorized_alternatives(request, pool, None, "cheapest") == []
+        pool.trim_before(self.CUT)
+        found, certified = certified_delta(
+            lambda: vectorized_alternatives(request, pool, None, "cheapest")
+        )
+        assert certified == 0
+        assert [window.nodes() for window in found] == [[1, 0]]
+        assert found == vectorized_alternatives(request, rebuilt(pool), None, "cheapest")
+
+
 def storm_slots(rng: np.random.Generator, nodes: int, touching: bool) -> list[Slot]:
     """Several slots per node; with ``touching``, some of them abut."""
     slots = []

@@ -1,11 +1,19 @@
-"""Unit tests for the phase-two combination selectors."""
+"""Unit tests for phase two: the greedy pass, its conflict index, and the
+oracles they are held to (``tests/scheduling/oracle.py``)."""
 
 import pytest
 
 from repro.core import Criterion
 from repro.model import Job, ResourceRequest, SchedulingError, Window, WindowSlot
-from repro.scheduling import greedy_combination, optimal_combination
+from repro.model.slot import TIME_EPSILON
+from repro.scheduling import greedy_combination
+from repro.scheduling.combination import ConflictIndex
 from tests.conftest import make_slot
+from tests.scheduling.oracle import (
+    conflicts_with_any,
+    optimal_combination,
+    reference_greedy,
+)
 
 
 def window(node_ids, start=0.0, price=2.0, performance=4.0):
@@ -154,17 +162,12 @@ class TestOptimal:
 
 
 class TestConflictIndexEquivalence:
-    """The interval index must accept/reject exactly like the pairwise
-    ``Window.conflicts_with`` loop it replaced — including at
-    TIME_EPSILON boundaries and for windows reusing a node."""
+    """The span index must accept/reject exactly like the pairwise
+    ``Window.conflicts_with`` loop — including at TIME_EPSILON
+    boundaries and for windows reusing a node."""
 
-    def test_randomized_push_pop_equivalence(self):
+    def test_randomized_push_equivalence(self):
         import random
-
-        from repro.scheduling.combination import (
-            ConflictIndex,
-            _conflicts_with_any,
-        )
 
         rng = random.Random(2013)
         for _trial in range(20):
@@ -177,24 +180,14 @@ class TestConflictIndexEquivalence:
                     start=rng.uniform(0.0, 40.0),
                     performance=rng.choice([2.0, 4.0, 8.0]),
                 )
-                assert index.conflicts(candidate) == _conflicts_with_any(
+                assert index.conflicts(candidate) == conflicts_with_any(
                     candidate, chosen
                 ), (len(chosen), candidate.start)
-                if rng.random() < 0.6:
+                if rng.random() < 0.3:
                     index.push(candidate)
                     chosen.append(candidate)
-                elif chosen:
-                    index.pop()
-                    chosen.pop()
-            assert len(index) == len(chosen)
 
     def test_epsilon_boundary_cases(self):
-        from repro.model.slot import TIME_EPSILON
-        from repro.scheduling.combination import (
-            ConflictIndex,
-            _conflicts_with_any,
-        )
-
         # performance=4.0, reservation 20.0 -> required_time 5.0, so the
         # chosen window occupies node 0 over [10, 15).
         base = window([0], start=10.0, performance=4.0)
@@ -211,16 +204,11 @@ class TestConflictIndexEquivalence:
                 candidate = window([0], start=boundary + delta, performance=4.0)
                 index = ConflictIndex()
                 index.push(base)
-                assert index.conflicts(candidate) == _conflicts_with_any(
+                assert index.conflicts(candidate) == conflicts_with_any(
                     candidate, [base]
                 ), (boundary, delta)
 
     def test_node_reused_within_window_matches_reference(self):
-        from repro.scheduling.combination import (
-            ConflictIndex,
-            _conflicts_with_any,
-        )
-
         request = ResourceRequest(node_count=2, reservation_time=20.0)
         # Candidate side: conflicts_with keeps the *last* leg per node
         # (dict comprehension), so a candidate whose legs on node 0 have
@@ -235,7 +223,7 @@ class TestConflictIndexEquivalence:
         index = ConflictIndex()
         index.push(chosen)
         verdict = index.conflicts(candidate)
-        assert verdict == _conflicts_with_any(candidate, [chosen])
+        assert verdict == conflicts_with_any(candidate, [chosen])
         assert verdict is False
         # Chosen side: conflicts_with iterates *every* leg of the other
         # window, so a chosen window whose first leg covers [10, 15)
@@ -254,20 +242,83 @@ class TestConflictIndexEquivalence:
         blocked = ConflictIndex()
         blocked.push(multi_chosen)
         verdict = blocked.conflicts(late)
-        assert verdict == _conflicts_with_any(late, [multi_chosen])
+        assert verdict == conflicts_with_any(late, [multi_chosen])
         assert verdict is True
 
-    def test_pop_restores_prior_state(self):
-        from repro.scheduling.combination import ConflictIndex
 
-        first = window([0], start=0.0)
-        second = window([0], start=1.0)
-        index = ConflictIndex()
-        index.push(first)
-        assert index.conflicts(second)
-        index.push(second)
-        index.pop()
-        assert index.conflicts(second)  # still conflicts with `first`
-        index.pop()
-        assert not index.conflicts(second)
-        assert len(index) == 0
+def leg(node_id, required_time, cost):
+    """A leg with explicit runtime and cost (hand-built, any sign)."""
+    return WindowSlot(
+        slot=make_slot(node_id, 0.0, 1000.0), required_time=required_time, cost=cost
+    )
+
+
+class TestResumeOnSharedLists:
+    """Classmates hold copies of one list of the same ``Window`` objects;
+    the greedy pass ranks it once and resumes where the last classmate
+    stopped, deciding exactly what :func:`reference_greedy` decides."""
+
+    @staticmethod
+    def assert_same_choice(choice, expected):
+        assert choice.assignments.keys() == expected.assignments.keys()
+        for job_id, chosen in expected.assignments.items():
+            assert choice.assignments[job_id] is chosen
+        assert choice.unscheduled == expected.unscheduled
+        assert choice.total_value.hex() == expected.total_value.hex()
+
+    def test_sub_epsilon_window_is_assigned_to_every_classmate(self):
+        # Legs at most TIME_EPSILON long do not conflict with themselves,
+        # so the reference assigns the cheapest window to both
+        # classmates: the resume point is the selected window, not the
+        # one after it.
+        tiny = Window(start=5.0, slots=(leg(0, TIME_EPSILON / 2.0, 1.0),))
+        dear = Window(start=5.0, slots=(leg(1, 10.0, 9.0),))
+        shared = [dear, tiny]
+        jobs = [job("a", priority=2), job("b", priority=1)]
+        alternatives = {"a": list(shared), "b": list(shared)}
+        choice = greedy_combination(jobs, alternatives, Criterion.COST)
+        self.assert_same_choice(
+            choice, reference_greedy(jobs, alternatives, Criterion.COST)
+        )
+        assert choice.assignments["a"] is tiny
+        assert choice.assignments["b"] is tiny
+
+    def test_classmates_take_successive_windows_of_one_list(self):
+        shared = [window([node], price=float(node + 1)) for node in range(4)]
+        jobs = [job(f"j{i}", priority=i % 3) for i in range(6)]
+        alternatives = {j.job_id: list(shared) for j in jobs}
+        choice = greedy_combination(jobs, alternatives, Criterion.COST)
+        self.assert_same_choice(
+            choice, reference_greedy(jobs, alternatives, Criterion.COST)
+        )
+        assert choice.scheduled_count == 4
+        assert len(choice.unscheduled) == 2
+
+    def test_equal_but_distinct_windows_are_not_shared(self):
+        # Lists are matched by identity: a job is given its own objects
+        # even when another job's list compares equal.
+        jobs = [job("a", priority=2), job("b", priority=1)]
+        alternatives = {
+            "a": [window([0]), window([1])],
+            "b": [window([0]), window([1])],
+        }
+        assert alternatives["a"] == alternatives["b"]
+        choice = greedy_combination(jobs, alternatives, Criterion.COST)
+        assert choice.assignments["a"] is alternatives["a"][0]
+        assert choice.assignments["b"] is alternatives["b"][1]
+
+    def test_negative_cost_clears_the_resume_points(self):
+        # "early" finds the shared list over budget; a hand-built window
+        # with a negative cost then raises the remaining budget, so a
+        # later classmate can afford what "early" could not.
+        pricey = Window(start=0.0, slots=(leg(0, 5.0, 30.0),))
+        rebate = Window(start=0.0, slots=(leg(1, 5.0, -20.0),))
+        jobs = [job("early", priority=9), job("refund", priority=5), job("late")]
+        alternatives = {"early": [pricey], "refund": [rebate], "late": [pricey]}
+        choice = greedy_combination(jobs, alternatives, Criterion.COST, vo_budget=20.0)
+        self.assert_same_choice(
+            choice,
+            reference_greedy(jobs, alternatives, Criterion.COST, vo_budget=20.0),
+        )
+        assert choice.unscheduled == ("early",)
+        assert choice.assignments["late"] is pricey

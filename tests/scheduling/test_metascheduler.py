@@ -6,6 +6,7 @@ from repro.core import CSA, Criterion, MinCost
 from repro.environment import EnvironmentConfig, EnvironmentGenerator
 from repro.model import Job, JobBatch, ResourceRequest
 from repro.scheduling import BatchScheduler
+from tests.scheduling.oracle import optimal_combination
 
 
 @pytest.fixture
@@ -95,10 +96,11 @@ class TestRunCycle:
         batch = batch_of(("a", 2, 5), ("b", 2, 4), ("c", 2, 3))
         pool = environment.slot_pool()
         greedy = BatchScheduler(search=CSA(max_alternatives=4))
-        exact = BatchScheduler(search=CSA(max_alternatives=4), exact_phase2=True)
         alternatives = greedy.find_alternatives(batch, pool)
         greedy_choice = greedy.choose_combination(batch, alternatives)
-        exact_choice = exact.choose_combination(batch, alternatives)
+        exact_choice = optimal_combination(
+            batch.by_priority(), alternatives, greedy.criterion, greedy.vo_budget
+        )
         assert exact_choice.scheduled_count >= greedy_choice.scheduled_count
 
     def test_successive_cycles_use_residual_capacity(self, environment):
