@@ -1,7 +1,6 @@
 """The paper's contribution: the AEP scan, extractors and algorithms."""
 
 from repro.core.aep import ScanResult, aep_scan, request_of
-from repro.core.batchscan import batch_aep_scan, scan_class_key
 from repro.core.candidates import LegFactory
 from repro.core.composite import (
     constrained_best,
@@ -45,8 +44,6 @@ from repro.core.extractors import (
 __all__ = [
     "aep_scan",
     "AMP",
-    "batch_aep_scan",
-    "scan_class_key",
     "best_window",
     "BalancedEdgeExtractor",
     "cheapest_subset",

@@ -77,13 +77,6 @@ class AMP(SlotSelectionAlgorithm):
             return result.window if result is not None else None
         return self._select_first_policy(job, pool, leg_factory=leg_factory)
 
-    def _batch_scan_spec(self):
-        """The cheapest policy is a stop-at-first AEP scan; the
-        paper-faithful eviction scan is not (generic grouping applies)."""
-        if self.policy == "cheapest":
-            return (self._extractor, True)
-        return None
-
     def _select_first_policy(
         self,
         job: JobLike,

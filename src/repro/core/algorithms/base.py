@@ -53,18 +53,6 @@ class SlotSelectionAlgorithm(abc.ABC):
             return []
         return [window]
 
-    def _batch_scan_spec(self):
-        """``(extractor, stop_at_first)`` when ``select`` is a plain AEP scan.
-
-        Algorithms whose ``select`` is exactly ``aep_scan(job, pool,
-        extractor, stop_at_first=...)`` return the pair here, routing
-        :meth:`find_alternatives_batch` through the batched kernel
-        (:func:`repro.core.batchscan.batch_aep_scan`) — one scan per
-        request class, shared sweeps for budget-only-varying classes.
-        ``None`` (the default) keeps the generic per-class dispatch.
-        """
-        return None
-
     def find_alternatives_batch(
         self,
         jobs: list[JobLike],
@@ -88,15 +76,6 @@ class SlotSelectionAlgorithm(abc.ABC):
         if not self.deterministic:
             # Per-job dispatch preserves the random stream consumption.
             return [self.find_alternatives(job, pool, limit) for job in job_list]
-        spec = self._batch_scan_spec()
-        if spec is not None:
-            from repro.core.batchscan import batch_aep_scan
-
-            extractor, stop_at_first = spec
-            results = batch_aep_scan(
-                job_list, pool, extractor, stop_at_first=stop_at_first
-            )
-            return [[] if res is None else [res.window] for res in results]
         from repro.core.aep import request_of
         from repro.core.vectorized import scan_counters
 

@@ -74,10 +74,3 @@ class MinProcTime(SlotSelectionAlgorithm):
         """Best window for ``job`` by this algorithm's criterion (see base class)."""
         result = aep_scan(job, pool, self._extractor)
         return result.window if result is not None else None
-
-    def _batch_scan_spec(self):
-        """Optimizing variants are plain AEP scans; the randomized one
-        is excluded by ``deterministic = False`` before this is consulted."""
-        if self.simplified:
-            return None
-        return (self._extractor, False)

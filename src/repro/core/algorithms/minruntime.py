@@ -44,7 +44,3 @@ class MinRunTime(SlotSelectionAlgorithm):
         """Best window for ``job`` by this algorithm's criterion (see base class)."""
         result = aep_scan(job, pool, self._extractor)
         return result.window if result is not None else None
-
-    def _batch_scan_spec(self):
-        """Plain AEP scan: batch cycles through the grouped kernel."""
-        return (self._extractor, False)

@@ -38,16 +38,3 @@ class LegFactory:
             self._cache[node.node_id] = cached
         return WindowSlot(slot=slot, required_time=cached[0], cost=cached[1])
 
-
-def leg_shape_key(request: ResourceRequest) -> tuple:
-    """Grouping key under which :class:`LegFactory` caches are shareable.
-
-    A leg's runtime is ``node.task_runtime(reservation_time,
-    reference_performance)`` and its cost follows from the runtime alone,
-    so factories built for requests agreeing on these two fields produce
-    identical legs.  The batched scan layer
-    (:mod:`repro.core.batchscan`) shares one factory per shape across
-    the budget/deadline/count-varying requests of a cycle's fallback
-    scans.
-    """
-    return (request.reservation_time, request.reference_performance)

@@ -32,12 +32,13 @@ the stock extractors *byte for byte*:
    outcome.  A criterion is a small *rule*: ``expire`` and ``add`` hooks
    that keep the sorted-rank structures its extraction reads (one
    :class:`_TopN` each), and a ``step`` hook, a skip bound followed by
-   the primitive replay of its ``extract``.  There are three rules.
-   :class:`_Walk` serves MinRuntime and MinFinish, substitution or
-   exact; the four differ only in the skip bound and the
-   ``window_start +`` offset of the value.  :class:`_Greedy` is the
-   additive swap search, and :class:`_Random` the paper's randomized
-   MinProcTime.
+   the primitive replay of its ``extract``.  There are four rules.
+   :class:`_Cheapest` serves earliest start and minimum total cost (the
+   n cheapest alive, if their cost sum fits the budget).  :class:`_Walk`
+   serves MinRuntime and MinFinish, substitution or exact; the four
+   differ only in the skip bound and the ``window_start +`` offset of
+   the value.  :class:`_Greedy` is the additive swap search, and
+   :class:`_Random` the paper's randomized MinProcTime.
 3. **Skip bounds**: the walk and greedy rules only run their extraction
    at steps a provable lower bound says could still win.  MinRuntime
    uses a *budget-aware* certificate: a window beating the incumbent
@@ -59,23 +60,15 @@ selection by any key but the runtime, one-shot iterators and non-sorted
 slot inputs return :data:`UNSUPPORTED` and the caller runs the generic
 loop.
 
-Three sweeps stay outside the skeleton, each for a reason:
-
-- :func:`_run_cheapest_multi` (earliest start and minimum total cost)
-  resolves several budgets in one pass for
-  :func:`repro.core.batchscan.batch_aep_scan`, each budget with its own
-  incumbent and, under ``stop_at_first``, its own snapshot of the
-  counters; the skeleton keeps one of each.  A single cheapest scan is
-  its one-budget case, so routing that through the skeleton would add a
-  second cheapest path rather than remove one.  It costs 88 code lines.
-- :func:`_run_cheapest_consume` and :func:`_run_first_consume` answer
-  CSA's question — *every* earliest-start window, each on the pool
-  without its predecessors' slots — in one sweep instead of one scan
-  per alternative (:func:`vectorized_alternatives`).  Their state is not
-  one alive set: consumed flags that the expiry pointer skips, and for
-  the paper's eviction policy a restart from per-step checkpoints of
-  the waiting list.  They are also the hot path of all four broker
-  workloads, which the skeleton's per-slot hook calls would tax.
+Two sweeps stay outside the skeleton.  :func:`_run_cheapest_consume`
+and :func:`_run_first_consume` answer CSA's question — *every*
+earliest-start window, each on the pool without its predecessors'
+slots — in one sweep instead of one scan per alternative
+(:func:`vectorized_alternatives`).  Their state is not one alive set:
+consumed flags that the expiry pointer skips, and for the paper's
+eviction policy a restart from per-step checkpoints of the waiting
+list.  They are also the hot path of all four broker workloads, which
+the skeleton's per-slot hook calls would tax.
 
 The cheapest consume sweep also knows, before it starts, which
 candidates can ever be in a window: the budget admits a cost rank only
@@ -158,11 +151,10 @@ UNSUPPORTED = object()
 #: scan (:func:`vectorized_alternatives`),
 #: of scan plans computed vs. reused from a snapshot's cache (the
 #: reuse the rolling-horizon broker banks on between mutations), and of
-#: the batched entry points' request-class grouping: how many jobs
-#: entered a grouped call, how many distinct scan classes they folded
-#: into, how many rode another class member's result for free, and how
-#: many classes were served by a shared multi-budget sweep
-#: (:func:`repro.core.batchscan.batch_aep_scan`).
+#: request-class grouping in
+#: :meth:`~repro.core.algorithms.base.SlotSelectionAlgorithm.find_alternatives_batch`:
+#: how many jobs entered a grouped call, how many distinct requests they
+#: folded into, and how many rode another class member's search for free.
 scan_counters = {
     "vectorized": 0,
     "fallback": 0,
@@ -172,8 +164,9 @@ scan_counters = {
     "grouped_jobs": 0,
     "grouped_classes": 0,
     "grouped_shared": 0,
+    # Always 0: no search shares a sweep.  The benchmark harness still
+    # reports the key.
     "batch_sweeps": 0,
-    "batch_sweep_classes": 0,
 }
 
 #: Per-snapshot plan cache bound.  A broker cycle scans one snapshot
@@ -427,7 +420,7 @@ def _first_extras(plan: _ScanPlan, arrays: SlotArrays) -> dict:
 
 
 def _arrival_expired(plan: _ScanPlan) -> dict:
-    """Cost rank -> expiry time of every candidate whose expiry time is
+    """Candidate -> expiry time of every candidate whose expiry time is
     below its own threshold ``start - TIME_EPSILON``, lazily cached.
 
     The plan's insertable test rules such a candidate out in reals; in
@@ -441,10 +434,7 @@ def _arrival_expired(plan: _ScanPlan) -> dict:
         expired = np.flatnonzero(
             plan.expire_c < plan.start_m[plan.insertable] - TIME_EPSILON
         )
-        found = {
-            plan.cand_crank[cand]: float(plan.expire_c[cand])
-            for cand in expired.tolist()
-        }
+        found = {cand: float(plan.expire_c[cand]) for cand in expired.tolist()}
         plan.extras["arrival_expired"] = found
     return found
 
@@ -489,28 +479,16 @@ def vectorized_scan(
         scan_counters["fallback"] += 1
         return UNSUPPORTED
     scan_counters["vectorized"] += 1
-    outcome = rule.scan(
-        plan, arrays, request.node_count, _budget_of(request), stop_at_first
+    value, best_cands, best_start, steps, peak, inserted, expired, break_pos = (
+        rule.scan(plan, arrays, request.node_count, _budget_of(request), stop_at_first)
     )
-    return _materialize(plan, slot_list, outcome)
-
-
-def _materialize(plan, slot_list, outcome) -> Optional[ScanResult]:
-    """Build the :class:`ScanResult` of one criterion-loop outcome.
-
-    Shared by the per-request scan above and the batched entry point
-    (:mod:`repro.core.batchscan`), which resolves several budgets from
-    one sweep and materializes each winner through this tail.
-    """
-    value, best_cands, best_start, steps, peak, inserted, expired, break_pos = outcome
     if best_cands is None:
         return None
-    scanned = int(plan.mpos[break_pos]) + 1 if break_pos >= 0 else plan.total
     return ScanResult(
         window=_window(plan, slot_list, best_start, best_cands),
         value=value,
         steps=steps,
-        slots_scanned=scanned,
+        slots_scanned=int(plan.mpos[break_pos]) + 1 if break_pos >= 0 else plan.total,
         candidate_peak=peak,
         candidate_inserts=inserted,
         candidate_expiries=expired,
@@ -708,7 +686,7 @@ class _TopN:
 # ----------------------------------------------------------------------
 # The sweep skeleton and its rules.  A scan's outcome is ``(value,
 # candidates, window start, steps, peak, inserts, expiries, break
-# position)``, the tuple :func:`_materialize` reads.
+# position)``, the tuple :func:`vectorized_scan` reads.
 # ----------------------------------------------------------------------
 def _sweep(plan, n, stop_at_first, rule):
     """One AEP pass over the plan, the criterion given by ``rule``.
@@ -720,13 +698,23 @@ def _sweep(plan, n, stop_at_first, rule):
     with at least ``n`` alive and returns ``None`` (skipped, or no
     feasible extraction) or ``(value, candidates)``.  The incumbent, the
     counters and the break are the skeleton's alone.
+
+    A candidate whose expiry time is already below its own step's
+    threshold (:func:`_arrival_expired`) is alive at its own step and
+    expires at the next one, as in the generic loop, which inserts
+    before it next tests expiry.  Its entry in the expiry order is
+    behind the pointer by then: the pointer passes the entries of
+    candidates not yet inserted (only such a candidate can have one
+    below the threshold), and the candidate is expired as ``late``.
     """
     expire, add, step = rule
     loop_cand = plan.loop_cand
     expiry_times = plan.expiry_times
     expiry_cands = plan.expiry_cands
+    arrival_expired = _arrival_expired(plan)
     total_c = plan.count
     pointer = 0
+    late = -1
     alive = inserted = expired = peak = steps = 0
     best_value = float("inf")
     best_start = 0.0
@@ -734,15 +722,25 @@ def _sweep(plan, n, stop_at_first, rule):
     break_pos = -1
     for pos, window_start in enumerate(plan.loop_start):
         threshold = window_start - TIME_EPSILON
+        if late >= 0:
+            expire(late)
+            late = -1
+            expired += 1
+            alive -= 1
         while pointer < total_c and expiry_times[pointer] < threshold:
-            expire(expiry_cands[pointer])
+            cand = expiry_cands[pointer]
             pointer += 1
+            if cand >= inserted:
+                continue  # expired on arrival, not inserted yet
+            expire(cand)
             expired += 1
             alive -= 1
         cand = loop_cand[pos]
         if cand < 0:
             continue
         add(cand)
+        if arrival_expired and cand in arrival_expired:
+            late = cand
         inserted += 1
         alive += 1
         if alive > peak:
@@ -1011,18 +1009,39 @@ class _Random(_Rule):
 
 
 @dataclass(frozen=True)
-class _Cheapest:
-    """Earliest start (``start_valued``) or minimum total cost: the one
-    criterion pair served by :func:`_run_cheapest_multi`, not the
-    skeleton (see the module docstring)."""
+class _Cheapest(_Rule):
+    """Earliest start (``start_valued``) or minimum total cost.
+
+    Both extract the n cheapest alive candidates when their ascending
+    cost sum (``cheapest_subset``'s) fits the budget; the value is the
+    window start or that sum.  No step is skipped: the only work a step
+    does beyond the sum the top-n keeps is the winners' list, built
+    only for an improvement.
+    """
 
     start_valued: bool
 
-    def scan(self, plan, arrays, n, budget, stop_at_first):
-        (outcome,) = _run_cheapest_multi(
-            plan, n, [budget], stop_at_first, self.start_valued
-        )
-        return outcome
+    def hooks(self, plan, arrays, n, budget):
+        start_valued = self.start_valued
+        cand_crank = plan.cand_crank
+        cand_by_crank = plan.cand_by_crank
+        cheap = _TopN(n, plan.count, plan.cost_by_crank)
+
+        def expire(cand):
+            cheap.expire(cand_crank[cand])
+
+        def add(cand):
+            cheap.add(cand_crank[cand])
+
+        def step(window_start, best_value):
+            if cheap.total > budget:
+                return None  # cheapest_subset would return None
+            value = window_start if start_valued else cheap.total
+            if value < best_value - VALUE_EPSILON:
+                return value, [cand_by_crank[r] for r in cheap.top]
+            return None
+
+        return expire, add, step
 
 
 #: The rules of the extractors whose replay reads no parameter of theirs,
@@ -1042,121 +1061,6 @@ _FINISH_RULES = {
 # ----------------------------------------------------------------------
 # The sweeps outside the skeleton.
 # ----------------------------------------------------------------------
-def _run_cheapest_multi(plan, n, budgets, stop_at_first, start_valued):
-    """Start-time / total-cost criteria, for several budgets in one sweep.
-
-    ``budgets`` must be sorted ascending and distinct; a single scan is
-    the one-element case.  The candidate evolution — expiry pointer, the
-    n cheapest alive and their exact ``cheap_sum`` — does not depend on
-    the budget, so one sweep replays every budget's verdicts: at each
-    step the feasible budgets are exactly the suffix
-    ``budgets[bisect_left(budgets, cheap_sum):]`` (feasible iff
-    ``cheap_sum <= budget``, the comparison ``cheapest_subset`` makes).
-    Entry ``j`` of the returned list is byte-identical to scanning
-    ``budgets[j]`` on its own:
-
-    - ``stop_at_first``: each budget resolves at its first feasible
-      step with the running counters snapshot and that step as
-      ``break_pos``; larger budgets resolve no later than smaller ones,
-      so the resolved set is always a suffix and the sweep stops once
-      the smallest budget resolves.
-    - full sweep, start-valued: window starts are non-decreasing, so the
-      first feasible step's extraction is final for that budget (a later
-      start can never satisfy ``value < best - VALUE_EPSILON``); the
-      counters run to the end of the scan.
-    - full sweep, cost-valued: every feasible budget replays the exact
-      per-step improvement comparison, because ``cheap_sum`` may keep
-      shrinking after the first feasible step.
-    """
-    loop_start = plan.loop_start
-    loop_cand = plan.loop_cand
-    expiry_times = plan.expiry_times
-    expiry_cands = plan.expiry_cands
-    cand_crank = plan.cand_crank
-    cand_by_crank = plan.cand_by_crank
-    total_c = plan.count
-    cheap = _TopN(n, total_c, plan.cost_by_crank)
-    pointer = 0
-    alive = inserted = expired = peak = steps = 0
-    count_b = len(budgets)
-    largest = budgets[-1]
-    best_value = [float("inf")] * count_b
-    best_start = [0.0] * count_b
-    best_cands: list = [None] * count_b
-    outcomes: list = [None] * count_b
-    boundary = count_b  # budgets[boundary:] already resolved (suffix)
-    for pos, window_start in enumerate(loop_start):
-        threshold = window_start - TIME_EPSILON
-        while pointer < total_c and expiry_times[pointer] < threshold:
-            cheap.expire(cand_crank[expiry_cands[pointer]])
-            pointer += 1
-            expired += 1
-            alive -= 1
-        cand = loop_cand[pos]
-        if cand < 0:
-            continue
-        cheap.add(cand_crank[cand])
-        inserted += 1
-        alive += 1
-        if alive > peak:
-            peak = alive
-        if alive < n:
-            continue
-        steps += 1
-        cheap_sum = cheap.total
-        if cheap_sum > largest:
-            continue
-        idx = bisect_left(budgets, cheap_sum)
-        value = window_start if start_valued else cheap_sum
-        if stop_at_first:
-            if idx < boundary:
-                cands = [cand_by_crank[r] for r in cheap.top]
-                for j in range(idx, boundary):
-                    outcomes[j] = (
-                        value,
-                        cands,
-                        window_start,
-                        steps,
-                        peak,
-                        inserted,
-                        expired,
-                        pos,
-                    )
-                boundary = idx
-                if boundary == 0:
-                    break
-        elif start_valued:
-            if idx < boundary:
-                cands = [cand_by_crank[r] for r in cheap.top]
-                for j in range(idx, boundary):
-                    best_value[j] = value
-                    best_start[j] = window_start
-                    best_cands[j] = cands
-                boundary = idx
-        else:
-            cands = None
-            for j in range(idx, count_b):
-                if value < best_value[j] - VALUE_EPSILON:
-                    if cands is None:
-                        cands = [cand_by_crank[r] for r in cheap.top]
-                    best_value[j] = value
-                    best_start[j] = window_start
-                    best_cands[j] = cands
-    for j in range(count_b):
-        if outcomes[j] is None:
-            outcomes[j] = (
-                best_value[j],
-                best_cands[j],
-                best_start[j],
-                steps,
-                peak,
-                inserted,
-                expired,
-                -1,
-            )
-    return outcomes
-
-
 def _rank_bound(cost_by_crank, n, budget) -> int:
     """The first cost rank ``r >= n - 1`` with ``head + cost_by_crank[r]
     > budget`` (``len(cost_by_crank)`` if none), where ``head`` is the
@@ -1295,12 +1199,12 @@ def _cheapest_sweep(plan, n, budget, cap, margin):
             continue  # pruned: in no window
         flags[rank] = 1
         alive += 1
-        if arrival_expired and rank in arrival_expired:
+        if arrival_expired and cand in arrival_expired:
             # Expired on arrival: alive at its own step, as in the generic
             # loop.  Its entry may already be behind the pointer, which
             # steps back to meet it again at the next step; every entry
             # re-read on the way is unflagged or expired on arrival too.
-            pointer = min(pointer, bisect_left(expiry_times, arrival_expired[rank]))
+            pointer = min(pointer, bisect_left(expiry_times, arrival_expired[cand]))
         if len(top) == n:
             if rank > top[-1]:
                 continue  # the n cheapest did not change: still over budget

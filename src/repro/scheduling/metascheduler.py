@@ -80,61 +80,33 @@ class BatchScheduler:
         Optional cap on the combined cost of the chosen windows.
     alternatives_per_job:
         Optional cap passed to the phase-one search.
-    consume_slots:
-        When ``True``, each job's chosen alternatives are searched on a
-        pool from which earlier jobs' alternatives were already cut; this
-        guarantees conflict-free alternatives at the price of starving
-        lower-priority jobs.  The default (``False``) searches every job on
-        the same published pool and lets phase two resolve conflicts.
+
+    Phase one searches every job on the same published pool and lets
+    phase two resolve conflicts between their alternatives.
     """
 
     search: SlotSelectionAlgorithm = field(default_factory=CSA)
     criterion: Criterion = Criterion.COST
     vo_budget: Optional[float] = None
     alternatives_per_job: Optional[int] = None
-    consume_slots: bool = False
-
-    @property
-    def shares_searches(self) -> bool:
-        """Whether phase one runs one search per request class.
-
-        Jobs of equal requests share a search only when every job sees
-        the same pool (not ``consume_slots``) and the search is a pure
-        function of it (``search.deterministic``); otherwise every job
-        gets its own search.
-        """
-        return not self.consume_slots and self.search.deterministic
 
     def find_alternatives(
         self, batch: JobBatch, pool: SlotPool
     ) -> dict[str, list[Window]]:
         """Phase one: alternative windows per job, priority order.
 
-        The non-consuming default searches every job against the same
-        published pool, so jobs with equal requests would recompute the
-        identical search; the batch is routed through
+        Every job is searched against the same published pool, so jobs
+        with equal requests would recompute the identical search; the
+        batch is routed through
         :meth:`~repro.core.algorithms.base.SlotSelectionAlgorithm.find_alternatives_batch`,
         which runs one search per request class (decisions are identical
-        to the per-job loop).  ``consume_slots`` keeps the sequential
-        loop: each job's search depends on the cuts of its predecessors,
-        so no two jobs see the same pool and grouping does not apply.
+        to the per-job loop).
         """
-        if not self.consume_slots:
-            jobs = list(batch)
-            found = self.search.find_alternatives_batch(
-                jobs, pool, limit=self.alternatives_per_job
-            )
-            return {job.job_id: windows for job, windows in zip(jobs, found)}
-        alternatives: dict[str, list[Window]] = {}
-        working = pool.copy()
-        for job in batch:
-            found = self.search.find_alternatives(
-                job, working, limit=self.alternatives_per_job
-            )
-            alternatives[job.job_id] = found
-            for window in found:
-                working.cut_window(window)
-        return alternatives
+        jobs = list(batch)
+        found = self.search.find_alternatives_batch(
+            jobs, pool, limit=self.alternatives_per_job
+        )
+        return {job.job_id: windows for job, windows in zip(jobs, found)}
 
     def choose_combination(
         self, batch: JobBatch, alternatives: dict[str, list[Window]]

@@ -573,7 +573,7 @@ class BrokerService:
         self.stats.phase1_jobs += len(cycle.batch)
         self.stats.phase1_classes += (
             len({job.request for job in cycle.batch.jobs})
-            if self.scheduler.shares_searches
+            if self.scheduler.search.deterministic
             else len(cycle.batch)
         )
 

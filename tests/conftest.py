@@ -8,7 +8,7 @@ import copy
 import numpy as np
 import pytest
 
-from repro.core import AMP, aep, batchscan, vectorized
+from repro.core import AMP, aep, vectorized
 from repro.core.algorithms import csa
 from repro.model import CpuNode, Job, NodeSpec, ResourceRequest, Slot, SlotPool
 
@@ -136,13 +136,13 @@ def _generator_state(extractor):
 class KernelShadow:
     """Re-runs every kernel-served scan on the generic loop and compares.
 
-    ``checked`` counts the compared scans (``"scan"``), batch jobs
-    (``"batch"``) and CSA sweeps (``"csa"``); ``divergences`` lists every
-    mismatch as ``(where, request, kernel result, twin result)``.
+    ``checked`` counts the compared scans (``"scan"``) and CSA sweeps
+    (``"csa"``); ``divergences`` lists every mismatch as ``(where,
+    request, kernel result, twin result)``.
     """
 
     def __init__(self) -> None:
-        self.checked = {"scan": 0, "batch": 0, "csa": 0}
+        self.checked = {"scan": 0, "csa": 0}
         self.divergences: list[tuple] = []
 
     @staticmethod
@@ -191,32 +191,6 @@ class KernelShadow:
 
         return shadowed
 
-    def wrap_batch(self, kernel_batch):
-        def shadowed(jobs, slots, extractor, *, stop_at_first=False):
-            job_list = list(jobs)
-            if not isinstance(slots, (SlotPool, list, tuple)):
-                slots = list(slots)
-            twin = copy.deepcopy(extractor)
-            results = kernel_batch(
-                job_list, slots, extractor, stop_at_first=stop_at_first
-            )
-            slot_list = vectorized._resolve_arrays(slots)[1]
-            # Each distinct request is one generic scan, in the order the
-            # batch first meets it (equal requests share one result, so a
-            # random extractor draws once per request either way).
-            generic: dict = {}
-            for job, result in zip(job_list, results):
-                request = aep.request_of(job)
-                if request not in generic:
-                    generic[request] = self._generic(
-                        request, slot_list, twin, stop_at_first
-                    )
-                self._compare("batch", request, result, generic[request])
-            self._compare_streams("batch", None, extractor, twin)
-            return results
-
-        return shadowed
-
     def wrap_alternatives(self, kernel_alternatives):
         def shadowed(request, slots, cap, policy):
             found = kernel_alternatives(request, slots, cap, policy)
@@ -247,8 +221,7 @@ def kernel_shadow(monkeypatch) -> KernelShadow:
     """Shadow every kernel scan with the generic loop for one test.
 
     Wraps ``repro.core.aep.vectorized_scan`` (what ``aep_scan`` and so
-    every stock algorithm dispatches through) and
-    ``repro.core.batchscan.batch_aep_scan``: each kernel-served scan is
+    every stock algorithm dispatches through): each kernel-served scan is
     re-run as ``aep_scan(request, iter(slot_list), twin)`` — the generic
     loop with the textbook ``extract`` on a copy of the extractor taken
     before the kernel ran — and the full results (legs, value, every
@@ -261,9 +234,6 @@ def kernel_shadow(monkeypatch) -> KernelShadow:
     """
     shadow = KernelShadow()
     monkeypatch.setattr(aep, "vectorized_scan", shadow.wrap_scan(aep.vectorized_scan))
-    monkeypatch.setattr(
-        batchscan, "batch_aep_scan", shadow.wrap_batch(batchscan.batch_aep_scan)
-    )
     monkeypatch.setattr(
         csa,
         "vectorized_alternatives",

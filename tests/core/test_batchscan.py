@@ -1,14 +1,15 @@
-"""Batched-vs-sequential scan equivalence.
+"""Batch-level tests: per-job scan parity and request-class grouping.
 
-:func:`repro.core.batchscan.batch_aep_scan` must return, for every job
-of a batch, a result *byte-identical* to a sequential per-job
-:func:`~repro.core.aep.aep_scan` — window spans, criterion value, and
-every complexity counter (``steps``, ``slots_scanned``,
-``candidate_peak``, ``candidate_inserts``, ``candidate_expiries``) —
-across every criterion, ``stop_at_first``, adversarial duplicate-class
-batches, budget-only-varying classes (the shared multi-budget sweep),
-and against the generic loop, which shares no code with the sweep.
-Grouping removes recomputation, never changes a decision.
+A cycle scans every job of its batch on one pool snapshot, so the jobs
+share that snapshot's cached scan plans: exact duplicates, and requests
+that differ only in budget, read one plan.  Every job's scan must still
+equal, byte for byte — window spans, criterion value, and every
+complexity counter (``steps``, ``slots_scanned``, ``candidate_peak``,
+``candidate_inserts``, ``candidate_expiries``) — a scan of that job
+alone on the generic loop, which shares no code with the kernel, across
+every criterion and ``stop_at_first``.  Request-class grouping
+(:meth:`~repro.core.algorithms.base.SlotSelectionAlgorithm.find_alternatives_batch`)
+removes repeated searches, never changes a decision.
 """
 
 from __future__ import annotations
@@ -16,12 +17,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import (
+    AMP,
+    CSA,
+    Exhaustive,
+    FirstFit,
+    MinCost,
+    MinEnergy,
+    MinFinish,
+    MinIdle,
+    MinProcTime,
+    MinRunTime,
+    RigidBackfill,
+)
 from repro.core.aep import aep_scan
-from repro.core.algorithms.amp import AMP
-from repro.core.algorithms.csa import CSA
-from repro.core.algorithms.mincost import MinCost
-from repro.core.algorithms.minruntime import MinRunTime
-from repro.core.batchscan import batch_aep_scan, scan_class_key
 from repro.core.extractors import (
     EarliestFinishExtractor,
     EarliestStartExtractor,
@@ -30,7 +39,7 @@ from repro.core.extractors import (
     MinRuntimeSubstitutionExtractor,
     MinTotalCostExtractor,
 )
-from repro.core.vectorized import scan_counters
+from repro.core.vectorized import _plan_key, scan_counters
 from repro.model import ResourceRequest
 from tests.core.test_scan_equivalence import (
     fingerprint,
@@ -72,7 +81,7 @@ def adversarial_batch(rng: np.random.Generator) -> list[ResourceRequest]:
     # Exact duplicates of every class, shuffled in.
     batch.extend(variants)
     # Budget-only-varying copies of one shape: same plan key and node
-    # count, different budgets — the shared multi-budget sweep path.
+    # count, different budgets.
     base = variants[0]
     for scale in (0.5, 1.5, 3.0, 10.0):
         batch.append(
@@ -86,6 +95,19 @@ def adversarial_batch(rng: np.random.Generator) -> list[ResourceRequest]:
     return [batch[index] for index in order]
 
 
+def generic_scans(batch, pool, extractor, stop_at_first):
+    """One generic-loop scan per job: a one-shot iterator forces the
+    loop and the textbook ``extract``."""
+    return [
+        full_fingerprint(
+            aep_scan(
+                request, iter(pool.ordered()), extractor, stop_at_first=stop_at_first
+            )
+        )
+        for request in batch
+    ]
+
+
 class TestBatchScanEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize(
@@ -94,71 +116,23 @@ class TestBatchScanEquivalence:
         ids=[name for name, _, _ in CRITERIA],
     )
     def test_byte_identical_to_sequential(self, seed, name, make_extractor, stop_at_first):
+        # The batch's scans on one snapshot, in batch order: one plan per
+        # distinct plan key, every later classmate reading it.
         rng = np.random.default_rng(seed)
         pool = fragmented_pool(rng)
         extractor = make_extractor()
         batch = adversarial_batch(rng)
-        sequential = [
+        before = dict(scan_counters)
+        kernel = [
             full_fingerprint(
                 aep_scan(request, pool, extractor, stop_at_first=stop_at_first)
             )
             for request in batch
         ]
-        batched = batch_aep_scan(
-            batch, pool, extractor, stop_at_first=stop_at_first
-        )
-        assert [full_fingerprint(result) for result in batched] == sequential
-
-    @pytest.mark.parametrize("seed", SEEDS[:2])
-    def test_all_distinct_batch(self, seed):
-        rng = np.random.default_rng(seed)
-        pool = fragmented_pool(rng)
-        extractor = MinTotalCostExtractor()
-        batch = request_variants(rng)
-        assert len({scan_class_key(request) for request in batch}) == len(batch)
-        sequential = [
-            full_fingerprint(aep_scan(request, pool, extractor))
-            for request in batch
-        ]
-        batched = batch_aep_scan(batch, pool, extractor)
-        assert [full_fingerprint(result) for result in batched] == sequential
-
-    def test_duplicates_share_one_result_object(self):
-        rng = np.random.default_rng(7)
-        pool = fragmented_pool(rng)
-        request = request_variants(rng)[1]
-        before = dict(scan_counters)
-        results = batch_aep_scan([request, request, request], pool, MinTotalCostExtractor())
-        assert results[0] is results[1] is results[2]
-        assert scan_counters["grouped_jobs"] - before["grouped_jobs"] == 3
-        assert scan_counters["grouped_classes"] - before["grouped_classes"] == 1
-        assert scan_counters["grouped_shared"] - before["grouped_shared"] == 2
-        # One class is one budget: served by the sweep routine, but not
-        # counted as a *shared* sweep.
-        assert scan_counters["vectorized"] - before["vectorized"] == 1
-        assert scan_counters["batch_sweeps"] == before["batch_sweeps"]
-        assert scan_counters["batch_sweep_classes"] == before["batch_sweep_classes"]
-
-    def test_budget_only_variants_use_shared_sweep(self):
-        rng = np.random.default_rng(23)
-        pool = fragmented_pool(rng)
-        shapes = [
-            ResourceRequest(node_count=3, reservation_time=15.0, budget=budget)
-            for budget in (40.0, 90.0, 200.0, 1000.0)
-        ]
-        extractor = MinTotalCostExtractor()
-        before = dict(scan_counters)
-        batched = batch_aep_scan(shapes, pool, extractor)
-        assert scan_counters["batch_sweeps"] - before["batch_sweeps"] == 1
-        assert (
-            scan_counters["batch_sweep_classes"] - before["batch_sweep_classes"]
-            == 4
-        )
-        sequential = [
-            full_fingerprint(aep_scan(request, pool, extractor))
-            for request in shapes
-        ]
-        assert [full_fingerprint(result) for result in batched] == sequential
+        assert scan_counters["vectorized"] - before["vectorized"] == len(batch)
+        plans = len({_plan_key(request) for request in batch})
+        assert scan_counters["plans_built"] - before["plans_built"] == plans
+        assert kernel == generic_scans(batch, pool, extractor, stop_at_first)
 
     @pytest.mark.parametrize(
         "name,make_extractor,stop_at_first",
@@ -166,51 +140,89 @@ class TestBatchScanEquivalence:
         ids=[name for name, _, _ in CRITERIA],
     )
     def test_object_kernel_parity(self, name, make_extractor, stop_at_first):
+        # Each job on its own snapshot of a slot list: no plan is shared.
         rng = np.random.default_rng(101)
         pool = fragmented_pool(rng)
         extractor = make_extractor()
         batch = adversarial_batch(rng)
-        # A one-shot iterator forces the generic loop and the textbook
-        # ``extract``: a reference the batched sweeps share no code with.
-        sequential = [
+        before = dict(scan_counters)
+        kernel = [
             full_fingerprint(
                 aep_scan(
-                    request,
-                    iter(pool.ordered()),
-                    extractor,
-                    stop_at_first=stop_at_first,
+                    request, pool.ordered(), extractor, stop_at_first=stop_at_first
                 )
             )
             for request in batch
         ]
-        batched = batch_aep_scan(
-            batch, pool, extractor, stop_at_first=stop_at_first
-        )
-        assert [full_fingerprint(result) for result in batched] == sequential
+        assert scan_counters["plans_built"] - before["plans_built"] == len(batch)
+        assert kernel == generic_scans(batch, pool, extractor, stop_at_first)
+
+    @pytest.mark.parametrize("seed", SEEDS[:2])
+    def test_all_distinct_batch(self, seed):
+        # No two requests are equal: grouping shares no search.
+        rng = np.random.default_rng(seed)
+        pool = fragmented_pool(rng)
+        batch = request_variants(rng)
+        assert len(set(batch)) == len(batch)
+        before = dict(scan_counters)
+        batched = MinCost().find_alternatives_batch(batch, pool)
+        assert scan_counters["grouped_classes"] - before["grouped_classes"] == len(batch)
+        assert scan_counters["grouped_shared"] == before["grouped_shared"]
+        expected = [
+            aep_scan(request, iter(pool.ordered()), MinTotalCostExtractor())
+            for request in batch
+        ]
+        assert batched == [[] if res is None else [res.window] for res in expected]
+
+    def test_duplicates_share_one_result_object(self):
+        rng = np.random.default_rng(7)
+        pool = fragmented_pool(rng)
+        request = request_variants(rng)[1]
+        before = dict(scan_counters)
+        batched = MinCost().find_alternatives_batch([request, request, request], pool)
+        assert batched[0][0] is batched[1][0] is batched[2][0]
+        assert scan_counters["grouped_jobs"] - before["grouped_jobs"] == 3
+        assert scan_counters["grouped_classes"] - before["grouped_classes"] == 1
+        assert scan_counters["grouped_shared"] - before["grouped_shared"] == 2
+        assert scan_counters["vectorized"] - before["vectorized"] == 1
+        assert scan_counters["batch_sweeps"] == before["batch_sweeps"]
 
     def test_empty_batch(self):
         rng = np.random.default_rng(0)
         pool = fragmented_pool(rng, node_count=2, segments=1)
-        assert batch_aep_scan([], pool, MinTotalCostExtractor()) == []
+        assert MinCost().find_alternatives_batch([], pool) == []
 
 
-class TestScanClassKey:
-    def test_budget_only_difference_changes_key_not_plan(self):
-        cheap = ResourceRequest(node_count=3, reservation_time=10.0, budget=50.0)
-        rich = ResourceRequest(node_count=3, reservation_time=10.0, budget=500.0)
-        assert scan_class_key(cheap) != scan_class_key(rich)
-        assert scan_class_key(cheap)[0] == scan_class_key(rich)[0]
-
-    def test_equal_effective_budget_groups(self):
-        explicit = ResourceRequest(node_count=2, reservation_time=10.0, budget=100.0)
-        twin = ResourceRequest(node_count=2, reservation_time=10.0, budget=100.0)
-        assert scan_class_key(explicit) == scan_class_key(twin)
+#: Every deterministic stock algorithm (the randomized MinProcTime
+#: dispatches per job and is not grouped).
+DETERMINISTIC = [
+    pytest.param(lambda: CSA(max_alternatives=5), id="csa"),
+    pytest.param(lambda: CSA(max_alternatives=5, amp_policy="cheapest"), id="csa-cheapest"),
+    pytest.param(MinCost, id="mincost"),
+    pytest.param(MinRunTime, id="minruntime"),
+    pytest.param(lambda: MinRunTime(exact=True), id="minruntime-exact"),
+    pytest.param(AMP, id="amp"),
+    pytest.param(lambda: AMP("cheapest"), id="amp-cheapest"),
+    pytest.param(MinFinish, id="minfinish"),
+    pytest.param(lambda: MinFinish(exact=True), id="minfinish-exact"),
+    pytest.param(lambda: MinProcTime(simplified=False), id="minproctime-greedy"),
+    pytest.param(
+        lambda: MinProcTime(simplified=False, exact=True), id="minproctime-exact"
+    ),
+    pytest.param(MinEnergy, id="minenergy"),
+    pytest.param(lambda: MinEnergy(exact=True), id="minenergy-exact"),
+    pytest.param(MinIdle, id="minidle"),
+    pytest.param(FirstFit, id="firstfit"),
+    pytest.param(RigidBackfill, id="backfill"),
+    pytest.param(Exhaustive, id="exhaustive"),
+]
 
 
 class TestFindAlternativesBatch:
     """The algorithm-layer entry point: element-for-element identical to
-    a sequential per-job ``find_alternatives`` loop for the whole
-    production family."""
+    a sequential per-job ``find_alternatives`` loop for every
+    deterministic stock algorithm, on batches with duplicates and
+    budget-only variants."""
 
     def windows_fingerprint(self, windows):
         return [
@@ -224,20 +236,12 @@ class TestFindAlternativesBatch:
             for window in windows
         ]
 
-    @pytest.mark.parametrize(
-        "make_search",
-        [
-            lambda: CSA(max_alternatives=5),
-            MinCost,
-            MinRunTime,
-            AMP,
-        ],
-        ids=["csa", "mincost", "minruntime", "amp"],
-    )
+    @pytest.mark.parametrize("make_search", DETERMINISTIC)
     def test_matches_sequential_loop(self, make_search):
         rng = np.random.default_rng(47)
         pool = fragmented_pool(rng)
         search = make_search()
+        assert search.deterministic
         batch = adversarial_batch(rng)
         sequential = [
             self.windows_fingerprint(search.find_alternatives(request, pool, 5))

@@ -7,8 +7,8 @@ generator's state afterwards — and every CSA consume sweep is re-run as
 the copy / AMP / cut procedure and compared window for window.  Four
 drivers: a test-size paper study (all five single-window algorithms plus
 CSA on fresh pools, the one place the randomized MinProcTime runs), the
-eight-class request palette of the ``burst_classes`` workload through
-:func:`batch_aep_scan`, once per stock extractor, and two small brokers
+eight-class request palette of the ``burst_classes`` workload, one
+scan per job, once per stock extractor, and two small brokers
 searching with CSA — one shaped like ``tenants_faults`` (cheapest policy,
 DRF tenancy, repair resilience, over-subscribed, tight budgets), one on
 the default first policy — and a first-policy broker on a static pool,
@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import CSA, batchscan, vectorized
+from repro.core import CSA, aep_scan, vectorized
 from repro.core.extractors import (
     EarliestFinishExtractor,
     EarliestStartExtractor,
@@ -106,11 +106,12 @@ def test_palette_batch_under_shadow(kernel_shadow, make_extractor, stop_at_first
         EnvironmentConfig(node_count=60, seed=2013)
     ).generate().slot_pool()
     jobs = palette_batch(np.random.default_rng(7))
-    results = batchscan.batch_aep_scan(
-        jobs, pool, make_extractor(), stop_at_first=stop_at_first
-    )
+    extractor = make_extractor()
+    results = [
+        aep_scan(job, pool, extractor, stop_at_first=stop_at_first) for job in jobs
+    ]
     assert kernel_shadow.divergences == []
-    assert kernel_shadow.checked["batch"] == len(jobs)
+    assert kernel_shadow.checked["scan"] == len(jobs)
     assert any(result is not None for result in results)
 
 

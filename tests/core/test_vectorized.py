@@ -30,7 +30,9 @@ from repro.core.extractors import (
     energy_key,
 )
 from repro.environment import EnvironmentConfig, EnvironmentGenerator
-from repro.model import ResourceRequest
+from repro.model import ResourceRequest, SlotPool
+from repro.model.slot import TIME_EPSILON
+from tests.conftest import make_slot, scan_fingerprint
 from tests.core.reference import reference_scan
 
 REQUEST = ResourceRequest(node_count=4, reservation_time=60.0, budget=900.0)
@@ -58,6 +60,10 @@ EXTRACTORS = [
     MinRuntimeSubstitutionExtractor,
     MinRuntimeExactExtractor,
     EarliestFinishExtractor,
+    pytest.param(
+        lambda: EarliestFinishExtractor(MinRuntimeExactExtractor()),
+        id="EarliestFinishExtractor-exact",
+    ),
     GreedyAdditiveExtractor,
     pytest.param(
         lambda: GreedyAdditiveExtractor(energy_key), id="GreedyAdditiveExtractor-energy"
@@ -230,6 +236,64 @@ class TestVectorObjectEquivalence:
         assert vector.candidate_peak == obj.candidate_peak
         assert vector.candidate_inserts == obj.candidate_inserts
         assert vector.candidate_expiries == obj.candidate_expiries
+
+
+class TestCandidateExpiredOnArrival:
+    """A candidate whose expiry time is already below its own step's
+    threshold.  The plan's insertable test keeps it (in reals the two
+    tests are one), but in floats a slot end a few ulps inside that test
+    can give ``end - required_time < start - epsilon`` when the runtime
+    dwarfs the start.  The generic loop inserts it and drops it at the
+    next step; every criterion's replay must do the same."""
+
+    # start 0.88..., runtime 1.52e6: end - start passes ``>= runtime -
+    # epsilon``, while end - runtime falls below start - epsilon.
+    START = 0.8800301687734118
+    END = 1522731.6770924227
+    RUNTIME = 1522730.797062255
+
+    def pool(self):
+        # Node 0 (performance 1.0: the runtime is the reservation time)
+        # is the cheapest by far, so a replay that keeps it alive past
+        # its own step puts it in every cost-driven window.
+        slots = [make_slot(0, self.START, self.END, performance=1.0, price=1e-13)]
+        slots += [
+            make_slot(node_id, start, 1e7, performance=1e6, price=1e-6)
+            for node_id, start in ((1, 1.0), (2, 2.0))
+        ]
+        return SlotPool.from_slots(slots)
+
+    def test_the_constructed_slot_sits_on_the_float_boundary(self):
+        assert self.END - self.START >= self.RUNTIME - TIME_EPSILON
+        assert self.END - self.RUNTIME < self.START - TIME_EPSILON
+
+    @pytest.mark.parametrize("make_extractor", EXTRACTORS)
+    @pytest.mark.parametrize("stop_at_first", [False, True])
+    def test_scan_equals_generic_loop(self, make_extractor, stop_at_first):
+        pool = self.pool()
+        request = ResourceRequest(node_count=2, reservation_time=self.RUNTIME)
+        kernel_extractor = make_extractor()
+        generic_extractor = make_extractor()
+        before = counters()
+        kernel = aep_scan(
+            request, pool, kernel_extractor, stop_at_first=stop_at_first
+        )
+        assert vectorized.scan_counters["vectorized"] == before["vectorized"] + 1
+        generic = aep_scan(
+            request,
+            iter(pool.ordered()),
+            generic_extractor,
+            stop_at_first=stop_at_first,
+        )
+        assert scan_fingerprint(kernel) == scan_fingerprint(generic)
+        if isinstance(kernel_extractor, RandomWindowExtractor):
+            assert (
+                kernel_extractor._rng.bit_generator.state
+                == generic_extractor._rng.bit_generator.state
+            )
+        assert kernel is not None
+        kernel.window.validate(request)
+        assert 0 not in kernel.window.nodes()
 
 
 class _CheapestByNodeId:

@@ -21,7 +21,6 @@ from repro.core import CSA, vectorized
 from repro.core.vectorized import vectorized_alternatives
 from repro.model import Job, ResourceRequest, Slot, SlotPool, Window, WindowSlot
 from repro.model.job import JobBatch
-from repro.scheduling.metascheduler import BatchScheduler
 
 from tests.conftest import make_node, make_slot
 
@@ -88,20 +87,28 @@ class TestCopyOnWrite:
             assert (found, certified) == ([], 1)
 
     def test_consuming_batch_scheduler_cycle(self):
-        # Job a takes the only window on the scheduler's working copy;
+        # A consuming cycle searches each job on a working copy cut by
+        # its predecessors' windows.  Job a takes the only window there;
         # job b's search on the cut copy is a recorded zero, which must
         # not reach the published pool.
         pool = one_window_pool()
         batch = JobBatch([Job(job_id="a", request=PAIR), Job(job_id="b", request=PAIR)])
-        scheduler = BatchScheduler(search=CSA(), consume_slots=True)
-        found, certified = certified_delta(
-            lambda: scheduler.find_alternatives(batch, pool)
-        )
+
+        def consuming_cycle():
+            working = pool.copy()
+            found = {}
+            for job in batch:
+                found[job.job_id] = CSA().find_alternatives(job, working)
+                for window in found[job.job_id]:
+                    working.cut_window(window)
+            return found
+
+        found, certified = certified_delta(consuming_cycle)
         assert [len(found["a"]), len(found["b"])] == [1, 0]
         assert certified == 0
         assert CSA().find_alternatives(batch.jobs[1], pool) == found["a"]
         # A second cycle on the same pool sees the same two answers.
-        assert scheduler.find_alternatives(batch, pool) == found
+        assert consuming_cycle() == found
 
 
 class TestGainsAndRemovals:

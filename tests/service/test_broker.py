@@ -59,7 +59,9 @@ def make_job(job_id: str, nodes: int = 2, budget: float = 2000.0) -> Job:
 class NeverScheduler:
     """Cycle kernel stub that schedules nothing: every job defers."""
 
-    shares_searches = False
+    #: Not a pure function of the pool: the broker counts one search
+    #: per job.
+    search = MinProcTime()
 
     def find_alternatives(self, batch, pool):
         return {job.job_id: [] for job in batch}

@@ -177,6 +177,5 @@ class TestClassGroupedFanOut:
         # same-seeded instance.
         reference = per_job(seeded(), jobs, make_pool(), limit)
         scheduler = BatchScheduler(search=seeded(), alternatives_per_job=limit)
-        assert not scheduler.shares_searches
         found = scheduler.find_alternatives(batch_of(jobs), make_pool())
         assert fingerprint(found) == fingerprint(reference)
