@@ -44,7 +44,7 @@ from repro.core.candidates import LegFactory
 from repro.core.extractors import VALUE_EPSILON, ScanResult, WindowExtractor
 from repro.core.vectorized import UNSUPPORTED, vectorized_scan
 from repro.model.job import Job, ResourceRequest
-from repro.model.slot import TIME_EPSILON, Slot
+from repro.model.slot import TIME_EPSILON, Slot, fits_from, last_start
 from repro.model.window import Window, WindowSlot
 
 
@@ -126,22 +126,19 @@ def aep_scan(
         window_start = slot.start
         # Expire candidates that can no longer host their task from here
         # on (each candidate is examined exactly once, when it expires).
-        while expiry and expiry[0][0] < window_start - TIME_EPSILON:
+        while expiry and not fits_from(expiry[0][0], window_start):
             del alive[heappop(expiry)[1]]
             expired += 1
-        if not leg.fits_from(window_start):
-            continue  # the slot itself is too short for its node's task
-        if deadline is not None and window_start + leg.required_time > deadline + TIME_EPSILON:
-            # This leg can never meet the deadline, and later window starts
-            # only make it worse; skip it (but keep scanning: other nodes
-            # may be faster).
+        # The deadline folds into the slot end, so missing it is just
+        # another (possibly earlier) expiry; a leg that does not fit from
+        # its own start is skipped (later starts only make it worse, but
+        # other nodes may be faster).
+        last = last_start(slot.end, leg.required_time, deadline)
+        if not fits_from(last, window_start):
             continue
-        # Window starts are non-decreasing, so missing the deadline is
-        # just another (possibly earlier) expiry.
-        last_finish = slot.end if deadline is None else min(slot.end, deadline)
         inserted += 1
         alive[inserted] = leg
-        heappush(expiry, (last_finish - leg.required_time, inserted))
+        heappush(expiry, (last, inserted))
         if len(alive) > candidate_peak:
             candidate_peak = len(alive)
         if len(alive) < n:

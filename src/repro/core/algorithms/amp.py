@@ -34,7 +34,6 @@ from repro.core.aep import aep_scan, request_of
 from repro.core.algorithms.base import JobLike, SlotSelectionAlgorithm
 from repro.core.candidates import LegFactory
 from repro.core.extractors import EarliestStartExtractor, _budget_of
-from repro.model.slot import TIME_EPSILON
 from repro.model.slotpool import SlotPool
 from repro.model.window import Window, WindowSlot
 
@@ -88,9 +87,7 @@ class AMP(SlotSelectionAlgorithm):
         request = request_of(job)
         n = request.node_count
         budget = _budget_of(request)
-        # Latest admissible finish of any leg (nothing exceeds +inf).
         deadline = request.deadline
-        latest = float("inf") if deadline is None else deadline + TIME_EPSILON
         legs = leg_factory if leg_factory is not None else LegFactory(request)
         candidates: list[WindowSlot] = []
         for slot in pool:
@@ -100,15 +97,8 @@ class AMP(SlotSelectionAlgorithm):
             window_start = slot.start
             # A waiting leg leaves once it no longer fits its slot from
             # here, or could no longer finish by the deadline from here.
-            candidates = [
-                ws
-                for ws in candidates
-                if ws.fits_from(window_start)
-                and not window_start + ws.required_time > latest
-            ]
-            if not leg.fits_from(window_start):
-                continue
-            if window_start + leg.required_time > latest:
+            candidates = [ws for ws in candidates if ws.fits_from(window_start, deadline)]
+            if not leg.fits_from(window_start, deadline):
                 continue
             candidates.append(leg)
             # Evict over-priced slots from the forming window until the

@@ -25,7 +25,6 @@ from typing import Optional
 
 from repro.core.aep import request_of
 from repro.core.algorithms.base import JobLike, SlotSelectionAlgorithm
-from repro.model.slot import TIME_EPSILON
 from repro.model.slotpool import SlotPool
 from repro.model.window import Window, WindowSlot
 
@@ -40,25 +39,17 @@ class RigidBackfill(SlotSelectionAlgorithm):
         request = request_of(job)
         n = request.node_count
         duration = request.reservation_time  # rigid: no performance scaling
+        deadline = request.deadline
         candidates: list[WindowSlot] = []
         for slot in pool:
             if not request.node_matches(slot.node):
                 continue
             window_start = slot.start
-            candidates = [
-                ws
-                for ws in candidates
-                if ws.slot.remaining_from(window_start) >= duration - TIME_EPSILON
-            ]
-            if slot.remaining_from(window_start) < duration - TIME_EPSILON:
-                continue
+            candidates = [ws for ws in candidates if ws.fits_from(window_start, deadline)]
             leg = WindowSlot(
                 slot=slot, required_time=duration, cost=slot.node.usage_cost(duration)
             )
-            if (
-                request.deadline is not None
-                and window_start + duration > request.deadline + TIME_EPSILON
-            ):
+            if not leg.fits_from(window_start, deadline):
                 continue
             candidates.append(leg)
             if len(candidates) >= n:

@@ -48,25 +48,21 @@ class Exhaustive(SlotSelectionAlgorithm):
             raise ValueError(
                 f"Exhaustive search limited to {MAX_CANDIDATES} slots, got {len(slots)}"
             )
-        matching = [slot for slot in slots if request.node_matches(slot.node)]
+        legs = [
+            WindowSlot.for_request(slot, request)
+            for slot in slots
+            if request.node_matches(slot.node)
+        ]
         best: Optional[Window] = None
         best_value = float("inf")
-        for anchor in matching:
-            window_start = anchor.start
+        for anchor in legs:
+            window_start = anchor.slot.start
             alive = [
-                WindowSlot.for_request(slot, request)
-                for slot in matching
-                if slot.start <= window_start + TIME_EPSILON
-                and slot.remaining_from(window_start)
-                >= request.task_runtime_on(slot.node) - TIME_EPSILON
+                ws
+                for ws in legs
+                if ws.slot.start <= window_start + TIME_EPSILON
+                and ws.fits_from(window_start, request.deadline)
             ]
-            if request.deadline is not None:
-                alive = [
-                    ws
-                    for ws in alive
-                    if window_start + ws.required_time
-                    <= request.deadline + TIME_EPSILON
-                ]
             if len(alive) < n:
                 continue
             for subset in combinations(alive, n):

@@ -16,7 +16,6 @@ from typing import Optional
 
 from repro.core.aep import request_of
 from repro.core.algorithms.base import JobLike, SlotSelectionAlgorithm
-from repro.model.slot import TIME_EPSILON
 from repro.model.slotpool import SlotPool
 from repro.model.window import Window, WindowSlot
 
@@ -30,19 +29,15 @@ class FirstFit(SlotSelectionAlgorithm):
         """Best window for ``job`` by this algorithm's criterion (see base class)."""
         request = request_of(job)
         n = request.node_count
+        deadline = request.deadline
         candidates: list[WindowSlot] = []
         for slot in pool:
             if not request.node_matches(slot.node):
                 continue
             leg = WindowSlot.for_request(slot, request)
             window_start = slot.start
-            candidates = [ws for ws in candidates if ws.fits_from(window_start)]
-            if not leg.fits_from(window_start):
-                continue
-            if (
-                request.deadline is not None
-                and window_start + leg.required_time > request.deadline + TIME_EPSILON
-            ):
+            candidates = [ws for ws in candidates if ws.fits_from(window_start, deadline)]
+            if not leg.fits_from(window_start, deadline):
                 continue
             candidates.append(leg)
             if len(candidates) >= n:

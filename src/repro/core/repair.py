@@ -72,9 +72,7 @@ def find_fixed_start_replacements(
         if not request.node_matches(slot.node):
             continue
         leg = factory.leg(slot)
-        if not leg.fits_from(start):
-            continue
-        if deadline is not None and start + leg.required_time > deadline + TIME_EPSILON:
+        if not leg.fits_from(start, deadline):
             continue
         candidates.append(leg)
     # The scan's cost order; the remaining budget is checked below under

@@ -8,7 +8,7 @@ objects from the hot path while reproducing that loop's decisions over
 the stock extractors *byte for byte*:
 
 1. **Columnar scan plan** (numpy, O(m), cached): per-request node
-   matching, task runtimes, leg costs, expiry times and insertability
+   matching, task runtimes, leg costs, last starts and insertability
    are computed for the whole slot list with column arithmetic on a
    :class:`~repro.model.slotarrays.SlotArrays` snapshot, then frozen
    into primitive lists plus the total orders the per-step structures
@@ -21,7 +21,13 @@ the stock extractors *byte for byte*:
    the same IEEE operation the object path performs (elementwise ``/``
    and ``*`` match scalar ``/`` and ``*`` exactly; the one
    non-reproducible op, ``performance ** 2`` inside ``CpuNode.power``,
-   is precomputed per node in Python).
+   is precomputed per node in Python).  "A leg fits from t" is one
+   float test everywhere: its last start ``min(end, deadline) - r``
+   (:func:`~repro.model.slot.last_start`) is at least ``t - eps``
+   (:func:`~repro.model.slot.fits_from`).  The plan computes the last
+   starts once; a candidate is insertable when it fits from its own
+   start, and that same float is its expiry time, so no candidate is
+   ever expired on arrival.
 2. **One sweep skeleton** (pure-primitive Python): :func:`_sweep` is the
    paper's scan, written once.  It walks the matching slots, expires
    candidates through a pointer over the pre-sorted expiry order (valid
@@ -83,16 +89,16 @@ skips the pruned ranks inline.  Windows, hits and counters are unchanged
 Most CSA searches of an over-subscribed broker find nothing, and two
 things keep them from paying for a full search.  *The pre-check*: every
 window of the eviction sweep is an n-set of co-alive candidates within
-budget, so the cheapest sweep, run for one window with its expiry test
-and budget widened by a margin that covers the two sweeps' differing
-float tests, hits at the same step or earlier; when it finds nothing the
-eviction sweep is not run (:func:`_may_evict_hit` has the proof in
-floats).  *Negative certificates*: a zero of the cheapest sweep, or of
-the pre-check, stays a zero while a pool only loses free time, so it is
-recorded on the :class:`SlotPool` searched, and an identical search is
-answered ``[]`` before any snapshot or plan is read, counted as
-``scan_counters["certified"]`` rather than as a scan, until the pool
-gains free time (:func:`vectorized_alternatives`).
+budget, so the cheapest sweep, run for one window with its budget
+widened to cover the two sweeps' summation orders (both keep a
+candidate by the same test), hits at the same step or earlier; when it
+finds nothing the eviction sweep is not run (:func:`_may_evict_hit` has
+the proof in floats).  *Negative certificates*: a zero of the cheapest
+sweep, or of the pre-check, stays a zero while a pool only loses free
+time, so it is recorded on the :class:`SlotPool` searched, and an
+identical search is answered ``[]`` before any snapshot or plan is
+read, counted as ``scan_counters["certified"]`` rather than as a scan,
+until the pool gains free time (:func:`vectorized_alternatives`).
 """
 
 from __future__ import annotations
@@ -296,18 +302,20 @@ def _plan_for(arrays: SlotArrays, request: ResourceRequest) -> Optional[_ScanPla
     mrow = row[mpos]
     start_m = start_all[mpos]
     req_m = req_node[mrow]
-    insertable = (arrays.end[mpos] - start_m) >= (req_m - TIME_EPSILON)
+    # The elementwise twin of ``slot.last_start`` and ``slot.fits_from``:
+    # a candidate's expiry time is its last start, and it is insertable
+    # exactly when it is not expired at its own step.
+    end_m = arrays.end[mpos]
     if deadline is not None:
-        insertable &= ~((start_m + req_m) > (deadline + TIME_EPSILON))
+        end_m = np.minimum(end_m, deadline)
+    last_m = end_m - req_m
+    insertable = last_m >= start_m - TIME_EPSILON
 
     cpos = mpos[insertable]
     crow = mrow[insertable]
     req_c = req_m[insertable]
     cost_c = cost_node[crow]
-    expire_c = arrays.end[cpos] - req_c
-    if deadline is not None:
-        deadline_expire = deadline - req_c
-        expire_c = np.where(deadline_expire < expire_c, deadline_expire, expire_c)
+    expire_c = last_m[insertable]
 
     count = int(cpos.size)
     cand_of = np.where(insertable, np.cumsum(insertable) - 1, -1)
@@ -399,44 +407,14 @@ def _cand_starts(plan: _ScanPlan) -> list:
     return starts
 
 
-def _first_extras(plan: _ScanPlan, arrays: SlotArrays) -> dict:
-    """Per-candidate slot bounds for the eviction scan, lazily cached.
-
-    The eviction scan tests a waiting leg with the object loop's own
-    ``end - window_start >= required_time - epsilon`` rather than the
-    plan's pre-subtracted expiry time, so it needs each candidate's slot
-    start and end next to the runtime column.
-    """
-    extras = plan.extras.get("first")
-    if extras is None:
-        cpos = np.asarray(plan.cand_slot, dtype=np.int64)
-        extras = {
-            "start_list": _cand_starts(plan),
-            "end_list": arrays.end[cpos].tolist(),
-            "need_list": (plan.req_c - TIME_EPSILON).tolist(),
-        }
-        plan.extras["first"] = extras
-    return extras
-
-
-def _arrival_expired(plan: _ScanPlan) -> dict:
-    """Candidate -> expiry time of every candidate whose expiry time is
-    below its own threshold ``start - TIME_EPSILON``, lazily cached.
-
-    The plan's insertable test rules such a candidate out in reals; in
-    floats a slot end a few ulps inside that test, with a runtime far
-    larger than the start, makes one.  Usually there is none.  A wider
-    margin (:func:`_may_evict_hit`) only lowers the threshold, so this
-    holds every candidate expired on arrival under it too.
-    """
-    found = plan.extras.get("arrival_expired")
-    if found is None:
-        expired = np.flatnonzero(
-            plan.expire_c < plan.start_m[plan.insertable] - TIME_EPSILON
-        )
-        found = {cand: float(plan.expire_c[cand]) for cand in expired.tolist()}
-        plan.extras["arrival_expired"] = found
-    return found
+def _last_starts(plan: _ScanPlan) -> list:
+    """Every candidate's expiry time (its last start) in candidate
+    order, lazily cached: the eviction scan's keep test reads it."""
+    last = plan.extras.get("last")
+    if last is None:
+        last = plan.expire_c.tolist()
+        plan.extras["last"] = last
+    return last
 
 
 def _walk_extras(plan: _ScanPlan) -> list:
@@ -532,32 +510,28 @@ def vectorized_alternatives(
     when it gains some (see :class:`SlotPool`).  Removals keep a zero a
     zero.  A cheapest sweep's zero says no step has ``n`` alive
     candidates whose ascending cost sum fits the budget; alive means
-    inserted and not expired, and a candidate expires at the first step
-    whose threshold is above its expiry time — at the step after its own
-    when its expiry time is already below its own threshold (expired on
-    arrival, which the generic loop does too).  On a pool with slots
-    dropped, or cut to a sub-span of themselves on the same node, every
-    candidate is the candidate of an old slot with the same node (so
-    the same cost), a start no earlier and an end, hence an expiry
-    time, no later (float ``-`` is monotone).  Given a hit on the new
-    pool at the step of candidate ``c``, take its member ``y`` whose
-    old slot comes last in the old scan order: at ``y``'s step in the
-    old pool every member was inserted, and, the threshold being
-    monotone in the window start, every member but ``c`` was alive
-    there, since each was alive at ``c``'s later step of the new pool.
-    So was ``c`` unless it was expired on arrival in the new pool; then
-    its old expiry time is within ``delta = 16 u (1 + S)`` below the
-    threshold at ``y``'s old start (``c``'s new slot passed the
-    insertable test; ``u = 2**-53``, ``S`` as in
-    :func:`_may_evict_hit`), and the old sweep's zero is recorded only
-    when no candidate's expiry time lies within ``delta`` below a
-    candidate's threshold (:func:`_near_expiry`).  Either way the old
-    sweep would have hit at ``y``'s step.  The pre-check's margin rules
-    out expiry on arrival in floats, and only shrinks as a pool loses
-    slots, so eviction-policy certificates are exact
-    (:func:`_may_evict_hit`).  An exact cheapest-policy zero does not
-    certify the eviction policy (the eviction scan's float tests differ
-    from the plan's), so the policy is part of the key.
+    inserted and not expired, and both tests read one float per
+    candidate, its last start (:func:`~repro.model.slot.fits_from`), so
+    at a step whose threshold is ``fl(start - eps)`` the alive set is
+    exactly the inserted candidates whose last start reaches it.  On a
+    pool with slots dropped, or cut to a sub-span of themselves on the
+    same node, every candidate is the candidate of an old slot with the
+    same node (so the same cost), a start no earlier and an end, hence a
+    last start, no later (float ``min`` and ``-`` are monotone); the old
+    slot passed the insertable test too, its last start being no lower
+    and its threshold no higher.  Given a hit on the new pool at the
+    step of candidate ``c``, take its member ``y`` whose old slot comes
+    last in the old scan order: at ``y``'s step in the old pool every
+    member was inserted.  Each member's old last start is at least its
+    new one, which reaches the threshold at ``c``'s start, and ``y``'s
+    old start is no later than its new one, hence than ``c``'s; the
+    threshold is monotone in the window start, so every member was
+    alive at ``y``'s old step, and the n cheapest alive there, position
+    by position no dearer than the members, fit the budget: the old
+    sweep would have hit.  The pre-check's zero is a certificate by the
+    same argument (:func:`_may_evict_hit`).  A cheapest-policy zero does
+    not certify the eviction policy (the eviction scan sums its costs in
+    waiting order, not ascending), so the policy is part of the key.
     """
     if policy not in ("first", "cheapest"):
         raise ValueError(f"unknown AMP policy {policy!r}")
@@ -581,15 +555,10 @@ def vectorized_alternatives(
     scan_counters["vectorized"] += 1
     if policy == "cheapest":
         hits = _run_cheapest_consume(plan, n, budget, cap)
-        proven = not hits and (
-            pool is None or not _near_expiry(plan, arrays, request.deadline)
-        )
+        proven = not hits
     else:
-        proven = not _may_evict_hit(plan, arrays, n, budget, request.deadline)
-        hits = []
-        if not proven:
-            extras = _first_extras(plan, arrays)
-            hits = _run_first_consume(plan, extras, n, budget, request.deadline, cap)
+        proven = not _may_evict_hit(plan, n, budget)
+        hits = [] if proven else _run_first_consume(plan, n, budget, cap)
     if proven and pool is not None:
         pool.certify(key, PLAN_CACHE_LIMIT)
     return [_window(plan, slot_list, start, cands) for start, cands in hits]
@@ -699,22 +668,18 @@ def _sweep(plan, n, stop_at_first, rule):
     feasible extraction) or ``(value, candidates)``.  The incumbent, the
     counters and the break are the skeleton's alone.
 
-    A candidate whose expiry time is already below its own step's
-    threshold (:func:`_arrival_expired`) is alive at its own step and
-    expires at the next one, as in the generic loop, which inserts
-    before it next tests expiry.  Its entry in the expiry order is
-    behind the pointer by then: the pointer passes the entries of
-    candidates not yet inserted (only such a candidate can have one
-    below the threshold), and the candidate is expired as ``late``.
+    The pointer expires exactly the candidates the generic loop does:
+    both read a candidate's last start against ``fl(start - eps)``, a
+    threshold monotone in the window start, and a candidate is inserted
+    only when its last start reaches its own step's threshold, so the
+    pointer never meets a candidate that is not inserted yet.
     """
     expire, add, step = rule
     loop_cand = plan.loop_cand
     expiry_times = plan.expiry_times
     expiry_cands = plan.expiry_cands
-    arrival_expired = _arrival_expired(plan)
     total_c = plan.count
     pointer = 0
-    late = -1
     alive = inserted = expired = peak = steps = 0
     best_value = float("inf")
     best_start = 0.0
@@ -722,25 +687,15 @@ def _sweep(plan, n, stop_at_first, rule):
     break_pos = -1
     for pos, window_start in enumerate(plan.loop_start):
         threshold = window_start - TIME_EPSILON
-        if late >= 0:
-            expire(late)
-            late = -1
-            expired += 1
-            alive -= 1
         while pointer < total_c and expiry_times[pointer] < threshold:
-            cand = expiry_cands[pointer]
+            expire(expiry_cands[pointer])
             pointer += 1
-            if cand >= inserted:
-                continue  # expired on arrival, not inserted yet
-            expire(cand)
             expired += 1
             alive -= 1
         cand = loop_cand[pos]
         if cand < 0:
             continue
         add(cand)
-        if arrival_expired and cand in arrival_expired:
-            late = cand
         inserted += 1
         alive += 1
         if alive > peak:
@@ -1145,14 +1100,6 @@ def _run_cheapest_consume(plan, n, budget, cap):
     would cost more than the steps they save, so the sweep steps at
     every candidate and skips pruned ranks inline.
     """
-    return _cheapest_sweep(plan, n, budget, cap, TIME_EPSILON)
-
-
-def _cheapest_sweep(plan, n, budget, cap, margin):
-    """The body of :func:`_run_cheapest_consume`, expiring a candidate
-    at a step when its expiry time is below ``window_start - margin``
-    (``margin`` is :data:`TIME_EPSILON` there; :func:`_may_evict_hit`
-    widens it)."""
     cand_crank = plan.cand_crank
     cand_by_crank = plan.cand_by_crank
     cost_by_crank = plan.cost_by_crank
@@ -1174,19 +1121,18 @@ def _cheapest_sweep(plan, n, budget, cap, margin):
     else:
         steps = range(total_c)
     expiry_count = len(expiry_times)
-    arrival_expired = _arrival_expired(plan)
     flags = bytearray(total_c)  # by rank: inserted, not expired, not consumed
     top: list[int] = []  # the min(n, alive) smallest flagged ranks, ascending
     pointer = 0
     alive = 0
     hits: list[tuple[float, list[int]]] = []
     for cand, window_start in zip(steps, starts):
-        threshold = window_start - margin
+        threshold = window_start - TIME_EPSILON
         while pointer < expiry_count and expiry_times[pointer] < threshold:
             rank = cand_crank[expiry_cands[pointer]]
             pointer += 1
             if not flags[rank]:
-                continue  # pruned, not yet inserted, or consumed by a hit
+                continue  # pruned, or consumed by a hit
             flags[rank] = 0
             alive -= 1
             last = top[-1]
@@ -1199,12 +1145,6 @@ def _cheapest_sweep(plan, n, budget, cap, margin):
             continue  # pruned: in no window
         flags[rank] = 1
         alive += 1
-        if arrival_expired and cand in arrival_expired:
-            # Expired on arrival: alive at its own step, as in the generic
-            # loop.  Its entry may already be behind the pointer, which
-            # steps back to meet it again at the next step; every entry
-            # re-read on the way is unflagged or expired on arrival too.
-            pointer = min(pointer, bisect_left(expiry_times, arrival_expired[cand]))
         if len(top) == n:
             if rank > top[-1]:
                 continue  # the n cheapest did not change: still over budget
@@ -1232,39 +1172,24 @@ def _cheapest_sweep(plan, n, budget, cap, margin):
     return hits
 
 
-def _may_evict_hit(plan, arrays, n, budget, deadline) -> bool:
+def _may_evict_hit(plan, n, budget) -> bool:
     """Whether the eviction sweep (:func:`_run_first_consume`) can find
     a window: ``False`` proves it finds none.
 
-    Runs the cheapest sweep (:func:`_cheapest_sweep`) for one window,
-    with the budget widened to ``B' = budget + _BOUND_SLACK * n *
-    budget`` and a candidate expired at a step only when its expiry
-    time is below ``window_start - m``, ``m`` the plan's margin
-    ``TIME_EPSILON + _BOUND_SLACK * (1 + S)`` (cached on the plan; ``S``
-    is the largest magnitude of the candidates' starts, ends and
-    runtimes and of the deadline).  Every window the eviction sweep
-    finds is an n-set of co-alive candidates within budget, so this
-    sweep hits at that window's step or earlier.  In floats, with ``u
-    = 2**-53`` and ``|fl(x) - x| <= u |x|`` for every operation:
+    Runs the cheapest sweep (:func:`_run_cheapest_consume`) for one
+    window with the budget widened to ``B' = budget + _BOUND_SLACK * n *
+    budget``.  Every window the eviction sweep finds is an n-set of
+    co-alive candidates within budget, so this sweep hits at that
+    window's step or earlier.  Only the budget needs widening; with ``u =
+    2**-53`` and ``|fl(x) - x| <= u |x|`` for every operation:
 
-    *Alive.*  The eviction scan keeps a waiting leg at window start
-    ``ws`` (a candidate's start, ``|ws| <= S``) when ``fl(end - ws) >=
-    fl(req - eps)`` and ``fl(ws + req) <= fl(deadline + eps)``.  The
-    first gives ``end - req >= ws - eps - u (3S + eps)``, so the plan's
-    ``fl(end - req) >= ws - eps - u (5S + eps)``; the second gives the
-    same bound for ``fl(deadline - req)``, and the expiry time is the
-    smaller of the two.  The threshold ``fl(ws - m)`` is at most ``ws -
-    m + u (S + m)``, and ``m`` as computed is at least ``(eps +
-    _BOUND_SLACK (1 + S)) (1 - u)**3``.  ``_BOUND_SLACK`` (1e-9) is
-    more than 10**6 times ``u``, so ``m (1 - u) >= eps (1 + u) + 6 u
-    S``: the leg's expiry time is not below the threshold.  The margin
-    grows with ``S`` because the rounding error does; one that scaled
-    with ``|ws|`` alone would not cover a runtime near 1e7 on a
-    window starting at 0, where one ulp of ``req - eps`` exceeds
-    ``eps``.  ``m`` is fixed per plan, so the threshold is monotone in
-    ``ws`` and a leg kept at a step was never expired before it.  The
-    plan's insertable test is the same pair of tests at a candidate's
-    own start, so no candidate expires before it is inserted either.
+    *Alive.*  Both sweeps step at the plan's candidates, insert each at
+    its own step, and keep a candidate at window start ``ws`` exactly
+    when its last start is at least ``fl(ws - eps)`` — the same floats
+    compared the same way, a threshold monotone in ``ws``.  Neither
+    consumes anything before this sweep's first hit, so a candidate the
+    eviction scan keeps at ``p``, in any of its runs, has been inserted
+    by this sweep and not expired at any step up to ``p``.
 
     *Budget.*  Costs are non-negative (prices are), so a float sum of
     ``n`` of them, left to right or compensated (``sum()`` from Python
@@ -1278,78 +1203,22 @@ def _may_evict_hit(plan, arrays, n, budget, deadline) -> bool:
 
     *Hit.*  Let the eviction sweep, in any of its runs, hit at step
     ``p`` with members ``W``.  All of them are candidates at or before
-    ``p`` that the scan keeps at ``p``'s start.  Their ascending sum is
-    within ``B'``, so every member's cost rank is below the widened
-    rank bound (:func:`_run_cheapest_consume`'s argument), and none has
-    expired by ``p``.  The n cheapest alive candidates at ``p`` are, in
-    ascending order, position by position no dearer than ``W``, and
-    float ``+`` is monotone, so their sum is within ``B'`` and this
-    sweep hits at ``p`` if it has not hit before.  The converse does
-    not hold: a hit here only means the eviction sweep must run.
-
-    The same two facts make a zero here a certificate: the margin of a
-    pool that lost slots is no larger (each of its candidates is a
-    sub-span of an old one on the same node), and since nothing expires
-    before it is inserted, the sweep's alive set at a step is exactly
-    the inserted candidates whose expiry time reaches the threshold
-    (:func:`vectorized_alternatives` gives the argument).
+    ``p``, alive here at ``p``.  Their ascending sum is within ``B'``,
+    so every member's cost rank is below the widened rank bound
+    (:func:`_run_cheapest_consume`'s argument).  The n cheapest alive
+    candidates at ``p`` are, in ascending order, position by position no
+    dearer than ``W``, and float ``+`` is monotone, so their sum is
+    within ``B'`` and this sweep hits at ``p`` if it has not hit before.
+    The converse does not hold: a hit here only means the eviction sweep
+    must run.  A zero here is a certificate as a cheapest-policy zero is
+    (:func:`vectorized_alternatives`): the widened budget is fixed by
+    the key.
     """
-    if plan.count < n:
-        return False
-    margin = plan.extras.get("margin")
-    if margin is None:
-        margin = TIME_EPSILON + _BOUND_SLACK * (1.0 + _scale(plan, arrays, deadline))
-        plan.extras["margin"] = margin
     wide = budget + _BOUND_SLACK * n * budget
-    return bool(_cheapest_sweep(plan, n, wide, 1, margin))
+    return bool(_run_cheapest_consume(plan, n, wide, 1))
 
 
-def _scale(plan, arrays, deadline) -> float:
-    """``S``: the largest magnitude of the plan's candidate starts, ends
-    and runtimes and of the deadline (``plan.count`` must be > 0; the
-    deadline is part of the plan key), lazily cached."""
-    scale = plan.extras.get("scale")
-    if scale is None:
-        cpos = plan.mpos[plan.insertable]
-        scale = max(
-            float(np.abs(arrays.start[cpos]).max()),
-            float(np.abs(arrays.end[cpos]).max()),
-            float(plan.req_c.max()),
-            0.0 if deadline is None else abs(deadline),
-        )
-        plan.extras["scale"] = scale
-    return scale
-
-
-def _near_expiry(plan, arrays, deadline) -> bool:
-    """Whether a candidate's expiry time lies within ``delta = 16 u (1
-    + S)`` below some candidate's threshold ``start - TIME_EPSILON``,
-    cached on the plan: where a cheapest-policy zero is not recorded
-    as a certificate (:func:`vectorized_alternatives` says why).
-
-    A candidate expired on arrival on a cut pool has, in floats, an old
-    expiry time at least ``thr - u (6 S + 2)`` for the threshold
-    ``thr`` at its new start: ``fl(end - start) >= fl(req - eps)``
-    gives ``end - req >= start - eps - u (3 S + 1)``, the expiry time
-    loses at most ``2 u S`` more and the threshold gains at most ``u (S
-    + 1)``.  ``delta`` doubles that to cover its own rounding.  Thresholds
-    ascend with the candidates' starts, so for each expiry time only the
-    first threshold above it is compared."""
-    near = plan.extras.get("near_expiry")
-    if near is None:
-        near = False
-        if plan.count:
-            delta = 16.0 * 2.0**-53 * (1.0 + _scale(plan, arrays, deadline))
-            thresholds = np.append(
-                plan.start_m[plan.insertable] - TIME_EPSILON, np.inf
-            )
-            above = np.searchsorted(thresholds, plan.expire_c, side="right")
-            near = bool((plan.expire_c + delta >= thresholds[above]).any())
-        plan.extras["near_expiry"] = near
-    return near
-
-
-def _run_first_consume(plan, extras, n, budget, deadline, cap):
+def _run_first_consume(plan, n, budget, cap):
     """CSA's repeated eviction scan as one sweep that resumes from
     checkpoints.
 
@@ -1359,10 +1228,11 @@ def _run_first_consume(plan, extras, n, budget, deadline, cap):
     ``n`` evicted while they exceed the budget) from slot 0, each time
     on a pool without the slots of the windows found so far, yields one
     after another — at most ``cap`` of them.  Every float operation is
-    the object loop's own: ``end - start >= required_time - epsilon``
-    and ``start + required_time > deadline + epsilon`` for a waiting
-    leg, ``sum()`` over the forming window's costs, the first index of
-    their maximum for the eviction.
+    the object loop's own: a waiting leg stays while its last start is
+    at least ``window_start - epsilon`` (the plan's expiry time is the
+    object leg's :func:`~repro.model.slot.last_start`), ``sum()`` over
+    the forming window's costs, the first index of their maximum for
+    the eviction.
 
     Unlike the cheapest policy (:func:`_run_cheapest_consume`), this
     scan cannot simply continue after a hit: evictions are history.  A
@@ -1381,20 +1251,17 @@ def _run_first_consume(plan, extras, n, budget, deadline, cap):
 
     Steps are the plan's insertable candidates only.  The object loop
     also filters its waiting list at matching slots that insert nothing,
-    but both tests are monotone in the window start, so the filter at
+    but the test is monotone in the window start, so the filter at
     the next inserting step removes the same legs, and the list is only
     read after an insertion.  The list holds at most ``n - 1`` legs
     between steps (a step that reaches ``n`` either hits or evicts one),
     so the forming window is the whole list and the object loop's
     ``while`` runs at most once per step.
     """
-    start_list = extras["start_list"]
-    end_list = extras["end_list"]
-    need_list = extras["need_list"]
-    req_list = plan.req_list
+    start_list = _cand_starts(plan)
+    last_list = _last_starts(plan)
     cost_list = plan.cost_list
     total_c = plan.count
-    latest = float("inf") if deadline is None else deadline + TIME_EPSILON
     consumed = bytearray(total_c)  # indexed by candidate
     # entry[c]: the waiting list at entry to candidate c's step, as the
     # latest run to pass that step saw it.  Recorded lists are never
@@ -1409,12 +1276,8 @@ def _run_first_consume(plan, extras, n, budget, deadline, cap):
             continue
         entry[cand] = waiting
         window_start = start_list[cand]
-        waiting = [
-            c
-            for c in waiting
-            if end_list[c] - window_start >= need_list[c]
-            and not window_start + req_list[c] > latest
-        ]
+        threshold = window_start - TIME_EPSILON
+        waiting = [c for c in waiting if last_list[c] >= threshold]
         waiting.append(cand)
         cand += 1
         if len(waiting) < n:

@@ -10,6 +10,7 @@ co-allocation non-trivial.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.model.errors import InvalidIntervalError, ModelError
 from repro.model.resource import CpuNode
@@ -17,6 +18,33 @@ from repro.model.resource import CpuNode
 #: Tolerance for floating-point comparisons on the time axis.  Two events
 #: closer than this are considered simultaneous.
 TIME_EPSILON = 1e-9
+
+
+def last_start(end: float, required_time: float, deadline: Optional[float] = None) -> float:
+    """The latest window start from which a task of ``required_time``
+    finishes by both the slot's ``end`` and the ``deadline``:
+    ``min(end, deadline) - required_time``.
+
+    Scans compute it once per leg: it is what :func:`fits_from` reads and
+    the time at which a waiting leg leaves the AEP extended window.
+    """
+    if deadline is not None and deadline < end:
+        end = deadline
+    return end - required_time
+
+
+def fits_from(last: float, start: float) -> bool:
+    """Whether a leg whose :func:`last_start` is ``last`` fits from window
+    start ``start``: ``last >= start - TIME_EPSILON``.
+
+    In reals this is the paper's pruning test (a slot leaves the extended
+    window when ``wSlot.EndTime - windowStart < minLength``), with the
+    deadline folded into the end.  It is the one float form of "a leg
+    fits from t" in the package: every scan's insert and expiry, the
+    columnar plan, :meth:`~repro.model.window.Window.validate` and every
+    cut read it, so a leg a search accepted is one a cut accepts.
+    """
+    return last >= start - TIME_EPSILON
 
 
 @dataclass(frozen=True)
@@ -40,43 +68,31 @@ class Slot:
         """Duration of the slot."""
         return self.end - self.start
 
-    def contains(self, start: float, end: float) -> bool:
-        """Whether ``[start, end)`` fits entirely inside this slot."""
-        return (
-            self.start - TIME_EPSILON <= start
-            and end <= self.end + TIME_EPSILON
-            and start <= end + TIME_EPSILON
-        )
-
-    def remaining_from(self, time: float) -> float:
-        """Free time left in the slot from ``time`` to its end.
-
-        This is the quantity the AEP scan compares against the per-node task
-        duration when pruning the extended window
-        (``wSlot.EndTime - windowStart < minLength`` in the pseudo code).
-        """
-        return self.end - max(self.start, time)
-
-    def can_host(self, start: float, duration: float) -> bool:
-        """Whether a task of ``duration`` starting at ``start`` fits."""
-        if duration < 0:
-            raise ModelError(f"duration must be >= 0, got {duration}")
-        return self.contains(start, start + duration)
-
     def overlaps(self, other: "Slot") -> bool:
         """Whether two slots intersect in time (regardless of node)."""
         return self.start < other.end - TIME_EPSILON and other.start < self.end - TIME_EPSILON
 
-    def split(self, start: float, end: float, min_length: float = TIME_EPSILON) -> list["Slot"]:
-        """Remove the reservation ``[start, end)`` and return the remainders.
+    def split(
+        self, start: float, required_time: float, min_length: float = TIME_EPSILON
+    ) -> list["Slot"]:
+        """Remove the reservation ``[start, start + required_time)`` and
+        return the remainders.
 
-        The left remainder ``[self.start, start)`` and the right remainder
-        ``[end, self.end)`` are returned when they are at least
-        ``min_length`` long; shorter fragments are considered unusable and
-        dropped (mirrors the "cutting" step of the CSA scheme, reference
-        [17] of the paper).
+        The reservation must fit: a non-negative ``required_time``, a
+        ``start`` no earlier than the slot's start, and :func:`fits_from`
+        at ``start`` — the test the search that chose it read, so a leg
+        it accepted never raises here.  The left remainder ``[self.start, start)`` and the right remainder
+        ``[start + required_time, self.end)`` are returned when they are
+        at least ``min_length`` long; shorter fragments are considered
+        unusable and dropped (mirrors the "cutting" step of the CSA
+        scheme, reference [17] of the paper).
         """
-        if not self.contains(start, end):
+        end = start + required_time
+        if (
+            required_time < 0
+            or start < self.start - TIME_EPSILON
+            or not fits_from(last_start(self.end, required_time), start)
+        ):
             raise ModelError(
                 f"reservation [{start}, {end}) does not fit in slot "
                 f"[{self.start}, {self.end}) on node {self.node.node_id}"

@@ -24,6 +24,7 @@ every one that adds some; :class:`SlotPool` says which is which.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -32,7 +33,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 import numpy as np
 
 from repro.model.errors import AllocationError
-from repro.model.slot import TIME_EPSILON, Slot
+from repro.model.slot import TIME_EPSILON, Slot, fits_from, last_start
 from repro.model.slotarrays import SlotArrays, SlotColumnStore
 from repro.model.window import Window
 
@@ -405,16 +406,17 @@ class SlotPool:
                 raise AllocationError(
                     f"window leg on node {ws.slot.node.node_id} does not fit its slot"
                 )
-            self._carve(ws.slot, window.start, window.start + ws.required_time, mode)
+            self._carve(ws.slot, window.start, ws.required_time, mode)
 
-    def _carve(self, host: Slot, span_start: float, span_end: float, mode: str) -> None:
+    def _carve(self, host: Slot, span_start: float, required_time: float, mode: str) -> None:
         """Take ``host`` out of the pool and, in ``"split"`` mode, put
-        back what the span ``[span_start, span_end)`` leaves of it."""
+        back what the span ``[span_start, span_start + required_time)``
+        leaves of it."""
         if mode not in ("split", "consume"):
             raise ValueError(f"unknown cut mode {mode!r}")
         self.remove(host)
         if mode == "split":
-            remainders = host.split(span_start, span_end, self.min_usable_length)
+            remainders = host.split(span_start, required_time, self.min_usable_length)
             kept = self._certificates
             size = len(self._slots)
             for remainder in remainders:
@@ -432,32 +434,36 @@ class SlotPool:
         this very pool state.  A broker-service cycle instead commits
         several windows chosen on a common snapshot: an earlier commit may
         already have replaced a leg's slot with its remainders, so each
-        leg is located by finding the current pool slot that contains its
-        reserved span (phase two guarantees the spans themselves are
-        disjoint).  Raises :class:`AllocationError` when no containing
-        slot exists — e.g. the span was lost to a sub-threshold remainder
-        drop on a pool with a raised ``min_usable_length``; the pool is
-        left unchanged in that case.
+        leg is located by finding the current pool slot on its node that
+        hosts its reserved span: one starting at or before the window
+        start that the leg :func:`~repro.model.slot.fits_from` (the
+        search's own test, so a leg accepted on the snapshot finds its
+        unchanged slot); phase two guarantees the spans themselves are
+        disjoint.  Raises :class:`AllocationError` when no such slot
+        exists — e.g. the span was lost to a sub-threshold remainder drop
+        on a pool with a raised ``min_usable_length``; the pool is left
+        unchanged in that case.
         """
         self.apply_floor()
         # Every leg's host is located before the first cut, so a window
         # with a homeless leg fails whole.  The legs sit on distinct
         # nodes: cutting one cannot invalidate another's host.
-        cuts: list[tuple[Slot, float, float]] = []
+        cuts: list[tuple[Slot, float]] = []
+        start = window.start
         for ws in window.slots:
-            span_start = window.start
-            span_end = window.start + ws.required_time
             for _, slot in self._by_node.get(ws.slot.node.node_id, ()):
-                if slot.contains(span_start, span_end):
-                    cuts.append((slot, span_start, span_end))
+                if slot.start - TIME_EPSILON <= start and fits_from(
+                    last_start(slot.end, ws.required_time), start
+                ):
+                    cuts.append((slot, ws.required_time))
                     break
             else:
                 raise AllocationError(
                     f"no free slot on node {ws.slot.node.node_id} contains the "
-                    f"reserved span [{span_start:g}, {span_end:g})"
+                    f"reserved span [{start:g}, {start + ws.required_time:g})"
                 )
-        for host, span_start, span_end in cuts:
-            self._carve(host, span_start, span_end, mode)
+        for host, required_time in cuts:
+            self._carve(host, start, required_time, mode)
 
     def release(self, window: Window, floor: Optional[float] = None) -> None:
         """Return a committed window's reservations to the pool.
@@ -527,9 +533,9 @@ class SlotPool:
         not once per arrival — so searches only ever see future time.
         A pending floor is applied first.
 
-        Only the prefix of slots starting before ``time + TIME_EPSILON``
-        is inspected: every later slot is kept untouched (its end exceeds
-        its start, hence the cutoff too).  The per-node buckets share the
+        Only the prefix of slots starting at or before ``time +
+        TIME_EPSILON`` is inspected: every later slot is kept untouched
+        (its end exceeds its start, hence the cutoff too).  The per-node buckets share the
         pool's total order, so a node's entries inside that prefix are
         the first entries of its bucket and are rewritten by position —
         no search, no per-slot delete and re-insert.
@@ -542,7 +548,11 @@ class SlotPool:
     def _trim(self, time: float) -> int:
         """The body of :meth:`trim_before`, on a pool with no floor pending."""
         bound = time + TIME_EPSILON
-        probe = ((bound,),)
+        # Every slot starting at or before ``bound``: where one ulp of
+        # ``time`` exceeds twice the tolerance, ``bound`` is ``time``
+        # itself, and a slot starting there must sort among those cut
+        # to start there.
+        probe = ((bound, math.inf),)
         cutoff = bisect_left(self._slots, probe)
         if cutoff == 0:
             return 0
@@ -573,7 +583,7 @@ class SlotPool:
             else:
                 rebuilt.append(survivor)
             bucket = by_node[node_id]
-            if len(bucket) > 1 and bucket[1][0][0] < bound:
+            if len(bucket) > 1 and bucket[1][0][0] <= bound:
                 crowded.setdefault(node_id, []).append(survivor)
             elif survivor is not None:
                 bucket[0] = survivor

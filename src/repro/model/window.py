@@ -16,7 +16,7 @@ from typing import Optional
 
 from repro.model.errors import WindowValidationError
 from repro.model.job import ResourceRequest
-from repro.model.slot import TIME_EPSILON, Slot
+from repro.model.slot import TIME_EPSILON, Slot, fits_from, last_start
 
 #: Relative slack admitted when comparing costs against the budget, to keep
 #: float summation order from flipping feasibility decisions.
@@ -43,9 +43,10 @@ class WindowSlot:
         duration = request.task_runtime_on(slot.node)
         return cls(slot=slot, required_time=duration, cost=slot.node.usage_cost(duration))
 
-    def fits_from(self, start: float) -> bool:
-        """Whether the reservation fits into the slot when started at ``start``."""
-        return self.slot.remaining_from(start) >= self.required_time - TIME_EPSILON
+    def fits_from(self, start: float, deadline: Optional[float] = None) -> bool:
+        """Whether the reservation, started at ``start``, fits into the slot
+        and finishes by ``deadline`` (:func:`~repro.model.slot.fits_from`)."""
+        return fits_from(last_start(self.slot.end, self.required_time, deadline), start)
 
     def energy(self) -> float:
         """Energy drawn by the task on this leg (see :meth:`CpuNode.power`)."""
@@ -128,30 +129,33 @@ class Window:
         """Check the structural invariants of a co-allocation window.
 
         Raises :class:`WindowValidationError` naming the violated invariant.
-        When ``request`` is given, also checks the request-level constraints
-        (size, budget, per-node durations and hardware matching, deadline).
+        Every leg must start within its slot and pass
+        :meth:`WindowSlot.fits_from` at the window start — by the
+        request's deadline when ``request`` is given, which also checks
+        the request-level constraints (size, budget, per-node durations
+        and hardware matching).
         """
         node_ids = self.nodes()
         if len(set(node_ids)) != len(node_ids):
             raise WindowValidationError(f"window reuses nodes: {sorted(node_ids)}")
+        deadline = None if request is None else request.deadline
         for ws in self.slots:
+            node_id = ws.slot.node.node_id
             if ws.required_time < 0:
                 raise WindowValidationError(
-                    f"negative required_time {ws.required_time} on node "
-                    f"{ws.slot.node.node_id}"
-                )
-            if not ws.slot.can_host(max(self.start, ws.slot.start), 0.0) or not ws.fits_from(
-                self.start
-            ):
-                raise WindowValidationError(
-                    f"slot on node {ws.slot.node.node_id} cannot host "
-                    f"[{self.start}, {self.start + ws.required_time}): slot is "
-                    f"[{ws.slot.start}, {ws.slot.end})"
+                    f"negative required_time {ws.required_time} on node {node_id}"
                 )
             if self.start < ws.slot.start - TIME_EPSILON:
                 raise WindowValidationError(
                     f"window start {self.start} precedes slot start {ws.slot.start} "
-                    f"on node {ws.slot.node.node_id}"
+                    f"on node {node_id}"
+                )
+            if not ws.fits_from(self.start, deadline):
+                raise WindowValidationError(
+                    f"slot on node {node_id} cannot host "
+                    f"[{self.start}, {self.start + ws.required_time}): slot is "
+                    f"[{ws.slot.start}, {ws.slot.end})"
+                    + ("" if deadline is None else f", deadline {deadline}")
                 )
         if request is not None:
             if self.size != request.node_count:
@@ -176,11 +180,6 @@ class Window:
                         f"node {ws.slot.node.node_id} fails the hardware/software "
                         "requirements of the request"
                     )
-            if request.deadline is not None and self.finish > request.deadline + TIME_EPSILON:
-                raise WindowValidationError(
-                    f"window finishes at {self.finish}, after the deadline "
-                    f"{request.deadline}"
-                )
 
     def is_valid(self, request: Optional[ResourceRequest] = None) -> bool:
         """Boolean twin of :meth:`validate`."""

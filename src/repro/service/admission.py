@@ -18,9 +18,9 @@ arrivals only raise the pool's floor, which admission applies on read
 without trimming (:meth:`~repro.model.SlotPool.arrays_before_floor`):
 the snapshot and the per-shape memo survive it, and a new floor costs
 one per-node pass that every request shape shares.  The arithmetic
-performs the same IEEE operations as the per-slot object loop
-(:func:`cheapest_feasible_cost_reference`), so the verdicts are
-*identical*, not merely close (property-tested).
+performs the same IEEE operations as a per-slot object loop (the oracle
+the property tests hold it to), so the verdicts are *identical*, not
+merely close.
 
 :class:`AdmissionOutlook` adds the warm-start layer: exponentially
 decayed per-criterion fit-probability and queue-wait estimates from
@@ -81,33 +81,6 @@ class AdmissionDecision:
     @classmethod
     def reject(cls, reason: RejectionReason, detail: str = "") -> "AdmissionDecision":
         return cls(admitted=False, reason=reason, detail=detail)
-
-
-def cheapest_feasible_cost_reference(
-    request: ResourceRequest, pool: SlotPool
-) -> Optional[float]:
-    """Per-slot object-loop twin of :func:`cheapest_feasible_cost`.
-
-    The pre-vectorization implementation, kept as the equivalence
-    baseline: the property suite asserts the columnar path returns the
-    *same* float (or the same ``None``) for arbitrary pools and request
-    shapes.
-    """
-    best_by_node: dict[int, float] = {}
-    for slot in pool:
-        node = slot.node
-        if not request.node_matches(node):
-            continue
-        duration = request.task_runtime_on(node)
-        if slot.length < duration - TIME_EPSILON:
-            continue
-        cost = node.usage_cost(duration)
-        known = best_by_node.get(node.node_id)
-        if known is None or cost < known:
-            best_by_node[node.node_id] = cost
-    if len(best_by_node) < request.node_count:
-        return None
-    return sum(sorted(best_by_node.values())[: request.node_count])
 
 
 def _admission_key(request: ResourceRequest) -> tuple:

@@ -6,8 +6,13 @@ of :func:`repro.core.aep.aep_scan`, the rewritten extractor inner loops
 and the vector replay in :mod:`repro.core.vectorized` all came later):
 
 * :func:`reference_scan` — the original ``aep_scan``: per-slot
-  list-comprehension pruning, per-step deadline filtering, and a fresh
-  :meth:`WindowSlot.for_request` per slot;
+  list-comprehension pruning and a fresh :meth:`WindowSlot.for_request`
+  per slot.  Its one edit since: pruning and insertion call
+  :meth:`WindowSlot.fits_from` with the deadline (the package's one
+  float test of "a leg fits from t"), which replaced the end test, the
+  insert-time deadline test and the per-step deadline filter — a spec
+  that spelled the test differently would disagree with every scan in
+  ulp corners;
 * :class:`ReferenceMinRuntimeSubstitutionExtractor` — the substitution
   heuristic with a full ``sorted()`` per extraction;
 * :class:`ReferenceGreedyAdditiveExtractor` — the swap search calling
@@ -75,25 +80,15 @@ def reference_scan(
             continue
         leg = WindowSlot.for_request(slot, request)
         window_start = slot.start
-        candidates = [ws for ws in candidates if ws.fits_from(window_start)]
-        if not leg.fits_from(window_start):
-            continue
-        if deadline is not None and window_start + leg.required_time > deadline + TIME_EPSILON:
+        candidates = [ws for ws in candidates if ws.fits_from(window_start, deadline)]
+        if not leg.fits_from(window_start, deadline):
             continue
         candidates.append(leg)
         candidate_peak = max(candidate_peak, len(candidates))
-        if deadline is not None:
-            eligible = [
-                ws
-                for ws in candidates
-                if window_start + ws.required_time <= deadline + TIME_EPSILON
-            ]
-        else:
-            eligible = candidates
-        if len(eligible) < n:
+        if len(candidates) < n:
             continue
         steps += 1
-        extraction = extractor.extract(window_start, eligible, request)
+        extraction = extractor.extract(window_start, candidates, request)
         if extraction is None:
             continue
         if extraction.value < best_value - VALUE_EPSILON:

@@ -21,12 +21,20 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given
 
 from repro.core import AMP, CSA, vectorized
 from repro.core.algorithms.csa import rerun_alternatives
 from repro.environment import EnvironmentConfig, EnvironmentGenerator
 from repro.model import TIME_EPSILON, ResourceRequest, Slot, SlotPool
+from repro.model.slot import fits_from, last_start
 from tests.conftest import make_node, make_slot, same_windows
+from tests.strategies import (
+    ADVERSARIAL,
+    EDGE_OF_COMMIT,
+    EXPIRED_ON_ARRIVAL,
+    adversarial_cases,
+)
 
 SEEDS = [11, 23, 47, 2013]
 NODE_COUNTS = [1, 2, 5, 12]
@@ -327,12 +335,14 @@ class TestHandBuiltPools:
 
 
 class TestCandidateExpiredOnArrival:
-    """A candidate whose expiry time is already below its own step's
-    threshold: the plan's insertability test keeps it (in reals the two
-    tests are one), but in floats a slot end a few ulps inside that test
-    can give ``end - required_time < start - epsilon`` when the runtime
-    dwarfs the start.  The generic loop inserts it and drops it at the
-    next step; so must the cheapest sweep."""
+    """A slot whose end passes ``end - start >= runtime - epsilon`` while
+    its last start ``end - runtime`` falls below ``start - epsilon`` (in
+    reals the two tests are one; in floats they part when the runtime
+    dwarfs the start).  The scans once inserted it by the first test and
+    expired it by the second, and every sweep had to replay that.  Every
+    scan, sweep, check and cut now reads the last start, so the slot is
+    simply never a candidate: the sweeps, the procedure on the generic
+    loop and ``validate`` agree."""
 
     # start 0.88..., runtime 1.52e6: end - start passes ``>= runtime -
     # epsilon``, while end - runtime falls below start - epsilon.
@@ -341,16 +351,17 @@ class TestCandidateExpiredOnArrival:
     RUNTIME = 1522730.797062255
 
     @staticmethod
-    def generic_procedure(request, pool):
+    def generic_procedure(request, pool, policy="cheapest", cap=None):
         """AMP re-run and cut with every scan on the generic loop."""
         working = pool.copy()
         found = []
-        while True:
-            window = AMP("cheapest").select(request, iter(working.ordered()))
+        while cap is None or len(found) < cap:
+            window = AMP(policy).select(request, iter(working.ordered()))
             if window is None:
-                return found
+                break
             found.append(window)
             working.cut_window(window, mode="consume")
+        return found
 
     def pool(self, *later):
         # performance 1.0 makes the node's runtime the reservation time.
@@ -364,6 +375,7 @@ class TestCandidateExpiredOnArrival:
     def test_the_constructed_slot_sits_on_the_float_boundary(self):
         assert self.END - self.START >= self.RUNTIME - TIME_EPSILON
         assert self.END - self.RUNTIME < self.START - TIME_EPSILON
+        assert not fits_from(last_start(self.END, self.RUNTIME), self.START)
 
     @pytest.mark.parametrize("later", [(1.0,), (1.0, 2.0), (2.0, 2.0, 3.0)])
     def test_dead_candidate_is_dropped_at_the_next_step(self, later):
@@ -373,6 +385,7 @@ class TestCandidateExpiredOnArrival:
         expected = self.generic_procedure(request, pool)
         assert found == expected
         assert same_windows(found, expected)
+        assert_identical(found, procedure(request, pool))
         for window in found:
             window.validate(request)
             assert 0 not in window.nodes()
@@ -441,19 +454,42 @@ class TestCandidateExpiredOnArrival:
                 assert found == expected, (node_count, budget)
                 assert same_windows(found, expected)
 
-    def test_dead_candidate_is_alive_at_its_own_step(self):
-        # A partner already waiting at the dead candidate's own start
-        # completes a window there, as in the generic loop.
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_disputed_slot_in_no_window(self, policy):
+        # A partner already waiting at the disputed slot's own start does
+        # not complete a window there: the slot is no candidate.  (It
+        # once did, alive at its own step only.)
         slots = [
             make_slot(1, 0.0, 1e7, performance=1.0, price=1e-6),
             make_slot(0, self.START, self.END, performance=1.0, price=1e-6),
         ]
         pool = SlotPool.from_slots(slots)
         request = ResourceRequest(node_count=2, reservation_time=self.RUNTIME)
-        found = sweep_csa("cheapest").find_alternatives(request, pool)
-        expected = self.generic_procedure(request, pool)
-        assert found == expected
-        assert [window.start for window in found] == [self.START]
+        found = sweep_csa(policy).find_alternatives(request, pool)
+        assert found == procedure(request, pool, policy=policy) == []
+        assert self.generic_procedure(request, pool, policy) == []
+
+
+@ADVERSARIAL
+@given(case=adversarial_cases())
+@example(case=EXPIRED_ON_ARRIVAL)
+@example(case=EDGE_OF_COMMIT)
+def test_sweeps_equal_the_procedure_on_adversarial_pools(case):
+    """Both consume sweeps, on pools whose slot ends sit where the float
+    spellings of the fit test disagree, equal the AMP-and-cut procedure
+    — on the kernel's AMP and on the generic loop's — and every window
+    validates."""
+    request = case.request
+    for policy in POLICIES:
+        for cap in (None, 1):
+            found = sweep_csa(policy).find_alternatives(request, case.pool(), limit=cap)
+            assert_identical(found, procedure(request, case.pool(), cap, policy))
+            generic = TestCandidateExpiredOnArrival.generic_procedure(
+                request, case.pool(), policy, cap
+            )
+            assert found == generic
+            for window in found:
+                window.validate(request)
 
 
 class TestDoomedCheapestSweep:
@@ -738,11 +774,8 @@ def eviction_only(request, pool, cap=None):
     """The eviction sweep on the pool's plan without the pre-check."""
     arrays, slot_list = vectorized._resolve_arrays(pool)
     plan = vectorized._plan_for(arrays, request)
-    extras = vectorized._first_extras(plan, arrays)
     budget = vectorized._budget_of(request)
-    hits = vectorized._run_first_consume(
-        plan, extras, request.node_count, budget, request.deadline, cap
-    )
+    hits = vectorized._run_first_consume(plan, request.node_count, budget, cap)
     return [vectorized._window(plan, slot_list, start, cands) for start, cands in hits]
 
 
@@ -752,18 +785,21 @@ def plan_of(slots, request):
 
 
 class TestEvictionPreCheck:
-    """The first policy's pre-check: a widened cheapest sweep that finds
-    nothing proves the eviction sweep finds nothing.  It widens the
-    eviction scan's float tests, so each boundary below is one the
-    eviction sweep hits on and an unwidened cheapest sweep misses."""
+    """The first policy's pre-check: a cheapest sweep with a widened
+    budget that finds nothing proves the eviction sweep finds nothing.
+    Both keep a waiting leg by the same test, its last start against
+    ``ws - eps``, so the budget is the only thing widened: on the time
+    boundary the pre-check is exact, and on the budget boundary it says
+    "search" where an unwidened cheapest sweep misses."""
 
     @staticmethod
-    def boundary_end(window_start: float, need: float) -> float:
-        """The least slot end ``e`` with ``e - window_start >= need``."""
-        end = window_start + need
-        while end - window_start >= need:
+    def boundary_end(window_start: float, runtime: float) -> float:
+        """The least slot end ``e`` whose leg of ``runtime`` fits from
+        ``window_start``: ``e - runtime >= window_start - eps``."""
+        end = window_start + runtime
+        while fits_from(last_start(end, runtime), window_start):
             end = math.nextafter(end, -math.inf)
-        while not end - window_start >= need:
+        while not fits_from(last_start(end, runtime), window_start):
             end = math.nextafter(end, math.inf)
         return end
 
@@ -772,10 +808,10 @@ class TestEvictionPreCheck:
     def test_waiting_leg_on_the_end_test(self, base, step):
         # task(20) runs 5 on the default node.  Node 0 waits from
         # ``base``; node 1 arrives at ``base + 64``, where the eviction
-        # scan keeps node 0 iff ``end - ws >= 5 - eps``.
+        # scan keeps node 0 iff ``end - 5 >= ws - eps``.
         request = ResourceRequest(node_count=2, reservation_time=20.0)
         window_start = base + 64.0
-        end = self.boundary_end(window_start, 5.0 - TIME_EPSILON)
+        end = self.boundary_end(window_start, 5.0)
         end = {-1: math.nextafter(end, -math.inf), 0: end, 1: math.nextafter(end, math.inf)}[step]
         slots = [make_slot(0, base, end), make_slot(1, window_start, base + 200.0)]
         pool = SlotPool.from_slots(slots)
@@ -783,12 +819,10 @@ class TestEvictionPreCheck:
         assert_identical(found, procedure(request, pool, policy="first"))
         assert found == eviction_only(request, SlotPool.from_slots(slots))
         assert [window.start for window in found] == ([] if step < 0 else [window_start])
-        if found:
-            # A pre-check zero here would be a wrong answer.  (Below the
-            # boundary it may still say "search": the converse is free.)
-            arrays, plan = plan_of(slots, request)
-            budget = vectorized._budget_of(request)
-            assert vectorized._may_evict_hit(plan, arrays, 2, budget, None)
+        # The pre-check reads the same keep test: exact on this boundary.
+        arrays, plan = plan_of(slots, request)
+        budget = vectorized._budget_of(request)
+        assert vectorized._may_evict_hit(plan, 2, budget) == bool(found)
 
     def test_budget_between_the_waiting_order_and_the_ascending_sum(self):
         # task(4) runs 1 on the default node, so a leg costs its price.
@@ -814,19 +848,20 @@ class TestEvictionPreCheck:
         ]
         arrays, plan = plan_of(slots, request)
         assert plan.cost_list == prices
-        extras = vectorized._first_extras(plan, arrays)
-        hits = vectorized._run_first_consume(plan, extras, 4, budget, None, None)
+        hits = vectorized._run_first_consume(plan, 4, budget, None)
         assert [(start, sorted(cands)) for start, cands in hits] == [(3.0, [0, 1, 2, 3])]
         assert vectorized._run_cheapest_consume(plan, 4, budget, None) == []
-        assert vectorized._may_evict_hit(plan, arrays, 4, budget, None)
+        assert vectorized._may_evict_hit(plan, 4, budget)
 
-    def test_margin_scales_with_the_runtime_not_the_window_start(self):
+    def test_runtime_far_above_the_window_start(self):
         # A runtime of 1e7 (task(4e7) on the default node): one ulp of
         # ``1e7 - eps`` is about 1.86e-9, so ``fl(req - eps)`` falls a
         # whole ulp below ``req``.  Node 0's slot ends exactly there past
-        # the window start 2**-20, so the eviction scan keeps it, while
-        # its expiry time lies 1.86e-9 before the window start: below
-        # ``ws - eps`` and ``ws - eps - 1e-9 * |ws|`` alike.
+        # the window start 2**-20: ``end - ws >= req - eps`` holds, while
+        # its last start lies 1.86e-9 before the window start, below
+        # ``ws - eps``.  The eviction scan once kept it by the first test
+        # (and the pre-check needed a margin scaled by the runtime); now
+        # every search drops it by the second.
         request = ResourceRequest(node_count=2, reservation_time=4e7)
         runtime = 1e7
         window_start = 2.0**-20
@@ -834,15 +869,15 @@ class TestEvictionPreCheck:
         assert need == math.nextafter(runtime, 0.0)
         end = window_start + need
         assert end - window_start == need
-        assert end - runtime < window_start - TIME_EPSILON - 1e-9 * window_start
+        assert not fits_from(last_start(end, runtime), window_start)
         slots = [make_slot(0, 0.0, end), make_slot(1, window_start, 3e7)]
         pool = SlotPool.from_slots(slots)
         found = sweep_csa("first").find_alternatives(request, pool)
-        assert [window.start for window in found] == [window_start]
-        assert_identical(found, procedure(request, pool, policy="first"))
+        assert found == procedure(request, pool, policy="first") == []
+        assert eviction_only(request, SlotPool.from_slots(slots)) == []
         arrays, plan = plan_of(slots, request)
         assert vectorized._run_cheapest_consume(plan, 2, math.inf, None) == []
-        assert vectorized._may_evict_hit(plan, arrays, 2, math.inf, None)
+        assert not vectorized._may_evict_hit(plan, 2, math.inf)
 
     @pytest.mark.parametrize("offset", [0.0, 1e9], ids=["zero", "1e9"])
     def test_random_pools_with_and_without_the_pre_check(self, offset):
@@ -863,9 +898,7 @@ class TestEvictionPreCheck:
             arrays, slot_list = vectorized._resolve_arrays(pool)
             plan = vectorized._plan_for(arrays, request)
             budget = vectorized._budget_of(request)
-            if not vectorized._may_evict_hit(
-                plan, arrays, node_count, budget, request.deadline
-            ):
+            if not vectorized._may_evict_hit(plan, node_count, budget):
                 proven += 1
                 assert found == []
         # The pre-check settles a share of the searches on its own.

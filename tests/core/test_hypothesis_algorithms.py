@@ -5,7 +5,10 @@ windows validate, optimal algorithms match the exhaustive reference,
 heuristics never beat exact variants, budget monotonicity holds.
 """
 
-from hypothesis import given, settings
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -13,12 +16,23 @@ from repro.core import (
     CSA,
     Criterion,
     Exhaustive,
+    FirstFit,
     MinCost,
+    MinEnergy,
     MinFinish,
+    MinIdle,
+    MinProcTime,
     MinRunTime,
+    RigidBackfill,
 )
 from repro.model import ResourceRequest, Slot, SlotPool
 from tests.conftest import make_node
+from tests.strategies import (
+    ADVERSARIAL,
+    EDGE_OF_COMMIT,
+    EXPIRED_ON_ARRIVAL,
+    adversarial_cases,
+)
 
 
 @st.composite
@@ -138,3 +152,54 @@ def test_deadline_only_removes_windows(pool, request):
     window = MinFinish(exact=True).select(constrained_request, pool)
     assert window is not None
     assert window.finish <= unconstrained.finish + 1e-6
+
+
+def _every_window(case):
+    """``(window, request to validate it by)`` for every window each stock
+    algorithm returns on the case's pool."""
+    request = case.request
+    pool = case.pool()
+    # FirstFit ignores the budget; the rigid backfill also the runtimes,
+    # so its legs are checked against the slots alone (and the deadline).
+    unbudgeted = replace(request, budget=None)
+    selectors = [
+        (AMP(), request),
+        (AMP(policy="cheapest"), request),
+        (MinCost(), request),
+        (MinRunTime(), request),
+        (MinRunTime(exact=True), request),
+        (MinFinish(), request),
+        (MinProcTime(rng=np.random.default_rng(5)), request),
+        (MinEnergy(), request),
+        (MinIdle(), request),
+        (Exhaustive(Criterion.COST), request),
+        (FirstFit(), unbudgeted),
+        (RigidBackfill(), None),
+    ]
+    for algorithm, check in selectors:
+        window = algorithm.select(request, pool)
+        if window is not None:
+            yield window, check
+    for policy in ("first", "cheapest"):
+        for cut_mode in ("consume", "split"):
+            csa = CSA(max_alternatives=4, cut_mode=cut_mode, amp_policy=policy)
+            for window in csa.find_alternatives(request, pool):
+                yield window, request
+
+
+@ADVERSARIAL
+@given(case=adversarial_cases(max_nodes=6))
+@example(case=EXPIRED_ON_ARRIVAL)
+@example(case=EDGE_OF_COMMIT)
+def test_every_window_validates_and_commits_on_adversarial_pools(case):
+    """On pools whose slot ends sit where the float spellings of the fit
+    test disagree, every window any stock algorithm returns passes
+    ``validate`` and commits into a copy of its pool, split or consumed:
+    the searches, the check and the cuts read one test."""
+    pool = case.pool()
+    deadline = case.request.deadline
+    for window, request in _every_window(case):
+        window.validate(request)
+        assert all(leg.fits_from(window.start, deadline) for leg in window.slots)
+        for mode in ("split", "consume"):
+            pool.copy().commit_window(window, mode=mode)

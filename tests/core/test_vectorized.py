@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given
 
 from repro.core import vectorized
 from repro.core.aep import aep_scan
@@ -31,9 +32,15 @@ from repro.core.extractors import (
 )
 from repro.environment import EnvironmentConfig, EnvironmentGenerator
 from repro.model import ResourceRequest, SlotPool
-from repro.model.slot import TIME_EPSILON
+from repro.model.slot import TIME_EPSILON, fits_from, last_start
 from tests.conftest import make_slot, scan_fingerprint
 from tests.core.reference import reference_scan
+from tests.strategies import (
+    ADVERSARIAL,
+    EDGE_OF_COMMIT,
+    EXPIRED_ON_ARRIVAL,
+    adversarial_cases,
+)
 
 REQUEST = ResourceRequest(node_count=4, reservation_time=60.0, budget=900.0)
 #: On the 40-node pools a random 4-subset fits this budget at some steps,
@@ -239,12 +246,14 @@ class TestVectorObjectEquivalence:
 
 
 class TestCandidateExpiredOnArrival:
-    """A candidate whose expiry time is already below its own step's
-    threshold.  The plan's insertable test keeps it (in reals the two
-    tests are one), but in floats a slot end a few ulps inside that test
-    can give ``end - required_time < start - epsilon`` when the runtime
-    dwarfs the start.  The generic loop inserts it and drops it at the
-    next step; every criterion's replay must do the same."""
+    """A slot whose end passes ``end - start >= runtime - epsilon`` while
+    its last start ``end - runtime`` is below ``start - epsilon`` (in
+    reals the two tests are one; in floats they part when the runtime
+    dwarfs the start).  The scans once inserted such a candidate and
+    expired it at the next step, and every replay had to follow.  Now
+    insert and expiry read the same last start, so the slot is never a
+    candidate: the kernel, the generic loop and ``validate`` agree for
+    every criterion."""
 
     # start 0.88..., runtime 1.52e6: end - start passes ``>= runtime -
     # epsilon``, while end - runtime falls below start - epsilon.
@@ -266,6 +275,7 @@ class TestCandidateExpiredOnArrival:
     def test_the_constructed_slot_sits_on_the_float_boundary(self):
         assert self.END - self.START >= self.RUNTIME - TIME_EPSILON
         assert self.END - self.RUNTIME < self.START - TIME_EPSILON
+        assert not fits_from(last_start(self.END, self.RUNTIME), self.START)
 
     @pytest.mark.parametrize("make_extractor", EXTRACTORS)
     @pytest.mark.parametrize("stop_at_first", [False, True])
@@ -294,6 +304,52 @@ class TestCandidateExpiredOnArrival:
         assert kernel is not None
         kernel.window.validate(request)
         assert 0 not in kernel.window.nodes()
+
+
+#: Every stock extractor the kernel replays, as plain factories.
+STOCK_EXTRACTORS = [
+    EarliestStartExtractor,
+    MinTotalCostExtractor,
+    MinRuntimeSubstitutionExtractor,
+    MinRuntimeExactExtractor,
+    EarliestFinishExtractor,
+    lambda: EarliestFinishExtractor(MinRuntimeExactExtractor()),
+    GreedyAdditiveExtractor,
+    lambda: GreedyAdditiveExtractor(energy_key),
+    random_window(1),
+    random_window(3),
+]
+
+
+@ADVERSARIAL
+@given(case=adversarial_cases())
+@example(case=EXPIRED_ON_ARRIVAL)
+@example(case=EDGE_OF_COMMIT)
+def test_kernel_equals_generic_loop_on_adversarial_pools(case):
+    """The kernel's plan and the generic loop read one fit test, so on
+    pools whose slot ends sit where its float spellings disagree they
+    still return the same ``ScanResult`` — every criterion, with and
+    without ``stop_at_first`` — and every window validates."""
+    pool = case.pool()
+    request = case.request
+    for make_extractor in STOCK_EXTRACTORS:
+        for stop_at_first in (False, True):
+            kernel_extractor = make_extractor()
+            generic_extractor = make_extractor()
+            before = counters()
+            kernel = aep_scan(request, pool, kernel_extractor, stop_at_first=stop_at_first)
+            assert vectorized.scan_counters["vectorized"] == before["vectorized"] + 1
+            generic = aep_scan(
+                request, iter(pool.ordered()), generic_extractor, stop_at_first=stop_at_first
+            )
+            assert scan_fingerprint(kernel) == scan_fingerprint(generic)
+            if isinstance(kernel_extractor, RandomWindowExtractor):
+                assert (
+                    kernel_extractor._rng.bit_generator.state
+                    == generic_extractor._rng.bit_generator.state
+                )
+            if kernel is not None:
+                kernel.window.validate(request)
 
 
 class _CheapestByNodeId:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.model import ResourceRequest, Slot, SlotPool, Timeline, Window, WindowSlot
+from repro.model.slot import fits_from, last_start
 from tests.conftest import make_node, pool_state
 
 times = st.floats(min_value=0.0, max_value=1000.0, allow_nan=False, allow_infinity=False)
@@ -45,7 +46,7 @@ class TestSlotProperties:
         slot = Slot(make_node(0), start, end)
         cut_start = cut.draw(st.floats(min_value=start, max_value=end - 0.5))
         cut_end = cut.draw(st.floats(min_value=cut_start, max_value=end))
-        remainders = slot.split(cut_start, cut_end, min_length=1e-9)
+        remainders = slot.split(cut_start, cut_end - cut_start, min_length=1e-9)
         removed = cut_end - cut_start
         total = sum(r.length for r in remainders)
         assert total <= slot.length - removed + 1e-6
@@ -64,8 +65,29 @@ class TestSlotProperties:
     @given(interval=intervals(), probe=times)
     @settings(max_examples=200)
     def test_remaining_from_never_exceeds_length(self, interval, probe):
+        # A leg longer than the slot fits from no start within it.
         slot = Slot(make_node(0), *interval)
-        assert slot.remaining_from(probe) <= slot.length + 1e-9
+        if probe >= slot.start:
+            assert not fits_from(last_start(slot.end, slot.length + 1e-6), probe)
+
+    @given(
+        interval=intervals(),
+        runtime=times,
+        deadline=st.none() | times,
+        probe=times,
+        earlier=times,
+    )
+    @settings(max_examples=200)
+    def test_fit_is_monotone_in_the_start_and_the_deadline(
+        self, interval, runtime, deadline, probe, earlier
+    ):
+        # A leg that fits from ``probe`` fits from every earlier start,
+        # and a deadline only takes fits away.
+        end = interval[1]
+        with_deadline = last_start(end, runtime, deadline)
+        if fits_from(with_deadline, probe):
+            assert fits_from(with_deadline, min(earlier, probe))
+            assert fits_from(last_start(end, runtime), probe)
 
 
 class TestTimelineProperties:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.model import InvalidIntervalError, ModelError, Slot
+from repro.model.slot import TIME_EPSILON, fits_from, last_start
 from tests.conftest import make_node, make_slot
 
 
@@ -26,40 +27,57 @@ class TestConstruction:
 
 
 class TestContainment:
+    """Whether a leg fits a slot is ``fits_from(last_start(end, r), t)``
+    with the window start at or after the slot's start: the one float
+    test of "a leg fits from t" that every scan, check and cut reads."""
+
     def test_contains_inner_interval(self):
-        slot = make_slot(0, 0.0, 50.0)
-        assert slot.contains(10.0, 20.0)
+        assert fits_from(last_start(50.0, 10.0), 10.0)
 
     def test_contains_exact_bounds(self):
-        slot = make_slot(0, 0.0, 50.0)
-        assert slot.contains(0.0, 50.0)
+        assert fits_from(last_start(50.0, 50.0), 0.0)
 
     def test_does_not_contain_overhang(self):
         slot = make_slot(0, 0.0, 50.0)
-        assert not slot.contains(40.0, 51.0)
-        assert not slot.contains(-1.0, 10.0)
+        assert not fits_from(last_start(slot.end, 11.0), 40.0)
+        with pytest.raises(ModelError):
+            slot.split(-1.0, 11.0)  # starts before the slot
 
     def test_can_host_at_start(self):
-        slot = make_slot(0, 5.0, 30.0)
-        assert slot.can_host(5.0, 25.0)
-        assert not slot.can_host(5.0, 25.1)
+        assert fits_from(last_start(30.0, 25.0), 5.0)
+        assert not fits_from(last_start(30.0, 25.1), 5.0)
 
     def test_can_host_mid_slot(self):
-        slot = make_slot(0, 5.0, 30.0)
-        assert slot.can_host(10.0, 20.0)
-        assert not slot.can_host(10.0, 20.5)
+        assert fits_from(last_start(30.0, 20.0), 10.0)
+        assert not fits_from(last_start(30.0, 20.5), 10.0)
 
     def test_can_host_rejects_negative_duration(self):
         with pytest.raises(ModelError):
-            make_slot(0, 0.0, 10.0).can_host(0.0, -1.0)
+            make_slot(0, 0.0, 10.0).split(0.0, -1.0)
 
     def test_remaining_from(self):
-        slot = make_slot(0, 10.0, 40.0)
-        assert slot.remaining_from(0.0) == pytest.approx(30.0)
-        assert slot.remaining_from(10.0) == pytest.approx(30.0)
-        assert slot.remaining_from(25.0) == pytest.approx(15.0)
-        assert slot.remaining_from(40.0) == pytest.approx(0.0)
-        assert slot.remaining_from(45.0) == pytest.approx(-5.0)
+        # A 30-unit leg in [10, 40) fits from 10 and no later.
+        assert last_start(40.0, 30.0) == 10.0
+        assert fits_from(last_start(40.0, 30.0), 10.0)
+        assert not fits_from(last_start(40.0, 30.0), 10.5)
+
+    def test_deadline_folds_into_the_end(self):
+        assert last_start(50.0, 5.0, deadline=30.0) == 25.0
+        assert last_start(50.0, 5.0, deadline=80.0) == 45.0
+
+    def test_tolerance_is_one_epsilon_below_the_start(self):
+        assert fits_from(10.0, 10.0 + TIME_EPSILON / 2)
+        assert not fits_from(10.0, 10.0 + 2 * TIME_EPSILON)
+
+    def test_a_runtime_far_above_the_start_reads_the_same_float(self):
+        # The slot end sits a few ulps inside ``end - start >= r - eps``,
+        # a spelling the predicate replaced; the predicate rejects it,
+        # and so does the cut that reads it.
+        start, end, runtime = 0.8800301687734118, 1522731.6770924227, 1522730.797062255
+        assert end - start >= runtime - TIME_EPSILON
+        assert not fits_from(last_start(end, runtime), start)
+        with pytest.raises(ModelError):
+            make_slot(0, start, end).split(start, runtime)
 
 
 class TestOverlap:
@@ -79,7 +97,7 @@ class TestOverlap:
 class TestSplit:
     def test_split_middle_returns_both_remainders(self):
         slot = make_slot(0, 0.0, 100.0)
-        left, right = slot.split(30.0, 60.0)
+        left, right = slot.split(30.0, 30.0)
         assert (left.start, left.end) == (0.0, 30.0)
         assert (right.start, right.end) == (60.0, 100.0)
         assert left.node == slot.node
@@ -90,28 +108,36 @@ class TestSplit:
         assert (right.start, right.end) == (40.0, 100.0)
 
     def test_split_at_end_returns_left_only(self):
-        (left,) = make_slot(0, 0.0, 100.0).split(60.0, 100.0)
+        (left,) = make_slot(0, 0.0, 100.0).split(60.0, 40.0)
         assert (left.start, left.end) == (0.0, 60.0)
 
     def test_split_whole_slot_returns_nothing(self):
         assert make_slot(0, 0.0, 100.0).split(0.0, 100.0) == []
 
     def test_split_respects_min_length(self):
-        remainders = make_slot(0, 0.0, 100.0).split(3.0, 95.0, min_length=10.0)
+        remainders = make_slot(0, 0.0, 100.0).split(3.0, 92.0, min_length=10.0)
         assert remainders == []
 
     def test_split_keeps_remainder_at_exact_min_length(self):
-        remainders = make_slot(0, 0.0, 100.0).split(10.0, 100.0, min_length=10.0)
+        remainders = make_slot(0, 0.0, 100.0).split(10.0, 90.0, min_length=10.0)
         assert len(remainders) == 1
         assert remainders[0].length == pytest.approx(10.0)
 
     def test_split_outside_slot_raises(self):
         with pytest.raises(ModelError):
-            make_slot(0, 10.0, 20.0).split(5.0, 15.0)
+            make_slot(0, 10.0, 20.0).split(5.0, 10.0)
+
+    def test_split_overhanging_the_end_raises(self):
+        with pytest.raises(ModelError):
+            make_slot(0, 10.0, 20.0).split(15.0, 5.5)
+
+    def test_split_rejects_negative_duration(self):
+        with pytest.raises(ModelError):
+            make_slot(0, 0.0, 10.0).split(5.0, -1.0)
 
     def test_split_conserves_time(self):
         slot = make_slot(0, 0.0, 100.0)
-        remainders = slot.split(20.0, 45.0)
+        remainders = slot.split(20.0, 25.0)
         assert sum(r.length for r in remainders) + 25.0 == pytest.approx(slot.length)
 
 

@@ -11,7 +11,9 @@ from repro.model import (
     Window,
     WindowSlot,
 )
+from repro.core import AMP, CSA
 from tests.conftest import make_slot, pool_state
+from tests.strategies import EDGE_OF_COMMIT
 
 
 def window_for(slot, reservation=20.0, start=None):
@@ -125,6 +127,40 @@ class TestCutWindow:
         before = pool.total_free_time()
         pool.cut_window(window_for(slot), mode="split")
         assert pool.total_free_time() == pytest.approx(before - 5.0)
+
+
+class TestSearchThenCommit:
+    """A window any search returns commits: the search, ``validate``,
+    ``cut_window`` and ``commit_window`` read one fit test."""
+
+    @staticmethod
+    def windows(pool, request):
+        for policy in ("first", "cheapest"):
+            window = AMP(policy).select(request, pool)
+            if window is not None:
+                yield window
+            for mode in ("split", "consume"):
+                yield from CSA(
+                    max_alternatives=4, cut_mode=mode, amp_policy=policy
+                ).find_alternatives(request, pool)
+
+    @pytest.mark.parametrize("partner", [False, True], ids=["alone", "partnered"])
+    def test_every_window_validates_and_commits(self, partner):
+        slots = list(EDGE_OF_COMMIT.slots)
+        if partner:
+            slots.append(make_slot(2, 0.0, 1e8, performance=1e9, price=5.0))
+        pool = SlotPool.from_slots(slots)
+        request = EDGE_OF_COMMIT.request
+        found = list(self.windows(pool, request))
+        for window in found:
+            window.validate(request)
+            for mode in ("split", "consume"):
+                pool.copy().commit_window(window, mode=mode)
+                if all(leg.slot in pool for leg in window.slots):
+                    pool.copy().cut_window(window, mode=mode)
+        # Node 0 does not fit from its own start, so no search uses it.
+        assert all(0 not in window.nodes() for window in found)
+        assert bool(found) == partner
 
 
 class TestCopyAndInvariants:

@@ -14,8 +14,12 @@ records.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.core import CSA, vectorized
 from repro.core.vectorized import vectorized_alternatives
@@ -23,6 +27,12 @@ from repro.model import Job, ResourceRequest, Slot, SlotPool, Window, WindowSlot
 from repro.model.job import JobBatch
 
 from tests.conftest import make_node, make_slot
+from tests.strategies import (
+    ADVERSARIAL,
+    EDGE_OF_COMMIT,
+    EXPIRED_ON_ARRIVAL,
+    adversarial_cases,
+)
 
 POLICIES = ("first", "cheapest")
 
@@ -234,21 +244,24 @@ STORM_OPS = (
 
 
 class TestExpiryNearAThreshold:
-    """A cheapest-policy zero is no certificate on a plan where a
-    candidate's expiry time lies a few ulps below a later candidate's
-    threshold: cutting that candidate's slot to start there can leave it
-    expired on arrival, alive at its own step only, and a window forms
-    there that the old pool never had."""
+    """A cheapest-policy zero on a plan where a candidate's last start
+    lies a few ulps below a later candidate's threshold.  Cutting that
+    candidate's slot to start there leaves a slot that passes ``end -
+    start >= runtime - eps`` while its last start is below ``start -
+    eps``.  Scans once inserted it, alive at its own step only, and a
+    window formed there that the old pool never had, so such zeros were
+    not recorded.  The cut slot is now no candidate, the zero holds, and
+    it is recorded and answers after the cut."""
 
     # Node 0 runs 1.52e6 (performance 1.0); its slot, cut to start at
-    # CUT, passes the insertable test yet has end - runtime below CUT -
-    # epsilon.  Node 1 starts between that expiry time and CUT.
+    # CUT, passes the end test yet has end - runtime below CUT -
+    # epsilon.  Node 1 starts between that last start and CUT.
     CUT = 0.8800301687734118
     END = 1522731.6770924227
     RUNTIME = 1522730.797062255
     PARTNER = 0.88003016876
 
-    def test_zero_before_the_cut_is_not_recorded(self):
+    def test_zero_before_the_cut_holds(self):
         pool = SlotPool.from_slots(
             [
                 make_slot(0, 0.5, self.END, performance=1.0, price=1e-6),
@@ -261,9 +274,61 @@ class TestExpiryNearAThreshold:
         found, certified = certified_delta(
             lambda: vectorized_alternatives(request, pool, None, "cheapest")
         )
-        assert certified == 0
-        assert [window.nodes() for window in found] == [[1, 0]]
-        assert found == vectorized_alternatives(request, rebuilt(pool), None, "cheapest")
+        assert (found, certified) == ([], 1)
+        assert vectorized_alternatives(request, rebuilt(pool), None, "cheapest") == []
+        assert CSA(amp_policy="cheapest", cut_mode="split").find_alternatives(
+            request, pool
+        ) == []
+
+
+#: Operations of the adversarial storm (:func:`test_storm_on_adversarial_pools`).
+ADVERSARIAL_OPS = ("commit-split", "commit-consume", "remove", "floor", "copy")
+
+
+@ADVERSARIAL
+@given(
+    case=adversarial_cases(),
+    ops=st.lists(
+        st.tuples(st.sampled_from(ADVERSARIAL_OPS), st.integers(0, 63)), max_size=10
+    ),
+)
+@example(case=EXPIRED_ON_ARRIVAL, ops=[("floor", 0), ("commit-split", 0)])
+@example(case=EDGE_OF_COMMIT, ops=[("commit-split", 0), ("floor", 1)])
+def test_storm_on_adversarial_pools(case, ops):
+    """Certified answers on pools whose slot ends sit where the float
+    spellings of the fit test disagree, through commits, removals and
+    floors at slot starts (cuts that move a slot's start onto the
+    boundary): every answer, certified or searched, equals the search on
+    a verbatim rebuild, and every window found commits."""
+    requests = [case.request, replace(case.request, budget=None)]
+    pools = [case.pool()]
+
+    def check_all() -> None:
+        for pool in pools:
+            reference = rebuilt(pool)
+            for request in requests:
+                for policy in POLICIES:
+                    found = vectorized_alternatives(request, pool, None, policy)
+                    assert found == vectorized_alternatives(request, reference, None, policy)
+                    for window in found:
+                        window.validate(request)
+
+    check_all()
+    for op, pick in ops:
+        pool = pools[pick % len(pools)]
+        slots = pool.ordered()
+        if op.startswith("commit"):
+            policy = POLICIES[pick % 2]
+            found = vectorized_alternatives(requests[pick % 2], pool, 1, policy)
+            if found:
+                pool.commit_window(found[0], mode=op.split("-")[1])
+        elif op == "remove" and slots:
+            pool.remove(slots[pick % len(slots)])
+        elif op == "floor" and slots:
+            pool.advance_floor(slots[pick % len(slots)].start)
+        elif op == "copy":
+            pools.append(pool.copy())
+        check_all()
 
 
 def storm_slots(rng: np.random.Generator, nodes: int, touching: bool) -> list[Slot]:

@@ -29,12 +29,10 @@ from repro.core import MinCost
 from repro.model import ResourceRequest, Slot, SlotPool
 from repro.model.errors import AllocationError
 from repro.model.slot import TIME_EPSILON
-from repro.service.admission import (
-    cheapest_feasible_cost,
-    cheapest_feasible_cost_reference,
-)
+from repro.service.admission import cheapest_feasible_cost
 
 from tests.conftest import make_node, make_slot, pool_state
+from tests.service.admission_oracle import cheapest_feasible_cost_reference
 
 EPS = TIME_EPSILON
 

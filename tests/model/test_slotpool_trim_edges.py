@@ -140,3 +140,29 @@ def test_commit_window_raises_when_trim_ate_the_span():
         pool.commit_window(window)
     # The failed commit must not have removed the trimmed slot.
     assert spans_by_node(pool) == {1: [(25.0, 100.0)]}
+
+
+@pytest.mark.parametrize("base", [0.0, 1e9], ids=["zero", "1e9"])
+def test_trim_sorts_a_slot_starting_at_the_floor_among_the_cut_ones(base):
+    """Above 2**23 one ulp of a time exceeds twice ``TIME_EPSILON``, so
+    ``floor + TIME_EPSILON`` is the floor itself.  A slot starting there
+    still sorts among the slots the trim cuts to start there (by end),
+    and the trimmed pool equals a rebuild of its slots."""
+    floor = base + 3.0
+    pool = SlotPool.from_slots(
+        [
+            make_slot(0, base + 1.0, base + 2.0),
+            make_slot(0, floor, base + 4.0),
+            make_slot(1, base + 1.0, base + 1001.0),
+            make_slot(2, base + 1.0, base + 1001.0),
+        ]
+    )
+    pool.trim_before(floor)
+    slots = pool.ordered()
+    assert slots == sorted(slots, key=Slot.sort_key)
+    assert [slot.node.node_id for slot in slots] == [0, 1, 2]
+    assert pool.as_arrays().start.tolist() == [floor] * 3
+    for slot in slots:
+        twin = pool.copy()
+        twin.remove(slot)
+        assert slot not in twin

@@ -39,6 +39,11 @@ class TestWindowSlot:
         assert ws.fits_from(45.0)
         assert not ws.fits_from(45.1)
 
+    def test_fits_from_by_a_deadline(self):
+        ws = leg(0, 0.0, 50.0, performance=4.0)  # needs 5 units
+        assert ws.fits_from(30.0, deadline=35.0)
+        assert not ws.fits_from(30.1, deadline=35.0)
+
     def test_energy_positive(self):
         assert leg(0, 0.0, 50.0).energy() > 0
 
@@ -96,6 +101,17 @@ class TestValidation:
         # Task needs 5 units but only 3 remain from the window start.
         window = Window(start=47.0, slots=(leg(0, 0.0, 50.0),))
         with pytest.raises(WindowValidationError):
+            window.validate()
+
+    def test_leg_is_checked_by_the_fit_predicate(self):
+        # ``end - start`` passes ``>= runtime - eps`` (the old end test)
+        # while the last start ``end - runtime`` is below ``start - eps``:
+        # the window is refused, as the search and every cut refuse it.
+        start, end, runtime = 0.8800301687734118, 1522731.6770924227, 1522730.797062255
+        slot = make_slot(0, start, end, performance=1.0)
+        request = ResourceRequest(node_count=1, reservation_time=runtime)
+        window = Window(start=start, slots=(WindowSlot.for_request(slot, request),))
+        with pytest.raises(WindowValidationError, match="cannot host"):
             window.validate()
 
     def test_request_size_mismatch(self, simple_window):

@@ -12,10 +12,9 @@ from repro.service import (
     RejectionReason,
     cheapest_feasible_cost,
 )
-from repro.service.admission import (
-    AdmissionOutlook,
-    cheapest_feasible_cost_reference,
-)
+from repro.service.admission import AdmissionOutlook
+
+from tests.service.admission_oracle import cheapest_feasible_cost_reference
 
 
 def make_job(job_id: str = "adm", nodes: int = 2, budget: float = 1000.0) -> Job:

@@ -39,6 +39,7 @@ from repro.service import (
 )
 from repro.simulation.jobgen import JobGenerator
 
+from tests.strategies import EDGE_OF_COMMIT
 from tests.test_window_invariants import assert_window_invariants
 
 
@@ -446,3 +447,27 @@ class TestOneTrimPerCycle:
         assert service.pump() == 1
         assert len(calls["trim"]) == trimmed
         assert service.stats.scheduled == 4
+
+
+class TestLegOnTheFitBoundary:
+    """The search, validation and commit read one fit test, so a window
+    the search returns is one the commit accepts."""
+
+    def test_pump_defers_cleanly(self):
+        collector = CollectingSink()
+        validator = TraceValidator()
+        service = BrokerService(
+            EDGE_OF_COMMIT.pool(),
+            config=ServiceConfig(batch_size=1),
+            sinks=[collector, validator],
+        )
+        assert service.submit(Job("edge", EDGE_OF_COMMIT.request))
+        service.pump()
+        stats = service.stats
+        # Node 0 is not a candidate: no window, so the job defers until
+        # it is dropped, and nothing is committed.
+        assert stats.scheduled == 0
+        assert stats.deferred > 0
+        assert stats.admitted == stats.scheduled + stats.dropped + service.queue_depth
+        assert service.pool.ordered() == EDGE_OF_COMMIT.pool().ordered()
+        validator.check(expect_drained=False)
