@@ -27,7 +27,7 @@ from repro import (
     aep_scan,
 )
 from repro.core.extractors import Extraction, GreedyAdditiveExtractor, cheapest_subset
-from repro.model.window import COST_EPSILON
+from repro.model.window import budget_limit, left_sum
 
 
 class BalancedEdgeExtractor:
@@ -40,16 +40,14 @@ class BalancedEdgeExtractor:
 
     def extract(self, window_start, candidates, request):
         n = request.node_count
-        budget = request.effective_budget
-        if budget != float("inf"):
-            budget += COST_EPSILON * (1.0 + abs(budget))
+        budget = budget_limit(request.effective_budget)
         if len(candidates) < n:
             return None
         by_time = sorted(candidates, key=lambda ws: ws.required_time)
         best = None
         for offset in range(len(by_time) - n + 1):
             group = by_time[offset : offset + n]
-            if sum(ws.cost for ws in group) > budget:
+            if left_sum(ws.cost for ws in group) > budget:
                 continue
             spread = group[-1].required_time - group[0].required_time
             if best is None or spread < best.value:

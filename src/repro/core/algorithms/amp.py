@@ -35,7 +35,7 @@ from repro.core.algorithms.base import JobLike, SlotSelectionAlgorithm
 from repro.core.candidates import LegFactory
 from repro.core.extractors import EarliestStartExtractor, _budget_of
 from repro.model.slotpool import SlotPool
-from repro.model.window import Window, WindowSlot
+from repro.model.window import Window, WindowSlot, left_sum
 
 
 class AMP(SlotSelectionAlgorithm):
@@ -105,7 +105,7 @@ class AMP(SlotSelectionAlgorithm):
             # first n alive slots are affordable (or too few remain).
             while len(candidates) >= n:
                 forming = candidates[:n]
-                if sum(ws.cost for ws in forming) <= budget:
+                if left_sum(ws.cost for ws in forming) <= budget:
                     return Window(start=window_start, slots=tuple(forming))
                 most_expensive = max(range(n), key=lambda i: forming[i].cost)
                 del candidates[most_expensive]

@@ -23,7 +23,7 @@ from repro.core.algorithms.base import JobLike, SlotSelectionAlgorithm
 from repro.core.criteria import Criterion
 from repro.model.slot import TIME_EPSILON
 from repro.model.slotpool import SlotPool
-from repro.model.window import COST_EPSILON, Window, WindowSlot
+from repro.model.window import Window, WindowSlot, budget_limit, left_sum
 
 #: Safety valve: refuse instances whose subset space is plainly too large.
 MAX_CANDIDATES = 64
@@ -40,9 +40,7 @@ class Exhaustive(SlotSelectionAlgorithm):
         """Best window for ``job`` by this algorithm's criterion (see base class)."""
         request = request_of(job)
         n = request.node_count
-        budget = request.effective_budget
-        if budget != float("inf"):
-            budget += COST_EPSILON * (1.0 + abs(budget))
+        budget = budget_limit(request.effective_budget)
         slots = pool.ordered()
         if len(slots) > MAX_CANDIDATES:
             raise ValueError(
@@ -66,7 +64,7 @@ class Exhaustive(SlotSelectionAlgorithm):
             if len(alive) < n:
                 continue
             for subset in combinations(alive, n):
-                if sum(ws.cost for ws in subset) > budget:
+                if left_sum(ws.cost for ws in subset) > budget:
                     continue
                 window = Window(start=window_start, slots=tuple(subset))
                 value = self.criterion.evaluate(window)

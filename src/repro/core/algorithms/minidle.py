@@ -25,12 +25,12 @@ from repro.core.algorithms.base import JobLike, SlotSelectionAlgorithm
 from repro.core.extractors import Extraction, _budget_of, cheapest_subset
 from repro.model.job import ResourceRequest
 from repro.model.slotpool import SlotPool
-from repro.model.window import Window, WindowSlot
+from repro.model.window import Window, WindowSlot, left_sum
 
 
 def _idle_of(group: Sequence[WindowSlot]) -> float:
     longest = max(ws.required_time for ws in group)
-    return sum(longest - ws.required_time for ws in group)
+    return left_sum(longest - ws.required_time for ws in group)
 
 
 class BalancedEdgeExtractor:
@@ -53,7 +53,7 @@ class BalancedEdgeExtractor:
         best: Optional[Extraction] = None
         for offset in range(len(by_duration) - n + 1):
             group = by_duration[offset : offset + n]
-            if sum(ws.cost for ws in group) > budget:
+            if left_sum(ws.cost for ws in group) > budget:
                 continue
             idle = _idle_of(group)
             if best is None or idle < best.value - 1e-12:

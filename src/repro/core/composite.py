@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.core.criteria import Criterion
-from repro.model.window import Window
+from repro.model.window import Window, left_sum
 
 
 def _values(windows: Sequence[Window], criterion: Criterion) -> list[float]:
@@ -54,7 +54,7 @@ def weighted_choice(
         raise ValueError("weighted_choice() requires at least one criterion weight")
     if any(weight < 0 for weight in weights.values()):
         raise ValueError("criterion weights must be non-negative")
-    total_weight = sum(weights.values())
+    total_weight = left_sum(weights.values())
     if total_weight <= 0:
         raise ValueError("criterion weights must not all be zero")
 

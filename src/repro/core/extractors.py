@@ -41,7 +41,7 @@ from typing import Callable, Optional, Protocol, Sequence
 import numpy as np
 
 from repro.model.job import ResourceRequest
-from repro.model.window import COST_EPSILON, Window, WindowSlot
+from repro.model.window import Window, WindowSlot, budget_limit, left_sum
 
 #: Minimal improvement for a new extraction to replace the incumbent; ties
 #: keep the earlier (earlier-starting) window, like the paper's strict
@@ -102,11 +102,7 @@ class WindowExtractor(Protocol):
 
 
 def _budget_of(request: ResourceRequest) -> float:
-    budget = request.effective_budget
-    # Relative slack keeps float summation order from flipping feasibility.
-    if budget != float("inf"):
-        budget += COST_EPSILON * (1.0 + abs(budget))
-    return budget
+    return budget_limit(request.effective_budget)
 
 
 def runtime_key(ws: WindowSlot) -> float:
@@ -136,7 +132,7 @@ def cheapest_subset(
     if len(candidates) < n:
         return None
     chosen = sorted(candidates, key=lambda ws: (ws.cost, ws.required_time))[:n]
-    if sum(ws.cost for ws in chosen) > budget:
+    if left_sum(ws.cost for ws in chosen) > budget:
         return None
     return chosen
 
@@ -182,7 +178,7 @@ class MinTotalCostExtractor:
         chosen = cheapest_subset(candidates, request.node_count, _budget_of(request))
         if chosen is None:
             return None
-        return Extraction(value=sum(ws.cost for ws in chosen), slots=tuple(chosen))
+        return Extraction(value=left_sum(ws.cost for ws in chosen), slots=tuple(chosen))
 
 
 class MinRuntimeSubstitutionExtractor:
@@ -210,7 +206,7 @@ class MinRuntimeSubstitutionExtractor:
         if len(ordered) < n:
             return None
         result = ordered[:n]
-        cost = sum(ws.cost for ws in result)
+        cost = left_sum(ws.cost for ws in result)
         if cost > budget:
             return None
         times = [ws.required_time for ws in result]
@@ -337,7 +333,7 @@ class RandomWindowExtractor:
         for _ in range(self._attempts):
             picked_indices = self._rng.choice(len(pool), size=n, replace=False)
             picked = [pool[int(i)] for i in picked_indices]
-            if sum(ws.cost for ws in picked) <= budget:
+            if left_sum(ws.cost for ws in picked) <= budget:
                 chosen = picked
                 break
         if chosen is None:
@@ -345,7 +341,7 @@ class RandomWindowExtractor:
             if chosen is None:
                 return None
         return Extraction(
-            value=sum(self._key(ws) for ws in chosen), slots=tuple(chosen)
+            value=left_sum(self._key(ws) for ws in chosen), slots=tuple(chosen)
         )
 
 
@@ -406,7 +402,7 @@ class GreedyAdditiveExtractor:
         current_costs = [ws.cost for ws in current]
         outside_keys = [key(ws) for ws in outside]
         outside_costs = [ws.cost for ws in outside]
-        cost = sum(current_costs)
+        cost = left_sum(current_costs)
         out_range = range(len(outside))
         for _ in range(self._max_rounds):
             best_gain = 0.0
@@ -438,7 +434,7 @@ class GreedyAdditiveExtractor:
                 outside_costs[in_index],
                 current_costs[out_index],
             )
-        return Extraction(value=sum(current_keys), slots=tuple(current))
+        return Extraction(value=left_sum(current_keys), slots=tuple(current))
 
 
 class ExactAdditiveExtractor:
@@ -495,11 +491,11 @@ class ExactAdditiveExtractor:
                 return
             # Objective bound: keys are globally sorted ascending, so the
             # next `remaining` items are the cheapest possible completion.
-            lower = key_sum + sum(keys[index : index + remaining])
+            lower = key_sum + left_sum(keys[index : index + remaining])
             if lower >= best_value:
                 return
             # Feasibility bound: cheapest possible completion cost.
-            min_completion = sum(suffix_sorted_costs[index][:remaining])
+            min_completion = left_sum(suffix_sorted_costs[index][:remaining])
             if cost_sum + min_completion > budget:
                 return
             taken.append(index)

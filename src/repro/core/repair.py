@@ -18,7 +18,7 @@ from repro.core.extractors import cheapest_subset
 from repro.model.job import ResourceRequest
 from repro.model.slot import TIME_EPSILON
 from repro.model.slotpool import SlotPool
-from repro.model.window import COST_EPSILON, WindowSlot
+from repro.model.window import WindowSlot, budget_limit
 
 
 def find_fixed_start_replacements(
@@ -50,7 +50,8 @@ def find_fixed_start_replacements(
         a just-revoked node has no free slot over the span anyway.
     budget:
         Remaining budget — the request's budget minus the surviving
-        legs' cost.  The replacements' cost sum must fit it.
+        legs' cost.  The replacements' cost sum must fit it under the
+        search's rule (:func:`~repro.model.window.budget_limit`).
 
     Returns the chosen legs in cost order, or ``None`` when fewer than
     ``count`` eligible candidates exist or the cheapest ``count`` exceed
@@ -75,12 +76,4 @@ def find_fixed_start_replacements(
         if not leg.fits_from(start, deadline):
             continue
         candidates.append(leg)
-    # The scan's cost order; the remaining budget is checked below under
-    # the repair rule, not the extractors' slack.
-    chosen = cheapest_subset(candidates, count, float("inf"))
-    if chosen is None:
-        return None
-    total = sum(leg.cost for leg in chosen)
-    if total > budget * (1.0 + COST_EPSILON) + COST_EPSILON:
-        return None
-    return chosen
+    return cheapest_subset(candidates, count, budget_limit(budget))

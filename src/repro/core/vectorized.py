@@ -127,7 +127,7 @@ from repro.model.job import ResourceRequest
 from repro.model.slot import TIME_EPSILON
 from repro.model.slotarrays import SlotArrays
 from repro.model.slotpool import SlotPool
-from repro.model.window import Window, WindowSlot
+from repro.model.window import Window, WindowSlot, left_sum
 
 #: Relative slack applied to the skip bounds that compare float sums
 #: accumulated in a different order than the extraction accumulates
@@ -593,8 +593,9 @@ class _TopN:
     ``top[-1]``, and ``beyond`` holds alive entries only while ``top`` is
     full.  With ``values`` (indexed by rank), ``total`` is the members'
     value sum, recomputed over the sorted ranks on every membership
-    change — the ascending sequential summation ``cheapest_subset``
-    performs, so budget verdicts and the MinTotalCost value are
+    change by an inline twin of :func:`~repro.model.window.left_sum`
+    (inline for speed) over the ascending order ``cheapest_subset``
+    sums, so budget verdicts and the MinTotalCost value are
     byte-identical.
     """
 
@@ -952,13 +953,13 @@ class _Random(_Rule):
                 chosen = [
                     alive_cands[i] for i in choice(alive, size=n, replace=False).tolist()
                 ]
-                if sum([cost_list[c] for c in chosen]) <= budget:
+                if left_sum([cost_list[c] for c in chosen]) <= budget:
                     break
             else:
                 if cheap.total > budget:
                     return None  # cheapest_subset would return None
                 chosen = [cand_by_crank[r] for r in cheap.top]
-            return sum([req_list[c] for c in chosen]), chosen
+            return left_sum([req_list[c] for c in chosen]), chosen
 
         return expire, add, step
 
@@ -1019,7 +1020,8 @@ _FINISH_RULES = {
 def _rank_bound(cost_by_crank, n, budget) -> int:
     """The first cost rank ``r >= n - 1`` with ``head + cost_by_crank[r]
     > budget`` (``len(cost_by_crank)`` if none), where ``head`` is the
-    ascending float sum of the ``n - 1`` cheapest costs; ``n`` must not
+    ascending float sum of the ``n - 1`` cheapest costs (an inline twin
+    of :func:`~repro.model.window.left_sum`); ``n`` must not
     exceed the number of costs.  Costs ascend by rank and float ``+`` is
     monotone, so the test is monotone in ``r`` and a binary search finds
     the first failing rank (by hand: ``bisect``'s ``key=`` needs Python
@@ -1058,8 +1060,9 @@ def _run_cheapest_consume(plan, n, budget, cap):
     would have hit already), so the restarted scan has no step *p* and
     the sweep simply moves on.  Consumed candidates leave the top-n at
     once and are skipped by the expiry pointer.  Relative cost ranks
-    among the survivors equal those of a rebuilt plan, so every sum adds
-    the same floats in the same order.
+    among the survivors equal those of a rebuilt plan, so every sum (an
+    inline twin of :func:`~repro.model.window.left_sum`, inline for
+    speed) adds the same floats in the same order.
 
     The same argument says which steps can hit at all.  After every step
     — a miss, or a hit once its winners are consumed — fewer than ``n``
@@ -1192,11 +1195,10 @@ def _may_evict_hit(plan, n, budget) -> bool:
     by this sweep and not expired at any step up to ``p``.
 
     *Budget.*  Costs are non-negative (prices are), so a float sum of
-    ``n`` of them, left to right or compensated (``sum()`` from Python
-    3.12), is within ``2 n u`` of their exact sum, relatively.  The
-    eviction scan's ``sum()`` in waiting order is at most the budget,
-    so the ascending sum of the same costs is at most ``budget (1 + 2 n
-    u) / (1 - 2 n u) <= budget (1 + 5 n u)``.  ``B'`` as computed is at
+    ``n`` of them, left to right, is within ``2 n u`` of their exact
+    sum, relatively.  The eviction scan's ``left_sum`` in waiting order
+    is at most the budget, so the ascending sum of the same costs is at
+    most ``budget (1 + 2 n u) / (1 - 2 n u) <= budget (1 + 5 n u)``.  ``B'`` as computed is at
     least ``budget (1 + _BOUND_SLACK n (1 - u)**2) (1 - u)``, which is
     more, since ``_BOUND_SLACK`` exceeds ``7 u`` by far.  An infinite
     budget stays infinite.
@@ -1230,9 +1232,9 @@ def _run_first_consume(plan, n, budget, cap):
     after another — at most ``cap`` of them.  Every float operation is
     the object loop's own: a waiting leg stays while its last start is
     at least ``window_start - epsilon`` (the plan's expiry time is the
-    object leg's :func:`~repro.model.slot.last_start`), ``sum()`` over
-    the forming window's costs, the first index of their maximum for
-    the eviction.
+    object leg's :func:`~repro.model.slot.last_start`),
+    :func:`~repro.model.window.left_sum` over the forming window's
+    costs, the first index of their maximum for the eviction.
 
     Unlike the cheapest policy (:func:`_run_cheapest_consume`), this
     scan cannot simply continue after a hit: evictions are history.  A
@@ -1283,7 +1285,7 @@ def _run_first_consume(plan, n, budget, cap):
         if len(waiting) < n:
             continue
         costs = [cost_list[c] for c in waiting]
-        if sum(costs) <= budget:
+        if left_sum(costs) <= budget:
             hits.append((window_start, waiting))
             if len(hits) == cap:
                 break

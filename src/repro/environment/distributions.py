@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.model.errors import ConfigurationError
+from repro.model.window import left_sum
 
 #: Default urn for the load-level draw: 50 "good" and 50 "bad" marbles,
 #: 40 draws.  The mapped variate then has mean at the midpoint of the range
@@ -102,6 +103,6 @@ def partition_total(
         weights_sum = float(parts)
     chunks = [minimum + excess * float(w) / weights_sum for w in weights]
     # Compensate float drift so the chunks sum to the exact total.
-    drift = total - sum(chunks)
+    drift = total - left_sum(chunks)
     chunks[-1] += drift
     return chunks

@@ -60,25 +60,17 @@ class CoAllocation:
 class CoAllocator:
     """Searches, commits and retires cross-shard windows."""
 
-    def __init__(
-        self,
-        service: ServiceConfig,
-        alternatives: int = 10,
-        *,
-        tenancy=None,
-        emitter=None,
-    ):
+    def __init__(self, service: ServiceConfig, *, tenancy=None, emitter=None):
         # Union-pool planning goes through BatchScheduler.find_alternatives,
         # i.e. the class-grouped phase-1 entry point: repeated placements
         # of equal requests reuse the union snapshot's cached scan plans,
         # and multi-job batches (future work) collapse to one search per
         # request class.
         self._scheduler = BatchScheduler(
-            search=CSA(max_alternatives=alternatives),
+            search=CSA(max_alternatives=service.alternatives_per_job),
             criterion=service.criterion,
-            alternatives_per_job=alternatives,
+            alternatives_per_job=service.alternatives_per_job,
         )
-        self._cut_mode = service.cut_mode
         self._completion_factor = service.completion_factor
         #: Shared tenancy manager (the federation's, so shard brokers and
         #: cross-shard windows debit one ledger) and the federation
@@ -153,7 +145,7 @@ class CoAllocator:
         try:
             for shard_id in sorted(by_shard):
                 sub = Window(start=window.start, slots=tuple(by_shard[shard_id]))
-                pools[shard_id].commit_window(sub, mode=self._cut_mode)
+                pools[shard_id].commit_window(sub)
                 legs[shard_id] = sub
         except AllocationError:
             placed = False

@@ -39,15 +39,12 @@ class FederationConfig:
         rejects a job for capacity (too few nodes) or budget, a combined
         window is searched over the union of the live shard pools and
         committed leg-by-leg with rollback on failure.
-    coallocation_alternatives:
-        Phase-one alternative cap of the fallback's CSA search.
     """
 
     shards: int = 4
     policy: str = "hash"
     service: ServiceConfig = field(default_factory=ServiceConfig)
     coallocation: bool = True
-    coallocation_alternatives: int = 10
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -56,9 +53,4 @@ class FederationConfig:
             raise ConfigurationError(
                 f"unknown placement policy {self.policy!r}; "
                 f"choose one of {', '.join(POLICY_NAMES)}"
-            )
-        if self.coallocation_alternatives < 1:
-            raise ConfigurationError(
-                "coallocation_alternatives must be >= 1, got "
-                f"{self.coallocation_alternatives}"
             )

@@ -225,10 +225,7 @@ class ShardManager:
         )
         self._coalloc: Optional[CoAllocator] = (
             CoAllocator(
-                self.config.service,
-                alternatives=self.config.coallocation_alternatives,
-                tenancy=self._tenancy,
-                emitter=self.events,
+                self.config.service, tenancy=self._tenancy, emitter=self.events
             )
             if self.config.coallocation
             else None

@@ -35,7 +35,7 @@ import numpy as np
 from repro.model.errors import AllocationError
 from repro.model.slot import TIME_EPSILON, Slot, fits_from, last_start
 from repro.model.slotarrays import SlotArrays, SlotColumnStore
-from repro.model.window import Window
+from repro.model.window import Window, left_sum
 
 #: Tolerance for coalescing two same-node slots across a gap: spans whose
 #: endpoints are within one :data:`TIME_EPSILON` are considered touching.
@@ -710,7 +710,7 @@ class SlotPool:
 
     def total_free_time(self) -> float:
         """Sum of all slot lengths in the pool."""
-        return sum(slot.length for slot in self)
+        return left_sum(slot.length for slot in self)
 
     def by_node(self) -> dict[int, list[Slot]]:
         """Slots grouped by node id (each group start-ordered).

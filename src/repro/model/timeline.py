@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from repro.model.errors import InvalidIntervalError, ModelError
 from repro.model.resource import CpuNode
 from repro.model.slot import TIME_EPSILON, Slot
+from repro.model.window import left_sum
 
 
 @dataclass
@@ -78,7 +79,7 @@ class Timeline:
 
     def busy_time(self) -> float:
         """Total busy duration inside the scheduling interval."""
-        return sum(end - start for start, end in self._busy)
+        return left_sum(end - start for start, end in self._busy)
 
     def utilization(self) -> float:
         """Fraction of the scheduling interval that is busy."""

@@ -12,15 +12,41 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.model.errors import WindowValidationError
 from repro.model.job import ResourceRequest
 from repro.model.slot import TIME_EPSILON, Slot, fits_from, last_start
 
 #: Relative slack admitted when comparing costs against the budget, to keep
-#: float summation order from flipping feasibility decisions.
+#: float summation order from flipping feasibility decisions.  It enters
+#: arithmetic only through :func:`budget_limit`.
 COST_EPSILON = 1e-6
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """The float sum of ``values``, added left to right from ``0.0``.
+
+    Every cost, time and energy total that feeds a verdict, a criterion
+    value or a trace is summed here.  Builtin ``sum()`` is compensated
+    from CPython 3.12 on, so it would round differently from the
+    kernel's inline ascending loops on one interpreter and not another.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def budget_limit(budget: float) -> float:
+    """The largest cost sum that is "within ``budget``": the budget
+    widened by ``COST_EPSILON`` relative to ``1 + |budget|``.  Every
+    budget verdict (searches, :meth:`Window.validate`, admission and
+    repair) compares a :func:`left_sum` against this.  An infinite budget
+    stays infinite."""
+    if budget == float("inf"):
+        return budget
+    return budget + COST_EPSILON * (1.0 + abs(budget))
 
 
 @dataclass(frozen=True)
@@ -93,17 +119,17 @@ class Window:
     @cached_property
     def processor_time(self) -> float:
         """Total node (CPU) time: the sum of the reservations' lengths."""
-        return sum(ws.required_time for ws in self.slots)
+        return left_sum(ws.required_time for ws in self.slots)
 
     @cached_property
     def total_cost(self) -> float:
         """Total allocation cost: the sum of the individual slot costs."""
-        return sum(ws.cost for ws in self.slots)
+        return left_sum(ws.cost for ws in self.slots)
 
     @property
     def total_energy(self) -> float:
         """Total energy consumption of the co-allocation."""
-        return sum(ws.energy() for ws in self.slots)
+        return left_sum(ws.energy() for ws in self.slots)
 
     @property
     def idle_time(self) -> float:
@@ -116,7 +142,7 @@ class Window:
         edge" of the paper's Fig. 1.  Zero iff all legs run equally long.
         """
         runtime = self.runtime
-        return sum(runtime - ws.required_time for ws in self.slots)
+        return left_sum(runtime - ws.required_time for ws in self.slots)
 
     def nodes(self) -> list[int]:
         """Identifiers of the nodes used, in slot order."""
@@ -163,7 +189,7 @@ class Window:
                     f"window has {self.size} slots, request needs {request.node_count}"
                 )
             budget = request.effective_budget
-            if self.total_cost > budget * (1.0 + COST_EPSILON) + COST_EPSILON:
+            if self.total_cost > budget_limit(budget):
                 raise WindowValidationError(
                     f"window cost {self.total_cost} exceeds budget {budget}"
                 )

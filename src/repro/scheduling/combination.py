@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 from repro.core.criteria import Criterion
 from repro.model.job import Job
 from repro.model.slot import TIME_EPSILON
-from repro.model.window import Window
+from repro.model.window import Window, left_sum
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class CombinationChoice:
 
     def total_cost(self) -> float:
         """Combined cost of the chosen windows."""
-        return sum(window.total_cost for window in self.assignments.values())
+        return left_sum(window.total_cost for window in self.assignments.values())
 
     def makespan(self) -> float:
         """Latest finish time among the chosen windows."""

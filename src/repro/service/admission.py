@@ -22,14 +22,12 @@ performs the same IEEE operations as a per-slot object loop (the oracle
 the property tests hold it to), so the verdicts are *identical*, not
 merely close.
 
-:class:`AdmissionOutlook` adds the warm-start layer: exponentially
-decayed per-criterion fit-probability and queue-wait estimates from
-recent cycle outcomes.  With ``min_fit`` enabled, admission uses that
-outlook instead of a cold "the queue will sort it out" heuristic —
-jobs arriving while the broker demonstrably fails to place its batches
-are turned away at the door (``PREDICTED_MISS``) rather than deferred
-to death.  The gate defaults to off, keeping decision streams
-byte-identical to brokers without the layer.
+The bound is a :func:`~repro.model.window.left_sum` of the ``n``
+cheapest costs, ascending, and both money verdicts — the budget and,
+with tenancy, the tenant's credit — compare it at live prices against
+:func:`~repro.model.window.budget_limit`, the rule every search and
+:meth:`~repro.model.Window.validate` apply, so the door and the search
+mean the same thing by "within budget".
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from repro.model.job import Job, ResourceRequest
 from repro.model.slot import TIME_EPSILON
 from repro.model.slotarrays import SlotArrays
 from repro.model.slotpool import PendingFloor, SlotPool
-from repro.model.window import COST_EPSILON
+from repro.model.window import budget_limit, left_sum
 from repro.service.events import EventEmitter, EventType
 
 #: Bound on the per-snapshot admission memo (distinct request shapes
@@ -59,7 +57,6 @@ class RejectionReason(enum.Enum):
     DUPLICATE_ID = "duplicate_id"
     TOO_FEW_NODES = "too_few_nodes"
     BUDGET_INFEASIBLE = "budget_infeasible"
-    PREDICTED_MISS = "predicted_miss"
     INSUFFICIENT_CREDIT = "insufficient_credit"
 
 
@@ -211,137 +208,20 @@ def cheapest_feasible_cost(request: ResourceRequest, pool: SlotPool) -> Optional
     costs = _usable_node_costs(arrays, request, pending)
     if len(costs) < request.node_count:
         return None
-    # Ascending sequential sum — float-identical to the object loop's
-    # ``sum(sorted(...)[:n])`` (equal values commute bitwise).
-    total = 0.0
-    for cost in costs[: request.node_count].tolist():
-        total += cost
-    return total
-
-
-class AdmissionOutlook:
-    """Exponentially decayed warm-start statistics from recent cycles.
-
-    The broker reports every cycle's outcome per criterion: how many
-    jobs the batch held, how many were placed, and how long the batch
-    had waited in the queue.  The outlook folds those into decayed
-    means — ``fit``, the probability a batched job gets a window, and
-    ``wait``, the queue latency a new arrival should expect — so the
-    admission controller can consult the broker's *demonstrated* recent
-    ability instead of a cold heuristic.  Decay ``d`` gives cycle ``k``
-    ago weight ``d^k`` (an exponential window: ~``1/(1-d)`` effective
-    cycles), so a backlogged phase fades within tens of cycles once
-    conditions recover.
-
-    Statistics are keyed per criterion: a process serving several
-    brokers with different phase-two policies (a federation) keeps
-    their evidence separate, since fit probability under ``MinCost``
-    says nothing about ``MinFinish``.
-    """
-
-    def __init__(self, decay: float = 0.85):
-        if not 0.0 < decay < 1.0:
-            raise ValueError(f"decay must be in (0, 1), got {decay}")
-        self.decay = decay
-        #: criterion key -> [decayed weight, decayed fit sum, decayed
-        #: wait sum, cycles observed]
-        self._by_criterion: dict[str, list[float]] = {}
-
-    def observe_cycle(
-        self, criterion: str, batched: int, scheduled: int, mean_wait: float
-    ) -> None:
-        """Fold one cycle's outcome into the decayed estimates.
-
-        Empty batches carry no placement evidence and are skipped — a
-        quiet broker keeps its last informed outlook rather than
-        decaying toward optimism.
-        """
-        if batched <= 0:
-            return
-        state = self._by_criterion.get(criterion)
-        if state is None:
-            state = [0.0, 0.0, 0.0, 0.0]
-            self._by_criterion[criterion] = state
-        fit = scheduled / batched
-        decay = self.decay
-        state[0] = state[0] * decay + 1.0
-        state[1] = state[1] * decay + fit
-        state[2] = state[2] * decay + mean_wait
-        state[3] += 1.0
-
-    def cycles_observed(self, criterion: str) -> int:
-        """Number of non-empty cycles folded in for ``criterion``."""
-        state = self._by_criterion.get(criterion)
-        return int(state[3]) if state is not None else 0
-
-    def fit_probability(self, criterion: str) -> Optional[float]:
-        """Decayed probability a batched job is placed; ``None`` if cold."""
-        state = self._by_criterion.get(criterion)
-        if state is None or state[0] <= 0.0:
-            return None
-        return state[1] / state[0]
-
-    def predicted_wait(self, criterion: str) -> Optional[float]:
-        """Decayed mean queue wait (virtual time); ``None`` if cold."""
-        state = self._by_criterion.get(criterion)
-        if state is None or state[0] <= 0.0:
-            return None
-        return state[2] / state[0]
-
-    def snapshot(self) -> dict[str, dict[str, float]]:
-        """JSON-friendly per-criterion view of the current estimates."""
-        view: dict[str, dict[str, float]] = {}
-        for criterion in self._by_criterion:
-            view[criterion] = {
-                "fit_probability": round(self.fit_probability(criterion) or 0.0, 6),
-                "predicted_wait": round(self.predicted_wait(criterion) or 0.0, 6),
-                "cycles_observed": self.cycles_observed(criterion),
-            }
-        return view
+    # Ascending: float-identical to the object loop's ``left_sum`` of
+    # its sorted costs (equal values commute bitwise).
+    return left_sum(costs[: request.node_count].tolist())
 
 
 class AdmissionController:
     """Validates submissions against the queue and the current pool.
 
-    Parameters
-    ----------
-    strict_budget:
-        When ``True`` (default), reject jobs whose budget is below the
-        cheapest-possible window cost over the current pool.  Disabling
-        keeps only the structural checks (duplicates, queue bound, node
-        count), which admits more but defers more.
-    emitter:
-        Optional event emitter; every verdict is traced as ``ADMITTED``
-        or ``REJECTED{reason}``.
-    outlook:
-        Optional :class:`AdmissionOutlook` consulted for warm-start
-        verdicts; requires ``criterion`` to select the evidence stream.
-    min_fit:
-        Predictive gate threshold: once the outlook has evidence
-        (``min_fit_cycles`` non-empty cycles), jobs are rejected with
-        ``PREDICTED_MISS`` while the decayed fit probability sits below
-        this value.  ``0.0`` (default) disables the gate entirely, so
-        decision streams stay byte-identical to pre-outlook brokers.
-    min_fit_cycles:
-        Evidence floor before the predictive gate may fire — a single
-        unlucky first cycle must not slam the door.
+    ``emitter`` (optional) traces every verdict as ``ADMITTED`` or
+    ``REJECTED{reason}``.
     """
 
-    def __init__(
-        self,
-        strict_budget: bool = True,
-        emitter: Optional[EventEmitter] = None,
-        outlook: Optional[AdmissionOutlook] = None,
-        criterion: str = "",
-        min_fit: float = 0.0,
-        min_fit_cycles: int = 3,
-    ):
-        self.strict_budget = strict_budget
+    def __init__(self, emitter: Optional[EventEmitter] = None):
         self._emitter = emitter if emitter is not None else EventEmitter()
-        self.outlook = outlook
-        self.criterion = criterion
-        self.min_fit = min_fit
-        self.min_fit_cycles = min_fit_cycles
 
     def evaluate(
         self,
@@ -359,7 +239,7 @@ class AdmissionController:
         live prices; ``credit_balance``, when given, additionally gates
         on the tenant's ability to pay that bound (tenancy layer).
         """
-        decision = self._decide(
+        decision, live_bound = self._decide(
             job,
             pool,
             queue_depth,
@@ -373,12 +253,11 @@ class AdmissionController:
         else:
             assert decision.reason is not None
             if decision.reason is RejectionReason.INSUFFICIENT_CREDIT:
-                lower_bound = cheapest_feasible_cost(job.request, pool) or 0.0
                 self._emitter.emit(
                     EventType.INSUFFICIENT_CREDIT,
                     job_id=job.job_id,
                     tenant=job.owner,
-                    required=lower_bound * price_multiplier,
+                    required=live_bound,
                     balance=credit_balance if credit_balance is not None else 0.0,
                 )
             self._emitter.emit(
@@ -395,19 +274,21 @@ class AdmissionController:
         queue_depth: int,
         queue_capacity: int,
         known_ids: AbstractSet[str],
-        price_multiplier: float = 1.0,
-        credit_balance: Optional[float] = None,
-    ) -> AdmissionDecision:
+        price_multiplier: float,
+        credit_balance: Optional[float],
+    ) -> tuple[AdmissionDecision, Optional[float]]:
+        """The verdict, and the lower bound at live prices when it was
+        computed (``None`` before that)."""
         if queue_depth >= queue_capacity:
             return AdmissionDecision.reject(
                 RejectionReason.QUEUE_FULL,
                 f"queue holds {queue_depth}/{queue_capacity} jobs",
-            )
+            ), None
         if job.job_id in known_ids:
             return AdmissionDecision.reject(
                 RejectionReason.DUPLICATE_ID,
                 f"job id {job.job_id!r} is already queued or running",
-            )
+            ), None
         request = job.request
         lower_bound = cheapest_feasible_cost(request, pool)
         if lower_bound is None:
@@ -415,33 +296,20 @@ class AdmissionController:
                 RejectionReason.TOO_FEW_NODES,
                 f"request needs {request.node_count} matching nodes; "
                 f"the pool cannot host that many",
-            )
+            ), None
         budget = request.effective_budget
         live_bound = lower_bound * price_multiplier
-        if self.strict_budget and live_bound > budget * (1.0 + COST_EPSILON) + COST_EPSILON:
+        if live_bound > budget_limit(budget):
             return AdmissionDecision.reject(
                 RejectionReason.BUDGET_INFEASIBLE,
                 f"cheapest possible window costs {live_bound:.1f} at live "
                 f"prices, budget is {budget:.1f}",
-            )
-        if (
-            credit_balance is not None
-            and live_bound > credit_balance * (1.0 + COST_EPSILON) + COST_EPSILON
-        ):
+            ), live_bound
+        if credit_balance is not None and live_bound > budget_limit(credit_balance):
             return AdmissionDecision.reject(
                 RejectionReason.INSUFFICIENT_CREDIT,
                 f"cheapest possible window costs {live_bound:.1f} at live "
                 f"prices, tenant {job.owner!r} holds {credit_balance:.1f} "
                 "credits",
-            )
-        if self.min_fit > 0.0 and self.outlook is not None:
-            if self.outlook.cycles_observed(self.criterion) >= self.min_fit_cycles:
-                fit = self.outlook.fit_probability(self.criterion)
-                if fit is not None and fit < self.min_fit:
-                    return AdmissionDecision.reject(
-                        RejectionReason.PREDICTED_MISS,
-                        f"recent cycles place {fit:.0%} of batched jobs "
-                        f"under {self.criterion or 'the current criterion'}; "
-                        f"gate requires {self.min_fit:.0%}",
-                    )
-        return AdmissionDecision.accept()
+            ), live_bound
+        return AdmissionDecision.accept(), live_bound

@@ -34,11 +34,7 @@ from repro.model.slot import TIME_EPSILON
 from repro.model.slotpool import SlotPool
 from repro.model.window import Window
 from repro.scheduling.metascheduler import BatchScheduler, CycleReport
-from repro.service.admission import (
-    AdmissionController,
-    AdmissionDecision,
-    AdmissionOutlook,
-)
+from repro.service.admission import AdmissionController, AdmissionDecision
 from repro.service.config import ServiceConfig
 from repro.service.events import EventEmitter, EventSink, EventType
 from repro.service.lifecycle import JobLifecycle
@@ -131,17 +127,7 @@ class BrokerService:
         self.assignments: dict[str, Window] = {}
         self.last_report: Optional[CycleReport] = None
         self.events = EventEmitter(sinks, clock=lambda: self._now)
-        #: Warm-start evidence: every cycle's batched/placed/wait outcome
-        #: is folded in; the admission controller consults it when the
-        #: ``outlook_min_fit`` gate is enabled (off by default).
-        self.outlook = AdmissionOutlook(decay=self.config.outlook_decay)
-        self._admission = AdmissionController(
-            emitter=self.events,
-            outlook=self.outlook,
-            criterion=self.config.criterion.value,
-            min_fit=self.config.outlook_min_fit,
-            min_fit_cycles=self.config.outlook_min_fit_cycles,
-        )
+        self._admission = AdmissionController(emitter=self.events)
         self._queue = BoundedJobQueue(self.config.queue_capacity, emitter=self.events)
         self._trigger = CycleTrigger(self.config.batch_size, self.config.max_wait)
         self._lifecycle = JobLifecycle(emitter=self.events)
@@ -170,7 +156,6 @@ class BrokerService:
                 stats=self.stats,
                 emitter=self.events,
                 assignments=self.assignments,
-                cut_mode=self.config.cut_mode,
                 completion_factor=self.config.completion_factor,
                 record_assignments=self.config.record_assignments,
                 tenancy=self._tenancy,
@@ -592,7 +577,7 @@ class BrokerService:
                 continue
             # Commit by span containment: earlier commits this cycle may
             # have replaced a leg's snapshot slot with its remainders.
-            self.pool.commit_window(window, mode=self.config.cut_mode)
+            self.pool.commit_window(window)
             self._lifecycle.start(
                 job, window, self._now, completion_factor=self.config.completion_factor
             )
@@ -611,16 +596,6 @@ class BrokerService:
             self._resilience.on_scheduled(job_id, self._now)
             cycle.committed += 1
         self.stats.scheduled += cycle.committed
-        if cycle.queued:
-            # Feed the warm-start outlook: this cycle's demonstrated fit
-            # ratio and the batch's mean queue wait (virtual time).
-            waits = [self._now - item.enqueued_at for item in cycle.queued.values()]
-            self.outlook.observe_cycle(
-                self.config.criterion.value,
-                len(waits),
-                cycle.committed,
-                sum(waits) / len(waits),
-            )
 
     def _settle(self, cycle: _Cycle) -> None:
         """Requeue every leftover job one deferral older, or drop it."""

@@ -48,9 +48,6 @@ class ServiceConfig:
         Cap on phase-one alternatives per job (``None`` = unlimited).
     criterion:
         Phase-two selection criterion (the VO policy).
-    cut_mode:
-        Slot-cutting policy applied when committing chosen windows onto
-        the shared pool (see :meth:`repro.model.SlotPool.cut_window`).
     completion_factor:
         Actual runtime as a fraction of the reserved runtime.  Values
         below 1 model jobs finishing early: the whole reservation is
@@ -63,22 +60,6 @@ class ServiceConfig:
         Keep a ``job_id -> Window`` map of every assignment ever made.
         Off by default so an indefinitely running service does not grow
         memory; tests switch it on to compare runs.
-    outlook_decay:
-        Exponential decay of the warm-start admission outlook
-        (:class:`~repro.service.admission.AdmissionOutlook`): cycle
-        ``k`` ago weighs ``decay^k``, i.e. an effective window of
-        ``~1/(1-decay)`` recent cycles.
-    outlook_min_fit:
-        Predictive admission gate.  When positive, submissions are
-        rejected with ``PREDICTED_MISS`` while the decayed per-criterion
-        fit probability (placed / batched over recent cycles) sits below
-        this threshold.  ``0.0`` (default) disables the gate, keeping
-        admission decision streams byte-identical to brokers without
-        the outlook layer.
-    outlook_min_fit_cycles:
-        Evidence floor: the gate may only fire once this many non-empty
-        cycles have been observed, so one unlucky first batch cannot
-        slam the door.
     resilience:
         Live fault injection and recovery
         (:class:`~repro.service.resilience.ResilienceConfig`).  ``None``
@@ -102,15 +83,11 @@ class ServiceConfig:
     max_deferrals: int = 3
     alternatives_per_job: Optional[int] = 10
     criterion: Criterion = Criterion.FINISH_TIME
-    cut_mode: str = "split"
     completion_factor: float = 1.0
     check_invariants: bool = True
     record_assignments: bool = False
     resilience: Optional[ResilienceConfig] = None
     tenancy: Optional["TenancyConfig"] = None
-    outlook_decay: float = 0.85
-    outlook_min_fit: float = 0.0
-    outlook_min_fit_cycles: int = 3
 
     def __post_init__(self) -> None:
         if self.queue_capacity < 1:
@@ -134,21 +111,7 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"alternatives_per_job must be >= 1, got {self.alternatives_per_job}"
             )
-        if self.cut_mode not in ("split", "consume"):
-            raise ConfigurationError(f"unknown cut mode {self.cut_mode!r}")
         if not 0.0 < self.completion_factor <= 1.0:
             raise ConfigurationError(
                 f"completion_factor must be in (0, 1], got {self.completion_factor}"
-            )
-        if not 0.0 < self.outlook_decay < 1.0:
-            raise ConfigurationError(
-                f"outlook_decay must be in (0, 1), got {self.outlook_decay}"
-            )
-        if not 0.0 <= self.outlook_min_fit <= 1.0:
-            raise ConfigurationError(
-                f"outlook_min_fit must be in [0, 1], got {self.outlook_min_fit}"
-            )
-        if self.outlook_min_fit_cycles < 1:
-            raise ConfigurationError(
-                f"outlook_min_fit_cycles must be >= 1, got {self.outlook_min_fit_cycles}"
             )

@@ -33,7 +33,7 @@ from typing import Optional
 from repro.model.job import Job
 from repro.model.slot import TIME_EPSILON
 from repro.model.slotpool import SlotPool
-from repro.model.window import Window, WindowSlot
+from repro.model.window import Window, WindowSlot, left_sum
 from repro.service.events import EventEmitter, EventType
 from repro.service.lifecycle import ActiveJob, JobLifecycle
 from repro.service.participants import NO_TENANCY
@@ -62,7 +62,6 @@ class ResilienceManager:
         stats: ServiceStats,
         emitter: EventEmitter,
         assignments: dict[str, Window],
-        cut_mode: str,
         completion_factor: float,
         record_assignments: bool,
         tenancy=None,
@@ -76,7 +75,6 @@ class ResilienceManager:
         self._stats = stats
         self._emitter = emitter
         self._assignments = assignments
-        self._cut_mode = cut_mode
         self._completion_factor = completion_factor
         self._record_assignments = record_assignments
         #: Tenancy participant (the do-nothing stand-in when the layer is
@@ -218,7 +216,7 @@ class ResilienceManager:
     ) -> None:
         job = entry.job
         window = entry.window
-        revoked_seconds = sum(leg.required_time for leg in revoked)
+        revoked_seconds = left_sum(leg.required_time for leg in revoked)
         self._stats.revocations += 1
         self._stats.legs_revoked += len(revoked)
         # Forfeits are attributed to the revoked window's owner so the
@@ -235,7 +233,7 @@ class ResilienceManager:
         # The revoked legs' escrowed cost is partially refunded; the
         # remainder is spent (the disruption's shared cost).
         self._tenancy.on_forfeit(
-            job.job_id, sum(leg.cost for leg in revoked), self._emitter
+            job.job_id, left_sum(leg.cost for leg in revoked), self._emitter
         )
 
         context = RevocationContext(
@@ -271,16 +269,13 @@ class ResilienceManager:
         # Carve the substitute reservations out of the free pool; the
         # surviving legs' time was never released, so only the new legs
         # are committed.
-        self._pool.commit_window(
-            Window(start=window.start, slots=action.replacements),
-            mode=self._cut_mode,
-        )
+        self._pool.commit_window(Window(start=window.start, slots=action.replacements))
         self._lifecycle.replace(
             entry.job.job_id, repaired, completion_factor=self._completion_factor
         )
         if self._record_assignments:
             self._assignments[entry.job.job_id] = repaired
-        added_seconds = sum(leg.required_time for leg in action.replacements)
+        added_seconds = left_sum(leg.required_time for leg in action.replacements)
         self._stats.repaired += 1
         self._stats.recovery_latency.add(0.0)  # repaired in place, no delay
         self._emitter.emit(
@@ -299,7 +294,7 @@ class ResilienceManager:
         if not surviving:
             return 0.0
         self._pool.release(Window(start=start, slots=surviving))
-        return sum(leg.required_time for leg in surviving)
+        return left_sum(leg.required_time for leg in surviving)
 
     def _apply_replan(
         self,

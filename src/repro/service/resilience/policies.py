@@ -32,7 +32,7 @@ from repro.core.repair import find_fixed_start_replacements
 from repro.model.job import Job
 from repro.model.slot import TIME_EPSILON
 from repro.model.slotpool import SlotPool
-from repro.model.window import Window, WindowSlot
+from repro.model.window import Window, WindowSlot, left_sum
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ class RepairPolicy(ReplanPolicy):
 
     def decide(self, ctx: RevocationContext) -> RecoveryAction:
         if ctx.window.start >= ctx.now - TIME_EPSILON:
-            budget = ctx.job.request.effective_budget - sum(
+            budget = ctx.job.request.effective_budget - left_sum(
                 leg.cost for leg in ctx.surviving
             )
             replacements = find_fixed_start_replacements(

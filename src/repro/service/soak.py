@@ -180,7 +180,6 @@ def bench_soak(
     broker.drain()
     stats = broker.stats
     final_time = broker.now
-    outlook_view = broker.outlook.snapshot()
     elapsed = perf_counter() - started
 
     # ------------------------------------------------------------------
@@ -299,7 +298,6 @@ def bench_soak(
             "speedup": round(snapshot_speedup, 2),
         },
         "scan_kernel": scan_delta,
-        "outlook": outlook_view,
     }
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
+from repro.model.window import left_sum
 from repro.tenancy.config import TenancyConfig
 
 #: Absolute slack for floating-point conservation checks.
@@ -236,11 +237,11 @@ class CreditLedger:
 
     def open_escrow(self) -> float:
         with self._lock:
-            return sum(e.remaining for e in self._escrow.values())
+            return left_sum(e.remaining for e in self._escrow.values())
 
     def total_revenue(self) -> float:
         with self._lock:
-            return sum(a.spent for a in self._accounts.values())
+            return left_sum(a.spent for a in self._accounts.values())
 
     def committed_shares(self) -> dict[str, float]:
         """Cumulative committed node-seconds per tenant (DRF basis)."""
@@ -260,14 +261,14 @@ class CreditLedger:
                 name: self._accounts[name].snapshot()
                 for name in sorted(self._accounts)
             }
-            open_escrow = sum(e.remaining for e in self._escrow.values())
+            open_escrow = left_sum(e.remaining for e in self._escrow.values())
             return {
                 "accounts": accounts,
                 "open_escrow": open_escrow,
                 "open_jobs": len(self._escrow),
-                "total_debited": sum(a["debited"] for a in accounts.values()),
-                "total_refunded": sum(a["refunded"] for a in accounts.values()),
-                "total_spent": sum(a["spent"] for a in accounts.values()),
+                "total_debited": left_sum(a["debited"] for a in accounts.values()),
+                "total_refunded": left_sum(a["refunded"] for a in accounts.values()),
+                "total_spent": left_sum(a["spent"] for a in accounts.values()),
             }
 
     def assert_conservation(self) -> None:
@@ -276,7 +277,7 @@ class CreditLedger:
         and ``balance >= 0``; globally ``debited == refunded + spent +
         open escrow``."""
         with self._lock:
-            open_escrow = sum(e.remaining for e in self._escrow.values())
+            open_escrow = left_sum(e.remaining for e in self._escrow.values())
             debited = refunded = spent = 0.0
             for name, acct in self._accounts.items():
                 expected = acct.initial_credit - acct.debited + acct.refunded

@@ -18,6 +18,7 @@ import math
 from dataclasses import replace
 from typing import TYPE_CHECKING, Optional
 
+from repro.model.window import left_sum
 from repro.service.events import EventEmitter, EventType
 from repro.tenancy.config import TenancyConfig
 from repro.tenancy.drf import DRFSorter
@@ -117,7 +118,7 @@ class TenancyManager:
         EWMA — the node-seconds held by live windows against what the
         pool still offers — and report the multiplier that prices the
         *next* cycle and every admission until then."""
-        held = sum(entry.window.processor_time for entry in lifecycle.entries())
+        held = left_sum(entry.window.processor_time for entry in lifecycle.entries())
         arrays = pool.as_arrays()
         free = float((arrays.end - arrays.start).sum())
         return {"price_multiplier": self.observe_cycle(held, free)}

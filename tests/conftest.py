@@ -1,8 +1,9 @@
-"""Shared fixtures: small hand-built environments with known optima, and
-the kernel shadow oracle."""
+"""Shared fixtures: small hand-built environments with known optima, the
+kernel shadow oracle, and CPython 3.12's float ``sum()``."""
 
 from __future__ import annotations
 
+import builtins
 import copy
 
 import numpy as np
@@ -11,6 +12,8 @@ import pytest
 from repro.core import AMP, aep, vectorized
 from repro.core.algorithms import csa
 from repro.model import CpuNode, Job, NodeSpec, ResourceRequest, Slot, SlotPool
+
+from tests.py312_sum import compensated_sum
 
 
 def make_node(
@@ -240,6 +243,16 @@ def kernel_shadow(monkeypatch) -> KernelShadow:
         shadow.wrap_alternatives(csa.vectorized_alternatives),
     )
     return shadow
+
+
+@pytest.fixture
+def py312_sum(monkeypatch) -> None:
+    """Run one test with ``builtins.sum`` replaced by CPython 3.12's
+    compensated float summation (:mod:`tests.py312_sum`).  A test that
+    passes natively and under this fixture does not depend on which
+    interpreter sums its floats: every total that feeds a decision is a
+    ``left_sum``."""
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
 
 
 def random_small_pool(

@@ -40,7 +40,7 @@ from repro.core.extractors import (
 )
 from repro.model.job import Job, ResourceRequest
 from repro.model.slot import TIME_EPSILON
-from repro.model.window import Window, WindowSlot
+from repro.model.window import Window, WindowSlot, left_sum
 
 
 def _request_of(job: Union[Job, ResourceRequest]) -> ResourceRequest:
@@ -127,7 +127,7 @@ class ReferenceMinRuntimeSubstitutionExtractor:
         if len(ordered) < n:
             return None
         result = ordered[:n]
-        cost = sum(ws.cost for ws in result)
+        cost = left_sum(ws.cost for ws in result)
         if cost > budget:
             return None
         for short in ordered[n:]:
@@ -172,7 +172,7 @@ class ReferenceGreedyAdditiveExtractor:
         current = list(chosen)
         in_window = set(map(id, current))
         outside = [ws for ws in candidates if id(ws) not in in_window]
-        cost = sum(ws.cost for ws in current)
+        cost = left_sum(ws.cost for ws in current)
         for _ in range(self._max_rounds):
             best_gain = 0.0
             best_swap: Optional[tuple[int, int]] = None
@@ -193,5 +193,5 @@ class ReferenceGreedyAdditiveExtractor:
                 current[out_index],
             )
         return Extraction(
-            value=sum(self._key(ws) for ws in current), slots=tuple(current)
+            value=left_sum(self._key(ws) for ws in current), slots=tuple(current)
         )

@@ -115,6 +115,24 @@ def test_palette_batch_under_shadow(kernel_shadow, make_extractor, stop_at_first
     assert any(result is not None for result in results)
 
 
+def test_paper_study_under_shadow_with_py312_sum(kernel_shadow, py312_sum):
+    test_paper_study_under_shadow(kernel_shadow)
+
+
+@pytest.mark.parametrize(
+    "make_extractor, stop_at_first",
+    [
+        pytest.param(make, stop, id=name)
+        for name, make, stop in STOCK
+        if name in ("cost", "greedy_runtime")
+    ],
+)
+def test_palette_batch_under_shadow_with_py312_sum(
+    kernel_shadow, py312_sum, make_extractor, stop_at_first
+):
+    test_palette_batch_under_shadow(kernel_shadow, make_extractor, stop_at_first)
+
+
 def run_broker(config: ServiceConfig, scheduler, arrivals, nodes: int) -> BrokerService:
     """Feed ``arrivals`` through a broker on a rolling horizon and drain."""
     broker = BrokerService(

@@ -147,6 +147,13 @@ def test_equivalence_random_pools(seed, name, make_new, make_old, stop_at_first)
             assert new.slots_scanned == old.slots_scanned
 
 
+def test_equivalence_random_pools_with_py312_sum(py312_sum):
+    """The seed whose MinTotalCost values once rounded one way in the
+    kernel's ascending loop and another in a compensated ``sum()``."""
+    cost = next(row for row in CRITERIA if row[0] == "cost")
+    test_equivalence_random_pools(101, *cost)
+
+
 @pytest.mark.parametrize(
     "name,make_new,make_old,stop_at_first",
     CRITERIA,

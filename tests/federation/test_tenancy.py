@@ -74,6 +74,9 @@ class TestDisabledIsByteIdentical:
             == FEDERATION_FINGERPRINT
         )
 
+    def test_federation_trace_matches_the_fingerprint_with_py312_sum(self, py312_sum):
+        self.test_federation_trace_matches_the_pre_tenancy_fingerprint()
+
 
 class TestSharedLedgerAcrossShards:
     def run_federation(self, kill: bool):

@@ -17,6 +17,7 @@ from typing import Optional
 
 from repro.model import ResourceRequest, SlotPool
 from repro.model.slot import TIME_EPSILON
+from repro.model.window import left_sum
 
 
 def cheapest_feasible_cost_reference(
@@ -37,4 +38,4 @@ def cheapest_feasible_cost_reference(
             best_by_node[node.node_id] = cost
     if len(best_by_node) < request.node_count:
         return None
-    return sum(sorted(best_by_node.values())[: request.node_count])
+    return left_sum(sorted(best_by_node.values())[: request.node_count])

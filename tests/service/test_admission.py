@@ -1,18 +1,17 @@
-"""Admission control: structural rejects, the cost lower bound, and the
-warm-start outlook gate."""
+"""Admission control: structural rejects and the cost lower bound."""
 
 from __future__ import annotations
-
-import pytest
 
 from repro.model import Job, ResourceRequest
 from repro.service import (
     AdmissionController,
     AdmissionDecision,
+    CollectingSink,
     RejectionReason,
     cheapest_feasible_cost,
 )
-from repro.service.admission import AdmissionOutlook
+from repro.service import admission
+from repro.service.events import EventEmitter, EventType
 
 from tests.service.admission_oracle import cheapest_feasible_cost_reference
 
@@ -75,16 +74,28 @@ class TestAdmissionController:
     def test_admits_budget_exactly_at_lower_bound(self, uniform_pool):
         assert self.evaluate(uniform_pool, make_job(budget=20.0))
 
-    def test_lenient_controller_skips_budget_check(self, uniform_pool):
-        controller = AdmissionController(strict_budget=False)
-        decision = controller.evaluate(
-            make_job(budget=1.0),
+    def test_credit_refusal_computes_the_bound_once(self, uniform_pool, monkeypatch):
+        calls = []
+
+        def counted(request, pool):
+            calls.append(request)
+            return cheapest_feasible_cost(request, pool)
+
+        monkeypatch.setattr(admission, "cheapest_feasible_cost", counted)
+        sink = CollectingSink()
+        decision = AdmissionController(EventEmitter([sink])).evaluate(
+            make_job(),
             uniform_pool,
             queue_depth=0,
             queue_capacity=8,
             known_ids=frozenset(),
+            price_multiplier=1.5,
+            credit_balance=25.0,
         )
-        assert decision.admitted
+        assert decision.reason is RejectionReason.INSUFFICIENT_CREDIT
+        assert len(calls) == 1
+        (event,) = [e for e in sink.events if e.type is EventType.INSUFFICIENT_CREDIT]
+        assert event.fields["required"] == 30.0  # bound 20 at 1.5x prices
 
     def test_decision_truthiness(self):
         assert AdmissionDecision.accept()
@@ -108,6 +119,9 @@ class TestVectorizedLowerBound:
                 slow = cheapest_feasible_cost_reference(job.request, pool)
                 assert fast == slow, (seed, job.job_id)
 
+    def test_matches_reference_with_py312_sum(self, py312_sum):
+        self.test_matches_reference_across_seeds()
+
     def test_cache_is_reused_and_bounded(self, uniform_pool):
         from repro.service.admission import ADMISSION_CACHE_LIMIT
 
@@ -127,95 +141,3 @@ class TestVectorizedLowerBound:
             )
             cheapest_feasible_cost(varied, uniform_pool)
         assert len(cache) <= ADMISSION_CACHE_LIMIT
-
-
-class TestAdmissionOutlook:
-    def test_decayed_fit_probability(self):
-        outlook = AdmissionOutlook(decay=0.5)
-        outlook.observe_cycle("finish_time", batched=4, scheduled=4, mean_wait=1.0)
-        assert outlook.fit_probability("finish_time") == 1.0
-        outlook.observe_cycle("finish_time", batched=4, scheduled=0, mean_wait=3.0)
-        # weights 0.5 and 1.0 over fits 1.0 and 0.0
-        assert outlook.fit_probability("finish_time") == pytest.approx(1 / 3)
-        assert outlook.cycles_observed("finish_time") == 2
-
-    def test_predicted_wait_tracks_recent_cycles(self):
-        outlook = AdmissionOutlook(decay=0.85)
-        for wait in (2.0, 4.0, 6.0):
-            outlook.observe_cycle("min_cost", 8, 8, mean_wait=wait)
-        predicted = outlook.predicted_wait("min_cost")
-        # decay-weighted toward the most recent cycle
-        assert 4.0 < predicted < 6.0
-
-    def test_empty_batches_are_skipped(self):
-        outlook = AdmissionOutlook()
-        outlook.observe_cycle("min_cost", batched=0, scheduled=0, mean_wait=0.0)
-        assert outlook.cycles_observed("min_cost") == 0
-        assert outlook.fit_probability("min_cost") is None
-        assert outlook.predicted_wait("min_cost") is None
-
-    def test_criteria_are_independent(self):
-        outlook = AdmissionOutlook()
-        outlook.observe_cycle("min_cost", 4, 0, 1.0)
-        outlook.observe_cycle("finish_time", 4, 4, 1.0)
-        assert outlook.fit_probability("min_cost") == 0.0
-        assert outlook.fit_probability("finish_time") == 1.0
-        view = outlook.snapshot()
-        assert set(view) == {"min_cost", "finish_time"}
-        assert view["finish_time"]["fit_probability"] == 1.0
-
-    def test_invalid_decay_rejected(self):
-        with pytest.raises(ValueError):
-            AdmissionOutlook(decay=0.0)
-        with pytest.raises(ValueError):
-            AdmissionOutlook(decay=1.0)
-
-
-class TestPredictedMissGate:
-    def evaluate(self, controller, pool, job):
-        return controller.evaluate(
-            job, pool, queue_depth=0, queue_capacity=8, known_ids=frozenset()
-        )
-
-    def gated_controller(self, outlook, min_fit=0.5, min_fit_cycles=3):
-        return AdmissionController(
-            outlook=outlook,
-            criterion="finish_time",
-            min_fit=min_fit,
-            min_fit_cycles=min_fit_cycles,
-        )
-
-    def test_fires_after_enough_bad_cycles(self, uniform_pool):
-        outlook = AdmissionOutlook()
-        controller = self.gated_controller(outlook)
-        for _ in range(5):
-            outlook.observe_cycle("finish_time", 6, 0, mean_wait=10.0)
-        decision = self.evaluate(controller, uniform_pool, make_job())
-        assert decision.reason is RejectionReason.PREDICTED_MISS
-        assert "0%" in decision.detail
-
-    def test_holds_fire_until_min_cycles(self, uniform_pool):
-        outlook = AdmissionOutlook()
-        controller = self.gated_controller(outlook, min_fit_cycles=3)
-        outlook.observe_cycle("finish_time", 6, 0, mean_wait=10.0)
-        outlook.observe_cycle("finish_time", 6, 0, mean_wait=10.0)
-        assert self.evaluate(controller, uniform_pool, make_job()).admitted
-
-    def test_recovers_when_fit_improves(self, uniform_pool):
-        outlook = AdmissionOutlook(decay=0.5)
-        controller = self.gated_controller(outlook)
-        for _ in range(4):
-            outlook.observe_cycle("finish_time", 6, 0, mean_wait=10.0)
-        assert not self.evaluate(controller, uniform_pool, make_job())
-        for _ in range(4):
-            outlook.observe_cycle("finish_time", 6, 6, mean_wait=1.0)
-        assert self.evaluate(controller, uniform_pool, make_job()).admitted
-
-    def test_gate_off_by_default(self, uniform_pool):
-        """min_fit=0.0 (the default) never rejects, no matter how bleak
-        the outlook — decision streams are unchanged unless opted in."""
-        outlook = AdmissionOutlook()
-        for _ in range(10):
-            outlook.observe_cycle("finish_time", 6, 0, mean_wait=50.0)
-        default = AdmissionController(outlook=outlook, criterion="finish_time")
-        assert self.evaluate(default, uniform_pool, make_job()).admitted

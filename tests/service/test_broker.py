@@ -89,7 +89,7 @@ class NeverScheduler:
         {"workers": 2},
         {"max_deferrals": -1},
         {"alternatives_per_job": 0},
-        {"cut_mode": "shred"},
+        {"completion_factor": 1.5},
         {"completion_factor": 0.0},
     ],
 )

@@ -73,13 +73,6 @@ class TestSoakPayload:
         assert kernel["vectorized"] > 0  # cheapest AMP policy dispatches
         assert kernel["fallback"] == 0
 
-    def test_outlook_rides_along(self, payload):
-        criterion = payload["config"]["criterion"]
-        assert criterion in payload["outlook"]
-        view = payload["outlook"][criterion]
-        assert 0.0 <= view["fit_probability"] <= 1.0
-        assert view["cycles_observed"] > 0
-
     def test_gates_record_their_thresholds(self, payload):
         gates = payload["gates"]
         assert gates["min_speedup"] == 0.0

@@ -77,6 +77,9 @@ class TestDisabledIsByteIdentical:
         assert service.tenancy is None
         assert trace_fingerprint(sink.events) == BROKER_FINGERPRINT
 
+    def test_broker_trace_matches_the_fingerprint_with_py312_sum(self, py312_sum):
+        self.test_broker_trace_matches_the_pre_tenancy_fingerprint()
+
 
 class TestDRFBatchSelection:
     def make_broker(self, ordering: str) -> BrokerService:

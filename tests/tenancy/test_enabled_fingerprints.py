@@ -139,6 +139,9 @@ class TestBrokerWithBothParticipants:
         assert max(multipliers) > 1.0  # live prices reached phase one
         assert trace_fingerprint(sink.events) == BROKER_REPAIR_FINGERPRINT
 
+    def test_repair_trace_matches_the_fingerprint_with_py312_sum(self, py312_sum):
+        self.test_repair_trace_matches_the_pinned_fingerprint()
+
     def test_replan_trace_matches_the_pinned_fingerprint(self):
         service, sink = run_broker("replan")
         counts = counts_of(sink)
@@ -148,6 +151,9 @@ class TestBrokerWithBothParticipants:
         # at least one of them landed a second window.
         assert service.stats.retried > 0
         assert trace_fingerprint(sink.events) == BROKER_REPLAN_FINGERPRINT
+
+    def test_replan_trace_matches_the_fingerprint_with_py312_sum(self, py312_sum):
+        self.test_replan_trace_matches_the_pinned_fingerprint()
 
 
 def wide_job(job_id: str, owner: str) -> Job:
@@ -220,3 +226,6 @@ class TestFederationWithSharedTenancy:
         )
         assert manager.coallocator.get("broke-4") is None
         assert trace_fingerprint(sink.events) == FEDERATION_FINGERPRINT
+
+    def test_trace_matches_the_fingerprint_with_py312_sum(self, py312_sum):
+        self.test_trace_matches_the_pinned_fingerprint()

@@ -26,7 +26,8 @@ from repro.core.algorithms import (
     MinRunTime,
     RigidBackfill,
 )
-from repro.model import COST_EPSILON, Job, ResourceRequest, Window
+from repro.model import Job, ResourceRequest, Window
+from repro.model.window import budget_limit
 
 from tests.conftest import random_small_pool
 
@@ -73,7 +74,7 @@ def assert_window_invariants(
         return
     budget = request.effective_budget
     if budget is not None:
-        assert window.total_cost <= budget * (1.0 + COST_EPSILON) + COST_EPSILON
+        assert window.total_cost <= budget_limit(budget)
     window.validate(request)
 
 
