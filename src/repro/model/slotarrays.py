@@ -12,28 +12,29 @@ column layout:
   ordered by ascending ``node_id``.  Per-request quantities are
   per-*node*, so the table keeps the derived columns O(nodes) and a
   single ``take`` broadcasts them per slot.
-* :class:`SlotColumnStore` — the *incremental* maintenance engine
-  behind :meth:`repro.model.SlotPool.as_arrays`.  Edits are recorded,
-  and the columns catch up on read: a mutation of the pool only notes
-  which entries came and went, and the next snapshot (or ``copy()``)
-  rewrites the columns once for every edit since the last read — one
-  ``concatenate`` of the kept row runs and the new rows, never a
-  per-slot Python rebuild.  Snapshots are byte-equal to
+* :class:`SlotColumnStore` — the pool's one total order: its
+  start-ordered entry list, and the columns behind
+  :meth:`repro.model.SlotPool.as_arrays`.  Edits are recorded, and the
+  list and the columns catch up on read: a mutation of the pool only
+  notes which entries came and went, and the next read splices the list
+  and rewrites the columns once for every edit since the last — the same
+  runs of kept entries and rows, one ``concatenate``, never a per-slot
+  Python rebuild.  Snapshots are byte-equal to
   :meth:`SlotArrays.from_slots` over the same slots (property-tested),
   so the vectorized kernel cannot tell the difference.
 
 The arrays are a *snapshot*: building one from a :class:`SlotPool`
 captures the pool at that instant; the pool serves one snapshot object
 per mutation generation (see :meth:`repro.model.SlotPool.as_arrays`).
-A snapshot keeps a copy of the pool's ``(sort key, slot)`` entry list
-and builds the ``Slot`` list (:meth:`SlotArrays.slot_objects`) only when
-first asked; the winning window is built from those slots, never from
-the columns.
+A snapshot holds the store's entry list of its generation (never
+written after it is built) and builds the ``Slot`` list
+(:meth:`SlotArrays.slot_objects`) only when first asked; the winning
+window is built from those slots, never from the columns.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
@@ -92,7 +93,7 @@ class SlotArrays:
     #: The ``Slot`` objects the columns describe, row for row; built
     #: from ``_entries`` on the first :meth:`slot_objects` call.
     _slots: Optional[list[Slot]] = field(default=None, repr=False)
-    #: The pool's entries at the snapshot's generation (a private copy).
+    #: The store's entry list at the snapshot's generation.
     _entries: Sequence[Entry] = field(default=(), repr=False)
 
     # ------------------------------------------------------------------
@@ -196,36 +197,35 @@ def _table_columns(nodes: Sequence[CpuNode]) -> dict:
 
 
 class SlotColumnStore:
-    """The columnar mirror of a mutating pool's ordered entry list.
+    """The pool's one start-ordered entry list, and its columns.
 
-    Edits are recorded; the columns catch up on read.  Rebuilding
-    :class:`SlotArrays` per mutation is a per-slot Python loop, and
-    shifting the columns per edit made a cycle's k commits pay k column
-    moves that nobody reads before the next snapshot.  So the store
-    keeps:
+    Edits are recorded; the list and the columns catch up on read.
+    Rebuilding :class:`SlotArrays` per mutation is a per-slot Python
+    loop, and shifting the columns per edit made a cycle's k commits
+    pay k column moves that nobody reads before the next snapshot.  So
+    the store keeps:
 
-    * ``_rows`` — one read-only ``(3, n)`` float block (start, end and
-      node-table row per slot) describing ``_entries``, the pool's entry
-      list as it was at the last read, row for row;
+    * ``_entries`` — the pool's ``(sort key, slot)`` entries at the last
+      read — and ``_rows``, one read-only ``(3, n)`` float block (start,
+      end and node-table row per entry) describing them row for row;
     * the edits since then, by entry: ``_fresh`` (inserted and still
       present, keyed by ``id``), ``_gone`` (entries of ``_entries``
-      deleted one at a time) and ``_floor`` (every row of ``_entries``
-      sorting below the last trim's bound is gone).
+      deleted one at a time) and ``_floor`` (every entry of
+      ``_entries`` sorting below the last trim's bound is gone).
 
     ``insert`` / ``delete`` / ``replace_prefix`` / ``load_sorted`` only
-    record; node reference counts and ``generation`` move at once.
-    :meth:`_catch_up` is the one function that writes columns, called
-    by :meth:`snapshot` and :meth:`copy` when edits are pending: Python
-    work per edit, numpy work per row.  Blocks are never written after
-    they are built, so snapshots and twins share them without copying.
+    record; ``size`` (the entry count) and ``generation`` move at once.
+    :meth:`_catch_up` is the one writer of the list and the columns,
+    called by every read with edits pending: Python work per edit, numpy
+    work per row.  Lists and blocks are never written after they are
+    built, so snapshots and twins share them without copying.
 
-    The *node table* is maintained as a reference-counted registry in
-    ascending ``node_id`` order: a node enters when its first slot
-    arrives and leaves when its last slot goes, so fully trimmed nodes
-    never linger in snapshots.  When the table changed since the last
-    read, the catch-up re-points the kept rows at the new table.
-    ``generation`` increments on every mutation; callers cache
-    snapshots per generation.
+    The node set is the key set of the pool's per-node buckets
+    (``buckets``; the pool updates a bucket before it records the
+    edit).  The *node table* lists those nodes by ascending id, each as
+    its bucket's first node — the one :meth:`SlotArrays.from_slots`
+    picks — and is cached until a bucket is created or deleted; the
+    catch-up then re-points the kept rows at the new table.
     """
 
     __slots__ = (
@@ -236,14 +236,13 @@ class SlotColumnStore:
         "_gone",
         "_floor",
         "_synced",
-        "_node_objs",
-        "_node_refs",
-        "_sorted_ids",
+        "_buckets",
         "_table",
+        "size",
         "generation",
     )
 
-    def __init__(self):
+    def __init__(self, buckets: dict[int, list[Entry]]):
         self._rows = _NO_ROWS
         #: The node ids the third row of ``_rows`` indexes.
         self._row_ids = _NO_IDS
@@ -251,79 +250,49 @@ class SlotColumnStore:
         self._fresh: dict[int, Entry] = {}
         self._gone: list[Entry] = []
         self._floor = 0
-        #: The generation ``_rows`` describes.
+        #: The generation ``_entries`` and ``_rows`` describe.
         self._synced = 0
-        self._node_objs: dict[int, CpuNode] = {}
-        self._node_refs: dict[int, int] = {}
-        self._sorted_ids: list[int] = []
+        self._buckets = buckets
         self._table: Optional[dict] = None
+        self.size = 0
         self.generation = 0
 
     # ------------------------------------------------------------------
     # Mutation (recorded, not applied)
     # ------------------------------------------------------------------
-    def _retain(self, node: CpuNode) -> None:
-        """Count one more slot of ``node`` (the first object registered
-        under a ``node_id`` is the one the table keeps)."""
-        node_id = node.node_id
-        refs = self._node_refs.get(node_id)
-        if refs is None:
-            self._node_refs[node_id] = 1
-            self._node_objs[node_id] = node
-            insort(self._sorted_ids, node_id)
+    def _recorded(self, count: int) -> None:
+        """Close the record of an edit that changed the entry count by
+        ``count``.  An edit only creates buckets or only deletes them:
+        it did either iff the node table no longer has one row each."""
+        table = self._table
+        if table is not None and len(table["node_id"]) != len(self._buckets):
             self._table = None
-        else:
-            self._node_refs[node_id] = refs + 1
-
-    def _release(self, node_id: int) -> None:
-        """Count one slot of the node fewer; its last slot takes the
-        node out of the table at once, so snapshots list nodes with
-        slots only."""
-        refs = self._node_refs[node_id] - 1
-        if refs:
-            self._node_refs[node_id] = refs
-        else:
-            del self._node_refs[node_id]
-            del self._node_objs[node_id]
-            self._sorted_ids.remove(node_id)
-            self._table = None
+        self.size += count
+        self.generation += 1
 
     def insert(self, entry: Entry) -> None:
-        """Record that the pool inserted ``entry`` into its list."""
+        """Record that the pool inserted ``entry``."""
         self._fresh[id(entry)] = entry
-        self._retain(entry[1].node)
-        self.generation += 1
+        self._recorded(1)
 
     def delete(self, entry: Entry) -> None:
         """Record that the pool deleted ``entry`` (the list's own object)."""
         if self._fresh.pop(id(entry), None) is None:
             self._gone.append(entry)
-        self._release(entry[1].node.node_id)
-        self.generation += 1
+        self._recorded(-1)
 
     def replace_prefix(
-        self,
-        probe: tuple,
-        prefix: Sequence[Entry],
-        entries: Sequence[Entry],
-        removed: Sequence[Slot],
+        self, probe: tuple, prefix: Sequence[Entry], entries: Sequence[Entry]
     ) -> None:
-        """Record ``list[:cutoff] = entries`` in the pool.
-
-        ``prefix`` is the old ``list[:cutoff]`` — every entry sorting
-        below ``probe`` — and ``removed`` its slots with no successor in
-        ``entries``; every other slot is kept or rewritten on the same
-        node, so theirs are the only node references to drop.
-        """
+        """Record that the pool replaced every entry sorting below
+        ``probe`` — ``prefix``, in any order — by ``entries``."""
         self._floor = max(self._floor, bisect_left(self._entries, probe))
         fresh = self._fresh
         for entry in prefix:
             fresh.pop(id(entry), None)
         for entry in entries:
             fresh[id(entry)] = entry
-        for slot in removed:
-            self._release(slot.node.node_id)
-        self.generation += 1
+        self._recorded(len(entries) - len(prefix))
 
     def load_sorted(self, entries: Sequence[Entry]) -> None:
         """Fill an empty store from the pool's sorted entry list.
@@ -332,23 +301,23 @@ class SlotColumnStore:
         generation equal those of a store the same slots were inserted
         into one by one.
         """
-        if self._entries or self._fresh:
+        if self.size:
             raise ValueError("load_sorted needs an empty store")
         self._fresh = dict(zip(map(id, entries), entries))
-        for _, slot in entries:
-            self._retain(slot.node)
+        self._table = None
+        self.size = len(entries)
         self.generation += len(entries)
 
     # ------------------------------------------------------------------
-    # Catch-up: the one writer of the columns
+    # Catch-up: the one writer of the list and the columns
     # ------------------------------------------------------------------
-    def _catch_up(self, entries: Sequence[Entry]) -> None:
-        """Apply every recorded edit to the columns in one rewrite.
+    def _catch_up(self) -> None:
+        """Apply every recorded edit to the list and the columns.
 
-        ``entries`` is the pool's current list; a copy of it becomes
-        the list the new block describes.  Kept rows move as runs of
-        ``_rows`` between edit points; new rows are written from their
-        sort keys, whose third field becomes the node's table row.
+        Kept entries and their rows move as the same runs of
+        ``_entries`` and ``_rows`` between edit points; new rows are
+        written from their sort keys, whose third field becomes the
+        node's table row.
         """
         base = self._entries
         count = len(base)
@@ -366,7 +335,8 @@ class SlotColumnStore:
             if index >= floor:
                 drops.append(index)
         drops.sort()
-        keys = sorted(map(_KEY, self._fresh.values()))
+        fresh = sorted(self._fresh.values(), key=_KEY)
+        keys = list(map(_KEY, fresh))
         # Keys below the first kept row go right after the floor; the
         # rest are placed by a bisect of ``base``.
         below = bisect_left(keys, base[floor][0]) if floor < count else len(keys)
@@ -376,6 +346,7 @@ class SlotColumnStore:
         new = new.reshape(-1, 3).T
         new[2] = np.searchsorted(ids, new[2])
         pieces = []
+        entries: list[Entry] = []
         low = floor
         placed = 0
         for stop in drops + [count]:
@@ -385,15 +356,18 @@ class SlotColumnStore:
                 group = bisect_right(points, point, placed, limit)
                 if point > low:
                     pieces.append(rows[:, low:point])
+                    entries += base[low:point]
                 pieces.append(new[:, placed:group])
+                entries += fresh[placed:group]
                 low = point
                 placed = group
             if stop > low:
                 pieces.append(rows[:, low:stop])
+                entries += base[low:stop]
             low = stop + 1
         self._rows = _frozen(np.concatenate(pieces, axis=1)) if pieces else _NO_ROWS
         self._row_ids = ids
-        self._entries = list(entries)
+        self._entries = entries
         self._fresh = {}
         self._gone = []
         self._floor = 0
@@ -403,50 +377,47 @@ class SlotColumnStore:
     # Reads
     # ------------------------------------------------------------------
     def _node_table(self) -> dict:
-        """The node-table fields of a snapshot (cached until node
-        arrival/departure; never written in place, so snapshots and
+        """The node-table fields of a snapshot (cached until a bucket
+        is created or deleted; never written in place, so snapshots and
         twins share them)."""
         if self._table is None:
+            buckets = self._buckets
             self._table = _table_columns(
-                [self._node_objs[node_id] for node_id in self._sorted_ids]
+                [buckets[node_id][0][1].node for node_id in sorted(buckets)]
             )
         return self._table
 
-    def snapshot(self, entries: Sequence[Entry]) -> SlotArrays:
-        """The pool as a fresh :class:`SlotArrays`.
-
-        ``entries`` is the pool's own list — the slots the rows mirror —
-        so the snapshot's ``slot_objects()`` returns the pool's
-        instances (matching :meth:`SlotArrays.from_slots`).
-        """
+    def entries(self) -> list[Entry]:
+        """The pool's entries, start-ordered.  The list is never
+        written after it is returned: later edits build a new one."""
         if self._synced != self.generation:
-            self._catch_up(entries)
+            self._catch_up()
+        return self._entries
+
+    def snapshot(self) -> SlotArrays:
+        """The pool as a fresh :class:`SlotArrays`, whose
+        ``slot_objects()`` are the pool's own instances (matching
+        :meth:`SlotArrays.from_slots`)."""
+        entries = self.entries()
         rows = self._rows
         return SlotArrays(
             start=rows[0],
             end=rows[1],
             node_row=rows[2].astype(np.int64),
-            _entries=self._entries,
+            _entries=entries,
             **self._node_table(),
         )
 
-    def copy(self, entries: Sequence[Entry]) -> "SlotColumnStore":
-        """An independent twin of the store behind ``entries``: it
-        catches up first, then shares the (read-only) block and copies
-        the node registries."""
-        if self._synced != self.generation:
-            self._catch_up(entries)
-        twin = SlotColumnStore.__new__(SlotColumnStore)
+    def copy(self, buckets: dict[int, list[Entry]]) -> "SlotColumnStore":
+        """An independent twin over ``buckets``, a copy of this store's
+        pool's buckets: it catches up first, then shares the read-only
+        list, block and node table."""
+        twin = SlotColumnStore(buckets)
+        twin._entries = self.entries()
         twin._rows = self._rows
         twin._row_ids = self._row_ids
-        twin._entries = self._entries
-        twin._fresh = {}
-        twin._gone = []
-        twin._floor = 0
         twin._synced = self._synced
-        twin._node_objs = dict(self._node_objs)
-        twin._node_refs = dict(self._node_refs)
-        twin._sorted_ids = list(self._sorted_ids)
         twin._table = self._table
+        twin.size = self.size
         twin.generation = self.generation
         return twin

@@ -2,11 +2,14 @@
 
 The AEP family requires the list of all available slots *ordered by
 non-decreasing start time* — that ordering is what makes a single linear
-scan sufficient.  The pool maintains that order, and implements the
-"cutting" operation of the CSA scheme: once a window is allocated, the
-reserved spans are removed from the affected slots and the usable
-remainders are re-inserted, so the next search sees only genuinely free
-time.
+scan sufficient.  The pool keeps that order once, in its column store
+(:class:`~repro.model.slotarrays.SlotColumnStore`: mutations record which
+entries came and went, and the next read splices the ordered list and its
+columns), indexes the same entries by node for per-node work, and
+implements the "cutting" operation of the CSA scheme: once a window is
+allocated, the reserved spans are removed from the affected slots and
+the usable remainders are re-inserted, so the next search sees only
+genuinely free time.
 
 Past free time is dropped lazily: a virtual-clock step records a
 *floor* (:meth:`SlotPool.advance_floor`, O(1)), and the pool trims to
@@ -25,7 +28,7 @@ every one that adds some; :class:`SlotPool` says which is which.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -34,8 +37,10 @@ import numpy as np
 
 from repro.model.errors import AllocationError
 from repro.model.slot import TIME_EPSILON, Slot, fits_from, last_start
-from repro.model.slotarrays import SlotArrays, SlotColumnStore
+from repro.model.slotarrays import Entry, SlotArrays, SlotColumnStore
 from repro.model.window import Window, left_sum
+
+_KEY = itemgetter(0)
 
 #: Tolerance for coalescing two same-node slots across a gap: spans whose
 #: endpoints are within one :data:`TIME_EPSILON` are considered touching.
@@ -80,10 +85,7 @@ class PendingFloor(NamedTuple):
     start: np.ndarray
 
 
-def _find_entry(
-    entries: list[tuple[tuple[float, float, int], Slot]],
-    entry: tuple[tuple[float, float, int], Slot],
-) -> Optional[int]:
+def _find_entry(entries: list[Entry], entry: Entry) -> Optional[int]:
     """Index of ``entry`` in a sorted entry list, or ``None`` if absent.
 
     Bisects to the first equal sort key, then compares slots by equality
@@ -98,7 +100,7 @@ def _find_entry(
     return None
 
 
-def _has_neighbours(bucket: list[tuple[tuple[float, float, int], Slot]]) -> bool:
+def _has_neighbours(bucket: list[Entry]) -> bool:
     """Whether two slots of one node's start-ordered bucket overlap or lie
     within :data:`COALESCE_GAP` — the only inputs coalescing could merge."""
     reach = float("-inf")  # furthest end so far: each slot clears the last
@@ -145,22 +147,19 @@ class SlotPool:
     """
 
     min_usable_length: float = TIME_EPSILON
-    _slots: list[tuple[tuple[float, float, int], Slot]] = field(default_factory=list)
-    #: Per-node index: node_id -> the node's entries, same tuples as
-    #: ``_slots`` and kept in the same (total) order.  Node-scoped
-    #: operations — coalescing, host lookup, overlap checks — walk one
-    #: short bucket instead of the whole pool, and ``node_count`` is O(1)
-    #: (empty buckets are deleted eagerly).
-    _by_node: dict[int, list[tuple[tuple[float, float, int], Slot]]] = field(
-        default_factory=dict
-    )
-    #: The columnar mirror of ``_slots``: every mutation records the
-    #: entries it inserted or deleted, and the columns catch up on the
-    #: next read, so :meth:`as_arrays` never pays a per-slot Python
-    #: rebuild (see :class:`~repro.model.slotarrays.SlotColumnStore`).
-    _store: SlotColumnStore = field(
-        default_factory=SlotColumnStore, repr=False, compare=False
-    )
+    #: Per-node index: node_id -> the node's ``(sort key, slot)``
+    #: entries, start-ordered.  Node-scoped operations — coalescing,
+    #: removal, host lookup, overlap checks, the trim — walk short
+    #: buckets instead of the whole pool; the keys are the pool's node
+    #: set, and ``node_count`` is O(1) (empty buckets are deleted
+    #: eagerly).
+    _by_node: dict[int, list[Entry]] = field(default_factory=dict)
+    #: The pool's one total order: every mutation records the entries
+    #: it inserted or deleted, and the ordered list and its columns
+    #: catch up on the next read, so neither :meth:`ordered` nor
+    #: :meth:`as_arrays` pays a per-slot Python rebuild (see
+    #: :class:`~repro.model.slotarrays.SlotColumnStore`).
+    _store: SlotColumnStore = field(init=False, repr=False, compare=False)
     #: The snapshot served at ``_cache_generation`` (reused until the
     #: next mutation, so unchanged pools keep their scan-plan caches).
     _cache: Optional[SlotArrays] = field(default=None, repr=False, compare=False)
@@ -181,6 +180,9 @@ class SlotPool:
     _certificates: dict = field(default_factory=dict, repr=False, compare=False)
     _certificates_shared: bool = field(default=False, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        self._store = SlotColumnStore(self._by_node)
+
     @classmethod
     def from_slots(
         cls,
@@ -197,10 +199,9 @@ class SlotPool:
         starting within the gap of the furthest end before it).  When
         none do — every generated environment: a timeline's free gaps
         are separated by busy chunks — or with ``coalesce=False``, the
-        pool is filled in bulk: one sort, then the ordered list, the
-        buckets and the column store in order, instead of a bucket walk,
-        two bisects and a column-store shift per slot.  Otherwise the
-        slots are added one by one.
+        pool is filled in bulk: one sort, then the buckets in order and
+        one record in the store, instead of a bucket walk and a bisect
+        per slot.  Otherwise the slots are added one by one.
         """
         pool = cls(min_usable_length=min_usable_length)
         slots = list(slots)
@@ -210,17 +211,16 @@ class SlotPool:
                 for slot in slots
                 if not slot.length < min_usable_length
             ),
-            key=itemgetter(0),
+            key=_KEY,
         )
-        by_node: dict[int, list[tuple[tuple[float, float, int], Slot]]] = {}
+        by_node = pool._by_node
         for entry in entries:
             by_node.setdefault(entry[1].node.node_id, []).append(entry)
         if coalesce and any(map(_has_neighbours, by_node.values())):
+            by_node.clear()
             for slot in slots:
                 pool.add(slot)
             return pool
-        pool._slots = entries
-        pool._by_node = by_node
         pool._store.load_sorted(entries)
         return pool
 
@@ -270,27 +270,27 @@ class SlotPool:
         Counted without applying it: the rows ``trim_before`` would
         drop are subtracted (see :meth:`arrays_before_floor`).
         """
+        size = self._store.size
         if self._floor is None:
-            return len(self._slots)
+            return size
         _, pending = self.arrays_before_floor()
         assert pending is not None
-        return len(self._slots) - pending.cutoff + int(np.count_nonzero(pending.kept))
+        return size - pending.cutoff + int(np.count_nonzero(pending.kept))
 
     def __iter__(self) -> Iterator[Slot]:
-        """Iterate slots by non-decreasing start time."""
+        """Iterate slots by non-decreasing start time: the pool as it
+        is now, whatever the loop then does to it."""
         self.apply_floor()
-        return (slot for _, slot in self._slots)
+        return (slot for _, slot in self._store.entries())
 
     def ordered(self) -> list[Slot]:
-        """The slots as a list, ordered by non-decreasing start time."""
+        """The slots as a new list, ordered by non-decreasing start time."""
         self.apply_floor()
-        return [slot for _, slot in self._slots]
+        return [slot for _, slot in self._store.entries()]
 
     def __contains__(self, slot: Slot) -> bool:
         self.apply_floor()
-        bucket = self._by_node.get(slot.node.node_id)
-        if not bucket:
-            return False
+        bucket = self._by_node.get(slot.node.node_id, ())
         return _find_entry(bucket, (slot.sort_key(), slot)) is not None
 
     # ------------------------------------------------------------------
@@ -317,8 +317,6 @@ class SlotPool:
         if coalesce:
             slot = self._coalesce(slot)
         entry = (slot.sort_key(), slot)
-        position = bisect_right(self._slots, entry)
-        self._slots.insert(position, entry)
         insort(self._by_node.setdefault(slot.node.node_id, []), entry)
         self._store.insert(entry)
 
@@ -352,12 +350,14 @@ class SlotPool:
     def remove(self, slot: Slot) -> None:
         """Remove one slot; raises :class:`AllocationError` if absent."""
         self.apply_floor()
-        entry = (slot.sort_key(), slot)
-        index = _find_entry(self._slots, entry)
+        node_id = slot.node.node_id
+        bucket = self._by_node.get(node_id, ())
+        index = _find_entry(bucket, (slot.sort_key(), slot))
         if index is None:
             raise AllocationError(f"slot not in pool: {slot!r}")
-        entry = self._slots.pop(index)
-        self._bucket_discard(entry)
+        entry = bucket.pop(index)
+        if not bucket:
+            del self._by_node[node_id]
         self._store.delete(entry)
         if self._certificates_shared:
             self._removed()
@@ -373,16 +373,6 @@ class SlotPool:
         """Free time was added: start an empty certificate store."""
         self._certificates = {}
         self._certificates_shared = False
-
-    def _bucket_discard(self, entry: tuple[tuple[float, float, int], Slot]) -> None:
-        """Drop ``entry`` (known present) from its node's index bucket."""
-        node_id = entry[1].node.node_id
-        bucket = self._by_node[node_id]
-        index = _find_entry(bucket, entry)
-        if index is not None:  # pragma: no branch - present by invariant
-            del bucket[index]
-        if not bucket:
-            del self._by_node[node_id]
 
     def cut_window(self, window: Window, mode: str = "split") -> None:
         """Remove a window's reservations from the pool.
@@ -418,15 +408,15 @@ class SlotPool:
         if mode == "split":
             remainders = host.split(span_start, required_time, self.min_usable_length)
             kept = self._certificates
-            size = len(self._slots)
+            size = self._store.size
             for remainder in remainders:
                 self.add(remainder)
             # ``add`` counts as a gain, but a remainder that merged with
             # nothing is a sub-span of its host: the cut removed time.
-            if len(self._slots) == size + len(remainders):
+            if self._store.size == size + len(remainders):
                 self._certificates = kept
 
-    def commit_window(self, window: Window, mode: str = "split") -> None:
+    def commit_window(self, window: Window) -> None:
         """Cut a window out of the pool by *span containment*.
 
         :meth:`cut_window` removes the exact slot objects a window
@@ -463,7 +453,7 @@ class SlotPool:
                     f"reserved span [{start:g}, {start + ws.required_time:g})"
                 )
         for host, required_time in cuts:
-            self._carve(host, start, required_time, mode)
+            self._carve(host, start, required_time, "split")
 
     def release(self, window: Window, floor: Optional[float] = None) -> None:
         """Return a committed window's reservations to the pool.
@@ -533,12 +523,11 @@ class SlotPool:
         not once per arrival — so searches only ever see future time.
         A pending floor is applied first.
 
-        Only the prefix of slots starting at or before ``time +
-        TIME_EPSILON`` is inspected: every later slot is kept untouched
-        (its end exceeds its start, hence the cutoff too).  The per-node buckets share the
-        pool's total order, so a node's entries inside that prefix are
-        the first entries of its bucket and are rewritten by position —
-        no search, no per-slot delete and re-insert.
+        Only each node's slots starting at or before ``time +
+        TIME_EPSILON`` are inspected — a bisect of its bucket finds
+        them — and every later slot is kept untouched (its end exceeds
+        its start, hence the cutoff too).  A node's inspected head is
+        rewritten in place, by what survives of it.
         """
         self.apply_floor()
         changed = self._trim(time)
@@ -553,60 +542,49 @@ class SlotPool:
         # itself, and a slot starting there must sort among those cut
         # to start there.
         probe = ((bound, math.inf),)
-        cutoff = bisect_left(self._slots, probe)
-        if cutoff == 0:
-            return 0
-        prefix = self._slots[:cutoff]
         truncate_before = time - TIME_EPSILON
         min_tail = self.min_usable_length
-        by_node = self._by_node
         changed = 0
-        removed: list[Slot] = []
-        rebuilt: list[tuple[tuple[float, float, int], Slot]] = []
-        # node id -> what each prefix entry of a node owning several of
-        # them became (``None``: removed), in bucket order.
-        crowded: dict[int, list] = {}
-        for entry in prefix:
-            (start, end, node_id), slot = entry
-            survivor = None
-            if end > bound:
+        prefix: list[Entry] = []
+        rebuilt: list[Entry] = []
+        emptied: list[int] = []
+        for node_id, bucket in self._by_node.items():
+            if not bucket[0] < probe:
+                continue
+            single = len(bucket) == 1 or not bucket[1] < probe  # the usual head
+            cutoff = 1 if single else bisect_left(bucket, probe, 2)
+            head = bucket[:cutoff]
+            survivors = []
+            kept = 0
+            for entry in head:
+                (start, end, _), slot = entry
+                if end <= bound:
+                    continue
                 if start >= truncate_before:
-                    survivor = entry  # starts at ``time``: kept as it is
+                    survivors.append(entry)  # starts at ``time``: kept as it is
+                    kept += 1
                 else:
                     tail = end - time
                     if tail > TIME_EPSILON and tail >= min_tail:
-                        survivor = ((time, end, node_id), Slot(slot.node, time, end))
-            if survivor is not entry:
-                changed += 1
-            if survivor is None:
-                removed.append(slot)
-            else:
-                rebuilt.append(survivor)
-            bucket = by_node[node_id]
-            if len(bucket) > 1 and bucket[1][0][0] <= bound:
-                crowded.setdefault(node_id, []).append(survivor)
-            elif survivor is not None:
-                bucket[0] = survivor
-            elif len(bucket) > 1:
-                del bucket[0]
-            else:
-                del by_node[node_id]
+                        cut = Slot(slot.node, time, end)
+                        survivors.append(((time, end, node_id), cut))
+            prefix += head
+            rebuilt += survivors
+            if kept < cutoff:
+                changed += cutoff - kept
+                if len(survivors) > 1:
+                    # Two overlapping slots of one node (a ``coalesce=False``
+                    # pool) can swap order once both start at ``time``.
+                    survivors.sort(key=_KEY)
+                bucket[:cutoff] = survivors
+                if not bucket:
+                    emptied.append(node_id)
         if not changed:
             return 0
         self._removed()
-        for node_id, survivors in crowded.items():
-            # Two overlapping slots of one node (a ``coalesce=False``
-            # pool) can swap order once both start at ``time``.
-            bucket = by_node[node_id]
-            bucket[: len(survivors)] = sorted(
-                (entry for entry in survivors if entry is not None),
-                key=itemgetter(0),
-            )
-            if not bucket:
-                del by_node[node_id]
-        rebuilt.sort(key=itemgetter(0))
-        self._slots[:cutoff] = rebuilt
-        self._store.replace_prefix(probe, prefix, rebuilt, removed)
+        for node_id in emptied:
+            del self._by_node[node_id]
+        self._store.replace_prefix(probe, prefix, rebuilt)
         return changed
 
     def copy(self) -> "SlotPool":
@@ -616,12 +594,9 @@ class SlotPool:
         # tracks its own generation): scan plans built on one serve the
         # other.
         arrays = self.as_arrays()
-        twin = SlotPool(min_usable_length=self.min_usable_length)
-        twin._slots = list(self._slots)
-        twin._by_node = {
-            node_id: list(bucket) for node_id, bucket in self._by_node.items()
-        }
-        twin._store = self._store.copy(self._slots)
+        buckets = {node_id: list(bucket) for node_id, bucket in self._by_node.items()}
+        twin = SlotPool(self.min_usable_length, buckets)
+        twin._store = self._store.copy(twin._by_node)
         twin._cache = arrays
         twin._cache_generation = self._cache_generation
         twin._trimmed = self._trimmed
@@ -673,8 +648,9 @@ class SlotPool:
         both the columns and any scan plans cached on them — and a
         mutated pool's store applies every edit since the last read in
         one column rewrite, never a per-slot Python rebuild or a numpy
-        sort.  The snapshot keeps a copy of the entry list; its
-        ``slot_objects()`` list is built only if a scan asks for it.
+        sort.  The snapshot holds the store's entry list of its
+        generation; its ``slot_objects()`` list is built only if a scan
+        asks for it.
         """
         self.apply_floor()
         return self._snapshot()
@@ -704,7 +680,7 @@ class SlotPool:
 
     def _snapshot(self) -> SlotArrays:
         if self._cache is None or self._cache_generation != self._store.generation:
-            self._cache = self._store.snapshot(self._slots)
+            self._cache = self._store.snapshot()
             self._cache_generation = self._store.generation
         return self._cache
 

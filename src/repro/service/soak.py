@@ -159,7 +159,7 @@ def bench_soak(
             rss_samples.append(_rss_bytes())
             pool_sizes.append(len(pool))
             # Paired sample of the snapshot comparison: the store's
-            # catch-up on the edits since the last read (its copy of
+            # catch-up on the edits since the last read (its splice of
             # the pool's entry list included) plus the snapshot built
             # on it — what a cycle pays after mutations — against
             # the cold per-slot rebuild it replaced.  The store is
@@ -174,7 +174,7 @@ def bench_soak(
             SlotArrays.from_slots(list(pool))
             rebuild_seconds += perf_counter() - tick
             tick = perf_counter()
-            pool._store.snapshot(pool._slots)
+            pool._store.snapshot()
             incremental_seconds += perf_counter() - tick
             snapshot_samples += 1
     broker.drain()

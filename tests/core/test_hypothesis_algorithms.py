@@ -194,12 +194,11 @@ def _every_window(case):
 def test_every_window_validates_and_commits_on_adversarial_pools(case):
     """On pools whose slot ends sit where the float spellings of the fit
     test disagree, every window any stock algorithm returns passes
-    ``validate`` and commits into a copy of its pool, split or consumed:
-    the searches, the check and the cuts read one test."""
+    ``validate`` and commits into a copy of its pool: the searches, the
+    check and the commit's host search read one test."""
     pool = case.pool()
     deadline = case.request.deadline
     for window, request in _every_window(case):
         window.validate(request)
         assert all(leg.fits_from(window.start, deadline) for leg in window.slots)
-        for mode in ("split", "consume"):
-            pool.copy().commit_window(window, mode=mode)
+        pool.copy().commit_window(window)

@@ -35,7 +35,7 @@ def wide_job(job_id="job-wide", node_count=3, budget=1000.0) -> Job:
 class FailingCommitPool(SlotPool):
     """A pool whose commit always fails — forces the rollback path."""
 
-    def commit_window(self, window: Window, mode: str = "split") -> None:
+    def commit_window(self, window: Window) -> None:
         raise AllocationError("injected commit failure")
 
 

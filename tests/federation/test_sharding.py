@@ -104,7 +104,7 @@ def _commit_one(pool: SlotPool, length: float = 10.0):
                     ),
                 ),
             )
-            pool.commit_window(window, mode="split")
+            pool.commit_window(window)
             return window
     return None
 

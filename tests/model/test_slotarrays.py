@@ -1,12 +1,17 @@
-"""The columnar snapshot: cache discipline, mutation storms.
+"""The column store: cache discipline, mutation storms.
 
-The pool's numpy snapshot (:meth:`SlotPool.as_arrays`) is the substrate
-of the vectorized scan kernel, so under arbitrary interleavings of every
-mutating operation the columns must always describe exactly the object
-state (``_slots`` and the per-node index).
+The pool keeps its slot order once, in its column store
+(:class:`SlotColumnStore`): the start-ordered entry list and the numpy
+columns (:meth:`SlotPool.as_arrays`) the vectorized scan kernel reads.
+Under arbitrary interleavings of every mutating operation both must
+describe exactly the per-node buckets: the entry list is the key-sorted
+merge of the buckets (:func:`assert_one_order`), and the columns are
+byte-equal to :meth:`SlotArrays.from_slots` of that merge.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -52,11 +57,7 @@ def assert_columns_match_objects(pool: SlotPool) -> None:
         assert arrays.price[row] == slot.node.price_per_unit
 
 
-def assert_bytes_equal_rebuild(pool: SlotPool, slots=None) -> None:
-    """The delta-maintained snapshot is byte-equal to a cold rebuild
-    (of the pool's own ordered slots, or of ``slots`` when given)."""
-    maintained = pool.as_arrays()
-    rebuilt = SlotArrays.from_slots(pool.ordered() if slots is None else slots)
+def assert_same_columns(maintained: SlotArrays, rebuilt: SlotArrays) -> None:
     for column in COLUMNS:
         left, right = getattr(maintained, column), getattr(rebuilt, column)
         assert left.dtype == right.dtype, column
@@ -64,12 +65,44 @@ def assert_bytes_equal_rebuild(pool: SlotPool, slots=None) -> None:
     assert maintained.os_names == rebuilt.os_names
 
 
+def assert_bytes_equal_rebuild(pool: SlotPool, slots=None) -> None:
+    """The delta-maintained snapshot is byte-equal to a cold rebuild
+    (of the pool's own ordered slots, or of ``slots`` when given)."""
+    maintained = pool.as_arrays()
+    rebuilt = SlotArrays.from_slots(pool.ordered() if slots is None else slots)
+    assert_same_columns(maintained, rebuilt)
+
+
+def bucket_merge(pool: SlotPool) -> list:
+    """The key-sorted merge of the pool's per-node buckets: its entries
+    as the buckets hold them, read without catching the store up or
+    applying a pending floor."""
+    merged = [entry for bucket in pool._by_node.values() for entry in bucket]
+    return sorted(merged, key=itemgetter(0))
+
+
+def merged_slots(pool: SlotPool) -> list[Slot]:
+    """The slots of :func:`bucket_merge`, in order."""
+    return [slot for _, slot in bucket_merge(pool)]
+
+
+def assert_one_order(pool: SlotPool) -> None:
+    """The store's ordered entries are the key-sorted merge of the
+    buckets, and the pool's snapshot is byte-equal to a cold rebuild of
+    that merge.  A pending floor stays pending: the snapshot is read
+    through ``arrays_before_floor``, which is ``as_arrays()``'s when no
+    floor is pending."""
+    merged = bucket_merge(pool)
+    assert pool._store.entries() == merged
+    assert pool._store.size == len(merged)
+    rebuilt = SlotArrays.from_slots([slot for _, slot in merged])
+    assert_same_columns(pool.arrays_before_floor()[0], rebuilt)
+
+
 def assert_index_consistent(pool: SlotPool) -> None:
-    """``_by_node`` holds the same entries as ``_slots``, per node."""
-    flattened = sorted(
-        entry for bucket in pool._by_node.values() for entry in bucket
-    )
-    assert flattened == sorted(pool._slots)
+    """The store and the per-node buckets hold the same entries in the
+    same order, and every bucket is one node's, start-ordered."""
+    assert_one_order(pool)
     for node_id, bucket in pool._by_node.items():
         assert bucket  # empty buckets are deleted eagerly
         assert bucket == sorted(bucket)
@@ -78,7 +111,8 @@ def assert_index_consistent(pool: SlotPool) -> None:
 
 class TestMutationStorm:
     """Interleaved add / commit_window / release / trim_before keep the
-    columnar snapshot, ``_slots`` and the per-node index in lockstep."""
+    columnar snapshot, the store's entry list and the per-node index in
+    lockstep."""
 
     REQUEST = ResourceRequest(node_count=2, reservation_time=30.0, budget=500.0)
 
@@ -300,12 +334,13 @@ class TestBatchedEditStorm:
                     node = make_node(fresh_node, performance=float(rng.integers(1, 8)))
                     pool.add(Slot(node, start, start + float(rng.uniform(5.0, 80.0))))
                 elif op == 1 and len(pool):
-                    slots = pool.ordered()
+                    slots = merged_slots(pool)
                     pool.remove(slots[int(rng.integers(len(slots)))])
                 elif op == 2:
-                    # The generic loop reads objects, not columns: the
-                    # search itself must not catch the store up.
-                    window = search.select(self.REQUEST, iter(pool.ordered()))
+                    # The generic loop reads objects, not columns, and
+                    # ``ordered()`` is a read: the search walks the
+                    # buckets' merge, so it does not catch the store up.
+                    window = search.select(self.REQUEST, iter(merged_slots(pool)))
                     if window is not None:
                         pool.commit_window(window)
                         committed.append(window)
@@ -318,7 +353,7 @@ class TestBatchedEditStorm:
                 elif twins and rng.random() < 0.5:
                     twin = twins[int(rng.integers(len(twins)))]
                     if len(twin) and rng.random() < 0.5:
-                        slots = twin.ordered()
+                        slots = merged_slots(twin)
                         twin.remove(slots[int(rng.integers(len(slots)))])
                     else:
                         twin.trim_before(clock + float(rng.uniform(0.0, 30.0)))
@@ -391,9 +426,9 @@ class TestCatchUpOnRead:
         calls = []
         rewrite = SlotColumnStore._catch_up
 
-        def counted(store, entries):
+        def counted(store):
             calls.append(store.generation)
-            return rewrite(store, entries)
+            return rewrite(store)
 
         monkeypatch.setattr(SlotColumnStore, "_catch_up", counted)
         return calls
@@ -419,7 +454,7 @@ class TestCatchUpOnRead:
         pool.commit_window(window)
         pool.trim_before(4.0)
         pool.release(window)
-        pool.remove(pool.ordered()[3])
+        pool.remove(merged_slots(pool)[3])  # ``ordered()`` would be a read
         pool.add(make_slot(77_777, 50.0, 60.0))
         assert calls == []
         twin = pool.copy()  # a read: catches up once, the twin shares it

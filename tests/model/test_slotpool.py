@@ -154,9 +154,9 @@ class TestSearchThenCommit:
         found = list(self.windows(pool, request))
         for window in found:
             window.validate(request)
-            for mode in ("split", "consume"):
-                pool.copy().commit_window(window, mode=mode)
-                if all(leg.slot in pool for leg in window.slots):
+            pool.copy().commit_window(window)
+            if all(leg.slot in pool for leg in window.slots):
+                for mode in ("split", "consume"):
                     pool.copy().cut_window(window, mode=mode)
         # Node 0 does not fit from its own start, so no search uses it.
         assert all(0 not in window.nodes() for window in found)
@@ -171,6 +171,41 @@ class TestCopyAndInvariants:
         twin.remove(slot)
         assert len(pool) == 1
         assert len(twin) == 0
+
+    def test_read_lists_are_the_callers(self):
+        """``ordered()`` and ``by_node()`` hand out new lists: mutating
+        them leaves the pool, whose order lives in a shared store list,
+        as it was."""
+        slots = [make_slot(0, 0.0, 10.0), make_slot(0, 20.0, 30.0), make_slot(1, 0.0, 5.0)]
+        pool = SlotPool.from_slots(slots)
+        before = pool_state(pool)
+        ordered = pool.ordered()
+        ordered.pop()
+        ordered.reverse()
+        groups = pool.by_node()
+        groups[0].clear()
+        groups[1].append(make_slot(1, 50.0, 60.0))
+        del groups[1]
+        assert pool.ordered() is not pool.ordered()
+        assert pool_state(pool) == before
+
+    def test_iteration_sees_the_pool_as_it_was(self):
+        """``iter(pool)`` yields the pool as it was when ``iter`` was
+        called, so a loop may remove what it visits."""
+        slots = [make_slot(0, 0.0, 10.0), make_slot(1, 5.0, 15.0), make_slot(2, 20.0, 30.0)]
+        pool = SlotPool.from_slots(slots)
+        visited = []
+        for slot in pool:
+            pool.remove(slot)
+            visited.append(slot)
+        assert visited == slots
+        assert len(pool) == 0
+        assert pool.ordered() == []
+        pool = SlotPool.from_slots(slots)
+        walk = iter(pool)
+        pool.add(make_slot(3, 1.0, 2.0))
+        pool.remove(slots[2])
+        assert list(walk) == slots
 
     def test_by_node_groups(self):
         slots = [make_slot(0, 0.0, 10.0), make_slot(0, 20.0, 30.0), make_slot(1, 0.0, 5.0)]

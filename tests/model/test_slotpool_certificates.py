@@ -27,6 +27,7 @@ from repro.model import Job, ResourceRequest, Slot, SlotPool, Window, WindowSlot
 from repro.model.job import JobBatch
 
 from tests.conftest import make_node, make_slot
+from tests.model.test_slotarrays import assert_one_order
 from tests.strategies import (
     ADVERSARIAL,
     EDGE_OF_COMMIT,
@@ -306,6 +307,7 @@ def test_storm_on_adversarial_pools(case, ops):
     def check_all() -> None:
         for pool in pools:
             reference = rebuilt(pool)
+            assert_one_order(pool)  # after ``rebuilt`` applied the floor
             for request in requests:
                 for policy in POLICIES:
                     found = vectorized_alternatives(request, pool, None, policy)
@@ -320,8 +322,11 @@ def test_storm_on_adversarial_pools(case, ops):
         if op.startswith("commit"):
             policy = POLICIES[pick % 2]
             found = vectorized_alternatives(requests[pick % 2], pool, 1, policy)
-            if found:
-                pool.commit_window(found[0], mode=op.split("-")[1])
+            if found and op == "commit-split":
+                pool.commit_window(found[0])
+            elif found:
+                # Found on this pool: its legs' slots are the pool's own.
+                pool.cut_window(found[0], mode="consume")
         elif op == "remove" and slots:
             pool.remove(slots[pick % len(slots)])
         elif op == "floor" and slots:
@@ -380,7 +385,10 @@ def run_storm(seed: int, touching: bool, steps: int = 250) -> dict:
             request = STORM_REQUESTS[int(rng.integers(len(STORM_REQUESTS)))]
             found = vectorized_alternatives(request, pool, 1, "cheapest")
             if found:
-                pool.commit_window(found[0], mode=("split", "consume")[int(rng.integers(2))])
+                if rng.integers(2):
+                    pool.cut_window(found[0], mode="consume")  # found on this pool
+                else:
+                    pool.commit_window(found[0])
                 committed.append(found[0])
         elif op == "carve" and len(pool):
             # A one-leg commit at or just after a slot's start: with

@@ -32,6 +32,7 @@ from repro.model.slot import TIME_EPSILON
 from repro.service.admission import cheapest_feasible_cost
 
 from tests.conftest import make_node, make_slot, pool_state
+from tests.model.test_slotarrays import assert_one_order
 from tests.service.admission_oracle import cheapest_feasible_cost_reference
 
 EPS = TIME_EPSILON
@@ -166,6 +167,8 @@ class TestLazyFloorStorm:
             elif op == "read":
                 assert pool_state(lazy) == pool_state(eager)
             assert_reads_agree(lazy, eager)
+            assert_one_order(lazy)
+            assert_one_order(eager)
         assert pool_state(lazy) == pool_state(eager)
 
 

@@ -71,7 +71,7 @@ class TestIndexConsistency:
         assert_index_consistent(pool)
         # committed by span containment after an unrelated earlier commit
         other = window_for(pool, request, 40.0, [2])
-        pool.commit_window(other, mode="split")
+        pool.commit_window(other)
         assert_index_consistent(pool)
 
     def test_release_overlap_detected_via_index(self):

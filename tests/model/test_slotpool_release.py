@@ -141,8 +141,7 @@ def test_commit_window_without_containing_slot_raises(uniform_pool):
     assert pool_state(uniform_pool) == booked
 
 
-@pytest.mark.parametrize("mode", ["split", "consume"])
-def test_commit_window_with_a_homeless_leg_leaves_pool_unchanged(uniform_pool, mode):
+def test_commit_window_with_a_homeless_leg_leaves_pool_unchanged(uniform_pool):
     """All or nothing: the first leg has a host, the second does not —
     the refusal must not have cut the first."""
     housed = uniform_pool.ordered()[0]
@@ -156,7 +155,7 @@ def test_commit_window_with_a_homeless_leg_leaves_pool_unchanged(uniform_pool, m
     )
     before = pool_state(uniform_pool)
     with pytest.raises(AllocationError, match="node 9 contains the"):
-        uniform_pool.commit_window(window, mode=mode)
+        uniform_pool.commit_window(window)
     assert pool_state(uniform_pool) == before
 
 

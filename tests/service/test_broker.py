@@ -412,9 +412,9 @@ class TestOneTrimPerCycle:
             calls["trim"].append(time)
             return trim(pool, time)
 
-        def counted_catch_up(store, entries):
+        def counted_catch_up(store):
             calls["catch_up"].append(store.generation)
-            return catch_up(store, entries)
+            return catch_up(store)
 
         monkeypatch.setattr(SlotPool, "trim_before", counted_trim)
         monkeypatch.setattr(SlotColumnStore, "_catch_up", counted_catch_up)
