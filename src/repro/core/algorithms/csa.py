@@ -38,6 +38,8 @@ def rerun_alternatives(
     AMP selects the earliest window on a working copy of ``pool``, the
     window's slots are cut out of the copy, and AMP runs again from the
     start of the list — until no window is left or ``cap`` are found.
+    ``consume`` cutting removes each used slot (:meth:`SlotPool.remove`),
+    ``split`` cutting puts back its remainders (:meth:`SlotPool.cut_window`).
     This is what Tables 1-2 time as "CSA", the only path for ``split``
     cutting and for input the sweep kernel does not take, and the
     reference every sweep is tested against.
@@ -52,7 +54,11 @@ def rerun_alternatives(
         if window is None:
             break
         alternatives.append(window)
-        working.cut_window(window, mode=cut_mode)
+        if cut_mode == "split":
+            working.cut_window(window)
+        else:
+            for ws in window.slots:
+                working.remove(ws.slot)
     return alternatives
 
 

@@ -483,7 +483,8 @@ def vectorized_alternatives(
     :data:`UNSUPPORTED`.
 
     The returned windows are what repeating ``AMP(policy).select`` and
-    dropping each found window's slots (``cut_window(mode="consume")``)
+    removing each found window's slots from the pool (CSA's ``consume``
+    cutting, :func:`~repro.core.algorithms.csa.rerun_alternatives`)
     collects, at most ``cap`` of them — equal windows over the
     snapshot's own ``Slot`` objects — but from one snapshot, one plan
     and one sweep (:func:`_run_cheapest_consume` for the cheapest-``n``

@@ -72,19 +72,17 @@ class Environment:
     nodes: list[CpuNode]
     timelines: dict[int, Timeline]
 
-    def slots(self, min_length: float = 0.0) -> list[Slot]:
+    def slots(self) -> list[Slot]:
         """All free slots of all nodes, ordered by non-decreasing start."""
         collected: list[Slot] = []
         for node in self.nodes:
-            collected.extend(
-                self.timelines[node.node_id].free_slots(max(min_length, 1e-9))
-            )
+            collected.extend(self.timelines[node.node_id].free_slots())
         collected.sort(key=Slot.sort_key)
         return collected
 
-    def slot_pool(self, min_length: float = 0.0) -> SlotPool:
+    def slot_pool(self) -> SlotPool:
         """A fresh :class:`SlotPool` over the current free slots."""
-        return SlotPool.from_slots(self.slots(min_length))
+        return SlotPool.from_slots(self.slots())
 
     def utilization(self) -> float:
         """Average initial utilization across nodes."""
@@ -96,8 +94,8 @@ class Environment:
         """Mark a window's reservations busy on the node timelines.
 
         Makes allocations visible to the *next* scheduling cycle; the
-        current cycle's slot pools must be updated via
-        :meth:`SlotPool.cut_window`.
+        current cycle's slot pools are cut separately
+        (:meth:`SlotPool.cut_window` or :meth:`SlotPool.commit_window`).
         """
         for ws in window.slots:
             timeline = self.timelines[ws.slot.node.node_id]

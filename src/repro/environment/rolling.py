@@ -158,7 +158,7 @@ class RollingHorizonSource:
         for node in self.nodes:
             timeline = Timeline(node, seg_start, seg_end)
             self.config.load.populate(timeline, rng)
-            for slot in timeline.free_slots(1e-9):
+            for slot in timeline.free_slots():
                 # Coalescing merges a slot starting exactly at the
                 # segment boundary with the same node's slot ending
                 # there, so segment seams never fragment the pool.

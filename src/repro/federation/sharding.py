@@ -81,10 +81,7 @@ def partition_pool(
                     f"node {node_id} assigned to two shards"
                 )
             shard_of[node_id] = shard_id
-    pools = [
-        SlotPool(min_usable_length=pool.min_usable_length)
-        for _ in assignments
-    ]
+    pools = [SlotPool() for _ in assignments]
     for slot in pool:
         shard_id = shard_of.get(slot.node.node_id)
         if shard_id is None:

@@ -47,6 +47,20 @@ def fits_from(last: float, start: float) -> bool:
     return last >= start - TIME_EPSILON
 
 
+def is_span(start: float, end: float) -> bool:
+    """Whether ``[start, end)`` is long enough to be a slot:
+    ``end - start > TIME_EPSILON``.
+
+    The one float form of "a span is a slot" in the package: a
+    :class:`Slot` must pass it, and every code that makes spans — a
+    cut's remainders (:meth:`Slot.split`), a trimmed tail
+    (:meth:`~repro.model.slotpool.SlotPool.trim_before` and its column
+    twin :func:`~repro.model.slotpool.floor_survivors`), a timeline's
+    free gaps — keeps exactly the spans that pass it and drops the rest.
+    """
+    return end - start > TIME_EPSILON
+
+
 @dataclass(frozen=True)
 class Slot:
     """A contiguous free time span ``[start, end)`` on one CPU node.
@@ -60,7 +74,7 @@ class Slot:
     end: float
 
     def __post_init__(self) -> None:
-        if self.end - self.start <= TIME_EPSILON:
+        if not is_span(self.start, self.end):
             raise InvalidIntervalError(self.start, self.end)
 
     @property
@@ -72,19 +86,17 @@ class Slot:
         """Whether two slots intersect in time (regardless of node)."""
         return self.start < other.end - TIME_EPSILON and other.start < self.end - TIME_EPSILON
 
-    def split(
-        self, start: float, required_time: float, min_length: float = TIME_EPSILON
-    ) -> list["Slot"]:
+    def split(self, start: float, required_time: float) -> list["Slot"]:
         """Remove the reservation ``[start, start + required_time)`` and
         return the remainders.
 
         The reservation must fit: a non-negative ``required_time``, a
         ``start`` no earlier than the slot's start, and :func:`fits_from`
         at ``start`` — the test the search that chose it read, so a leg
-        it accepted never raises here.  The left remainder ``[self.start, start)`` and the right remainder
-        ``[start + required_time, self.end)`` are returned when they are
-        at least ``min_length`` long; shorter fragments are considered
-        unusable and dropped (mirrors the "cutting" step of the CSA
+        it accepted never raises here.  The left remainder ``[self.start,
+        start)`` and the right remainder ``[start + required_time,
+        self.end)`` are returned when they are slots (:func:`is_span`);
+        shorter fragments are dropped (the "cutting" step of the CSA
         scheme, reference [17] of the paper).
         """
         end = start + required_time
@@ -98,11 +110,9 @@ class Slot:
                 f"[{self.start}, {self.end}) on node {self.node.node_id}"
             )
         remainders: list[Slot] = []
-        left_length = start - self.start
-        if left_length >= min_length and left_length > TIME_EPSILON:
+        if is_span(self.start, start):
             remainders.append(Slot(self.node, self.start, start))
-        right_length = self.end - end
-        if right_length >= min_length and right_length > TIME_EPSILON:
+        if is_span(end, self.end):
             remainders.append(Slot(self.node, end, self.end))
         return remainders
 

@@ -36,7 +36,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 import numpy as np
 
 from repro.model.errors import AllocationError
-from repro.model.slot import TIME_EPSILON, Slot, fits_from, last_start
+from repro.model.slot import TIME_EPSILON, Slot, fits_from, is_span, last_start
 from repro.model.slotarrays import Entry, SlotArrays, SlotColumnStore
 from repro.model.window import Window, left_sum
 
@@ -44,13 +44,13 @@ _KEY = itemgetter(0)
 
 #: Tolerance for coalescing two same-node slots across a gap: spans whose
 #: endpoints are within one :data:`TIME_EPSILON` are considered touching.
-#: This is the *same* single-epsilon rule the usable-length admission
-#: check applies — one epsilon of slack on the time axis, never two.
+#: This is the *same* single epsilon :func:`~repro.model.slot.is_span`
+#: reads — one epsilon of slack on the time axis, never two.
 COALESCE_GAP = TIME_EPSILON
 
 
 def floor_survivors(
-    start: np.ndarray, end: np.ndarray, floor: float, min_usable_length: float
+    start: np.ndarray, end: np.ndarray, floor: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """What ``trim_before(floor)`` makes of rows, as columns.
 
@@ -59,15 +59,14 @@ def floor_survivors(
     and their starts afterwards: a row ending by ``floor +
     TIME_EPSILON`` is dropped, one starting at or after ``floor -
     TIME_EPSILON`` is kept as it is, and any other is cut to ``[floor,
-    end)`` and kept only if that tail is longer than ``TIME_EPSILON``
-    and at least ``min_usable_length``.  The comparisons are the trim's
+    end)`` and kept only if that tail is a slot — the column form of
+    :func:`~repro.model.slot.is_span`.  The comparisons are the trim's
     own, float for float; :meth:`SlotPool.trim_before`'s object loop is
     the twin this rule is tested against.
     """
     cut = start < floor - TIME_EPSILON
-    tail = end - floor
     kept = end > floor + TIME_EPSILON
-    kept &= ~cut | ((tail > TIME_EPSILON) & (tail >= min_usable_length))
+    kept &= ~cut | (end - floor > TIME_EPSILON)
     return kept, np.where(cut, floor, start)
 
 
@@ -115,13 +114,10 @@ def _has_neighbours(bucket: list[Entry]) -> bool:
 class SlotPool:
     """A mutable, start-time-ordered collection of free slots.
 
-    Parameters
-    ----------
-    min_usable_length:
-        Remainders shorter than this are dropped when a window is cut out.
-        The paper's environment has local jobs of length >= 10, so by
-        default any positive remainder is kept; raising the threshold is the
-        "cutting policy" ablation discussed in DESIGN.md.
+    A cut or a trim keeps every remainder that is a slot
+    (:func:`~repro.model.slot.is_span`) and nothing shorter; how much of
+    a used slot CSA keeps between its AMP runs is CSA's cutting policy
+    (:class:`~repro.core.algorithms.csa.CSA`), not the pool's.
 
     Every mutation is a *removal* or a *gain* of free time, and the
     certificate store (:meth:`certify`) follows that split.
@@ -146,7 +142,6 @@ class SlotPool:
       through one is true of all of them.
     """
 
-    min_usable_length: float = TIME_EPSILON
     #: Per-node index: node_id -> the node's ``(sort key, slot)``
     #: entries, start-ordered.  Node-scoped operations — coalescing,
     #: removal, host lookup, overlap checks, the trim — walk short
@@ -184,12 +179,7 @@ class SlotPool:
         self._store = SlotColumnStore(self._by_node)
 
     @classmethod
-    def from_slots(
-        cls,
-        slots: Iterable[Slot],
-        min_usable_length: float = TIME_EPSILON,
-        coalesce: bool = True,
-    ) -> "SlotPool":
+    def from_slots(cls, slots: Iterable[Slot], coalesce: bool = True) -> "SlotPool":
         """Build a pool from an iterable of slots, in bulk where possible.
 
         The result always equals ``add(slot, coalesce)`` one slot at a
@@ -203,16 +193,9 @@ class SlotPool:
         one record in the store, instead of a bucket walk and a bisect
         per slot.  Otherwise the slots are added one by one.
         """
-        pool = cls(min_usable_length=min_usable_length)
+        pool = cls()
         slots = list(slots)
-        entries = sorted(
-            (
-                (slot.sort_key(), slot)
-                for slot in slots
-                if not slot.length < min_usable_length
-            ),
-            key=_KEY,
-        )
+        entries = sorted(((slot.sort_key(), slot) for slot in slots), key=_KEY)
         by_node = pool._by_node
         for entry in entries:
             by_node.setdefault(entry[1].node.node_id, []).append(entry)
@@ -304,14 +287,8 @@ class SlotPool:
         price and performance; gap within :data:`COALESCE_GAP`), so
         repeated cut/release cycles do not fragment the pool into ever
         shorter spans.  Pass ``coalesce=False`` to insert verbatim.
-
-        Slots shorter than ``min_usable_length`` are dropped — the same
-        strict threshold :meth:`repro.model.Slot.split` applies to cut
-        remainders.
         """
         self.apply_floor()
-        if slot.length < self.min_usable_length:
-            return
         if self._certificates or self._certificates_shared:
             self._gained()
         if coalesce:
@@ -374,21 +351,14 @@ class SlotPool:
         self._certificates = {}
         self._certificates_shared = False
 
-    def cut_window(self, window: Window, mode: str = "split") -> None:
+    def cut_window(self, window: Window) -> None:
         """Remove a window's reservations from the pool.
 
-        This is the operation the CSA scheme performs between consecutive
-        AMP runs so that the alternatives it accumulates are disjoint (the
-        "cutting" of reference [17]).  Two policies:
-
-        * ``mode="split"`` — carve the span ``[window.start, window.start +
-          required_time)`` out of each used slot and re-insert remainders
-          of at least ``min_usable_length``.  Maximizes slot reuse; this is
-          what a final allocation does.
-        * ``mode="consume"`` — drop each used slot entirely.  This is the
-          coarser policy whose alternative counts match the paper's CSA
-          statistics (~57 alternatives from ~470 slots in the base
-          environment); see DESIGN.md's cutting-policy ablation.
+        Carves the span ``[window.start, window.start + required_time)``
+        out of each used slot and re-inserts the remainders that are
+        slots (:meth:`Slot.split`): the "cutting" of reference [17], as
+        a final allocation does it.  The window must have been found on
+        this pool; :meth:`commit_window` locates each leg's host instead.
         """
         self.apply_floor()
         for ws in window.slots:
@@ -396,25 +366,21 @@ class SlotPool:
                 raise AllocationError(
                     f"window leg on node {ws.slot.node.node_id} does not fit its slot"
                 )
-            self._carve(ws.slot, window.start, ws.required_time, mode)
+            self._carve(ws.slot, window.start, ws.required_time)
 
-    def _carve(self, host: Slot, span_start: float, required_time: float, mode: str) -> None:
-        """Take ``host`` out of the pool and, in ``"split"`` mode, put
-        back what the span ``[span_start, span_start + required_time)``
-        leaves of it."""
-        if mode not in ("split", "consume"):
-            raise ValueError(f"unknown cut mode {mode!r}")
+    def _carve(self, host: Slot, span_start: float, required_time: float) -> None:
+        """Take ``host`` out of the pool and put back what the span
+        ``[span_start, span_start + required_time)`` leaves of it."""
         self.remove(host)
-        if mode == "split":
-            remainders = host.split(span_start, required_time, self.min_usable_length)
-            kept = self._certificates
-            size = self._store.size
-            for remainder in remainders:
-                self.add(remainder)
-            # ``add`` counts as a gain, but a remainder that merged with
-            # nothing is a sub-span of its host: the cut removed time.
-            if self._store.size == size + len(remainders):
-                self._certificates = kept
+        remainders = host.split(span_start, required_time)
+        kept = self._certificates
+        size = self._store.size
+        for remainder in remainders:
+            self.add(remainder)
+        # ``add`` counts as a gain, but a remainder that merged with
+        # nothing is a sub-span of its host: the cut removed time.
+        if self._store.size == size + len(remainders):
+            self._certificates = kept
 
     def commit_window(self, window: Window) -> None:
         """Cut a window out of the pool by *span containment*.
@@ -430,9 +396,8 @@ class SlotPool:
         search's own test, so a leg accepted on the snapshot finds its
         unchanged slot); phase two guarantees the spans themselves are
         disjoint.  Raises :class:`AllocationError` when no such slot
-        exists — e.g. the span was lost to a sub-threshold remainder drop
-        on a pool with a raised ``min_usable_length``; the pool is left
-        unchanged in that case.
+        exists — e.g. a trim or an earlier commit took the span; the pool
+        is left unchanged in that case.
         """
         self.apply_floor()
         # Every leg's host is located before the first cut, so a window
@@ -453,7 +418,7 @@ class SlotPool:
                     f"reserved span [{start:g}, {start + ws.required_time:g})"
                 )
         for host, required_time in cuts:
-            self._carve(host, start, required_time, "split")
+            self._carve(host, start, required_time)
 
     def release(self, window: Window, floor: Optional[float] = None) -> None:
         """Return a committed window's reservations to the pool.
@@ -461,10 +426,10 @@ class SlotPool:
         The inverse of :meth:`cut_window`: each leg's reserved span
         ``[window.start, window.start + required_time)`` is re-inserted and
         coalesced with adjacent same-node slots, so a cut followed by a
-        release leaves the pool as it started (up to sub-threshold
-        remainders dropped by the cut).  The slot lifecycle of the broker
-        service relies on this to retire finished jobs without leaking or
-        fragmenting capacity.
+        release leaves the pool as it started (up to the remainders of at
+        most :data:`TIME_EPSILON` the cut dropped: they are not slots).
+        The slot lifecycle of the broker service relies on this to retire
+        finished jobs without leaking or fragmenting capacity.
 
         ``floor`` is the time the caller trims to next
         (``trim_before(floor)``, directly or as the floor it records
@@ -514,9 +479,9 @@ class SlotPool:
         """Drop free time earlier than ``time`` (virtual-clock advance).
 
         Slots ending at or before ``time`` are removed; slots straddling it
-        are truncated to ``[time, end)`` (dropped entirely when the usable
-        tail falls below ``min_usable_length``).  Returns the number of
-        slots removed or truncated.  This is the one code that trims:
+        are truncated to ``[time, end)`` (dropped entirely when that tail
+        is not a slot, :func:`~repro.model.slot.is_span`).  Returns the
+        number of slots removed or truncated.  This is the one code that trims:
         the broker service only records each clock step's floor
         (:meth:`advance_floor`), and the pool calls this with it when it
         is next mutated or read — in a steady stream once per cycle,
@@ -543,7 +508,6 @@ class SlotPool:
         # to start there.
         probe = ((bound, math.inf),)
         truncate_before = time - TIME_EPSILON
-        min_tail = self.min_usable_length
         changed = 0
         prefix: list[Entry] = []
         rebuilt: list[Entry] = []
@@ -563,11 +527,9 @@ class SlotPool:
                 if start >= truncate_before:
                     survivors.append(entry)  # starts at ``time``: kept as it is
                     kept += 1
-                else:
-                    tail = end - time
-                    if tail > TIME_EPSILON and tail >= min_tail:
-                        cut = Slot(slot.node, time, end)
-                        survivors.append(((time, end, node_id), cut))
+                elif is_span(time, end):
+                    cut = Slot(slot.node, time, end)
+                    survivors.append(((time, end, node_id), cut))
             prefix += head
             rebuilt += survivors
             if kept < cutoff:
@@ -595,7 +557,7 @@ class SlotPool:
         # other.
         arrays = self.as_arrays()
         buckets = {node_id: list(bucket) for node_id, bucket in self._by_node.items()}
-        twin = SlotPool(self.min_usable_length, buckets)
+        twin = SlotPool(buckets)
         twin._store = self._store.copy(twin._by_node)
         twin._cache = arrays
         twin._cache_generation = self._cache_generation
@@ -672,9 +634,7 @@ class SlotPool:
         if cached is not None and cached[0] is arrays and cached[1].floor == floor:
             return cached
         cutoff = int(np.searchsorted(arrays.start, floor + TIME_EPSILON))
-        kept, start = floor_survivors(
-            arrays.start[:cutoff], arrays.end[:cutoff], floor, self.min_usable_length
-        )
+        kept, start = floor_survivors(arrays.start[:cutoff], arrays.end[:cutoff], floor)
         self._pending = (arrays, PendingFloor(floor, cutoff, kept, start))
         return self._pending
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from repro.model.errors import InvalidIntervalError, ModelError
 from repro.model.resource import CpuNode
-from repro.model.slot import TIME_EPSILON, Slot
+from repro.model.slot import TIME_EPSILON, Slot, is_span
 from repro.model.window import left_sum
 
 
@@ -29,34 +29,32 @@ class Timeline:
     _busy: list[tuple[float, float]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.interval_end - self.interval_start <= TIME_EPSILON:
+        if not is_span(self.interval_start, self.interval_end):
             raise InvalidIntervalError(self.interval_start, self.interval_end)
 
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def add_busy(self, start: float, end: float, *, allow_overlap: bool = False) -> None:
+    def add_busy(self, start: float, end: float) -> None:
         """Mark ``[start, end)`` busy.
 
-        Adjacent or overlapping busy intervals are merged.  With
-        ``allow_overlap=False`` (the default) a genuine overlap with an
+        Adjacent busy intervals are merged.  A genuine overlap with an
         existing busy interval raises :class:`ModelError` — committing a
         window twice is a scheduling bug we want to surface, not hide.
         """
-        if end - start <= TIME_EPSILON:
+        if not is_span(start, end):
             raise InvalidIntervalError(start, end)
         if start < self.interval_start - TIME_EPSILON or end > self.interval_end + TIME_EPSILON:
             raise ModelError(
                 f"busy interval [{start}, {end}) outside the scheduling interval "
                 f"[{self.interval_start}, {self.interval_end})"
             )
-        if not allow_overlap:
-            for busy_start, busy_end in self._busy:
-                if busy_start < end - TIME_EPSILON and start < busy_end - TIME_EPSILON:
-                    raise ModelError(
-                        f"busy interval [{start}, {end}) overlaps existing "
-                        f"[{busy_start}, {busy_end}) on node {self.node.node_id}"
-                    )
+        for busy_start, busy_end in self._busy:
+            if busy_start < end - TIME_EPSILON and start < busy_end - TIME_EPSILON:
+                raise ModelError(
+                    f"busy interval [{start}, {end}) overlaps existing "
+                    f"[{busy_start}, {busy_end}) on node {self.node.node_id}"
+                )
         insort(self._busy, (start, end))
         self._merge()
 
@@ -85,25 +83,26 @@ class Timeline:
         """Fraction of the scheduling interval that is busy."""
         return self.busy_time() / (self.interval_end - self.interval_start)
 
-    def free_intervals(self, min_length: float = TIME_EPSILON) -> list[tuple[float, float]]:
-        """Free gaps of at least ``min_length`` inside the interval."""
+    def free_intervals(self) -> list[tuple[float, float]]:
+        """The free gaps inside the interval that are slots
+        (:func:`~repro.model.slot.is_span`)."""
         gaps: list[tuple[float, float]] = []
         cursor = self.interval_start
         for start, end in self._busy:
-            if start - cursor >= min_length:
+            if is_span(cursor, start):
                 gaps.append((cursor, start))
             cursor = max(cursor, end)
-        if self.interval_end - cursor >= min_length:
+        if is_span(cursor, self.interval_end):
             gaps.append((cursor, self.interval_end))
         return gaps
 
-    def free_slots(self, min_length: float = TIME_EPSILON) -> list[Slot]:
+    def free_slots(self) -> list[Slot]:
         """The free gaps as :class:`Slot` objects on this node."""
-        return [Slot(self.node, start, end) for start, end in self.free_intervals(min_length)]
+        return [Slot(self.node, start, end) for start, end in self.free_intervals()]
 
     def is_free(self, start: float, end: float) -> bool:
         """Whether ``[start, end)`` is entirely free."""
-        if end - start <= TIME_EPSILON:
+        if not is_span(start, end):
             return True
         if start < self.interval_start - TIME_EPSILON or end > self.interval_end + TIME_EPSILON:
             return False

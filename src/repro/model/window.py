@@ -43,8 +43,9 @@ def budget_limit(budget: float) -> float:
     widened by ``COST_EPSILON`` relative to ``1 + |budget|``.  Every
     budget verdict (searches, :meth:`Window.validate`, admission and
     repair) compares a :func:`left_sum` against this.  An infinite budget
-    stays infinite."""
-    if budget == float("inf"):
+    stays infinite (``-inf`` too: widening it would read ``inf - inf``,
+    a NaN every cost passes)."""
+    if abs(budget) == float("inf"):
         return budget
     return budget + COST_EPSILON * (1.0 + abs(budget))
 

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 from repro.core.criteria import Criterion
 from repro.model.job import Job
 from repro.model.slot import TIME_EPSILON
-from repro.model.window import Window, left_sum
+from repro.model.window import Window, budget_limit, left_sum
 
 
 @dataclass(frozen=True)
@@ -131,25 +131,30 @@ def greedy_combination(
     only looked up, never iterated.
 
     *Exactness.*  A window is passed over for one of two reasons.
-    Either ``total_cost > remaining + 1e-9``, and ``remaining`` only
-    falls, because a chosen cost is ``>= 0`` (node prices are) and
-    float ``-`` of a non-negative number does not raise it.  Or it
-    conflicts with a chosen window, and the chosen set only grows.
-    Either way a window passed over for one job is passed over for
-    every later job, so a later job holding the same list starts where
-    the last one stopped: at the *selected* window itself, not after
-    it, since a window whose legs are all at most ``TIME_EPSILON`` long
-    does not conflict with itself and may be assigned twice.  So each
-    list is walked once per batch.  A selected window that would raise
-    ``remaining`` or make it NaN (a negative or NaN cost, which only a
-    hand-built window can have) clears the memo, and lists are walked
-    afresh from there.
+    Either its ``total_cost`` exceeds ``budget_limit(remaining)``, the
+    one budget verdict (:func:`~repro.model.window.budget_limit`), and
+    that limit is checked not to rise: ``remaining`` only falls (a
+    chosen cost is ``>= 0``, as node prices are, and float ``-`` of a
+    non-negative number does not raise it), and ``budget_limit`` is
+    monotone in it over the reals, but in floats it can rise by an ulp
+    as a negative ``remaining`` falls (``1 + |b|`` rounds in steps).
+    Or it conflicts with a chosen window, and the chosen set only
+    grows.  Either way a window passed over for one job is passed over
+    for every later job, so a later job holding the same list starts
+    where the last one stopped: at the *selected* window itself, not
+    after it, since a window whose legs are all at most
+    ``TIME_EPSILON`` long does not conflict with itself and may be
+    assigned twice.  So each list is walked once per batch.  A selected
+    window after which the limit rises or is NaN (the ulp case, or a
+    negative or NaN cost, which only a hand-built window can have)
+    clears the memo, and lists are walked afresh from there.
     """
     ordered = sorted(jobs, key=lambda job: -job.priority)
     chosen = ConflictIndex()
     assignments: dict[str, Window] = {}
     unscheduled: list[str] = []
     remaining_budget = float("inf") if vo_budget is None else vo_budget
+    limit = budget_limit(remaining_budget)
     total_value = 0.0
     # Window ids in order -> [the list ranked by criterion, resume index].
     ranked_lists: dict[tuple[int, ...], list] = {}
@@ -163,7 +168,7 @@ def greedy_combination(
         ranked = entry[0]
         for index in range(entry[1], len(ranked)):
             window = ranked[index]
-            if window.total_cost > remaining_budget + 1e-9:
+            if window.total_cost > limit:
                 continue
             if chosen.conflicts(window):
                 continue
@@ -175,10 +180,11 @@ def greedy_combination(
         entry[1] = index
         chosen.push(window)
         assignments[job.job_id] = window
-        left = remaining_budget - window.total_cost
-        if not left <= remaining_budget:
-            ranked_lists.clear()  # a negative or NaN cost
-        remaining_budget = left
+        remaining_budget -= window.total_cost
+        next_limit = budget_limit(remaining_budget)
+        if not next_limit <= limit:
+            ranked_lists.clear()  # the limit rose or is NaN
+        limit = next_limit
         total_value += criterion.evaluate(window)
     return CombinationChoice(
         assignments=assignments,

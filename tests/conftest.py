@@ -59,6 +59,13 @@ def pool_state(pool: SlotPool) -> tuple:
     )
 
 
+def consume_window(pool: SlotPool, window) -> None:
+    """CSA's ``consume`` cutting of a window found on ``pool``: each
+    leg's slot is removed whole."""
+    for leg in window.slots:
+        pool.remove(leg.slot)
+
+
 def free_spans(pool: SlotPool) -> dict[int, list[tuple[float, float]]]:
     """The pool's free time as ``node id -> [(start, end), ...]``."""
     return {

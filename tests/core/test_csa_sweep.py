@@ -28,7 +28,7 @@ from repro.core.algorithms.csa import rerun_alternatives
 from repro.environment import EnvironmentConfig, EnvironmentGenerator
 from repro.model import TIME_EPSILON, ResourceRequest, Slot, SlotPool
 from repro.model.slot import fits_from, last_start
-from tests.conftest import make_node, make_slot, same_windows
+from tests.conftest import consume_window, make_node, make_slot, same_windows
 from tests.strategies import (
     ADVERSARIAL,
     EDGE_OF_COMMIT,
@@ -360,7 +360,7 @@ class TestCandidateExpiredOnArrival:
             if window is None:
                 break
             found.append(window)
-            working.cut_window(window, mode="consume")
+            consume_window(working, window)
         return found
 
     def pool(self, *later):

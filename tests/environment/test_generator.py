@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.environment import EnvironmentConfig, EnvironmentGenerator
-from repro.model import ConfigurationError, ResourceRequest, Window, WindowSlot
+from repro.environment import Environment, EnvironmentConfig, EnvironmentGenerator
+from repro.model import ConfigurationError, ResourceRequest, Timeline, Window, WindowSlot
+from repro.model.slot import TIME_EPSILON
+from tests.conftest import make_node
 
 
 class TestConfigValidation:
@@ -117,17 +119,26 @@ class TestGeneration:
 
 
 class TestSlotFiltering:
+    @staticmethod
+    def environment() -> Environment:
+        """Node 0 leaves a gap of exactly ``TIME_EPSILON`` and one of 20,
+        node 1 one of ``2 * TIME_EPSILON``."""
+        nodes = [make_node(0), make_node(1)]
+        timelines = {node.node_id: Timeline(node, 0.0, 100.0) for node in nodes}
+        timelines[0].add_busy(TIME_EPSILON, 40.0)
+        timelines[0].add_busy(60.0, 100.0)
+        timelines[1].add_busy(2 * TIME_EPSILON, 100.0)
+        return Environment(EnvironmentConfig(node_count=2), nodes, timelines)
+
     def test_min_length_filters_short_gaps(self):
-        config = EnvironmentConfig(node_count=60, seed=17)
-        environment = EnvironmentGenerator(config).generate()
-        all_slots = environment.slots()
-        long_slots = environment.slots(min_length=30.0)
-        assert len(long_slots) < len(all_slots)
-        assert all(slot.length >= 30.0 for slot in long_slots)
-        assert set(long_slots) <= set(all_slots)
+        """Only the gaps that are slots — longer than ``TIME_EPSILON`` —
+        are published."""
+        slots = self.environment().slots()
+        assert [(slot.node.node_id, slot.start, slot.end) for slot in slots] == [
+            (1, 0.0, 2 * TIME_EPSILON),
+            (0, 40.0, 60.0),
+        ]
 
     def test_pool_min_length(self):
-        config = EnvironmentConfig(node_count=60, seed=17)
-        environment = EnvironmentGenerator(config).generate()
-        pool = environment.slot_pool(min_length=30.0)
-        assert len(pool) == len(environment.slots(min_length=30.0))
+        environment = self.environment()
+        assert environment.slot_pool().ordered() == environment.slots()

@@ -52,7 +52,7 @@ def test_timelines_partition_the_interval(config):
     environment = EnvironmentGenerator(config).generate()
     for timeline in environment.timelines.values():
         busy = timeline.busy_time()
-        free = sum(end - start for start, end in timeline.free_intervals(1e-9))
+        free = sum(end - start for start, end in timeline.free_intervals())
         interval = config.interval_end - config.interval_start
         assert busy + free == __import__("pytest").approx(interval, rel=1e-6)
         for start, end in timeline.busy_intervals:
@@ -68,7 +68,7 @@ def test_slots_match_timelines(config):
     starts = [slot.start for slot in slots]
     assert starts == sorted(starts)
     expected = sum(
-        len(timeline.free_slots(1e-9)) for timeline in environment.timelines.values()
+        len(timeline.free_slots()) for timeline in environment.timelines.values()
     )
     assert len(slots) == expected
     pool = environment.slot_pool()

@@ -98,7 +98,7 @@ class TestPopulate:
             for _ in range(60):
                 timeline = Timeline(make_node(0), 0.0, length)
                 model.populate(timeline, rng)
-                totals.append(len(timeline.free_slots(1e-9)))
+                totals.append(len(timeline.free_slots()))
             return np.mean(totals)
 
         assert mean_slots(2400.0) > 2.5 * mean_slots(600.0)
@@ -114,7 +114,7 @@ class TestPopulate:
         for _ in range(100):
             timeline = Timeline(make_node(0), 0.0, 600.0)
             model.populate(timeline, rng)
-            slot_counts.append(len(timeline.free_slots(1e-9)))
+            slot_counts.append(len(timeline.free_slots()))
         # Calibration target: about 4-5 free slots per node on average,
         # so that a 100-node environment publishes ~470 slots (Table 2).
         assert 3.5 <= np.mean(slot_counts) <= 6.5

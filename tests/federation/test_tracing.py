@@ -4,9 +4,19 @@ from __future__ import annotations
 
 import pytest
 
-from repro.federation.tracing import FederationTraceValidator, FedJobState
-from repro.service.events import Event, EventType
+import json
+
+from repro.environment import EnvironmentConfig, EnvironmentGenerator
+from repro.federation import FederationConfig, ShardManager
+from repro.federation.tracing import (
+    FederationTraceValidator,
+    FedJobState,
+    validate_federation_trace_file,
+)
+from repro.service import ServiceConfig
+from repro.service.events import Event, EventType, JsonlSink
 from repro.service.tracing import TraceInvariantError
+from repro.simulation import JobGenerator
 
 
 def ev(seq, type_, job_id=None, time=0.0, **fields):
@@ -196,3 +206,42 @@ class TestShardLoss:
         assert summary["routed"] == 1
         assert summary["shards"][0]["admitted"] == 1
         assert summary["violations"] == 0
+
+
+class TestTraceFile:
+    """``validate_federation_trace_file`` replays a JSONL trace written
+    by a :class:`JsonlSink` on a :class:`ShardManager`."""
+
+    @staticmethod
+    def write_drained_trace(path) -> list[str]:
+        pool = (
+            EnvironmentGenerator(EnvironmentConfig(node_count=32, seed=11))
+            .generate()
+            .slot_pool()
+        )
+        config = FederationConfig(shards=4, service=ServiceConfig())
+        arrivals = JobGenerator(seed=11).iter_arrivals(40, rate=2.0)
+        with JsonlSink(str(path)) as sink:
+            ShardManager(pool, config=config, sinks=[sink]).process(arrivals)
+        return path.read_text(encoding="utf-8").splitlines()
+
+    def test_drained_run_passes(self, tmp_path):
+        path = tmp_path / "fed-trace.jsonl"
+        lines = self.write_drained_trace(path)
+        validator = validate_federation_trace_file(str(path), expect_drained=True)
+        assert validator.summary()["routed"] > 0
+        assert validator.summary()["violations"] == 0
+        assert len(lines) > 40
+
+    def test_a_missing_routed_line_fails(self, tmp_path):
+        path = tmp_path / "fed-trace.jsonl"
+        lines = self.write_drained_trace(path)
+        routed = next(
+            index
+            for index, line in enumerate(lines)
+            if json.loads(line)["type"] == EventType.ROUTED.value
+        )
+        del lines[routed]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(TraceInvariantError):
+            validate_federation_trace_file(str(path), expect_drained=True)

@@ -46,7 +46,7 @@ class TestSlotProperties:
         slot = Slot(make_node(0), start, end)
         cut_start = cut.draw(st.floats(min_value=start, max_value=end - 0.5))
         cut_end = cut.draw(st.floats(min_value=cut_start, max_value=end))
-        remainders = slot.split(cut_start, cut_end - cut_start, min_length=1e-9)
+        remainders = slot.split(cut_start, cut_end - cut_start)
         removed = cut_end - cut_start
         total = sum(r.length for r in remainders)
         assert total <= slot.length - removed + 1e-6
@@ -97,9 +97,9 @@ class TestTimelineProperties:
         timeline = Timeline(make_node(0), 0.0, 100.0)
         for start, end in busy:
             timeline.add_busy(start, end)
-        free = sum(end - start for start, end in timeline.free_intervals(1e-9))
+        free = sum(end - start for start, end in timeline.free_intervals())
         assert free + timeline.busy_time() <= 100.0 + 1e-6
-        # The partition is exact up to gaps below the min-length threshold.
+        # The partition is exact up to gaps too short to be slots.
         assert free + timeline.busy_time() >= 100.0 - 1e-4 - 1e-9 * len(busy)
 
     @given(busy=disjoint_busy_lists())
@@ -108,7 +108,7 @@ class TestTimelineProperties:
         timeline = Timeline(make_node(0), 0.0, 100.0)
         for start, end in busy:
             timeline.add_busy(start, end)
-        gaps = timeline.free_intervals(1e-9)
+        gaps = timeline.free_intervals()
         for (s1, e1), (s2, e2) in zip(gaps, gaps[1:]):
             assert e1 <= s2 + 1e-9
 
@@ -118,7 +118,7 @@ class TestTimelineProperties:
         timeline = Timeline(make_node(0), 0.0, 100.0)
         for start, end in busy:
             timeline.add_busy(start, end)
-        for start, end in timeline.free_intervals(1e-6):
+        for start, end in timeline.free_intervals():
             assert timeline.is_free(start + 1e-9, end - 1e-9)
 
 
@@ -144,15 +144,15 @@ def grid_slot_lists(draw):
 
 
 class TestSlotPoolProperties:
-    @given(slots=grid_slot_lists(), threshold=st.sampled_from([1e-9, 1.0, 6.0]))
+    @given(slots=grid_slot_lists())
     @settings(max_examples=400)
-    def test_from_slots_equals_one_add_per_slot(self, slots, threshold):
+    def test_from_slots_equals_one_add_per_slot(self, slots):
         """Whichever way ``from_slots`` builds — in bulk or slot by slot —
         the pool is the one sequential coalescing ``add`` produces."""
-        added = SlotPool(min_usable_length=threshold)
+        added = SlotPool()
         for slot in slots:
             added.add(slot)
-        built = SlotPool.from_slots(iter(slots), threshold)
+        built = SlotPool.from_slots(iter(slots))
         assert pool_state(built) == pool_state(added)
         assert built.generation == added.generation
 
@@ -169,7 +169,7 @@ class TestSlotPoolProperties:
         target = data.draw(st.sampled_from(slots))
         ws = WindowSlot.for_request(target, request)
         window = Window(start=target.start, slots=(ws,))
-        pool.cut_window(window, mode="split")
+        pool.cut_window(window)
         pool.assert_disjoint_per_node()
         # The reserved span is gone from the pool.
         for slot in pool:

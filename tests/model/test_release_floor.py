@@ -44,7 +44,6 @@ def cut_pools(draw):
     slots coalesce with the released spans in every combination.
     """
     coalesce = draw(st.booleans())
-    min_usable_length = draw(st.sampled_from([TIME_EPSILON, 5.0]))
     window_start = float(draw(st.integers(12, 40)))
     slots = []
     hosts = []
@@ -64,9 +63,7 @@ def cut_pools(draw):
         after = draw(st.sampled_from([None, 0, 2]))
         if after is not None:
             slots.append(Slot(node, host_end + after, host_end + after + 20.0))
-    pool = SlotPool.from_slots(
-        draw(st.permutations(slots)), min_usable_length, coalesce=coalesce
-    )
+    pool = SlotPool.from_slots(draw(st.permutations(slots)), coalesce=coalesce)
     cut = Window(
         start=window_start,
         slots=tuple(WindowSlot(host, length, 1.0) for host, length in hosts),

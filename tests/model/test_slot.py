@@ -115,13 +115,14 @@ class TestSplit:
         assert make_slot(0, 0.0, 100.0).split(0.0, 100.0) == []
 
     def test_split_respects_min_length(self):
-        remainders = make_slot(0, 0.0, 100.0).split(3.0, 92.0, min_length=10.0)
-        assert remainders == []
-
-    def test_split_keeps_remainder_at_exact_min_length(self):
-        remainders = make_slot(0, 0.0, 100.0).split(10.0, 90.0, min_length=10.0)
-        assert len(remainders) == 1
-        assert remainders[0].length == pytest.approx(10.0)
+        """A remainder is kept only if it is a slot: longer than
+        ``TIME_EPSILON``, so one of exactly ``TIME_EPSILON`` goes."""
+        slot = make_slot(0, 0.0, 100.0)
+        assert slot.split(TIME_EPSILON / 2, 100.0 - TIME_EPSILON) == []
+        (right,) = slot.split(TIME_EPSILON, 10.0)
+        assert (right.start, right.end) == (TIME_EPSILON + 10.0, 100.0)
+        (left,) = slot.split(2 * TIME_EPSILON, 100.0 - 2 * TIME_EPSILON)
+        assert (left.start, left.end) == (0.0, 2 * TIME_EPSILON)
 
     def test_split_outside_slot_raises(self):
         with pytest.raises(ModelError):

@@ -198,7 +198,7 @@ class TestMutationStorm:
         """Growing past a power of two, shrinking back under it and
         outgrowing it again, one mutation and one read at a time: the
         mirrored rows must follow exactly at every size."""
-        pool = SlotPool(min_usable_length=1e-9)
+        pool = SlotPool()
         boundary = 32
         slots = [
             Slot(make_node(i % 5), float(i), float(i) + 10.0)
@@ -366,7 +366,7 @@ class TestBatchedEditStorm:
     def test_powers_of_two_crossed_inside_one_batch(self):
         """One batch grows the pool from 30 rows past 32 and 64, the
         next shrinks it under 32 again; each is applied in one read."""
-        pool = SlotPool(min_usable_length=1e-9)
+        pool = SlotPool()
         for i in range(30):
             pool.add(Slot(make_node(i % 5), float(i), float(i) + 10.0), coalesce=False)
         assert_read_matches(pool)
@@ -481,7 +481,7 @@ class TestSnapshotIdentity:
         assert len({first, second, first}) == 2
 
 
-def naive_trim(slots, time, min_usable_length):
+def naive_trim(slots, time):
     """``trim_before`` on a plain slot list: filter, truncate, re-sort."""
     changed = 0
     kept = []
@@ -490,8 +490,7 @@ def naive_trim(slots, time, min_usable_length):
             changed += 1
         elif slot.start < time - TIME_EPSILON:
             changed += 1
-            tail = slot.end - time
-            if tail > TIME_EPSILON and tail >= min_usable_length:
+            if slot.end - time > TIME_EPSILON:
                 kept.append(Slot(slot.node, time, slot.end))
         else:
             kept.append(slot)
@@ -517,7 +516,6 @@ class TestTrimAgainstNaiveModel:
     @given(
         slots=touching_slot_lists(),
         coalesce=st.booleans(),
-        min_usable_length=st.sampled_from([TIME_EPSILON, 5.0]),
         times=st.lists(
             st.one_of(
                 st.integers(0, 125).map(float),
@@ -527,17 +525,15 @@ class TestTrimAgainstNaiveModel:
             max_size=6,
         ),
     )
-    def test_trim_before_equals_filter_and_truncate(
-        self, slots, coalesce, min_usable_length, times
-    ):
-        pool = SlotPool.from_slots(slots, min_usable_length, coalesce=coalesce)
+    def test_trim_before_equals_filter_and_truncate(self, slots, coalesce, times):
+        pool = SlotPool.from_slots(slots, coalesce=coalesce)
         self.assert_trims_match_model(pool, sorted(times))
 
     @staticmethod
     def assert_trims_match_model(pool, times):
         model = pool.ordered()
         for time in times:
-            changed, model = naive_trim(model, time, pool.min_usable_length)
+            changed, model = naive_trim(model, time)
             assert pool.trim_before(time) == changed
             assert pool.ordered() == model
             grouped = {}
@@ -562,11 +558,10 @@ class TestTrimAgainstNaiveModel:
             (10.0, 50.0),
         ]
 
-    @pytest.mark.parametrize("min_usable_length", [TIME_EPSILON, 5.0])
-    def test_node_with_three_entries_in_the_walked_prefix(self, min_usable_length):
+    def test_node_with_three_entries_in_the_walked_prefix(self):
         """Dead, straddling, and starting within an epsilon of ``time``:
-        removed, truncated (to nothing, under the raised threshold) and
-        kept as it is, next to a node with the usual single entry."""
+        removed, truncated and kept as it is, next to a node with the
+        usual single entry."""
         node = make_node(1)
         pool = SlotPool.from_slots(
             [
@@ -576,7 +571,6 @@ class TestTrimAgainstNaiveModel:
                 Slot(node, 70.0, 80.0),
                 make_slot(2, 0.0, 45.0),
             ],
-            min_usable_length,
             coalesce=False,
         )
         self.assert_trims_match_model(pool, [10.0, 10.0, 65.0, 90.0])

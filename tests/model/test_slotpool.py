@@ -12,7 +12,9 @@ from repro.model import (
     WindowSlot,
 )
 from repro.core import AMP, CSA
-from tests.conftest import make_slot, pool_state
+from repro.core.algorithms.csa import rerun_alternatives
+from repro.model.slot import TIME_EPSILON
+from tests.conftest import consume_window, make_slot, pool_state
 from tests.strategies import EDGE_OF_COMMIT
 
 
@@ -45,11 +47,6 @@ class TestOrdering:
         assert slot in pool
         assert make_slot(1, 0.0, 10.0) not in pool
 
-    def test_add_drops_sub_threshold_slots(self):
-        pool = SlotPool(min_usable_length=5.0)
-        pool.add(make_slot(0, 0.0, 3.0))
-        assert len(pool) == 0
-
 
 class TestRemove:
     def test_remove_existing(self):
@@ -77,7 +74,7 @@ class TestCutWindow:
     def test_split_mode_reinserts_remainders(self):
         slot = make_slot(0, 0.0, 100.0, performance=4.0)  # task(20) -> 5 units
         pool = SlotPool.from_slots([slot])
-        pool.cut_window(window_for(slot), mode="split")
+        pool.cut_window(window_for(slot))
         remaining = pool.ordered()
         assert len(remaining) == 1
         assert (remaining[0].start, remaining[0].end) == (5.0, 100.0)
@@ -85,21 +82,26 @@ class TestCutWindow:
     def test_split_mode_mid_slot_produces_two_remainders(self):
         slot = make_slot(0, 0.0, 100.0, performance=4.0)
         pool = SlotPool.from_slots([slot])
-        pool.cut_window(window_for(slot, start=40.0), mode="split")
+        pool.cut_window(window_for(slot, start=40.0))
         spans = [(s.start, s.end) for s in pool.ordered()]
         assert spans == [(0.0, 40.0), (45.0, 100.0)]
 
     def test_consume_mode_drops_whole_slot(self):
-        slot = make_slot(0, 0.0, 100.0)
+        """CSA's ``consume`` cutting removes a used slot whole: one
+        alternative from a slot that ``split`` cutting reuses 20 times."""
+        slot = make_slot(0, 0.0, 100.0, performance=4.0)  # task(20) -> 5 units
         pool = SlotPool.from_slots([slot])
-        pool.cut_window(window_for(slot), mode="consume")
-        assert len(pool) == 0
+        request = ResourceRequest(node_count=1, reservation_time=20.0)
+        consumed = rerun_alternatives(AMP(), request, pool, cut_mode="consume")
+        split = rerun_alternatives(AMP(), request, pool, cut_mode="split")
+        assert [window.start for window in consumed] == [0.0]
+        assert len(split) == 20
+        assert pool.ordered() == [slot]  # the search cuts a copy
 
     def test_unknown_mode_rejected(self):
-        slot = make_slot(0, 0.0, 100.0)
-        pool = SlotPool.from_slots([slot])
-        with pytest.raises(ValueError):
-            pool.cut_window(window_for(slot), mode="shred")
+        """The cutting policy is CSA's: a third mode is refused there."""
+        with pytest.raises(ValueError, match="unknown cut mode"):
+            CSA(cut_mode="shred")
 
     def test_cut_missing_slot_raises(self):
         slot = make_slot(0, 0.0, 100.0)
@@ -115,17 +117,17 @@ class TestCutWindow:
             pool.cut_window(bad)
 
     def test_split_respects_min_usable_length(self):
-        slot = make_slot(0, 0.0, 7.0, performance=4.0)  # task 5 units from 0
-        pool = SlotPool.from_slots([slot], min_usable_length=5.0)
-        pool.cut_window(window_for(slot), mode="split")
-        # The [5, 7) remainder is below the 5-unit threshold and is dropped.
+        # Task 5 units from 0: the [5, 5 + ε/2) remainder is not a slot.
+        slot = make_slot(0, 0.0, 5.0 + TIME_EPSILON / 2, performance=4.0)
+        pool = SlotPool.from_slots([slot])
+        pool.cut_window(window_for(slot))
         assert len(pool) == 0
 
     def test_total_free_time_accounting_split(self):
         slot = make_slot(0, 0.0, 100.0, performance=4.0)
         pool = SlotPool.from_slots([slot])
         before = pool.total_free_time()
-        pool.cut_window(window_for(slot), mode="split")
+        pool.cut_window(window_for(slot))
         assert pool.total_free_time() == pytest.approx(before - 5.0)
 
 
@@ -156,8 +158,8 @@ class TestSearchThenCommit:
             window.validate(request)
             pool.copy().commit_window(window)
             if all(leg.slot in pool for leg in window.slots):
-                for mode in ("split", "consume"):
-                    pool.copy().cut_window(window, mode=mode)
+                pool.copy().cut_window(window)
+                consume_window(pool.copy(), window)
         # Node 0 does not fit from its own start, so no search uses it.
         assert all(0 not in window.nodes() for window in found)
         assert bool(found) == partner
@@ -236,14 +238,16 @@ class TestBulkBuild:
     """``from_slots(coalesce=False)`` against one verbatim ``add`` per slot."""
 
     @staticmethod
-    def shuffled_slots(nodes=7):
-        # Touching spans (never merged: no coalescing), one start shared
-        # by several nodes, and slots around the usable-length threshold.
+    def shuffled_slots(nodes=7, shortest=TIME_EPSILON):
+        # Touching spans (never merged: no coalescing) and one start
+        # shared by several nodes; spans shorter than ``shortest`` are
+        # left out, which leaves a gap in each node's run instead.
         slots = []
         for node_id in range(nodes):
             cursor = float(node_id % 3)
             for length in (12.0, 4.0, 30.0, 5.0):
-                slots.append(make_slot(node_id, cursor, cursor + length))
+                if length >= shortest:
+                    slots.append(make_slot(node_id, cursor, cursor + length))
                 cursor += length
         order = np.random.default_rng(5).permutation(len(slots))
         return [slots[index] for index in order]
@@ -251,15 +255,15 @@ class TestBulkBuild:
     # 28 or 48 slots, either side of a power of two: the bulk load is
     # one batch of edits, the add-built pool one edit per slot.
     @pytest.mark.parametrize("nodes", [7, 12])
-    @pytest.mark.parametrize("threshold", [1e-9, 5.0])
-    def test_bulk_built_pool_equals_add_built_pool(self, threshold, nodes):
-        slots = self.shuffled_slots(nodes)
-        added = SlotPool(min_usable_length=threshold)
+    @pytest.mark.parametrize("shortest", [TIME_EPSILON, 5.0])
+    def test_bulk_built_pool_equals_add_built_pool(self, shortest, nodes):
+        slots = self.shuffled_slots(nodes, shortest)
+        added = SlotPool()
         for slot in slots:
             added.add(slot, coalesce=False)
-        bulk = SlotPool.from_slots(slots, threshold, coalesce=False)
-        assert len(bulk) == (4 if threshold < 5.0 else 3) * nodes
-        assert bulk == added  # threshold, ordered entries, per-node buckets
+        bulk = SlotPool.from_slots(slots, coalesce=False)
+        assert len(bulk) == (4 if shortest < 5.0 else 3) * nodes
+        assert bulk == added  # ordered entries, per-node buckets
         assert [id(slot) for slot in bulk] == [id(slot) for slot in added]
         assert bulk.generation == added.generation
         ours, theirs = bulk.as_arrays(), added.as_arrays()
@@ -316,46 +320,10 @@ class TestBulkSelection:
         assert pool_state(pool) == pool_state(added)
 
 
-class TestMinUsableLength:
-    def test_from_slots_filters_by_threshold(self):
-        slots = [make_slot(0, 0.0, 3.0), make_slot(1, 0.0, 30.0)]
-        pool = SlotPool.from_slots(slots, min_usable_length=5.0)
-        assert len(pool) == 1
-        assert pool.ordered()[0].node.node_id == 1
-
-    def test_copy_preserves_threshold(self):
-        pool = SlotPool(min_usable_length=5.0)
-        twin = pool.copy()
-        twin.add(make_slot(0, 0.0, 3.0))
-        assert len(twin) == 0
-
-
 class TestEpsilonRules:
-    """Single-epsilon discipline on the time axis.
-
-    An earlier revision admitted slots up to one ``TIME_EPSILON``
-    *shorter* than ``min_usable_length`` (the threshold had the epsilon
-    subtracted twice along the add path); these are the regression
-    guards for the strict rule.
-    """
-
-    def test_add_drops_slot_just_below_threshold(self):
-        from repro.model.slot import TIME_EPSILON
-
-        pool = SlotPool(min_usable_length=10.0)
-        # One tenth of an epsilon short: the lax pre-fix rule admitted
-        # this (it only required length >= threshold - TIME_EPSILON).
-        pool.add(make_slot(0, 0.0, 10.0 - TIME_EPSILON / 10.0))
-        assert len(pool) == 0
-
-    def test_add_admits_slot_at_exact_threshold(self):
-        pool = SlotPool(min_usable_length=10.0)
-        pool.add(make_slot(0, 0.0, 10.0))
-        assert len(pool) == 1
+    """Single-epsilon discipline on the time axis."""
 
     def test_coalesce_gap_is_single_epsilon(self):
-        from repro.model.slot import TIME_EPSILON
-
         pool = SlotPool.from_slots([make_slot(0, 0.0, 10.0)])
         pool.add(make_slot(0, 10.0 + TIME_EPSILON / 2.0, 20.0))
         assert len(pool) == 1  # within one epsilon: merged

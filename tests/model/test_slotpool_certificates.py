@@ -26,7 +26,7 @@ from repro.core.vectorized import vectorized_alternatives
 from repro.model import Job, ResourceRequest, Slot, SlotPool, Window, WindowSlot
 from repro.model.job import JobBatch
 
-from tests.conftest import make_node, make_slot
+from tests.conftest import consume_window, make_node, make_slot
 from tests.model.test_slotarrays import assert_one_order
 from tests.strategies import (
     ADVERSARIAL,
@@ -49,9 +49,7 @@ def certified_delta(run):
 
 def rebuilt(pool: SlotPool) -> SlotPool:
     """The pool's slots, verbatim, in a pool with no records."""
-    return SlotPool.from_slots(
-        pool.ordered(), min_usable_length=pool.min_usable_length, coalesce=False
-    )
+    return SlotPool.from_slots(pool.ordered(), coalesce=False)
 
 
 def one_window_pool() -> SlotPool:
@@ -65,7 +63,7 @@ class TestCopyOnWrite:
         pool = one_window_pool()
         [window] = vectorized_alternatives(PAIR, pool, None, policy)
         twin = pool.copy()
-        twin.cut_window(window, mode="consume")
+        consume_window(twin, window)
         assert vectorized_alternatives(PAIR, twin, None, policy) == []
         found, certified = certified_delta(
             lambda: vectorized_alternatives(PAIR, pool, None, policy)
@@ -326,7 +324,7 @@ def test_storm_on_adversarial_pools(case, ops):
                 pool.commit_window(found[0])
             elif found:
                 # Found on this pool: its legs' slots are the pool's own.
-                pool.cut_window(found[0], mode="consume")
+                consume_window(pool, found[0])
         elif op == "remove" and slots:
             pool.remove(slots[pick % len(slots)])
         elif op == "floor" and slots:
@@ -386,7 +384,7 @@ def run_storm(seed: int, touching: bool, steps: int = 250) -> dict:
             found = vectorized_alternatives(request, pool, 1, "cheapest")
             if found:
                 if rng.integers(2):
-                    pool.cut_window(found[0], mode="consume")  # found on this pool
+                    consume_window(pool, found[0])  # found on this pool
                 else:
                     pool.commit_window(found[0])
                 committed.append(found[0])

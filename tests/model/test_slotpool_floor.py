@@ -15,8 +15,8 @@ did before the floor existed:
 
 Floor steps of 0, ε/2, ε, 2ε and 3ε exercise the rule for merging two
 floors with nothing between them (``t1 + ε < t2 - ε``), and rows built
-at ``start = floor ± ε``, ``tail = ε`` and ``tail = min_usable_length``
-exercise each comparison of the trim's rule.
+at ``start = floor ± ε`` and ``tail = ε`` exercise each comparison of
+the trim's rule.
 """
 
 from __future__ import annotations
@@ -64,14 +64,15 @@ def assert_reads_agree(lazy: SlotPool, eager: SlotPool) -> None:
     assert lazy.arrays_before_floor()[1] == pending  # still pending
 
 
-def row_tails(min_usable_length: float) -> tuple[float, ...]:
-    """Tails (``end - floor``) on both sides of each of the trim's tests."""
+def row_tails(anchor: float) -> tuple[float, ...]:
+    """Tails (``end - floor``) on both sides of each of the trim's tests,
+    and on both sides of ``anchor``."""
     return (
         EPS / 2,
         EPS,
         2 * EPS,
-        min_usable_length - EPS / 2,
-        min_usable_length,
+        anchor - EPS / 2,
+        anchor,
         3.0,
         30.0,
     )
@@ -79,11 +80,9 @@ def row_tails(min_usable_length: float) -> tuple[float, ...]:
 
 @st.composite
 def pool_pairs(draw):
-    """Equal lazy and eager pools: coalesced, ``coalesce=False`` (with
-    overlapping same-node slots) or with ``min_usable_length=5``."""
-    kind = draw(st.sampled_from(["coalesced", "verbatim", "min5"]))
-    coalesce = kind != "verbatim"
-    min_usable_length = 5.0 if kind == "min5" else EPS
+    """Equal lazy and eager pools: coalesced, or ``coalesce=False`` with
+    overlapping same-node slots."""
+    coalesce = draw(st.booleans())
     slots = []
     for node_id in range(draw(st.integers(1, 5))):
         node = make_node(
@@ -98,10 +97,7 @@ def pool_pairs(draw):
             if not coalesce and draw(st.booleans()):
                 slots.append(Slot(node, cursor + 1.0, cursor + length + 3.0))
             cursor += length + float(draw(st.sampled_from([0, 1, 5])))
-    pair = [
-        SlotPool.from_slots(slots, min_usable_length, coalesce=coalesce)
-        for _ in range(2)
-    ]
+    pair = [SlotPool.from_slots(slots, coalesce=coalesce) for _ in range(2)]
     return pair[0], pair[1], coalesce
 
 
@@ -128,7 +124,7 @@ class TestLazyFloorStorm:
                 anchor = clock + data.draw(st.sampled_from(FLOOR_STEPS[:-1]))
                 start = anchor + data.draw(st.sampled_from(ROW_STARTS))
                 end = anchor + data.draw(
-                    st.sampled_from(row_tails(lazy.min_usable_length))
+                    st.sampled_from(row_tails(EPS))
                 )
                 if end - start > EPS:
                     fresh_node += 1
@@ -179,15 +175,18 @@ FLOOR = 50.0
 
 
 def boundary_cases():
-    for min_usable_length in (EPS, 5.0):
+    # The ε anchor puts every tail next to one of the trim's own tests;
+    # the 5.0 anchor adds tails of 5 - ε/2 and 5, long tails whose ends
+    # are not a whole number of ε from the floor.
+    for anchor in (EPS, 5.0):
         for offset in ROW_STARTS:
-            for tail in row_tails(min_usable_length):
+            for tail in row_tails(anchor):
                 if tail - offset > EPS:
-                    yield min_usable_length, offset, tail
+                    yield anchor, offset, tail
 
 
-@pytest.mark.parametrize("min_usable_length, offset, tail", list(boundary_cases()))
-def test_row_at_the_floor(min_usable_length, offset, tail):
+@pytest.mark.parametrize("anchor, offset, tail", list(boundary_cases()))
+def test_row_at_the_floor(anchor, offset, tail):
     """One row starting at ``FLOOR + offset`` and ending ``tail`` past
     the floor, beside a row the floor cuts and one it leaves alone."""
     slots = [
@@ -195,7 +194,7 @@ def test_row_at_the_floor(min_usable_length, offset, tail):
         make_slot(1, 0.0, 200.0),
         make_slot(2, 80.0, 200.0),
     ]
-    lazy, eager = (SlotPool.from_slots(slots, min_usable_length) for _ in range(2))
+    lazy, eager = (SlotPool.from_slots(slots) for _ in range(2))
     lazy.advance_floor(FLOOR)
     eager.trim_before(FLOOR)
     assert_reads_agree(lazy, eager)

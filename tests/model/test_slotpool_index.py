@@ -65,7 +65,7 @@ class TestIndexConsistency:
             [make_slot(0, 0.0, 100.0), make_slot(1, 0.0, 100.0), make_slot(2, 0.0, 100.0)]
         )
         window = window_for(pool, request, 10.0, [0, 1])
-        pool.cut_window(window, mode="split")
+        pool.cut_window(window)
         assert_index_consistent(pool)
         pool.release(window)
         assert_index_consistent(pool)
@@ -140,9 +140,7 @@ class TestIndexConsistency:
                     )
                     leg = WindowSlot.for_request(victim, request)
                     if leg.fits_from(victim.start):
-                        pool.cut_window(
-                            Window(start=victim.start, slots=(leg,)), mode="split"
-                        )
+                        pool.cut_window(Window(start=victim.start, slots=(leg,)))
             assert_index_consistent(pool)
 
     def test_contains_checks_exact_slot(self):

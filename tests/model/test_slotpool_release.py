@@ -14,6 +14,7 @@ import pytest
 from repro.core.algorithms import AMP
 from repro.model import Job, ResourceRequest, Slot, SlotPool, Window, WindowSlot
 from repro.model.errors import AllocationError
+from repro.model.slot import TIME_EPSILON
 
 from tests.conftest import make_node, make_slot, pool_state
 
@@ -211,9 +212,13 @@ def test_trim_before_drops_and_truncates():
 
 
 def test_trim_before_respects_min_usable_length():
-    pool = SlotPool.from_slots([make_slot(1, 0.0, 21.0)], min_usable_length=5.0)
-    pool.trim_before(20.0)
-    assert len(pool) == 0  # 1-unit tail below the usable threshold
+    """The usable length is a slot's: a tail of ``TIME_EPSILON`` or less
+    is dropped, one of two is kept."""
+    pool = SlotPool.from_slots([make_slot(1, 0.0, 21.0), make_slot(2, 0.0, 22.0)])
+    pool.trim_before(21.0 - TIME_EPSILON)
+    assert pool_spans(pool) == {2: [(21.0 - TIME_EPSILON, 22.0)]}
+    pool.trim_before(22.0 - 2 * TIME_EPSILON)
+    assert pool_spans(pool) == {2: [(22.0 - 2 * TIME_EPSILON, 22.0)]}
 
 
 def test_trim_before_noop_when_everything_is_future():

@@ -16,6 +16,7 @@ import pytest
 
 from repro.model import Slot, SlotPool, Window, WindowSlot
 from repro.model.errors import AllocationError
+from repro.model.slot import TIME_EPSILON
 
 from tests.conftest import make_node, make_slot
 from tests.model.test_slotarrays import assert_one_order
@@ -122,11 +123,12 @@ def test_rejected_multi_leg_release_touches_no_bucket():
 
 
 def test_trim_drops_subthreshold_truncated_tail():
+    """A tail of at most ``TIME_EPSILON`` is not a slot: the trim drops it."""
     node = make_node(1)
-    pool = SlotPool(min_usable_length=5.0)
+    pool = SlotPool()
     pool.add(Slot(node, 0.0, 30.0))
 
-    assert pool.trim_before(27.0) == 1
+    assert pool.trim_before(30.0 - TIME_EPSILON / 2) == 1
     assert spans_by_node(pool) == {}
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.model import InvalidIntervalError, ModelError, Timeline
+from repro.model.slot import TIME_EPSILON
 from tests.conftest import make_node
 
 
@@ -37,11 +38,6 @@ class TestAddBusy:
         with pytest.raises(ModelError):
             timeline.add_busy(15.0, 25.0)
 
-    def test_allow_overlap_merges(self, timeline):
-        timeline.add_busy(10.0, 20.0)
-        timeline.add_busy(15.0, 25.0, allow_overlap=True)
-        assert timeline.busy_intervals == [(10.0, 25.0)]
-
     def test_adjacent_intervals_merge(self, timeline):
         timeline.add_busy(10.0, 20.0)
         timeline.add_busy(20.0, 30.0)
@@ -70,9 +66,23 @@ class TestQueries:
         assert timeline.free_intervals() == [(0.0, 10.0), (20.0, 40.0), (50.0, 100.0)]
 
     def test_free_intervals_respect_min_length(self, timeline):
-        timeline.add_busy(5.0, 20.0)
-        gaps = timeline.free_intervals(min_length=10.0)
-        assert gaps == [(20.0, 100.0)]
+        """A gap is published only if it is a slot: longer than
+        ``TIME_EPSILON``."""
+        timeline.add_busy(TIME_EPSILON / 2, 50.0)
+        timeline.add_busy(60.0, 100.0 - 2 * TIME_EPSILON)
+        assert timeline.free_intervals() == [
+            (50.0, 60.0),
+            (100.0 - 2 * TIME_EPSILON, 100.0),
+        ]
+
+    def test_a_gap_of_exactly_epsilon_is_not_a_slot(self):
+        """The gap test and ``Slot`` read one rule, so a gap ``Slot``
+        would refuse is never emitted (it raised ``InvalidIntervalError``
+        when the gap test was ``>=``)."""
+        timeline = Timeline(make_node(0), 0.0, 10.0)
+        timeline.add_busy(TIME_EPSILON, 10.0)
+        assert timeline.free_intervals() == []
+        assert timeline.free_slots() == []
 
     def test_busy_at_edges_leaves_inner_gap(self, timeline):
         timeline.add_busy(0.0, 30.0)

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 from repro.core.criteria import Criterion
 from repro.model.errors import SchedulingError
 from repro.model.job import Job
-from repro.model.window import Window
+from repro.model.window import Window, budget_limit
 from repro.scheduling.combination import CombinationChoice
 
 
@@ -50,7 +50,7 @@ def reference_greedy(
         ranked = sorted(alternatives.get(job.job_id, ()), key=criterion.evaluate)
         selected: Optional[Window] = None
         for window in ranked:
-            if window.total_cost > remaining_budget + 1e-9:
+            if window.total_cost > budget_limit(remaining_budget):
                 continue
             if conflicts_with_any(window, chosen):
                 continue
@@ -129,7 +129,7 @@ def optimal_combination(
             return
         job, options = options_by_job[index]
         for window in options:
-            if cost + window.total_cost > budget + 1e-9:
+            if cost + window.total_cost > budget_limit(budget):
                 continue
             if conflicts_with_any(window, chosen):
                 continue

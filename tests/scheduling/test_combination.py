@@ -3,10 +3,21 @@ oracles they are held to (``tests/scheduling/oracle.py``)."""
 
 import pytest
 
-from repro.core import Criterion
-from repro.model import Job, ResourceRequest, SchedulingError, Window, WindowSlot
+from repro.core import AMP, Criterion
+from repro.model import (
+    CpuNode,
+    Job,
+    JobBatch,
+    ResourceRequest,
+    SchedulingError,
+    Slot,
+    SlotPool,
+    Window,
+    WindowSlot,
+)
 from repro.model.slot import TIME_EPSILON
-from repro.scheduling import greedy_combination
+from repro.model.window import budget_limit
+from repro.scheduling import BatchScheduler, greedy_combination
 from repro.scheduling.combination import ConflictIndex
 from tests.conftest import make_slot
 from tests.scheduling.oracle import (
@@ -322,3 +333,53 @@ class TestResumeOnSharedLists:
         )
         assert choice.unscheduled == ("early",)
         assert choice.assignments["late"] is pricey
+
+
+class TestVoBudgetVerdict:
+    """The VO budget is one more budget verdict: a total within
+    ``budget_limit(remaining)`` fits, as it does in every search and in
+    :meth:`Window.validate`."""
+
+    def test_phase_two_takes_what_validate_accepts(self):
+        # Runtime 10 at a price just over 10: the window costs
+        # 100.0000001, within budget_limit(100) but over 100 + 1e-9.
+        node = CpuNode(node_id=0, performance=1.0, price_per_unit=10.0 + 1e-8)
+        pool = SlotPool.from_slots([Slot(node, 0.0, 50.0)])
+        request = ResourceRequest(node_count=1, reservation_time=10.0, budget=100.0)
+        found = AMP().select(request, pool)
+        assert found is not None and found.total_cost > 100.0 + 1e-9
+        found.validate(request)
+        batch = JobBatch()
+        batch.add(Job("edge", request))
+        report = BatchScheduler(search=AMP(), vo_budget=100.0).plan(batch, pool)
+        assert report.choice.unscheduled == ()
+        assert report.choice.assignments["edge"] == found
+
+    def test_a_limit_that_rises_by_an_ulp_clears_the_resume_points(self):
+        # ``budget_limit`` is monotone over the reals only: as a negative
+        # remaining budget falls by one ulp across a rounding step of
+        # ``1 + |b|``, the limit rises.  "early" passes over ``edge``,
+        # "step" makes that fall, and "late" may then take ``edge``.
+        high = -1.1102230246251565e-16
+        low = -1.1102230246251568e-16
+        assert budget_limit(low) > budget_limit(high)
+        edge = Window(start=0.0, slots=(leg(0, 5.0, budget_limit(low)),))
+        step = Window(start=0.0, slots=(leg(1, 5.0, high - low),))
+        assert high - (high - low) == low
+        jobs = [job("early", priority=9), job("step", priority=5), job("late")]
+        alternatives = {"early": [edge], "step": [step], "late": [edge]}
+        # "late" holds a copy of the list "early" ranked and ran past.
+        choice = greedy_combination(jobs, alternatives, Criterion.COST, vo_budget=high)
+        expected = reference_greedy(jobs, alternatives, Criterion.COST, vo_budget=high)
+        TestResumeOnSharedLists.assert_same_choice(choice, expected)
+        assert choice.unscheduled == ("early",)
+        assert choice.assignments["late"] is edge
+
+    def test_an_infinite_budget_stays_infinite(self):
+        assert budget_limit(float("inf")) == float("inf")
+        assert budget_limit(float("-inf")) == float("-inf")
+        jobs = [job("a")]
+        choice = greedy_combination(
+            jobs, {"a": [window([0])]}, Criterion.COST, vo_budget=float("-inf")
+        )
+        assert choice.unscheduled == ("a",)

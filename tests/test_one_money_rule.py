@@ -100,6 +100,35 @@ def cost_epsilon_arithmetic(tree: ast.AST, inside: str = "") -> list[int]:
     return found
 
 
+def _is_a_budget(node: ast.AST) -> bool:
+    """A name or attribute naming a budget, or a product or quotient of
+    one (a scaled budget)."""
+    if isinstance(node, ast.Name):
+        return "budget" in node.id.lower()
+    if isinstance(node, ast.Attribute):
+        return "budget" in node.attr.lower()
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div)):
+        return _is_a_budget(node.left) or _is_a_budget(node.right)
+    return False
+
+
+def budget_literal_tolerances(tree: ast.AST) -> list[int]:
+    """Lines adding a float literal to (or taking one from) a budget: a
+    tolerance that is not ``budget_limit``'s."""
+    found: list[int] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+            for literal, other in ((node.left, node.right), (node.right, node.left)):
+                if (
+                    isinstance(literal, ast.Constant)
+                    and isinstance(literal.value, float)
+                    and _is_a_budget(other)
+                ):
+                    found.append(node.lineno)
+                    break
+    return found
+
+
 def deleted_names(tree: ast.Module) -> list[tuple[int, str]]:
     """``(line, name)`` of every definition or use of a deleted name."""
     found: list[tuple[int, str]] = []
@@ -145,6 +174,17 @@ def test_cost_epsilon_is_applied_only_by_budget_limit():
     )
 
 
+def test_no_float_literal_widens_a_budget():
+    offenders = [
+        f"{path.relative_to(SRC)}:{line}"
+        for path in summing_modules()
+        for line in budget_literal_tolerances(parse(path))
+    ]
+    assert not offenders, "budget tolerances outside budget_limit:\n  " + "\n  ".join(
+        offenders
+    )
+
+
 def test_the_door_has_one_policy():
     offenders = [
         f"{path.relative_to(SRC)}:{line} {name}"
@@ -172,10 +212,16 @@ class ServiceConfig:
 
 def gate(outlook_decay, min_fit):
     return config.outlook_min_fit_cycles
+
+over = window.total_cost > remaining_budget + 1e-9
+ok = cost <= 1e-6 + request.budget
+spent = budget - cost
+limit = budget * (1.0 + 1e-6) + 1e-6
 """
     tree = ast.parse(source)
     assert builtin_sum_calls(tree) == [3]
     assert cost_epsilon_arithmetic(tree) == [4, 5, 6]
+    assert sorted(budget_literal_tolerances(tree)) == [19, 20, 22]
     assert sorted(name for _, name in deleted_names(tree)) == sorted(
         [
             "AdmissionOutlook",
