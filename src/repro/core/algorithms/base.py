@@ -18,9 +18,8 @@ class SlotSelectionAlgorithm(abc.ABC):
     Concrete algorithms differ in the criterion they optimize and in
     whether they produce a single window (the AEP family) or a list of
     disjoint alternatives (CSA).  ``select`` never mutates the pool;
-    callers decide when to commit a window: :meth:`SlotPool.cut_window`
-    cuts a window found on that very pool, :meth:`SlotPool.commit_window`
-    one found on an earlier snapshot.
+    callers commit a window with :meth:`SlotPool.commit_window`, on the
+    pool it was found on or on a later state of it.
     """
 
     #: Short name used in tables, figures and logs.

@@ -26,6 +26,12 @@ from repro.model.slotpool import SlotPool
 from repro.model.window import Window
 
 
+def check_cut_mode(cut_mode: str) -> None:
+    """Refuse a cutting policy other than ``split`` and ``consume``."""
+    if cut_mode not in ("split", "consume"):
+        raise ValueError(f"unknown cut mode {cut_mode!r}")
+
+
 def rerun_alternatives(
     amp: AMP,
     job: JobLike,
@@ -39,11 +45,12 @@ def rerun_alternatives(
     window's slots are cut out of the copy, and AMP runs again from the
     start of the list — until no window is left or ``cap`` are found.
     ``consume`` cutting removes each used slot (:meth:`SlotPool.remove`),
-    ``split`` cutting puts back its remainders (:meth:`SlotPool.cut_window`).
+    ``split`` cutting puts back its remainders (:meth:`SlotPool.commit_window`).
     This is what Tables 1-2 time as "CSA", the only path for ``split``
     cutting and for input the sweep kernel does not take, and the
     reference every sweep is tested against.
     """
+    check_cut_mode(cut_mode)
     working = pool.copy()
     # One leg cache across all AMP re-runs: runtimes/costs depend only
     # on (node, request), and cutting never changes either.
@@ -55,7 +62,7 @@ def rerun_alternatives(
             break
         alternatives.append(window)
         if cut_mode == "split":
-            working.cut_window(window)
+            working.commit_window(window)
         else:
             for ws in window.slots:
                 working.remove(ws.slot)
@@ -93,8 +100,7 @@ class CSA(SlotSelectionAlgorithm):
     ) -> None:
         if max_alternatives is not None and max_alternatives < 1:
             raise ValueError(f"max_alternatives must be >= 1, got {max_alternatives}")
-        if cut_mode not in ("split", "consume"):
-            raise ValueError(f"unknown cut mode {cut_mode!r}")
+        check_cut_mode(cut_mode)
         self.criterion = criterion
         self.max_alternatives = max_alternatives
         self.cut_mode = cut_mode

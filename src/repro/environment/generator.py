@@ -94,8 +94,7 @@ class Environment:
         """Mark a window's reservations busy on the node timelines.
 
         Makes allocations visible to the *next* scheduling cycle; the
-        current cycle's slot pools are cut separately
-        (:meth:`SlotPool.cut_window` or :meth:`SlotPool.commit_window`).
+        current cycle's slot pools are cut by :meth:`SlotPool.commit_window`.
         """
         for ws in window.slots:
             timeline = self.timelines[ws.slot.node.node_id]

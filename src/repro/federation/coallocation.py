@@ -122,7 +122,7 @@ class CoAllocator:
             for slot in pools[shard_id]:
                 slots.append(slot)
                 node_shard[slot.node.node_id] = shard_id
-        union = SlotPool.from_slots(slots, coalesce=False)
+        union = SlotPool.from_slots(slots)
         # As in the broker cycle, the union search sees live prices
         # through a request whose budget and price cap are scaled.
         multiplier = self._tenancy.price_multiplier

@@ -35,7 +35,7 @@ from repro.federation.config import FederationConfig
 from repro.federation.router import PlacementPolicy, make_policy
 from repro.model.errors import ConfigurationError, SchedulingError
 from repro.model.job import Job
-from repro.model.slot import TIME_EPSILON
+from repro.model.slot import TIME_EPSILON, Slot
 from repro.model.slotpool import SlotPool
 from repro.service.admission import RejectionReason
 from repro.service.broker import BrokerService
@@ -67,11 +67,11 @@ def partition_pool(
 ) -> list[SlotPool]:
     """Split a pool into per-shard pools along a node assignment.
 
-    Every slot lands verbatim (no coalescing — the source pool is
-    already canonical) in the pool of the shard owning its node, so the
-    shard pools are a *partition*: total node-seconds are conserved and
-    each node's slots move wholly to one shard.  Property-tested in
-    ``tests/federation/test_sharding.py``.
+    Every slot lands verbatim in the pool of the shard owning its node
+    (each node's slots keep the source pool's shape, so every shard is
+    one bulk load), and the shard pools are a *partition*: total
+    node-seconds are conserved and each node's slots move wholly to one
+    shard.  Property-tested in ``tests/federation/test_sharding.py``.
     """
     shard_of: dict[int, int] = {}
     for shard_id, node_ids in enumerate(assignments):
@@ -81,15 +81,15 @@ def partition_pool(
                     f"node {node_id} assigned to two shards"
                 )
             shard_of[node_id] = shard_id
-    pools = [SlotPool() for _ in assignments]
+    shard_slots: list[list[Slot]] = [[] for _ in assignments]
     for slot in pool:
         shard_id = shard_of.get(slot.node.node_id)
         if shard_id is None:
             raise ConfigurationError(
                 f"slot on node {slot.node.node_id} has no shard assignment"
             )
-        pools[shard_id].add(slot, coalesce=False)
-    return pools
+        shard_slots[shard_id].append(slot)
+    return [SlotPool.from_slots(slots) for slots in shard_slots]
 
 
 class ShardTagSink(EventSink):

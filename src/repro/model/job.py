@@ -62,25 +62,25 @@ class ResourceRequest:
     def __post_init__(self) -> None:
         if self.node_count < 1:
             raise InvalidRequestError(f"node_count must be >= 1, got {self.node_count}")
-        if self.reservation_time <= 0:
+        if not self.reservation_time > 0:
             raise InvalidRequestError(
                 f"reservation_time must be positive, got {self.reservation_time}"
             )
-        if self.reference_performance <= 0:
+        if not self.reference_performance > 0:
             raise InvalidRequestError(
                 f"reference_performance must be positive, got {self.reference_performance}"
             )
-        if self.budget is not None and self.budget < 0:
+        if self.budget is not None and not self.budget >= 0:
             raise InvalidRequestError(f"budget must be >= 0, got {self.budget}")
-        if self.max_price_per_unit is not None and self.max_price_per_unit < 0:
+        if self.max_price_per_unit is not None and not self.max_price_per_unit >= 0:
             raise InvalidRequestError(
                 f"max_price_per_unit must be >= 0, got {self.max_price_per_unit}"
             )
-        if self.min_performance < 0:
+        if not self.min_performance >= 0:
             raise InvalidRequestError(
                 f"min_performance must be >= 0, got {self.min_performance}"
             )
-        if self.deadline is not None and self.deadline < 0:
+        if self.deadline is not None and not self.deadline >= 0:
             raise InvalidRequestError(f"deadline must be >= 0, got {self.deadline}")
 
     @property

@@ -63,6 +63,8 @@ def floor_survivors(
     :func:`~repro.model.slot.is_span`.  The comparisons are the trim's
     own, float for float; :meth:`SlotPool.trim_before`'s object loop is
     the twin this rule is tested against.
+    The tail test decides only at floors up to ``TIME_EPSILON`` (above,
+    ``end - floor`` is exact), e.g. floor ``-TIME_EPSILON``, end ``1e-30``.
     """
     cut = start < floor - TIME_EPSILON
     kept = end > floor + TIME_EPSILON
@@ -114,27 +116,26 @@ def _has_neighbours(bucket: list[Entry]) -> bool:
 class SlotPool:
     """A mutable, start-time-ordered collection of free slots.
 
-    A cut or a trim keeps every remainder that is a slot
-    (:func:`~repro.model.slot.is_span`) and nothing shorter; how much of
-    a used slot CSA keeps between its AMP runs is CSA's cutting policy
-    (:class:`~repro.core.algorithms.csa.CSA`), not the pool's.
+    One shape: per node, slots lie more than :data:`COALESCE_GAP` apart
+    (:meth:`assert_disjoint_per_node`).  A cut or a trim keeps every
+    remainder that is a slot (:func:`~repro.model.slot.is_span`) and
+    nothing shorter; how much of a used slot CSA keeps between its AMP
+    runs is CSA's cutting policy, not the pool's.
 
     Every mutation is a *removal* or a *gain* of free time, and the
     certificate store (:meth:`certify`) follows that split.
 
     * Removals keep the certificates.  :meth:`remove`, the trims
       (:meth:`trim_before`, and the floors :meth:`advance_floor`
-      records), and cutting (:meth:`cut_window`, :meth:`commit_window`)
+      records), and cutting (:meth:`commit_window`)
       only drop slots or leave a slot's sub-span on the same node: a
       trimmed slot keeps its end and starts later, and a cut remainder
       is part of its host.  A search proven empty stays empty on any
       such sub-pool (the proof is in :mod:`repro.core.vectorized`).
     * Gains empty the store.  :meth:`add`, :meth:`release` and a cut
-      remainder that *coalesces* with a neighbour all add free time,
-      and a bulk load (:meth:`from_slots`) starts a pool with an empty
-      store.  A remainder can only coalesce when
-      the pool holds touching slots of one node, as a pool built with
-      ``coalesce=False`` can (``partition_pool`` builds shards so).
+      remainder that *coalesces* (with its host's other remainder) all
+      add free time, and a bulk load (:meth:`from_slots`) starts a pool
+      with an empty store.
     * :meth:`copy` shares the store with the twin until either side
       mutates: a removal then gives the mutated pool its own copy of
       the store, and a gain an empty one.  Pools sharing one store
@@ -179,19 +180,19 @@ class SlotPool:
         self._store = SlotColumnStore(self._by_node)
 
     @classmethod
-    def from_slots(cls, slots: Iterable[Slot], coalesce: bool = True) -> "SlotPool":
+    def from_slots(cls, slots: Iterable[Slot]) -> "SlotPool":
         """Build a pool from an iterable of slots, in bulk where possible.
 
-        The result always equals ``add(slot, coalesce)`` one slot at a
-        time.  Coalescing can only change anything when two kept slots
-        of one node overlap or lie within :data:`COALESCE_GAP`, and the
+        The result always equals :meth:`add` one slot at a time.
+        Coalescing can only change anything when two slots of one node
+        overlap or lie within :data:`COALESCE_GAP`, and the
         start-ordered per-node buckets show whether any do (a slot
         starting within the gap of the furthest end before it).  When
         none do — every generated environment: a timeline's free gaps
-        are separated by busy chunks — or with ``coalesce=False``, the
-        pool is filled in bulk: one sort, then the buckets in order and
-        one record in the store, instead of a bucket walk and a bisect
-        per slot.  Otherwise the slots are added one by one.
+        are separated by busy chunks; every shard of a pool — the pool
+        is filled in bulk: one sort, then the buckets in order and one
+        record in the store, instead of a bucket walk and a bisect per
+        slot.  Otherwise the slots are added one by one.
         """
         pool = cls()
         slots = list(slots)
@@ -199,7 +200,7 @@ class SlotPool:
         by_node = pool._by_node
         for entry in entries:
             by_node.setdefault(entry[1].node.node_id, []).append(entry)
-        if coalesce and any(map(_has_neighbours, by_node.values())):
+        if any(map(_has_neighbours, by_node.values())):
             by_node.clear()
             for slot in slots:
                 pool.add(slot)
@@ -279,20 +280,20 @@ class SlotPool:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def add(self, slot: Slot, coalesce: bool = True) -> None:
+    def add(self, slot: Slot) -> None:
         """Insert a slot, keeping the start-time order.
 
-        By default the new slot is *coalesced* with touching slots of the
-        same node already in the pool (identical node, hence identical
-        price and performance; gap within :data:`COALESCE_GAP`), so
-        repeated cut/release cycles do not fragment the pool into ever
-        shorter spans.  Pass ``coalesce=False`` to insert verbatim.
+        The new slot is *coalesced* with touching slots of the same node
+        already in the pool (identical node, hence identical price and
+        performance; gap within :data:`COALESCE_GAP`), so repeated
+        cut/release cycles do not fragment the pool into ever shorter
+        spans.  One overlapping a slot of its node by more than the gap
+        raises :class:`AllocationError`, pool unchanged.
         """
         self.apply_floor()
+        slot = self._coalesce(slot)
         if self._certificates or self._certificates_shared:
             self._gained()
-        if coalesce:
-            slot = self._coalesce(slot)
         entry = (slot.sort_key(), slot)
         insort(self._by_node.setdefault(slot.node.node_id, []), entry)
         self._store.insert(entry)
@@ -300,21 +301,23 @@ class SlotPool:
     def _coalesce(self, slot: Slot) -> Slot:
         """Absorb same-node neighbours touching ``slot`` and return the union.
 
-        In a per-node-disjoint pool at most one slot can end at ``slot.start``
-        and at most one can start at ``slot.end``; both are removed from the
-        pool and the merged span is returned for insertion.  Only the
-        node's own index bucket is inspected.
+        The pool's shape leaves at most one slot ending at ``slot.start``
+        and one starting at ``slot.end``; both are removed and the merged
+        span returned.  Any other slot not clearing ``slot`` by more than
+        the gap overlaps it: that raises, before anything is removed.
         """
-        bucket = self._by_node.get(slot.node.node_id)
-        if not bucket:
-            return slot
         left: Optional[Slot] = None
         right: Optional[Slot] = None
-        for _, other in bucket:
+        for _, other in self._by_node.get(slot.node.node_id, ()):
             if abs(other.end - slot.start) <= COALESCE_GAP:
                 left = other
             elif abs(slot.end - other.start) <= COALESCE_GAP:
                 right = other
+            elif (
+                other.end - slot.start > COALESCE_GAP
+                and slot.end - other.start > COALESCE_GAP
+            ):
+                raise AllocationError(f"slot {slot!r} overlaps free slot {other!r}")
         if left is None and right is None:
             return slot
         start = slot.start if left is None else left.start
@@ -351,53 +354,20 @@ class SlotPool:
         self._certificates = {}
         self._certificates_shared = False
 
-    def cut_window(self, window: Window) -> None:
-        """Remove a window's reservations from the pool.
+    def commit_window(self, window: Window) -> None:
+        """The pool's one cut, by *span containment*.
 
         Carves the span ``[window.start, window.start + required_time)``
-        out of each used slot and re-inserts the remainders that are
-        slots (:meth:`Slot.split`): the "cutting" of reference [17], as
-        a final allocation does it.  The window must have been found on
-        this pool; :meth:`commit_window` locates each leg's host instead.
-        """
-        self.apply_floor()
-        for ws in window.slots:
-            if not ws.fits_from(window.start):
-                raise AllocationError(
-                    f"window leg on node {ws.slot.node.node_id} does not fit its slot"
-                )
-            self._carve(ws.slot, window.start, ws.required_time)
-
-    def _carve(self, host: Slot, span_start: float, required_time: float) -> None:
-        """Take ``host`` out of the pool and put back what the span
-        ``[span_start, span_start + required_time)`` leaves of it."""
-        self.remove(host)
-        remainders = host.split(span_start, required_time)
-        kept = self._certificates
-        size = self._store.size
-        for remainder in remainders:
-            self.add(remainder)
-        # ``add`` counts as a gain, but a remainder that merged with
-        # nothing is a sub-span of its host: the cut removed time.
-        if self._store.size == size + len(remainders):
-            self._certificates = kept
-
-    def commit_window(self, window: Window) -> None:
-        """Cut a window out of the pool by *span containment*.
-
-        :meth:`cut_window` removes the exact slot objects a window
-        references, which is right when the window was just searched on
-        this very pool state.  A broker-service cycle instead commits
-        several windows chosen on a common snapshot: an earlier commit may
-        already have replaced a leg's slot with its remainders, so each
-        leg is located by finding the current pool slot on its node that
-        hosts its reserved span: one starting at or before the window
-        start that the leg :func:`~repro.model.slot.fits_from` (the
-        search's own test, so a leg accepted on the snapshot finds its
-        unchanged slot); phase two guarantees the spans themselves are
-        disjoint.  Raises :class:`AllocationError` when no such slot
-        exists — e.g. a trim or an earlier commit took the span; the pool
-        is left unchanged in that case.
+        out of each leg's host and re-inserts the remainders that are
+        slots (:meth:`Slot.split`): the "cutting" of reference [17].  A
+        leg's host is the first slot on its node starting at or before
+        the window start that the leg :func:`~repro.model.slot.fits_from`
+        (the search's own test): the leg's own slot for a window just
+        searched on this pool, or a remainder of it when an earlier
+        commit of the same broker cycle cut it (phase two keeps the
+        spans disjoint).  Raises :class:`AllocationError` when a leg has
+        no host — e.g. a trim or an earlier commit took the span; the
+        pool is left unchanged in that case.
         """
         self.apply_floor()
         # Every leg's host is located before the first cut, so a window
@@ -418,12 +388,21 @@ class SlotPool:
                     f"reserved span [{start:g}, {start + ws.required_time:g})"
                 )
         for host, required_time in cuts:
-            self._carve(host, start, required_time)
+            self.remove(host)
+            remainders = host.split(start, required_time)
+            kept = self._certificates
+            size = self._store.size
+            for remainder in remainders:
+                self.add(remainder)
+            # ``add`` counts as a gain, but a remainder that merged with
+            # nothing is a sub-span of its host: the cut removed time.
+            if self._store.size == size + len(remainders):
+                self._certificates = kept
 
     def release(self, window: Window, floor: Optional[float] = None) -> None:
         """Return a committed window's reservations to the pool.
 
-        The inverse of :meth:`cut_window`: each leg's reserved span
+        The inverse of :meth:`commit_window`: each leg's reserved span
         ``[window.start, window.start + required_time)`` is re-inserted and
         coalesced with adjacent same-node slots, so a cut followed by a
         release leaves the pool as it started (up to the remainders of at
@@ -458,11 +437,11 @@ class SlotPool:
         for ws in window.slots:
             node = ws.slot.node
             span_end = start + ws.required_time
-            reach = span_end - TIME_EPSILON
+            # ``add``'s overlap test, so a span that passes is inserted.
             for (slot_start, slot_end, _), _slot in by_node.get(node.node_id, ()):
-                if slot_start >= reach:
+                if not span_end - slot_start > COALESCE_GAP:
                     break  # start-ordered: nothing later overlaps either
-                if start < slot_end - TIME_EPSILON:
+                if slot_end - start > COALESCE_GAP:
                     raise AllocationError(
                         f"released span [{start:g}, {span_end:g}) on node "
                         f"{node.node_id} overlaps free slot "
@@ -534,10 +513,11 @@ class SlotPool:
             rebuilt += survivors
             if kept < cutoff:
                 changed += cutoff - kept
-                if len(survivors) > 1:
-                    # Two overlapping slots of one node (a ``coalesce=False``
-                    # pool) can swap order once both start at ``time``.
-                    survivors.sort(key=_KEY)
+                # At most the head's last entry survives (no sort): a
+                # survivor ends after ``bound``, and the next entry
+                # starts by ``bound``, so the float ``start - end`` is
+                # negative — not the more than ``COALESCE_GAP`` the
+                # pool's shape puts between slots of one node.
                 bucket[:cutoff] = survivors
                 if not bucket:
                     emptied.append(node_id)
@@ -666,15 +646,13 @@ class SlotPool:
         return len(self._by_node)
 
     def assert_disjoint_per_node(self) -> None:
-        """Invariant check: slots of one node never overlap.
+        """Invariant check of the pool's shape: slots of one node lie
+        more than :data:`COALESCE_GAP` apart (:func:`_has_neighbours`).
 
-        Primarily used by the test suite and by debugging sessions; a pool
-        produced by the environment generator and mutated only through
-        :meth:`cut_window` always satisfies it.
+        The broker runs it every cycle under ``check_invariants``; a
+        pool mutated only through its methods always passes.
         """
-        for node_id, slots in self.by_node().items():
-            for left, right in zip(slots, slots[1:]):
-                if left.overlaps(right):
-                    raise AllocationError(
-                        f"overlapping slots on node {node_id}: {left!r} / {right!r}"
-                    )
+        self.apply_floor()
+        for node_id, bucket in self._by_node.items():
+            if _has_neighbours(bucket):
+                raise AllocationError(f"slots on node {node_id} overlap or touch")

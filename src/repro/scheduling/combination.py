@@ -20,10 +20,12 @@ scheduling cycle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core.criteria import Criterion
+from repro.model.errors import ConfigurationError
 from repro.model.job import Job
 from repro.model.slot import TIME_EPSILON
 from repro.model.window import Window, budget_limit, left_sum
@@ -107,6 +109,12 @@ class ConflictIndex:
         return False
 
 
+def check_vo_budget(vo_budget: Optional[float]) -> None:
+    """Refuse a NaN VO budget, under which every window would pass."""
+    if vo_budget is not None and math.isnan(vo_budget):
+        raise ConfigurationError(f"vo_budget must be a number, got {vo_budget}")
+
+
 def greedy_combination(
     jobs: Sequence[Job],
     alternatives: dict[str, Sequence[Window]],
@@ -149,6 +157,7 @@ def greedy_combination(
     negative or NaN cost, which only a hand-built window can have)
     clears the memo, and lists are walked afresh from there.
     """
+    check_vo_budget(vo_budget)
     ordered = sorted(jobs, key=lambda job: -job.priority)
     chosen = ConflictIndex()
     assignments: dict[str, Window] = {}

@@ -26,7 +26,11 @@ from repro.model.errors import SchedulingError
 from repro.model.job import Job, JobBatch
 from repro.model.slotpool import SlotPool
 from repro.model.window import Window
-from repro.scheduling.combination import CombinationChoice, greedy_combination
+from repro.scheduling.combination import (
+    CombinationChoice,
+    check_vo_budget,
+    greedy_combination,
+)
 
 
 @dataclass(frozen=True)
@@ -89,6 +93,9 @@ class BatchScheduler:
     criterion: Criterion = Criterion.COST
     vo_budget: Optional[float] = None
     alternatives_per_job: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        check_vo_budget(self.vo_budget)
 
     def find_alternatives(
         self, batch: JobBatch, pool: SlotPool

@@ -66,6 +66,19 @@ def consume_window(pool: SlotPool, window) -> None:
         pool.remove(leg.slot)
 
 
+def off_shape_pool(slots) -> SlotPool:
+    """A pool holding ``slots`` verbatim, even where two of one node
+    overlap or touch: ``from_slots``' bulk load without its neighbour
+    check.  No public method builds such a pool; it exists to test the
+    check of the pool's shape (``assert_disjoint_per_node``)."""
+    pool = SlotPool()
+    entries = sorted(((slot.sort_key(), slot) for slot in slots), key=lambda e: e[0])
+    for entry in entries:
+        pool._by_node.setdefault(entry[1].node.node_id, []).append(entry)
+    pool._store.load_sorted(entries)
+    return pool
+
+
 def free_spans(pool: SlotPool) -> dict[int, list[tuple[float, float]]]:
     """The pool's free time as ``node id -> [(start, end), ...]``."""
     return {

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -490,6 +491,86 @@ def test_sweeps_equal_the_procedure_on_adversarial_pools(case):
             assert found == generic
             for window in found:
                 window.validate(request)
+
+
+@contextmanager
+def carved_hosts():
+    """Every ``(host, leg slot)`` pair ``SlotPool.commit_window`` cuts
+    while the block runs, in cutting order (a host is the slot whose
+    :meth:`Slot.split` the commit calls)."""
+    pairs = []
+    split, commit = Slot.split, SlotPool.commit_window
+    hosts = []
+
+    def recording_split(host, start, required_time):
+        hosts.append(host)
+        return split(host, start, required_time)
+
+    def recording_commit(pool, window):
+        hosts.clear()
+        commit(pool, window)
+        pairs.extend(zip(hosts, [leg.slot for leg in window.slots], strict=True))
+
+    Slot.split, SlotPool.commit_window = recording_split, recording_commit
+    try:
+        yield pairs
+    finally:
+        Slot.split, SlotPool.commit_window = split, commit
+
+
+def assert_split_cuts_each_legs_slot(request, pool, policy, cap=None):
+    """The oracle of ``split`` cutting: in ``rerun_alternatives``, the
+    host ``commit_window`` finds for each leg of a window just searched
+    on the working copy is the leg's own slot."""
+    with carved_hosts() as pairs:
+        found = procedure(request, pool, cap, policy, mode="split")
+    assert len(pairs) == sum(len(window.slots) for window in found)
+    assert all(host is slot for host, slot in pairs)
+    return found
+
+
+class TestSplitCutsTheLegsOwnSlot:
+    @pytest.mark.parametrize("seed", [3, 2013])
+    def test_generated_environment(self, seed):
+        pool = EnvironmentGenerator(
+            EnvironmentConfig(node_count=40, seed=seed)
+        ).generate().slot_pool()
+        for node_count, budget in [(2, None), (3, 600.0), (6, None)]:
+            request = ResourceRequest(
+                node_count=node_count, reservation_time=60.0, budget=budget
+            )
+            for policy in POLICIES:
+                found = assert_split_cuts_each_legs_slot(request, pool, policy)
+                assert len(found) > 1
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_fragmented_pools(self, seed):
+        request = ResourceRequest(node_count=3, reservation_time=30.0)
+        for policy in POLICIES:
+            assert assert_split_cuts_each_legs_slot(request, fragmented_pool(seed), policy)
+
+    def test_the_recorder_sees_a_relocated_host(self):
+        """A window searched on an earlier state of the pool is cut
+        from a remainder: the recorder reports that host."""
+        slot = make_slot(0, 0.0, 100.0, performance=4.0)
+        pool = SlotPool.from_slots([slot])
+        request = ResourceRequest(node_count=1, reservation_time=20.0)
+        [_, second] = procedure(request, pool, cap=2, mode="split")
+        with carved_hosts() as pairs:
+            pool.commit_window(second)
+        assert pairs == [(slot, second.slots[0].slot)]
+        assert pairs[0][1] is not slot
+
+
+@ADVERSARIAL
+@given(case=adversarial_cases())
+@example(case=EXPIRED_ON_ARRIVAL)
+@example(case=EDGE_OF_COMMIT)
+def test_split_cuts_the_legs_own_slot_on_adversarial_pools(case):
+    # Capped: a fast partner's leg is a sliver of its slot, so split
+    # cutting finds alternatives there almost without end.
+    for policy in POLICIES:
+        assert_split_cuts_each_legs_slot(case.request, case.pool(), policy, cap=12)
 
 
 class TestDoomedCheapestSweep:

@@ -83,7 +83,7 @@ class TestRollback:
         healthy = two_node_pool(0)
         poisoned = FailingCommitPool()
         for slot in two_node_pool(2):
-            poisoned.add(slot, coalesce=False)
+            poisoned.add(slot)
         pools = {0: healthy, 1: poisoned}
         before = healthy.total_free_time()
         allocator = CoAllocator(ServiceConfig())
@@ -102,7 +102,7 @@ class TestRollback:
         # has two housed legs and the phantom one.
         stale = PhantomSlotPool()
         for slot in two_node_pool(2):
-            stale.add(slot, coalesce=False)
+            stale.add(slot)
         pools = {0: two_node_pool(0), 1: stale}
         before = {shard_id: pool_state(pool) for shard_id, pool in pools.items()}
         allocator = CoAllocator(ServiceConfig())

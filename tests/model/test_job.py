@@ -42,6 +42,24 @@ class TestResourceRequestValidation:
             ResourceRequest(node_count=1, reservation_time=10.0, min_performance=-1.0)
 
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "reservation_time",
+            "reference_performance",
+            "budget",
+            "max_price_per_unit",
+            "min_performance",
+            "deadline",
+        ],
+    )
+    def test_rejects_nan(self, field):
+        """Every numeric check is spelled so that NaN fails it."""
+        values = {"node_count": 1, "reservation_time": 10.0, field: float("nan")}
+        with pytest.raises(InvalidRequestError, match=field):
+            ResourceRequest(**values)
+
+
 class TestEffectiveBudget:
     def test_explicit_budget_wins(self):
         request = ResourceRequest(

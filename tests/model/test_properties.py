@@ -1,9 +1,18 @@
 """Property-based tests (hypothesis) for the core data structures."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.model import ResourceRequest, Slot, SlotPool, Timeline, Window, WindowSlot
+from repro.model import (
+    AllocationError,
+    ResourceRequest,
+    Slot,
+    SlotPool,
+    Timeline,
+    Window,
+    WindowSlot,
+)
 from repro.model.slot import fits_from, last_start
 from tests.conftest import make_node, pool_state
 
@@ -148,13 +157,21 @@ class TestSlotPoolProperties:
     @settings(max_examples=400)
     def test_from_slots_equals_one_add_per_slot(self, slots):
         """Whichever way ``from_slots`` builds — in bulk or slot by slot —
-        the pool is the one sequential coalescing ``add`` produces."""
+        the pool is the one sequential coalescing ``add`` produces, and
+        it refuses a list with overlapping slots of one node exactly
+        when that ``add`` does."""
         added = SlotPool()
-        for slot in slots:
-            added.add(slot)
+        try:
+            for slot in slots:
+                added.add(slot)
+        except AllocationError:
+            with pytest.raises(AllocationError, match="overlaps free slot"):
+                SlotPool.from_slots(iter(slots))
+            return
         built = SlotPool.from_slots(iter(slots))
         assert pool_state(built) == pool_state(added)
         assert built.generation == added.generation
+        built.assert_disjoint_per_node()
 
     @given(data=st.data())
     @settings(max_examples=100)
@@ -169,7 +186,7 @@ class TestSlotPoolProperties:
         target = data.draw(st.sampled_from(slots))
         ws = WindowSlot.for_request(target, request)
         window = Window(start=target.start, slots=(ws,))
-        pool.cut_window(window)
+        pool.commit_window(window)
         pool.assert_disjoint_per_node()
         # The reserved span is gone from the pool.
         for slot in pool:

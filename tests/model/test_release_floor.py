@@ -43,7 +43,6 @@ def cut_pools(draw):
     same-node neighbours, so the cut's remainders and the pool's other
     slots coalesce with the released spans in every combination.
     """
-    coalesce = draw(st.booleans())
     window_start = float(draw(st.integers(12, 40)))
     slots = []
     hosts = []
@@ -56,14 +55,14 @@ def cut_pools(draw):
         hosts.append((host, float(length)))
         slots.append(host)
         # Same-node slots before and after the host: touching (merged
-        # into it by a coalescing pool, kept apart otherwise) or gapped.
+        # into it) or gapped.
         before = draw(st.sampled_from([None, 0, 2]))
         if before is not None:
             slots.append(Slot(node, host_start - before - 6.0, host_start - before))
         after = draw(st.sampled_from([None, 0, 2]))
         if after is not None:
             slots.append(Slot(node, host_end + after, host_end + after + 20.0))
-    pool = SlotPool.from_slots(draw(st.permutations(slots)), coalesce=coalesce)
+    pool = SlotPool.from_slots(draw(st.permutations(slots)))
     cut = Window(
         start=window_start,
         slots=tuple(WindowSlot(host, length, 1.0) for host, length in hosts),

@@ -200,12 +200,13 @@ class TestMutationStorm:
         mirrored rows must follow exactly at every size."""
         pool = SlotPool()
         boundary = 32
+        # Each node's spans are one unit apart: nothing merges.
         slots = [
-            Slot(make_node(i % 5), float(i), float(i) + 10.0)
+            Slot(make_node(i % 5), float(i), float(i) + 4.0)
             for i in range(boundary + 8)
         ]
         for slot in slots:
-            pool.add(slot, coalesce=False)
+            pool.add(slot)
             assert_bytes_equal_rebuild(pool)
         # Shrink well below the boundary, one delete at a time ...
         for slot in slots[: boundary - 2]:
@@ -214,8 +215,7 @@ class TestMutationStorm:
         assert len(pool) < boundary
         # ... and keep mutating until the pool has outgrown it again.
         for i in range(boundary + 8, 2 * boundary + 8):
-            pool.add(Slot(make_node(i % 5), float(i), float(i) + 5.0),
-                     coalesce=False)
+            pool.add(Slot(make_node(i % 5), float(i), float(i) + 4.0))
             assert_bytes_equal_rebuild(pool)
         assert len(pool) > boundary
 
@@ -367,14 +367,15 @@ class TestBatchedEditStorm:
         """One batch grows the pool from 30 rows past 32 and 64, the
         next shrinks it under 32 again; each is applied in one read."""
         pool = SlotPool()
+        # Each node's spans have gaps, so every add inserts one row.
         for i in range(30):
-            pool.add(Slot(make_node(i % 5), float(i), float(i) + 10.0), coalesce=False)
+            pool.add(Slot(make_node(i % 5), float(i), float(i) + 4.0))
         assert_read_matches(pool)
         added = [
-            Slot(make_node(i % 7), float(i) + 0.5, float(i) + 3.0) for i in range(45)
+            Slot(make_node(5 + i % 7), float(i) + 0.5, float(i) + 3.0) for i in range(45)
         ]
         for slot in added:
-            pool.add(slot, coalesce=False)
+            pool.add(slot)
         pool.trim_before(1.0)
         assert len(pool) > 64
         assert_read_matches(pool)
@@ -515,7 +516,6 @@ class TestTrimAgainstNaiveModel:
     @settings(max_examples=60, deadline=None)
     @given(
         slots=touching_slot_lists(),
-        coalesce=st.booleans(),
         times=st.lists(
             st.one_of(
                 st.integers(0, 125).map(float),
@@ -525,8 +525,8 @@ class TestTrimAgainstNaiveModel:
             max_size=6,
         ),
     )
-    def test_trim_before_equals_filter_and_truncate(self, slots, coalesce, times):
-        pool = SlotPool.from_slots(slots, coalesce=coalesce)
+    def test_trim_before_equals_filter_and_truncate(self, slots, times):
+        pool = SlotPool.from_slots(slots)
         self.assert_trims_match_model(pool, sorted(times))
 
     @staticmethod
@@ -543,34 +543,22 @@ class TestTrimAgainstNaiveModel:
             assert_index_consistent(pool)
             assert_bytes_equal_rebuild(pool, model)
 
-    def test_overlapping_straddlers_swap_order_once_truncated(self):
-        """A ``coalesce=False`` pool may hold overlapping slots of one
-        node: ``[0, 50)`` sorts before ``[1, 40)``, but ``[10, 50)``
-        after ``[10, 40)`` — in the pool's order and in the node's bucket."""
-        node = make_node(1)
-        pool = SlotPool.from_slots(
-            [Slot(node, 0.0, 50.0), Slot(node, 1.0, 40.0), make_slot(2, 0.0, 45.0)],
-            coalesce=False,
-        )
-        self.assert_trims_match_model(pool, [10.0])
-        assert [(s.start, s.end) for s in pool.by_node()[1]] == [
-            (10.0, 40.0),
-            (10.0, 50.0),
-        ]
-
     def test_node_with_three_entries_in_the_walked_prefix(self):
-        """Dead, straddling, and starting within an epsilon of ``time``:
-        removed, truncated and kept as it is, next to a node with the
-        usual single entry."""
-        node = make_node(1)
+        """Three-entry heads: two dead entries, then one straddling
+        ``time`` (truncated) or starting within an epsilon of it (kept
+        as it is) — only a head's last entry can survive — next to a
+        node with the usual single entry."""
+        straddling, kept = make_node(1), make_node(3)
         pool = SlotPool.from_slots(
             [
-                Slot(node, 0.0, 5.0),
-                Slot(node, 2.0, 13.0),
-                Slot(node, 10.0 - TIME_EPSILON / 2, 60.0),
-                Slot(node, 70.0, 80.0),
+                Slot(straddling, 0.0, 5.0),
+                Slot(straddling, 6.0, 9.0),
+                Slot(straddling, 9.5, 13.0),
+                Slot(kept, 0.0, 5.0),
+                Slot(kept, 6.0, 9.5),
+                Slot(kept, 10.0 - TIME_EPSILON / 2, 60.0),
+                Slot(kept, 70.0, 80.0),
                 make_slot(2, 0.0, 45.0),
-            ],
-            coalesce=False,
+            ]
         )
         self.assert_trims_match_model(pool, [10.0, 10.0, 65.0, 90.0])

@@ -14,7 +14,7 @@ from repro.model import (
 from repro.core import AMP, CSA
 from repro.core.algorithms.csa import rerun_alternatives
 from repro.model.slot import TIME_EPSILON
-from tests.conftest import consume_window, make_slot, pool_state
+from tests.conftest import consume_window, make_slot, off_shape_pool, pool_state
 from tests.strategies import EDGE_OF_COMMIT
 
 
@@ -74,7 +74,7 @@ class TestCutWindow:
     def test_split_mode_reinserts_remainders(self):
         slot = make_slot(0, 0.0, 100.0, performance=4.0)  # task(20) -> 5 units
         pool = SlotPool.from_slots([slot])
-        pool.cut_window(window_for(slot))
+        pool.commit_window(window_for(slot))
         remaining = pool.ordered()
         assert len(remaining) == 1
         assert (remaining[0].start, remaining[0].end) == (5.0, 100.0)
@@ -82,7 +82,7 @@ class TestCutWindow:
     def test_split_mode_mid_slot_produces_two_remainders(self):
         slot = make_slot(0, 0.0, 100.0, performance=4.0)
         pool = SlotPool.from_slots([slot])
-        pool.cut_window(window_for(slot, start=40.0))
+        pool.commit_window(window_for(slot, start=40.0))
         spans = [(s.start, s.end) for s in pool.ordered()]
         assert spans == [(0.0, 40.0), (45.0, 100.0)]
 
@@ -103,37 +103,45 @@ class TestCutWindow:
         with pytest.raises(ValueError, match="unknown cut mode"):
             CSA(cut_mode="shred")
 
+    def test_unknown_mode_rejected_by_the_procedure_too(self):
+        """``rerun_alternatives`` refuses a misspelled mode instead of
+        consuming, before it searches."""
+        pool = SlotPool.from_slots([make_slot(0, 0.0, 100.0)])
+        request = ResourceRequest(node_count=1, reservation_time=20.0)
+        with pytest.raises(ValueError, match="unknown cut mode 'Split'"):
+            rerun_alternatives(AMP(), request, pool, cut_mode="Split")
+
     def test_cut_missing_slot_raises(self):
         slot = make_slot(0, 0.0, 100.0)
         pool = SlotPool.from_slots([make_slot(1, 0.0, 100.0)])
         with pytest.raises(AllocationError):
-            pool.cut_window(window_for(slot))
+            pool.commit_window(window_for(slot))
 
     def test_cut_window_not_fitting_raises(self):
         slot = make_slot(0, 0.0, 10.0, performance=4.0)  # task needs 5 units
         pool = SlotPool.from_slots([slot])
         bad = window_for(slot, start=7.0)  # [7, 12) overflows the slot
         with pytest.raises(AllocationError):
-            pool.cut_window(bad)
+            pool.commit_window(bad)
 
     def test_split_respects_min_usable_length(self):
         # Task 5 units from 0: the [5, 5 + ε/2) remainder is not a slot.
         slot = make_slot(0, 0.0, 5.0 + TIME_EPSILON / 2, performance=4.0)
         pool = SlotPool.from_slots([slot])
-        pool.cut_window(window_for(slot))
+        pool.commit_window(window_for(slot))
         assert len(pool) == 0
 
     def test_total_free_time_accounting_split(self):
         slot = make_slot(0, 0.0, 100.0, performance=4.0)
         pool = SlotPool.from_slots([slot])
         before = pool.total_free_time()
-        pool.cut_window(window_for(slot))
+        pool.commit_window(window_for(slot))
         assert pool.total_free_time() == pytest.approx(before - 5.0)
 
 
 class TestSearchThenCommit:
-    """A window any search returns commits: the search, ``validate``,
-    ``cut_window`` and ``commit_window`` read one fit test."""
+    """A window any search returns commits: the search, ``validate``
+    and ``commit_window`` read one fit test."""
 
     @staticmethod
     def windows(pool, request):
@@ -158,7 +166,6 @@ class TestSearchThenCommit:
             window.validate(request)
             pool.copy().commit_window(window)
             if all(leg.slot in pool for leg in window.slots):
-                pool.copy().cut_window(window)
                 consume_window(pool.copy(), window)
         # Node 0 does not fit from its own start, so no search uses it.
         assert all(0 not in window.nodes() for window in found)
@@ -227,28 +234,39 @@ class TestCopyAndInvariants:
         pool.assert_disjoint_per_node()
 
     def test_assert_disjoint_per_node_detects_overlap(self):
-        pool = SlotPool.from_slots(
-            [make_slot(0, 0.0, 10.0), make_slot(0, 5.0, 30.0)]
-        )
-        with pytest.raises(AllocationError):
-            pool.assert_disjoint_per_node()
+        slots = [make_slot(0, 0.0, 10.0), make_slot(0, 5.0, 30.0)]
+        with pytest.raises(AllocationError, match="overlaps free slot"):
+            SlotPool.from_slots(slots)
+        with pytest.raises(AllocationError, match="overlap or touch"):
+            off_shape_pool(slots).assert_disjoint_per_node()
+
+    @pytest.mark.parametrize("gap", [0.0, TIME_EPSILON / 2])
+    def test_assert_disjoint_per_node_refuses_touching_slots(self, gap):
+        """The check is the pool's whole shape: two slots of one node
+        within ``COALESCE_GAP`` of each other are refused too."""
+        slots = [make_slot(0, 0.0, 10.0), make_slot(0, 10.0 + gap, 30.0)]
+        with pytest.raises(AllocationError, match="overlap or touch"):
+            off_shape_pool(slots).assert_disjoint_per_node()
+        SlotPool.from_slots(slots).assert_disjoint_per_node()  # merged
+        apart = [slots[0], make_slot(0, 10.0 + 2 * TIME_EPSILON, 30.0)]
+        off_shape_pool(apart).assert_disjoint_per_node()
 
 
 class TestBulkBuild:
-    """``from_slots(coalesce=False)`` against one verbatim ``add`` per slot."""
+    """``from_slots`` in bulk against one ``add`` per slot."""
 
     @staticmethod
     def shuffled_slots(nodes=7, shortest=TIME_EPSILON):
-        # Touching spans (never merged: no coalescing) and one start
-        # shared by several nodes; spans shorter than ``shortest`` are
-        # left out, which leaves a gap in each node's run instead.
+        # Spans one unit apart (nothing to merge) and one start shared
+        # by several nodes; spans shorter than ``shortest`` are left
+        # out, which widens the gap in each node's run instead.
         slots = []
         for node_id in range(nodes):
             cursor = float(node_id % 3)
             for length in (12.0, 4.0, 30.0, 5.0):
                 if length >= shortest:
                     slots.append(make_slot(node_id, cursor, cursor + length))
-                cursor += length
+                cursor += length + 1.0
         order = np.random.default_rng(5).permutation(len(slots))
         return [slots[index] for index in order]
 
@@ -260,8 +278,8 @@ class TestBulkBuild:
         slots = self.shuffled_slots(nodes, shortest)
         added = SlotPool()
         for slot in slots:
-            added.add(slot, coalesce=False)
-        bulk = SlotPool.from_slots(slots, coalesce=False)
+            added.add(slot)
+        bulk = SlotPool.from_slots(slots)
         assert len(bulk) == (4 if shortest < 5.0 else 3) * nodes
         assert bulk == added  # ordered entries, per-node buckets
         assert [id(slot) for slot in bulk] == [id(slot) for slot in added]
@@ -273,10 +291,10 @@ class TestBulkBuild:
 
     def test_bulk_built_pool_mutates_like_any_other(self):
         slots = self.shuffled_slots()
-        bulk = SlotPool.from_slots(slots, coalesce=False)
+        bulk = SlotPool.from_slots(slots)
         added = SlotPool()
         for slot in slots:
-            added.add(slot, coalesce=False)
+            added.add(slot)
         for pool in (bulk, added):
             pool.remove(slots[3])
             pool.trim_before(10.0)
@@ -295,16 +313,18 @@ class TestBulkSelection:
         slots = EnvironmentGenerator(
             EnvironmentConfig(node_count=100, seed=2013)
         ).generate().slots()
-        verbatim = SlotPool.from_slots(slots, coalesce=False)
+        added = SlotPool()
+        for slot in slots:
+            added.add(slot)
 
-        def no_add(self, slot, coalesce=True):
+        def no_add(self, slot):
             raise AssertionError("the cold pool is built per slot again")
 
         monkeypatch.setattr(SlotPool, "add", no_add)
         pool = SlotPool.from_slots(slots)
         assert len(pool) == len(slots) > 400
-        assert pool_state(pool) == pool_state(verbatim)
-        assert pool.generation == verbatim.generation
+        assert pool_state(pool) == pool_state(added)
+        assert pool.generation == added.generation
 
     def test_touching_slots_are_still_merged(self):
         slots = [

@@ -5,8 +5,8 @@ answered ``[]`` only while the pool has lost free time since.
 (``SlotPool.certify``) and answers an identical search from that record.
 The pool keeps the record through removals (``remove``, trims and
 floors, cuts whose remainders merge with nothing), starts an empty store
-on every gain (``add``, ``release``, bulk loads, a cut remainder that
-coalesces with a neighbour), and shares the store with a ``copy()`` only
+on every gain (``add``, ``release``, bulk loads, a cut whose two
+remainders coalesce), and shares the store with a ``copy()`` only
 until either side mutates.  Every certified answer here is checked
 against the same search on a verbatim rebuild of the pool, which has no
 records.
@@ -25,8 +25,9 @@ from repro.core import CSA, vectorized
 from repro.core.vectorized import vectorized_alternatives
 from repro.model import Job, ResourceRequest, Slot, SlotPool, Window, WindowSlot
 from repro.model.job import JobBatch
+from repro.model.slot import TIME_EPSILON
 
-from tests.conftest import consume_window, make_node, make_slot
+from tests.conftest import consume_window, make_node, make_slot, pool_state
 from tests.model.test_slotarrays import assert_one_order
 from tests.strategies import (
     ADVERSARIAL,
@@ -49,7 +50,7 @@ def certified_delta(run):
 
 def rebuilt(pool: SlotPool) -> SlotPool:
     """The pool's slots, verbatim, in a pool with no records."""
-    return SlotPool.from_slots(pool.ordered(), coalesce=False)
+    return SlotPool.from_slots(pool.ordered())
 
 
 def one_window_pool() -> SlotPool:
@@ -109,7 +110,7 @@ class TestCopyOnWrite:
             for job in batch:
                 found[job.job_id] = CSA().find_alternatives(job, working)
                 for window in found[job.job_id]:
-                    working.cut_window(window)
+                    working.commit_window(window)
             return found
 
         found, certified = certified_delta(consuming_cycle)
@@ -122,14 +123,13 @@ class TestCopyOnWrite:
 
 class TestGainsAndRemovals:
     @staticmethod
-    def touching_pool() -> SlotPool:
-        """Node 0 is free over [0, 12) as two touching slots a shard
-        pool keeps apart; node 1 from 4.  A ``PAIR`` window needs node
-        0 free for 5 from 4 on: neither of its slots is."""
+    def gapped_pool() -> SlotPool:
+        """Node 0 is free over [0, 8) and [9, 12); node 1 from 4.  A
+        ``PAIR`` window needs node 0 free for 5 from 4 on: neither of
+        its slots is."""
         node = make_node(0)
         return SlotPool.from_slots(
-            [Slot(node, 0.0, 8.0), Slot(node, 8.0, 12.0), make_slot(1, 4.0, 12.0)],
-            coalesce=False,
+            [Slot(node, 0.0, 8.0), Slot(node, 9.0, 12.0), make_slot(1, 4.0, 12.0)]
         )
 
     @staticmethod
@@ -141,24 +141,27 @@ class TestGainsAndRemovals:
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_coalescing_remainder_is_a_gain(self, policy):
-        pool = self.touching_pool()
+        """On the pool's shape a remainder can only merge with its
+        host's other remainder; the merge counts as a gain."""
+        pool = self.gapped_pool()
+        before = pool_state(pool)
         assert vectorized_alternatives(PAIR, pool, None, policy) == []
-        # Carving [0, 1) re-inserts [1, 8), which merges with [8, 12).
-        self.carve(pool, 0.0, 1.0)
-        assert len(pool.by_node()[0]) == 1
+        # Carving [2, 2 + ε/2) leaves [0, 2) and [2 + ε/2, 8), which
+        # merge back into [0, 8).
+        self.carve(pool, 2.0, TIME_EPSILON / 2)
+        assert pool_state(pool) == before
         found, certified = certified_delta(
             lambda: vectorized_alternatives(PAIR, pool, None, policy)
         )
-        assert certified == 0
-        assert [window.start for window in found] == [4.0]
+        assert (found, certified) == ([], 0)
         assert found == vectorized_alternatives(PAIR, rebuilt(pool), None, policy)
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_remainder_that_merges_with_nothing_is_a_removal(self, policy):
-        pool = self.touching_pool()
+        pool = self.gapped_pool()
         assert vectorized_alternatives(PAIR, pool, None, policy) == []
-        # Carving [8, 9) leaves [9, 12), which touches nothing.
-        self.carve(pool, 8.0, 1.0)
+        # Carving [9, 10) leaves [10, 12), which touches nothing.
+        self.carve(pool, 9.0, 1.0)
         assert len(pool.by_node()[0]) == 2
         found, certified = certified_delta(
             lambda: vectorized_alternatives(PAIR, pool, None, policy)
@@ -335,7 +338,8 @@ def test_storm_on_adversarial_pools(case, ops):
 
 
 def storm_slots(rng: np.random.Generator, nodes: int, touching: bool) -> list[Slot]:
-    """Several slots per node; with ``touching``, some of them abut."""
+    """Several slots per node; with ``touching``, some of them abut (and
+    the pool merges them on load)."""
     slots = []
     for node_id in range(nodes):
         node = make_node(node_id, float(rng.integers(1, 8)), float(rng.uniform(0.5, 6.0)))
@@ -350,8 +354,7 @@ def storm_slots(rng: np.random.Generator, nodes: int, touching: bool) -> list[Sl
 
 def run_storm(seed: int, touching: bool, steps: int = 250) -> dict:
     rng = np.random.default_rng(seed)
-    coalesce = not touching
-    pools = [[SlotPool.from_slots(storm_slots(rng, 10, touching), coalesce=coalesce), []]]
+    pools = [[SlotPool.from_slots(storm_slots(rng, 10, touching)), []]]
     floor = 0.0
     next_node = 1000
     tally = {"certified": 0, "revived": 0}
@@ -389,8 +392,7 @@ def run_storm(seed: int, touching: bool, steps: int = 250) -> dict:
                     pool.commit_window(found[0])
                 committed.append(found[0])
         elif op == "carve" and len(pool):
-            # A one-leg commit at or just after a slot's start: with
-            # touching slots its remainders often coalesce.
+            # A one-leg commit at or just after a slot's start.
             slots = pool.ordered()
             host = slots[int(rng.integers(len(slots)))]
             start = host.start + float(rng.choice([0.0, rng.uniform(0.0, 2.0)]))
@@ -416,7 +418,7 @@ def run_storm(seed: int, touching: bool, steps: int = 250) -> dict:
             else:
                 pools[int(rng.integers(len(pools)))] = twin
         elif op == "rebuild":
-            entry[0] = SlotPool.from_slots(pool.ordered(), coalesce=coalesce)
+            entry[0] = SlotPool.from_slots(pool.ordered())
         elif op == "remove" and len(pool):
             slots = pool.ordered()
             pool.remove(slots[int(rng.integers(len(slots)))])

@@ -21,6 +21,9 @@ the trim's rule.
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +32,7 @@ from repro.core import MinCost
 from repro.model import ResourceRequest, Slot, SlotPool
 from repro.model.errors import AllocationError
 from repro.model.slot import TIME_EPSILON
+from repro.model.slotpool import floor_survivors
 from repro.service.admission import cheapest_feasible_cost
 
 from tests.conftest import make_node, make_slot, pool_state
@@ -80,9 +84,8 @@ def row_tails(anchor: float) -> tuple[float, ...]:
 
 @st.composite
 def pool_pairs(draw):
-    """Equal lazy and eager pools: coalesced, or ``coalesce=False`` with
-    overlapping same-node slots."""
-    coalesce = draw(st.booleans())
+    """Equal lazy and eager pools, each node's slots touching (merged)
+    or gapped."""
     slots = []
     for node_id in range(draw(st.integers(1, 5))):
         node = make_node(
@@ -94,18 +97,16 @@ def pool_pairs(draw):
         for _ in range(draw(st.integers(1, 4))):
             length = float(draw(st.integers(1, 40)))
             slots.append(Slot(node, cursor, cursor + length))
-            if not coalesce and draw(st.booleans()):
-                slots.append(Slot(node, cursor + 1.0, cursor + length + 3.0))
             cursor += length + float(draw(st.sampled_from([0, 1, 5])))
-    pair = [SlotPool.from_slots(slots, coalesce=coalesce) for _ in range(2)]
-    return pair[0], pair[1], coalesce
+    pair = [SlotPool.from_slots(slots) for _ in range(2)]
+    return pair[0], pair[1]
 
 
 class TestLazyFloorStorm:
     @settings(max_examples=150, deadline=None)
     @given(pools=pool_pairs(), data=st.data())
     def test_lazy_pool_equals_a_trim_at_every_step(self, pools, data):
-        lazy, eager, coalesce = pools
+        lazy, eager = pools
         clock = 0.0
         committed = []
         fresh_node = 100
@@ -129,8 +130,8 @@ class TestLazyFloorStorm:
                 if end - start > EPS:
                     fresh_node += 1
                     row = Slot(make_node(fresh_node), start, end)
-                    lazy.add(row, coalesce=coalesce)
-                    eager.add(row, coalesce=coalesce)
+                    lazy.add(row)
+                    eager.add(row)
             elif op == "remove" and len(eager):
                 slots = eager.ordered()
                 victim = slots[data.draw(st.integers(0, len(slots) - 1))]
@@ -139,10 +140,7 @@ class TestLazyFloorStorm:
             elif op == "commit":
                 request = data.draw(st.sampled_from(REQUESTS))
                 window = MinCost().select(request, iter(eager.ordered()))
-                # Overlapping slots of one node can put two legs on it.
-                if window is not None and len(set(window.nodes())) == len(
-                    window.slots
-                ):
+                if window is not None:
                     lazy.commit_window(window)
                     eager.commit_window(window)
                     committed.append(window)
@@ -165,6 +163,7 @@ class TestLazyFloorStorm:
             assert_reads_agree(lazy, eager)
             assert_one_order(lazy)
             assert_one_order(eager)
+            eager.assert_disjoint_per_node()
         assert pool_state(lazy) == pool_state(eager)
 
 
@@ -199,6 +198,51 @@ def test_row_at_the_floor(anchor, offset, tail):
     eager.trim_before(FLOOR)
     assert_reads_agree(lazy, eager)
     assert pool_state(lazy) == pool_state(eager)
+
+
+# ----------------------------------------------------------------------
+# The trim's tail test (``is_span(floor, end)`` on a cut row)
+# ----------------------------------------------------------------------
+def ulps_above(value: float, count: int) -> float:
+    for _ in range(count):
+        value = math.nextafter(value, math.inf)
+    return value
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+@pytest.mark.parametrize("floor", [ulps_above(EPS, 1), 2 * EPS, 1.0, FLOOR, 1e9])
+def test_above_epsilon_the_dead_row_test_implies_the_tail_test(floor, count):
+    """A row ending one to three ulps above ``fl(floor + ε)`` survives
+    the dead-row test, and its tail ``fl(end - floor)`` is more than ε:
+    for ``floor > ε`` the subtraction is exact, so the tail test never
+    decides there.  A cut row starting at or after 0 needs such a floor
+    (it starts before ``fl(floor - ε)``)."""
+    end = ulps_above(floor + EPS, count)
+    assert end - floor > EPS
+    kept, start = floor_survivors(np.array([0.0]), np.array([end]), floor)
+    assert kept.tolist() == [True] and start.tolist() == [floor]
+    pool = SlotPool.from_slots([make_slot(0, 0.0, end)])
+    assert pool.trim_before(floor) == 1
+    assert [(slot.start, slot.end) for slot in pool] == [(floor, end)]
+
+
+@pytest.mark.parametrize("end", [1e-30, 5e-324], ids=["1e-30", "subnormal"])
+def test_the_tail_test_decides_below_zero(end):
+    """At floor ``-ε`` the dead-row bound ``fl(-ε + ε)`` is 0, so a row
+    ending at a tiny positive ``end`` survives it, but its tail
+    ``fl(end + ε)`` rounds to ε and is not a slot: only the tail test
+    drops the cut row (without it, ``Slot(node, -ε, end)`` raises)."""
+    floor = -EPS
+    assert end > floor + EPS and not end - floor > EPS
+    kept, _ = floor_survivors(np.array([-10.0]), np.array([end]), floor)
+    assert kept.tolist() == [False]
+    pool = SlotPool.from_slots([make_slot(0, -10.0, end), make_slot(1, -10.0, 5.0)])
+    lazy = pool.copy()
+    assert pool.trim_before(floor) == 2
+    assert [(slot.start, slot.end) for slot in pool] == [(floor, 5.0)]
+    lazy.advance_floor(floor)
+    assert len(lazy) == 1
+    assert pool_state(lazy) == pool_state(pool)
 
 
 @pytest.mark.parametrize("step", [0.0, EPS / 2, EPS, 2 * EPS, 2.5 * EPS, 3 * EPS, 7.0])

@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.model import ResourceRequest, Slot, SlotPool
+from repro.model import AllocationError, ResourceRequest, Slot, SlotPool
 from repro.model.window import Window, WindowSlot
 from tests.conftest import make_node, make_slot
 
@@ -41,7 +41,7 @@ class TestIndexConsistency:
         pool = SlotPool()
         slots = [make_slot(i % 3, 10.0 * i, 10.0 * i + 8.0) for i in range(9)]
         for slot in slots:
-            pool.add(slot, coalesce=False)
+            pool.add(slot)
             assert_index_consistent(pool)
         for slot in pool.ordered():
             pool.remove(slot)
@@ -65,7 +65,7 @@ class TestIndexConsistency:
             [make_slot(0, 0.0, 100.0), make_slot(1, 0.0, 100.0), make_slot(2, 0.0, 100.0)]
         )
         window = window_for(pool, request, 10.0, [0, 1])
-        pool.cut_window(window)
+        pool.commit_window(window)
         assert_index_consistent(pool)
         pool.release(window)
         assert_index_consistent(pool)
@@ -124,7 +124,10 @@ class TestIndexConsistency:
             if action == 0 or len(pool) == 0:
                 node = nodes[int(rng.integers(0, len(nodes)))]
                 start = clock + float(rng.uniform(0.0, 40.0))
-                pool.add(Slot(node, start, start + float(rng.uniform(2.0, 30.0))))
+                try:
+                    pool.add(Slot(node, start, start + float(rng.uniform(2.0, 30.0))))
+                except AllocationError:
+                    pass  # overlaps a slot of its node: refused, pool as it was
             elif action == 1:
                 slots = pool.ordered()
                 pool.remove(slots[int(rng.integers(0, len(slots)))])
@@ -140,8 +143,9 @@ class TestIndexConsistency:
                     )
                     leg = WindowSlot.for_request(victim, request)
                     if leg.fits_from(victim.start):
-                        pool.cut_window(Window(start=victim.start, slots=(leg,)))
+                        pool.commit_window(Window(start=victim.start, slots=(leg,)))
             assert_index_consistent(pool)
+            pool.assert_disjoint_per_node()
 
     def test_contains_checks_exact_slot(self):
         pool = SlotPool.from_slots([make_slot(0, 0.0, 50.0)])

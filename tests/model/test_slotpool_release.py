@@ -53,11 +53,32 @@ def test_add_keeps_gapped_and_cross_node_slots_apart():
     assert len(pool) == 3
 
 
-def test_add_verbatim_skips_coalescing():
+@pytest.mark.parametrize(
+    "span",
+    [(5.0, 15.0), (12.0, 18.0), (-5.0, 3.0), (0.0, 10.0), (9.0, 31.0), (10.0, 15.0)],
+    ids=["across-right", "inside", "across-left", "duplicate", "over-both", "touch-and-overlap"],
+)
+def test_add_of_an_overlapping_slot_raises_and_leaves_pool_unchanged(span):
+    """An overlap of more than the gap is refused before any neighbour
+    is merged away: buckets, entries and generation are as they were."""
+    node = make_node(1)
+    pool = SlotPool.from_slots(
+        [Slot(node, 0.0, 10.0), Slot(node, 11.0, 20.0), make_slot(2, 0.0, 10.0)]
+    )
+    before = (pool_state(pool), pool._store.entries(), pool.generation)
+    with pytest.raises(AllocationError, match="overlaps free slot"):
+        pool.add(Slot(node, *span))
+    assert (pool_state(pool), pool._store.entries(), pool.generation) == before
+    pool.assert_disjoint_per_node()
+
+
+def test_add_within_the_gap_of_an_overlap_still_coalesces():
+    """Overlapping a neighbour by no more than ``COALESCE_GAP`` is
+    touching, not overlapping: the slots merge."""
     node = make_node(1)
     pool = SlotPool.from_slots([Slot(node, 0.0, 10.0)])
-    pool.add(Slot(node, 10.0, 20.0), coalesce=False)
-    assert len(pool) == 2
+    pool.add(Slot(node, 10.0 - TIME_EPSILON / 2, 20.0))
+    assert pool.ordered() == [Slot(node, 0.0, 20.0)]
 
 
 # ----------------------------------------------------------------------
@@ -74,7 +95,7 @@ def window_and_pool(uniform_pool):
 def test_release_is_inverse_of_cut(window_and_pool):
     window, pool = window_and_pool
     before = pool_spans(pool)
-    pool.cut_window(window)
+    pool.commit_window(window)
     assert pool_spans(pool) != before
     pool.release(window)
     assert pool_spans(pool) == before
@@ -94,7 +115,7 @@ def test_release_is_inverse_of_commit(window_and_pool):
 
 def test_double_release_raises_and_leaves_pool_unchanged(window_and_pool):
     window, pool = window_and_pool
-    pool.cut_window(window)
+    pool.commit_window(window)
     pool.release(window)
     spans = pool_spans(pool)
     with pytest.raises(AllocationError, match="double release"):
@@ -107,7 +128,7 @@ def test_repeated_cut_release_does_not_fragment(window_and_pool):
     before = pool_spans(pool)
     size = len(pool)
     for _ in range(25):
-        pool.cut_window(window)
+        pool.commit_window(window)
         pool.release(window)
     assert len(pool) == size
     assert pool_spans(pool) == before
@@ -118,7 +139,7 @@ def test_commit_window_after_earlier_cut_relocates_by_span(uniform_pool):
     job = Job("a", ResourceRequest(node_count=2, reservation_time=20.0, budget=1000.0))
     snapshot = uniform_pool.copy()
     first = AMP().select(job, snapshot)
-    snapshot.cut_window(first)
+    snapshot.commit_window(first)
     second = AMP().select(job, snapshot)
     assert first is not None and second is not None
     # both windows reference slot objects of the *snapshot*; committing the

@@ -19,7 +19,6 @@ from repro.model.errors import AllocationError
 from repro.model.slot import TIME_EPSILON
 
 from tests.conftest import make_node, make_slot
-from tests.model.test_slotarrays import assert_one_order
 
 
 def spans_by_node(pool: SlotPool) -> dict[int, list[tuple[float, float]]]:
@@ -169,39 +168,3 @@ def test_trim_sorts_a_slot_starting_at_the_floor_among_the_cut_ones(base):
         twin = pool.copy()
         twin.remove(slot)
         assert slot not in twin
-
-
-@pytest.mark.parametrize("base", [0.0, 1e9], ids=["zero", "1e9"])
-def test_trim_reorders_a_nodes_overlapping_slots(base):
-    """A ``coalesce=False`` pool may hold overlapping slots of one node.
-    Cut to start at the floor they sort by end, the reverse of their
-    start order; above 2**23 the one starting at the floor itself is
-    among them.  The node's bucket, the store's order and the columns
-    follow, and every slot can be found again."""
-    floor = base + 3.0
-    node = make_node(0)
-    pool = SlotPool.from_slots(
-        [
-            Slot(node, base + 1.0, base + 50.0),
-            Slot(node, base + 2.0, base + 20.0),
-            Slot(node, floor, base + 10.0),
-            Slot(node, base + 60.0, base + 70.0),
-            make_slot(1, base + 1.0, base + 1001.0),
-        ],
-        coalesce=False,
-    )
-    assert pool.trim_before(floor) == 3
-    assert spans_by_node(pool)[0] == [
-        (floor, base + 10.0),
-        (floor, base + 20.0),
-        (floor, base + 50.0),
-        (base + 60.0, base + 70.0),
-    ]
-    assert_one_order(pool)
-    slots = pool.ordered()
-    assert slots == sorted(slots, key=Slot.sort_key)
-    for slot in slots:
-        twin = pool.copy()
-        twin.remove(slot)
-        assert slot not in twin
-        assert_one_order(twin)

@@ -15,6 +15,7 @@ from repro.model import (
     Window,
     WindowSlot,
 )
+from repro.model.errors import ConfigurationError
 from repro.model.slot import TIME_EPSILON
 from repro.model.window import budget_limit
 from repro.scheduling import BatchScheduler, greedy_combination
@@ -374,6 +375,15 @@ class TestVoBudgetVerdict:
         TestResumeOnSharedLists.assert_same_choice(choice, expected)
         assert choice.unscheduled == ("early",)
         assert choice.assignments["late"] is edge
+
+    def test_a_nan_budget_is_refused(self):
+        """``budget_limit(NaN)`` is NaN and no cost exceeds it: a NaN VO
+        budget would let every window through, so it is refused."""
+        nan = float("nan")
+        with pytest.raises(ConfigurationError, match="vo_budget"):
+            greedy_combination([job("a")], {"a": [window([0])]}, Criterion.COST, nan)
+        with pytest.raises(ConfigurationError, match="vo_budget"):
+            BatchScheduler(search=AMP(), vo_budget=nan)
 
     def test_an_infinite_budget_stays_infinite(self):
         assert budget_limit(float("inf")) == float("inf")

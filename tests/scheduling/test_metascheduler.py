@@ -51,7 +51,7 @@ class TestPhaseOne:
         for job in batch:
             alternatives[job.job_id] = search.find_alternatives(job, working)
             for window in alternatives[job.job_id]:
-                working.cut_window(window)
+                working.commit_window(window)
         assert alternatives["a"] and alternatives["b"]
         for wa in alternatives["a"]:
             for wb in alternatives["b"]:

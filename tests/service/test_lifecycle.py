@@ -19,7 +19,7 @@ def scheduled(uniform_pool):
     job = Job("lc", ResourceRequest(node_count=2, reservation_time=20.0, budget=1000.0))
     window = AMP().select(job, uniform_pool)
     assert window is not None
-    uniform_pool.cut_window(window)
+    uniform_pool.commit_window(window)
     return job, window, uniform_pool
 
 
@@ -77,7 +77,7 @@ def test_retirement_order_is_deterministic(uniform_pool):
         )
         window = AMP().select(job, uniform_pool)
         assert window is not None
-        uniform_pool.cut_window(window)
+        uniform_pool.commit_window(window)
         lifecycle.start(job, window, now=0.0)
         windows.append(window)
     retired = lifecycle.retire_due(1e9, uniform_pool)

@@ -7,9 +7,10 @@ timeline's free gaps are kept exactly when they pass it.  The knobs that
 once wrote it a second way — the pool's ``min_usable_length`` and the
 ``min_length`` parameters of ``Slot.split``, ``Timeline.free_intervals``
 / ``free_slots`` and ``Environment.slots`` / ``slot_pool`` — are gone,
-and so is ``SlotPool.cut_window``'s ``mode``: whether a used slot's
-remainders go back between AMP runs is CSA's ``cut_mode``, validated in
-one place.  This scan fails if any of them comes back.
+and the pool's cut (``SlotPool.commit_window``) takes no ``mode``:
+whether a used slot's remainders go back between AMP runs is CSA's
+``cut_mode``, validated in one place.  This scan fails if any of them
+comes back.
 """
 
 from __future__ import annotations
@@ -45,13 +46,13 @@ def length_knobs(tree: ast.AST) -> list[tuple[int, str]]:
     return found
 
 
-def cut_window_parameters(tree: ast.AST) -> list[list[str]]:
-    """The parameter names of each ``SlotPool.cut_window`` in ``tree``."""
+def cut_parameters(tree: ast.AST) -> list[list[str]]:
+    """The parameter names of each ``SlotPool.commit_window`` in ``tree``."""
     found = []
     for cls in ast.walk(tree):
         if isinstance(cls, ast.ClassDef) and cls.name == "SlotPool":
             for node in cls.body:
-                if isinstance(node, ast.FunctionDef) and node.name == "cut_window":
+                if isinstance(node, ast.FunctionDef) and node.name == "commit_window":
                     arguments = node.args
                     every = arguments.posonlyargs + arguments.args + arguments.kwonlyargs
                     every += [arg for arg in (arguments.vararg, arguments.kwarg) if arg]
@@ -84,8 +85,8 @@ def test_no_length_knob_is_left():
     assert not offenders, "a second slot-length rule:\n  " + "\n  ".join(offenders)
 
 
-def test_cut_window_takes_only_the_window():
-    assert cut_window_parameters(parse(POOL_MODULE)) == [["self", "window"]]
+def test_commit_window_takes_only_the_window():
+    assert cut_parameters(parse(POOL_MODULE)) == [["self", "window"]]
 
 
 def test_the_cut_mode_is_checked_by_csa_alone():
@@ -105,7 +106,7 @@ def test_the_scans_catch_each_form():
 class SlotPool:
     min_usable_length: float = TIME_EPSILON
 
-    def cut_window(self, window, mode="split"):
+    def commit_window(self, window, mode="split"):
         if mode not in ("split", "consume"):
             raise ValueError(f"unknown cut mode {mode!r}")
 
@@ -122,9 +123,9 @@ min_length = 3.0
         (10, "min_usable_length"),
         (11, "min_length"),
     ]
-    assert cut_window_parameters(tree) == [["self", "window", "mode"]]
+    assert cut_parameters(tree) == [["self", "window", "mode"]]
     assert cut_mode_errors(tree) == [7]
     keyword_only = ast.parse(
-        "class SlotPool:\n    def cut_window(self, window, *, consume=False): ..."
+        "class SlotPool:\n    def commit_window(self, window, *, consume=False): ..."
     )
-    assert cut_window_parameters(keyword_only) == [["self", "window", "consume"]]
+    assert cut_parameters(keyword_only) == [["self", "window", "consume"]]
