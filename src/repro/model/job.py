@@ -76,10 +76,10 @@ class ResourceRequest:
             raise InvalidRequestError(
                 f"max_price_per_unit must be >= 0, got {self.max_price_per_unit}"
             )
-        if not self.min_performance >= 0:
-            raise InvalidRequestError(
-                f"min_performance must be >= 0, got {self.min_performance}"
-            )
+        for name in ("min_performance", "min_clock_speed", "min_ram", "min_disk"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise InvalidRequestError(f"{name} must be >= 0, got {value}")
         if self.deadline is not None and not self.deadline >= 0:
             raise InvalidRequestError(f"deadline must be >= 0, got {self.deadline}")
 

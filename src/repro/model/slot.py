@@ -82,10 +82,6 @@ class Slot:
         """Duration of the slot."""
         return self.end - self.start
 
-    def overlaps(self, other: "Slot") -> bool:
-        """Whether two slots intersect in time (regardless of node)."""
-        return self.start < other.end - TIME_EPSILON and other.start < self.end - TIME_EPSILON
-
     def split(self, start: float, required_time: float) -> list["Slot"]:
         """Remove the reservation ``[start, start + required_time)`` and
         return the remainders.

@@ -7,16 +7,19 @@ scan sufficient.  The pool keeps that order once, in its column store
 entries came and went, and the next read splices the ordered list and its
 columns), indexes the same entries by node for per-node work, and
 implements the "cutting" operation of the CSA scheme: once a window is
-allocated, the reserved spans are removed from the affected slots and
-the usable remainders are re-inserted, so the next search sees only
-genuinely free time.
+allocated, each affected slot is replaced in place by the usable
+remainders of its reserved span, so the next search sees only genuinely
+free time.
 
 Past free time is dropped lazily: a virtual-clock step records a
 *floor* (:meth:`SlotPool.advance_floor`, O(1)), and the pool trims to
 it (:meth:`SlotPool.trim_before`) the first time it is mutated or hands
 out slots or a snapshot.  The readers that run on every arrival —
 ``len()`` and admission (:meth:`SlotPool.arrays_before_floor`) — apply
-the floor on read (:func:`floor_survivors`) and leave it pending.
+the floor on read (:func:`floor_survivors`) and leave it pending, and
+so does a retirement (:meth:`SlotPool.release` told the next clock
+step): it checks and inserts its spans against what the pending trim
+leaves of each node.  In a steady stream the pool trims once per cycle.
 
 The pool also keeps *negative certificates*: keys of searches a kernel
 proved empty on it (:meth:`SlotPool.certify`, read by
@@ -30,6 +33,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -61,8 +65,9 @@ def floor_survivors(
     TIME_EPSILON`` is kept as it is, and any other is cut to ``[floor,
     end)`` and kept only if that tail is a slot — the column form of
     :func:`~repro.model.slot.is_span`.  The comparisons are the trim's
-    own, float for float; :meth:`SlotPool.trim_before`'s object loop is
-    the twin this rule is tested against.
+    own, float for float; :func:`_trim_head`, the object rule
+    :meth:`SlotPool.trim_before` applies per node, is the twin this rule
+    is tested against.
     The tail test decides only at floors up to ``TIME_EPSILON`` (above,
     ``end - floor`` is exact), e.g. floor ``-TIME_EPSILON``, end ``1e-30``.
     """
@@ -101,6 +106,59 @@ def _find_entry(entries: list[Entry], entry: Entry) -> Optional[int]:
     return None
 
 
+def _trim_head(bucket: list[Entry], time: float) -> tuple[list[Entry], list[Entry], int]:
+    """What ``trim_before(time)`` makes of one node's start-ordered bucket.
+
+    Returns ``(head, survivors, kept)``: the trim inspects the bucket's
+    first ``len(head)`` entries, ``head``, and leaves ``survivors`` in
+    their place, ``kept`` of them the bucket's own entries, kept as they
+    are; every later entry starts after the bound below and is
+    untouched.  An inspected entry ending by ``time +
+    TIME_EPSILON`` is dropped, one starting at or after ``time -
+    TIME_EPSILON`` is kept, and any other is cut to ``[time, end)`` when
+    that tail is a slot — the object twin of :func:`floor_survivors`.
+
+    At most the head's last entry survives, so no re-sort is needed: a
+    survivor ends after the bound, and the next entry starts by it, so
+    the float ``start - end`` is negative — not the more than
+    :data:`COALESCE_GAP` the pool's shape puts between slots of one node.
+    """
+    bound = time + TIME_EPSILON
+    # Every slot starting at or before ``bound``: where one ulp of
+    # ``time`` exceeds twice the tolerance, ``bound`` is ``time``
+    # itself, and a slot starting there must sort among those cut to
+    # start there.
+    probe = ((bound, math.inf),)
+    if not bucket[0] < probe:
+        return [], [], 0
+    if len(bucket) == 1 or not bucket[1] < probe:  # the usual head
+        head = bucket[:1]
+    else:
+        head = bucket[: bisect_left(bucket, probe, 2)]
+    truncate_before = time - TIME_EPSILON
+    survivors: list[Entry] = []
+    kept = 0
+    for entry in head:
+        (start, end, node_id), slot = entry
+        if end <= bound:
+            continue
+        if start >= truncate_before:
+            survivors.append(entry)  # starts at ``time``: kept as it is
+            kept += 1
+        elif is_span(time, end):
+            survivors.append(((time, end, node_id), Slot(slot.node, time, end)))
+    return head, survivors, kept
+
+
+def _carved(host: Slot, remainders: list[Slot]) -> bool:
+    """Whether a cut's ``remainders`` (:meth:`Slot.split`) lie inside
+    ``host`` and more than :data:`COALESCE_GAP` apart — true unless the
+    reservation was at most ``TIME_EPSILON`` long."""
+    if any(rem.start < host.start or rem.end > host.end for rem in remainders):
+        return False
+    return len(remainders) < 2 or remainders[1].start - remainders[0].end > COALESCE_GAP
+
+
 def _has_neighbours(bucket: list[Entry]) -> bool:
     """Whether two slots of one node's start-ordered bucket overlap or lie
     within :data:`COALESCE_GAP` — the only inputs coalescing could merge."""
@@ -132,10 +190,11 @@ class SlotPool:
       trimmed slot keeps its end and starts later, and a cut remainder
       is part of its host.  A search proven empty stays empty on any
       such sub-pool (the proof is in :mod:`repro.core.vectorized`).
-    * Gains empty the store.  :meth:`add`, :meth:`release` and a cut
-      remainder that *coalesces* (with its host's other remainder) all
-      add free time, and a bulk load (:meth:`from_slots`) starts a pool
-      with an empty store.
+    * Gains empty the store.  :meth:`add`, :meth:`release` and the
+      remainders of a reservation of at most ε that are not part of
+      their host (two that merge back into it, or one overhanging it)
+      all add free time, and a bulk load (:meth:`from_slots`) starts a
+      pool with an empty store.
     * :meth:`copy` shares the store with the twin until either side
       mutates: a removal then gives the mutated pool its own copy of
       the store, and a gain an empty one.  Pools sharing one store
@@ -224,6 +283,8 @@ class SlotPool:
         test at ``t2`` is monotone in the floor), and what
         ``trim_before(t1)`` leaves when ``t2 <= t1``.  A floor less
         than two epsilons above the pending one applies that one first.
+        A retirement told the coming floor (:meth:`release`) leaves the
+        pending one pending, by the same rule.
         """
         pending = self._floor
         if pending is None:
@@ -291,6 +352,11 @@ class SlotPool:
         raises :class:`AllocationError`, pool unchanged.
         """
         self.apply_floor()
+        self._add(slot)
+
+    def _add(self, slot: Slot) -> None:
+        """The body of :meth:`add`: coalesces against the buckets as
+        they are, pending floor or not."""
         slot = self._coalesce(slot)
         if self._certificates or self._certificates_shared:
             self._gained()
@@ -324,12 +390,16 @@ class SlotPool:
         end = slot.end if right is None else right.end
         for neighbour in (left, right):
             if neighbour is not None:
-                self.remove(neighbour)
+                self._remove(neighbour)
         return Slot(slot.node, start, end)
 
     def remove(self, slot: Slot) -> None:
         """Remove one slot; raises :class:`AllocationError` if absent."""
         self.apply_floor()
+        self._remove(slot)
+
+    def _remove(self, slot: Slot) -> None:
+        """The body of :meth:`remove`."""
         node_id = slot.node.node_id
         bucket = self._by_node.get(node_id, ())
         index = _find_entry(bucket, (slot.sort_key(), slot))
@@ -368,6 +438,17 @@ class SlotPool:
         spans disjoint).  Raises :class:`AllocationError` when a leg has
         no host — e.g. a trim or an earlier commit took the span; the
         pool is left unchanged in that case.
+
+        A cut is a splice of the host's bucket: the host's entry is
+        replaced in place by its remainders.  A remainder lies inside
+        its host and shares one of its outer ends, and the pool's shape
+        keeps the host's neighbours more than :data:`COALESCE_GAP` away,
+        so it can touch nothing but its sibling: the cut only removes
+        free time, and the certificates stay.  Only a reservation of at
+        most ``TIME_EPSILON`` leaves remainders that touch (they merge
+        back into the host) or one that overhangs the host (the fit
+        test's ε reaches past either of its ends); those are inserted as
+        :meth:`add` inserts them, coalescing, and count as a gain.
         """
         self.apply_floor()
         # Every leg's host is located before the first cut, so a window
@@ -388,16 +469,33 @@ class SlotPool:
                     f"reserved span [{start:g}, {start + ws.required_time:g})"
                 )
         for host, required_time in cuts:
-            self.remove(host)
             remainders = host.split(start, required_time)
-            kept = self._certificates
-            size = self._store.size
-            for remainder in remainders:
-                self.add(remainder)
-            # ``add`` counts as a gain, but a remainder that merged with
-            # nothing is a sub-span of its host: the cut removed time.
-            if self._store.size == size + len(remainders):
-                self._certificates = kept
+            if _carved(host, remainders):
+                self._splice(host, remainders)
+            else:
+                self._remove(host)
+                for remainder in remainders:
+                    self._add(remainder)
+
+    def _splice(self, host: Slot, remainders: list[Slot]) -> None:
+        """Replace ``host``'s entry in its bucket by ``remainders``
+        (start-ordered, inside the host, and off its neighbours): one
+        store deletion and one insertion each, a removal."""
+        node_id = host.node.node_id
+        bucket = self._by_node.get(node_id, ())
+        index = _find_entry(bucket, (host.sort_key(), host))
+        if index is None:
+            raise AllocationError(f"slot not in pool: {host!r}")
+        entry = bucket[index]
+        entries = [(remainder.sort_key(), remainder) for remainder in remainders]
+        bucket[index : index + 1] = entries
+        if not bucket:
+            del self._by_node[node_id]
+        store = self._store
+        store.delete(entry)
+        for remainder in entries:
+            store.insert(remainder)
+        self._removed()
 
     def release(self, window: Window, floor: Optional[float] = None) -> None:
         """Return a committed window's reservations to the pool.
@@ -424,11 +522,28 @@ class SlotPool:
         ``release(window)`` and ``trim_before(floor)``; spans nearer
         the boundary, and every span without a ``floor``, are inserted.
 
+        A pending floor (:meth:`advance_floor`) stays pending when
+        ``floor`` lies more than two epsilons above it — the floor the
+        caller records next then replaces it, by ``advance_floor``'s own
+        rule — so a retirement between cycles trims nothing.  The legs
+        are checked against each bucket as the pending trim would leave
+        it (:func:`_trim_head`, row by row, nothing written), and only a
+        bucket a span is inserted into is trimmed to the pending floor
+        first, so the span coalesces with what the pool would hold:
+        trims are per node, and a node trimmed to the pending floor and
+        then to ``floor`` ends as one trimmed to ``floor`` alone.  Any
+        other ``floor``, or none, applies the pending floor first.
+
         Raises :class:`AllocationError` when any released span overlaps
         free time already in the pool (the signature of a double release);
         the pool is left unchanged in that case.
         """
-        self.apply_floor()
+        pending = self._floor
+        if pending is not None and (
+            floor is None or not pending + TIME_EPSILON < floor - TIME_EPSILON
+        ):
+            self.apply_floor()
+            pending = None
         start = window.start
         # ``trim_before(floor)`` truncates what starts before this bound.
         bound = float("-inf") if floor is None else floor - TIME_EPSILON
@@ -437,8 +552,13 @@ class SlotPool:
         for ws in window.slots:
             node = ws.slot.node
             span_end = start + ws.required_time
+            bucket = by_node.get(node.node_id, ())
+            rows: Iterable[Entry] = bucket
+            if pending is not None and bucket:
+                head, survivors, _ = _trim_head(bucket, pending)
+                rows = chain(survivors, islice(bucket, len(head), None))
             # ``add``'s overlap test, so a span that passes is inserted.
-            for (slot_start, slot_end, _), _slot in by_node.get(node.node_id, ()):
+            for (slot_start, slot_end, _), _slot in rows:
                 if not span_end - slot_start > COALESCE_GAP:
                     break  # start-ordered: nothing later overlaps either
                 if slot_end - start > COALESCE_GAP:
@@ -451,8 +571,11 @@ class SlotPool:
             # floats by, so the two-epsilon rule holds to the last bit.
             if not span_end + TIME_EPSILON < bound:
                 inserts.append(Slot(node, start, span_end))
+        if pending is not None:
+            for slot in inserts:
+                self._trim_node(slot.node.node_id, pending)
         for slot in inserts:
-            self.add(slot)
+            self._add(slot)
 
     def trim_before(self, time: float) -> int:
         """Drop free time earlier than ``time`` (virtual-clock advance).
@@ -460,18 +583,18 @@ class SlotPool:
         Slots ending at or before ``time`` are removed; slots straddling it
         are truncated to ``[time, end)`` (dropped entirely when that tail
         is not a slot, :func:`~repro.model.slot.is_span`).  Returns the
-        number of slots removed or truncated.  This is the one code that trims:
-        the broker service only records each clock step's floor
-        (:meth:`advance_floor`), and the pool calls this with it when it
-        is next mutated or read — in a steady stream once per cycle,
-        not once per arrival — so searches only ever see future time.
-        A pending floor is applied first.
+        number of slots removed or truncated.  This is the one code that
+        trims the pool: the broker service only records each clock
+        step's floor (:meth:`advance_floor`), and the pool calls this
+        with it when it is next mutated or read — once per cycle in a
+        steady stream, not once per arrival or retirement — so searches
+        only ever see future time.  A pending floor is applied first.
 
         Only each node's slots starting at or before ``time +
         TIME_EPSILON`` are inspected — a bisect of its bucket finds
-        them — and every later slot is kept untouched (its end exceeds
-        its start, hence the cutoff too).  A node's inspected head is
-        rewritten in place, by what survives of it.
+        them (:func:`_trim_head`) — and every later slot is kept
+        untouched.  A node's inspected head is rewritten in place, by
+        what survives of it.
         """
         self.apply_floor()
         changed = self._trim(time)
@@ -480,13 +603,7 @@ class SlotPool:
 
     def _trim(self, time: float) -> int:
         """The body of :meth:`trim_before`, on a pool with no floor pending."""
-        bound = time + TIME_EPSILON
-        # Every slot starting at or before ``bound``: where one ulp of
-        # ``time`` exceeds twice the tolerance, ``bound`` is ``time``
-        # itself, and a slot starting there must sort among those cut
-        # to start there.
-        probe = ((bound, math.inf),)
-        truncate_before = time - TIME_EPSILON
+        probe = ((time + TIME_EPSILON, math.inf),)  # ``_trim_head``'s
         changed = 0
         prefix: list[Entry] = []
         rebuilt: list[Entry] = []
@@ -494,31 +611,12 @@ class SlotPool:
         for node_id, bucket in self._by_node.items():
             if not bucket[0] < probe:
                 continue
-            single = len(bucket) == 1 or not bucket[1] < probe  # the usual head
-            cutoff = 1 if single else bisect_left(bucket, probe, 2)
-            head = bucket[:cutoff]
-            survivors = []
-            kept = 0
-            for entry in head:
-                (start, end, _), slot = entry
-                if end <= bound:
-                    continue
-                if start >= truncate_before:
-                    survivors.append(entry)  # starts at ``time``: kept as it is
-                    kept += 1
-                elif is_span(time, end):
-                    cut = Slot(slot.node, time, end)
-                    survivors.append(((time, end, node_id), cut))
+            head, survivors, kept = _trim_head(bucket, time)
             prefix += head
             rebuilt += survivors
-            if kept < cutoff:
-                changed += cutoff - kept
-                # At most the head's last entry survives (no sort): a
-                # survivor ends after ``bound``, and the next entry
-                # starts by ``bound``, so the float ``start - end`` is
-                # negative — not the more than ``COALESCE_GAP`` the
-                # pool's shape puts between slots of one node.
-                bucket[:cutoff] = survivors
+            if kept < len(head):
+                changed += len(head) - kept
+                bucket[: len(head)] = survivors
                 if not bucket:
                     emptied.append(node_id)
         if not changed:
@@ -528,6 +626,26 @@ class SlotPool:
             del self._by_node[node_id]
         self._store.replace_prefix(probe, prefix, rebuilt)
         return changed
+
+    def _trim_node(self, node_id: int, time: float) -> None:
+        """:meth:`_trim` on one node's bucket, recorded entry by entry.
+        The one survivor :func:`_trim_head` allows is the head's last
+        entry, kept or cut: every other head entry is deleted."""
+        bucket = self._by_node.get(node_id)
+        if not bucket:
+            return
+        head, survivors, kept = _trim_head(bucket, time)
+        if kept == len(head):
+            return
+        bucket[: len(head)] = survivors
+        if not bucket:
+            del self._by_node[node_id]
+        store = self._store
+        for entry in head[: len(head) - kept]:
+            store.delete(entry)
+        for entry in survivors[kept:]:
+            store.insert(entry)
+        self._removed()
 
     def copy(self) -> "SlotPool":
         """A shallow copy (slots are immutable, so this is fully safe)."""

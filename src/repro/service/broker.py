@@ -475,10 +475,12 @@ class BrokerService:
 
         Past free time is dropped by raising the pool's floor to ``now``
         (O(1)); the pool trims to it when it is next mutated or read —
-        once per cycle in a steady stream, not once per arrival.  With a
-        rolling-horizon source attached, this is also where the future
-        is published: the pool is topped up to ``now + lead``, so each
-        step leaves it inside the source's bounded window.
+        once per cycle in a steady stream, not once per arrival or
+        retirement: the releases are told ``now``, so they leave the
+        floor of an earlier step pending and the new one replaces it.
+        With a rolling-horizon source attached, this is also where the
+        future is published: the pool is topped up to ``now + lead``, so
+        each step leaves it inside the source's bounded window.
         """
         retired = self._lifecycle.retire_due(self._now, self.pool)
         self.stats.retired += len(retired)

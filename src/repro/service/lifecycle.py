@@ -180,7 +180,8 @@ class JobLifecycle:
         read), and ``release`` is told so: every span is checked, but
         one that ended in the past — all but the longest leg of a job
         that ran its full reservation — is not inserted only for that
-        trim to delete it again.
+        trim to delete it again, and the floor of an earlier step stays
+        pending (``now`` replaces it), so retiring trims nothing.
         """
         due = [
             entry

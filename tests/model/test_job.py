@@ -41,6 +41,18 @@ class TestResourceRequestValidation:
         with pytest.raises(InvalidRequestError):
             ResourceRequest(node_count=1, reservation_time=10.0, min_performance=-1.0)
 
+    @pytest.mark.parametrize("field", ["min_clock_speed", "min_ram", "min_disk"])
+    def test_rejects_negative_hardware_constraint(self, field):
+        with pytest.raises(InvalidRequestError, match=field):
+            ResourceRequest(node_count=1, reservation_time=10.0, **{field: -1})
+
+    def test_nan_clock_speed_is_refused_not_matched(self):
+        """A NaN constraint compares false against every node, so it
+        would match all of them: it is refused instead."""
+        with pytest.raises(InvalidRequestError, match="min_clock_speed"):
+            ResourceRequest(
+                node_count=1, reservation_time=1.0, min_clock_speed=float("nan")
+            )
 
     @pytest.mark.parametrize(
         "field",
@@ -50,6 +62,9 @@ class TestResourceRequestValidation:
             "budget",
             "max_price_per_unit",
             "min_performance",
+            "min_clock_speed",
+            "min_ram",
+            "min_disk",
             "deadline",
         ],
     )

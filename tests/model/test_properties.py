@@ -64,13 +64,6 @@ class TestSlotProperties:
             assert r.end <= end + 1e-9
             assert not (cut_start + 1e-9 < r.end and r.start < cut_end - 1e-9)
 
-    @given(a=intervals(), b=intervals())
-    @settings(max_examples=200)
-    def test_overlap_is_symmetric(self, a, b):
-        slot_a = Slot(make_node(0), *a)
-        slot_b = Slot(make_node(1), *b)
-        assert slot_a.overlaps(slot_b) == slot_b.overlaps(slot_a)
-
     @given(interval=intervals(), probe=times)
     @settings(max_examples=200)
     def test_remaining_from_never_exceeds_length(self, interval, probe):

@@ -126,6 +126,76 @@ class TestReleaseWithFloorEqualsReleaseThenTrim:
         )
 
 
+#: Where a pending floor sits relative to the released window's start.
+START_OFFSETS = tuple(
+    factor * TIME_EPSILON for factor in (-1.0, 0.0, 0.5, 1.0, 2.0, 3.0)
+) + (2.0, 8.0)
+#: ``floor - pending``: the floor applies the pending one first (up to
+#: 2ε) or replaces it (beyond).
+FLOOR_STEPS = tuple(
+    factor * TIME_EPSILON for factor in (0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 3.5)
+) + (1.0, 7.0)
+#: How far the released window starts before the cut one: on its start,
+#: within the coalescing gap of it, or well inside the left remainder —
+#: free time a pending floor may be about to drop.
+START_SHIFTS = tuple(
+    factor * TIME_EPSILON for factor in (0.0, 0.5, 1.0, 1.5, -0.5, -1.0)
+) + (3.0,)
+
+
+@st.composite
+def pending_cases(draw):
+    """A :func:`cut_pools` case whose window is released (possibly
+    starting earlier than it was cut) under a pending floor, told a
+    floor a step above it."""
+    pool, cut, released, time = draw(cut_pools())
+    shift = draw(st.sampled_from(START_SHIFTS))
+    released = Window(
+        start=released.start - shift,
+        slots=tuple(
+            WindowSlot(ws.slot, ws.required_time + shift, 1.0)
+            for ws in released.slots
+        ),
+    )
+    pending = draw(
+        st.one_of(
+            st.just(time),
+            st.sampled_from(START_OFFSETS).map(lambda offset: cut.start + offset),
+        )
+    )
+    return pool, cut, released, pending, pending + draw(st.sampled_from(FLOOR_STEPS))
+
+
+class TestReleaseUnderAPendingFloor:
+    """The broker's retirement: a floor is pending, ``release(w, f)`` is
+    told the next clock step ``f`` and the step follows.  The lazy pool
+    leaves the pending floor pending when ``f`` is more than two epsilons
+    above it; the eager twin trims at each step.  Windows starting
+    before the cut one overlap free time the pending floor drops."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=pending_cases())
+    def test_lazy_release_equals_a_trim_at_each_step(self, case):
+        pool, cut, released, pending, floor = case
+        pool.commit_window(cut)
+        lazy, eager = pool.copy(), pool.copy()
+        lazy.advance_floor(pending)
+        eager.trim_before(pending)
+        outcomes = []
+        for twin in (lazy, eager):
+            try:
+                twin.release(released, floor)
+            except AllocationError:
+                outcomes.append("refused")
+            else:
+                outcomes.append("released")
+        assert outcomes[0] == outcomes[1]
+        lazy.advance_floor(floor)
+        eager.trim_before(floor)
+        assert pool_state(lazy) == pool_state(eager)
+        lazy.assert_disjoint_per_node()
+
+
 # ----------------------------------------------------------------------
 # Hand-built boundary cases
 # ----------------------------------------------------------------------

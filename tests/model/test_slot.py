@@ -80,20 +80,6 @@ class TestContainment:
             make_slot(0, start, end).split(start, runtime)
 
 
-class TestOverlap:
-    def test_overlapping(self):
-        assert make_slot(0, 0.0, 10.0).overlaps(make_slot(1, 5.0, 15.0))
-
-    def test_touching_do_not_overlap(self):
-        assert not make_slot(0, 0.0, 10.0).overlaps(make_slot(1, 10.0, 20.0))
-
-    def test_disjoint(self):
-        assert not make_slot(0, 0.0, 10.0).overlaps(make_slot(1, 20.0, 30.0))
-
-    def test_nested(self):
-        assert make_slot(0, 0.0, 30.0).overlaps(make_slot(1, 10.0, 20.0))
-
-
 class TestSplit:
     def test_split_middle_returns_both_remainders(self):
         slot = make_slot(0, 0.0, 100.0)

@@ -146,7 +146,11 @@ class TestLazyFloorStorm:
                     committed.append(window)
             elif op == "release" and committed:
                 window = committed.pop(data.draw(st.integers(0, len(committed) - 1)))
-                floor = data.draw(st.sampled_from([clock, None]))
+                # The broker's retirement: release told the coming clock
+                # step, then that step.  Steps of 3ε and more leave the
+                # lazy pool's floor pending through the release.
+                step = data.draw(st.sampled_from((None,) + FLOOR_STEPS))
+                floor = None if step is None else clock + step
                 outcomes = []
                 for pool in (lazy, eager):
                     try:
@@ -156,6 +160,10 @@ class TestLazyFloorStorm:
                     else:
                         outcomes.append("released")
                 assert outcomes[0] == outcomes[1]
+                if floor is not None:
+                    clock = floor
+                    lazy.advance_floor(clock)
+                    eager.trim_before(clock)
             elif op == "copy":
                 lazy, eager = lazy.copy(), eager.copy()
             elif op == "read":

@@ -448,6 +448,42 @@ class TestOneTrimPerCycle:
         assert len(calls["trim"]) == trimmed
         assert service.stats.scheduled == 4
 
+    def test_retirements_between_cycles_trim_nothing(self, monkeypatch):
+        """A Poisson stream whose jobs retire at clock steps between
+        cycles: each retirement releases its window under the pool's
+        pending floor and leaves it pending, so the pool trims at most
+        once per cycle, plus once for the final drain."""
+        collector = CollectingSink()
+        service = BrokerService(
+            SlotPool(),
+            config=ServiceConfig(batch_size=4, max_wait=1000.0),
+            horizon_source=RollingHorizonSource(
+                EnvironmentConfig(node_count=30, seed=5),
+                HorizonConfig(lead=600.0, stride=600.0),
+            ),
+            sinks=[collector],
+        )
+        arrivals = JobGenerator(seed=3).iter_arrivals(80, rate=0.5)
+        # The first arrival's admission reads the fresh pool: it trims
+        # before counting starts, as in the test above.
+        at, job = next(arrivals)
+        service.advance_to(at)
+        assert service.submit(job)
+        calls = self.count(monkeypatch)
+        service.process(arrivals)
+        between = 0
+        in_cycle = False
+        for event in collector.events:
+            if event.type is EventType.CYCLE_START:
+                in_cycle = True
+            elif event.type is EventType.CYCLE_END:
+                in_cycle = False
+            elif event.type is EventType.RETIRED and not in_cycle:
+                between += 1
+        assert between > service.stats.cycles
+        assert service.stats.retired == service.stats.scheduled > 0
+        assert len(calls["trim"]) <= service.stats.cycles + 1
+
 
 class TestLegOnTheFitBoundary:
     """The search, validation and commit read one fit test, so a window
