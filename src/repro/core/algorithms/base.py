@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import abc
-from typing import Optional, Union
+from typing import Any, Optional, Union
 
 from repro.model.job import Job, ResourceRequest
 from repro.model.slotpool import SlotPool
 from repro.model.window import Window
 
 JobLike = Union[Job, ResourceRequest]
+
+#: What phase one hands phase two: a :class:`Window`, or a CSA sweep's
+#: :class:`~repro.core.vectorized.WindowRow`.  Both offer ``start``,
+#: ``total_cost``, the criterion values, ``legs()`` and ``as_window()``.
+Alternative = Any
 
 
 class SlotSelectionAlgorithm(abc.ABC):
@@ -53,21 +58,35 @@ class SlotSelectionAlgorithm(abc.ABC):
             return []
         return [window]
 
+    def alternatives(
+        self, job: JobLike, pool: SlotPool, limit: Optional[int] = None
+    ) -> list[Alternative]:
+        """:meth:`find_alternatives` in the form phase two reads.
+
+        An alternative is a :class:`Window` here; CSA's sweep returns
+        rows of its scan plan instead, which become windows only when
+        phase two chooses them.  ``[a.as_window() for a in
+        alternatives(...)]`` equals :meth:`find_alternatives`.
+        """
+        return self.find_alternatives(job, pool, limit)
+
     def find_alternatives_batch(
         self,
         jobs: list[JobLike],
         pool: SlotPool,
         limit: Optional[int] = None,
-    ) -> list[list[Window]]:
+    ) -> list[list[Alternative]]:
         """Alternatives for a whole cycle batch, one search per request class.
 
-        Jobs whose requests compare equal receive one
-        :meth:`find_alternatives` run and share its windows (each job
-        gets its own shallow list copy; the Window objects are shared).
-        Sharing is decision-safe downstream because a window conflicts
-        with itself, so phase 2 can never assign a shared window twice.
-        The result is element-for-element identical to calling
-        :meth:`find_alternatives` per job — grouping only removes
+        Each job's list is :meth:`alternatives`: windows, or a CSA
+        sweep's rows, which phase two materializes only when it chooses
+        one.  Jobs whose requests compare equal receive one
+        :meth:`alternatives` run and share its alternatives (each job
+        gets its own shallow list copy; the alternative objects are
+        shared).  Sharing is decision-safe downstream because a window
+        conflicts with itself, so phase 2 can never assign a shared
+        window twice.  The result is element-for-element identical to
+        calling :meth:`alternatives` per job — grouping only removes
         redundant recomputation, never changes a decision.
         """
         job_list = list(jobs)
@@ -75,7 +94,7 @@ class SlotSelectionAlgorithm(abc.ABC):
             return []
         if not self.deterministic:
             # Per-job dispatch preserves the random stream consumption.
-            return [self.find_alternatives(job, pool, limit) for job in job_list]
+            return [self.alternatives(job, pool, limit) for job in job_list]
         from repro.core.aep import request_of
         from repro.core.vectorized import scan_counters
 
@@ -85,12 +104,12 @@ class SlotSelectionAlgorithm(abc.ABC):
         scan_counters["grouped_jobs"] += len(job_list)
         scan_counters["grouped_classes"] += len(groups)
         scan_counters["grouped_shared"] += len(job_list) - len(groups)
-        out: list[list[Window]] = [[] for _ in job_list]
+        out: list[list[Alternative]] = [[] for _ in job_list]
         for members in groups.values():
-            windows = self.find_alternatives(job_list[members[0]], pool, limit)
-            out[members[0]] = windows
+            found = self.alternatives(job_list[members[0]], pool, limit)
+            out[members[0]] = found
             for index in members[1:]:
-                out[index] = list(windows)
+                out[index] = list(found)
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -18,7 +18,7 @@ from typing import Optional
 
 from repro.core.aep import request_of
 from repro.core.algorithms.amp import AMP
-from repro.core.algorithms.base import JobLike, SlotSelectionAlgorithm
+from repro.core.algorithms.base import Alternative, JobLike, SlotSelectionAlgorithm
 from repro.core.candidates import LegFactory
 from repro.core.criteria import Criterion, best_window
 from repro.core.vectorized import UNSUPPORTED, vectorized_alternatives
@@ -110,16 +110,23 @@ class CSA(SlotSelectionAlgorithm):
     def find_alternatives(
         self, job: JobLike, pool: SlotPool, limit: Optional[int] = None
     ) -> list[Window]:
-        """All slot-disjoint alternatives found by repeated AMP + cutting.
+        """All slot-disjoint alternatives found by repeated AMP + cutting:
+        :meth:`alternatives`, every one materialized."""
+        return [found.as_window() for found in self.alternatives(job, pool, limit)]
+
+    def alternatives(
+        self, job: JobLike, pool: SlotPool, limit: Optional[int] = None
+    ) -> list[Alternative]:
+        """All slot-disjoint alternatives, as phase two reads them.
 
         The caller's pool is never mutated.  With ``consume`` cutting,
         cutting only ever removes slots, so one sweep over the pool's
-        snapshot yields every re-run's window
+        snapshot yields every re-run's window as a row of its scan plan
         (:func:`~repro.core.vectorized.vectorized_alternatives`: the
         cheapest policy just keeps sweeping, the eviction policy resumes
         from a checkpoint); ``split`` cutting and input the kernel does
-        not take run the procedure itself (:func:`rerun_alternatives`).
-        Both produce the same windows.
+        not take run the procedure itself (:func:`rerun_alternatives`),
+        which returns windows.  Both produce the same windows.
         """
         cap = limit if limit is not None else self.max_alternatives
         if self.cut_mode == "consume":

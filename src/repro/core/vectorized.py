@@ -55,9 +55,20 @@ the stock extractors *byte for byte*:
    incumbent, so the scan's outcome is identical to evaluating every
    step.  :class:`_Random` has no bound: it replays the extractor's own
    generator draw for draw, and a skipped step would skip a draw.
-4. **Materialization**: ``Slot``/``WindowSlot`` objects are built only
-   for the winning step, from the snapshot's slot list and the
-   precomputed runtime/cost floats.
+4. **Materialization**: a CSA sweep's hits leave the kernel as rows
+   (:class:`WindowRow`): the window start and, per leg, the snapshot
+   row, node id, runtime and cost, gathered from the plan's columns
+   once per search.  Phase two ranks rows by the criterion values they
+   report, holds them to the VO budget by their cost and tests
+   conflicts on their ``(node id, runtime)`` legs, all floats their
+   windows would compute.  ``Slot``/``WindowSlot`` objects are built
+   only for a row that becomes a window (:meth:`WindowRow.as_window`:
+   an alternative phase two chooses, every alternative of
+   :meth:`~repro.core.algorithms.csa.CSA.find_alternatives`, and a
+   single scan's winner, which goes through a row too), from the
+   snapshot's own slots (:meth:`SlotArrays.slot_at`).  The plan itself
+   lists only what its sweep reads: the orders every sweep walks, and
+   the rest on first read.
 
 Dispatch (:func:`vectorized_scan`) selects from what it can observe:
 :func:`_strategy_of` maps exactly the extractor types whose ``extract``
@@ -105,6 +116,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heappop, heappush, heapreplace
 from typing import Optional
 
@@ -203,14 +215,18 @@ def _strategy_of(extractor):
 
 
 def _resolve_arrays(slots):
-    """``(SlotArrays, slot object list)`` for the input, or ``None``."""
+    """``(SlotArrays, its slot at a row)`` for the input, or ``None``.
+
+    The second is :meth:`SlotArrays.slot_at`: a search reads the slots of
+    the windows it materializes, one row each, and builds no slot list.
+    """
     if isinstance(slots, SlotPool):
         arrays = slots.as_arrays()
-        return arrays, arrays.slot_objects()
-    if isinstance(slots, (list, tuple)):
-        materialized = list(slots)
-        return SlotArrays.from_slots(materialized), materialized
-    return None
+    elif isinstance(slots, (list, tuple)):
+        arrays = SlotArrays.from_slots(slots)
+    else:
+        return None
+    return arrays, arrays.slot_at
 
 
 class _ScanPlan:
@@ -219,28 +235,30 @@ class _ScanPlan:
     Everything here depends only on the snapshot and the request's
     matching/runtime fields — budget, node count and ``stop_at_first``
     stay in the per-scan loop — so one plan serves every scan of the
-    same (pool snapshot, request shape) pair.  ``extras`` holds the
-    rule-specific orders (time ranks, greedy objective ranks, the CSA
-    sweeps' candidate starts and survivor-walk column), attached lazily
-    the first time a rule needs them, from the numpy columns the plan
-    keeps.
+    same (pool snapshot, request shape) pair.
+
+    A plan converts to Python lists only what its sweep reads.  The
+    expiry and cost orders every sweep walks are built with the plan;
+    the lists below them (``cached_property``) are built from the numpy
+    columns the plan keeps on their first read: the skeleton's loop
+    columns, and the runtimes and costs its rules and the eviction sweep
+    read.  Alternatives read their legs by a gather of their own
+    candidates (:func:`_rows`), never a whole column.  ``extras`` holds the rule-specific orders (time ranks,
+    greedy objective ranks, the CSA sweeps' candidate starts and
+    survivor-walk column), attached lazily the same way.
     """
 
     __slots__ = (
         "total",
         "count",
         "mpos",
-        "loop_start",
-        "loop_cand",
         "expiry_times",
         "expiry_cands",
         "cand_crank",
         "cand_by_crank",
         "cost_by_crank",
-        "req_by_crank",
-        "cand_slot",
-        "req_list",
-        "cost_list",
+        "cand_pos",
+        "cand_node_id",
         "req_c",
         "cost_c",
         "cand_node_row",
@@ -250,7 +268,34 @@ class _ScanPlan:
         "expiry_order",
         "expire_c",
         "extras",
+        "__dict__",  # the cached_property lists
     )
+
+    @cached_property
+    def loop_start(self) -> list:
+        """The start of every matching slot: the skeleton's steps."""
+        return self.start_m.tolist()
+
+    @cached_property
+    def loop_cand(self) -> list:
+        """Per matching slot, its candidate index, or -1."""
+        insertable = self.insertable
+        return np.where(insertable, np.cumsum(insertable) - 1, -1).tolist()
+
+    @cached_property
+    def req_by_crank(self) -> list:
+        """Runtimes by cost rank."""
+        return self.req_c[self.cost_order].tolist()
+
+    @cached_property
+    def req_list(self) -> list:
+        """Per candidate, its runtime."""
+        return self.req_c.tolist()
+
+    @cached_property
+    def cost_list(self) -> list:
+        """Per candidate, its cost."""
+        return self.cost_c.tolist()
 
 
 def _plan_key(request: ResourceRequest) -> tuple:
@@ -280,15 +325,16 @@ def _plan_for(arrays: SlotArrays, request: ResourceRequest) -> Optional[_ScanPla
         return plan
     start_all = arrays.start
     total = arrays.slot_count
-    if getattr(arrays, "_plan_unsorted", False) or (
-        total > 1 and not bool((start_all[1:] >= start_all[:-1]).all())
-    ):
+    unsorted = getattr(arrays, "_plan_unsorted", None)
+    if unsorted is None:
         # Slot lists with (tolerated or raising) start-order wobble keep
         # the generic loop's slot-by-slot order check; the expiry
         # pointer below also relies on non-decreasing starts.  The
-        # verdict is request-independent, so it is flagged once per
+        # verdict is request-independent, so it is taken once per
         # snapshot instead of per plan key.
-        arrays._plan_unsorted = True
+        unsorted = total > 1 and not bool((start_all[1:] >= start_all[:-1]).all())
+        arrays._plan_unsorted = unsorted
+    if unsorted:
         return None
 
     row = arrays.node_row
@@ -318,11 +364,22 @@ def _plan_for(arrays: SlotArrays, request: ResourceRequest) -> Optional[_ScanPla
     expire_c = last_m[insertable]
 
     count = int(cpos.size)
-    cand_of = np.where(insertable, np.cumsum(insertable) - 1, -1)
     # Total order matching the extractors' stable cost sort:
-    # (cost, required_time, arrival) — np.lexsort is stable, so arrival
-    # (the array index) is the implicit final key.
-    cost_order = np.lexsort((req_c, cost_c))
+    # (cost, required_time, arrival).  Both keys are per node, so the
+    # nodes are sorted once by (cost, required_time), equal pairs share
+    # one dense rank, and a stable sort of the candidates' node ranks
+    # keeps arrival (the array index) as the final key: the order of
+    # ``np.lexsort((req_c, cost_c))``, ties included.  The ranks are
+    # stored in the smallest unsigned type that holds them, which numpy
+    # sorts stably by radix.
+    node_order = np.lexsort((req_node, cost_node))
+    cost_sorted = cost_node[node_order]
+    req_sorted = req_node[node_order]
+    fresh = np.ones(node_order.size, dtype=bool)
+    fresh[1:] = (cost_sorted[1:] != cost_sorted[:-1]) | (req_sorted[1:] != req_sorted[:-1])
+    node_rank = np.empty(node_order.size, dtype=np.min_scalar_type(node_order.size))
+    node_rank[node_order] = np.cumsum(fresh) - 1
+    cost_order = np.argsort(node_rank[crow], kind="stable")
     crank = np.empty(count, dtype=np.int64)
     crank[cost_order] = np.arange(count)
     # Starts are non-decreasing, so candidates expire in precomputed
@@ -333,17 +390,13 @@ def _plan_for(arrays: SlotArrays, request: ResourceRequest) -> Optional[_ScanPla
     plan.total = total
     plan.count = count
     plan.mpos = mpos
-    plan.loop_start = start_m.tolist()
-    plan.loop_cand = cand_of.tolist()
     plan.expiry_times = expire_c[expiry_order].tolist()
     plan.expiry_cands = expiry_order.tolist()
     plan.cand_crank = crank.tolist()
     plan.cand_by_crank = cost_order.tolist()
     plan.cost_by_crank = cost_c[cost_order].tolist()
-    plan.req_by_crank = req_c[cost_order].tolist()
-    plan.cand_slot = cpos.tolist()
-    plan.req_list = req_c.tolist()
-    plan.cost_list = cost_c.tolist()
+    plan.cand_pos = cpos
+    plan.cand_node_id = arrays.node_id[crow]
     plan.req_c = req_c
     plan.cost_c = cost_c
     plan.cand_node_row = crow
@@ -451,7 +504,7 @@ def vectorized_scan(
     if resolved is None:
         scan_counters["fallback"] += 1
         return UNSUPPORTED
-    arrays, slot_list = resolved
+    arrays, slot_at = resolved
     plan = _plan_for(arrays, request)
     if plan is None:
         scan_counters["fallback"] += 1
@@ -463,7 +516,7 @@ def vectorized_scan(
     if best_cands is None:
         return None
     return ScanResult(
-        window=_window(plan, slot_list, best_start, best_cands),
+        window=_window(plan, slot_at, best_start, best_cands),
         value=value,
         steps=steps,
         slots_scanned=int(plan.mpos[break_pos]) + 1 if break_pos >= 0 else plan.total,
@@ -479,17 +532,19 @@ def vectorized_alternatives(
     cap: Optional[int],
     policy: str,
 ):
-    """Every CSA alternative of ``request`` from one sweep, or
+    """Every CSA alternative of ``request`` from one sweep, as rows, or
     :data:`UNSUPPORTED`.
 
-    The returned windows are what repeating ``AMP(policy).select`` and
-    removing each found window's slots from the pool (CSA's ``consume``
-    cutting, :func:`~repro.core.algorithms.csa.rerun_alternatives`)
-    collects, at most ``cap`` of them — equal windows over the
-    snapshot's own ``Slot`` objects — but from one snapshot, one plan
-    and one sweep (:func:`_run_cheapest_consume` for the cheapest-``n``
-    policy, :func:`_run_first_consume` for the eviction policy);
-    ``slots`` is neither copied nor mutated.  One sweep counts as one
+    The returned rows (:class:`WindowRow`, one per hit) are the windows
+    that repeating ``AMP(policy).select`` and removing each found
+    window's slots from the pool (CSA's ``consume`` cutting,
+    :func:`~repro.core.algorithms.csa.rerun_alternatives`) collects, at
+    most ``cap`` of them — each materializes (:meth:`WindowRow.as_window`)
+    to an equal window over the snapshot's own ``Slot`` objects — but
+    from one snapshot, one plan and one sweep
+    (:func:`_run_cheapest_consume` for the cheapest-``n`` policy,
+    :func:`_run_first_consume` for the eviction policy); ``slots`` is
+    neither copied nor mutated.  One sweep counts as one
     ``scan_counters["vectorized"]`` dispatch.  On :data:`UNSUPPORTED`
     the caller's repeated scans do their own ``fallback`` counting.
     ``policy`` is the AMP policy the caller holds, ``"first"`` or
@@ -549,7 +604,7 @@ def vectorized_alternatives(
     resolved = _resolve_arrays(slots)
     if resolved is None:
         return UNSUPPORTED
-    arrays, slot_list = resolved
+    arrays, slot_at = resolved
     plan = _plan_for(arrays, request)
     if plan is None:
         return UNSUPPORTED
@@ -562,26 +617,143 @@ def vectorized_alternatives(
         hits = [] if proven else _run_first_consume(plan, n, budget, cap)
     if proven and pool is not None:
         pool.certify(key, PLAN_CACHE_LIMIT)
-    return [_window(plan, slot_list, start, cands) for start, cands in hits]
+    return _rows(plan, slot_at, hits)
 
 
-def _window(plan, slot_list, start, cands) -> Window:
-    """The window of candidates ``cands`` starting at ``start``: the
-    snapshot's own ``Slot`` objects with the plan's runtime/cost floats."""
-    cand_slot = plan.cand_slot
-    req_list = plan.req_list
-    cost_list = plan.cost_list
-    return Window(
-        start=start,
-        slots=tuple(
-            WindowSlot(
-                slot=slot_list[cand_slot[c]],
-                required_time=req_list[c],
-                cost=cost_list[c],
+def _rows(plan, slot_at, hits) -> list:
+    """One :class:`WindowRow` per hit ``(window start, candidates)``.
+
+    The legs' snapshot rows, node ids, runtimes and costs are gathered
+    for every hit at once, one short numpy gather per column, and sliced
+    per row: no column of the plan is converted whole."""
+    if not hits:
+        return []
+    index = np.array([cand for _, cands in hits for cand in cands], dtype=np.intp)
+    rows = plan.cand_pos[index].tolist()
+    nodes = plan.cand_node_id[index].tolist()
+    times = plan.req_c[index].tolist()
+    costs = plan.cost_c[index].tolist()
+    found = []
+    low = 0
+    for start, cands in hits:
+        high = low + len(cands)
+        found.append(
+            WindowRow(
+                start,
+                slot_at,
+                rows[low:high],
+                nodes[low:high],
+                times[low:high],
+                costs[low:high],
             )
-            for c in cands
-        ),
+        )
+        low = high
+    return found
+
+
+def _window(plan, slot_at, start, cands) -> Window:
+    """The window of candidates ``cands`` starting at ``start``: the
+    snapshot's own ``Slot`` objects (``slot_at(row)``) with the plan's
+    runtime/cost floats.  A single scan's winner is materialized as a
+    CSA alternative is, through its row (:meth:`WindowRow.as_window`)."""
+    return _rows(plan, slot_at, [(start, cands)])[0].as_window()
+
+
+class WindowRow:
+    """A CSA alternative as a row of its scan plan: the window start, and
+    per leg the snapshot row, node id, runtime and cost the plan holds.
+
+    Phase two reads an alternative through a small interface, which
+    :class:`~repro.model.window.Window` offers too: ``start``,
+    ``total_cost``, the criterion values ``runtime``, ``finish``,
+    ``processor_time``, ``total_energy`` and ``idle_time``, ``legs()``
+    (``(node id, required time)`` per leg) and ``as_window()``.  Only
+    the alternative it chooses is materialized; the window holds the
+    snapshot's ``Slot`` objects and plain floats, and no plan or
+    snapshot.
+
+    Every value is the float the materialized window computes.  The
+    legs are in the sweep's order — ascending cost rank for the
+    cheapest policy, waiting order for the eviction policy — and
+    ``total_cost`` adds their costs left to right, as the sweep's own
+    budget test did and as :attr:`Window.total_cost` does (one
+    :func:`~repro.model.window.left_sum` order, bit for bit).  The other
+    values apply :class:`Window`'s own operations to the same floats in
+    the same order.  A row keeps its snapshot alive (``slot_at`` is
+    bound to it), so rows are meant to die with the cycle that found
+    them.
+    """
+
+    __slots__ = (
+        "start",
+        "total_cost",
+        "_slot_at",
+        "_rows",
+        "_nodes",
+        "_times",
+        "_costs",
+        "_window",
     )
+
+    def __init__(
+        self,
+        start: float,
+        slot_at,
+        rows: list[int],
+        nodes: list[int],
+        times: list[float],
+        costs: list[float],
+    ) -> None:
+        self.start = start
+        self.total_cost = left_sum(costs)
+        self._slot_at = slot_at  # the snapshot's slot at a row
+        self._rows = rows  # per leg: the snapshot row of its slot
+        self._nodes = nodes  # per leg: node id
+        self._times = times  # per leg: required time
+        self._costs = costs  # per leg: cost
+        self._window: Optional[Window] = None
+
+    def legs(self):
+        """``(node id, required time)`` per leg, in the window's order."""
+        return zip(self._nodes, self._times)
+
+    @property
+    def runtime(self) -> float:
+        return max(self._times)
+
+    @property
+    def finish(self) -> float:
+        return self.start + self.runtime
+
+    @property
+    def processor_time(self) -> float:
+        return left_sum(self._times)
+
+    @property
+    def total_energy(self) -> float:
+        slot_at = self._slot_at
+        return left_sum(
+            slot_at(row).node.power() * time for row, time in zip(self._rows, self._times)
+        )
+
+    @property
+    def idle_time(self) -> float:
+        runtime = self.runtime
+        return left_sum(runtime - time for time in self._times)
+
+    def as_window(self) -> Window:
+        """The row's :class:`Window` (built on the first call, then kept)."""
+        window = self._window
+        if window is None:
+            slot_at = self._slot_at
+            window = self._window = Window(
+                start=self.start,
+                slots=tuple(
+                    WindowSlot(slot=slot_at(row), required_time=time, cost=cost)
+                    for row, time, cost in zip(self._rows, self._times, self._costs)
+                ),
+            )
+        return window
 
 
 class _TopN:

@@ -90,10 +90,14 @@ class Slot:
         ``start`` no earlier than the slot's start, and :func:`fits_from`
         at ``start`` — the test the search that chose it read, so a leg
         it accepted never raises here.  The left remainder ``[self.start,
-        start)`` and the right remainder ``[start + required_time,
-        self.end)`` are returned when they are slots (:func:`is_span`);
-        shorter fragments are dropped (the "cutting" step of the CSA
-        scheme, reference [17] of the paper).
+        min(start, self.end))`` and the right remainder ``[max(start +
+        required_time, self.start), self.end)`` are returned when they
+        are slots (:func:`is_span`); shorter fragments are dropped (the
+        "cutting" step of the CSA scheme, reference [17] of the paper).
+        Both are clamped into the slot: the fit tests' ε lets a
+        reservation start up to ε before the slot or end up to ε past
+        it, and a remainder reaching past the slot would add free time,
+        so a cut never grows a slot.
         """
         end = start + required_time
         if (
@@ -106,10 +110,12 @@ class Slot:
                 f"[{self.start}, {self.end}) on node {self.node.node_id}"
             )
         remainders: list[Slot] = []
-        if is_span(self.start, start):
-            remainders.append(Slot(self.node, self.start, start))
-        if is_span(end, self.end):
-            remainders.append(Slot(self.node, end, self.end))
+        left_end = min(start, self.end)
+        if is_span(self.start, left_end):
+            remainders.append(Slot(self.node, self.start, left_end))
+        right_start = max(end, self.start)
+        if is_span(right_start, self.end):
+            remainders.append(Slot(self.node, right_start, self.end))
         return remainders
 
     def sort_key(self) -> tuple[float, float, int]:

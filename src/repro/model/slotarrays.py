@@ -28,8 +28,9 @@ captures the pool at that instant; the pool serves one snapshot object
 per mutation generation (see :meth:`repro.model.SlotPool.as_arrays`).
 A snapshot holds the store's entry list of its generation (never
 written after it is built) and builds the ``Slot`` list
-(:meth:`SlotArrays.slot_objects`) only when first asked; the winning
-window is built from those slots, never from the columns.
+(:meth:`SlotArrays.slot_objects`) only when first asked; a search reads
+the slots of its winning window one row at a time
+(:meth:`SlotArrays.slot_at`), never from the columns.
 """
 
 from __future__ import annotations
@@ -153,6 +154,12 @@ class SlotArrays:
         if self._slots is None:
             self._slots = [slot for _, slot in self._entries]
         return self._slots
+
+    def slot_at(self, row: int) -> Slot:
+        """The source slot of row ``row``, read without building
+        :meth:`slot_objects`: a search materializes only its winners."""
+        slots = self._slots
+        return self._entries[row][1] if slots is None else slots[row]
 
     # ------------------------------------------------------------------
     # Request-derived columns

@@ -150,12 +150,10 @@ def _trim_head(bucket: list[Entry], time: float) -> tuple[list[Entry], list[Entr
     return head, survivors, kept
 
 
-def _carved(host: Slot, remainders: list[Slot]) -> bool:
-    """Whether a cut's ``remainders`` (:meth:`Slot.split`) lie inside
-    ``host`` and more than :data:`COALESCE_GAP` apart — true unless the
-    reservation was at most ``TIME_EPSILON`` long."""
-    if any(rem.start < host.start or rem.end > host.end for rem in remainders):
-        return False
+def _carved(remainders: list[Slot]) -> bool:
+    """Whether a cut's ``remainders`` (:meth:`Slot.split`, which keeps
+    them inside their host) lie more than :data:`COALESCE_GAP` apart —
+    true unless the reservation was at most ``TIME_EPSILON`` long."""
     return len(remainders) < 2 or remainders[1].start - remainders[0].end > COALESCE_GAP
 
 
@@ -190,11 +188,12 @@ class SlotPool:
       trimmed slot keeps its end and starts later, and a cut remainder
       is part of its host.  A search proven empty stays empty on any
       such sub-pool (the proof is in :mod:`repro.core.vectorized`).
-    * Gains empty the store.  :meth:`add`, :meth:`release` and the
-      remainders of a reservation of at most ε that are not part of
-      their host (two that merge back into it, or one overhanging it)
-      all add free time, and a bulk load (:meth:`from_slots`) starts a
-      pool with an empty store.
+    * Gains empty the store.  :meth:`add`, :meth:`release` and the two
+      remainders of a reservation of at most ε, which merge back into
+      their host, count as adding free time, and a bulk load
+      (:meth:`from_slots`) starts a pool with an empty store.  A cut
+      never adds free time: :meth:`Slot.split` clamps its remainders
+      into the host.
     * :meth:`copy` shares the store with the twin until either side
       mutates: a removal then gives the mutated pool its own copy of
       the store, and a gain an empty one.  Pools sharing one store
@@ -445,10 +444,11 @@ class SlotPool:
         keeps the host's neighbours more than :data:`COALESCE_GAP` away,
         so it can touch nothing but its sibling: the cut only removes
         free time, and the certificates stay.  Only a reservation of at
-        most ``TIME_EPSILON`` leaves remainders that touch (they merge
-        back into the host) or one that overhangs the host (the fit
-        test's ε reaches past either of its ends); those are inserted as
-        :meth:`add` inserts them, coalescing, and count as a gain.
+        most ``TIME_EPSILON`` leaves remainders that touch; they merge
+        back into the host, inserted as :meth:`add` inserts them, and
+        count as a gain.  No remainder overhangs its host, even where
+        the fit test's ε reaches past one of its ends: :meth:`Slot.split`
+        clamps it.
         """
         self.apply_floor()
         # Every leg's host is located before the first cut, so a window
@@ -470,7 +470,7 @@ class SlotPool:
                 )
         for host, required_time in cuts:
             remainders = host.split(start, required_time)
-            if _carved(host, remainders):
+            if _carved(remainders):
                 self._splice(host, remainders)
             else:
                 self._remove(host)
@@ -709,8 +709,8 @@ class SlotPool:
         mutated pool's store applies every edit since the last read in
         one column rewrite, never a per-slot Python rebuild or a numpy
         sort.  The snapshot holds the store's entry list of its
-        generation; its ``slot_objects()`` list is built only if a scan
-        asks for it.
+        generation; a search reads its winners' slots one row at a time
+        (``slot_at``) and builds no ``slot_objects()`` list.
         """
         self.apply_floor()
         return self._snapshot()

@@ -150,6 +150,20 @@ class Window:
         return [ws.slot.node.node_id for ws in self.slots]
 
     # ------------------------------------------------------------------
+    # The alternative interface phase two reads: the aggregates above,
+    # ``legs`` and ``as_window``.  A CSA sweep's rows
+    # (:class:`~repro.core.vectorized.WindowRow`) offer the same.
+    # ------------------------------------------------------------------
+    def legs(self) -> list[tuple[int, float]]:
+        """``(node id, required time)`` per leg, in slot order: what
+        phase two's conflict test reads."""
+        return [(ws.slot.node.node_id, ws.required_time) for ws in self.slots]
+
+    def as_window(self) -> "Window":
+        """The window itself: a window is already materialized."""
+        return self
+
+    # ------------------------------------------------------------------
     # Validation
     # ------------------------------------------------------------------
     def validate(self, request: Optional[ResourceRequest] = None) -> None:

@@ -16,6 +16,13 @@ alternatives it tests (:func:`greedy_combination`).  Jobs whose every
 alternative conflicts with earlier choices are left unscheduled for the
 cycle, as in the VO model where an unallocated job waits for the next
 scheduling cycle.
+
+Phase two reads an alternative through a small interface — ``start``,
+``total_cost``, the criterion values, ``legs()`` and ``as_window()`` —
+that a :class:`~repro.model.window.Window` and a CSA sweep's row
+(:class:`~repro.core.vectorized.WindowRow`) both offer, so an
+alternative found by the sweep becomes a ``Window`` only when it is
+chosen.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from repro.core.algorithms.base import Alternative
 from repro.core.criteria import Criterion
 from repro.model.errors import ConfigurationError
 from repro.model.job import Job
@@ -63,7 +71,10 @@ class ConflictIndex:
     keeps a list of ``(start, (start + required_time) - TIME_EPSILON)``
     spans, one per chosen leg, and tests a candidate against each with
     two float comparisons.  A cycle books a handful of legs per node,
-    so the per-node walk is short.
+    so the per-node walk is short.  Both sides are read as an
+    alternative's ``start`` and ``legs()`` — ``(node id, required
+    time)`` pairs — so a row of a scan plan is tested as its window
+    would be, with no ``WindowSlot`` built.
 
     Exactness: ``candidate.conflicts_with(chosen)`` declares a conflict
     on a common node iff ``cand.start < (chosen.start +
@@ -83,25 +94,23 @@ class ConflictIndex:
     def __init__(self) -> None:
         self._spans: dict[int, list[tuple[float, float]]] = {}
 
-    def push(self, window: Window) -> None:
+    def push(self, window: Alternative) -> None:
         """Add a chosen window's reservations to the index."""
         start = window.start
-        for ws in window.slots:
-            self._spans.setdefault(ws.slot.node.node_id, []).append(
-                (start, (start + ws.required_time) - TIME_EPSILON)
+        for node_id, required_time in window.legs():
+            self._spans.setdefault(node_id, []).append(
+                (start, (start + required_time) - TIME_EPSILON)
             )
 
-    def conflicts(self, window: Window) -> bool:
+    def conflicts(self, window: Alternative) -> bool:
         """Whether ``window`` overlaps any indexed window on a common node."""
         start = window.start
         spans = self._spans
         # Last leg wins on a node reused within the window, mirroring the
         # span dict in Window.conflicts_with.
         cand_end_eps: dict[int, float] = {}
-        for ws in window.slots:
-            cand_end_eps[ws.slot.node.node_id] = (
-                start + ws.required_time
-            ) - TIME_EPSILON
+        for node_id, required_time in window.legs():
+            cand_end_eps[node_id] = (start + required_time) - TIME_EPSILON
         for node_id, end_eps in cand_end_eps.items():
             for chosen_start, chosen_end_eps in spans.get(node_id, ()):
                 if start < chosen_end_eps and chosen_start < end_eps:
@@ -117,7 +126,7 @@ def check_vo_budget(vo_budget: Optional[float]) -> None:
 
 def greedy_combination(
     jobs: Sequence[Job],
-    alternatives: dict[str, Sequence[Window]],
+    alternatives: dict[str, Sequence[Alternative]],
     criterion: Criterion = Criterion.COST,
     vo_budget: Optional[float] = None,
 ) -> CombinationChoice:
@@ -128,15 +137,23 @@ def greedy_combination(
     windows and fits the remaining VO budget: the scheme the
     metascheduler uses on-line.
 
+    An alternative is a :class:`Window` or a CSA sweep's row; each is
+    ranked by the criterion value read from it, held to the VO budget
+    by its ``total_cost`` and tested for conflicts by its ``legs()``,
+    and only the chosen one becomes a window (``as_window()``): the
+    assignments are plain windows.  Every value a row reports is its
+    window's float, so the choice is the one the materialized windows
+    would get (property-tested against ``reference_greedy``).
+
     Phase one hands every job of one request class a copy of one list
-    of the same :class:`Window` objects
+    of the same alternative objects
     (:meth:`~repro.core.algorithms.base.SlotSelectionAlgorithm.find_alternatives_batch`).
     Such a list is ranked once, and each job resumes it where the last
     job holding it stopped.  Lists are matched by the identity of their
-    windows, in order (``tuple(map(id, options))``), not by equality: a
-    job must be given its own list's objects.  The memo keeps every
-    ranked list alive, so no id is reused while the pass runs; it is
-    only looked up, never iterated.
+    alternatives, in order (``tuple(map(id, options))``), not by
+    equality: a job must be given its own list's objects.  The memo
+    keeps every ranked list alive, so no id is reused while the pass
+    runs; it is only looked up, never iterated.
 
     *Exactness.*  A window is passed over for one of two reasons.
     Either its ``total_cost`` exceeds ``budget_limit(remaining)``, the
@@ -165,7 +182,7 @@ def greedy_combination(
     remaining_budget = float("inf") if vo_budget is None else vo_budget
     limit = budget_limit(remaining_budget)
     total_value = 0.0
-    # Window ids in order -> [the list ranked by criterion, resume index].
+    # Alternative ids in order -> [the list ranked by criterion, resume index].
     ranked_lists: dict[tuple[int, ...], list] = {}
     for job in ordered:
         options = alternatives.get(job.job_id, ())
@@ -188,7 +205,7 @@ def greedy_combination(
             continue
         entry[1] = index
         chosen.push(window)
-        assignments[job.job_id] = window
+        assignments[job.job_id] = window.as_window()
         remaining_budget -= window.total_cost
         next_limit = budget_limit(remaining_budget)
         if not next_limit <= limit:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.core.algorithms.base import SlotSelectionAlgorithm
+from repro.core.algorithms.base import Alternative, SlotSelectionAlgorithm
 from repro.core.algorithms.csa import CSA
 from repro.core.criteria import Criterion
 from repro.environment.generator import Environment
@@ -99,15 +99,17 @@ class BatchScheduler:
 
     def find_alternatives(
         self, batch: JobBatch, pool: SlotPool
-    ) -> dict[str, list[Window]]:
-        """Phase one: alternative windows per job, priority order.
+    ) -> dict[str, list[Alternative]]:
+        """Phase one: alternatives per job, priority order.
 
         Every job is searched against the same published pool, so jobs
         with equal requests would recompute the identical search; the
         batch is routed through
         :meth:`~repro.core.algorithms.base.SlotSelectionAlgorithm.find_alternatives_batch`,
         which runs one search per request class (decisions are identical
-        to the per-job loop).
+        to the per-job loop).  An alternative is a :class:`Window`, or a
+        row of a CSA sweep's scan plan that phase two materializes only
+        if it chooses it (``as_window()``).
         """
         jobs = list(batch)
         found = self.search.find_alternatives_batch(
@@ -116,7 +118,7 @@ class BatchScheduler:
         return {job.job_id: windows for job, windows in zip(jobs, found)}
 
     def choose_combination(
-        self, batch: JobBatch, alternatives: dict[str, list[Window]]
+        self, batch: JobBatch, alternatives: dict[str, list[Alternative]]
     ) -> CombinationChoice:
         """Phase two: one alternative per job under the VO policy."""
         jobs: Sequence[Job] = batch.by_priority()
@@ -126,7 +128,7 @@ class BatchScheduler:
         self,
         batch: JobBatch,
         pool: SlotPool,
-        alternatives: Optional[dict[str, list[Window]]] = None,
+        alternatives: Optional[dict[str, list[Alternative]]] = None,
     ) -> CycleReport:
         """Phases one and two on an explicit pool, without committing.
 
@@ -134,7 +136,9 @@ class BatchScheduler:
         contexts (the broker service) that own their pool, run phase one
         on their own snapshot of it, and commit under their own locking
         discipline.  Pass ``alternatives`` to reuse precomputed
-        phase-one results; otherwise phase one runs here.
+        phase-one results; otherwise phase one runs here.  The report's
+        windows are the chosen alternatives, materialized; the rest die
+        with the call, and with them the scan plans they read.
         """
         if alternatives is None:
             alternatives = self.find_alternatives(batch, pool)

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Iterable, Optional, Sequence
 
+from repro.core.algorithms.base import Alternative
 from repro.core.algorithms.csa import CSA
 from repro.model.errors import SchedulingError
 from repro.model.job import Job, JobBatch
@@ -59,7 +60,9 @@ class _Cycle:
     queued: dict[str, QueuedJob] = field(default_factory=dict)  # popped, by job id
     multiplier: float = 1.0  # live price the whole cycle is planned and charged at
     batch: JobBatch = field(default_factory=JobBatch)
-    alternatives: dict[str, list[Window]] = field(default_factory=dict)
+    # Phase one's alternatives: a CSA sweep's rows, which live only as
+    # long as the cycle; phase two materializes the ones it chooses.
+    alternatives: dict[str, list[Alternative]] = field(default_factory=dict)
     search_seconds: float = 0.0
     report: Optional[CycleReport] = None
     committed: int = 0
@@ -544,7 +547,9 @@ class BrokerService:
             )
 
     def _search(self, cycle: _Cycle) -> None:
-        """Phase one: alternatives per job over one pool snapshot."""
+        """Phase one: alternatives per job over one pool snapshot, as
+        rows of the snapshot's scan plans (windows only for searches
+        without a sweep); phase two turns the chosen ones into windows."""
         search_started = perf_counter()
         cycle.alternatives = self.scheduler.find_alternatives(
             cycle.batch, self.pool.copy()

@@ -206,7 +206,7 @@ class KernelShadow:
             )
             if result is vectorized.UNSUPPORTED:
                 return result
-            slot_list = vectorized._resolve_arrays(slots)[1]
+            slot_list = vectorized._resolve_arrays(slots)[0].slot_objects()
             generic = self._generic(request, slot_list, twin, stop_at_first)
             self._compare("scan", request, result, generic)
             self._compare_streams("scan", request, extractor, twin)
@@ -223,8 +223,9 @@ class KernelShadow:
                 csa.rerun_alternatives, AMP(policy), request, slots, cap, "consume"
             )
             self.checked["csa"] += 1
-            if not same_windows(found, expected):
-                self.divergences.append(("csa", request, found, expected))
+            windows = [row.as_window() for row in found]
+            if not same_windows(windows, expected):
+                self.divergences.append(("csa", request, windows, expected))
             return found
 
         return shadowed

@@ -222,9 +222,10 @@ class TestFindAlternativesBatch:
     """The algorithm-layer entry point: element-for-element identical to
     a sequential per-job ``find_alternatives`` loop for every
     deterministic stock algorithm, on batches with duplicates and
-    budget-only variants."""
+    budget-only variants.  A batch hands out alternatives (CSA's are
+    rows of its sweep); they are compared materialized."""
 
-    def windows_fingerprint(self, windows):
+    def windows_fingerprint(self, alternatives):
         return [
             (
                 window.start,
@@ -233,7 +234,7 @@ class TestFindAlternativesBatch:
                     for ws in window.slots
                 ),
             )
-            for window in windows
+            for window in (found.as_window() for found in alternatives)
         ]
 
     @pytest.mark.parametrize("make_search", DETERMINISTIC)

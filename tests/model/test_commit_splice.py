@@ -12,8 +12,9 @@ state, its one order, the certificates, and a refusal.
 The windows are searched on the pool (MinCost) or built by hand on
 hosts of distinct nodes, with reservations as short as ε/4 and starts
 up to ε/2 before the latest host's start: the two remainders of a
-reservation of at most ε merge back into the host, and a remainder of a
-window starting before its host overhangs it.
+reservation of at most ε merge back into the host, and a reservation
+reaching up to ε past one end of its host leaves a remainder that
+``Slot.split`` clamps into the host, so no cut adds free time.
 """
 
 from __future__ import annotations
@@ -42,8 +43,7 @@ def commit_by_remove_and_add(pool: SlotPool, window: Window) -> None:
     """The cut as a sequence of public edits: per leg, ``remove(host)``
     and one ``add`` per remainder.  The certificates survive exactly
     when every remainder lies inside its host and none merged — the cut
-    then only removed free time.  (The sequence also put them back for a
-    remainder that overhangs its host, which adds free time.)"""
+    then only removed free time."""
     pool.apply_floor()
     cuts = []
     for ws in window.slots:
@@ -126,8 +126,9 @@ def merge_back_case() -> tuple[SlotPool, list[Window]]:
 def overhang_case() -> tuple[SlotPool, list[Window]]:
     """A reservation of ε/4 at ``1 - ε/2`` on a node free over ``[0, 1 -
     1.2ε)`` and ``[1, 8)``.  The first slot hosts it (the fit test's ε
-    reaches past its end), so the left remainder ``[0, 1 - ε/2)``
-    overhangs its host, within the gap of ``[1, 8)``: the two merge."""
+    reaches past its end).  Unclamped, the left remainder ``[0, 1 -
+    ε/2)`` would overhang its host, within the gap of ``[1, 8)``, and
+    the two would merge; clamped, it is the host itself."""
     node = make_node(0)
     host = Slot(node, 0.0, 1.0 - 1.2 * EPS)
     pool = SlotPool.from_slots([host, Slot(node, 1.0, 8.0)])
@@ -163,19 +164,22 @@ def test_merge_back_is_a_gain():
     assert not pool.certified(("probe",))
 
 
-def test_overhanging_remainder_is_a_gain():
+def test_a_remainder_past_the_host_end_is_clamped_and_adds_no_time():
     pool, [window] = overhang_case()
+    before = pool_state(pool)
+    free = pool.total_free_time()
     pool.certify(("probe",), 4)
     pool.commit_window(window)
-    [merged] = pool.ordered()
-    assert (merged.start, merged.end) == (0.0, 8.0)
-    assert not pool.certified(("probe",))
+    assert [(slot.start, slot.end) for slot in pool] == [(0.0, 1.0 - 1.2 * EPS), (1.0, 8.0)]
+    assert pool_state(pool) == before
+    assert pool.total_free_time() == free
+    assert pool.certified(("probe",))
 
 
-def test_an_overhang_that_merges_with_nothing_is_a_gain_too():
-    """A reservation of ε/4 at ``1 - ε/2`` in ``[1, 8)``: the right
-    remainder ``[1 - ε/4, 8)`` is longer than its host, so a search
-    proven empty before may find a window now."""
+def test_a_remainder_before_the_host_start_is_clamped_and_adds_no_time():
+    """A reservation of ε/4 at ``1 - ε/2`` in ``[1, 8)``: unclamped, the
+    right remainder ``[1 - ε/4, 8)`` would be longer than its host;
+    clamped, it is the host, and a search proven empty stays empty."""
     host = Slot(make_node(0), 1.0, 8.0)
     pool = SlotPool.from_slots([host])
     pool.certify(("probe",), 4)
@@ -183,8 +187,32 @@ def test_an_overhang_that_merges_with_nothing_is_a_gain_too():
         Window(start=1.0 - EPS / 2, slots=(WindowSlot(host, EPS / 4, 0.0),))
     )
     [remainder] = pool.ordered()
-    assert remainder.start < host.start and remainder.end == host.end
-    assert not pool.certified(("probe",))
+    assert (remainder.start, remainder.end) == (host.start, host.end)
+    assert pool.certified(("probe",))
+
+
+@ADVERSARIAL
+@given(case=commits())
+@example(case=overhang_case())
+def test_no_cut_adds_free_time(case):
+    """Every slot a commit leaves lies inside a slot its node had before
+    (remainders that merge back make their host again): no cut grows a
+    slot or adds free time."""
+    pool, windows = case
+    for window in windows:
+        before = {
+            node_id: list(bucket) for node_id, bucket in pool.by_node().items()
+        }
+        free = pool.total_free_time()
+        if commit_outcome(pool, window, SlotPool.commit_window) == "refused":
+            continue
+        for node_id, bucket in pool.by_node().items():
+            for slot in bucket:
+                assert any(
+                    host.start <= slot.start and slot.end <= host.end
+                    for host in before[node_id]
+                ), (slot, before[node_id])
+        assert pool.total_free_time() <= free
 
 
 def test_carved_remainders_keep_the_certificates_and_the_gap():

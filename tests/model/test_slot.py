@@ -110,6 +110,17 @@ class TestSplit:
         (left,) = slot.split(2 * TIME_EPSILON, 100.0 - 2 * TIME_EPSILON)
         assert (left.start, left.end) == (0.0, 2 * TIME_EPSILON)
 
+    def test_split_remainders_stay_inside_the_slot(self):
+        """The fit tests' ε lets a reservation start up to ε before the
+        slot or end up to ε past it; the remainders are clamped into the
+        slot, so a cut never grows it."""
+        slot = make_slot(0, 1.0, 8.0)
+        (right,) = slot.split(1.0 - TIME_EPSILON / 2, TIME_EPSILON / 4)
+        assert (right.start, right.end) == (1.0, 8.0)
+        short = make_slot(0, 0.0, 1.0 - 1.2 * TIME_EPSILON)
+        (left,) = short.split(1.0 - TIME_EPSILON / 2, TIME_EPSILON / 4)
+        assert (left.start, left.end) == (short.start, short.end)
+
     def test_split_outside_slot_raises(self):
         with pytest.raises(ModelError):
             make_slot(0, 10.0, 20.0).split(5.0, 10.0)

@@ -22,7 +22,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core import CSA, vectorized
-from repro.core.vectorized import vectorized_alternatives
 from repro.model import Job, ResourceRequest, Slot, SlotPool, Window, WindowSlot
 from repro.model.job import JobBatch
 from repro.model.slot import TIME_EPSILON
@@ -40,6 +39,13 @@ POLICIES = ("first", "cheapest")
 
 #: task(20) on the default node (performance 4) runs 5.
 PAIR = ResourceRequest(node_count=2, reservation_time=20.0)
+
+
+def vectorized_alternatives(request, slots, cap, policy):
+    """The sweep's alternatives (rows of its plan), materialized: the
+    windows a certified answer is compared by."""
+    found = vectorized.vectorized_alternatives(request, slots, cap, policy)
+    return [row.as_window() for row in found]
 
 
 def certified_delta(run):

@@ -104,8 +104,13 @@ class TestRunCycle:
         greedy = BatchScheduler(search=CSA(max_alternatives=4))
         alternatives = greedy.find_alternatives(batch, pool)
         greedy_choice = greedy.choose_combination(batch, alternatives)
+        # The oracle reads windows: phase one's rows, materialized.
+        windows = {
+            job_id: [found.as_window() for found in options]
+            for job_id, options in alternatives.items()
+        }
         exact_choice = optimal_combination(
-            batch.by_priority(), alternatives, greedy.criterion, greedy.vo_budget
+            batch.by_priority(), windows, greedy.criterion, greedy.vo_budget
         )
         assert exact_choice.scheduled_count >= greedy_choice.scheduled_count
 

@@ -46,9 +46,11 @@ def batch_of(jobs) -> JobBatch:
 
 
 def fingerprint(alternatives):
+    """Per job, its alternatives' starts and node sets (a CSA sweep's
+    rows read through their materialized windows)."""
     return {
         job_id: [
-            (window.start, tuple(sorted(window.nodes())))
+            (window.start, tuple(sorted(window.as_window().nodes())))
             for window in windows
         ]
         for job_id, windows in alternatives.items()
