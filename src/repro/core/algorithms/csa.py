@@ -127,6 +127,11 @@ class CSA(SlotSelectionAlgorithm):
         from a checkpoint); ``split`` cutting and input the kernel does
         not take run the procedure itself (:func:`rerun_alternatives`),
         which returns windows.  Both produce the same windows.
+
+        ``pool`` may also be a :class:`~repro.model.slotarrays.SlotArrays`
+        snapshot whose rows are in start order, as the co-allocator's
+        merged shard snapshot is: under ``consume`` cutting the sweep
+        always takes it.
         """
         cap = limit if limit is not None else self.max_alternatives
         if self.cut_mode == "consume":

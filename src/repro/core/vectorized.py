@@ -217,11 +217,16 @@ def _strategy_of(extractor):
 def _resolve_arrays(slots):
     """``(SlotArrays, its slot at a row)`` for the input, or ``None``.
 
+    The input is a pool (its snapshot), a snapshot itself — e.g. the
+    co-allocator's merge of shard snapshots
+    (:func:`~repro.model.slotpool.merge_before_floor`) — or a slot list.
     The second is :meth:`SlotArrays.slot_at`: a search reads the slots of
     the windows it materializes, one row each, and builds no slot list.
     """
     if isinstance(slots, SlotPool):
         arrays = slots.as_arrays()
+    elif isinstance(slots, SlotArrays):
+        arrays = slots
     elif isinstance(slots, (list, tuple)):
         arrays = SlotArrays.from_slots(slots)
     else:
@@ -555,6 +560,8 @@ def vectorized_alternatives(
     (:func:`_may_evict_hit`).  When that finds nothing the answer is
     ``[]`` without the eviction sweep; the dispatch still counts once.
 
+    ``slots`` is a :class:`SlotPool` or a sorted :class:`SlotArrays`
+    snapshot; only a pool keeps certificates.
     A search that finds nothing on a :class:`SlotPool` is recorded on
     the pool under ``(policy, node count, budget, plan key)``
     (:meth:`SlotPool.certify`), for the cheapest policy when its sweep

@@ -4,7 +4,10 @@ The fallback path of "Towards General Distributed Resource Selection":
 when no single autonomous pool can host a job — too few matching nodes,
 or a budget only met by combining the cheap nodes of several pools — a
 window is searched over the *union* of the live shard pools and then
-committed shard by shard.
+committed shard by shard.  The union is one snapshot merged from the
+shards' own (:func:`~repro.model.slotpool.merge_before_floor`), each
+shard's pending floor applied on read: a search builds no pool and
+trims no shard.
 
 The commit is two-phase in the transactional sense: every leg group is
 cut from its shard's pool in deterministic shard order, and the first
@@ -29,7 +32,7 @@ from repro.core.algorithms.csa import CSA
 from repro.model.errors import AllocationError
 from repro.model.job import Job, JobBatch
 from repro.model.slot import TIME_EPSILON
-from repro.model.slotpool import SlotPool
+from repro.model.slotpool import SlotPool, merge_before_floor
 from repro.model.window import Window, WindowSlot
 from repro.scheduling.metascheduler import BatchScheduler
 from repro.service.config import ServiceConfig
@@ -61,11 +64,9 @@ class CoAllocator:
     """Searches, commits and retires cross-shard windows."""
 
     def __init__(self, service: ServiceConfig, *, tenancy=None, emitter=None):
-        # Union-pool planning goes through BatchScheduler.find_alternatives,
-        # i.e. the class-grouped phase-1 entry point: repeated placements
-        # of equal requests reuse the union snapshot's cached scan plans,
-        # and multi-job batches (future work) collapse to one search per
-        # request class.
+        # Union planning goes through BatchScheduler.find_alternatives,
+        # i.e. the class-grouped phase-1 entry point: multi-job batches
+        # (future work) collapse to one search per request class.
         self._scheduler = BatchScheduler(
             search=CSA(max_alternatives=service.alternatives_per_job),
             criterion=service.criterion,
@@ -113,16 +114,19 @@ class CoAllocator:
         Returns the committed entry, or ``None`` when no feasible window
         exists — or when a commit leg fails, in which case every leg
         already cut has been released again (zero leaked node-seconds).
+
+        The search reads each shard's snapshot as it stands, its pending
+        floor applied on read, and leaves every shard untouched; a shard
+        applies its floor at the commit of a leg, or at its own next
+        read, as for any other reader.
         """
         if not pools:
             return None
-        node_shard: dict[int, int] = {}
-        slots = []
-        for shard_id in sorted(pools):
-            for slot in pools[shard_id]:
-                slots.append(slot)
-                node_shard[slot.node.node_id] = shard_id
-        union = SlotPool.from_slots(slots)
+        parts = {
+            shard_id: pools[shard_id].arrays_before_floor()
+            for shard_id in sorted(pools)
+        }
+        union = merge_before_floor(list(parts.values()))
         # As in the broker cycle, the union search sees live prices
         # through a request whose budget and price cap are scaled.
         multiplier = self._tenancy.price_multiplier
@@ -134,6 +138,11 @@ class CoAllocator:
         if window is None:
             return None
 
+        node_shard = {
+            node_id: shard_id
+            for shard_id, (arrays, _) in parts.items()
+            for node_id in arrays.node_id.tolist()
+        }
         by_shard: dict[int, list[WindowSlot]] = {}
         for ws in window.slots:
             by_shard.setdefault(node_shard[ws.slot.node.node_id], []).append(ws)

@@ -186,6 +186,13 @@ class SlotArrays:
         return mask
 
 
+#: A snapshot's numpy node-table columns, as :func:`_table_columns`
+#: builds them (``os_names``, the table's one list, is not among them).
+NODE_TABLE_COLUMNS = (
+    "node_id", "performance", "price", "clock", "ram", "disk", "power"
+)
+
+
 def _table_columns(nodes: Sequence[CpuNode]) -> dict:
     """The node-table fields of a snapshot for nodes in ascending id order."""
     return dict(
@@ -218,7 +225,11 @@ class SlotColumnStore:
     * the edits since then, by entry: ``_fresh`` (inserted and still
       present, keyed by ``id``), ``_gone`` (entries of ``_entries``
       deleted one at a time) and ``_floor`` (every entry of
-      ``_entries`` sorting below the last trim's bound is gone).
+      ``_entries`` sorting below the last trim's bound is gone);
+    * ``served`` — the snapshot the pool serves for the current
+      generation, or ``None``.  Every edit drops it, so a mutated pool
+      holds no snapshot of an older generation, nor the scan plans
+      cached on one.
 
     ``insert`` / ``delete`` / ``replace_prefix`` / ``load_sorted`` only
     record; ``size`` (the entry count) and ``generation`` move at once.
@@ -245,6 +256,7 @@ class SlotColumnStore:
         "_synced",
         "_buckets",
         "_table",
+        "served",
         "size",
         "generation",
     )
@@ -261,6 +273,7 @@ class SlotColumnStore:
         self._synced = 0
         self._buckets = buckets
         self._table: Optional[dict] = None
+        self.served: Optional[SlotArrays] = None
         self.size = 0
         self.generation = 0
 
@@ -274,6 +287,7 @@ class SlotColumnStore:
         table = self._table
         if table is not None and len(table["node_id"]) != len(self._buckets):
             self._table = None
+        self.served = None
         self.size += count
         self.generation += 1
 
@@ -312,6 +326,7 @@ class SlotColumnStore:
             raise ValueError("load_sorted needs an empty store")
         self._fresh = dict(zip(map(id, entries), entries))
         self._table = None
+        self.served = None
         self.size = len(entries)
         self.generation += len(entries)
 
@@ -404,7 +419,8 @@ class SlotColumnStore:
     def snapshot(self) -> SlotArrays:
         """The pool as a fresh :class:`SlotArrays`, whose
         ``slot_objects()`` are the pool's own instances (matching
-        :meth:`SlotArrays.from_slots`)."""
+        :meth:`SlotArrays.from_slots`).  Always built: the pool keeps
+        the one it serves in ``served``."""
         entries = self.entries()
         rows = self._rows
         return SlotArrays(
@@ -425,6 +441,7 @@ class SlotColumnStore:
         twin._row_ids = self._row_ids
         twin._synced = self._synced
         twin._table = self._table
+        twin.served = self.served
         twin.size = self.size
         twin.generation = self.generation
         return twin

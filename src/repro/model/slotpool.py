@@ -16,10 +16,12 @@ Past free time is dropped lazily: a virtual-clock step records a
 it (:meth:`SlotPool.trim_before`) the first time it is mutated or hands
 out slots or a snapshot.  The readers that run on every arrival —
 ``len()`` and admission (:meth:`SlotPool.arrays_before_floor`) — apply
-the floor on read (:func:`floor_survivors`) and leave it pending, and
-so does a retirement (:meth:`SlotPool.release` told the next clock
-step): it checks and inserts its spans against what the pending trim
-leaves of each node.  In a steady stream the pool trims once per cycle.
+the floor on read (:func:`floor_survivors`) and leave it pending, as
+does the co-allocator, which searches the shards' snapshots merged
+(:func:`merge_before_floor`), and so does a retirement
+(:meth:`SlotPool.release` told the next clock step): it checks and
+inserts its spans against what the pending trim leaves of each node.
+In a steady stream the pool trims once per cycle.
 
 The pool also keeps *negative certificates*: keys of searches a kernel
 proved empty on it (:meth:`SlotPool.certify`, read by
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from operator import itemgetter
@@ -41,7 +44,12 @@ import numpy as np
 
 from repro.model.errors import AllocationError
 from repro.model.slot import TIME_EPSILON, Slot, fits_from, is_span, last_start
-from repro.model.slotarrays import Entry, SlotArrays, SlotColumnStore
+from repro.model.slotarrays import (
+    NODE_TABLE_COLUMNS,
+    Entry,
+    SlotArrays,
+    SlotColumnStore,
+)
 from repro.model.window import Window, left_sum
 
 _KEY = itemgetter(0)
@@ -89,6 +97,102 @@ class PendingFloor(NamedTuple):
     cutoff: int
     kept: np.ndarray
     start: np.ndarray
+
+
+class _MergedEntries(Sequence):
+    """The entries of a merged snapshot (:func:`merge_before_floor`),
+    built on read: a row's entry is its part's own, or, for a row its
+    part's floor cut, a new ``Slot(node, floor, end)``."""
+
+    __slots__ = ("_parts", "_part", "_row", "_start")
+
+    def __init__(self, parts, part: np.ndarray, row: np.ndarray, start: np.ndarray):
+        self._parts = parts
+        self._part = part
+        self._row = row
+        self._start = start
+
+    def __len__(self) -> int:
+        return len(self._row)
+
+    def __getitem__(self, index: int) -> Entry:
+        slot = self._parts[self._part[index]].slot_at(int(self._row[index]))
+        start = float(self._start[index])
+        if start != slot.start:
+            slot = Slot(slot.node, start, slot.end)
+        return slot.sort_key(), slot
+
+
+def merge_before_floor(
+    parts: Sequence[tuple[SlotArrays, Optional[PendingFloor]]],
+) -> SlotArrays:
+    """One snapshot of pools on disjoint node sets, each read as
+    :meth:`SlotPool.arrays_before_floor` returns it.
+
+    Equals ``SlotPool.from_slots(slots).as_arrays()`` column for column,
+    dtypes included, where ``slots`` are every part's slots after
+    ``trim_before`` of its pending floor — without a pool, a trim or a
+    ``Slot`` per row.  Each part contributes the rows its floor keeps
+    (:func:`floor_survivors`), at their new starts; one stable
+    ``lexsort`` puts the rows in ``(start, end, node id)`` order, which
+    is total because no node is in two parts.  The node table lists the
+    nodes that still own a row, by ascending id, with their parts'
+    table columns.  ``slot_at(row)`` is the part's own slot, or a slot
+    cut to the floor, built when read.
+    """
+    if not parts:
+        return SlotArrays.from_slots([])
+    starts, ends, table_rows, part_ids, rows = [], [], [], [], []
+    offset = 0
+    for index, (arrays, pending) in enumerate(parts):
+        count = arrays.slot_count
+        if pending is None:
+            row = np.arange(count)
+            start = arrays.start
+        else:
+            row = np.concatenate(
+                (np.flatnonzero(pending.kept), np.arange(pending.cutoff, count))
+            )
+            start = np.concatenate(
+                (pending.start[pending.kept], arrays.start[pending.cutoff :])
+            )
+        starts.append(start)
+        ends.append(arrays.end[row])
+        table_rows.append(arrays.node_row[row] + offset)
+        part_ids.append(np.full(len(row), index))
+        rows.append(row)
+        offset += arrays.node_count
+    table = {
+        name: np.concatenate([getattr(arrays, name) for arrays, _ in parts])
+        for name in NODE_TABLE_COLUMNS
+    }
+    start = np.concatenate(starts)
+    end = np.concatenate(ends)
+    table_row = np.concatenate(table_rows)
+    node_ids = table["node_id"]
+    order = np.lexsort((node_ids[table_row], end, start))
+    # The nodes that own a row, by ascending id (ids are distinct).
+    owned = np.zeros(len(node_ids), dtype=bool)
+    owned[table_row] = True
+    present = np.flatnonzero(owned)
+    present = present[np.argsort(node_ids[present])]
+    rank = np.empty(len(node_ids), dtype=np.int64)
+    rank[present] = np.arange(len(present), dtype=np.int64)
+    os_names = list(chain.from_iterable(arrays.os_names for arrays, _ in parts))
+    start = start[order]
+    return SlotArrays(
+        start=start,
+        end=end[order],
+        node_row=rank[table_row[order]],
+        os_names=[os_names[node] for node in present.tolist()],
+        _entries=_MergedEntries(
+            [arrays for arrays, _ in parts],
+            np.concatenate(part_ids)[order],
+            np.concatenate(rows)[order],
+            start,
+        ),
+        **{name: column[present] for name, column in table.items()},
+    )
 
 
 def _find_entry(entries: list[Entry], entry: Entry) -> Optional[int]:
@@ -214,20 +318,12 @@ class SlotPool:
     #: :meth:`as_arrays` pays a per-slot Python rebuild (see
     #: :class:`~repro.model.slotarrays.SlotColumnStore`).
     _store: SlotColumnStore = field(init=False, repr=False, compare=False)
-    #: The snapshot served at ``_cache_generation`` (reused until the
-    #: next mutation, so unchanged pools keep their scan-plan caches).
-    _cache: Optional[SlotArrays] = field(default=None, repr=False, compare=False)
-    _cache_generation: int = field(default=-1, repr=False, compare=False)
     #: The floor recorded by :meth:`advance_floor` and not yet applied.
     _floor: Optional[float] = field(default=None, repr=False, compare=False)
     #: ``(time, generation)`` of the last :meth:`trim_before`: while the
     #: generation holds, a floor at or below ``time`` changes nothing.
     _trimmed: tuple[float, int] = field(
         default=(float("-inf"), -1), repr=False, compare=False
-    )
-    #: The pending floor over the snapshot it was evaluated on.
-    _pending: Optional[tuple[SlotArrays, PendingFloor]] = field(
-        default=None, repr=False, compare=False
     )
     #: Negative certificates: search key -> ``True``, oldest first
     #: (:meth:`certify`), and whether a :meth:`copy` may share the dict.
@@ -302,7 +398,7 @@ class SlotPool:
         floor = self._floor
         if floor is None:
             return 0
-        self._floor = self._pending = None
+        self._floor = None
         return self.trim_before(floor)
 
     # ------------------------------------------------------------------
@@ -649,16 +745,14 @@ class SlotPool:
 
     def copy(self) -> "SlotPool":
         """A shallow copy (slots are immutable, so this is fully safe)."""
-        # A fresh snapshot, shared with the twin until either side
-        # mutates (snapshots are never written in place; each pool
-        # tracks its own generation): scan plans built on one serve the
-        # other.
-        arrays = self.as_arrays()
+        # The served snapshot, shared with the twin until either side
+        # mutates (snapshots are never written in place; each store
+        # drops its own on its first edit): scan plans built on one
+        # serve the other.
+        self.as_arrays()
         buckets = {node_id: list(bucket) for node_id, bucket in self._by_node.items()}
         twin = SlotPool(buckets)
         twin._store = self._store.copy(twin._by_node)
-        twin._cache = arrays
-        twin._cache_generation = self._cache_generation
         twin._trimmed = self._trimmed
         twin._certificates = self._certificates
         twin._certificates_shared = self._certificates_shared = True
@@ -721,26 +815,32 @@ class SlotPool:
         pending; :func:`floor_survivors`).
 
         Leaves the floor pending, for readers that apply it on read:
-        ``len()`` and admission do, on every arrival.  The rows are
-        evaluated once per floor and snapshot.
+        ``len()``, admission and co-allocation (:func:`merge_before_floor`)
+        do.  The rows are evaluated once per floor and snapshot, and
+        the evaluation is kept on the snapshot, so it dies with it.
         """
         arrays = self._snapshot()
         floor = self._floor
         if floor is None:
             return arrays, None
-        cached = self._pending
-        if cached is not None and cached[0] is arrays and cached[1].floor == floor:
-            return cached
-        cutoff = int(np.searchsorted(arrays.start, floor + TIME_EPSILON))
-        kept, start = floor_survivors(arrays.start[:cutoff], arrays.end[:cutoff], floor)
-        self._pending = (arrays, PendingFloor(floor, cutoff, kept, start))
-        return self._pending
+        pending = getattr(arrays, "_pending_floor", None)
+        if pending is None or pending.floor != floor:
+            cutoff = int(np.searchsorted(arrays.start, floor + TIME_EPSILON))
+            kept, start = floor_survivors(
+                arrays.start[:cutoff], arrays.end[:cutoff], floor
+            )
+            pending = PendingFloor(floor, cutoff, kept, start)
+            arrays._pending_floor = pending
+        return arrays, pending
 
     def _snapshot(self) -> SlotArrays:
-        if self._cache is None or self._cache_generation != self._store.generation:
-            self._cache = self._store.snapshot()
-            self._cache_generation = self._store.generation
-        return self._cache
+        """The snapshot of the current generation: the store's
+        ``served`` one, which every edit drops."""
+        store = self._store
+        arrays = store.served
+        if arrays is None:
+            arrays = store.served = store.snapshot()
+        return arrays
 
     def total_free_time(self) -> float:
         """Sum of all slot lengths in the pool."""

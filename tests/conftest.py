@@ -12,6 +12,7 @@ import pytest
 from repro.core import AMP, aep, vectorized
 from repro.core.algorithms import csa
 from repro.model import CpuNode, Job, NodeSpec, ResourceRequest, Slot, SlotPool
+from repro.model.slotarrays import SlotArrays
 
 from tests.py312_sum import compensated_sum
 
@@ -219,8 +220,11 @@ class KernelShadow:
             found = kernel_alternatives(request, slots, cap, policy)
             if found is vectorized.UNSUPPORTED:
                 return found
+            pool = slots
+            if isinstance(slots, SlotArrays):
+                pool = SlotPool.from_slots(slots.slot_objects())
             expected = self._uncounted(
-                csa.rerun_alternatives, AMP(policy), request, slots, cap, "consume"
+                csa.rerun_alternatives, AMP(policy), request, pool, cap, "consume"
             )
             self.checked["csa"] += 1
             windows = [row.as_window() for row in found]
@@ -254,7 +258,9 @@ def kernel_shadow(monkeypatch) -> KernelShadow:
     (``repro.core.algorithms.csa.vectorized_alternatives``): each sweep
     is re-run as the procedure, ``rerun_alternatives(AMP(policy),
     request, pool, cap, "consume")``, and the windows are compared one
-    for one.  Nothing in ``src/`` knows the shadow exists.
+    for one; a sweep over a snapshot (the co-allocator's merged shard
+    snapshot) is re-run on ``SlotPool.from_slots`` of its
+    ``slot_objects()``.  Nothing in ``src/`` knows the shadow exists.
     """
     shadow = KernelShadow()
     monkeypatch.setattr(aep, "vectorized_scan", shadow.wrap_scan(aep.vectorized_scan))

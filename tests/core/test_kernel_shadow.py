@@ -13,7 +13,9 @@ searching with CSA — one shaped like ``tenants_faults`` (cheapest policy,
 DRF tenancy, repair resilience, over-subscribed, tight budgets), one on
 the default first policy — and a first-policy broker on a static pool,
 where searches proven empty are answered by the pool's certificates and
-the shadow re-runs each such answer as the procedure.
+the shadow re-runs each such answer as the procedure — and a small
+co-allocating federation, whose union searches sweep a snapshot merged
+from the shards' own.
 """
 
 from __future__ import annotations
@@ -34,11 +36,14 @@ from repro.core.extractors import (
 )
 from repro.environment import EnvironmentConfig, EnvironmentGenerator
 from repro.environment.rolling import HorizonConfig, RollingHorizonSource
+from repro.federation.coallocation import CoAllocator
+from repro.federation.config import FederationConfig
+from repro.federation.sharding import ShardManager
 from repro.model import Job, ResourceRequest, SlotPool
 from repro.scheduling.metascheduler import BatchScheduler
 from repro.service import BrokerService, ResilienceConfig, ServiceConfig
 from repro.simulation.config import paper_base_config
-from repro.simulation.jobgen import JobGenerator
+from repro.simulation.jobgen import JobGenerator, JobGeneratorConfig
 from repro.simulation.runner import run_comparison
 from repro.tenancy import TenancyConfig
 
@@ -200,3 +205,38 @@ def test_first_policy_static_pool_broker_under_shadow(kernel_shadow):
     assert kernel_shadow.divergences == []
     assert vectorized.scan_counters["certified"] - before > 30
     assert kernel_shadow.checked["csa"] > 100
+
+
+def test_coallocating_federation_under_shadow(kernel_shadow, monkeypatch):
+    # Four shards of a 32-node fleet and jobs of up to 12 nodes: many
+    # jobs fit no single shard, and the co-allocator searches the merged
+    # snapshot of the shards, some attempts placing and some not.  The
+    # shadow re-runs each union sweep as the procedure on a pool of the
+    # snapshot's slots.
+    placed = []
+    try_place = CoAllocator.try_place
+
+    def counted(self, job, pools, now):
+        entry = try_place(self, job, pools, now)
+        placed.append(entry is not None)
+        return entry
+
+    monkeypatch.setattr(CoAllocator, "try_place", counted)
+    pool = EnvironmentGenerator(
+        EnvironmentConfig(node_count=32, seed=2013)
+    ).generate().slot_pool()
+    manager = ShardManager(
+        pool,
+        config=FederationConfig(
+            shards=4, policy="least-loaded", coallocation=True, service=ServiceConfig()
+        ),
+    )
+    generator = JobGenerator(JobGeneratorConfig(node_count_range=(2, 12)), seed=2013)
+    checked = kernel_shadow.checked["csa"]
+    for when, job in generator.iter_arrivals(60, rate=2.0):
+        manager.advance_to(when)
+        manager.submit(job)
+    manager.drain()
+    assert kernel_shadow.divergences == []
+    assert 0 < sum(placed) < len(placed)
+    assert kernel_shadow.checked["csa"] - checked >= len(placed)

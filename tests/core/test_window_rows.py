@@ -251,7 +251,7 @@ class TestLifetime:
         assert report.scheduled
         for window in report.scheduled.values():
             pool.commit_window(window)
-        pool.as_arrays()  # the pool's next generation replaces its snapshot
-        # No reference cycle holds it either: it dies without a collection.
+        # The commit drops the pool's snapshot, and no reference cycle
+        # holds it either: it dies without a collection.
         assert snapshot() is None
         assert all(window.is_valid() for window in report.scheduled.values())

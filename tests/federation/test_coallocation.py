@@ -10,8 +10,9 @@ from __future__ import annotations
 import pytest
 
 from repro.federation.coallocation import CoAllocator
-from repro.model import Job, ResourceRequest, SlotPool
+from repro.model import Job, ResourceRequest, Slot, SlotPool
 from repro.model.errors import AllocationError
+from repro.model.slotarrays import SlotArrays
 from repro.model.window import Window
 from repro.service.config import ServiceConfig
 from tests.conftest import free_spans, make_slot, pool_state
@@ -40,13 +41,49 @@ class FailingCommitPool(SlotPool):
 
 
 class PhantomSlotPool(SlotPool):
-    """A pool that advertises one slot it does not hold, so a window
-    searched over the union loses that leg's host at commit time —
-    the real ``commit_window`` runs and refuses."""
+    """A pool whose snapshot advertises one slot it does not hold, so a
+    window searched over the union loses that leg's host at commit time
+    — the real ``commit_window`` runs and refuses."""
 
-    def __iter__(self):
-        yield from super().__iter__()
-        yield make_slot(99, 0.0, 100.0)
+    def arrays_before_floor(self):
+        arrays, pending = super().arrays_before_floor()
+        slots = arrays.slot_objects() + [make_slot(99, 0.0, 100.0)]
+        return SlotArrays.from_slots(sorted(slots, key=Slot.sort_key)), pending
+
+
+def floored_pools() -> dict[int, SlotPool]:
+    """Three shards with floors pending: one cuts node 0's slot, one
+    empties node 2, one changes nothing."""
+    pools = {
+        0: SlotPool.from_slots([make_slot(0, 0.0, 100.0), make_slot(1, 30.0, 100.0)]),
+        1: SlotPool.from_slots([make_slot(2, 0.0, 10.0), make_slot(3, 0.0, 100.0)]),
+        2: SlotPool.from_slots([make_slot(4, 50.0, 100.0)]),
+    }
+    for shard_id, floor in ((0, 20.0), (1, 10.0), (2, 5.0)):
+        pools[shard_id].advance_floor(floor)
+    return pools
+
+
+def record_pool_work(monkeypatch) -> list[str]:
+    """From now on, the names of the ``SlotPool`` calls that build a
+    pool, iterate one or trim one, in call order."""
+    calls: list[str] = []
+    from_slots = SlotPool.from_slots.__func__
+    iterate, trim = SlotPool.__iter__, SlotPool.trim_before
+
+    def recorded(name, method):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return method(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(
+        SlotPool, "from_slots", classmethod(recorded("from_slots", from_slots))
+    )
+    monkeypatch.setattr(SlotPool, "__iter__", recorded("__iter__", iterate))
+    monkeypatch.setattr(SlotPool, "trim_before", recorded("trim_before", trim))
+    return calls
 
 
 class TestTryPlace:
@@ -72,6 +109,47 @@ class TestTryPlace:
         allocator = CoAllocator(ServiceConfig())
         assert allocator.try_place(wide_job(node_count=9), pools, 0.0) is None
         assert allocator.active_count == 0
+
+    @pytest.mark.parametrize(
+        "job",
+        [wide_job(node_count=6), wide_job(budget=1.0)],
+        ids=["too_wide", "too_dear"],
+    )
+    def test_a_failed_attempt_leaves_every_shard_untouched(self, job, monkeypatch):
+        pools = floored_pools()
+        before = {
+            shard_id: (pool._store.generation, pool._floor)
+            for shard_id, pool in pools.items()
+        }
+        allocator = CoAllocator(ServiceConfig())
+        calls = record_pool_work(monkeypatch)
+
+        assert allocator.try_place(job, pools, now=0.0) is None
+
+        assert calls == []
+        for shard_id, pool in pools.items():
+            assert (pool._store.generation, pool._floor) == before[shard_id]
+        # pool_state applies the floors, on these pools and their twins.
+        twins = floored_pools()
+        for shard_id, pool in pools.items():
+            assert pool_state(pool) == pool_state(twins[shard_id]), shard_id
+
+    def test_a_placement_trims_only_the_shards_it_commits_to(self, monkeypatch):
+        pools = floored_pools()
+        calls = record_pool_work(monkeypatch)
+
+        entry = CoAllocator(ServiceConfig()).try_place(wide_job(), pools, now=30.0)
+
+        # Nodes 0 (cut to start at the floor, 20), 1 and 3 host [30, 35);
+        # node 2 is emptied by its floor and node 4 starts at 50.
+        assert entry is not None
+        assert {
+            shard_id: [leg.slot.node.node_id for leg in window.slots]
+            for shard_id, window in entry.legs.items()
+        } == {0: [0, 1], 1: [3]}
+        # Each commit applies its shard's floor; shard 2 is never trimmed.
+        assert calls == ["trim_before", "trim_before"]
+        assert pools[2]._floor == 5.0
 
     def test_empty_pool_mapping(self):
         allocator = CoAllocator(ServiceConfig())
@@ -105,11 +183,14 @@ class TestRollback:
             stale.add(slot)
         pools = {0: two_node_pool(0), 1: stale}
         before = {shard_id: pool_state(pool) for shard_id, pool in pools.items()}
+        generation = pools[0].generation
         allocator = CoAllocator(ServiceConfig())
 
         assert allocator.try_place(wide_job(node_count=5), pools, now=0.0) is None
 
         assert allocator.active_count == 0
+        # Shard 0's legs were cut and released: the commit was refused.
+        assert pools[0].generation > generation
         for shard_id, pool in pools.items():
             assert pool_state(pool) == before[shard_id], shard_id
 

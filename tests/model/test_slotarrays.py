@@ -11,6 +11,7 @@ byte-equal to :meth:`SlotArrays.from_slots` of that merge.
 
 from __future__ import annotations
 
+import weakref
 from operator import itemgetter
 
 import numpy as np
@@ -465,6 +466,44 @@ class TestCatchUpOnRead:
         assert len(calls) == 1
         assert_bytes_equal_rebuild(twin)
         assert_bytes_equal_rebuild(pool)
+
+
+class TestSnapshotLifetime:
+    """After the first edit, nothing of a pool refers to the snapshot it
+    served before: the snapshot, and every scan plan cached on it, dies
+    at the edit (no collection needed)."""
+
+    EDITS = {
+        "add": lambda pool: pool.add(make_slot(88_888, 50.0, 60.0)),
+        "remove": lambda pool: pool.remove(merged_slots(pool)[0]),
+        "trim": lambda pool: pool.trim_before(5.0),
+        "commit": lambda pool: pool.commit_window(
+            MinCost().select(TestMutationStorm.REQUEST, iter(merged_slots(pool)))
+        ),
+    }
+
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    @pytest.mark.parametrize("floor", [None, 2.0])
+    def test_the_first_edit_drops_the_served_snapshot(self, edit, floor):
+        pool = generated_pool(node_count=8, seed=3)
+        if floor is not None:
+            pool.advance_floor(floor)
+            pool.arrays_before_floor()  # the floor's rows, kept on the snapshot
+        served = weakref.ref(pool.arrays_before_floor()[0])
+        MinCost().select(TestMutationStorm.REQUEST, pool)  # a plan on it
+        self.EDITS[edit](pool)
+        assert served() is None
+        assert pool._store.served is None
+
+    def test_a_twin_keeps_the_shared_snapshot_until_it_edits_too(self):
+        pool = generated_pool(node_count=8, seed=3)
+        twin = pool.copy()
+        served = weakref.ref(pool.as_arrays())
+        assert twin.as_arrays() is served()
+        pool.trim_before(5.0)
+        assert twin.as_arrays() is served()
+        twin.trim_before(5.0)
+        assert served() is None
 
 
 class TestSnapshotIdentity:
