@@ -51,6 +51,10 @@ def rerun_alternatives(
     reference every sweep is tested against.
     """
     check_cut_mode(cut_mode)
+    if cut_mode == "split" and not isinstance(pool, SlotPool):
+        raise TypeError(
+            f"split cutting needs a SlotPool, got {type(pool).__name__}"
+        )
     working = pool.copy()
     # One leg cache across all AMP re-runs: runtimes/costs depend only
     # on (node, request), and cutting never changes either.

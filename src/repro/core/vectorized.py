@@ -219,7 +219,7 @@ def _resolve_arrays(slots):
 
     The input is a pool (its snapshot), a snapshot itself — e.g. the
     co-allocator's merge of shard snapshots
-    (:func:`~repro.model.slotpool.merge_before_floor`) — or a slot list.
+    (:func:`~repro.model.slotpool.merge_snapshots`) — or a slot list.
     The second is :meth:`SlotArrays.slot_at`: a search reads the slots of
     the windows it materializes, one row each, and builds no slot list.
     """

@@ -4,8 +4,8 @@ The paper's environment is a single fixed interval (``[0, 600]`` by
 default): the generator loads every node's timeline once and the broker
 schedules inside it until free time runs out.  A production service has
 no final interval — its horizon *rolls*: as the virtual clock advances,
-the pool's floor (``SlotPool.advance_floor``, applied through
-``trim_before``) garbage-collects the past while new future capacity is
+the pool's floor (``SlotPool.advance_floor``, which every read clamps
+to) hides the past while new future capacity is
 published ahead of ``now``.  This module supplies that future capacity.
 
 :class:`RollingHorizonSource` owns a fixed node fleet and generates
@@ -21,9 +21,9 @@ thousands of times without replaying earlier randomness.
 :meth:`RollingHorizonSource.ensure` is the broker-facing entry point:
 called with the pool and the current virtual time, it appends every
 not-yet-published segment that starts before ``now + lead``.  Combined
-with the floor the broker raises on every clock step — the pool trims to
-it when next mutated or read, in a steady stream once per cycle — the
-live pool stays inside a bounded window ``[now, now + lead + stride)``
+with the floor the broker raises on every clock step — and the trim
+each cycle runs, which deletes what the floor killed — the live pool
+stays inside a bounded window ``[now, now + lead + stride)``
 over unbounded virtual time — the flat-memory requirement of soak
 serving.
 """
@@ -183,8 +183,7 @@ class RollingHorizonSource:
 
         The broker calls this wherever it raises the pool's floor
         (cycle start, clock advance, drain), making floor + extend one
-        bounded-window step; publishing adds slots, so it applies a
-        pending floor first.
+        bounded-window step.
         Returns the number of slots added.
         """
         return self.extend_to(pool, now + self.horizon.lead)

@@ -5,9 +5,9 @@ when no single autonomous pool can host a job — too few matching nodes,
 or a budget only met by combining the cheap nodes of several pools — a
 window is searched over the *union* of the live shard pools and then
 committed shard by shard.  The union is one snapshot merged from the
-shards' own (:func:`~repro.model.slotpool.merge_before_floor`), each
-shard's pending floor applied on read: a search builds no pool and
-trims no shard.
+shards' own (:func:`~repro.model.slotpool.merge_snapshots`), each
+clamped to its shard's floor on read: a search builds no pool and
+edits no shard.
 
 The commit is two-phase in the transactional sense: every leg group is
 cut from its shard's pool in deterministic shard order, and the first
@@ -32,7 +32,7 @@ from repro.core.algorithms.csa import CSA
 from repro.model.errors import AllocationError
 from repro.model.job import Job, JobBatch
 from repro.model.slot import TIME_EPSILON
-from repro.model.slotpool import SlotPool, merge_before_floor
+from repro.model.slotpool import SlotPool, merge_snapshots
 from repro.model.window import Window, WindowSlot
 from repro.scheduling.metascheduler import BatchScheduler
 from repro.service.config import ServiceConfig
@@ -115,18 +115,13 @@ class CoAllocator:
         exists — or when a commit leg fails, in which case every leg
         already cut has been released again (zero leaked node-seconds).
 
-        The search reads each shard's snapshot as it stands, its pending
-        floor applied on read, and leaves every shard untouched; a shard
-        applies its floor at the commit of a leg, or at its own next
-        read, as for any other reader.
+        The search reads each shard's snapshot as it stands, clamped to
+        the shard's floor, and edits no shard.
         """
         if not pools:
             return None
-        parts = {
-            shard_id: pools[shard_id].arrays_before_floor()
-            for shard_id in sorted(pools)
-        }
-        union = merge_before_floor(list(parts.values()))
+        parts = {shard_id: pools[shard_id].as_arrays() for shard_id in sorted(pools)}
+        union = merge_snapshots(list(parts.values()))
         # As in the broker cycle, the union search sees live prices
         # through a request whose budget and price cap are scaled.
         multiplier = self._tenancy.price_multiplier
@@ -140,7 +135,7 @@ class CoAllocator:
 
         node_shard = {
             node_id: shard_id
-            for shard_id, (arrays, _) in parts.items()
+            for shard_id, arrays in parts.items()
             for node_id in arrays.node_id.tolist()
         }
         by_shard: dict[int, list[WindowSlot]] = {}
@@ -187,9 +182,8 @@ class CoAllocator:
         Deterministic order (completion time, then job id), like the
         broker lifecycle's retire sweep.  Returns the retired entries.
 
-        Every shard trims its pool to its clock, which is at ``now`` or
-        later, before it searches again, and ``release`` is told so:
-        legs that ended in the past are checked but not inserted.
+        Every shard has raised its floor to its clock, ``now``, so legs
+        that ended in the past are checked but not stored.
         """
         due = [
             entry
@@ -199,7 +193,7 @@ class CoAllocator:
         due.sort(key=lambda entry: (entry.completes_at, entry.job.job_id))
         for entry in due:
             for shard_id in sorted(entry.legs):
-                pools[shard_id].release(entry.legs[shard_id], now)
+                pools[shard_id].release(entry.legs[shard_id])
             del self._active[entry.job.job_id]
             # Clean completion settles the escrow into revenue.
             self._tenancy.on_retired(entry.job.job_id)

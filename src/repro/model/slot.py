@@ -53,9 +53,8 @@ def is_span(start: float, end: float) -> bool:
 
     The one float form of "a span is a slot" in the package: a
     :class:`Slot` must pass it, and every code that makes spans — a
-    cut's remainders (:meth:`Slot.split`), a trimmed tail
-    (:meth:`~repro.model.slotpool.SlotPool.trim_before` and its column
-    twin :func:`~repro.model.slotpool.floor_survivors`), a timeline's
+    cut's remainders (:meth:`Slot.split`), a tail the pool's floor
+    leaves (:func:`~repro.model.slotpool.floor_survivors`), a timeline's
     free gaps — keeps exactly the spans that pass it and drops the rest.
     """
     return end - start > TIME_EPSILON

@@ -223,16 +223,15 @@ class SlotColumnStore:
       read — and ``_rows``, one read-only ``(3, n)`` float block (start,
       end and node-table row per entry) describing them row for row;
     * the edits since then, by entry: ``_fresh`` (inserted and still
-      present, keyed by ``id``), ``_gone`` (entries of ``_entries``
-      deleted one at a time) and ``_floor`` (every entry of
-      ``_entries`` sorting below the last trim's bound is gone);
+      present, keyed by ``id``) and ``_gone`` (entries of ``_entries``
+      deleted);
     * ``served`` — the snapshot the pool serves for the current
       generation, or ``None``.  Every edit drops it, so a mutated pool
       holds no snapshot of an older generation, nor the scan plans
-      cached on one.
+      cached on one; so does :meth:`view_changed`.
 
-    ``insert`` / ``delete`` / ``replace_prefix`` / ``load_sorted`` only
-    record; ``size`` (the entry count) and ``generation`` move at once.
+    ``insert`` / ``delete`` / ``load_sorted`` only record; ``size`` (the
+    entry count) and ``generation`` move at once.
     :meth:`_catch_up` is the one writer of the list and the columns,
     called by every read with edits pending: Python work per edit, numpy
     work per row.  Lists and blocks are never written after they are
@@ -252,7 +251,6 @@ class SlotColumnStore:
         "_entries",
         "_fresh",
         "_gone",
-        "_floor",
         "_synced",
         "_buckets",
         "_table",
@@ -268,7 +266,6 @@ class SlotColumnStore:
         self._entries: list[Entry] = []
         self._fresh: dict[int, Entry] = {}
         self._gone: list[Entry] = []
-        self._floor = 0
         #: The generation ``_entries`` and ``_rows`` describe.
         self._synced = 0
         self._buckets = buckets
@@ -302,18 +299,14 @@ class SlotColumnStore:
             self._gone.append(entry)
         self._recorded(-1)
 
-    def replace_prefix(
-        self, probe: tuple, prefix: Sequence[Entry], entries: Sequence[Entry]
-    ) -> None:
-        """Record that the pool replaced every entry sorting below
-        ``probe`` — ``prefix``, in any order — by ``entries``."""
-        self._floor = max(self._floor, bisect_left(self._entries, probe))
-        fresh = self._fresh
-        for entry in prefix:
-            fresh.pop(id(entry), None)
-        for entry in entries:
-            fresh[id(entry)] = entry
-        self._recorded(len(entries) - len(prefix))
+    def view_changed(self) -> None:
+        """Record that what the pool's reads see changed with no entry
+        edited (a floor rise): the served snapshot goes and the
+        generation moves, and nothing is left to catch up on."""
+        if self._synced == self.generation:
+            self._synced += 1
+        self.served = None
+        self.generation += 1
 
     def load_sorted(self, entries: Sequence[Entry]) -> None:
         """Fill an empty store from the pool's sorted entry list.
@@ -343,7 +336,6 @@ class SlotColumnStore:
         """
         base = self._entries
         count = len(base)
-        floor = self._floor
         rows = self._rows
         ids = self._node_table()["node_id"]
         if ids is not self._row_ids:
@@ -354,22 +346,17 @@ class SlotColumnStore:
             index = bisect_left(base, (entry[0],))
             while base[index] is not entry:
                 index += 1
-            if index >= floor:
-                drops.append(index)
+            drops.append(index)
         drops.sort()
         fresh = sorted(self._fresh.values(), key=_KEY)
         keys = list(map(_KEY, fresh))
-        # Keys below the first kept row go right after the floor; the
-        # rest are placed by a bisect of ``base``.
-        below = bisect_left(keys, base[floor][0]) if floor < count else len(keys)
-        points = [floor] * below
-        points += [bisect_left(base, (key,), floor) for key in keys[below:]]
+        points = [bisect_left(base, (key,)) for key in keys]
         new = np.fromiter(chain.from_iterable(keys), np.float64, 3 * len(keys))
         new = new.reshape(-1, 3).T
         new[2] = np.searchsorted(ids, new[2])
         pieces = []
         entries: list[Entry] = []
-        low = floor
+        low = 0
         placed = 0
         for stop in drops + [count]:
             limit = bisect_right(points, stop, placed)
@@ -392,7 +379,6 @@ class SlotColumnStore:
         self._entries = entries
         self._fresh = {}
         self._gone = []
-        self._floor = 0
         self._synced = self.generation
 
     # ------------------------------------------------------------------
@@ -433,12 +419,15 @@ class SlotColumnStore:
 
     def copy(self, buckets: dict[int, list[Entry]]) -> "SlotColumnStore":
         """An independent twin over ``buckets``, a copy of this store's
-        pool's buckets: it catches up first, then shares the read-only
-        list, block and node table."""
+        pool's buckets: it shares the read-only list, block and node
+        table and copies the edits not yet caught up, so each side
+        catches up only if it is read."""
         twin = SlotColumnStore(buckets)
-        twin._entries = self.entries()
+        twin._entries = self._entries
         twin._rows = self._rows
         twin._row_ids = self._row_ids
+        twin._fresh = dict(self._fresh)
+        twin._gone = list(self._gone)
         twin._synced = self._synced
         twin._table = self._table
         twin.served = self.served

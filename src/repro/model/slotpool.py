@@ -11,17 +11,16 @@ allocated, each affected slot is replaced in place by the usable
 remainders of its reserved span, so the next search sees only genuinely
 free time.
 
-Past free time is dropped lazily: a virtual-clock step records a
-*floor* (:meth:`SlotPool.advance_floor`, O(1)), and the pool trims to
-it (:meth:`SlotPool.trim_before`) the first time it is mutated or hands
-out slots or a snapshot.  The readers that run on every arrival —
-``len()`` and admission (:meth:`SlotPool.arrays_before_floor`) — apply
-the floor on read (:func:`floor_survivors`) and leave it pending, as
-does the co-allocator, which searches the shards' snapshots merged
-(:func:`merge_before_floor`), and so does a retirement
-(:meth:`SlotPool.release` told the next clock step): it checks and
-inserts its spans against what the pending trim leaves of each node.
-In a steady stream the pool trims once per cycle.
+Free time before the *floor* does not exist, and that is a property of
+reads.  The pool stores its slots as they were published, released or
+cut, plus one monotone floor (:meth:`SlotPool.advance_floor`, O(1)), and
+every read — the snapshot, iteration, ``len()``, the per-node view, the
+mutators' host and neighbour lookups — sees the stored slots clamped to
+the floor by one rule, :func:`floor_survivors`.  A trim
+(:meth:`SlotPool.trim_before`) only deletes the slots the floor kills,
+which no read sees anyway; the broker runs one per cycle.  The
+co-allocator searches the shards' snapshots merged
+(:func:`merge_snapshots`).
 
 The pool also keeps *negative certificates*: keys of searches a kernel
 proved empty on it (:meth:`SlotPool.certify`, read by
@@ -38,12 +37,12 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from repro.model.errors import AllocationError
-from repro.model.slot import TIME_EPSILON, Slot, fits_from, is_span, last_start
+from repro.model.slot import TIME_EPSILON, Slot, fits_from, last_start
 from repro.model.slotarrays import (
     NODE_TABLE_COLUMNS,
     Entry,
@@ -61,137 +60,240 @@ _KEY = itemgetter(0)
 COALESCE_GAP = TIME_EPSILON
 
 
-def floor_survivors(
-    start: np.ndarray, end: np.ndarray, floor: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """What ``trim_before(floor)`` makes of rows, as columns.
+def floor_survivors(start, end, floor: float):
+    """The pool's one floor rule: ``(kept, cut)`` for slots ``[start, end)``.
 
-    ``start`` / ``end`` are rows the trim inspects — rows starting
-    before ``floor + TIME_EPSILON``.  Returns the mask of rows it keeps
-    and their starts afterwards: a row ending by ``floor +
-    TIME_EPSILON`` is dropped, one starting at or after ``floor -
-    TIME_EPSILON`` is kept as it is, and any other is cut to ``[floor,
-    end)`` and kept only if that tail is a slot — the column form of
-    :func:`~repro.model.slot.is_span`.  The comparisons are the trim's
-    own, float for float; :func:`_trim_head`, the object rule
-    :meth:`SlotPool.trim_before` applies per node, is the twin this rule
-    is tested against.
-    The tail test decides only at floors up to ``TIME_EPSILON`` (above,
-    ``end - floor`` is exact), e.g. floor ``-TIME_EPSILON``, end ``1e-30``.
+    A slot ending by ``floor + TIME_EPSILON`` is killed; one starting
+    before ``floor - TIME_EPSILON`` is cut to ``[floor, end)`` and kept
+    only if that tail is a slot (:func:`~repro.model.slot.is_span`'s
+    test); any other is kept as it is.  ``start`` and ``end`` are one
+    slot's floats (two bools come back) or columns (two masks).
+
+    Every slot the rule changes starts at or before ``floor``, so a
+    start-ordered reader applies it to that prefix only: a slot starting
+    after the floor ends more than ``TIME_EPSILON`` after it, also where
+    ``floor + TIME_EPSILON`` rounds.  The tail test decides only at
+    floors up to ``TIME_EPSILON`` (above, ``end - floor`` is exact),
+    e.g. floor ``-TIME_EPSILON``, end ``1e-30``.
     """
     cut = start < floor - TIME_EPSILON
-    kept = end > floor + TIME_EPSILON
-    kept &= ~cut | (end - floor > TIME_EPSILON)
-    return kept, np.where(cut, floor, start)
+    kept = (end > floor + TIME_EPSILON) & (
+        (start >= floor - TIME_EPSILON) | (end - floor > TIME_EPSILON)
+    )
+    return kept, cut
 
 
-class PendingFloor(NamedTuple):
-    """A pending floor as a snapshot's rows see it.
+def _clamped_key(key: tuple[float, float, int], floor: float):
+    """An entry's sort key as the floor leaves it — itself, or starting at
+    the floor — or ``None`` when the floor kills the slot."""
+    start, end, node_id = key
+    if start > floor:
+        return key
+    kept, cut = floor_survivors(start, end, floor)
+    if not kept:
+        return None
+    return (floor, end, node_id) if cut else key
 
-    ``trim_before(floor)`` inspects the rows before ``cutoff``, keeps
-    those ``kept`` marks and leaves them starting at ``start`` (both
-    over the rows before ``cutoff``); every later row is untouched.
+
+def _live(bucket: list[Entry], floor: float) -> Iterable[Entry]:
+    """One node's start-ordered bucket as the floor leaves it: the
+    entries it keeps, the first with its key clamped (its slot is still
+    the stored one; :func:`_read` gives the slot it reads as).
+
+    The killed entries are the bucket's head (each one before a killed
+    entry ends earlier), and at most the first survivor is cut: every
+    later one starts after its end, past the floor, and is passed on as
+    stored.
     """
+    for index, (key, slot) in enumerate(bucket):
+        if key[0] > floor:
+            return islice(bucket, index, None)
+        key = _clamped_key(key, floor)
+        if key is not None:
+            return chain(((key, slot),), islice(bucket, index + 1, None))
+    return ()
 
-    floor: float
-    cutoff: int
-    kept: np.ndarray
-    start: np.ndarray
+
+def _read(key: tuple, slot: Slot, cuts: dict) -> Slot:
+    """The slot a stored ``slot`` reads as under its clamped ``key``:
+    itself, or the one the floor cut from it (:func:`_cut`)."""
+    return slot if key[0] == slot.start else _cut(slot, key[0], cuts)
+
+
+def _cut(slot: Slot, floor: float, cuts: dict) -> Slot:
+    """``slot`` cut to start at ``floor``, built on its first read:
+    ``cuts`` holds the floor's cut slots by stored slot, so every read
+    of one (a snapshot row, a host, a per-node view) is the same object."""
+    found = cuts.get(id(slot))
+    if found is None or found[0] is not slot:
+        found = cuts[id(slot)] = (slot, Slot(slot.node, floor, slot.end))
+    return found[1]
+
+
+def _owning_table(arrays: Sequence, node_row: np.ndarray) -> tuple[np.ndarray, dict]:
+    """The node table of the nodes ``node_row`` points at, by ascending
+    id, and ``node_row`` re-pointed at it.  ``arrays`` lists the node
+    tables the rows index, concatenated in that order."""
+    table = {
+        name: np.concatenate([getattr(part, name) for part in arrays])
+        for name in NODE_TABLE_COLUMNS
+    }
+    node_ids = table["node_id"]
+    owned = np.zeros(len(node_ids), dtype=bool)
+    owned[node_row] = True
+    present = np.flatnonzero(owned)
+    present = present[np.argsort(node_ids[present], kind="stable")]
+    rank = np.empty(len(node_ids), dtype=np.int64)
+    rank[present] = np.arange(len(present), dtype=np.int64)
+    os_names = list(chain.from_iterable(part.os_names for part in arrays))
+    columns = {name: column[present] for name, column in table.items()}
+    columns["os_names"] = [os_names[node] for node in present.tolist()]
+    return rank[node_row], columns
+
+
+class _ClampedEntries(Sequence):
+    """The entries of a pool's snapshot, built on read (see
+    :func:`_clamp`): row ``i`` of the re-sorted head is the store's entry
+    ``rows[i]``, or, when the floor cut it, one starting at the floor
+    (:func:`_cut`); every later row is the store's own entry, ``shift``
+    on."""
+
+    __slots__ = ("_entries", "_rows", "_start", "_shift", "_cuts")
+
+    def __init__(self, entries, rows: np.ndarray, start: np.ndarray, shift: int, cuts: dict):
+        self._entries = entries
+        self._rows = rows
+        self._start = start
+        self._shift = shift
+        self._cuts = cuts
+
+    def __len__(self) -> int:
+        return len(self._entries) - self._shift
+
+    def __getitem__(self, row: int) -> Entry:
+        if row >= len(self._rows):
+            return self._entries[row + self._shift]
+        entry = self._entries[int(self._rows[row])]
+        start = float(self._start[row])
+        if start == entry[0][0]:
+            return entry
+        (_, end, node_id), slot = entry
+        return (start, end, node_id), _cut(slot, start, self._cuts)
+
+    def __iter__(self) -> Iterator[Entry]:
+        head = len(self._rows)
+        yield from map(self.__getitem__, range(head))
+        yield from islice(self._entries, head + self._shift, None)
+
+
+def _floor_prefix(arrays: SlotArrays, floor: float) -> tuple[int, np.ndarray, np.ndarray]:
+    """``(prefix, kept, cut)`` for start-ordered rows: the rule's masks
+    over the rows starting at or before the floor, the only ones it can
+    change (:func:`floor_survivors`); ``cut`` marks only kept rows."""
+    start = arrays.start
+    prefix = int(np.searchsorted(start, floor, side="right"))
+    kept, cut = floor_survivors(start[:prefix], arrays.end[:prefix], floor)
+    return prefix, kept, cut & kept
+
+
+def _clamp(arrays: SlotArrays, floor: float, cuts: dict) -> tuple[SlotArrays, bool]:
+    """A store snapshot as the floor leaves it, and whether the floor
+    cut a slot.
+
+    The rows the floor keeps of the prefix it can change
+    (:func:`_floor_prefix`) are re-sorted by ``(start, end, node id)``
+    with one ``lexsort`` over that prefix — a cut row starts at the
+    floor, after every kept row starting before it — and every later
+    row is left as it is.  The node table loses the nodes left with no
+    row.  ``arrays`` itself comes back when the floor changes no row.
+    """
+    prefix, kept, cut = _floor_prefix(arrays, floor)
+    any_cut = bool(cut.any())
+    if not any_cut and kept.all():
+        return arrays, False
+    start, end, node_row = arrays.start, arrays.end, arrays.node_row
+    rows = np.flatnonzero(kept)
+    head_start = start[rows]
+    head_start[cut[rows]] = floor
+    # The table is in ascending id order, so its rows order as the ids do.
+    order = np.lexsort((node_row[rows], end[rows], head_start))
+    rows = rows[order]
+    head_start = head_start[order]
+    node_row = np.concatenate((node_row[rows], node_row[prefix:]))
+    table = {name: getattr(arrays, name) for name in NODE_TABLE_COLUMNS}
+    table["os_names"] = arrays.os_names
+    if len(rows) < prefix:
+        owned = np.zeros(arrays.node_count, dtype=bool)
+        owned[node_row] = True
+        if not owned.all():
+            node_row, table = _owning_table([arrays], node_row)
+    clamped = SlotArrays(
+        start=np.concatenate((head_start, start[prefix:])),
+        end=np.concatenate((end[rows], end[prefix:])),
+        node_row=node_row,
+        _entries=_ClampedEntries(
+            arrays._entries, rows, head_start, prefix - len(rows), cuts
+        ),
+        **table,
+    )
+    return clamped, any_cut
 
 
 class _MergedEntries(Sequence):
-    """The entries of a merged snapshot (:func:`merge_before_floor`),
-    built on read: a row's entry is its part's own, or, for a row its
-    part's floor cut, a new ``Slot(node, floor, end)``."""
+    """The entries of a merged snapshot (:func:`merge_snapshots`), read
+    from their parts on demand."""
 
-    __slots__ = ("_parts", "_part", "_row", "_start")
+    __slots__ = ("_parts", "_part", "_row")
 
-    def __init__(self, parts, part: np.ndarray, row: np.ndarray, start: np.ndarray):
+    def __init__(self, parts, part: np.ndarray, row: np.ndarray):
         self._parts = parts
         self._part = part
         self._row = row
-        self._start = start
 
     def __len__(self) -> int:
         return len(self._row)
 
     def __getitem__(self, index: int) -> Entry:
         slot = self._parts[self._part[index]].slot_at(int(self._row[index]))
-        start = float(self._start[index])
-        if start != slot.start:
-            slot = Slot(slot.node, start, slot.end)
         return slot.sort_key(), slot
 
 
-def merge_before_floor(
-    parts: Sequence[tuple[SlotArrays, Optional[PendingFloor]]],
-) -> SlotArrays:
-    """One snapshot of pools on disjoint node sets, each read as
-    :meth:`SlotPool.arrays_before_floor` returns it.
+def merge_snapshots(parts: Sequence[SlotArrays]) -> SlotArrays:
+    """One snapshot of pools on disjoint node sets, each read as its
+    :meth:`SlotPool.as_arrays`.
 
     Equals ``SlotPool.from_slots(slots).as_arrays()`` column for column,
-    dtypes included, where ``slots`` are every part's slots after
-    ``trim_before`` of its pending floor — without a pool, a trim or a
-    ``Slot`` per row.  Each part contributes the rows its floor keeps
-    (:func:`floor_survivors`), at their new starts; one stable
-    ``lexsort`` puts the rows in ``(start, end, node id)`` order, which
-    is total because no node is in two parts.  The node table lists the
-    nodes that still own a row, by ascending id, with their parts'
-    table columns.  ``slot_at(row)`` is the part's own slot, or a slot
-    cut to the floor, built when read.
+    dtypes included, where ``slots`` are every part's slots — without a
+    pool or a ``Slot`` per row.  One stable ``lexsort`` puts the rows in
+    ``(start, end, node id)`` order, which is total because no node is
+    in two parts.  The node table lists the nodes that own a row, by
+    ascending id, with their parts' table columns.  ``slot_at(row)`` is
+    the part's own.
     """
     if not parts:
         return SlotArrays.from_slots([])
-    starts, ends, table_rows, part_ids, rows = [], [], [], [], []
+    table_rows, part_ids, rows = [], [], []
     offset = 0
-    for index, (arrays, pending) in enumerate(parts):
+    for index, arrays in enumerate(parts):
         count = arrays.slot_count
-        if pending is None:
-            row = np.arange(count)
-            start = arrays.start
-        else:
-            row = np.concatenate(
-                (np.flatnonzero(pending.kept), np.arange(pending.cutoff, count))
-            )
-            start = np.concatenate(
-                (pending.start[pending.kept], arrays.start[pending.cutoff :])
-            )
-        starts.append(start)
-        ends.append(arrays.end[row])
-        table_rows.append(arrays.node_row[row] + offset)
-        part_ids.append(np.full(len(row), index))
-        rows.append(row)
+        table_rows.append(arrays.node_row + offset)
+        part_ids.append(np.full(count, index))
+        rows.append(np.arange(count))
         offset += arrays.node_count
-    table = {
-        name: np.concatenate([getattr(arrays, name) for arrays, _ in parts])
-        for name in NODE_TABLE_COLUMNS
-    }
-    start = np.concatenate(starts)
-    end = np.concatenate(ends)
+    start = np.concatenate([arrays.start for arrays in parts])
+    end = np.concatenate([arrays.end for arrays in parts])
     table_row = np.concatenate(table_rows)
-    node_ids = table["node_id"]
+    node_ids = np.concatenate([arrays.node_id for arrays in parts])
     order = np.lexsort((node_ids[table_row], end, start))
-    # The nodes that own a row, by ascending id (ids are distinct).
-    owned = np.zeros(len(node_ids), dtype=bool)
-    owned[table_row] = True
-    present = np.flatnonzero(owned)
-    present = present[np.argsort(node_ids[present])]
-    rank = np.empty(len(node_ids), dtype=np.int64)
-    rank[present] = np.arange(len(present), dtype=np.int64)
-    os_names = list(chain.from_iterable(arrays.os_names for arrays, _ in parts))
-    start = start[order]
+    node_row, table = _owning_table(parts, table_row[order])
     return SlotArrays(
-        start=start,
+        start=start[order],
         end=end[order],
-        node_row=rank[table_row[order]],
-        os_names=[os_names[node] for node in present.tolist()],
+        node_row=node_row,
         _entries=_MergedEntries(
-            [arrays for arrays, _ in parts],
-            np.concatenate(part_ids)[order],
-            np.concatenate(rows)[order],
-            start,
+            parts, np.concatenate(part_ids)[order], np.concatenate(rows)[order]
         ),
-        **{name: column[present] for name, column in table.items()},
+        **table,
     )
 
 
@@ -210,50 +312,6 @@ def _find_entry(entries: list[Entry], entry: Entry) -> Optional[int]:
     return None
 
 
-def _trim_head(bucket: list[Entry], time: float) -> tuple[list[Entry], list[Entry], int]:
-    """What ``trim_before(time)`` makes of one node's start-ordered bucket.
-
-    Returns ``(head, survivors, kept)``: the trim inspects the bucket's
-    first ``len(head)`` entries, ``head``, and leaves ``survivors`` in
-    their place, ``kept`` of them the bucket's own entries, kept as they
-    are; every later entry starts after the bound below and is
-    untouched.  An inspected entry ending by ``time +
-    TIME_EPSILON`` is dropped, one starting at or after ``time -
-    TIME_EPSILON`` is kept, and any other is cut to ``[time, end)`` when
-    that tail is a slot — the object twin of :func:`floor_survivors`.
-
-    At most the head's last entry survives, so no re-sort is needed: a
-    survivor ends after the bound, and the next entry starts by it, so
-    the float ``start - end`` is negative — not the more than
-    :data:`COALESCE_GAP` the pool's shape puts between slots of one node.
-    """
-    bound = time + TIME_EPSILON
-    # Every slot starting at or before ``bound``: where one ulp of
-    # ``time`` exceeds twice the tolerance, ``bound`` is ``time``
-    # itself, and a slot starting there must sort among those cut to
-    # start there.
-    probe = ((bound, math.inf),)
-    if not bucket[0] < probe:
-        return [], [], 0
-    if len(bucket) == 1 or not bucket[1] < probe:  # the usual head
-        head = bucket[:1]
-    else:
-        head = bucket[: bisect_left(bucket, probe, 2)]
-    truncate_before = time - TIME_EPSILON
-    survivors: list[Entry] = []
-    kept = 0
-    for entry in head:
-        (start, end, node_id), slot = entry
-        if end <= bound:
-            continue
-        if start >= truncate_before:
-            survivors.append(entry)  # starts at ``time``: kept as it is
-            kept += 1
-        elif is_span(time, end):
-            survivors.append(((time, end, node_id), Slot(slot.node, time, end)))
-    return head, survivors, kept
-
-
 def _carved(remainders: list[Slot]) -> bool:
     """Whether a cut's ``remainders`` (:meth:`Slot.split`, which keeps
     them inside their host) lie more than :data:`COALESCE_GAP` apart —
@@ -261,7 +319,7 @@ def _carved(remainders: list[Slot]) -> bool:
     return len(remainders) < 2 or remainders[1].start - remainders[0].end > COALESCE_GAP
 
 
-def _has_neighbours(bucket: list[Entry]) -> bool:
+def _has_neighbours(bucket: Iterable[tuple]) -> bool:
     """Whether two slots of one node's start-ordered bucket overlap or lie
     within :data:`COALESCE_GAP` — the only inputs coalescing could merge."""
     reach = float("-inf")  # furthest end so far: each slot clears the last
@@ -277,21 +335,26 @@ class SlotPool:
     """A mutable, start-time-ordered collection of free slots.
 
     One shape: per node, slots lie more than :data:`COALESCE_GAP` apart
-    (:meth:`assert_disjoint_per_node`).  A cut or a trim keeps every
-    remainder that is a slot (:func:`~repro.model.slot.is_span`) and
-    nothing shorter; how much of a used slot CSA keeps between its AMP
-    runs is CSA's cutting policy, not the pool's.
+    (:meth:`assert_disjoint_per_node`).  A cut keeps every remainder
+    that is a slot (:func:`~repro.model.slot.is_span`) and nothing
+    shorter; how much of a used slot CSA keeps between its AMP runs is
+    CSA's cutting policy, not the pool's.
+
+    The stored slots are read through the floor (:func:`floor_survivors`):
+    every method below, mutators included, sees them clamped to it.  Per
+    node the stored slots are disjoint too, so a node id and an end name
+    one of them, and the slots the floor kills are a node's first ones.
 
     Every mutation is a *removal* or a *gain* of free time, and the
     certificate store (:meth:`certify`) follows that split.
 
-    * Removals keep the certificates.  :meth:`remove`, the trims
-      (:meth:`trim_before`, and the floors :meth:`advance_floor`
-      records), and cutting (:meth:`commit_window`)
-      only drop slots or leave a slot's sub-span on the same node: a
-      trimmed slot keeps its end and starts later, and a cut remainder
-      is part of its host.  A search proven empty stays empty on any
-      such sub-pool (the proof is in :mod:`repro.core.vectorized`).
+    * Removals keep the certificates.  :meth:`remove`, a floor rise
+      (:meth:`advance_floor`, :meth:`trim_before`) and cutting
+      (:meth:`commit_window`) only drop slots or leave a slot's sub-span
+      on the same node: a clamped slot keeps its end and starts later,
+      and a cut remainder is part of its host.  A search proven empty
+      stays empty on any such sub-pool (the proof is in
+      :mod:`repro.core.vectorized`).
     * Gains empty the store.  :meth:`add`, :meth:`release` and the two
       remainders of a reservation of at most ε, which merge back into
       their host, count as adding free time, and a bulk load
@@ -299,32 +362,33 @@ class SlotPool:
       never adds free time: :meth:`Slot.split` clamps its remainders
       into the host.
     * :meth:`copy` shares the store with the twin until either side
-      mutates: a removal then gives the mutated pool its own copy of
-      the store, and a gain an empty one.  Pools sharing one store
-      therefore always hold the same slots, and a certificate recorded
-      through one is true of all of them.
+      mutates or reads a higher floor: a removal then gives that pool
+      its own copy of the store, and a gain an empty one.  Pools sharing
+      one store therefore always show the same slots, and a certificate
+      recorded through one is true of all of them.
     """
 
-    #: Per-node index: node_id -> the node's ``(sort key, slot)``
+    #: Per-node index: node_id -> the node's stored ``(sort key, slot)``
     #: entries, start-ordered.  Node-scoped operations — coalescing,
-    #: removal, host lookup, overlap checks, the trim — walk short
-    #: buckets instead of the whole pool; the keys are the pool's node
-    #: set, and ``node_count`` is O(1) (empty buckets are deleted
-    #: eagerly).
+    #: removal, host lookup, overlap checks — walk short buckets instead
+    #: of the whole pool; empty buckets are deleted eagerly.
     _by_node: dict[int, list[Entry]] = field(default_factory=dict)
-    #: The pool's one total order: every mutation records the entries
-    #: it inserted or deleted, and the ordered list and its columns
-    #: catch up on the next read, so neither :meth:`ordered` nor
-    #: :meth:`as_arrays` pays a per-slot Python rebuild (see
+    #: The pool's one total order of stored entries: every mutation
+    #: records the entries it inserted or deleted, and the ordered list
+    #: and its columns catch up on the next read (see
     #: :class:`~repro.model.slotarrays.SlotColumnStore`).
     _store: SlotColumnStore = field(init=False, repr=False, compare=False)
-    #: The floor recorded by :meth:`advance_floor` and not yet applied.
-    _floor: Optional[float] = field(default=None, repr=False, compare=False)
-    #: ``(time, generation)`` of the last :meth:`trim_before`: while the
-    #: generation holds, a floor at or below ``time`` changes nothing.
-    _trimmed: tuple[float, int] = field(
-        default=(float("-inf"), -1), repr=False, compare=False
+    #: Free time before it does not exist; only ever raised.
+    _floor: float = field(default=-math.inf, repr=False, compare=False)
+    #: The floor the store's served snapshot is clamped at, and whether
+    #: that clamp cut a slot.
+    _served_at: tuple[float, bool] = field(
+        default=(-math.inf, False), repr=False, compare=False
     )
+    #: The slots the floor cut (:func:`_cut`) and the floor they start
+    #: at; shared with copies, which read the same cut slots.
+    _cuts: dict = field(default_factory=dict, repr=False, compare=False)
+    _cuts_floor: float = field(default=-math.inf, repr=False, compare=False)
     #: Negative certificates: search key -> ``True``, oldest first
     #: (:meth:`certify`), and whether a :meth:`copy` may share the dict.
     _certificates: dict = field(default_factory=dict, repr=False, compare=False)
@@ -366,72 +430,94 @@ class SlotPool:
     # The floor
     # ------------------------------------------------------------------
     def advance_floor(self, time: float) -> None:
-        """Record that free time before ``time`` is past, in O(1).
+        """Raise the floor to ``time`` (a lower one changes nothing), in O(1).
 
-        The pool applies the floor through :meth:`trim_before` the first
-        time it is mutated or hands out slots or a snapshot, so a run of
-        clock steps with nothing between them costs one trim.  That is
-        exact: with nothing between them, ``trim_before(t1)`` then
-        ``trim_before(t2)`` leaves what ``trim_before(t2)`` alone leaves
-        when ``t1 + TIME_EPSILON < t2 - TIME_EPSILON`` (a slot cut to
-        ``[t1, end)`` is cut again to ``[t2, end)``, and every tail
-        test at ``t2`` is monotone in the floor), and what
-        ``trim_before(t1)`` leaves when ``t2 <= t1``.  A floor less
-        than two epsilons above the pending one applies that one first.
-        A retirement told the coming floor (:meth:`release`) leaves the
-        pending one pending, by the same rule.
+        Every read sees the new floor at once.  The served snapshot is
+        checked against it when next read, and dropped — moving the
+        generation — only if the floor changed what it shows.  A floor
+        rise only takes free time away, so the certificates stay.
         """
-        pending = self._floor
-        if pending is None:
-            trimmed, generation = self._trimmed
-            if time <= trimmed and generation == self._store.generation:
-                return
-        elif time <= pending:
-            return
-        elif not pending + TIME_EPSILON < time - TIME_EPSILON:
-            self.apply_floor()
-        self._floor = time
+        if time > self._floor:
+            self._floor = time
 
-    def apply_floor(self) -> int:
-        """Trim to the pending floor now; returns what the trim changed
-        (0 when no floor is pending)."""
+    def trim_before(self, time: float) -> int:
+        """Raise the floor to ``time`` (:meth:`advance_floor`), then
+        delete every stored slot the floor kills; returns how many.
+
+        Reads see nothing new — the deleted slots were already hidden —
+        so the snapshot of the new floor is served first and stays
+        served.  The dead rows are found in the store's columns, and
+        each is the first entry of its node's bucket, so the Python work
+        is per deleted slot and no ``Slot`` is built.  The broker's cycle
+        calls this once; every other clock step only raises the floor.
+        """
+        self.advance_floor(time)
         floor = self._floor
-        if floor is None:
-            return 0
-        self._floor = None
-        return self.trim_before(floor)
+        store = self._store
+        served = self._snapshot()
+        _, kept, _ = _floor_prefix(store.snapshot(), floor)
+        dead = np.flatnonzero(~kept).tolist()
+        entries = store.entries()
+        for row in dead:
+            self._pop_head(entries[row][0][2])
+        store.served = served
+        return len(dead)
+
+    def _cut_slots(self) -> dict:
+        """The slots the current floor cut (:func:`_cut`)."""
+        if self._cuts_floor != self._floor:
+            self._cuts = {}
+            self._cuts_floor = self._floor
+        return self._cuts
+
+    def _drop_dead(self, node_id: int) -> None:
+        """Delete the stored slots of one node that the floor kills (no
+        read sees them), so an insertion coalesces with live ones only."""
+        bucket = self._by_node.get(node_id, ())
+        while bucket and _clamped_key(bucket[0][0], self._floor) is None:
+            self._pop_head(node_id)
+
+    def _pop_head(self, node_id: int) -> None:
+        """Delete the first stored entry of a node's bucket."""
+        bucket = self._by_node[node_id]
+        entry = bucket.pop(0)
+        if not bucket:
+            del self._by_node[node_id]
+        self._store.delete(entry)
 
     # ------------------------------------------------------------------
     # Collection protocol
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        """The slot count once the pending floor is applied.
-
-        Counted without applying it: the rows ``trim_before`` would
-        drop are subtracted (see :meth:`arrays_before_floor`).
-        """
-        size = self._store.size
-        if self._floor is None:
-            return size
-        _, pending = self.arrays_before_floor()
-        assert pending is not None
-        return size - pending.cutoff + int(np.count_nonzero(pending.kept))
+        """The number of slots a read sees."""
+        return self._snapshot().slot_count
 
     def __iter__(self) -> Iterator[Slot]:
         """Iterate slots by non-decreasing start time: the pool as it
         is now, whatever the loop then does to it."""
-        self.apply_floor()
-        return (slot for _, slot in self._store.entries())
+        return (slot for _, slot in self._snapshot()._entries)
 
     def ordered(self) -> list[Slot]:
         """The slots as a new list, ordered by non-decreasing start time."""
-        self.apply_floor()
-        return [slot for _, slot in self._store.entries()]
+        return [slot for _, slot in self._snapshot()._entries]
 
     def __contains__(self, slot: Slot) -> bool:
-        self.apply_floor()
-        bucket = self._by_node.get(slot.node.node_id, ())
-        return _find_entry(bucket, (slot.sort_key(), slot)) is not None
+        return self._stored(slot) is not None
+
+    def _stored(self, slot: Slot) -> Optional[Entry]:
+        """The stored entry that reads as ``slot``, or ``None``: the one
+        entry of its node with its end."""
+        bucket = self._by_node.get(slot.node.node_id)
+        if not bucket:
+            return None
+        index = bisect_left(bucket, slot.end, key=_end_of)
+        if index == len(bucket):
+            return None
+        entry = bucket[index]
+        key = _clamped_key(entry[0], self._floor)
+        if key is None or key != slot.sort_key() or entry[1].node != slot.node:
+            return None
+        return entry
 
     # ------------------------------------------------------------------
     # Mutation
@@ -444,68 +530,76 @@ class SlotPool:
         performance; gap within :data:`COALESCE_GAP`), so repeated
         cut/release cycles do not fragment the pool into ever shorter
         spans.  One overlapping a slot of its node by more than the gap
-        raises :class:`AllocationError`, pool unchanged.
+        raises :class:`AllocationError`, pool unchanged.  A slot the
+        floor kills, once coalesced, is not stored: no read would see it.
         """
-        self.apply_floor()
         self._add(slot)
 
     def _add(self, slot: Slot) -> None:
-        """The body of :meth:`add`: coalesces against the buckets as
-        they are, pending floor or not."""
+        """The body of :meth:`add`, which the pool's own inserts call, so
+        that ``add`` counts only its callers' inserts."""
+        bucket = self._by_node.get(slot.node.node_id)
+        if bucket and bucket[0][0][0] <= self._floor:
+            self._drop_dead(slot.node.node_id)
         slot = self._coalesce(slot)
+        key = slot.sort_key()
+        if _clamped_key(key, self._floor) is None:
+            return
         if self._certificates or self._certificates_shared:
             self._gained()
-        entry = (slot.sort_key(), slot)
+        entry = (key, slot)
         insort(self._by_node.setdefault(slot.node.node_id, []), entry)
         self._store.insert(entry)
 
     def _coalesce(self, slot: Slot) -> Slot:
         """Absorb same-node neighbours touching ``slot`` and return the union.
 
-        The pool's shape leaves at most one slot ending at ``slot.start``
-        and one starting at ``slot.end``; both are removed and the merged
+        The neighbours are the node's slots as the floor leaves them.
+        The pool's shape leaves at most one ending at ``slot.start`` and
+        one starting at ``slot.end``; both are removed and the merged
         span returned.  Any other slot not clearing ``slot`` by more than
         the gap overlaps it: that raises, before anything is removed.
         """
         left: Optional[Slot] = None
         right: Optional[Slot] = None
-        for _, other in self._by_node.get(slot.node.node_id, ()):
-            if abs(other.end - slot.start) <= COALESCE_GAP:
+        bucket = self._by_node.get(slot.node.node_id, ())
+        for key, other in _live(bucket, self._floor):
+            start, end, _ = key
+            if abs(end - slot.start) <= COALESCE_GAP:
                 left = other
-            elif abs(slot.end - other.start) <= COALESCE_GAP:
+            elif abs(slot.end - start) <= COALESCE_GAP:
                 right = other
-            elif (
-                other.end - slot.start > COALESCE_GAP
-                and slot.end - other.start > COALESCE_GAP
-            ):
-                raise AllocationError(f"slot {slot!r} overlaps free slot {other!r}")
+            elif end - slot.start > COALESCE_GAP and slot.end - start > COALESCE_GAP:
+                raise AllocationError(
+                    f"slot {slot!r} overlaps free slot "
+                    f"{_read(key, other, self._cut_slots())!r}"
+                )
         if left is None and right is None:
             return slot
+        # A cut left neighbour's stored start reads as the floor again.
         start = slot.start if left is None else left.start
         end = slot.end if right is None else right.end
         for neighbour in (left, right):
             if neighbour is not None:
-                self._remove(neighbour)
+                self._delete(neighbour)
         return Slot(slot.node, start, end)
 
     def remove(self, slot: Slot) -> None:
         """Remove one slot; raises :class:`AllocationError` if absent."""
-        self.apply_floor()
-        self._remove(slot)
-
-    def _remove(self, slot: Slot) -> None:
-        """The body of :meth:`remove`."""
-        node_id = slot.node.node_id
-        bucket = self._by_node.get(node_id, ())
-        index = _find_entry(bucket, (slot.sort_key(), slot))
-        if index is None:
+        entry = self._stored(slot)
+        if entry is None:
             raise AllocationError(f"slot not in pool: {slot!r}")
-        entry = bucket.pop(index)
+        self._delete(entry[1])
+        self._removed()
+
+    def _delete(self, slot: Slot) -> None:
+        """Delete a stored slot from its bucket and the store."""
+        node_id = slot.node.node_id
+        bucket = self._by_node[node_id]
+        entry = bucket.pop(_find_entry(bucket, (slot.sort_key(), slot)))
         if not bucket:
             del self._by_node[node_id]
         self._store.delete(entry)
-        if self._certificates_shared:
-            self._removed()
 
     def _removed(self) -> None:
         """Free time was only taken away: the certificates stay true,
@@ -525,63 +619,66 @@ class SlotPool:
         Carves the span ``[window.start, window.start + required_time)``
         out of each leg's host and re-inserts the remainders that are
         slots (:meth:`Slot.split`): the "cutting" of reference [17].  A
-        leg's host is the first slot on its node starting at or before
-        the window start that the leg :func:`~repro.model.slot.fits_from`
-        (the search's own test): the leg's own slot for a window just
-        searched on this pool, or a remainder of it when an earlier
-        commit of the same broker cycle cut it (phase two keeps the
-        spans disjoint).  Raises :class:`AllocationError` when a leg has
-        no host — e.g. a trim or an earlier commit took the span; the
-        pool is left unchanged in that case.
+        leg's host is the first slot on its node, as the floor leaves
+        it, starting at or before the window start that the leg
+        :func:`~repro.model.slot.fits_from` (the search's own test): the
+        leg's own slot for a window just searched on this pool, or a
+        remainder of it when an earlier commit of the same broker cycle
+        cut it (phase two keeps the spans disjoint).  Raises
+        :class:`AllocationError` when a leg has no host — e.g. the floor
+        or an earlier commit took the span; the pool is left unchanged
+        in that case.
 
-        A cut is a splice of the host's bucket: the host's entry is
-        replaced in place by its remainders.  A remainder lies inside
-        its host and shares one of its outer ends, and the pool's shape
-        keeps the host's neighbours more than :data:`COALESCE_GAP` away,
-        so it can touch nothing but its sibling: the cut only removes
-        free time, and the certificates stay.  Only a reservation of at
-        most ``TIME_EPSILON`` leaves remainders that touch; they merge
-        back into the host, inserted as :meth:`add` inserts them, and
-        count as a gain.  No remainder overhangs its host, even where
-        the fit test's ε reaches past one of its ends: :meth:`Slot.split`
-        clamps it.
+        A cut is a splice of the host's bucket: the host's stored entry
+        is replaced in place by the remainders of the host as the floor
+        leaves it.  A remainder lies inside its host and shares one of
+        its outer ends, and the pool's shape keeps the host's neighbours
+        more than :data:`COALESCE_GAP` away, so it can touch nothing but
+        its sibling: the cut only removes free time, and the
+        certificates stay.  Only a reservation of at most
+        ``TIME_EPSILON`` leaves remainders that touch; they merge back
+        into the host, inserted as :meth:`add` inserts them, and count
+        as a gain.  No remainder overhangs its host, even where the fit
+        test's ε reaches past one of its ends: :meth:`Slot.split` clamps
+        it.
         """
-        self.apply_floor()
         # Every leg's host is located before the first cut, so a window
         # with a homeless leg fails whole.  The legs sit on distinct
         # nodes: cutting one cannot invalidate another's host.
-        cuts: list[tuple[Slot, float]] = []
+        cuts: list[tuple[Slot, Slot, float]] = []
+        cut_slots = self._cut_slots()
         start = window.start
         for ws in window.slots:
-            for _, slot in self._by_node.get(ws.slot.node.node_id, ()):
-                if slot.start - TIME_EPSILON <= start and fits_from(
-                    last_start(slot.end, ws.required_time), start
+            bucket = self._by_node.get(ws.slot.node.node_id, ())
+            for key, stored in _live(bucket, self._floor):
+                if key[0] - TIME_EPSILON <= start and fits_from(
+                    last_start(key[1], ws.required_time), start
                 ):
-                    cuts.append((slot, ws.required_time))
+                    host = _read(key, stored, cut_slots)
+                    cuts.append((stored, host, ws.required_time))
                     break
             else:
                 raise AllocationError(
                     f"no free slot on node {ws.slot.node.node_id} contains the "
                     f"reserved span [{start:g}, {start + ws.required_time:g})"
                 )
-        for host, required_time in cuts:
+        for stored, host, required_time in cuts:
             remainders = host.split(start, required_time)
             if _carved(remainders):
-                self._splice(host, remainders)
+                self._splice(stored, remainders)
             else:
-                self._remove(host)
+                self._delete(stored)
                 for remainder in remainders:
                     self._add(remainder)
 
-    def _splice(self, host: Slot, remainders: list[Slot]) -> None:
-        """Replace ``host``'s entry in its bucket by ``remainders``
-        (start-ordered, inside the host, and off its neighbours): one
-        store deletion and one insertion each, a removal."""
-        node_id = host.node.node_id
-        bucket = self._by_node.get(node_id, ())
-        index = _find_entry(bucket, (host.sort_key(), host))
-        if index is None:
-            raise AllocationError(f"slot not in pool: {host!r}")
+    def _splice(self, stored: Slot, remainders: list[Slot]) -> None:
+        """Replace a ``stored`` slot's entry in its bucket by
+        ``remainders`` (start-ordered, inside its host, and off its
+        neighbours): one store deletion and one insertion each, a
+        removal."""
+        node_id = stored.node.node_id
+        bucket = self._by_node[node_id]
+        index = _find_entry(bucket, (stored.sort_key(), stored))
         entry = bucket[index]
         entries = [(remainder.sort_key(), remainder) for remainder in remainders]
         bucket[index : index + 1] = entries
@@ -593,7 +690,7 @@ class SlotPool:
             store.insert(remainder)
         self._removed()
 
-    def release(self, window: Window, floor: Optional[float] = None) -> None:
+    def release(self, window: Window) -> None:
         """Return a committed window's reservations to the pool.
 
         The inverse of :meth:`commit_window`: each leg's reserved span
@@ -604,144 +701,40 @@ class SlotPool:
         The slot lifecycle of the broker service relies on this to retire
         finished jobs without leaking or fragmenting capacity.
 
-        ``floor`` is the time the caller trims to next
-        (``trim_before(floor)``, directly or as the floor it records
-        with :meth:`advance_floor`).  A span ending more than two
-        :data:`TIME_EPSILON` before it is checked but not inserted,
-        because that trim would delete all of it: the span and a
-        coalesced left neighbour end before ``floor``, and the one slot
-        it could merge with on its right starts within one epsilon of
-        the span's end — before ``floor - TIME_EPSILON`` — so the trim
-        truncates that slot to ``[floor, end)``, or drops it under the
-        same tail rule, merged or not.  The pool after ``release(window,
-        floor)`` and ``trim_before(floor)`` equals the pool after
-        ``release(window)`` and ``trim_before(floor)``; spans nearer
-        the boundary, and every span without a ``floor``, are inserted.
-
-        A pending floor (:meth:`advance_floor`) stays pending when
-        ``floor`` lies more than two epsilons above it — the floor the
-        caller records next then replaces it, by ``advance_floor``'s own
-        rule — so a retirement between cycles trims nothing.  The legs
-        are checked against each bucket as the pending trim would leave
-        it (:func:`_trim_head`, row by row, nothing written), and only a
-        bucket a span is inserted into is trimmed to the pending floor
-        first, so the span coalesces with what the pool would hold:
-        trims are per node, and a node trimmed to the pending floor and
-        then to ``floor`` ends as one trimmed to ``floor`` alone.  Any
-        other ``floor``, or none, applies the pending floor first.
+        Spans go in as :meth:`add` puts them, so one the floor kills is
+        checked but not stored — unless it touches a live neighbour,
+        which only a span ending within two :data:`TIME_EPSILON` of the
+        floor can.
 
         Raises :class:`AllocationError` when any released span overlaps
-        free time already in the pool (the signature of a double release);
-        the pool is left unchanged in that case.
+        free time a read sees (the signature of a double release); the
+        pool is left unchanged in that case.
         """
-        pending = self._floor
-        if pending is not None and (
-            floor is None or not pending + TIME_EPSILON < floor - TIME_EPSILON
-        ):
-            self.apply_floor()
-            pending = None
         start = window.start
-        # ``trim_before(floor)`` truncates what starts before this bound.
-        bound = float("-inf") if floor is None else floor - TIME_EPSILON
-        by_node = self._by_node
-        inserts: list[Slot] = []
+        spans: list[Slot] = []
         for ws in window.slots:
             node = ws.slot.node
             span_end = start + ws.required_time
-            bucket = by_node.get(node.node_id, ())
-            rows: Iterable[Entry] = bucket
-            if pending is not None and bucket:
-                head, survivors, _ = _trim_head(bucket, pending)
-                rows = chain(survivors, islice(bucket, len(head), None))
-            # ``add``'s overlap test, so a span that passes is inserted.
-            for (slot_start, slot_end, _), _slot in rows:
+            # ``add``'s overlap and touch tests, so a span that passes is
+            # inserted, and one that is dead and touches nothing is not.
+            stays = floor_survivors(start, span_end, self._floor)[0]
+            bucket = self._by_node.get(node.node_id, ())
+            for (slot_start, slot_end, _), _slot in _live(bucket, self._floor):
                 if not span_end - slot_start > COALESCE_GAP:
-                    break  # start-ordered: nothing later overlaps either
+                    # Start-ordered: nothing later overlaps either.
+                    stays |= abs(span_end - slot_start) <= COALESCE_GAP
+                    break
                 if slot_end - start > COALESCE_GAP:
                     raise AllocationError(
                         f"released span [{start:g}, {span_end:g}) on node "
                         f"{node.node_id} overlaps free slot "
                         f"[{slot_start:g}, {slot_end:g}) — double release?"
                     )
-            # Written with the sums the coalescing and the trim compare
-            # floats by, so the two-epsilon rule holds to the last bit.
-            if not span_end + TIME_EPSILON < bound:
-                inserts.append(Slot(node, start, span_end))
-        if pending is not None:
-            for slot in inserts:
-                self._trim_node(slot.node.node_id, pending)
-        for slot in inserts:
+                stays |= abs(slot_end - start) <= COALESCE_GAP
+            if stays:
+                spans.append(Slot(node, start, span_end))
+        for slot in spans:
             self._add(slot)
-
-    def trim_before(self, time: float) -> int:
-        """Drop free time earlier than ``time`` (virtual-clock advance).
-
-        Slots ending at or before ``time`` are removed; slots straddling it
-        are truncated to ``[time, end)`` (dropped entirely when that tail
-        is not a slot, :func:`~repro.model.slot.is_span`).  Returns the
-        number of slots removed or truncated.  This is the one code that
-        trims the pool: the broker service only records each clock
-        step's floor (:meth:`advance_floor`), and the pool calls this
-        with it when it is next mutated or read — once per cycle in a
-        steady stream, not once per arrival or retirement — so searches
-        only ever see future time.  A pending floor is applied first.
-
-        Only each node's slots starting at or before ``time +
-        TIME_EPSILON`` are inspected — a bisect of its bucket finds
-        them (:func:`_trim_head`) — and every later slot is kept
-        untouched.  A node's inspected head is rewritten in place, by
-        what survives of it.
-        """
-        self.apply_floor()
-        changed = self._trim(time)
-        self._trimmed = (time, self._store.generation)
-        return changed
-
-    def _trim(self, time: float) -> int:
-        """The body of :meth:`trim_before`, on a pool with no floor pending."""
-        probe = ((time + TIME_EPSILON, math.inf),)  # ``_trim_head``'s
-        changed = 0
-        prefix: list[Entry] = []
-        rebuilt: list[Entry] = []
-        emptied: list[int] = []
-        for node_id, bucket in self._by_node.items():
-            if not bucket[0] < probe:
-                continue
-            head, survivors, kept = _trim_head(bucket, time)
-            prefix += head
-            rebuilt += survivors
-            if kept < len(head):
-                changed += len(head) - kept
-                bucket[: len(head)] = survivors
-                if not bucket:
-                    emptied.append(node_id)
-        if not changed:
-            return 0
-        self._removed()
-        for node_id in emptied:
-            del self._by_node[node_id]
-        self._store.replace_prefix(probe, prefix, rebuilt)
-        return changed
-
-    def _trim_node(self, node_id: int, time: float) -> None:
-        """:meth:`_trim` on one node's bucket, recorded entry by entry.
-        The one survivor :func:`_trim_head` allows is the head's last
-        entry, kept or cut: every other head entry is deleted."""
-        bucket = self._by_node.get(node_id)
-        if not bucket:
-            return
-        head, survivors, kept = _trim_head(bucket, time)
-        if kept == len(head):
-            return
-        bucket[: len(head)] = survivors
-        if not bucket:
-            del self._by_node[node_id]
-        store = self._store
-        for entry in head[: len(head) - kept]:
-            store.delete(entry)
-        for entry in survivors[kept:]:
-            store.insert(entry)
-        self._removed()
 
     def copy(self) -> "SlotPool":
         """A shallow copy (slots are immutable, so this is fully safe)."""
@@ -749,11 +742,14 @@ class SlotPool:
         # mutates (snapshots are never written in place; each store
         # drops its own on its first edit): scan plans built on one
         # serve the other.
-        self.as_arrays()
+        self._snapshot()
         buckets = {node_id: list(bucket) for node_id, bucket in self._by_node.items()}
         twin = SlotPool(buckets)
         twin._store = self._store.copy(twin._by_node)
-        twin._trimmed = self._trimmed
+        twin._floor = self._floor
+        twin._served_at = self._served_at
+        twin._cuts = self._cut_slots()
+        twin._cuts_floor = self._floor
         twin._certificates = self._certificates
         twin._certificates_shared = self._certificates_shared = True
         return twin
@@ -763,9 +759,7 @@ class SlotPool:
     # ------------------------------------------------------------------
     def certified(self, key) -> bool:
         """Whether a search keyed ``key`` was proven empty on this pool
-        since it last gained free time.  Applies a pending floor, as
-        the snapshot read the search would otherwise make does."""
-        self.apply_floor()
+        since it last gained free time."""
         return key in self._certificates
 
     def certify(self, key, limit: int) -> None:
@@ -783,63 +777,60 @@ class SlotPool:
     # ------------------------------------------------------------------
     @property
     def generation(self) -> int:
-        """Mutation counter: increments on every add/remove/trim.
+        """Mutation counter: moves on every edit, and on a floor rise
+        that changes what a read sees.
 
         Two reads with equal generations saw identical contents, so
-        callers key snapshot and scan-plan caches on it.  Reading it
-        applies a pending floor.
+        callers key snapshot and scan-plan caches on it.
         """
-        self.apply_floor()
+        self._snapshot()
         return self._store.generation
 
     def as_arrays(self) -> SlotArrays:
         """The pool as a columnar snapshot (cached per generation).
 
-        Served from the incrementally maintained column store: the
-        *same* snapshot object is returned until the pool mutates — so
-        repeated scans of an unchanged pool (the broker's phase-one
-        batch, admission between cycles, benchmark repeats) reuse
-        both the columns and any scan plans cached on them — and a
-        mutated pool's store applies every edit since the last read in
-        one column rewrite, never a per-slot Python rebuild or a numpy
-        sort.  The snapshot holds the store's entry list of its
-        generation; a search reads its winners' slots one row at a time
-        (``slot_at``) and builds no ``slot_objects()`` list.
+        The store's columns (:meth:`SlotColumnStore.snapshot`: every
+        edit since the last read applied in one column rewrite) with the
+        floor applied by :func:`_clamp`, which rewrites only the rows
+        starting at or before it.  The *same* snapshot object is
+        returned until the pool mutates or the floor changes what it
+        shows — so repeated scans of an unchanged pool (the broker's
+        phase-one batch, admission between cycles, benchmark repeats)
+        reuse both the columns and any scan plans cached on them.  A
+        search reads its winners' slots one row at a time (``slot_at``,
+        which builds a floor-cut ``Slot`` only for a cut row) and builds
+        no ``slot_objects()`` list.
         """
-        self.apply_floor()
         return self._snapshot()
-
-    def arrays_before_floor(self) -> tuple[SlotArrays, Optional[PendingFloor]]:
-        """The snapshot of the slots *before* the pending floor, and
-        what that floor makes of its rows (``None`` when none is
-        pending; :func:`floor_survivors`).
-
-        Leaves the floor pending, for readers that apply it on read:
-        ``len()``, admission and co-allocation (:func:`merge_before_floor`)
-        do.  The rows are evaluated once per floor and snapshot, and
-        the evaluation is kept on the snapshot, so it dies with it.
-        """
-        arrays = self._snapshot()
-        floor = self._floor
-        if floor is None:
-            return arrays, None
-        pending = getattr(arrays, "_pending_floor", None)
-        if pending is None or pending.floor != floor:
-            cutoff = int(np.searchsorted(arrays.start, floor + TIME_EPSILON))
-            kept, start = floor_survivors(
-                arrays.start[:cutoff], arrays.end[:cutoff], floor
-            )
-            pending = PendingFloor(floor, cutoff, kept, start)
-            arrays._pending_floor = pending
-        return arrays, pending
 
     def _snapshot(self) -> SlotArrays:
         """The snapshot of the current generation: the store's
-        ``served`` one, which every edit drops."""
+        ``served`` one, which every edit drops, checked against the
+        floor it was clamped at.
+
+        A snapshot that cut no slot shows the stored slots the old floor
+        kept, and a higher floor kills every slot a lower one killed, so
+        it is still current when the new floor changes none of its rows.
+        A cut slot starts at the floor, so any rise moves it.
+        """
         store = self._store
+        floor = self._floor
         arrays = store.served
-        if arrays is None:
-            arrays = store.served = store.snapshot()
+        if arrays is not None:
+            clamped_at, cut = self._served_at
+            if clamped_at == floor:
+                return arrays
+            if not cut:
+                _, kept, cut = _floor_prefix(arrays, floor)
+                if kept.all() and not cut.any():
+                    self._served_at = (floor, False)
+                    return arrays
+            store.view_changed()
+        if self._served_at[0] != floor:
+            self._removed()  # a twin sharing the certificates sees more
+        arrays, cut = _clamp(store.snapshot(), floor, self._cut_slots())
+        store.served = arrays
+        self._served_at = (floor, cut)
         return arrays
 
     def total_free_time(self) -> float:
@@ -852,16 +843,19 @@ class SlotPool:
         Served from the per-node index; the returned lists are fresh
         copies, so callers may mutate them freely.
         """
-        self.apply_floor()
-        return {
-            node_id: [slot for _, slot in bucket]
-            for node_id, bucket in self._by_node.items()
-        }
+        grouped = {}
+        for node_id, bucket in self._by_node.items():
+            slots = [
+                _read(key, slot, self._cut_slots())
+                for key, slot in _live(bucket, self._floor)
+            ]
+            if slots:
+                grouped[node_id] = slots
+        return grouped
 
     def node_count(self) -> int:
-        """Number of distinct nodes contributing at least one slot (O(1))."""
-        self.apply_floor()
-        return len(self._by_node)
+        """Number of distinct nodes contributing at least one slot."""
+        return self._snapshot().node_count
 
     def assert_disjoint_per_node(self) -> None:
         """Invariant check of the pool's shape: slots of one node lie
@@ -870,7 +864,12 @@ class SlotPool:
         The broker runs it every cycle under ``check_invariants``; a
         pool mutated only through its methods always passes.
         """
-        self.apply_floor()
         for node_id, bucket in self._by_node.items():
-            if _has_neighbours(bucket):
+            if _has_neighbours(_live(bucket, self._floor)):
                 raise AllocationError(f"slots on node {node_id} overlap or touch")
+
+
+def _end_of(entry: Entry) -> float:
+    """An entry's end: a node's stored slots are disjoint, so their ends
+    rise with their starts."""
+    return entry[0][1]

@@ -14,10 +14,9 @@ The lower bound is evaluated on the pool's columnar snapshot
 and memoized per (snapshot, request shape): a burst of submissions
 between cycles — when the pool's generation is unchanged — pays the
 per-node analysis once, not once per job.  The clock steps between
-arrivals only raise the pool's floor, which admission applies on read
-without trimming (:meth:`~repro.model.SlotPool.arrays_before_floor`):
-the snapshot and the per-shape memo survive it, and a new floor costs
-one per-node pass that every request shape shares.  The arithmetic
+arrivals only raise the pool's floor, which the snapshot applies on read
+(:meth:`~repro.model.SlotPool.as_arrays`): a floor that changes what the
+pool shows is a new snapshot, with a memo of its own.  The arithmetic
 performs the same IEEE operations as a per-slot object loop (the oracle
 the property tests hold it to), so the verdicts are *identical*, not
 merely close.
@@ -41,7 +40,7 @@ import numpy as np
 from repro.model.job import Job, ResourceRequest
 from repro.model.slot import TIME_EPSILON
 from repro.model.slotarrays import SlotArrays
-from repro.model.slotpool import PendingFloor, SlotPool
+from repro.model.slotpool import SlotPool
 from repro.model.window import budget_limit, left_sum
 from repro.service.events import EventEmitter, EventType
 
@@ -99,91 +98,49 @@ def _admission_key(request: ResourceRequest) -> tuple:
     )
 
 
-class _ShapeAnalysis:
-    """What one request shape's bound needs from one snapshot, whatever
-    the floor: per node, the slot length a task needs (its duration
-    less ``TIME_EPSILON``), the task cost and whether the node passes
-    the hardware/price filter; plus the sorted costs at the floor they
-    were last asked for."""
+def _longest_slots(arrays: SlotArrays) -> np.ndarray:
+    """Per node of the snapshot's table, its longest slot.
 
-    __slots__ = ("need", "cost", "match", "floor", "costs")
-
-    def __init__(self, arrays: SlotArrays, request: ResourceRequest):
-        duration = (
-            request.reservation_time * request.reference_performance
-        ) / arrays.performance
-        self.need = duration - TIME_EPSILON
-        self.cost = arrays.price * duration
-        self.match = arrays.match_mask(request)
-        #: The pending floor ``costs`` were computed at (``None``: none).
-        self.floor: object = _UNSET
-        self.costs: np.ndarray
-
-
-#: ``_ShapeAnalysis.floor`` before any costs were computed.
-_UNSET = object()
-
-
-def _longest_slots(arrays: SlotArrays, pending: Optional[PendingFloor]) -> np.ndarray:
-    """Per node, its longest slot once the pending floor is applied
-    (``-inf`` for a node left without slots).
-
-    Rows from the floor's cutoff on keep their lengths; the rows before
-    it are the only ones the floor changes.  Shared by every request
-    shape asked at one floor: a node can host a task exactly when its
-    longest slot is at least the task's need.  Cached on the snapshot.
+    Shared by every request shape asked of one snapshot: a node can host
+    a task exactly when its longest slot is at least the task's need.
+    Cached on the snapshot.
     """
-    cached = getattr(arrays, "_admission_floor", None)
-    if cached is not None and cached[0] is pending:
-        return cached[1]
-    longest = np.full(arrays.node_count, -np.inf)
-    cutoff = 0
-    if pending is not None:
-        cutoff, kept = pending.cutoff, pending.kept
-        np.maximum.at(
-            longest,
-            arrays.node_row[:cutoff][kept],
-            (arrays.end[:cutoff] - pending.start)[kept],
-        )
-    np.maximum.at(
-        longest, arrays.node_row[cutoff:], arrays.end[cutoff:] - arrays.start[cutoff:]
-    )
-    arrays._admission_floor = (pending, longest)
+    longest = getattr(arrays, "_longest_slots", None)
+    if longest is None:
+        longest = np.full(arrays.node_count, -np.inf)
+        np.maximum.at(longest, arrays.node_row, arrays.end - arrays.start)
+        arrays._longest_slots = longest
     return longest
 
 
-def _usable_node_costs(
-    arrays: SlotArrays, request: ResourceRequest, pending: Optional[PendingFloor]
-) -> np.ndarray:
+def _usable_node_costs(arrays: SlotArrays, request: ResourceRequest) -> np.ndarray:
     """Sorted task costs of the nodes that could host one leg (memoized).
 
     A node qualifies when it passes the hardware/price filter and owns
-    at least one slot long enough for its task duration — among the
-    slots the pending floor's trim would leave, when one is pending.
-    The per-shape analysis outlives the floor; a new floor costs one
-    per-node pass shared by every shape (:func:`_longest_slots`).
-    Every float is produced by the same IEEE operation as the object
-    loop: elementwise ``*``/``/``/``-`` match their scalar
-    counterparts, and a node's longest slot reaches a task's need
-    exactly when one of its slots passes the loop's ``slot.length <
-    duration - TIME_EPSILON`` skip.
+    at least one slot long enough for its task duration, i.e. at least
+    the duration less ``TIME_EPSILON``.  Every float is produced by the
+    same IEEE operation as the object loop: elementwise ``*``/``/``/``-``
+    match their scalar counterparts, and a node's longest slot reaches a
+    task's need exactly when one of its slots passes the loop's
+    ``slot.length < duration - TIME_EPSILON`` skip.
     """
     cache = getattr(arrays, "_admission_cache", None)
     if cache is None:
         cache = {}
         arrays._admission_cache = cache
     key = _admission_key(request)
-    shape = cache.get(key)
-    if shape is None:
-        shape = _ShapeAnalysis(arrays, request)
+    costs = cache.get(key)
+    if costs is None:
+        duration = (
+            request.reservation_time * request.reference_performance
+        ) / arrays.performance
+        hosts = arrays.match_mask(request)
+        hosts &= _longest_slots(arrays) >= duration - TIME_EPSILON
+        costs = np.sort((arrays.price * duration)[hosts])
         if len(cache) >= ADMISSION_CACHE_LIMIT:
             cache.pop(next(iter(cache)))
-        cache[key] = shape
-    if shape.floor is not pending:
-        hosts = shape.match & (_longest_slots(arrays, pending) >= shape.need)
-        shape.costs = np.sort(shape.cost[hosts])
-        shape.floor = pending
-    return shape.costs
+        cache[key] = costs
+    return costs
 
 
 def cheapest_feasible_cost(request: ResourceRequest, pool: SlotPool) -> Optional[float]:
@@ -198,14 +155,10 @@ def cheapest_feasible_cost(request: ResourceRequest, pool: SlotPool) -> Optional
 
     Served from the pool's columnar snapshot with a per-(generation,
     request-shape) memo — the snapshot object is reused until the pool
-    mutates, so bursts of submissions between cycles amortize the
-    per-node analysis to one numpy pass.  A pending floor is applied on
-    read and left pending: an arrival's clock step costs no trim and no
-    new snapshot here, and the bound equals the one over the trimmed
-    pool.
+    mutates or its floor moves what it shows, so bursts of submissions
+    between cycles amortize the per-node analysis to one numpy pass.
     """
-    arrays, pending = pool.arrays_before_floor()
-    costs = _usable_node_costs(arrays, request, pending)
+    costs = _usable_node_costs(pool.as_arrays(), request)
     if len(costs) < request.node_count:
         return None
     # Ascending: float-identical to the object loop's ``left_sum`` of

@@ -84,8 +84,8 @@ class BrokerService:
         ``config.alternatives_per_job`` with ``config.criterion`` phase two.
     clock_start:
         Initial virtual time; free time before it is the pool's first
-        floor (:meth:`~repro.model.SlotPool.advance_floor`), trimmed
-        when the pool is first mutated or read.
+        floor (:meth:`~repro.model.SlotPool.advance_floor`): no read of
+        the pool sees it.
     sinks:
         Event consumers (ring buffer, JSONL writer, trace validator, ...)
         fed every job/cycle state transition; empty means tracing is a
@@ -274,8 +274,8 @@ class BrokerService:
                 self._queue.push(job, self._now)
                 self.stats.admitted += 1
                 if self._trigger.should_fire(self._queue, self._now):
-                    # Apply the floor and build the snapshot here, so the
-                    # cycle this job makes due pays for neither.
+                    # Build the snapshot here, so the cycle this job
+                    # makes due need not.
                     self.pool.as_arrays()
             else:
                 assert decision.reason is not None
@@ -402,7 +402,7 @@ class BrokerService:
         Cycles triggered by the max-wait deadline fire *at* their deadline
         (not at ``now``), so batching behaviour does not depend on how
         coarsely the caller steps the clock.  Finished jobs are retired,
-        past free time trimmed, and — with a resilience layer — due
+        the pool's floor raised, and — with a resilience layer — due
         retry re-enqueues and sampled revocations applied in order.
         Returns the number of cycles run.  The clock is monotone: moving
         backwards raises.
@@ -474,17 +474,17 @@ class BrokerService:
     # The cycle
     # ------------------------------------------------------------------
     def _retire_and_trim(self) -> None:
-        """Retire finished jobs (releasing slots) and drop past free time.
+        """Drop past free time and retire finished jobs (releasing slots).
 
         Past free time is dropped by raising the pool's floor to ``now``
-        (O(1)); the pool trims to it when it is next mutated or read —
-        once per cycle in a steady stream, not once per arrival or
-        retirement: the releases are told ``now``, so they leave the
-        floor of an earlier step pending and the new one replaces it.
-        With a rolling-horizon source attached, this is also where the
-        future is published: the pool is topped up to ``now + lead``, so
-        each step leaves it inside the source's bounded window.
+        (O(1)), before the retirements, so every read — the releases'
+        own checks included — sees the pool without it.  Only the cycle
+        deletes the slots the floor killed (:meth:`_run_cycle`).  With a
+        rolling-horizon source attached, this is also where the future
+        is published: the pool is topped up to ``now + lead``, so each
+        step leaves it inside the source's bounded window.
         """
+        self.pool.advance_floor(self._now)
         retired = self._lifecycle.retire_due(self._now, self.pool)
         self.stats.retired += len(retired)
         for entry in retired:
@@ -495,7 +495,6 @@ class BrokerService:
             # A clean retirement settles the escrow: the window's cost
             # becomes provider revenue, no event to replay.
             self._tenancy.on_retired(entry.job.job_id)
-        self.pool.advance_floor(self._now)
         if self._horizon is not None:
             self.stats.slots_published += self._horizon.ensure(self.pool, self._now)
         self.stats.active_jobs = self._lifecycle.active_count
@@ -509,6 +508,7 @@ class BrokerService:
         """
         cycle = _Cycle(index=self.stats.cycles, started=perf_counter())
         self._retire_and_trim()
+        self.pool.trim_before(self._now)
         self.events.emit(
             EventType.CYCLE_START,
             cycle=cycle.index,

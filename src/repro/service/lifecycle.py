@@ -175,13 +175,12 @@ class JobLifecycle:
         :meth:`SlotPool.release`; retirement order is deterministic
         (completion time, then job id).  Returns the retired entries.
 
-        The caller raises the pool's floor to ``now`` next (the
-        broker's clock step; the pool trims to it when next mutated or
-        read), and ``release`` is told so: every span is checked, but
-        one that ended in the past — all but the longest leg of a job
-        that ran its full reservation — is not inserted only for that
-        trim to delete it again, and the floor of an earlier step stays
-        pending (``now`` replaces it), so retiring trims nothing.
+        The caller raised the pool's floor to ``now`` first (the
+        broker's clock step), so ``release`` checks every span against
+        the pool as reads see it and stores none that ended in the past
+        — all but the longest leg of a job that ran its full
+        reservation — unless it joins a live slot.  Retiring trims
+        nothing.
         """
         due = [
             entry
@@ -191,7 +190,7 @@ class JobLifecycle:
         due.sort(key=lambda entry: (entry.completes_at, entry.job.job_id))
         for entry in due:
             job_id = entry.job.job_id
-            pool.release(entry.window, now)
+            pool.release(entry.window)
             del self._active[job_id]
             self._unindex(job_id, entry.window)
             self._emitter.emit(

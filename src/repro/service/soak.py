@@ -40,7 +40,7 @@ from repro.environment.generator import EnvironmentConfig
 from repro.environment.rolling import HorizonConfig, RollingHorizonSource
 from repro.hostinfo import host_payload
 from repro.model.slotarrays import SlotArrays
-from repro.model.slotpool import SlotPool
+from repro.model.slotpool import SlotPool, _clamp
 from repro.scheduling.metascheduler import BatchScheduler
 from repro.service.broker import BrokerService
 from repro.service.config import ServiceConfig
@@ -161,20 +161,16 @@ def bench_soak(
             # Paired sample of the snapshot comparison: the store's
             # catch-up on the edits since the last read (its splice of
             # the pool's entry list included) plus the snapshot built
-            # on it — what a cycle pays after mutations — against
-            # the cold per-slot rebuild it replaced.  The store is
-            # the model's own internals — the probe bypasses the
-            # pool's snapshot cache on purpose, since a cached hit
-            # times nothing.  The pending floor is applied before
-            # either timer starts: ``list(pool)`` would otherwise run
-            # the trim inside the rebuild's timer and inflate the
-            # ratio the snapshot gate checks.
-            pool.apply_floor()
+            # on it and clamped to the floor — what a cycle pays after
+            # mutations — against the cold per-slot rebuild it
+            # replaced.  The store and the clamp are the model's own
+            # internals — the probe bypasses the pool's snapshot cache
+            # on purpose, since a cached hit times nothing.
             tick = perf_counter()
             SlotArrays.from_slots(list(pool))
             rebuild_seconds += perf_counter() - tick
             tick = perf_counter()
-            pool._store.snapshot()
+            _clamp(pool._store.snapshot(), pool._floor, {})
             incremental_seconds += perf_counter() - tick
             snapshot_samples += 1
     broker.drain()

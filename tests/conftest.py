@@ -88,6 +88,15 @@ def free_spans(pool: SlotPool) -> dict[int, list[tuple[float, float]]]:
     }
 
 
+def stored_spans(pool: SlotPool) -> dict[int, list[tuple[float, float]]]:
+    """The slots the pool stores, unclamped by its floor, as
+    ``node id -> [(start, end), ...]``."""
+    return {
+        node_id: [(slot.start, slot.end) for _, slot in bucket]
+        for node_id, bucket in pool._by_node.items()
+    }
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)

@@ -562,6 +562,18 @@ class TestSplitCutsTheLegsOwnSlot:
         assert pairs[0][1] is not slot
 
 
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_split_cutting_needs_a_pool(self, policy):
+        """A snapshot has nothing to cut: split cutting refuses it by
+        name instead of failing inside the procedure."""
+        pool = SlotPool.from_slots([make_slot(node, 0.0, 100.0) for node in range(3)])
+        job = ResourceRequest(node_count=2, reservation_time=20.0)
+        csa = CSA(cut_mode="split", amp_policy=policy)
+        with pytest.raises(TypeError, match="split cutting needs a SlotPool"):
+            csa.alternatives(job, pool.as_arrays())
+        assert len(csa.alternatives(job, pool)) > 1
+
+
 @ADVERSARIAL
 @given(case=adversarial_cases())
 @example(case=EXPIRED_ON_ARRIVAL)

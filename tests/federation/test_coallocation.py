@@ -15,7 +15,7 @@ from repro.model.errors import AllocationError
 from repro.model.slotarrays import SlotArrays
 from repro.model.window import Window
 from repro.service.config import ServiceConfig
-from tests.conftest import free_spans, make_slot, pool_state
+from tests.conftest import make_slot, pool_state, stored_spans
 
 
 def two_node_pool(first_id: int) -> SlotPool:
@@ -45,14 +45,13 @@ class PhantomSlotPool(SlotPool):
     window searched over the union loses that leg's host at commit time
     — the real ``commit_window`` runs and refuses."""
 
-    def arrays_before_floor(self):
-        arrays, pending = super().arrays_before_floor()
-        slots = arrays.slot_objects() + [make_slot(99, 0.0, 100.0)]
-        return SlotArrays.from_slots(sorted(slots, key=Slot.sort_key)), pending
+    def as_arrays(self):
+        slots = super().as_arrays().slot_objects() + [make_slot(99, 0.0, 100.0)]
+        return SlotArrays.from_slots(sorted(slots, key=Slot.sort_key))
 
 
 def floored_pools() -> dict[int, SlotPool]:
-    """Three shards with floors pending: one cuts node 0's slot, one
+    """Three shards with floors raised: one cuts node 0's slot, one
     empties node 2, one changes nothing."""
     pools = {
         0: SlotPool.from_slots([make_slot(0, 0.0, 100.0), make_slot(1, 30.0, 100.0)]),
@@ -118,7 +117,7 @@ class TestTryPlace:
     def test_a_failed_attempt_leaves_every_shard_untouched(self, job, monkeypatch):
         pools = floored_pools()
         before = {
-            shard_id: (pool._store.generation, pool._floor)
+            shard_id: (pool.generation, pool._floor, pool._store.entries())
             for shard_id, pool in pools.items()
         }
         allocator = CoAllocator(ServiceConfig())
@@ -128,8 +127,10 @@ class TestTryPlace:
 
         assert calls == []
         for shard_id, pool in pools.items():
-            assert (pool._store.generation, pool._floor) == before[shard_id]
-        # pool_state applies the floors, on these pools and their twins.
+            generation, floor, entries = before[shard_id]
+            assert (pool.generation, pool._floor) == (generation, floor)
+            assert pool._store.entries() is entries
+        # The same reads as pools that never met the co-allocator.
         twins = floored_pools()
         for shard_id, pool in pools.items():
             assert pool_state(pool) == pool_state(twins[shard_id]), shard_id
@@ -147,8 +148,9 @@ class TestTryPlace:
             shard_id: [leg.slot.node.node_id for leg in window.slots]
             for shard_id, window in entry.legs.items()
         } == {0: [0, 1], 1: [3]}
-        # Each commit applies its shard's floor; shard 2 is never trimmed.
-        assert calls == ["trim_before", "trim_before"]
+        # Each commit reads its shard as the floor clamps it; no shard is
+        # trimmed, and shard 2's floor is its own.
+        assert calls == []
         assert pools[2]._floor == 5.0
 
     def test_empty_pool_mapping(self):
@@ -212,9 +214,10 @@ class TestLifecycle:
             pool.assert_disjoint_per_node()
 
     def test_release_due_tells_release_the_time_the_shards_trim_to(self):
-        """Legs on faster nodes end before the window completes: they are
-        not put back for the shards' next trim to delete, and after that
-        trim the pools equal those of a plain release of every leg."""
+        """The shards have raised their floors to ``now`` when the
+        co-allocator releases: legs on faster nodes end before the window
+        completes and are not stored, and the pools read as after a
+        release of every leg before the floor rose."""
         pools = {
             0: SlotPool.from_slots(
                 [make_slot(0, 0.0, 100.0, performance=8.0), make_slot(1, 0.0, 100.0)]
@@ -229,15 +232,15 @@ class TestLifecycle:
         for shard_id, pool in pools.items():
             twin = pool.copy()
             twin.release(entry.legs[shard_id])
-            twin.trim_before(now)
+            twin.advance_floor(now)
             expected[shard_id] = pool_state(twin)
+            pool.advance_floor(now)
 
         assert len(allocator.release_due(pools, now)) == 1
         # Runtimes 2.5, 5 and 10: only node 2's leg reaches ``now``.
-        assert free_spans(pools[0]) == {0: [(2.5, 100.0)], 1: [(5.0, 100.0)]}
-        assert free_spans(pools[1]) == {2: [(0.0, 100.0)]}
+        assert stored_spans(pools[0]) == {0: [(2.5, 100.0)], 1: [(5.0, 100.0)]}
+        assert stored_spans(pools[1]) == {2: [(0.0, 100.0)]}
         for shard_id, pool in pools.items():
-            pool.trim_before(now)
             assert pool_state(pool) == expected[shard_id], shard_id
 
     def test_next_completion_tracks_earliest(self):

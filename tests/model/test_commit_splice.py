@@ -44,7 +44,6 @@ def commit_by_remove_and_add(pool: SlotPool, window: Window) -> None:
     and one ``add`` per remainder.  The certificates survive exactly
     when every remainder lies inside its host and none merged — the cut
     then only removed free time."""
-    pool.apply_floor()
     cuts = []
     for ws in window.slots:
         for slot in pool.by_node().get(ws.slot.node.node_id, ()):

@@ -1,12 +1,14 @@
-"""The co-allocator's union: shard snapshots merged, floors applied on read.
+"""The co-allocator's union: shard snapshots, each clamped to its shard's
+floor, merged.
 
-``merge_before_floor`` must equal the snapshot of the pool the
-co-allocator used to build — ``SlotPool.from_slots`` over every shard's
-slots after ``trim_before`` of its pending floor — column for column,
-dtype for dtype, node table and ``slot_at`` on every row included, and
-leave every shard as it found it.  The shards are the ulp-adversarial
-pools of ``tests/strategies.py``, dealt node by node round-robin into one
-to four shards, each with no floor, a floor below every row, a floor that
+``merge_snapshots`` over the shards' ``as_arrays()`` must equal the
+snapshot of the pool the co-allocator used to build — ``SlotPool.from_slots``
+over every shard's slots with the floor applied one slot at a time
+(``naive_trim``) — column for column, dtype for dtype, node table and
+``slot_at`` on every row included, and leave every shard's stored slots
+as it found them.  The shards are the ulp-adversarial pools of
+``tests/strategies.py``, dealt node by node round-robin into one to four
+shards, each with no floor, a floor below every row, a floor that
 empties a node, or a floor at a row's start or end, moved by 0, ±ε/2, ±ε
 or ±2ε; and a generated fleet dealt the same way.
 """
@@ -21,9 +23,10 @@ from hypothesis import strategies as st
 from repro.environment import EnvironmentConfig, EnvironmentGenerator
 from repro.model import Slot, SlotPool
 from repro.model.slot import TIME_EPSILON
-from repro.model.slotpool import merge_before_floor
+from repro.model.slotpool import merge_snapshots
 
 from tests.conftest import SNAPSHOT_COLUMNS, make_slot
+from tests.model.test_slotarrays import naive_trim
 from tests.strategies import ADVERSARIAL, adversarial_cases
 
 EPS = TIME_EPSILON
@@ -69,7 +72,7 @@ def sharded(draw):
 
 
 def lazy_shard(slots, floor) -> SlotPool:
-    """A shard with ``floor`` recorded and not applied."""
+    """A shard with its floor raised to ``floor`` and nothing trimmed."""
     pool = SlotPool.from_slots(slots)
     if floor is not None:
         pool.advance_floor(floor)
@@ -77,21 +80,20 @@ def lazy_shard(slots, floor) -> SlotPool:
 
 
 def trimmed_union(shards) -> SlotPool:
-    """The oracle: each shard trimmed to its floor, then one bulk-built
-    pool of all their slots."""
+    """The oracle: each shard's slots cut to its floor one by one, then
+    one bulk-built pool of all of them."""
     slots = []
     for shard_slots, floor in shards:
-        pool = SlotPool.from_slots(shard_slots)
         if floor is not None:
-            pool.trim_before(floor)
-        slots += pool.ordered()
+            shard_slots = naive_trim(shard_slots, floor)[1]
+        slots += shard_slots
     return SlotPool.from_slots(slots)
 
 
 def assert_union_equals(shards) -> None:
     pools = [lazy_shard(slots, floor) for slots, floor in shards]
-    generations = [pool._store.generation for pool in pools]
-    merged = merge_before_floor([pool.arrays_before_floor() for pool in pools])
+    stored = [pool._store.entries() for pool in pools]
+    merged = merge_snapshots([pool.as_arrays() for pool in pools])
     expected = trimmed_union(shards).as_arrays()
     for column in SNAPSHOT_COLUMNS:
         got, want = getattr(merged, column), getattr(expected, column)
@@ -106,10 +108,10 @@ def assert_union_equals(shards) -> None:
         assert slot == want, row
         assert (slot is want) == (id(want) in inputs), row
     assert merged.slot_objects() == expected.slot_objects()
-    # The shards are untouched: floors pending, no trim, no edit.
-    for pool, (_, floor), generation in zip(pools, shards, generations):
-        assert pool._floor == floor
-        assert pool._store.generation == generation
+    # The shards are untouched: their floors, and the slots they store.
+    for pool, (_, floor), entries in zip(pools, shards, stored):
+        assert pool._floor == (-np.inf if floor is None else floor)
+        assert pool._store.entries() is entries
 
 
 class TestAgainstTheTrimmedUnion:
@@ -139,9 +141,7 @@ class TestAgainstTheTrimmedUnion:
     def test_a_floor_that_empties_a_node(self):
         shards = deal([make_slot(0, 0.0, 10.0), make_slot(1, 0.0, 30.0)], 2)
         assert_union_equals([(shards[0], 10.0), (shards[1], None)])
-        merged = merge_before_floor(
-            [lazy_shard(slots, 10.0).arrays_before_floor() for slots in shards]
-        )
+        merged = merge_snapshots([lazy_shard(slots, 10.0).as_arrays() for slots in shards])
         assert merged.node_id.tolist() == [1]
         assert merged.node_row.tolist() == [0]
 
@@ -154,7 +154,7 @@ class TestAgainstTheTrimmedUnion:
 
     def test_empty_shards(self):
         assert_union_equals([([], None), ([make_slot(0, 0.0, 5.0)], 5.0)])
-        assert merge_before_floor([]).slot_count == 0
+        assert merge_snapshots([]).slot_count == 0
 
     @pytest.mark.parametrize("floor", (0.0, 37.5, 250.0))
     def test_a_generated_fleet_split_into_shards(self, floor):
@@ -168,9 +168,7 @@ class TestAgainstTheTrimmedUnion:
 
 def test_the_union_is_sorted_with_no_ties():
     shards = deal([make_slot(node, 0.0, 10.0) for node in range(8)], 4)
-    merged = merge_before_floor(
-        [lazy_shard(slots, None).arrays_before_floor() for slots in shards]
-    )
+    merged = merge_snapshots([lazy_shard(slots, None).as_arrays() for slots in shards])
     keys = list(zip(merged.start, merged.end, merged.node_id[merged.node_row]))
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)

@@ -1,13 +1,14 @@
-"""``SlotPool.release(window, floor)``: told the time the caller trims to
-next, a release leaves out the spans that trim would delete anyway.
+"""``SlotPool.release(window)`` under a floor: a release checks and
+inserts its spans against the pool as reads see it.
 
 The contract is an equality of pools, not a description of what is
-skipped: ``release(w, t); trim_before(t)`` and ``release(w);
-trim_before(t)`` must leave the same ordered slots, the same per-node
-buckets and the same column bytes (:func:`tests.conftest.pool_state`),
-for every pool, window and ``t`` — in particular for ``t`` within a few
-:data:`TIME_EPSILON` of a released span's end, where a coalesced right
-neighbour decides whether the span may be left out.
+skipped: raising the floor to ``t`` and then releasing ``w`` must leave
+the same reads — ordered slots, per-node view and column bytes
+(:func:`tests.conftest.pool_state`) — as releasing ``w`` and then
+raising the floor, and as releasing ``w`` into a pool rebuilt from what
+it shows at ``t``, for every pool, window and ``t``: in particular for
+``t`` within a few :data:`TIME_EPSILON` of a released span's end, where
+a coalesced right neighbour decides whether the span is stored at all.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from repro.model import Slot, SlotPool, Window, WindowSlot
 from repro.model.errors import AllocationError
 from repro.model.slot import TIME_EPSILON
 
-from tests.conftest import free_spans, make_node, make_slot, pool_state
+from tests.conftest import free_spans, make_node, make_slot, pool_state, stored_spans
+from tests.model.test_slotpool_floor import materialized
 
 #: ``t - span_end`` for the trim times drawn next to a released span's
 #: end: both sides of the two-epsilon rule and of the one-epsilon
@@ -89,65 +91,94 @@ def cut_pools(draw):
     return pool, cut, released, time
 
 
-def release_then_trim(pool: SlotPool, window: Window, time: float, **floor):
-    """The pool's state after ``release`` and ``trim_before(time)``, and
-    whether the release was refused."""
+def released(pool: SlotPool, window: Window):
+    """The pool's reads after ``release(window)``, and whether the
+    release was refused."""
     try:
-        pool.release(window, **floor)
+        pool.release(window)
     except AllocationError:
         refused = True
     else:
         refused = False
-    pool.trim_before(time)
     return refused, pool_state(pool)
+
+
+def floor_then_release(pool: SlotPool, window: Window, time: float):
+    pool.advance_floor(time)
+    return released(pool, window)
+
+
+def release_then_floor(pool: SlotPool, window: Window, time: float):
+    refused, _ = released(pool, window)
+    pool.advance_floor(time)
+    return refused, pool_state(pool)
+
+
+def assert_release_then_floor_agrees(pool, window, time, expected) -> None:
+    """Releasing before the floor rises reads as releasing after it,
+    except that only the release before may be refused: a span may
+    overlap, by more than the gap, free time the floor then drops."""
+    refused, state = release_then_floor(pool, window, time)
+    assert refused or not expected[0]
+    if not refused:
+        assert state == expected[1]
 
 
 class TestReleaseWithFloorEqualsReleaseThenTrim:
     @settings(max_examples=300, deadline=None)
     @given(case=cut_pools())
     def test_same_pool_after_the_trim(self, case):
-        pool, cut, released, time = case
+        pool, cut, window, time = case
         pool.commit_window(cut)
-        plain, told = pool.copy(), pool.copy()
-        assert release_then_trim(told, released, time, floor=time) == (
-            release_then_trim(plain, released, time)
-        )
+        plain, told, rebuilt = pool.copy(), pool.copy(), pool.copy()
+        rebuilt.advance_floor(time)
+        expected = released(materialized(rebuilt), window)
+        assert floor_then_release(told, window, time) == expected
+        told.trim_before(time)
+        assert pool_state(told) == expected[1]
+        assert_release_then_floor_agrees(plain, window, time, expected)
 
     @settings(max_examples=100, deadline=None)
-    @given(case=cut_pools(), later=st.sampled_from([0.0, TIME_EPSILON, 0.5, 7.0]))
+    @given(case=cut_pools(), later=st.sampled_from([0.0, 3 * TIME_EPSILON, 0.5, 7.0]))
     def test_a_later_trim_is_covered_too(self, case, later):
-        """The federation releases at ``now`` and its shards trim at
-        their next clock step, ``now`` or later."""
-        pool, cut, released, time = case
+        """The federation releases at ``now`` into shards whose floor is
+        ``now``, and their clocks move on from there.  (A step of at most
+        2ε is where one clamp of a stored slot and a clamp of a slot
+        stored at the first floor part: tests/model/test_slotpool_floor.py
+        pins the rule there.)"""
+        pool, cut, window, time = case
         pool.commit_window(cut)
         plain, told = pool.copy(), pool.copy()
-        assert release_then_trim(told, released, time + later, floor=time) == (
-            release_then_trim(plain, released, time + later)
+        refused, _ = floor_then_release(told, window, time)
+        told.advance_floor(time + later)
+        assert_release_then_floor_agrees(
+            plain, window, time + later, (refused, pool_state(told))
         )
 
 
-#: Where a pending floor sits relative to the released window's start.
+#: Where the floor sits relative to the released window's start.
 START_OFFSETS = tuple(
     factor * TIME_EPSILON for factor in (-1.0, 0.0, 0.5, 1.0, 2.0, 3.0)
 ) + (2.0, 8.0)
-#: ``floor - pending``: the floor applies the pending one first (up to
-#: 2ε) or replaces it (beyond).
+#: ``floor - first``: steps a rebuild at every step reads the same
+#: through (none of at most ε, where a slot cut to the first floor reads
+#: as cut to the second; see tests/model/test_slotpool_floor.py).
 FLOOR_STEPS = tuple(
-    factor * TIME_EPSILON for factor in (0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 3.5)
+    factor * TIME_EPSILON for factor in (0.0, 2.0, 2.5, 3.0, 3.5)
 ) + (1.0, 7.0)
 #: How far the released window starts before the cut one: on its start,
 #: within the coalescing gap of it, or well inside the left remainder —
-#: free time a pending floor may be about to drop.
+#: free time the floor may have dropped.
 START_SHIFTS = tuple(
     factor * TIME_EPSILON for factor in (0.0, 0.5, 1.0, 1.5, -0.5, -1.0)
 ) + (3.0,)
 
 
 @st.composite
-def pending_cases(draw):
+def stepped_cases(draw):
     """A :func:`cut_pools` case whose window is released (possibly
-    starting earlier than it was cut) under a pending floor, told a
-    floor a step above it."""
+    starting earlier than it was cut) under one floor, before a step to
+    a second."""
     pool, cut, released, time = draw(cut_pools())
     shift = draw(st.sampled_from(START_SHIFTS))
     released = Window(
@@ -157,42 +188,36 @@ def pending_cases(draw):
             for ws in released.slots
         ),
     )
-    pending = draw(
+    first = draw(
         st.one_of(
             st.just(time),
             st.sampled_from(START_OFFSETS).map(lambda offset: cut.start + offset),
         )
     )
-    return pool, cut, released, pending, pending + draw(st.sampled_from(FLOOR_STEPS))
+    return pool, cut, released, first, first + draw(st.sampled_from(FLOOR_STEPS))
 
 
 class TestReleaseUnderAPendingFloor:
-    """The broker's retirement: a floor is pending, ``release(w, f)`` is
-    told the next clock step ``f`` and the step follows.  The lazy pool
-    leaves the pending floor pending when ``f`` is more than two epsilons
-    above it; the eager twin trims at each step.  Windows starting
-    before the cut one overlap free time the pending floor drops."""
+    """The broker's retirement: the floor is raised, the window released
+    and the clock steps on.  The stored-rows pool only raises its floor;
+    the eager twin is rebuilt from what it shows at each step.  Windows
+    starting before the cut one overlap free time the floor drops."""
 
     @settings(max_examples=400, deadline=None)
-    @given(case=pending_cases())
+    @given(case=stepped_cases())
     def test_lazy_release_equals_a_trim_at_each_step(self, case):
-        pool, cut, released, pending, floor = case
+        pool, cut, window, first, second = case
         pool.commit_window(cut)
-        lazy, eager = pool.copy(), pool.copy()
-        lazy.advance_floor(pending)
-        eager.trim_before(pending)
-        outcomes = []
-        for twin in (lazy, eager):
-            try:
-                twin.release(released, floor)
-            except AllocationError:
-                outcomes.append("refused")
-            else:
-                outcomes.append("released")
+        lazy = pool.copy()
+        lazy.advance_floor(first)
+        eager = pool.copy()
+        eager.advance_floor(first)
+        eager = materialized(eager)
+        outcomes = [released(twin, window)[0] for twin in (lazy, eager)]
         assert outcomes[0] == outcomes[1]
-        lazy.advance_floor(floor)
-        eager.trim_before(floor)
-        assert pool_state(lazy) == pool_state(eager)
+        lazy.advance_floor(second)
+        eager.advance_floor(second)
+        assert pool_state(lazy) == pool_state(materialized(eager))
         lazy.assert_disjoint_per_node()
 
 
@@ -218,40 +243,58 @@ def committed():
 
 def test_past_leg_is_left_out_and_boundary_leg_still_coalesces(committed):
     pool, window = committed
-    pool.release(window, floor=window.finish)
-    # Node 1's leg ended 5 before the floor: not inserted.  Node 2's ends
-    # exactly at it and merges with both remainders, as without a floor.
-    assert free_spans(pool) == {1: [(0.0, 20.0), (25.0, 100.0)], 2: [(0.0, 100.0)]}
+    pool.advance_floor(window.finish)
+    pool.release(window)
+    # Node 1's leg ended 5 before the floor and is not stored (the dead
+    # [0, 20) waits for the trim).  Node 2's ends exactly at the floor and
+    # merges with its right remainder, as without a floor; its dead left
+    # remainder is deleted first.
+    assert stored_spans(pool) == {
+        1: [(0.0, 20.0), (25.0, 100.0)],
+        2: [(20.0, 100.0)],
+    }
+    assert free_spans(pool) == {1: [(30.0, 100.0)], 2: [(30.0, 100.0)]}
     pool.trim_before(window.finish)
     assert free_spans(pool) == {1: [(30.0, 100.0)], 2: [(30.0, 100.0)]}
 
 
 @pytest.mark.parametrize(
     "epsilons_past, node_1",
-    [(1.5, [(0.0, 100.0)]), (2.5, [(0.0, 20.0), (25.0, 100.0)])],
+    [(0.5, [(20.0, 100.0)]), (1.5, [(0.0, 20.0), (25.0, 100.0)])],
+    ids=["1.5-node_10", "2.5-node_11"],
 )
 def test_two_epsilon_boundary(committed, epsilons_past, node_1):
-    """Node 1's leg ends at 25: inside two epsilons of the floor it is
-    inserted (and coalesces), beyond them it is left out."""
+    """Node 1's leg ends at 25, where its right remainder starts.  With
+    the floor half an ε past 25 the remainder is not cut, the leg joins
+    it and is stored; one and a half ε past, the remainder reads as cut
+    to the floor, more than ε from the leg's end, and the dead leg is
+    not stored.  Either way node 1 reads from the floor on: within two
+    epsilons of the floor, whether a past leg is stored changes no read."""
     pool, window = committed
-    pool.release(window, floor=25.0 + epsilons_past * TIME_EPSILON)
-    assert free_spans(pool) == {1: node_1, 2: [(0.0, 100.0)]}
+    floor = 25.0 + epsilons_past * TIME_EPSILON
+    pool.advance_floor(floor)
+    pool.release(window)
+    assert stored_spans(pool)[1] == node_1
+    assert free_spans(pool) == {1: [(floor, 100.0)], 2: [(floor, 100.0)]}
 
 
 def test_future_tail_of_an_early_finish_is_returned(committed):
     pool, window = committed
     # completion_factor 0.5: the job is retired at 25, half way through.
-    pool.release(window, floor=25.0)
+    pool.advance_floor(25.0)
+    pool.release(window)
     pool.trim_before(25.0)
     assert free_spans(pool) == {1: [(25.0, 100.0)], 2: [(25.0, 100.0)]}
 
 
 def test_double_release_of_a_live_span_raises_and_changes_nothing(committed):
     pool, window = committed
-    pool.release(window, floor=window.finish)
+    # Retired half way: both legs reach the floor, so both are live.
+    pool.advance_floor(25.0)
+    pool.release(window)
     before = pool_state(pool)
     with pytest.raises(AllocationError, match="double release"):
-        pool.release(window, floor=window.finish)
+        pool.release(window)
     assert pool_state(pool) == before
 
 
@@ -260,5 +303,5 @@ def test_overlap_is_checked_for_spans_that_are_left_out(committed):
     pool.add(make_slot(1, 21.0, 24.0))  # free time inside node 1's past leg
     before = pool_state(pool)
     with pytest.raises(AllocationError, match="node 1"):
-        pool.release(window, floor=90.0)
+        pool.release(window)
     assert pool_state(pool) == before

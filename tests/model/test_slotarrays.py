@@ -76,28 +76,33 @@ def assert_bytes_equal_rebuild(pool: SlotPool, slots=None) -> None:
 
 def bucket_merge(pool: SlotPool) -> list:
     """The key-sorted merge of the pool's per-node buckets: its entries
-    as the buckets hold them, read without catching the store up or
-    applying a pending floor."""
+    as the buckets store them, read without catching the store up or
+    clamping them to the floor."""
     merged = [entry for bucket in pool._by_node.values() for entry in bucket]
     return sorted(merged, key=itemgetter(0))
 
 
 def merged_slots(pool: SlotPool) -> list[Slot]:
-    """The slots of :func:`bucket_merge`, in order."""
-    return [slot for _, slot in bucket_merge(pool)]
+    """The pool's slots as reads see them, in order, merged from its
+    per-node view (:meth:`SlotPool.by_node`, which clamps the buckets
+    to the floor) without catching the store up."""
+    shown = (slot for slots in pool.by_node().values() for slot in slots)
+    return sorted(shown, key=Slot.sort_key)
 
 
 def assert_one_order(pool: SlotPool) -> None:
     """The store's ordered entries are the key-sorted merge of the
-    buckets, and the pool's snapshot is byte-equal to a cold rebuild of
-    that merge.  A pending floor stays pending: the snapshot is read
-    through ``arrays_before_floor``, which is ``as_arrays()``'s when no
-    floor is pending."""
+    buckets, and its snapshot is byte-equal to a cold rebuild of that
+    merge; the pool's snapshot, that merge clamped to the floor, is
+    byte-equal to a cold rebuild of the pool's per-node view."""
     merged = bucket_merge(pool)
     assert pool._store.entries() == merged
     assert pool._store.size == len(merged)
     rebuilt = SlotArrays.from_slots([slot for _, slot in merged])
-    assert_same_columns(pool.arrays_before_floor()[0], rebuilt)
+    assert_same_columns(pool._store.snapshot(), rebuilt)
+    shown = merged_slots(pool)
+    assert_same_columns(pool.as_arrays(), SlotArrays.from_slots(shown))
+    assert pool.as_arrays().slot_objects() == shown
 
 
 def assert_index_consistent(pool: SlotPool) -> None:
@@ -454,7 +459,7 @@ class TestCatchUpOnRead:
         window = MinCost().select(TestMutationStorm.REQUEST, iter(pool.ordered()))
         assert window is not None
         pool.commit_window(window)
-        pool.trim_before(4.0)
+        pool.advance_floor(4.0)  # a trim reads the columns to find the dead
         pool.release(window)
         pool.remove(merged_slots(pool)[3])  # ``ordered()`` would be a read
         pool.add(make_slot(77_777, 50.0, 60.0))
@@ -488,12 +493,12 @@ class TestSnapshotLifetime:
         pool = generated_pool(node_count=8, seed=3)
         if floor is not None:
             pool.advance_floor(floor)
-            pool.arrays_before_floor()  # the floor's rows, kept on the snapshot
-        served = weakref.ref(pool.arrays_before_floor()[0])
+        served = weakref.ref(pool.as_arrays())
         MinCost().select(TestMutationStorm.REQUEST, pool)  # a plan on it
         self.EDITS[edit](pool)
         assert served() is None
-        assert pool._store.served is None
+        # A trim serves the snapshot of its floor; no other edit serves one.
+        assert (pool._store.served is not None) == (edit == "trim")
 
     def test_a_twin_keeps_the_shared_snapshot_until_it_edits_too(self):
         pool = generated_pool(node_count=8, seed=3)
@@ -504,6 +509,30 @@ class TestSnapshotLifetime:
         assert twin.as_arrays() is served()
         twin.trim_before(5.0)
         assert served() is None
+
+    def test_a_floor_rise_that_cuts_a_row_drops_the_served_snapshot(self):
+        pool = SlotPool.from_slots([make_slot(0, 0.0, 50.0), make_slot(1, 20.0, 60.0)])
+        served = weakref.ref(pool.as_arrays())
+        generation = pool.generation
+        # A floor that changes no row keeps the snapshot and the generation.
+        pool.advance_floor(-5.0)
+        assert pool.as_arrays() is served()
+        assert pool.generation == generation
+        # One that cuts node 0's row drops both, and a twin taken before
+        # keeps what it saw.
+        twin = pool.copy()
+        pool.advance_floor(10.0)
+        assert pool.generation > generation
+        assert served() is not None and twin.as_arrays() is served()
+        assert pool.as_arrays().start.tolist() == [10.0, 20.0]
+        assert pool._store.served is not served()
+        # A rise past a cut row moves it again.
+        cut = weakref.ref(pool.as_arrays())
+        generation = pool.generation
+        pool.advance_floor(15.0)
+        assert pool.generation > generation
+        assert cut() is None
+        assert pool.as_arrays().start.tolist() == [15.0, 20.0]
 
 
 class TestSnapshotIdentity:
@@ -572,8 +601,9 @@ class TestTrimAgainstNaiveModel:
     def assert_trims_match_model(pool, times):
         model = pool.ordered()
         for time in times:
-            changed, model = naive_trim(model, time)
-            assert pool.trim_before(time) == changed
+            shown = len(model)
+            _, model = naive_trim(model, time)
+            assert pool.trim_before(time) == shown - len(model)
             assert pool.ordered() == model
             grouped = {}
             for slot in model:

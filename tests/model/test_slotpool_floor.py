@@ -1,22 +1,27 @@
-"""The pending floor: ``advance_floor`` against a trim at every step.
+"""The floor as a read-time clamp, against a pool materialized at every step.
 
-A clock step records a floor on the pool in O(1); the pool applies it
-through ``trim_before`` when it is next mutated or hands out slots or a
-snapshot, and ``len()`` and admission's cost bound apply it on read
-without trimming.  The oracle is an *eager* twin that receives the same
-operations but calls ``trim_before`` at every floor step, as the broker
-did before the floor existed:
+A pool stores its slots as they were published, released or cut, plus
+one monotone floor; every read sees the stored slots clamped to it by
+``floor_survivors``.  The oracle is an *eager* twin that receives the
+same operations but, at every floor step, is rebuilt from what it shows
+(``SlotPool.from_slots(twin.ordered())``, raised to the same floor), so
+it never stores a slot the floor clamps:
 
-* after every operation, ``len`` and ``cheapest_feasible_cost`` on the
-  lazy pool (neither applies the floor) equal ``len`` and the object-loop
-  ``cheapest_feasible_cost_reference`` on the eager twin;
-* after every read that applies the floor, the two pools are equal
-  (:func:`tests.conftest.pool_state`).
+* after every operation the two pools read the same
+  (:func:`tests.conftest.pool_state`: ordered slots, per-node view and
+  snapshot bytes), and ``len`` and ``cheapest_feasible_cost`` on the
+  stored-rows pool equal ``len`` and the object-loop
+  ``cheapest_feasible_cost_reference`` on the twin;
+* a trim (``trim_before`` at the current floor) changes no read.
 
-Floor steps of 0, ε/2, ε, 2ε and 3ε exercise the rule for merging two
-floors with nothing between them (``t1 + ε < t2 - ε``), and rows built
-at ``start = floor ± ε`` and ``tail = ε`` exercise each comparison of
-the trim's rule.
+Floor steps of 0, 3ε and 7 keep the two equal: one clamp of a stored
+slot and a clamp of its clamped copy agree once the steps are more than
+two epsilons apart.  Steps of ε/2, ε and 2ε are the one place they part
+— a slot cut to ``t1`` reads as cut to ``t2``, where the rebuilt twin
+keeps ``[t1, end)`` when ``t1`` is within ε of ``t2`` — and hand-written
+tests pin the rule there (:func:`test_two_floor_steps_leave_what_two_trims_leave`).
+Rows built at ``start = floor ± ε/2, ε, 2ε`` and tails of ε/2, ε and 2ε
+exercise each comparison of the rule.
 """
 
 from __future__ import annotations
@@ -35,15 +40,15 @@ from repro.model.slot import TIME_EPSILON
 from repro.model.slotpool import floor_survivors
 from repro.service.admission import cheapest_feasible_cost
 
-from tests.conftest import make_node, make_slot, pool_state
-from tests.model.test_slotarrays import assert_one_order
+from tests.conftest import free_spans, make_node, make_slot, pool_state
+from tests.model.test_slotarrays import assert_one_order, naive_trim
 from tests.service.admission_oracle import cheapest_feasible_cost_reference
 
 EPS = TIME_EPSILON
 
-#: Floor steps: merged with the pending floor (0, 3ε, large) or not
-#: (ε/2, ε, 2ε: the pending floor is applied first).
-FLOOR_STEPS = (0.0, EPS / 2, EPS, 2 * EPS, 3 * EPS, 7.0)
+#: Floor steps under which a stored-rows pool and a pool rebuilt at
+#: every step read the same.
+FLOOR_STEPS = (0.0, 3 * EPS, 7.0)
 
 #: Three request shapes; on a performance-4 node their tasks run 0.5,
 #: 5 and 30 time units, so each meets a different tail length.
@@ -57,19 +62,27 @@ REQUESTS = (
 ROW_STARTS = (-10.0, -2 * EPS, -EPS, -EPS / 2, 0.0, EPS / 2, EPS, 2 * EPS)
 
 
+def materialized(pool: SlotPool) -> SlotPool:
+    """A pool storing exactly what ``pool`` shows, at ``pool``'s floor."""
+    twin = SlotPool.from_slots(pool.ordered())
+    twin.advance_floor(pool._floor)
+    return twin
+
+
 def assert_reads_agree(lazy: SlotPool, eager: SlotPool) -> None:
-    """The reads that leave a pending floor pending see the eager pool."""
-    pending = lazy.arrays_before_floor()[1]
+    """Every read of the stored-rows pool sees the eager one."""
     assert len(lazy) == len(eager)
     for request in REQUESTS:
         assert cheapest_feasible_cost(request, lazy) == (
             cheapest_feasible_cost_reference(request, eager)
         )
-    assert lazy.arrays_before_floor()[1] == pending  # still pending
+    assert pool_state(lazy) == pool_state(eager)
+    assert lazy.node_count() == eager.node_count()
+    assert lazy.total_free_time() == eager.total_free_time()
 
 
 def row_tails(anchor: float) -> tuple[float, ...]:
-    """Tails (``end - floor``) on both sides of each of the trim's tests,
+    """Tails (``end - floor``) on both sides of each of the rule's tests,
     and on both sides of ``anchor``."""
     return (
         EPS / 2,
@@ -84,8 +97,8 @@ def row_tails(anchor: float) -> tuple[float, ...]:
 
 @st.composite
 def pool_pairs(draw):
-    """Equal lazy and eager pools, each node's slots touching (merged)
-    or gapped."""
+    """Equal stored-rows and eager pools, each node's slots touching
+    (merged) or gapped."""
     slots = []
     for node_id in range(draw(st.integers(1, 5))):
         node = make_node(
@@ -113,20 +126,21 @@ class TestLazyFloorStorm:
         for _ in range(data.draw(st.integers(5, 40))):
             op = data.draw(
                 st.sampled_from(
-                    ["floor", "floor", "floor", "row", "remove", "commit",
-                     "release", "copy", "read"]
+                    ["floor", "floor", "floor", "trim", "row", "remove", "commit",
+                     "release", "copy"]
                 )
             )
             if op == "floor":
                 clock += data.draw(st.sampled_from(FLOOR_STEPS))
                 lazy.advance_floor(clock)
-                eager.trim_before(clock)
+                eager.advance_floor(clock)
+                eager = materialized(eager)
+            elif op == "trim":
+                lazy.trim_before(lazy._floor)
             elif op == "row":
                 anchor = clock + data.draw(st.sampled_from(FLOOR_STEPS[:-1]))
                 start = anchor + data.draw(st.sampled_from(ROW_STARTS))
-                end = anchor + data.draw(
-                    st.sampled_from(row_tails(EPS))
-                )
+                end = anchor + data.draw(st.sampled_from(row_tails(EPS)))
                 if end - start > EPS:
                     fresh_node += 1
                     row = Slot(make_node(fresh_node), start, end)
@@ -135,6 +149,7 @@ class TestLazyFloorStorm:
             elif op == "remove" and len(eager):
                 slots = eager.ordered()
                 victim = slots[data.draw(st.integers(0, len(slots) - 1))]
+                assert victim in lazy
                 lazy.remove(victim)
                 eager.remove(victim)
             elif op == "commit":
@@ -146,33 +161,21 @@ class TestLazyFloorStorm:
                     committed.append(window)
             elif op == "release" and committed:
                 window = committed.pop(data.draw(st.integers(0, len(committed) - 1)))
-                # The broker's retirement: release told the coming clock
-                # step, then that step.  Steps of 3ε and more leave the
-                # lazy pool's floor pending through the release.
-                step = data.draw(st.sampled_from((None,) + FLOOR_STEPS))
-                floor = None if step is None else clock + step
                 outcomes = []
                 for pool in (lazy, eager):
                     try:
-                        pool.release(window, floor)
+                        pool.release(window)
                     except AllocationError:
                         outcomes.append("refused")
                     else:
                         outcomes.append("released")
                 assert outcomes[0] == outcomes[1]
-                if floor is not None:
-                    clock = floor
-                    lazy.advance_floor(clock)
-                    eager.trim_before(clock)
             elif op == "copy":
                 lazy, eager = lazy.copy(), eager.copy()
-            elif op == "read":
-                assert pool_state(lazy) == pool_state(eager)
             assert_reads_agree(lazy, eager)
             assert_one_order(lazy)
-            assert_one_order(eager)
+            lazy.assert_disjoint_per_node()
             eager.assert_disjoint_per_node()
-        assert pool_state(lazy) == pool_state(eager)
 
 
 # ----------------------------------------------------------------------
@@ -182,7 +185,7 @@ FLOOR = 50.0
 
 
 def boundary_cases():
-    # The ε anchor puts every tail next to one of the trim's own tests;
+    # The ε anchor puts every tail next to one of the rule's own tests;
     # the 5.0 anchor adds tails of 5 - ε/2 and 5, long tails whose ends
     # are not a whole number of ε from the floor.
     for anchor in (EPS, 5.0):
@@ -195,21 +198,26 @@ def boundary_cases():
 @pytest.mark.parametrize("anchor, offset, tail", list(boundary_cases()))
 def test_row_at_the_floor(anchor, offset, tail):
     """One row starting at ``FLOOR + offset`` and ending ``tail`` past
-    the floor, beside a row the floor cuts and one it leaves alone."""
+    the floor, beside a row the floor cuts and one it leaves alone: the
+    clamped pool, and the same pool trimmed, read as the slots the rule
+    leaves one by one (``naive_trim``)."""
     slots = [
         Slot(make_node(0), FLOOR + offset, FLOOR + tail),
         make_slot(1, 0.0, 200.0),
         make_slot(2, 80.0, 200.0),
     ]
-    lazy, eager = (SlotPool.from_slots(slots) for _ in range(2))
+    lazy, trimmed = (SlotPool.from_slots(slots) for _ in range(2))
     lazy.advance_floor(FLOOR)
-    eager.trim_before(FLOOR)
-    assert_reads_agree(lazy, eager)
-    assert pool_state(lazy) == pool_state(eager)
+    _, survivors = naive_trim(slots, FLOOR)
+    assert trimmed.trim_before(FLOOR) == len(slots) - len(survivors)
+    expected = SlotPool.from_slots(survivors)
+    assert_reads_agree(lazy, expected)
+    assert pool_state(trimmed) == pool_state(expected)
+    assert len(trimmed._store.entries()) == len(survivors)
 
 
 # ----------------------------------------------------------------------
-# The trim's tail test (``is_span(floor, end)`` on a cut row)
+# The rule's tail test (``is_span(floor, end)`` on a cut row)
 # ----------------------------------------------------------------------
 def ulps_above(value: float, count: int) -> float:
     for _ in range(count):
@@ -227,10 +235,11 @@ def test_above_epsilon_the_dead_row_test_implies_the_tail_test(floor, count):
     (it starts before ``fl(floor - ε)``)."""
     end = ulps_above(floor + EPS, count)
     assert end - floor > EPS
-    kept, start = floor_survivors(np.array([0.0]), np.array([end]), floor)
-    assert kept.tolist() == [True] and start.tolist() == [floor]
+    assert floor_survivors(0.0, end, floor) == (True, True)
+    kept, cut = floor_survivors(np.array([0.0]), np.array([end]), floor)
+    assert kept.tolist() == [True] and cut.tolist() == [True]
     pool = SlotPool.from_slots([make_slot(0, 0.0, end)])
-    assert pool.trim_before(floor) == 1
+    assert pool.trim_before(floor) == 0
     assert [(slot.start, slot.end) for slot in pool] == [(floor, end)]
 
 
@@ -244,9 +253,10 @@ def test_the_tail_test_decides_below_zero(end):
     assert end > floor + EPS and not end - floor > EPS
     kept, _ = floor_survivors(np.array([-10.0]), np.array([end]), floor)
     assert kept.tolist() == [False]
+    assert not floor_survivors(-10.0, end, floor)[0]
     pool = SlotPool.from_slots([make_slot(0, -10.0, end), make_slot(1, -10.0, 5.0)])
     lazy = pool.copy()
-    assert pool.trim_before(floor) == 2
+    assert pool.trim_before(floor) == 1
     assert [(slot.start, slot.end) for slot in pool] == [(floor, 5.0)]
     lazy.advance_floor(floor)
     assert len(lazy) == 1
@@ -255,21 +265,29 @@ def test_the_tail_test_decides_below_zero(end):
 
 @pytest.mark.parametrize("step", [0.0, EPS / 2, EPS, 2 * EPS, 2.5 * EPS, 3 * EPS, 7.0])
 def test_two_floor_steps_leave_what_two_trims_leave(step):
-    """A floor closer than two epsilons to the pending one applies the
-    pending one first: ``[0, 100)`` trimmed at 10 and then at ``10 + ε``
-    is ``[10, 100)``, not the ``[10 + ε, 100)`` a single trim leaves."""
-    slots = [make_slot(0, 0.0, 100.0), make_slot(1, 10.0 - EPS / 2, 60.0)]
+    """One floor, one clamp: after floors 10 and ``10 + step``, a stored
+    slot reads as the second floor alone leaves it, whatever the step.
+    Node 0's ``[0, 100)`` reads ``[10 + step, 100)`` — also for steps of
+    at most ε, where a pool rebuilt at 10 would keep ``[10, 100)`` — and
+    node 1's ``[10 - ε/4, 60)``, within ε of the first floor, is cut
+    only once the second lies more than ε past its start.  Two trims
+    only delete, so they leave the same."""
+    slots = [make_slot(0, 0.0, 100.0), make_slot(1, 10.0 - EPS / 4, 60.0)]
     lazy, eager = (SlotPool.from_slots(slots) for _ in range(2))
     for time in (10.0, 10.0 + step):
         lazy.advance_floor(time)
         eager.trim_before(time)
         assert_reads_agree(lazy, eager)
-    assert pool_state(lazy) == pool_state(eager)
+    second = 10.0 + step
+    node_1 = second if step >= EPS else 10.0 - EPS / 4
+    assert free_spans(lazy) == {0: [(second, 100.0)], 1: [(node_1, 60.0)]}
+    # The snapshot read at the first floor is not served at the second.
+    assert sorted(slot.start for slot in lazy) == sorted([second, node_1])
 
 
 class TestTrimsCounted:
-    """The floor costs one trim per read that applies it, not one per
-    step."""
+    """Floor steps, reads and mutations never trim; a trim is one call
+    that only deletes."""
 
     @staticmethod
     def count_trims(monkeypatch) -> list:
@@ -284,19 +302,27 @@ class TestTrimsCounted:
         return calls
 
     def test_steps_and_floor_aware_reads_do_not_trim(self, monkeypatch):
-        pool = SlotPool.from_slots([make_slot(i, float(i), 100.0) for i in range(6)])
+        pool = SlotPool.from_slots(
+            [make_slot(i, float(i), 100.0) for i in range(6)] + [make_slot(7, 0.0, 1.0)]
+        )
         calls = self.count_trims(monkeypatch)
         for time in (1.0, 2.5, 4.0, 4.0, 5.5):
             pool.advance_floor(time)
             assert len(pool) == 6
             cheapest_feasible_cost(REQUESTS[1], pool)
+            pool.as_arrays()
+            pool.ordered()
+            pool.by_node()
         assert calls == []
-        pool.as_arrays()
+        # The trim deletes what no read saw: node 7's slot, killed at 1.
+        before = pool_state(pool)
+        served = pool.as_arrays()
+        assert pool.trim_before(5.5) == 1
         assert calls == [5.5]
-        # The same floor again, with nothing changed: nothing to trim.
-        pool.advance_floor(5.5)
-        pool.ordered()
-        assert calls == [5.5]
+        # Nothing a read saw was deleted: the snapshot stays served.
+        assert pool._store.served is served
+        assert pool_state(pool) == before
+        assert 7 not in pool._by_node
 
     def test_a_mutation_between_steps_applies_the_floor(self, monkeypatch):
         pool = SlotPool.from_slots([make_slot(0, 0.0, 100.0)])
@@ -309,4 +335,4 @@ class TestTrimsCounted:
             0: [Slot(make_node(0), 9.0, 100.0)],
             1: [Slot(make_node(1), 9.0, 50.0)],
         }
-        assert calls == [3.0, 9.0]
+        assert calls == []

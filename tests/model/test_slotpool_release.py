@@ -227,8 +227,8 @@ def test_trim_before_drops_and_truncates():
     pool = SlotPool.from_slots(
         [make_slot(1, 0.0, 10.0), make_slot(2, 5.0, 40.0), make_slot(3, 30.0, 50.0)]
     )
-    changed = pool.trim_before(20.0)
-    assert changed == 2  # node 1 dropped, node 2 truncated
+    deleted = pool.trim_before(20.0)
+    assert deleted == 1  # node 1 dropped; node 2 reads as truncated
     assert pool_spans(pool) == {2: [(20.0, 40.0)], 3: [(30.0, 50.0)]}
 
 

@@ -18,7 +18,7 @@ from repro.model import Slot, SlotPool, Window, WindowSlot
 from repro.model.errors import AllocationError
 from repro.model.slot import TIME_EPSILON
 
-from tests.conftest import make_node, make_slot
+from tests.conftest import make_node, make_slot, stored_spans
 
 
 def spans_by_node(pool: SlotPool) -> dict[int, list[tuple[float, float]]]:
@@ -37,34 +37,37 @@ def window_on(slots: list[Slot], start: float, required_time: float) -> Window:
 
 
 def test_release_coalesces_with_partially_trimmed_neighbour():
-    """A release merges with the truncated leading fragment, not the original."""
+    """A release merges with the leading fragment as the floor clamps it."""
     slot = make_slot(1, 0.0, 100.0)
     pool = SlotPool.from_slots([slot])
     window = window_on([slot], start=20.0, required_time=20.0)
     pool.commit_window(window)
     assert spans_by_node(pool) == {1: [(0.0, 20.0), (40.0, 100.0)]}
 
-    assert pool.trim_before(10.0) == 1
+    assert pool.trim_before(10.0) == 0  # the fragment is clamped, not dead
     assert spans_by_node(pool) == {1: [(10.0, 20.0), (40.0, 100.0)]}
 
     pool.release(window)
     assert spans_by_node(pool) == {1: [(10.0, 100.0)]}
+    assert stored_spans(pool) == {1: [(0.0, 100.0)]}
     pool.assert_disjoint_per_node()
 
 
 def test_release_after_trim_past_fragment_leaves_gap():
-    """Trimming past the leading fragment must not swallow the released span."""
+    """A span released wholly before the floor is past free time: it is
+    not stored, and it does not bridge the gap to the next slot."""
     slot = make_slot(1, 0.0, 100.0)
     pool = SlotPool.from_slots([slot])
     window = window_on([slot], start=20.0, required_time=20.0)
     pool.commit_window(window)
 
-    # [0, 20) ends before the cutoff and vanishes; [40, 100) becomes [45, 100).
-    assert pool.trim_before(45.0) == 2
+    # [0, 20) ends before the floor and is deleted; [40, 100) reads [45, 100).
+    assert pool.trim_before(45.0) == 1
     assert spans_by_node(pool) == {1: [(45.0, 100.0)]}
 
     pool.release(window)
-    assert spans_by_node(pool) == {1: [(20.0, 40.0), (45.0, 100.0)]}
+    assert spans_by_node(pool) == {1: [(45.0, 100.0)]}
+    assert stored_spans(pool) == {1: [(40.0, 100.0)]}
     pool.assert_disjoint_per_node()
 
 
@@ -75,12 +78,14 @@ def test_release_onto_fully_trimmed_node_recreates_bucket():
     window = window_on([slot], start=10.0, required_time=20.0)
     pool.commit_window(window)
 
-    pool.trim_before(50.0)
+    pool.trim_before(15.0)
     assert spans_by_node(pool) == {}
+    assert pool._by_node == {}
     assert len(pool) == 0
 
     pool.release(window)
-    assert spans_by_node(pool) == {1: [(10.0, 30.0)]}
+    assert spans_by_node(pool) == {1: [(15.0, 30.0)]}
+    assert stored_spans(pool) == {1: [(10.0, 30.0)]}
     assert len(pool) == 1
     pool.assert_disjoint_per_node()
 
@@ -132,7 +137,7 @@ def test_trim_drops_subthreshold_truncated_tail():
 
 
 def test_commit_window_raises_when_trim_ate_the_span():
-    """After the clock passes a span's start, no host slot contains it."""
+    """After the floor passes a span's start, no host slot contains it."""
     slot = make_slot(1, 0.0, 100.0)
     pool = SlotPool.from_slots([slot])
     pool.trim_before(25.0)

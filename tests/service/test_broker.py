@@ -399,9 +399,8 @@ class TestEarlyCompletion:
 
 class TestOneTrimPerCycle:
     """Clock steps between cycles only raise the pool's floor: arrivals
-    that make no cycle due trim nothing and rebuild no snapshot, and the
-    submit that fills the batch trims once, so the cycle starts on a
-    trimmed pool.  Counted on the one trim and the one column writer."""
+    trim nothing and rewrite no column, and each cycle trims once, to its
+    own clock.  Counted on the one trim and the one column writer."""
 
     @staticmethod
     def count(monkeypatch) -> dict[str, list]:
@@ -440,19 +439,18 @@ class TestOneTrimPerCycle:
             assert service.submit(make_job(f"j{index}"))
             if index < 3:
                 assert calls == {"trim": [], "catch_up": []}
-        # The fourth job fills the batch: its submit trims to 5.0 once.
-        assert calls["trim"] == [5.0]
+        # The fourth job fills the batch; its submit trims nothing.
+        assert calls["trim"] == []
         assert service.queue_depth == 4
-        trimmed = len(calls["trim"])
         assert service.pump() == 1
-        assert len(calls["trim"]) == trimmed
+        assert calls["trim"] == [5.0]
         assert service.stats.scheduled == 4
 
     def test_retirements_between_cycles_trim_nothing(self, monkeypatch):
         """A Poisson stream whose jobs retire at clock steps between
-        cycles: each retirement releases its window under the pool's
-        pending floor and leaves it pending, so the pool trims at most
-        once per cycle, plus once for the final drain."""
+        cycles: each retirement releases its window through the floor
+        its step raised and trims nothing, so the pool trims once per
+        cycle."""
         collector = CollectingSink()
         service = BrokerService(
             SlotPool(),
@@ -464,8 +462,8 @@ class TestOneTrimPerCycle:
             sinks=[collector],
         )
         arrivals = JobGenerator(seed=3).iter_arrivals(80, rate=0.5)
-        # The first arrival's admission reads the fresh pool: it trims
-        # before counting starts, as in the test above.
+        # The first arrival's admission reads the fresh pool before
+        # counting starts, as in the test above.
         at, job = next(arrivals)
         service.advance_to(at)
         assert service.submit(job)
@@ -482,7 +480,7 @@ class TestOneTrimPerCycle:
                 between += 1
         assert between > service.stats.cycles
         assert service.stats.retired == service.stats.scheduled > 0
-        assert len(calls["trim"]) <= service.stats.cycles + 1
+        assert len(calls["trim"]) == service.stats.cycles
 
 
 class TestLegOnTheFitBoundary:

@@ -11,7 +11,7 @@ from repro.core.algorithms import AMP
 from repro.model import Job, ResourceRequest, Window, WindowSlot
 from repro.model.errors import SchedulingError
 from repro.service import JobLifecycle
-from tests.conftest import free_spans, make_slot, pool_state
+from tests.conftest import free_spans, make_slot, pool_state, stored_spans
 
 
 @pytest.fixture
@@ -90,7 +90,7 @@ def test_retirement_order_is_deterministic(uniform_pool):
 
 
 # ----------------------------------------------------------------------
-# Retirement tells ``release`` the time the broker trims to next
+# Retirement releases into a pool whose floor the broker raised first
 # ----------------------------------------------------------------------
 @pytest.fixture
 def rough_edged(heterogeneous_pool):
@@ -118,11 +118,12 @@ def test_retiring_at_completion_coalesces_the_longest_leg(rough_edged):
     job, window, pool, untouched = rough_edged
     lifecycle = JobLifecycle()
     entry = lifecycle.start(job, window, now=0.0)
+    pool.advance_floor(entry.completes_at)
     assert len(lifecycle.retire_due(entry.completes_at, pool)) == 1
     # Node 0's leg ends exactly at ``now`` and is merged back; node 1's
-    # ended 5 earlier and is not inserted for the trim to delete again.
-    assert free_spans(pool) == {0: [(0.0, 100.0)], 1: [(5.0, 100.0)], **untouched}
-    pool.trim_before(entry.completes_at)
+    # ended 5 earlier and is not stored.
+    assert stored_spans(pool)[0] == [(0.0, 100.0)]
+    assert stored_spans(pool)[1] == [(5.0, 100.0)]
     assert free_spans(pool)[0] == free_spans(pool)[1] == [(10.0, 100.0)]
 
 
@@ -131,11 +132,11 @@ def test_early_finish_returns_the_future_tail(rough_edged):
     lifecycle = JobLifecycle()
     entry = lifecycle.start(job, window, now=0.0, completion_factor=0.5)
     assert entry.completes_at == 5.0
+    pool.advance_floor(entry.completes_at)
     assert len(lifecycle.retire_due(entry.completes_at, pool)) == 1
     # Both legs reach ``now``: the reserved but unused [5, 10) of node 0
     # is free again.
-    assert free_spans(pool) == {0: [(0.0, 100.0)], 1: [(0.0, 100.0)], **untouched}
-    pool.trim_before(entry.completes_at)
+    assert stored_spans(pool)[0] == stored_spans(pool)[1] == [(0.0, 100.0)]
     assert free_spans(pool)[0] == free_spans(pool)[1] == [(5.0, 100.0)]
 
 
@@ -191,7 +192,7 @@ NODES = range(8)
 class DiscardingPool:
     """Stands in for the pool: the index only needs retirement to happen."""
 
-    def release(self, window, floor=None):
+    def release(self, window):
         pass
 
 

@@ -233,6 +233,28 @@ def scheduled_service(policy: str, **kwargs) -> tuple[BrokerService, Window]:
 
 
 class TestManager:
+    @pytest.mark.parametrize(
+        "policy, outcome",
+        [("repair", "repaired"), ("replan", "replanned"), ("abandon", "abandoned")],
+    )
+    def test_a_revocation_trims_nothing(self, policy, outcome, monkeypatch):
+        """Recovery reads and releases through the floor; only the
+        broker's cycle deletes what the floor killed."""
+        service, window = scheduled_service(policy)
+        # The clock step that samples a hit raises the floor first.
+        service.pool.advance_floor(service.now)
+        trims = []
+        trim = SlotPool.trim_before
+
+        def counted(pool, time):
+            trims.append(time)
+            return trim(pool, time)
+
+        monkeypatch.setattr(SlotPool, "trim_before", counted)
+        service.resilience.apply(first_hit(window), service.now)
+        assert getattr(service.stats, outcome) == 1
+        assert trims == []
+
     def test_repair_keeps_start_and_distinct_nodes(self):
         service, window = scheduled_service("repair")
         hit = first_hit(window)

@@ -44,7 +44,7 @@ BROKER_REPLAN_FINGERPRINT = (
     "b96bab865a8a6920712a07d5062571c15f5a9e184f9c1d4b66c826a2579bc765"
 )
 FEDERATION_FINGERPRINT = (
-    "046a826cdb74cf4512887e4bfaad9dc8094062d4a0c69251cbf7492f708ec9dd"
+    "84bfc07c88669466126b0cb16193b4fbb6927311d182c984f085faedb407964f"
 )
 
 
@@ -225,6 +225,13 @@ class TestFederationWithSharedTenancy:
             for event in sink.events
         )
         assert manager.coallocator.get("broke-4") is None
+        # No cross-shard window starts in the past: survivors a replan
+        # released are read through their shard's floor.
+        assert all(
+            event.fields["window_start"] >= event.time
+            for event in sink.events
+            if event.type is EventType.COALLOCATED
+        )
         assert trace_fingerprint(sink.events) == FEDERATION_FINGERPRINT
 
     def test_trace_matches_the_fingerprint_with_py312_sum(self, py312_sum):
